@@ -38,11 +38,8 @@ from .poly import (
     LeftPoly,
     RootReport,
     companion_poly,
-    conj_poly,
     divide_by_linear,
     factor_central_quartic,
-    poly_eval_left,
-    poly_product,
     quadratic_roots,
 )
 from .matlin import (

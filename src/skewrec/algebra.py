@@ -13,12 +13,20 @@ Conjugation negates everything except the scalar coordinate; the trace
 T(x) = x + conj(x) and norm N(x) = x*conj(x) are always central scalars.
 Octonions are not associative, only alternative, so octonion products are
 written strictly as binary operations throughout.
+
+Representation.  A quaternion is four integer numerators over one positive
+denominator, kept reduced (gcd of all five is 1).  Each sum, product,
+scaling or inverse is computed on plain ints and reduced by one
+multi-argument gcd;
+rational a, b enter as integers over D = den(a)*den(b), so a product is
+D*w1*w2 + A*x1*x2 + B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D.  An
+octonion is a pair of quaternions.  `coords()` returns exact Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     ContextMismatch,
@@ -35,9 +43,13 @@ from .scalar import FieldContext, ScalarValue
 
 
 class QuaternionAlgebra:
-    """The four-dimensional algebra (a,b | Q) with a, b nonzero rationals."""
+    """The four-dimensional algebra (a,b | Q) with a, b nonzero rationals.
 
-    __slots__ = ("ctx", "a", "b")
+    Products work on integers: with D = den(a)*den(b) the algebra keeps
+    D, A = a*D, B = b*D and AB = a*b*D, all integers.
+    """
+
+    __slots__ = ("ctx", "a", "b", "consts")
 
     def __init__(self, a, b, ctx: FieldContext | None = None):
         ctx = ctx if ctx is not None else FieldContext.rational()
@@ -50,34 +62,41 @@ class QuaternionAlgebra:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        an, ad = a.u.numerator, a.u.denominator
+        bn, bd = b.u.numerator, b.u.denominator
+        object.__setattr__(self, "consts", (ad * bd, an * bd, bn * ad, an * bn))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuaternionAlgebra is immutable")
 
     def element(self, coords) -> QuatValue:
-        w, x, y, z = (self.ctx.scalar(c) for c in coords)
-        return QuatValue(self, w, x, y, z)
+        w, x, y, z = (self.ctx.scalar(c).u for c in coords)
+        den = lcm(w.denominator, x.denominator, y.denominator, z.denominator)
+        # each coordinate is reduced, so the gcd with the lcm is already 1
+        return QuatValue(self, tuple(c.numerator * (den // c.denominator)
+                                     for c in (w, x, y, z)), den)
 
     def scalar(self, c) -> QuatValue:
-        return self.element([c, 0, 0, 0])
+        c = self.ctx.scalar(c).u
+        return QuatValue(self, (c.numerator, 0, 0, 0), c.denominator)
 
     def zero(self) -> QuatValue:
-        return self.scalar(0)
+        return QuatValue(self, (0, 0, 0, 0), 1)
 
     def one(self) -> QuatValue:
-        return self.scalar(1)
+        return QuatValue(self, (1, 0, 0, 0), 1)
 
     @property
     def e1(self) -> QuatValue:
-        return self.element([0, 1, 0, 0])
+        return QuatValue(self, (0, 1, 0, 0), 1)
 
     @property
     def e2(self) -> QuatValue:
-        return self.element([0, 0, 1, 0])
+        return QuatValue(self, (0, 0, 1, 0), 1)
 
     @property
     def e3(self) -> QuatValue:
-        return self.element([0, 0, 0, 1])
+        return QuatValue(self, (0, 0, 0, 1), 1)
 
     def basis(self) -> list[QuatValue]:
         return [self.one(), self.e1, self.e2, self.e3]
@@ -87,7 +106,7 @@ class QuaternionAlgebra:
             if v.alg == self:
                 return v
             raise ContextMismatch(f"value from {v.alg} used in {self}")
-        return self.scalar(self.ctx.scalar(v))
+        return self.scalar(v)
 
     def from_coords(self, coords) -> QuatValue:
         coords = list(coords)
@@ -96,6 +115,8 @@ class QuaternionAlgebra:
         return self.element(coords)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, QuaternionAlgebra):
             return NotImplemented
         return self.ctx == other.ctx and self.a == other.a and self.b == other.b
@@ -107,22 +128,45 @@ class QuaternionAlgebra:
         return f"({self.a},{self.b} | {self.ctx})"
 
 
-class QuatValue:
-    """Element w + x*e1 + y*e2 + z*e3 of a quaternion algebra."""
+def _rational(c):
+    """c as an int or Fraction, or None if it is not a scalar at all."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, ScalarValue):
+        if c.v:
+            raise ContextMismatch(f"cannot move {c} into Q")
+        return c.u
+    return None
 
-    __slots__ = ("alg", "w", "x", "y", "z")
+
+def _reduced(alg, w, x, y, z, d) -> QuatValue:
+    """The canonical QuatValue (w + x*e1 + y*e2 + z*e3) / d, for d != 0."""
+    g = gcd(d, w, x, y, z)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return QuatValue(alg, (w, x, y, z), d)
+    return QuatValue(alg, (w // g, x // g, y // g, z // g), d // g)
+
+
+class QuatValue:
+    """Element (w + x*e1 + y*e2 + z*e3) / den of a quaternion algebra.
+
+    `num` holds the integers (w, x, y, z) and `den` their shared positive
+    denominator, with gcd(w, x, y, z, den) == 1, so equal values have equal
+    (num, den).  The constructor takes that canonical pair as given; an
+    operation whose result may need reducing builds it through `_reduced`,
+    one gcd per result.  Values are never mutated.
+    """
+
+    __slots__ = ("alg", "num", "den")
 
     ASSOCIATIVE = True
 
-    def __init__(self, alg, w, x, y, z):
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatValue is immutable")
+    def __init__(self, alg, num, den):
+        self.alg = alg
+        self.num = num
+        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, QuatValue):
@@ -133,18 +177,21 @@ class QuatValue:
             return self.alg.scalar(other)
         return None
 
+    def _scaled(self, p, q) -> QuatValue:
+        """self * (p/q) for integers p and q != 0."""
+        w, x, y, z = self.num
+        return _reduced(self.alg, w * p, x * p, y * p, z * p, self.den * q)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.alg.ctx
-        # coordinates live over Q (enforced by the algebra), so the pieces
-        # below work on raw fractions and retag; this path is hot
-        return QuatValue(self.alg,
-                         ScalarValue(ctx, self.w.u + o.w.u),
-                         ScalarValue(ctx, self.x.u + o.x.u),
-                         ScalarValue(ctx, self.y.u + o.y.u),
-                         ScalarValue(ctx, self.z.u + o.z.u))
+        (w1, x1, y1, z1), d1 = self.num, self.den
+        (w2, x2, y2, z2), d2 = o.num, o.den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        return _reduced(self.alg, w1 * s1 + w2 * s2, x1 * s1 + x2 * s2,
+                        y1 * s1 + y2 * s2, z1 * s1 + z2 * s2, d1 * s1)
 
     __radd__ = __add__
 
@@ -152,12 +199,7 @@ class QuatValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.alg.ctx
-        return QuatValue(self.alg,
-                         ScalarValue(ctx, self.w.u - o.w.u),
-                         ScalarValue(ctx, self.x.u - o.x.u),
-                         ScalarValue(ctx, self.y.u - o.y.u),
-                         ScalarValue(ctx, self.z.u - o.z.u))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -166,38 +208,44 @@ class QuatValue:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, QuatValue):
+            alg = self.alg
+            if other.alg != alg:
+                raise ContextMismatch(f"{alg} vs {other.alg}")
+            D, A, B, AB = alg.consts
+            w1, x1, y1, z1 = self.num
+            w2, x2, y2, z2 = other.num
+            return _reduced(
+                alg,
+                D * (w1 * w2) + A * (x1 * x2) + B * (y1 * y2) - AB * (z1 * z2),
+                D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
+                D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
+                D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2),
+                D * self.den * other.den,
+            )
+        c = _rational(other)
+        if c is None:
             return NotImplemented
-        alg = self.alg
-        ctx = alg.ctx
-        a, b = alg.a.u, alg.b.u
-        ab = a * b
-        w1, x1, y1, z1 = self.w.u, self.x.u, self.y.u, self.z.u
-        w2, x2, y2, z2 = o.w.u, o.x.u, o.y.u, o.z.u
-        return QuatValue(
-            alg,
-            ScalarValue(ctx, w1 * w2 + a * (x1 * x2) + b * (y1 * y2) - ab * (z1 * z2)),
-            ScalarValue(ctx, w1 * x2 + x1 * w2 - b * (y1 * z2) + b * (z1 * y2)),
-            ScalarValue(ctx, w1 * y2 + y1 * w2 + a * (x1 * z2) - a * (z1 * x2)),
-            ScalarValue(ctx, w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2),
-        )
+        return self._scaled(c.numerator, c.denominator)
 
     def __rmul__(self, other):
         # only scalars land here, and those are central
-        o = self._coerce(other)
-        if o is None:
+        c = _rational(other)
+        if c is None:
             return NotImplemented
-        return o * self
+        return self._scaled(c.numerator, c.denominator)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, ScalarValue)):
-            inv = self.alg.ctx.scalar(other).inverse()
-            return self * inv
-        return NotImplemented
+        c = _rational(other)
+        if c is None:
+            return NotImplemented
+        if c == 0:
+            raise DivisionByZero("division by zero scalar")
+        return self._scaled(c.denominator, c.numerator)
 
     def __neg__(self):
-        return QuatValue(self.alg, -self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self.num
+        return QuatValue(self.alg, (-w, -x, -y, -z), self.den)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -214,68 +262,74 @@ class QuatValue:
         return result
 
     def conj(self) -> QuatValue:
-        return QuatValue(self.alg, self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self.num
+        return QuatValue(self.alg, (w, -x, -y, -z), self.den)
 
     def trace(self) -> ScalarValue:
-        return self.w + self.w
+        return ScalarValue(self.alg.ctx, Fraction(2 * self.num[0], self.den))
+
+    def _scaled_norm(self) -> int:
+        """N(self) * D * den**2, an integer (D from the algebra's consts)."""
+        D, A, B, AB = self.alg.consts
+        w, x, y, z = self.num
+        return D * (w * w) - A * (x * x) - B * (y * y) + AB * (z * z)
 
     def norm(self) -> ScalarValue:
-        a, b = self.alg.a.u, self.alg.b.u
-        w, x, y, z = self.w.u, self.x.u, self.y.u, self.z.u
-        return ScalarValue(self.alg.ctx,
-                           w * w - a * (x * x) - b * (y * y) + a * b * (z * z))
+        return ScalarValue(self.alg.ctx, Fraction(
+            self._scaled_norm(), self.alg.consts[0] * self.den * self.den))
 
     def inverse(self) -> QuatValue:
         if self.is_zero():
             raise DivisionByZero("division by the zero quaternion")
-        n = self.norm()
-        if n.is_zero():
+        m = self._scaled_norm()
+        if m == 0:
             raise ZeroDivisor(f"{self} has norm 0, so (a,b) is not a division algebra")
-        return self.conj() / n
+        # conj(q) / N(q) = conj(num) * D * den / m
+        s = self.alg.consts[0] * self.den
+        w, x, y, z = self.num
+        return _reduced(self.alg, w * s, -x * s, -y * s, -z * s, m)
 
     def scalar_part(self) -> ScalarValue:
-        return self.w
+        return ScalarValue(self.alg.ctx, Fraction(self.num[0], self.den))
 
     def pure(self) -> QuatValue:
-        return QuatValue(self.alg, self.alg.ctx.zero(), self.x, self.y, self.z)
+        _, x, y, z = self.num
+        return _reduced(self.alg, 0, x, y, z, self.den)
 
     def is_zero(self) -> bool:
-        return self.w.is_zero() and self.is_pure_zero()
+        return self.num == (0, 0, 0, 0)
 
     def is_pure_zero(self) -> bool:
-        return self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
+        _, x, y, z = self.num
+        return x == 0 and y == 0 and z == 0
 
     def is_central(self) -> bool:
         return self.is_pure_zero()
 
     def coords(self) -> list[Fraction]:
-        out = []
-        for c in (self.w, self.x, self.y, self.z):
-            out.extend(c.coords())
-        return out
+        return [Fraction(n, self.den) for n in self.num]
 
     @property
     def carrier(self) -> QuaternionAlgebra:
         return self.alg
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ScalarValue)):
-            other = self.alg.scalar(other)
         if isinstance(other, QuatValue):
-            if other.alg != self.alg:
-                return False
-            return (self.w == other.w and self.x == other.x
-                    and self.y == other.y and self.z == other.z)
-        return NotImplemented
+            return (other.alg == self.alg
+                    and self.num == other.num and self.den == other.den)
+        c = _rational(other)
+        if c is None:
+            return NotImplemented
+        return self.num == (c.numerator, 0, 0, 0) and self.den == c.denominator
 
     def __bool__(self):
         return not self.is_zero()
 
     def __hash__(self):
-        return hash(("quatval", self.w, self.x, self.y, self.z))
+        return hash((self.num, self.den))
 
     def __str__(self):
-        return "[" + ",".join(str(c) for c in (self.w, self.x, self.y, self.z)) + "]"
+        return "[" + ",".join(str(c) for c in self.coords()) + "]"
 
     __repr__ = __str__
 
@@ -345,6 +399,8 @@ class OctonionAlgebra:
         return self.element(coords)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, OctonionAlgebra):
             return NotImplemented
         return self.base == other.base and self.gamma == other.gamma
@@ -364,12 +420,9 @@ class OctValue:
     ASSOCIATIVE = False
 
     def __init__(self, alg, first: QuatValue, second: QuatValue):
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OctValue is immutable")
+        self.alg = alg
+        self.first = first
+        self.second = second
 
     def _coerce(self, other):
         if isinstance(other, OctValue):
@@ -423,8 +476,7 @@ class OctValue:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, ScalarValue)):
-            inv = self.alg.ctx.scalar(other).inverse()
-            return OctValue(self.alg, self.first * inv, self.second * inv)
+            return OctValue(self.alg, self.first / other, self.second / other)
         return NotImplemented
 
     def __neg__(self):
@@ -464,7 +516,7 @@ class OctValue:
         return self.conj() / n
 
     def scalar_part(self) -> ScalarValue:
-        return self.first.w
+        return self.first.scalar_part()
 
     def pure(self) -> OctValue:
         return OctValue(self.alg, self.first.pure(), self.second)
@@ -501,9 +553,7 @@ class OctValue:
         return hash(("octval", self.first, self.second))
 
     def __str__(self):
-        cs = (self.first.w, self.first.x, self.first.y, self.first.z,
-              self.second.w, self.second.x, self.second.y, self.second.z)
-        return "[" + ",".join(str(c) for c in cs) + "]"
+        return "[" + ",".join(str(c) for c in self.coords()) + "]"
 
     __repr__ = __str__
 
@@ -695,12 +745,8 @@ class SubalgebraFrame:
 
     def embed(self, q: QuatValue) -> OctValue:
         """Map frame-quaternion coordinates back into the octonion algebra."""
-        q = self.quat.coerce(q)
-        out = self.oct.one() * q.w
-        out = out + self.u * q.x
-        out = out + self.w * q.y
-        out = out + self.uw * q.z
-        return out
+        w, x, y, z = self.quat.coerce(q).coords()
+        return self.oct.one() * w + self.u * x + self.w * y + self.uw * z
 
     def contains(self, x: OctValue) -> bool:
         return self.decompose(x)[1].is_zero()

@@ -133,18 +133,6 @@ class LeftPoly:
         return " + ".join(parts)
 
 
-def poly_product(p: LeftPoly, q: LeftPoly) -> LeftPoly:
-    return p * q
-
-
-def poly_eval_left(p: LeftPoly, t):
-    return p.eval(t)
-
-
-def conj_poly(p: LeftPoly) -> LeftPoly:
-    return p.conj()
-
-
 def companion_poly(p: LeftPoly) -> LeftPoly:
     """p times its coefficient-conjugate; the result has central coefficients
     and is returned over the base field."""

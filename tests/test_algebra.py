@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewrec import (
     ConjClass,
@@ -290,3 +292,97 @@ def test_spherical_representative_random_classes():
         assert mu.trace() == x.trace() and mu.norm() == x.norm()
         found += 1
     assert found > 20
+
+
+# ---------------------------------------------------------------------------
+# the integer-over-one-denominator value layer, against independent oracles
+
+RATIONAL_ALGEBRAS = [
+    QuaternionAlgebra(-1, -3),
+    QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+    QuaternionAlgebra(Fraction(7, 3), Fraction(-2, 9)),
+]
+props = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+fracs = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+quad = st.lists(fracs, min_size=4, max_size=4)
+octad = st.lists(fracs, min_size=8, max_size=8)
+algebras = st.sampled_from(RATIONAL_ALGEBRAS)
+
+
+def assert_canonical(q):
+    assert q.den > 0
+    assert all(isinstance(n, int) for n in q.num)
+    assert gcd(q.den, *q.num) == 1
+    assert all(isinstance(c, Fraction) for c in q.coords())
+
+
+@props
+@given(quad, quad)
+def test_hamilton_products_agree_with_sympy(cx, cy):
+    from sympy import Rational
+    from sympy.algebras import Quaternion
+
+    def sym(cs):
+        return Quaternion(*(Rational(c.numerator, c.denominator) for c in cs))
+
+    prod = sym(cx) * sym(cy)
+    expected = [Fraction(int(c.p), int(c.q))
+                for c in (prod.a, prod.b, prod.c, prod.d)]
+    assert (H.element(cx) * H.element(cy)).coords() == expected
+
+
+def fraction_product(alg, p, q):
+    """The product formula on plain Fractions, independent of the scaling."""
+    a, b = alg.a.u, alg.b.u
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return [w1 * w2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
+            w1 * x2 + x1 * w2 - b * y1 * z2 + b * z1 * y2,
+            w1 * y2 + y1 * w2 + a * x1 * z2 - a * z1 * x2,
+            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2]
+
+
+@props
+@given(algebras, quad, quad)
+def test_rational_structure_constants_products(alg, cx, cy):
+    x, y = alg.element(cx), alg.element(cy)
+    assert (x * y).coords() == fraction_product(alg, cx, cy)
+    assert alg.e1 * alg.e1 == alg.a and alg.e2 * alg.e2 == alg.b
+    assert alg.e3 * alg.e3 == -(alg.a * alg.b)
+    assert x.norm() == fraction_product(alg, cx, x.conj().coords())[0]
+
+
+@props
+@given(algebras, quad, quad, quad)
+def test_rational_structure_constants_laws(alg, cx, cy, cz):
+    x, y, z = alg.element(cx), alg.element(cy), alg.element(cz)
+    assert (x * y) * z == x * (y * z)
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert x * (y + z) == x * y + x * z
+    if not x.norm().is_zero():
+        assert x * x.inverse() == 1 and x.inverse() * x == 1
+        assert_canonical(x.inverse())
+
+
+@props
+@given(algebras, quad, quad, fracs)
+def test_results_are_canonical_and_hash_by_value(alg, cx, cy, c):
+    x, y = alg.element(cx), alg.element(cy)
+    for v in (x, x * y, x + y, x - y, x * c, x / (c or 1), -x, x.conj(), x.pure(),
+              x ** 3):
+        assert_canonical(v)
+        again = alg.element(v.coords())
+        assert again == v and hash(again) == hash(v)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x.coords() == cx
+
+
+@props
+@given(octad, octad)
+def test_octonions_with_rational_constants_are_alternative(cx, cy):
+    O2 = OctonionAlgebra(Fraction(-1, 2), Fraction(3, 5), -2)
+    x, y = O2.element(cx), O2.element(cy)
+    assert (x * x) * y == x * (x * y)
+    assert (y * x) * x == y * (x * x)
+    assert (x * y) * x == x * (y * x)
+    assert (x * y).norm() == x.norm() * y.norm()

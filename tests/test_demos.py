@@ -6,10 +6,16 @@ import sys
 import pytest
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 @pytest.mark.parametrize("script", sorted(glob.glob(os.path.join(DEMO_DIR, "*.py"))))
 def test_demo_runs_clean(script):
-    proc = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    # the demos import the package from src/, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
