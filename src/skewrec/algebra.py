@@ -34,11 +34,9 @@ from .errors import (
     DivisionByZero,
     InternalError,
     NoRepresentative,
-    Singular,
     ValidationError,
     ZeroDivisor,
 )
-from .matlin import DMatrix, mat_inverse
 from .scalar import FieldContext, ScalarValue
 
 
@@ -299,12 +297,9 @@ class QuatValue:
     def is_zero(self) -> bool:
         return self.num == (0, 0, 0, 0)
 
-    def is_pure_zero(self) -> bool:
+    def is_central(self) -> bool:
         _, x, y, z = self.num
         return x == 0 and y == 0 and z == 0
-
-    def is_central(self) -> bool:
-        return self.is_pure_zero()
 
     def coords(self) -> list[Fraction]:
         return [Fraction(n, self.den) for n in self.num]
@@ -637,15 +632,18 @@ def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
     a = alg.a.u
     b = alg.b.u
     m = (n - t * t / 4).u
+    # p1^2 = (m*q^2 + b*p2^2 - a*b*p3^2) / (-a), scaled by L to plain ints
+    L = lcm(m.denominator, a.denominator, b.denominator, (a * b).denominator)
+    M, B, AB, div = int(m * L), int(b * L), int(a * b * L), int(-a * L)
     for q in range(1, height + 1):
-        mq = m * q * q
+        mq = M * q * q
         for p2 in range(0, height + 1):
             for p3 in range(0, height + 1):
-                val = (mq + b * p2 * p2 - a * b * p3 * p3) / (-a)
-                if val < 0 or val.denominator != 1:
+                val, rem = divmod(mq + B * p2 * p2 - AB * p3 * p3, div)
+                if val < 0 or rem:
                     continue
-                p1 = isqrt(val.numerator)
-                if p1 * p1 != val.numerator or p1 > height:
+                p1 = isqrt(val)
+                if p1 * p1 != val or p1 > height:
                     continue
                 if p1 == 0 and p2 == 0 and p3 == 0:
                     continue  # pure part must be nonzero to keep the pair distinct
@@ -677,11 +675,6 @@ def _orthogonalize(x: OctValue, against) -> OctValue:
     return out
 
 
-def _standard_pure(alg: OctonionAlgebra) -> list[OctValue]:
-    b = alg.basis()
-    return [b[1], b[2], b[3], b[4], b[5], b[6], b[7]]
-
-
 def _central_square(x: OctValue, what: str) -> ScalarValue:
     sq = x * x
     if not sq.is_central():
@@ -694,13 +687,15 @@ class SubalgebraFrame:
     together with a trace-zero unit ell orthogonal to it, so that the whole
     algebra splits as Q' + Q'*ell.
 
-    The 8x8 basis matrix maps frame coordinates over
-    {1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell} to standard coordinates;
-    `decompose` inverts it and `embed` applies the first half.
+    The basis {1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell} is pairwise
+    orthogonal under `polar_form` B, with B(v, v) = 2*N(v) != 0, so
+    `decompose` reads coordinate i off as B(x, v_i) / B(v_i, v_i); `embed`
+    maps frame coordinates back through the first four vectors.  A basis
+    that is not of that kind raises DegenerateFrame.
     """
 
     __slots__ = ("oct", "u", "w", "uw", "ell", "a_prime", "b_prime",
-                 "gamma_prime", "quat", "basis", "basis_inv")
+                 "gamma_prime", "quat", "vecs", "gram")
 
     def __init__(self, oct_alg: OctonionAlgebra, u: OctValue, w: OctValue,
                  ell: OctValue):
@@ -717,30 +712,21 @@ class SubalgebraFrame:
         object.__setattr__(self, "b_prime", b_p)
         object.__setattr__(self, "gamma_prime", g_p)
         object.__setattr__(self, "quat", QuaternionAlgebra(a_p, b_p, oct_alg.ctx))
-        vecs = [oct_alg.one(), u, w, uw,
-                ell, u * ell, w * ell, uw * ell]
-        ctx = oct_alg.ctx
-        entries = []
-        cols = [v.coords() for v in vecs]
-        for i in range(8):
-            for j in range(8):
-                entries.append(ScalarValue(ctx, cols[j][i]))
-        basis = DMatrix(8, 8, entries)
-        try:
-            basis_inv = mat_inverse(basis)
-        except Singular as exc:
-            raise DegenerateFrame("frame vectors are linearly dependent") from exc
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "basis_inv", basis_inv)
+        vecs = (oct_alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
+        gram = tuple(polar_form(v, v) for v in vecs)
+        if any(g.is_zero() for g in gram) or any(
+                not polar_form(vecs[i], vecs[j]).is_zero() for i in range(8) for j in range(i)):
+            raise DegenerateFrame("frame vectors are isotropic or not pairwise orthogonal")
+        object.__setattr__(self, "vecs", vecs)
+        object.__setattr__(self, "gram", gram)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubalgebraFrame is immutable")
 
     def decompose(self, x: OctValue) -> tuple[QuatValue, QuatValue]:
         """Write x = embed(q) + embed(s)*ell and return (q, s)."""
-        ctx = self.oct.ctx
-        coords = [ScalarValue(ctx, c) for c in self.oct.coerce(x).coords()]
-        c = self.basis_inv.apply(coords)
+        x = self.oct.coerce(x)
+        c = [polar_form(x, v) / g for v, g in zip(self.vecs, self.gram)]
         return self.quat.element(c[:4]), self.quat.element(c[4:])
 
     def embed(self, q: QuatValue) -> OctValue:
@@ -783,7 +769,7 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
         if not cand.is_zero():
             w = cand
     if w is None:
-        for s in _standard_pure(alg):
+        for s in alg.basis()[1:]:
             cand = _orthogonalize(s, [u])
             if not cand.is_zero():
                 w = cand
@@ -804,8 +790,4 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
     if ell is None:
         raise DegenerateFrame("no usable doubling unit orthogonal to the frame")
 
-    frame = SubalgebraFrame(alg, u, w, ell)
-    for gen in (alpha, beta):
-        if not frame.decompose(gen)[1].is_zero():
-            raise InternalError("frame does not contain its own generators")
-    return frame
+    return SubalgebraFrame(alg, u, w, ell)

@@ -40,10 +40,6 @@ from .solver import (
 _KEYS = ("algebra", "order", "rhs", "init", "roots", "height")
 
 
-def render_element(x) -> str:
-    return str(x)
-
-
 def _parse_bracketed(token: str, ctx: FieldContext, arity: int, line: int, col: int):
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected a {arity}-component [..] literal", line, col)
@@ -191,12 +187,12 @@ def render_spec(spec: RecurrenceSpec) -> str:
     lines = [
         f"algebra {alg}",
         f"order {spec.order}",
-        "rhs " + " ".join(render_element(e) for e in spec.rhs),
-        "init " + " ".join(render_element(e) for e in spec.init),
+        "rhs " + " ".join(map(str, spec.rhs)),
+        "init " + " ".join(map(str, spec.init)),
     ]
     if spec.roots is not None:
         lines.append("roots " + " ".join(
-            f"{render_element(r)} {m}" for r, m in spec.roots))
+            f"{r} {m}" for r, m in spec.roots))
     if spec.height != 20:
         lines.append(f"height {spec.height}")
     return "\n".join(lines) + "\n"
@@ -218,11 +214,11 @@ def _render_poly(poly) -> str:
         if c.is_zero():
             continue
         if s == 0:
-            parts.append(render_element(c))
+            parts.append(str(c))
         elif s == 1:
-            parts.append(f"{render_element(c)}*k")
+            parts.append(f"{c}*k")
         else:
-            parts.append(f"{render_element(c)}*k^{s}")
+            parts.append(f"{c}*k^{s}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -231,8 +227,8 @@ def _render_terms(form: AssocForm) -> str:
         return "0"
     terms = sorted(form.terms, key=_term_sort_key)
     return " + ".join(
-        f"({_render_poly(t.poly)})*({render_element(t.base)})^k"
-        f"*({render_element(t.right)})"
+        f"({_render_poly(t.poly)})*({t.base})^k"
+        f"*({t.right})"
         for t in terms
     )
 
@@ -243,9 +239,9 @@ def render_closed_form(cf) -> list[str]:
         return ["a_k = " + _render_terms(cf)]
     frame = cf.frame
     lines = [
-        f"frame u = {render_element(frame.u)}",
-        f"frame w = {render_element(frame.w)}",
-        f"frame l = {render_element(frame.ell)}",
+        f"frame u = {frame.u}",
+        f"frame w = {frame.w}",
+        f"frame l = {frame.ell}",
         f"frame u^2 = {frame.a_prime} w^2 = {frame.b_prime} l^2 = {frame.gamma_prime}",
     ]
     body = "a_k = " + _render_terms(cf.main)
@@ -305,10 +301,10 @@ def run_command(args) -> int:
             return 0
         if args.command == "eval":
             cf = solve(spec)
-            print(render_element(eval_closed_form(cf, args.k)))
+            print(eval_closed_form(cf, args.k))
             return 0
         if args.command == "oracle":
-            print(render_element(iterate_oracle(spec, args.k)))
+            print(iterate_oracle(spec, args.k))
             return 0
         cf = solve(spec)
         report = verify_closed_form(spec, cf, args.kmax)

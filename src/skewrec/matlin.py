@@ -14,7 +14,6 @@ from math import comb
 
 from .errors import (
     DimensionMismatch,
-    InternalError,
     NoSolution,
     Singular,
     SingularU,
@@ -349,7 +348,8 @@ def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     """Build U column by column from eigenvector chains of a companion matrix.
 
     Each root lam starts a chain at (1, lam, ..., lam^(n-1)); successive
-    columns solve A*w - w*lam = previous.  The result is verified exactly.
+    columns solve A*w - w*lam = previous.  The result is not checked here:
+    solve certifies the closed form built from it (solver._certify).
     """
     rootdata = [(lam, int(m)) for lam, m in rootdata]
     n = a.rows
@@ -367,8 +367,4 @@ def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
         uinv = mat_inverse(u)
     except Singular as exc:
         raise SingularU("eigenvector chains are linearly dependent") from exc
-    j = jordan_matrix(rootdata)
-    ident = DMatrix.identity(n, columns[0][0].carrier)
-    if a * u != u * j or u * uinv != ident:
-        raise InternalError("Jordan decomposition failed its exact check")
     return JordanData(rootdata, u, uinv)

@@ -121,9 +121,6 @@ class FieldContext:
             return ScalarValue(self, Fraction(coords[0]))
         return ScalarValue(self, Fraction(coords[0]), Fraction(coords[1]))
 
-    def parse(self, text: str) -> ScalarValue:
-        return scalar_parse(text, self)
-
     def __eq__(self, other):
         if not isinstance(other, FieldContext):
             return NotImplemented

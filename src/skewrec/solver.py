@@ -5,8 +5,10 @@ The characteristic data is the monic polynomial x^n - r_{n-1} x^{n-1} - ...
 Vandermonde matrix of the roots, repeated roots go through an exact Jordan
 decomposition, and order-2 octonion recurrences split over a quaternion
 subalgebra frame into a main part and a conjugated tail.  Every closed form
-is compared against direct iteration before it is returned; with exact
-arithmetic that check is cheap and unforgiving.
+is certified before it is returned: each term is proved to solve the
+recurrence for every k by a residual polynomial that vanishes at deg p + 1
+points, and the sum is checked against the initial values (see _certify).
+`verify_closed_form` is the independent check against direct iteration.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice
+from operator import mul
 
 from .algebra import OctonionAlgebra, QuaternionAlgebra, build_frame, conj_class
 from .errors import (
@@ -149,20 +154,24 @@ def primitive_char_poly(spec: RecurrenceSpec) -> LeftPoly:
     return LeftPoly(spec.algebra, coeffs)
 
 
-def iterate_oracle(spec: RecurrenceSpec, k: int):
-    """a_k by direct forward iteration; the ground truth everything else is
-    checked against."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k < spec.order:
-        return spec.init[k]
+def _forward(spec: RecurrenceSpec):
+    """a_0, a_1, ... by direct forward iteration of the recurrence."""
     window = list(spec.init)
-    for _ in range(k - spec.order + 1):
+    yield from window
+    while True:
         nxt = spec.algebra.zero()
         for r, a in zip(spec.rhs, window):
             nxt = nxt + r * a
         window = window[1:] + [nxt]
-    return window[-1]
+        yield nxt
+
+
+def iterate_oracle(spec: RecurrenceSpec, k: int):
+    """a_k by direct forward iteration, the ground truth of
+    verify_closed_form."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return next(islice(_forward(spec), k, None))
 
 
 def eval_closed_form(cf: ClosedForm, k: int):
@@ -171,50 +180,12 @@ def eval_closed_form(cf: ClosedForm, k: int):
     return cf.value(k)
 
 
-def _iter_assoc_values(form: AssocForm, kmax: int):
-    """form.value(k) for k = 0..kmax, with base powers carried incrementally."""
-    pows = [form.carrier.one() for _ in form.terms]
-    for k in range(kmax + 1):
-        acc = form.carrier.zero()
-        for t, pw in zip(form.terms, pows):
-            pk = t.poly[0]
-            for s in range(1, len(t.poly)):
-                pk = pk + t.poly[s] * (k ** s)
-            acc = acc + (pk * pw) * t.right
-        yield acc
-        if k < kmax:
-            pows = [pw * t.base for t, pw in zip(form.terms, pows)]
-
-
-def _iter_values(cf: ClosedForm, kmax: int):
-    if isinstance(cf, AssocForm):
-        yield from _iter_assoc_values(cf, kmax)
-        return
-    mains = _iter_assoc_values(cf.main, kmax)
-    tails = _iter_assoc_values(cf.tail, kmax)
-    for m, t in zip(mains, tails):
-        out = cf.frame.embed(m)
-        if not t.is_zero():
-            out = out + cf.frame.embed(t.conj()) * cf.frame.ell
-        yield out
-
-
 def verify_closed_form(spec: RecurrenceSpec, cf: ClosedForm, kmax: int) -> VerifyReport:
     """Exact comparison of the closed form against iteration for k <= kmax."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    window = list(spec.init)
-    values = _iter_values(cf, kmax)
-    for k in range(kmax + 1):
-        if k < spec.order:
-            actual = spec.init[k]
-        else:
-            nxt = spec.algebra.zero()
-            for r, a in zip(spec.rhs, window):
-                nxt = nxt + r * a
-            window = window[1:] + [nxt]
-            actual = nxt
-        if next(values) != actual:
+    for k, actual in zip(range(kmax + 1), _forward(spec)):
+        if cf.value(k) != actual:
             return VerifyReport(False, k, kmax)
     return VerifyReport(True, None, kmax)
 
@@ -393,24 +364,19 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     alpha, beta = spec.rhs
     if alpha.is_central() and beta.is_central():
         frame = build_frame(alg, spec.init[0], spec.init[1])
-        q0, s0 = frame.decompose(spec.init[0])
-        q1, s1 = frame.decompose(spec.init[1])
-        if not s0.is_zero() or not s1.is_zero():
-            raise InternalError("frame built from the initials must contain them")
         sub = RecurrenceSpec(
             frame.quat, 2,
             (frame.quat.scalar(alpha.scalar_part()),
              frame.quat.scalar(beta.scalar_part())),
-            (q0, q1), height=spec.height,
+            (frame.decompose(spec.init[0])[0], frame.decompose(spec.init[1])[0]),
+            height=spec.height,
         )
         main = _solve_assoc(sub)
         tail = AssocForm(frame.quat, ())
         return OctSplitForm(frame, main, tail)
     frame = build_frame(alg, alpha, beta)
-    alpha_q, alpha_s = frame.decompose(alpha)
-    beta_q, beta_s = frame.decompose(beta)
-    if not alpha_s.is_zero() or not beta_s.is_zero():
-        raise InternalError("frame must contain the recurrence coefficients")
+    alpha_q = frame.decompose(alpha)[0]
+    beta_q = frame.decompose(beta)[0]
     q, s = frame.decompose(spec.init[0])
     r, t = frame.decompose(spec.init[1])
     main = _solve_assoc(RecurrenceSpec(
@@ -421,15 +387,76 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     return OctSplitForm(frame, main, tail)
 
 
+def _certify_terms(form: AssocForm, rhs, label: str) -> None:
+    """Prove that every term p(k) * lam**k * b of form solves
+    a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0: its residual is
+    Q(k) * lam**k * b with Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n,
+    a polynomial in the central k of degree <= deg p, so Q vanishes
+    identically once it vanishes at k = 0..deg p."""
+    n = len(rhs)
+    for i, t in enumerate(form.terms):
+        d = t.degree
+        if d < 0 or t.right.is_zero():
+            continue
+        pows = list(accumulate([t.base] * n, mul, initial=form.carrier.one()))
+        vals = [reduce(lambda acc, c: acc * m + c, reversed(t.poly[:d]), t.poly[d])
+                for m in range(d + n + 1)]  # p(m) by Horner's rule
+        for k in range(d + 1):
+            res = -(vals[k + n] * pows[n])
+            for j, r in enumerate(rhs):
+                res = res + r * (vals[k + j] * pows[j])
+            if not res.is_zero():
+                raise InternalError(f"certificate failed: {label}term {i} leaves "
+                                    f"the residual {res} at k={k}")
+
+
+def _certify_frame(frame) -> None:
+    """embed(x)*embed(y) = embed(x*y) and embed(x)*(embed(y)*ell) =
+    embed(y*x)*ell on the frame's quaternion basis; both sides of each are
+    bilinear, so the identities then hold for all x, y."""
+    basis = frame.quat.basis()
+    emb = [frame.embed(e) for e in basis]
+    prods = [[frame.embed(x * y) for y in basis] for x in basis]
+    for i, ex in enumerate(emb):
+        for j, ey in enumerate(emb):
+            if ex * ey != prods[i][j] or ex * (ey * frame.ell) != prods[j][i] * frame.ell:
+                raise InternalError(f"certificate failed: the frame does not split "
+                                    f"the algebra at ({basis[i]}, {basis[j]})")
+
+
+def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
+    """Prove that cf gives the recurrence's a_k for every k, or raise
+    InternalError naming the failing term or initial value.
+
+    Every term solves the recurrence, so by left linearity their sum does,
+    and a solution is fixed by its first n values.  For an OctSplitForm,
+    rhs[j] must embed a frame quaternion r_j, main must solve the recurrence
+    with the r_j and tail the one with conj(r_j); the frame identities then
+    carry both to a_k = embed(main(k)) + embed(conj(tail(k)))*ell, and with
+    central r_j linearity alone does.
+    """
+    if isinstance(cf, OctSplitForm):
+        rhs = [cf.frame.decompose(r)[0] for r in spec.rhs]
+        for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
+            if cf.frame.embed(q) != r:
+                raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
+        if not all(r.is_central() for r in spec.rhs):
+            _certify_frame(cf.frame)
+        _certify_terms(cf.main, rhs, "main ")
+        _certify_terms(cf.tail, [r.conj() for r in rhs], "tail ")
+    else:
+        _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
+    for k, a in enumerate(spec.init):
+        if cf.value(k) != a:
+            raise InternalError(f"certificate failed: the closed form gives "
+                                f"a_{k} = {cf.value(k)}, not the initial value {a}")
+
+
 def solve(spec: RecurrenceSpec) -> ClosedForm:
-    """Solve the recurrence and self-check the result against iteration."""
+    """Solve the recurrence and certify the result for every k (_certify)."""
     if algebra_kind(spec.algebra) == "octonion":
         cf = solve_octonion2(spec)
     else:
         cf = _solve_assoc(spec)
-    report = verify_closed_form(spec, cf, 16)
-    if not report.ok:
-        raise InternalError(
-            f"closed form failed its self-check at k={report.first_failure}"
-        )
+    _certify(spec, cf)
     return cf

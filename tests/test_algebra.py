@@ -1,6 +1,7 @@
 import random
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +293,53 @@ def test_spherical_representative_random_classes():
         assert mu.trace() == x.trace() and mu.norm() == x.norm()
         found += 1
     assert found > 20
+
+
+def fraction_spherical(alg, t, n, height):
+    """(p1, p2, p3, q) of the first hit of the search on plain Fractions, in
+    the same order as spherical_representative, or None."""
+    a, b = alg.a.u, alg.b.u
+    m = n - t * t / 4
+    for q in range(1, height + 1):
+        for p2 in range(height + 1):
+            for p3 in range(height + 1):
+                val = (m * q * q + b * p2 * p2 - a * b * p3 * p3) / (-a)
+                if val < 0 or val.denominator != 1:
+                    continue
+                p1 = isqrt(val.numerator)
+                if p1 * p1 == val.numerator and p1 <= height and (p1, p2, p3) != (0, 0, 0):
+                    return p1, p2, p3, q
+    return None
+
+
+def test_spherical_representative_matches_the_fraction_search():
+    rng = random.Random(73)
+    algebras = [H, QuaternionAlgebra(-1, -3), QuaternionAlgebra(2, 3),
+                QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+                QuaternionAlgebra(Fraction(7, 3), Fraction(-2, 9))]
+    found = exhausted = 0
+    for _ in range(300):
+        alg = rng.choice(algebras)
+        height = rng.randint(1, 7)
+        if rng.random() < 0.6:  # a class that has elements of small height
+            den = rng.randint(1, 3)
+            x = alg.element([Fraction(rng.randint(-4, 4), den) for _ in range(4)])
+            t, n = x.trace().u, x.norm().u
+        else:
+            t, n = rand_frac(rng, 6, 4), rand_frac(rng, 9, 4)
+        hit = fraction_spherical(alg, t, n, height)
+        if hit is None:
+            message = f"up to height {height}: no element of trace {t} and norm {n} in {alg}"
+            with pytest.raises(NoRepresentative, match=re.escape(message)):
+                spherical_representative(alg, t, n, height)
+            exhausted += 1
+            continue
+        p1, p2, p3, q = hit
+        lam, mu = spherical_representative(alg, t, n, height)
+        assert lam == alg.scalar(t / 2) + alg.element([0, p1, p2, p3]) / q
+        assert mu == alg.scalar(t) - lam
+        found += 1
+    assert found > 60 and exhausted > 60
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewrec import (
     NoRepresentative,
     AssocForm,
     FieldContext,
+    InternalError,
     LeftPoly,
     LamViolation,
     NoRootsFound,
@@ -15,6 +17,7 @@ from skewrec import (
     QuaternionAlgebra,
     RecurrenceSpec,
     ScalarValue,
+    SkewrecError,
     Term,
     UnsupportedOrder,
     ValidationError,
@@ -25,9 +28,11 @@ from skewrec import (
     solve,
     solve_diagonalizable,
     solve_jordan,
+    build_frame,
     verify_closed_form,
 )
-from conftest import adjoin_root, rand_quat, rand_quat_common_den
+from skewrec.solver import _certify
+from conftest import adjoin_root, rand_oct, rand_quat, rand_quat_common_den
 
 Q = FieldContext.rational()
 H = QuaternionAlgebra(-1, -1)
@@ -321,3 +326,166 @@ def test_solver_verifies_against_oracle_randomized():
                               (rand_quat(rng, H), rand_quat(rng, H)))
         assert verify_closed_form(spec, solve(spec), 32).ok
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the all-k certificate that solve runs instead of iterating
+
+
+def _certifies(spec, cf):
+    try:
+        _certify(spec, cf)
+    except InternalError:
+        return False
+    return True
+
+
+def _corrupted(cf):
+    """Every form that differs from cf in one term: right + 1, base + 1, or
+    an extra power of k in the coefficient polynomial."""
+    def variants(form, rebuild):
+        for i, t in enumerate(form.terms):
+            one = form.carrier.one()
+            for bad in (Term(t.poly, t.base, t.right + 1),
+                        Term(t.poly, t.base + 1, t.right),
+                        Term(t.poly + (one,), t.base, t.right)):
+                yield rebuild(AssocForm(form.carrier, form.terms[:i] + (bad,) + form.terms[i + 1:]))
+
+    if isinstance(cf, AssocForm):
+        yield from variants(cf, lambda f: f)
+    else:
+        yield from variants(cf.main, lambda f: OctSplitForm(cf.frame, f, cf.tail))
+        yield from variants(cf.tail, lambda f: OctSplitForm(cf.frame, cf.main, f))
+
+
+def _planted_rhs(lams):
+    """rhs of a recurrence whose characteristic polynomial has every lam as
+    a root."""
+    p = LeftPoly.x_minus(lams[0])
+    for lam in lams[1:]:
+        p = adjoin_root(p, lam)
+    return tuple(-c for c in p.coeffs[:len(lams)])
+
+
+def _certificate_specs():
+    rng = random.Random(17)
+    H3 = QuaternionAlgebra(-1, -3)
+    specs = []
+    for alg in (H, H3):
+        for i in range(12):  # distinct roots and, via conjugate roots, Jordan
+            while True:
+                lam, g = rand_quat(rng, alg, 4, 2), rand_quat(rng, alg, 4, 2)
+                if g.is_zero():
+                    continue
+                mu = rand_quat(rng, alg, 4, 2) if i % 2 else (g * lam) * g.inverse()
+                if not (lam.is_central() or mu.is_zero() or mu in (lam, lam.conj())):
+                    break
+            p = LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)
+            specs.append(RecurrenceSpec(alg, 2, (-p.coeffs[0], -p.coeffs[1]),
+                                        (rand_quat(rng, alg), rand_quat(rng, alg))))
+        x = rand_quat_common_den(rng, alg)
+        if not x.is_central():  # spherical: central coefficients
+            specs.append(RecurrenceSpec(alg, 2, (-x.norm(), x.trace()),
+                                        (rand_quat(rng, alg), rand_quat(rng, alg))))
+        roots = [rand_quat(rng, alg, 4, 2) for _ in range(3)]
+        specs.append(RecurrenceSpec(alg, 3, _planted_rhs(roots),
+                                    tuple(rand_quat(rng, alg) for _ in range(3)),
+                                    roots=tuple((r, 1) for r in roots)))
+    for c0, c1 in ((2, -3), (1, -2), (-1, -1), (-3, 1), (Fraction(1, 4), -1)):
+        specs.append(RecurrenceSpec(Q, 2, (-c0, -c1), (rng.randint(-5, 5), rng.randint(1, 5))))
+    specs.append(RecurrenceSpec(Q, 3, (2, -5, 4), (3, 1, 4), roots=((1, 2), (2, 1))))
+    specs.append(RecurrenceSpec(FieldContext.quadratic(5), 2, (1, 1), (0, 1)))
+    specs += [DIAG, JORDAN, RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L)),
+              RecurrenceSpec(O, 2, (OK, OI + OJ), (1, L)),
+              RecurrenceSpec(O, 2, (-5, 2), (OI, L))]
+    O2 = OctonionAlgebra(-1, -1, -2)
+    fr = build_frame(O2, rand_oct(rng, O2), rand_oct(rng, O2))
+    lam, mu = rand_quat(rng, fr.quat, 3, 1), rand_quat(rng, fr.quat, 3, 1)
+    p = LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)
+    specs.append(RecurrenceSpec(O2, 2, tuple(fr.embed(-c) for c in p.coeffs[:2]),
+                                (rand_oct(rng, O2), rand_oct(rng, O2))))
+    return specs
+
+
+def test_certificate_rejects_what_iteration_rejects():
+    mutants = 0
+    for spec in _certificate_specs():
+        cf = solve(spec)
+        assert _certifies(spec, cf) and verify_closed_form(spec, cf, 16).ok
+        for bad in _corrupted(cf):
+            assert _certifies(spec, bad) == verify_closed_form(spec, bad, 16).ok
+            mutants += 1
+    assert mutants >= 250
+
+
+def test_certificate_names_what_fails():
+    cf = solve(JORDAN)
+    t = cf.terms[1]
+    bad = AssocForm(H, (cf.terms[0], Term(t.poly + (H.one(),), t.base, t.right)))
+    with pytest.raises(InternalError, match="term 1 leaves the residual"):
+        _certify(JORDAN, bad)
+    # each term still solves the recurrence, but their sum misses a_0
+    shifted = RecurrenceSpec(H, 2, DIAG.rhs, (2, 1))
+    with pytest.raises(InternalError, match="a_0"):
+        _certify(shifted, solve(DIAG))
+
+
+def test_certificate_checks_every_point_up_to_the_degree():
+    # a_{k+1} = 2 a_k; the term (1 - k + k^2) * 2^k has a_0 right and the
+    # residual Q(k) = -4k, which vanishes at k = 0 but not at k = 1
+    spec = RecurrenceSpec(Q, 1, (2,), (1,))
+    one = Q.one()
+    bad = AssocForm(Q, (Term((one, -one, one), Q.scalar(2), one),))
+    assert not verify_closed_form(spec, bad, 16).ok
+    with pytest.raises(InternalError, match="term 0 leaves the residual -4 at k=1"):
+        _certify(spec, bad)
+
+
+def test_certificate_checks_the_frame():
+    spec = RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L))
+    cf = solve(spec)
+    other = build_frame(O, L, OJ)  # span(1, j, l, j*l) holds neither OI nor OK
+    with pytest.raises(InternalError, match="not in the frame"):
+        _certify(spec, OctSplitForm(other, cf.main, cf.tail))
+    # a frame whose ell lies inside its own quaternion part splits nothing
+    broken = build_frame(O, -1 - OK, OI)
+    object.__setattr__(broken, "ell", broken.w)
+    with pytest.raises(InternalError, match="does not split the algebra"):
+        _certify(spec, OctSplitForm(broken, cf.main, cf.tail))
+
+
+SOLVE_ALGEBRAS = [Q, FieldContext.quadratic(2), H,
+                  QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)), O]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_solve_raises_only_skewrec_errors_and_returns_checked_forms(data):
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+
+    def element(carrier):
+        if isinstance(carrier, FieldContext):
+            return ScalarValue(carrier, *data.draw(
+                st.lists(fracs, min_size=carrier.dim, max_size=carrier.dim)))
+        n = 8 if isinstance(carrier, OctonionAlgebra) else 4
+        return carrier.element(data.draw(st.lists(fracs, min_size=n, max_size=n)))
+
+    alg = data.draw(st.sampled_from(SOLVE_ALGEBRAS))
+    octonion = isinstance(alg, OctonionAlgebra)
+    how = data.draw(st.sampled_from(["random", "planted", "roots given"]))
+    order = 2 if octonion else data.draw(st.integers(1, 3 if how == "roots given" else 2))
+    init = tuple(element(alg) for _ in range(order))
+    roots = None
+    try:
+        if how == "random":
+            rhs = tuple(element(alg) for _ in range(order))
+        else:  # roots first; octonion roots come from the standard quaternion part
+            lams = [element(alg.base if octonion else alg) for _ in range(order)]
+            rhs = _planted_rhs(lams)
+            if how == "roots given" and not octonion:
+                roots = tuple((lam, 1) for lam in lams)
+        spec = RecurrenceSpec(alg, order, rhs, init, roots=roots, height=6)
+        cf = solve(spec)
+    except SkewrecError:
+        return
+    assert verify_closed_form(spec, cf, 64).ok
