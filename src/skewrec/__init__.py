@@ -66,7 +66,6 @@ from .solver import (
     primitive_char_poly,
     promote_field_quadratic,
     solve,
-    solve_diagonalizable,
     solve_jordan,
     solve_octonion2,
     verify_closed_form,

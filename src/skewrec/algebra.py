@@ -49,23 +49,15 @@ class QuaternionAlgebra:
 
     __slots__ = ("ctx", "a", "b", "consts")
 
-    def __init__(self, a, b, ctx: FieldContext | None = None):
-        ctx = ctx if ctx is not None else FieldContext.rational()
-        if ctx.kind != "rational":
-            raise ValidationError("quaternion algebras are only instantiated over Q")
-        a = ctx.scalar(a)
-        b = ctx.scalar(b)
-        if a.is_zero() or b.is_zero():
+    def __init__(self, a, b):
+        self.ctx = FieldContext.rational()
+        self.a = self.ctx.scalar(a)
+        self.b = self.ctx.scalar(b)
+        if self.a.is_zero() or self.b.is_zero():
             raise ValidationError("structure constants a, b must be nonzero")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        an, ad = a.u.numerator, a.u.denominator
-        bn, bd = b.u.numerator, b.u.denominator
-        object.__setattr__(self, "consts", (ad * bd, an * bd, bn * ad, an * bn))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuaternionAlgebra is immutable")
+        an, ad = self.a.u.numerator, self.a.u.denominator
+        bn, bd = self.b.u.numerator, self.b.u.denominator
+        self.consts = (ad * bd, an * bd, bn * ad, an * bn)
 
     def element(self, coords) -> QuatValue:
         w, x, y, z = (self.ctx.scalar(c).u for c in coords)
@@ -106,18 +98,12 @@ class QuaternionAlgebra:
             raise ContextMismatch(f"value from {v.alg} used in {self}")
         return self.scalar(v)
 
-    def from_coords(self, coords) -> QuatValue:
-        coords = list(coords)
-        if len(coords) != 4:
-            raise ValueError("quaternion needs 4 coordinates")
-        return self.element(coords)
-
     def __eq__(self, other):
         if other is self:
             return True
         if not isinstance(other, QuaternionAlgebra):
             return NotImplemented
-        return self.ctx == other.ctx and self.a == other.a and self.b == other.b
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self):
         return hash(("quat", self.a, self.b))
@@ -334,16 +320,11 @@ class OctonionAlgebra:
 
     __slots__ = ("base", "gamma")
 
-    def __init__(self, a, b, gamma, ctx: FieldContext | None = None):
-        base = QuaternionAlgebra(a, b, ctx)
-        gamma = base.ctx.scalar(gamma)
-        if gamma.is_zero():
+    def __init__(self, a, b, gamma):
+        self.base = QuaternionAlgebra(a, b)
+        self.gamma = self.base.ctx.scalar(gamma)
+        if self.gamma.is_zero():
             raise ValidationError("doubling parameter gamma must be nonzero")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OctonionAlgebra is immutable")
 
     @property
     def ctx(self) -> FieldContext:
@@ -389,9 +370,6 @@ class OctonionAlgebra:
                 return self.embed(v)
             raise ContextMismatch(f"quaternion from {v.alg} used in {self}")
         return self.scalar(self.ctx.scalar(v))
-
-    def from_coords(self, coords) -> OctValue:
-        return self.element(coords)
 
     def __eq__(self, other):
         if other is self:
@@ -453,6 +431,9 @@ class OctValue:
         return o - self
 
     def __mul__(self, other):
+        c = _rational(other)
+        if c is not None:  # a rational is central: scale both halves
+            return OctValue(self.alg, self.first * c, self.second * c)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -464,6 +445,9 @@ class OctValue:
                         t * q + r * s.conj())
 
     def __rmul__(self, other):
+        c = _rational(other)
+        if c is not None:
+            return self * c
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -571,12 +555,9 @@ class ConjClass:
     def __init__(self, central=None, t=None, n=None):
         if (central is None) == (t is None):
             raise ValueError("give either a central scalar or a (t, n) pair")
-        object.__setattr__(self, "central", central)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConjClass is immutable")
+        self.central = central
+        self.t = t
+        self.n = n
 
     @property
     def is_central(self) -> bool:
@@ -699,29 +680,22 @@ class SubalgebraFrame:
 
     def __init__(self, oct_alg: OctonionAlgebra, u: OctValue, w: OctValue,
                  ell: OctValue):
-        object.__setattr__(self, "oct", oct_alg)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "ell", ell)
-        uw = u * w
-        object.__setattr__(self, "uw", uw)
-        a_p = _central_square(u, "frame generator u")
-        b_p = _central_square(w, "frame generator w")
-        g_p = _central_square(ell, "frame unit ell")
-        object.__setattr__(self, "a_prime", a_p)
-        object.__setattr__(self, "b_prime", b_p)
-        object.__setattr__(self, "gamma_prime", g_p)
-        object.__setattr__(self, "quat", QuaternionAlgebra(a_p, b_p, oct_alg.ctx))
+        self.oct = oct_alg
+        self.u = u
+        self.w = w
+        self.ell = ell
+        self.uw = uw = u * w
+        self.a_prime = _central_square(u, "frame generator u")
+        self.b_prime = _central_square(w, "frame generator w")
+        self.gamma_prime = _central_square(ell, "frame unit ell")
+        self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
         vecs = (oct_alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
         gram = tuple(polar_form(v, v) for v in vecs)
         if any(g.is_zero() for g in gram) or any(
                 not polar_form(vecs[i], vecs[j]).is_zero() for i in range(8) for j in range(i)):
             raise DegenerateFrame("frame vectors are isotropic or not pairwise orthogonal")
-        object.__setattr__(self, "vecs", vecs)
-        object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubalgebraFrame is immutable")
+        self.vecs = vecs
+        self.gram = gram
 
     def decompose(self, x: OctValue) -> tuple[QuatValue, QuatValue]:
         """Write x = embed(q) + embed(s)*ell and return (q, s)."""

@@ -61,9 +61,6 @@ class DMatrix:
     def row(self, i: int) -> list:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     def __add__(self, other):
         if not isinstance(other, DMatrix):
             return NotImplemented
@@ -109,18 +106,12 @@ class DMatrix:
             out.append(acc)
         return out
 
-    def inverse(self) -> DMatrix:
-        return mat_inverse(self)
-
     def __eq__(self, other):
         if not isinstance(other, DMatrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and all(
             a == b for a, b in zip(self.entries, other.entries)
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
 
     def __repr__(self):
         rows = ["[" + ", ".join(str(e) for e in self.row(i)) + "]"
@@ -307,7 +298,7 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     sol = solve_rational(mat, rhs)
     if sol is None:
         raise NoSolution("generalized eigenvector system is inconsistent")
-    return [carrier.from_coords(sol[j * m : (j + 1) * m]) for j in range(n)]
+    return [carrier.element(sol[j * m : (j + 1) * m]) for j in range(n)]
 
 
 class JordanData:

@@ -10,6 +10,7 @@ the coefficients may be noncommuting, which is why (x-a)(x-b) and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (
     ConjClass,
@@ -32,11 +33,8 @@ class LeftPoly:
         coeffs = [carrier.coerce(c) for c in coeffs]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LeftPoly is immutable")
+        self.carrier = carrier
+        self.coeffs = tuple(coeffs)
 
     @classmethod
     def zero(cls, carrier) -> LeftPoly:
@@ -211,17 +209,15 @@ def _find_rational_root(coeffs) -> Fraction | None:
     """
     if coeffs[0] == 0:
         return Fraction(0)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
     n = len(ints) - 1
     a0 = abs(ints[0])
     f1 = sum(ints)
     fm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
     for pnum in _divisors(a0):
-        for qden in _divisors(lcm):
-            if _gcd(pnum, qden) != 1:
+        for qden in _divisors(den):
+            if gcd(pnum, qden) != 1:
                 continue
             for sign in (1, -1):
                 pn = sign * pnum
@@ -245,12 +241,6 @@ def _find_rational_root(coeffs) -> Fraction | None:
                 if acc == 0:
                     return Fraction(pn, qden)
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _mul_frac_polys(p, q):

@@ -44,15 +44,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return e, d * n
 
 
-def _is_squarefree(d: int) -> bool:
-    p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
 class FieldContext:
     """Base field descriptor: Q, or Q(sqrt(d)) for a squarefree d > 1."""
 
@@ -64,15 +55,12 @@ class FieldContext:
         if kind == "quadratic":
             if not isinstance(d, int) or d <= 1:
                 raise ValueError("quadratic context needs an integer d > 1")
-            if not _is_squarefree(d):
+            if squarefree_split(d)[0] != 1:
                 raise ValueError(f"d = {d} is not squarefree")
         elif d is not None:
             raise ValueError("rational context takes no d")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldContext is immutable")
+        self.kind = kind
+        self.d = d
 
     @classmethod
     def rational(cls) -> FieldContext:
@@ -113,7 +101,7 @@ class FieldContext:
             return [self.one()]
         return [self.one(), ScalarValue(self, Fraction(0), Fraction(1))]
 
-    def from_coords(self, coords) -> ScalarValue:
+    def element(self, coords) -> ScalarValue:
         coords = list(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
@@ -149,12 +137,9 @@ class ScalarValue:
             v = Fraction(v)
         if ctx.kind == "rational" and v != 0:
             raise ContextMismatch("sqrt coordinate in a rational context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarValue is immutable")
+        self.ctx = ctx
+        self.u = u
+        self.v = v
 
     # ---- coercion ---------------------------------------------------------
 

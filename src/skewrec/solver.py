@@ -1,14 +1,17 @@
 """End-to-end solving of left linear recurrences a_{k+n} = sum r_j a_{k+j}.
 
 The characteristic data is the monic polynomial x^n - r_{n-1} x^{n-1} - ...
-- r_0.  Distinct roots diagonalize the companion matrix through the
-Vandermonde matrix of the roots, repeated roots go through an exact Jordan
-decomposition, and order-2 octonion recurrences split over a quaternion
-subalgebra frame into a main part and a conjugated tail.  Every closed form
-is certified before it is returned: each term is proved to solve the
-recurrence for every k by a residual polynomial that vanishes at deg p + 1
-points, and the sum is checked against the initial values (see _certify).
-`verify_closed_form` is the independent check against direct iteration.
+- r_0.  Over a field or a quaternion algebra one path solves every spec:
+the exact Jordan decomposition U * J * U^-1 of the companion matrix, built
+from eigenvector chains of the roots (solve_jordan).  Simple roots are the
+case of 1x1 blocks, where U is the Vandermonde matrix of the roots.
+Order-2 octonion recurrences split over a quaternion subalgebra frame into
+a main part and a conjugated tail, each solved on that same path.  Every
+closed form is certified before it is returned: each term is proved to
+solve the recurrence for every k by a residual polynomial that vanishes at
+deg p + 1 points, and the sum is checked against the initial values (see
+_certify).  `verify_closed_form` is the independent check against direct
+iteration.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
+from math import factorial
 from operator import mul
 
 from .algebra import OctonionAlgebra, QuaternionAlgebra, build_frame, conj_class
@@ -28,7 +32,7 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .matlin import companion_matrix, jordan_from_roots, vandermonde
+from .matlin import companion_matrix, jordan_from_roots
 from .poly import LeftPoly, quadratic_roots
 from .scalar import FieldContext, ScalarValue, squarefree_split
 
@@ -191,8 +195,8 @@ def verify_closed_form(spec: RecurrenceSpec, cf: ClosedForm, kmax: int) -> Verif
 
 
 def _check_lam(roots) -> None:
-    """No three roots may share a conjugacy class, or the Vandermonde matrix
-    of the roots can go singular."""
+    """No three roots may share a conjugacy class, or U (for simple roots the
+    Vandermonde matrix of the roots) can go singular."""
     if not roots or isinstance(roots[0].carrier, FieldContext):
         return
     counts: dict = {}
@@ -203,63 +207,53 @@ def _check_lam(roots) -> None:
             raise LamViolation(f"three roots lie in conjugacy class {cls}")
 
 
-def solve_diagonalizable(spec: RecurrenceSpec, roots) -> AssocForm:
-    """Distinct-root closed form a_k = sum base**k * b with b = V^-1 * init."""
-    alg = spec.algebra
-    roots = [alg.coerce(r) for r in roots]
-    if len(roots) != spec.order:
-        raise ValidationError("need as many roots as the order")
-    if len(set(roots)) != len(roots):
-        raise ValidationError("roots must be pairwise distinct")
-    p = primitive_char_poly(spec)
-    for r in roots:
-        if not p.eval(r).is_zero():
-            raise ValidationError(f"{r} is not a root of the characteristic polynomial")
-    _check_lam(roots)
-    v = vandermonde(roots)
-    b = v.inverse().apply(list(spec.init))
-    one = alg.one()
-    terms = tuple(Term((one,), lam, bi) for lam, bi in zip(roots, b))
-    return AssocForm(alg, terms)
-
-
 def _binom_coeffs(r: int) -> list[Fraction]:
     """Coefficients of the polynomial C(k, r) in powers of k."""
-    out = [Fraction(1)]
+    out = [1]
     for i in range(r):
-        nxt = [Fraction(0)] * (len(out) + 1)
+        nxt = [0] * (len(out) + 1)
         for s, c in enumerate(out):
             nxt[s + 1] += c
             nxt[s] -= c * i
         out = nxt
-    fact = 1
-    for i in range(2, r + 1):
-        fact *= i
-    return [c / fact for c in out]
+    fact = factorial(r)
+    return [Fraction(c, fact) for c in out]
 
 
 def solve_jordan(spec: RecurrenceSpec, rootdata) -> AssocForm:
-    """Repeated-root closed form via the Jordan decomposition of the
-    companion matrix: a_k is the first row of U * J**k * b expanded into
-    terms p(k) * base**k * b with deg p below the block size."""
+    """Closed form via the Jordan decomposition A = U * J * U^-1 of the
+    companion matrix: a_k is the first row of U * J**k * b with
+    b = U^-1 * init, expanded into terms p(k) * base**k * b_i with deg p
+    below the block size.  Simple roots give 1x1 blocks, U is then the
+    Vandermonde matrix of the roots and each term is base**k * b_i.
+
+    rootdata is a list of (root, multiplicity); the multiplicities must sum
+    to the order, the roots must be pairwise distinct roots of the
+    characteristic polynomial and no three may share a conjugacy class.
+    """
     alg = spec.algebra
     rootdata = [(alg.coerce(lam), int(m)) for lam, m in rootdata]
+    roots = [lam for lam, _ in rootdata]
+    if sum(m for _, m in rootdata) != spec.order:
+        raise ValidationError(f"root multiplicities must sum to the order {spec.order}")
+    if len(set(roots)) != len(roots):
+        raise ValidationError("roots must be pairwise distinct")
     p = primitive_char_poly(spec)
-    for lam, _m in rootdata:
+    for lam in roots:
         if not p.eval(lam).is_zero():
             raise ValidationError(f"{lam} is not a root of the characteristic polynomial")
-    a = companion_matrix(p)
-    jd = jordan_from_roots(a, rootdata)
+    _check_lam(roots)
+    jd = jordan_from_roots(companion_matrix(p), rootdata)
     b = jd.Uinv.apply(list(spec.init))
     terms = []
     col = 0
     for lam, m in jd.blocks:
-        lam_inv = lam.inverse()
+        lam_inv = lam.inverse() if m > 1 else None
         for sp in range(m):
-            coeffs = [alg.zero() for _ in range(sp + 1)]
-            for r in range(sp + 1):
-                u = jd.U.entry(0, col + sp - r)
-                base_e = u * (lam_inv ** r)
+            # the r = 0 summand of column sp is U's first-row entry itself
+            coeffs = [jd.U.entry(0, col + sp)] + [alg.zero()] * sp
+            for r in range(1, sp + 1):
+                base_e = jd.U.entry(0, col + sp - r) * (lam_inv ** r)
                 for s, frac in enumerate(_binom_coeffs(r)):
                     if frac:
                         coeffs[s] = coeffs[s] + base_e * frac
@@ -318,22 +312,16 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
     return dataclasses.replace(spec, roots=(((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1)))
 
 
-def _solve_with_rootdata(spec: RecurrenceSpec, rootdata) -> AssocForm:
-    if all(m == 1 for _, m in rootdata):
-        return solve_diagonalizable(spec, [lam for lam, _ in rootdata])
-    return solve_jordan(spec, rootdata)
-
-
 def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
     kind = algebra_kind(spec.algebra)
     if spec.roots is not None:
-        return _solve_with_rootdata(spec, list(spec.roots))
+        return solve_jordan(spec, spec.roots)
     if spec.order == 1:
-        return solve_diagonalizable(spec, [spec.rhs[0]])
+        return solve_jordan(spec, [(spec.rhs[0], 1)])
     if kind == "field":
         if spec.order == 2:
             promoted = promote_field_quadratic(spec)
-            return _solve_with_rootdata(promoted, list(promoted.roots))
+            return solve_jordan(promoted, promoted.roots)
         raise UnsupportedOrder(
             "field recurrences of order > 2 need user-supplied roots"
         )
@@ -345,7 +333,7 @@ def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
                 "a single isolated root without repeated-root structure "
                 "cannot determine an order-2 closed form"
             )
-        return _solve_with_rootdata(spec, rootdata)
+        return solve_jordan(spec, rootdata)
     raise UnsupportedOrder(
         "quaternion recurrences of order > 2 need user-supplied roots"
     )

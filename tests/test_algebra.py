@@ -434,3 +434,13 @@ def test_octonions_with_rational_constants_are_alternative(cx, cy):
     assert (y * x) * x == y * (x * x)
     assert (x * y) * x == x * (y * x)
     assert (x * y).norm() == x.norm() * y.norm()
+
+
+@props
+@given(octad, st.sampled_from([Fraction(-1, 2), Fraction(3, 5), -2]))
+def test_octonion_scaling_is_coordinatewise(cx, c):
+    O2 = OctonionAlgebra(Fraction(-1, 2), Fraction(3, 5), -2)
+    x = O2.element(cx)
+    scaled = O2.element([c * v for v in cx])
+    assert c * x == x * c == scaled
+    assert O2.scalar(c) * x == x * O2.scalar(c) == scaled  # the full product agrees

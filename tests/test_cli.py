@@ -184,6 +184,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_root_multiplicities_off_the_order(tmp_path, capsys):
+    # 1 is a root of x^2 - e1*x - (1 - e1), but not of multiplicity 3
+    spec = tmp_path / "mult.rec"
+    spec.write_text("algebra quaternion -1 -1\norder 2\nrhs [1,-1,0,0] [0,1,0,0]\n"
+                    "init [1,0,0,0] [0,0,1,0]\nroots [1,0,0,0] 3\n")
+    assert main(["solve", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: root multiplicities must sum to the order 2\n"
+
+
 def test_bundled_demo_files_solve_and_verify(capsys):
     files = sorted(glob.glob(os.path.join(DEMO_DIR, "*.rec")))
     assert len(files) >= 5

@@ -26,9 +26,10 @@ from skewrec import (
     primitive_char_poly,
     promote_field_quadratic,
     solve,
-    solve_diagonalizable,
     solve_jordan,
     build_frame,
+    mat_inverse,
+    vandermonde,
     verify_closed_form,
 )
 from skewrec.solver import _certify
@@ -134,12 +135,15 @@ def test_solve_repeated_root():
     assert verify_closed_form(other, solve(other), 64).ok
 
 
-def test_jordan_path_with_simple_roots_matches_diagonalizable():
+def test_simple_roots_solve_through_the_vandermonde_matrix():
+    # 1x1 Jordan blocks: U is the Vandermonde matrix, every term is
+    # lam**k * b_i with b = V^-1 * init
     roots = [J, I + J]
-    via_jordan = solve_jordan(DIAG, [(r, 1) for r in roots])
-    via_diag = solve_diagonalizable(DIAG, roots)
-    for k in range(17):
-        assert eval_closed_form(via_jordan, k) == eval_closed_form(via_diag, k)
+    cf = solve_jordan(DIAG, [(r, 1) for r in roots])
+    b = mat_inverse(vandermonde(roots)).apply(list(DIAG.init))
+    assert [(t.poly, t.base, t.right) for t in cf.terms] == [
+        ((H.one(),), lam, bi) for lam, bi in zip(roots, b)]
+    assert cf == solve(DIAG)
 
 
 def test_solve_spherical():
@@ -198,8 +202,12 @@ def test_solve_requires_roots_for_high_order():
 
 
 def test_solve_rejects_wrong_user_roots():
-    with pytest.raises(ValidationError):
-        solve(RecurrenceSpec(H, 2, (-1 - K, I), (1, 1), roots=((I, 1), (J, 1))))
+    for roots, why in ((((I, 1), (J, 1)), "not a root"),
+                       (((J, 1),), "must sum to the order 2"),
+                       (((J, 1), (I + J, 2)), "must sum to the order 2"),
+                       (((J, 1), (J, 1)), "pairwise distinct")):
+        with pytest.raises(ValidationError, match=why):
+            solve(RecurrenceSpec(H, 2, (-1 - K, I), (1, 1), roots=roots))
 
 
 def test_lam_violation():
@@ -483,7 +491,9 @@ def test_solve_raises_only_skewrec_errors_and_returns_checked_forms(data):
             lams = [element(alg.base if octonion else alg) for _ in range(order)]
             rhs = _planted_rhs(lams)
             if how == "roots given" and not octonion:
-                roots = tuple((lam, 1) for lam in lams)
+                # multiplicities need not sum to the order: solve must say so
+                mults = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=order))
+                roots = tuple(zip(lams, mults))
         spec = RecurrenceSpec(alg, order, rhs, init, roots=roots, height=6)
         cf = solve(spec)
     except SkewrecError:
