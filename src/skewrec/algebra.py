@@ -252,20 +252,22 @@ class QuatValue:
     def trace(self) -> ScalarValue:
         return ScalarValue(self.alg.ctx, Fraction(2 * self.num[0], self.den))
 
-    def _scaled_norm(self) -> int:
-        """N(self) * D * den**2, an integer (D from the algebra's consts)."""
+    def _scaled_polar(self, other: QuatValue) -> int:
+        """B(self, other) * D * self.den * other.den / 2, an integer, for the
+        polar form B of the norm (D from the algebra's consts)."""
         D, A, B, AB = self.alg.consts
-        w, x, y, z = self.num
-        return D * (w * w) - A * (x * x) - B * (y * y) + AB * (z * z)
+        w1, x1, y1, z1 = self.num
+        w2, x2, y2, z2 = other.num
+        return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2)
 
     def norm(self) -> ScalarValue:
         return ScalarValue(self.alg.ctx, Fraction(
-            self._scaled_norm(), self.alg.consts[0] * self.den * self.den))
+            self._scaled_polar(self), self.alg.consts[0] * self.den * self.den))
 
     def inverse(self) -> QuatValue:
         if self.is_zero():
             raise DivisionByZero("division by the zero quaternion")
-        m = self._scaled_norm()
+        m = self._scaled_polar(self)
         if m == 0:
             raise ZeroDivisor(f"{self} has norm 0, so (a,b) is not a division algebra")
         # conj(q) / N(q) = conj(num) * D * den / m
@@ -307,6 +309,9 @@ class QuatValue:
         return not self.is_zero()
 
     def __hash__(self):
+        # a central value equals its rational, so it hashes like one
+        if self.is_central():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
     def __str__(self):
@@ -529,7 +534,10 @@ class OctValue:
         return not self.is_zero()
 
     def __hash__(self):
-        return hash(("octval", self.first, self.second))
+        # q + 0*l0 equals the quaternion q, so it hashes like q
+        if self.second.is_zero():
+            return hash(self.first)
+        return hash((self.first, self.second))
 
     def __str__(self):
         return "[" + ",".join(str(c) for c in self.coords()) + "]"
@@ -642,8 +650,26 @@ def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
 
 
 def polar_form(x, y) -> ScalarValue:
-    """Bilinear form attached to the norm: B(x, y) = N(x+y) - N(x) - N(y)."""
-    return (x * y.conj()).trace()
+    """Bilinear form attached to the norm: B(x, y) = N(x+y) - N(x) - N(y).
+
+    Read off the coordinates on integers, with no product: for quaternions
+    B = 2*(w1*w2 - a*x1*x2 - b*y1*y2 + a*b*z1*z2), and for octonions
+    q + r*l0 it is B(q1, q2) - gamma*B(r1, r2) on the halves.
+    """
+    alg = x.alg
+    y = alg.coerce(y)
+    if isinstance(x, QuatValue):
+        num, den = x._scaled_polar(y), x.den * y.den
+        D = alg.consts[0]
+    else:
+        (q1, r1), (q2, r2) = (x.first, x.second), (y.first, y.second)
+        g = alg.gamma.u
+        dq, dr = q1.den * q2.den, r1.den * r2.den
+        num = (q1._scaled_polar(q2) * dr * g.denominator
+               - r1._scaled_polar(r2) * dq * g.numerator)
+        den = dq * dr * g.denominator
+        D = alg.base.consts[0]
+    return ScalarValue(alg.ctx, Fraction(2 * num, D * den))
 
 
 def _orthogonalize(x: OctValue, against) -> OctValue:

@@ -5,12 +5,15 @@ Entries always combine left to right: (M*N)[i,k] = sum_j M[i,j]*N[j,k] and
 used by the recurrences, where the matrix sits to the left of the state
 vector.  There are no determinants here; pivots are inverted in the algebra
 itself, which is what makes elimination work over noncommutative entries.
+
+The one commutative system, the base-field coordinates of a Jordan chain
+step A*w - w*lam = v, is eliminated on integers by `solve_rational`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -225,41 +228,65 @@ def jordan_block_power(lam, m: int, k: int) -> DMatrix:
     return DMatrix(m, m, entries)
 
 
-def solve_rational(mat, rhs):
-    """Solve an exact rational linear system; free variables are set to 0.
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries (a zero row as is)."""
+    g = gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
 
-    Returns the solution vector, or None when the system is inconsistent.
+
+def _integer_row(row) -> list:
+    """A row of ints and Fractions as the primitive integer row on its line."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def solve_rational(mat, rhs):
+    """Solve a linear system with int or Fraction entries; free variables
+    are set to 0.
+
+    Returns the solution as Fractions, or None when the system is
+    inconsistent.  Elimination is fraction-free (after Bareiss): each
+    augmented row is scaled to integers by the lcm of its denominators, row
+    i is eliminated against pivot row r as pv*row_i - f*row_r, and each new
+    row is divided by the gcd of its entries.  Every integer row stays a
+    nonzero multiple of the row Gauss-Jordan on Fractions holds, so the
+    zero pattern, the pivots, the consistency test and the reduced echelon
+    form are the same; the only division is rhs_r / pivot_r at the end.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    aug = [list(mat[r]) + [rhs[r]] for r in range(rows)]
+    aug = [_integer_row(list(mat[r]) + [rhs[r]]) for r in range(rows)]
     pivots = []
     r = 0
     for c in range(cols):
         pr = None
         for i in range(r, rows):
-            if aug[i][c] != 0:
+            if aug[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        prow = aug[r]
+        pv = prow[c]
         for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = aug[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                p, f = pv // g, f // g
+                aug[i] = _primitive([p * x - f * y for x, y in zip(aug[i], prow)])
         pivots.append((r, c))
         r += 1
         if r == rows:
             break
     for i in range(r, rows):
-        if aug[i][cols] != 0:
+        if aug[i][cols]:
             return None
     sol = [Fraction(0)] * cols
     for pr, pc in pivots:
-        sol[pc] = aug[pr][cols]
+        sol[pc] = Fraction(aug[pr][cols], aug[pr][pc])
     return sol
 
 
@@ -267,8 +294,11 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     """Solve A*w - w*lam = v for a vector w over an associative algebra.
 
     The unknown is flattened to rational coordinates (the map is linear over
-    the base field), eliminated exactly, and free variables are pinned to 0,
-    so the returned representative of the solution coset is deterministic.
+    the base field): block (i, j) of the system has as column c the
+    coordinates of a_ij*e_c, minus e_c*lam on the diagonal, for the basis
+    e_c of the carrier.  It is eliminated on integers by solve_rational and
+    free variables are pinned to 0, so the returned representative of the
+    solution coset is deterministic.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("chain solve needs a square matrix")
@@ -278,23 +308,23 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     basis = carrier.basis()
     m = len(basis)
     n = a.rows
-    big = n * m
-    mat = [[Fraction(0)] * big for _ in range(big)]
+    right = [b * lam for b in basis]
+    zero_block = [[0] * m] * m
+    mat = []
     for i in range(n):
+        blocks = []
         for j in range(n):
             aij = a.entry(i, j)
-            if not aij.is_zero():
-                for c, bvec in enumerate(basis):
-                    col = j * m + c
-                    for rr, val in enumerate((aij * bvec).coords()):
-                        mat[i * m + rr][col] += val
-        for c, bvec in enumerate(basis):
-            col = i * m + c
-            for rr, val in enumerate((bvec * lam).coords()):
-                mat[i * m + rr][col] -= val
-    rhs = []
-    for vi in v:
-        rhs.extend(vi.coords())
+            if i == j:
+                blocks.append([(-r if aij.is_zero() else aij * b - r).coords()
+                               for b, r in zip(basis, right)])
+            elif aij.is_zero():
+                blocks.append(zero_block)
+            else:
+                blocks.append([(aij * b).coords() for b in basis])
+        for rr in range(m):
+            mat.append([col[rr] for block in blocks for col in block])
+    rhs = [x for vi in v for x in vi.coords()]
     sol = solve_rational(mat, rhs)
     if sol is None:
         raise NoSolution("generalized eigenvector system is inconsistent")
@@ -339,7 +369,8 @@ def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     """Build U column by column from eigenvector chains of a companion matrix.
 
     Each root lam starts a chain at (1, lam, ..., lam^(n-1)); successive
-    columns solve A*w - w*lam = previous.  The result is not checked here:
+    columns solve A*w - w*lam = previous (sylvester_chain_solve, on
+    integers); U is inverted in the algebra.  The result is not checked here:
     solve certifies the closed form built from it (solver._certify).
     """
     rootdata = [(lam, int(m)) for lam, m in rootdata]

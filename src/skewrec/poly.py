@@ -215,8 +215,9 @@ def _find_rational_root(coeffs) -> Fraction | None:
     a0 = abs(ints[0])
     f1 = sum(ints)
     fm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
+    qdens = _divisors(den)
     for pnum in _divisors(a0):
-        for qden in _divisors(den):
+        for qden in qdens:
             if gcd(pnum, qden) != 1:
                 continue
             for sign in (1, -1):

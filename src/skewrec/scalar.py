@@ -310,9 +310,10 @@ class ScalarValue:
         return not self.is_zero()
 
     def __hash__(self):
+        # a rational-valued scalar equals its Fraction, so it hashes like one
         if self.v == 0:
-            return hash(("scalar", self.u))
-        return hash(("scalar", self.u, self.v, self.ctx.d))
+            return hash(self.u)
+        return hash((self.u, self.v, self.ctx.d))
 
     def __str__(self):
         return scalar_render(self)

@@ -11,9 +11,11 @@ from skewrec import (
     ContextMismatch,
     DegenerateFrame,
     DivisionByZero,
+    FieldContext,
     NoRepresentative,
     OctonionAlgebra,
     QuaternionAlgebra,
+    ScalarValue,
     ZeroDivisor,
     build_frame,
     conj_class,
@@ -444,3 +446,56 @@ def test_octonion_scaling_is_coordinatewise(cx, c):
     scaled = O2.element([c * v for v in cx])
     assert c * x == x * c == scaled
     assert O2.scalar(c) * x == x * O2.scalar(c) == scaled  # the full product agrees
+
+
+# ---------------------------------------------------------------------------
+# the polar form on integer coordinates, and hashing across types
+
+POLAR_OCTONIONS = [OctonionAlgebra(-1, -1, -1),
+                   OctonionAlgebra(Fraction(-1, 2), Fraction(3, 5), -2),
+                   OctonionAlgebra(Fraction(7, 3), Fraction(-2, 9), Fraction(-3, 4))]
+
+
+@props
+@given(st.sampled_from(POLAR_OCTONIONS), octad, octad)
+def test_polar_form_matches_product_and_norm(alg, cx, cy):
+    x, y = alg.element(cx), alg.element(cy)
+    for p, q in ((x, y), (x.first, y.first), (x.second, y.second)):
+        b = polar_form(p, q)
+        assert b == (p * q.conj()).trace()
+        assert b == (p + q).norm() - p.norm() - q.norm()
+        assert b == polar_form(q, p)
+    assert polar_form(x, x) == 2 * x.norm()
+
+
+Q2 = FieldContext.quadratic(2)
+HASH_QUAT = QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5))
+HASH_OCT = OctonionAlgebra(Fraction(-1, 2), Fraction(3, 5), -2)
+
+
+def rational_forms(c):
+    """c as every type that compares equal to it."""
+    forms = [c, ScalarValue(FieldContext.rational(), c), ScalarValue(Q2, c),
+             HASH_QUAT.scalar(c), HASH_OCT.scalar(c)]
+    if c.denominator == 1:
+        forms.append(int(c))
+    return forms
+
+
+@props
+@given(fracs, quad, st.lists(st.integers(0, 3), min_size=4, max_size=4))
+def test_equal_values_hash_equal(c, cq, mask):
+    # a rational in every form, and a quaternion with some coordinates zeroed
+    # (central ones included) beside its octonion embedding
+    q = HASH_QUAT.element([x if m else 0 for x, m in zip(cq, mask)])
+    groups = [rational_forms(c), [q, HASH_OCT.embed(q)]]
+    if q.is_central():
+        groups[1] += rational_forms(q.coords()[0])
+    for group in groups:
+        for x in group:
+            assert all(x == y and hash(x) == hash(y) for y in group)
+    values = groups[0] + groups[1]
+    for x in values:
+        assert all(hash(x) == hash(y) for y in values if x == y)
+    assert len(set(values)) == (1 if groups[0][0] == groups[1][0] else 2)
+    assert len({HASH_QUAT.one(), 1, HASH_OCT.one(), ScalarValue(Q2, 1)}) == 1

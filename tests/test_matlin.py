@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewrec import (
     DMatrix,
@@ -21,7 +23,8 @@ from skewrec import (
     sylvester_chain_solve,
     vandermonde,
 )
-from conftest import rand_invertible_quat, rand_quat
+from skewrec.matlin import solve_rational
+from conftest import rand_frac, rand_invertible_quat, rand_quat, rand_scalar
 
 Q = FieldContext.rational()
 H = QuaternionAlgebra(-1, -1)
@@ -232,3 +235,95 @@ def test_lam_random_triples_and_pairs():
         v = vandermonde([x, y])
         assert v * mat_inverse(v) == ident2
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination kernel and the chain system built on it
+
+props = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def sympy_solution(mat, rhs):
+    """The solution with free variables at 0, read off sympy's reduced row
+    echelon form of [mat | rhs], and the pivot columns; None if inconsistent."""
+    from sympy import Matrix, Rational
+
+    cols = len(mat[0])
+    aug = Matrix([[Rational(x.numerator, x.denominator) for x in row + [b]]
+                  for row, b in zip(mat, rhs)])
+    rref, pivots = aug.rref()
+    if cols in pivots:
+        return None, pivots
+    sol = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        sol[pc] = Fraction(int(rref[r, cols].p), int(rref[r, cols].q))
+    return sol, pivots
+
+
+@props
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6),
+       st.sampled_from(["consistent", "inconsistent", "arbitrary"]),
+       st.integers(0, 2 ** 32))
+def test_solve_rational_agrees_with_sympy(rows, cols, rank, kind, seed):
+    # a rank-limited matrix B*C (full rank when rank >= rows, cols); its rhs
+    # is in the column space, off it by a dependent row, or drawn freely
+    rng = random.Random(seed)
+    rank = min(rank, rows, cols)
+    b = [[rand_frac(rng) for _ in range(rank)] for _ in range(rows)]
+    c = [[rand_frac(rng) for _ in range(cols)] for _ in range(rank)]
+    mat = [[sum((b[i][t] * c[t][j] for t in range(rank)), Fraction(0))
+            for j in range(cols)] for i in range(rows)]
+    x = [rand_frac(rng) for _ in range(cols)]
+    rhs = [sum((m * xi for m, xi in zip(row, x)), Fraction(0)) for row in mat]
+    if kind == "inconsistent":
+        mat.append([sum(col) for col in zip(*mat)])
+        rhs.append(sum(rhs) + 1)
+    elif kind == "arbitrary":
+        rhs = [rand_frac(rng) for _ in rhs]
+    mat = [[int(v) if v.denominator == 1 else v for v in row] for row in mat]
+    expected, pivots = sympy_solution(mat, rhs)
+    got = solve_rational(mat, rhs)
+    assert got == expected
+    if kind == "inconsistent":
+        assert got is None
+    if got is not None:
+        assert all(isinstance(v, Fraction) for v in got)
+        assert all(got[j] == 0 for j in range(len(got)) if j not in pivots)
+        assert [sum(m * v for m, v in zip(row, got)) for row in mat] == rhs
+
+
+CHAIN_CARRIERS = [
+    FieldContext.rational(),
+    FieldContext.quadratic(2),
+    QuaternionAlgebra(-1, -1),
+    QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+    QuaternionAlgebra(Fraction(7, 3), Fraction(-2, 9)),
+]
+
+
+def rand_entry(rng, carrier):
+    if isinstance(carrier, FieldContext):
+        return rand_scalar(rng, carrier)
+    return rand_quat(rng, carrier)
+
+
+@props
+@given(st.sampled_from(CHAIN_CARRIERS), st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_chain_solve_satisfies_equation_over_every_carrier(carrier, n, seed):
+    # v = A*w0 - w0*lam is in the image, so a solution w exists; A is either
+    # random or the companion matrix of (x - mu_1)...(x - mu_{n-1})(x - lam),
+    # which has lam as a root, with each mu_i = lam or random
+    rng = random.Random(seed)
+    lam = rand_entry(rng, carrier)
+    if rng.random() < 0.3:
+        a = DMatrix(n, n, [rand_entry(rng, carrier) for _ in range(n * n)])
+    else:
+        p = LeftPoly.x_minus(lam)
+        for _ in range(n - 1):
+            mu = lam if rng.random() < 0.5 else rand_entry(rng, carrier)
+            p = LeftPoly.x_minus(mu) * p
+        a = companion_matrix(p)
+    w0 = [rand_entry(rng, carrier) for _ in range(n)]
+    v = [x - y * lam for x, y in zip(a.apply(w0), w0)]
+    w = sylvester_chain_solve(a, lam, v)
+    assert [x - y * lam for x, y in zip(a.apply(w), w)] == v

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewrec import (
     ConjClass,
@@ -249,3 +250,48 @@ def test_quadratic_roots_at_most_two_per_class():
         for _root, cls in rep.isolated:
             seen[cls] = seen.get(cls, 0) + 1
         assert all(v <= 2 for v in seen.values())
+
+
+# ---------------------------------------------------------------------------
+# factor_central_quartic against sympy's factor_list over QQ
+
+QUARTIC_POOL = st.lists(
+    st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+              st.fractions(min_value=-6, max_value=6, max_denominator=4),
+              st.integers(1, 2)),
+    min_size=1, max_size=4)
+
+
+def sympy_monic_factors(coeffs):
+    """(monic factor coefficients low-first, multiplicity) from sympy."""
+    from sympy import Poly, QQ, Rational, symbols
+
+    x = symbols("x")
+    poly = Poly([Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                x, domain=QQ)
+    out = []
+    for f, mult in poly.factor_list()[1]:
+        f = f.monic()
+        out.append(([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())],
+                    mult))
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(QUARTIC_POOL, st.booleans())
+def test_factor_central_quartic_agrees_with_sympy(parts, dense):
+    # products of linear (x + c0) and quadratic (x^2 + c1 x + c0) factors up
+    # to degree 4, or, with dense, a monic quartic with those coefficients
+    if dense:
+        flat = [c for c0, c1, _ in parts for c in (c0, c1)][:4]
+        p = LeftPoly(Q, flat + [0] * (4 - len(flat)) + [1])
+    else:
+        p = LeftPoly(Q, [1])
+        for c0, c1, deg in parts:
+            f = LeftPoly(Q, [c0, 1] if deg == 1 else [c0, c1, 1])
+            if p.degree + f.degree <= 4:
+                p = p * f
+        if p.degree < 1:
+            return
+    got = [([c.u for c in f.coeffs], mult) for f, mult in factor_central_quartic(p)]
+    assert got == sympy_monic_factors([c.u for c in p.coeffs])
