@@ -300,6 +300,8 @@ class QuatValue:
         if isinstance(other, QuatValue):
             return (other.alg == self.alg
                     and self.num == other.num and self.den == other.den)
+        if isinstance(other, ScalarValue) and other.v:
+            return False  # an irrational scalar equals no quaternion
         c = _rational(other)
         if c is None:
             return NotImplemented

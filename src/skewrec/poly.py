@@ -5,23 +5,31 @@ p(t) = sum c_i * t**i, so products convolve coefficients in order:
 (p*q)_m = sum over i+j=m of p_i * q_j, never reassociated.  The point and
 the coefficients may be noncommuting, which is why (x-a)(x-b) and
 (x-b)(x-a) generally differ.
+
+The companion polynomial C_p = p*conj(p) is read off polar forms of the
+coefficients, and factored over Q on integers: scaled to a monic integer
+polynomial, its integer roots found by Hensel lifting and its quadratic
+splits by the integer resolvent cubic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 
 from .algebra import (
     ConjClass,
     OctonionAlgebra,
     QuaternionAlgebra,
     conj_class,
+    polar_form,
     same_class,
     spherical_representative,
 )
-from .errors import InternalError, NoRootsFound, UnsupportedDegree
-from .scalar import FieldContext, frac_sqrt
+from .errors import NoRootsFound, UnsupportedDegree
+from .scalar import FieldContext
 
 
 class LeftPoly:
@@ -115,41 +123,30 @@ class LeftPoly:
         return hash(("leftpoly", self.coeffs))
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(f"({c})")
-            elif i == 1:
-                parts.append(f"({c})*x")
-            else:
-                parts.append(f"({c})*x^{i}")
-        return " + ".join(parts)
+        powers = ["", "*x"] + [f"*x^{i}" for i in range(2, len(self.coeffs))]
+        terms = [f"({c}){powers[i]}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        return " + ".join(reversed(terms)) or "0"
 
 
 def companion_poly(p: LeftPoly) -> LeftPoly:
-    """p times its coefficient-conjugate; the result has central coefficients
-    and is returned over the base field."""
+    """C_p = p * conj(p) for a monic p, over the base field: coefficient m
+    sums B(c_i, c_j) = c_i*conj(c_j) + c_j*conj(c_i) over i < j, i + j = m,
+    and N(c_{m/2}) for even m.  That holds for quaternion and octonion
+    coefficients alike (conj(xy) = conj(y)*conj(x)), so `polar_form` and
+    `norm` read C_p off the integer coordinates with no product."""
     carrier = p.carrier
-    if isinstance(carrier, QuaternionAlgebra):
-        ctx = carrier.ctx
-    elif isinstance(carrier, OctonionAlgebra):
-        ctx = carrier.ctx
-    else:
+    if not isinstance(carrier, (QuaternionAlgebra, OctonionAlgebra)):
         raise ValueError("companion polynomial needs quaternion or octonion coefficients")
     if not p.is_monic():
         raise ValueError("companion polynomial needs a monic input")
-    prod = p * p.conj()
+    c, n = p.coeffs, p.degree
     out = []
-    for c in prod.coeffs:
-        if not c.is_central():
-            raise InternalError(f"companion coefficient {c} is not central")
-        out.append(c.scalar_part())
-    return LeftPoly(ctx, out)
+    for m in range(2 * n + 1):
+        s = c[m // 2].norm().u if m % 2 == 0 else Fraction(0)
+        for i in range(max(0, m - n), (m + 1) // 2):
+            s += polar_form(c[i], c[m - i]).u
+        out.append(s)
+    return LeftPoly(carrier.ctx, out)
 
 
 def divide_by_linear(p: LeftPoly, lam) -> tuple[LeftPoly, object]:
@@ -174,173 +171,161 @@ def divide_by_linear(p: LeftPoly, lam) -> tuple[LeftPoly, object]:
 
 
 # ---------------------------------------------------------------------------
-# exact factorization of rational polynomials of degree <= 4
+# exact factorization of rational polynomials of degree <= 4, on integers
+#
+# Polynomials here are lists of ints, low degree first.  A monic rational f
+# of degree n is scaled to the monic integer g(y) = L**n * f(y/L), L the lcm
+# of f's denominators.  By Gauss's lemma every monic factor of g over Q has
+# integer coefficients, so the rational roots of g are integers and its
+# quadratic factors are integer quadratics; y = L*x maps them back to f.
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _horner(g, y):
+    acc = 0
+    for c in reversed(g):
+        acc = acc * y + c
+    return acc
 
 
-def _deflate(coeffs, r: Fraction):
-    """Divide a monic polynomial (low-first coefficients) by (x - r)."""
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    out[n - 1] = coeffs[n]
-    for i in range(n - 1, 0, -1):
-        out[i - 1] = coeffs[i] + out[i] * r
-    return out
+def _derivative(g):
+    return [i * c for i, c in enumerate(g)][1:]
 
 
-def _find_rational_root(coeffs) -> Fraction | None:
-    """Some rational root of a monic rational polynomial, or None.
-
-    Candidates p/q with p | a_0 and q | a_n are prefiltered by the classical
-    congruences (p - q) | f(1) and (p + q) | f(-1), then confirmed with an
-    all-integer evaluation of sum a_i p^i q^(n-i).
-    """
-    if coeffs[0] == 0:
-        return Fraction(0)
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    n = len(ints) - 1
-    a0 = abs(ints[0])
-    f1 = sum(ints)
-    fm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    qdens = _divisors(den)
-    for pnum in _divisors(a0):
-        for qden in qdens:
-            if gcd(pnum, qden) != 1:
-                continue
-            for sign in (1, -1):
-                pn = sign * pnum
-                d = pn - qden
-                if d == 0:
-                    if f1 != 0:
-                        continue
-                elif f1 % d != 0:
-                    continue
-                d = pn + qden
-                if d == 0:
-                    if fm1 != 0:
-                        continue
-                elif fm1 % d != 0:
-                    continue
-                acc = 0
-                qpow = 1
-                for i in range(n, -1, -1):
-                    acc = acc * pn + ints[i] * qpow
-                    qpow *= qden
-                if acc == 0:
-                    return Fraction(pn, qden)
-    return None
+def _divide(g, a):
+    """(quotient, remainder) of g divided by a monic a."""
+    g, n = list(g), len(a) - 1
+    q = [0] * (len(g) - n)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = c = g[s + n]
+        for i, x in enumerate(a):
+            g[s + i] -= c * x
+    return q, g[:n]
 
 
-def _mul_frac_polys(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _squarefree_part(g):
+    """g / gcd(g, g') for a monic g: the monic polynomial with the roots of
+    g, each once.  The gcd is the last nonzero remainder of the primitive
+    pseudo-remainder sequence of g and g'."""
+    a, b = g, _derivative(g)
+    while len(b) > 1:
+        r = list(a)  # the primitive part of lc(b)**k * a mod b
+        while len(r) >= len(b):
+            c, s = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for i, x in enumerate(b):
+                r[s + i] -= c * x
+            while r and r[-1] == 0:
+                r.pop()
+        c = gcd(*r)
+        a, b = b, [x // c for x in r]
+    if b:
+        return g
+    # the primitive part of a divides monic g, so it is monic up to sign
+    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return _divide(g, [x // c for x in a])[0]
 
 
-def _split_quartic(coeffs):
-    """Try to write a monic rational quartic with no rational roots as a
-    product of two monic rational quadratics; None if impossible.
-
-    Shift to kill the cubic term, then look for factor pairs
-    (y^2 + A y + B)(y^2 - A y + D); A^2 must be a rational root of the
-    resolvent cubic Y^3 + 2pY^2 + (p^2-4r)Y - q^2 that is also a rational
-    square.
-    """
-    c0, c1, c2, c3 = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
-    s = c3 / 4
-    p = c2 - 6 * s * s
-    q = c1 - 2 * c2 * s + 8 * s ** 3
-    r = c0 - c1 * s + c2 * s * s - 3 * s ** 4
-
-    resolvent = [-q * q, p * p - 4 * r, 2 * p, Fraction(1)]
-    roots = []
-    work = resolvent
-    while len(work) > 1:
-        y = _find_rational_root(work)
-        if y is None:
+def _integer_roots(g):
+    """The distinct integer roots of a monic integer g, ascending, with no
+    integer factored (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 15; Cohen, GTM 138, 3.5).  The roots of h mod p, h = g and p = 3
+    at first, come from trying 0..p-1; while one is a multiple root, h
+    becomes the squarefree part of g and p the next odd prime (2 divides
+    the discriminant of every resolvent cubic).  Each simple root mod p
+    lifts to one root mod p**(2**i) by Newton steps (Hensel lifting) until
+    the modulus exceeds twice the Cauchy bound 1 + max|h_i|; a symmetric
+    residue is kept only if h vanishes there exactly."""
+    h, dh, squarefree = g, _derivative(g), False
+    for p in count(3, 2):
+        if any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+            continue
+        found = [a for a in range(p) if _horner(h, a) % p == 0]
+        if all(_horner(dh, a) % p for a in found):
             break
-        roots.append(y)
-        work = _deflate(work, y)
-    for y in sorted(set(roots)):
-        if y < 0:
+        if not squarefree:
+            h, squarefree = _squarefree_part(g), True
+            dh = _derivative(h)
+    bound = 2 * (1 + max(map(abs, h[:-1])))
+    roots = []
+    for a in found:
+        m = p
+        while True:
+            r = a - m if 2 * a > m else a
+            hr = _horner(h, r)
+            if hr == 0 or m > bound:
+                break
+            m *= m
+            a = (r - hr * pow(_horner(dh, r), -1, m)) % m
+        if hr == 0:
+            roots.append(r)
+    return sorted(roots)
+
+
+def _split_quartic(g):
+    """Monic integer quadratics [u, v] with u*v == g, for a monic integer
+    quartic g with no integer root; None when g is irreducible over Q.
+
+    z = 4y + c3 depresses g to 256*g((z - c3)/4) = z^4 + P z^2 + Q z + R,
+    still on integers.  A split (z^2 + A z + B)(z^2 - A z + D) has
+    B + D = P + A^2, A(D - B) = Q and BD = R, so A^2 is an integer root of
+    the resolvent cubic Y^3 + 2P Y^2 + (P^2 - 4R) Y - Q^2.  The candidate
+    u for z^2 + A z + B is kept only if it divides g exactly.
+    """
+    c0, c1, c2, c3, _ = g
+    P = 16 * c2 - 6 * c3 * c3
+    Q = 64 * c1 - 32 * c2 * c3 + 8 * c3 ** 3
+    R = 256 * c0 - 64 * c1 * c3 + 16 * c2 * c3 * c3 - 3 * c3 ** 4
+    for y in _integer_roots([-Q * Q, P * P - 4 * R, 2 * P, 1]):
+        A = isqrt(max(y, 0))
+        if A * A != y or (A and Q % A):
             continue
-        alpha = frac_sqrt(y)
-        if alpha is None:
-            continue
-        if y == 0:
-            disc = p * p - 4 * r
-            sd = frac_sqrt(disc)
-            if sd is None:
-                continue
-            beta, delta = (p + sd) / 2, (p - sd) / 2
-            quads = ([beta, Fraction(0), Fraction(1)],
-                     [delta, Fraction(0), Fraction(1)])
-        else:
-            beta = (p + y - q / alpha) / 2
-            delta = (p + y + q / alpha) / 2
-            quads = ([beta, alpha, Fraction(1)],
-                     [delta, -alpha, Fraction(1)])
-        shifted = []
-        for b0, b1, _ in quads:
-            # substitute y = x + s to undo the shift
-            shifted.append([s * s + b1 * s + b0, b1 + 2 * s, Fraction(1)])
-        if _mul_frac_polys(shifted[0], shifted[1]) == list(coeffs):
-            return shifted[0], shifted[1]
+        # 2B; for A = 0, B is a root of t^2 - P t + R, and if the square
+        # root below is inexact the exact division rejects the candidate
+        b2 = P + y - Q // A if A else P + isqrt(max(P * P - 4 * R, 0))
+        # u = (z^2 + A z + B at z = 4y + c3) / 16
+        u1, r1 = divmod(8 * c3 + 4 * A, 16)
+        u0, r0 = divmod(2 * c3 * (c3 + A) + b2, 32)
+        v, rem = _divide(g, [u0, u1, 1])
+        if not (r1 or r0 or any(rem)):
+            return [[u0, u1, 1], v]
     return None
 
 
 def factor_central_quartic(p: LeftPoly):
     """Exact factorization over Q of a monic rational polynomial of degree
     up to 4, as a list of (monic irreducible factor, multiplicity) sorted by
-    degree and then by coefficients."""
+    degree and then by coefficients.
+
+    Works on the monic integer g(y) = L**n * p(y/L), L the lcm of the
+    denominators: the integer roots of `_integer_roots` are divided out on
+    ints, a quartic left without roots is split by the integer resolvent of
+    `_split_quartic`, and a quadratic or cubic left is irreducible.
+    """
     if not isinstance(p.carrier, FieldContext) or p.carrier.kind != "rational":
         raise ValueError("factorization works over rational coefficients only")
     if p.degree > 4:
         raise UnsupportedDegree(f"degree {p.degree} > 4")
     if not p.is_monic():
         raise ValueError("factorization needs a monic polynomial")
-    work = [c.u for c in p.coeffs]
-    raw = []
-    while len(work) > 1:
-        root = _find_rational_root(work)
-        if root is None:
-            break
-        raw.append((-root, Fraction(1)))
-        work = _deflate(work, root)
-    d = len(work) - 1
-    if d >= 2:
-        if d == 4:
-            sp = _split_quartic(work)
-            if sp:
-                raw.append(tuple(sp[0]))
-                raw.append(tuple(sp[1]))
-            else:
-                raw.append(tuple(work))
-        else:
-            # quadratic or cubic with no rational roots is irreducible
-            raw.append(tuple(work))
-    counted: dict[tuple, int] = {}
-    for f in raw:
-        key = tuple(f)
-        counted[key] = counted.get(key, 0) + 1
-    ordered = sorted(counted.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ctx = p.carrier
-    return [(LeftPoly(ctx, list(f)), mult) for f, mult in ordered]
+    f = [c.u for c in p.coeffs]
+    n = len(f) - 1
+    L = lcm(*(c.denominator for c in f))
+    g = [c.numerator * (L ** (n - i) // c.denominator) for i, c in enumerate(f)]
+    counted = Counter()
+    for r in _integer_roots(g) if n else ():
+        q, rem = _divide(g, [-r, 1])
+        while rem == [0]:
+            g = q
+            counted[(-r, 1)] += 1
+            q, rem = _divide(g, [-r, 1])
+    if len(g) > 2:
+        for u in (_split_quartic(g) if len(g) == 5 else None) or [g]:
+            counted[tuple(u)] += 1
+    # coefficient i of a degree-d factor is divided by the same L**(d - i)
+    # for every factor, so the integer order is the order of the results
+    return [(LeftPoly(p.carrier, [Fraction(c, L ** (len(u) - 1 - i))
+                                  for i, c in enumerate(u)]), mult)
+            for u, mult in sorted(counted.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +375,8 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> Ro
         raise ValueError("quadratic_roots needs a monic quadratic")
     beta = -p.coeffs[1]
     alpha = -p.coeffs[0]
-    factors = factor_central_quartic(companion_poly(p))
+    comp = companion_poly(p)
+    factors = factor_central_quartic(comp)
     isolated = []
     spherical = None
     for f, _mult in factors:
@@ -415,7 +401,10 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> Ro
         if same_class(beta - lam, lam):
             jordan = (lam, 2)
     if not isolated and spherical is None:
-        raise NoRootsFound(
-            "no conjugacy class of the companion quartic yields a root"
-        )
+        if len(factors) == 1 and factors[0][0].degree == 4:
+            raise NoRootsFound(f"C_p = {comp} is irreducible over Q: the roots "
+                               "need a degree-4 scalar extension")
+        listed = " * ".join(f"[{f}]^{m}" if m > 1 else f"[{f}]" for f, m in factors)
+        raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
+                           "factor yields a root")
     return RootReport(isolated, jordan, spherical, factors)

@@ -8,8 +8,10 @@ There is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import ContextMismatch, DivisionByZero, ParseError
 
@@ -25,23 +27,60 @@ def frac_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases _MR_BASES: exact below 3.3 * 10**24
+    (Sorenson and Webster, 2015); above that a composite that is a strong
+    pseudoprime to all 13 bases passes."""
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _MR_BASES:  # a proves n composite unless a**d = 1 or some a**(d*2**i) = -1
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and x != n - 1 and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor in _MR_BASES:
+    Pollard rho on x -> x^2 + c from x = 2, with Brent's cycle detection
+    (Cohen, GTM 138, 8.5), for c = 1, 2, ... until a run stops short of n."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (g := gcd(x - y, n)) != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n > 0 as e**2 * d with d squarefree; returns (e, d)."""
+    """Write n > 0 as e**2 * d with d squarefree; returns (e, d).  n is
+    factored with no trial division up to sqrt(n): a factor is kept when
+    `_is_prime` accepts it, else split by a prime of _MR_BASES or by
+    `_rho_factor`."""
     if n <= 0:
         raise ValueError("squarefree_split needs a positive integer")
-    e, d = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            e *= p ** (k // 2)
-            if k % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    return e, d * n
+    exponents, todo = Counter(), [n]
+    while todo:
+        m = todo.pop()
+        if _is_prime(m):
+            exponents[m] += 1
+        elif m > 1:
+            f = next((p for p in _MR_BASES if m % p == 0), None) or _rho_factor(m)
+            todo += [f, m // f]
+    e = d = 1
+    for p, k in exponents.items():
+        e *= p ** (k // 2)
+        d *= p ** (k % 2)
+    return e, d
 
 
 class FieldContext:
@@ -91,7 +130,7 @@ class FieldContext:
                 return ScalarValue(self, x.u)
             raise ContextMismatch(f"cannot move {x} into {self}")
         if isinstance(x, (int, Fraction)):
-            return ScalarValue(self, Fraction(x))
+            return ScalarValue(self, x)
         raise TypeError(f"cannot interpret {x!r} as a scalar")
 
     coerce = scalar
@@ -130,7 +169,7 @@ class ScalarValue:
 
     ASSOCIATIVE = True
 
-    def __init__(self, ctx: FieldContext, u, v=0):
+    def __init__(self, ctx: FieldContext, u, v=Fraction(0)):
         if not isinstance(u, Fraction):
             u = Fraction(u)
         if not isinstance(v, Fraction):

@@ -499,3 +499,13 @@ def test_equal_values_hash_equal(c, cq, mask):
         assert all(hash(x) == hash(y) for y in values if x == y)
     assert len(set(values)) == (1 if groups[0][0] == groups[1][0] else 2)
     assert len({HASH_QUAT.one(), 1, HASH_OCT.one(), ScalarValue(Q2, 1)}) == 1
+    # an irrational scalar equals no value of another carrier, in either
+    # order, while arithmetic with one still raises
+    irr = ScalarValue(Q2, c, 1)
+    assert all(x != irr and irr != x for x in values)
+    assert len(set(values + [irr])) == len(set(values)) + 1
+    for x in (q, HASH_OCT.embed(q)):
+        with pytest.raises(ContextMismatch):
+            x + irr
+        with pytest.raises(ContextMismatch):
+            x * irr

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from skewrec import (
     factor_central_quartic,
     quadratic_roots,
 )
-from conftest import rand_quat, rand_invertible_quat
+from conftest import rand_frac, rand_quat, rand_invertible_quat
 
 Q = FieldContext.rational()
 H = QuaternionAlgebra(-1, -1)
@@ -65,6 +67,23 @@ def test_companion_polynomial_central_random():
         c = companion_poly(p)
         assert isinstance(c.carrier, FieldContext)
         assert c == companion_poly(p.conj())
+
+
+@pytest.mark.parametrize("alg", [
+    H, QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+    OctonionAlgebra(-1, -1, -1), OctonionAlgebra(2, 3, -1)])
+def test_companion_polynomial_is_the_product_with_the_conjugate(alg):
+    # C_p from polar forms against the scalar parts of p * conj(p), whose
+    # coefficients must all be central; (2,3,-1) is a split octonion algebra
+    rng = random.Random(59)
+    dim = len(alg.basis())
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        p = LeftPoly(alg, [alg.element([rand_frac(rng) for _ in range(dim)])
+                           for _ in range(n)] + [1])
+        prod = p * p.conj()
+        assert all(c.is_central() for c in prod.coeffs)
+        assert companion_poly(p) == LeftPoly(Q, [c.scalar_part() for c in prod.coeffs])
 
 
 def test_companion_polynomial_octonion():
@@ -190,8 +209,19 @@ def test_quadratic_roots_central_rational():
 
 def test_quadratic_roots_none():
     p = LeftPoly(H, [-I, 0, 1])  # x^2 - i, companion quartic x^4 + 1
-    with pytest.raises(NoRootsFound):
+    with pytest.raises(NoRootsFound, match=re.escape(
+            "C_p = (1)*x^4 + (1) is irreducible over Q: the roots need a "
+            "degree-4 scalar extension")):
         quadratic_roots(H, p)
+    # in the split algebra (1,1), x^2 + e1*x - 2 has no root although its
+    # companion quartic splits into linear factors
+    split = QuaternionAlgebra(1, 1)
+    p = LeftPoly(split, [-2, split.e1, 1])
+    with pytest.raises(NoRootsFound, match=re.escape(
+            "C_p = (1)*x^4 + (-5)*x^2 + (4) factors over Q as [(1)*x + (-2)] * "
+            "[(1)*x + (-1)] * [(1)*x + (1)] * [(1)*x + (2)], and no factor yields "
+            "a root")):
+        quadratic_roots(split, p)
 
 
 def test_quadratic_roots_planted_root_recovered():
@@ -295,3 +325,36 @@ def test_factor_central_quartic_agrees_with_sympy(parts, dense):
             return
     got = [([c.u for c in f.coeffs], mult) for f, mult in factor_central_quartic(p)]
     assert got == sympy_monic_factors([c.u for c in p.coeffs])
+
+
+# Per-call budget for the differential test below, in seconds.  The integer
+# kernel takes under 5 ms per call; a search over the divisors of the
+# coefficients, exponential in their bit length, did not return from the
+# first of these inputs within 300 s.
+FACTOR_BUDGET_S = 0.25
+
+
+def test_factor_central_quartic_large_coefficients_agree_with_sympy():
+    # quartics and cubics whose coefficients have 30 to 120 bits: products
+    # of linear and quadratic factors with 8- to 30-bit numerators (so that
+    # they do factor), and dense ones with 30- to 120-bit coefficients
+    rng = random.Random(61)
+
+    def rat(bits):
+        return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** 8))
+
+    shapes = [[1, 1, 1, 1], [2, 2], [2, 1, 1], [1, 1, 1], [2, 1], [4], [3], [1, 3]]
+    for i in range(160):
+        degs = shapes[i % len(shapes)]
+        bits = rng.randint(8, 30)
+        p = LeftPoly(Q, [1])
+        for d in degs:
+            if d > 2:  # a dense cubic or quartic factor
+                bits = rng.randint(30, 120)
+            p = p * LeftPoly(Q, [rat(bits) for _ in range(d)] + [1])
+        t0 = time.perf_counter()
+        factors = factor_central_quartic(p)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < FACTOR_BUDGET_S, (p, elapsed)
+        got = [([c.u for c in f.coeffs], mult) for f, mult in factors]
+        assert got == sympy_monic_factors([c.u for c in p.coeffs]), p

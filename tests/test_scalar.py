@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from skewrec import (
     scalar_parse,
     scalar_render,
 )
+from skewrec.scalar import squarefree_split
 from conftest import rand_scalar
 
 Q = FieldContext.rational()
@@ -131,3 +133,27 @@ def test_semantic_equality_across_contexts():
 def test_mixed_context_arithmetic_rejected():
     with pytest.raises(ContextMismatch):
         ScalarValue(Q5, 0, 1) + ScalarValue(FieldContext.quadratic(2), 0, 1)
+
+
+def test_squarefree_split_agrees_with_sympy():
+    # random 60- to 80-bit inputs against sympy's factorint; then products
+    # of two 30- to 35-bit primes, on which trial division up to the square
+    # root takes a minute and more, and r**2 * s with r of 20 and s of 30 bits
+    from sympy import factorint, nextprime
+
+    rng = random.Random(67)
+    cases = []
+    for n in (rng.randint(2 ** 60, 2 ** 80) for _ in range(30)):
+        e = d = 1
+        for p, k in factorint(n).items():
+            e *= p ** (k // 2)
+            d *= p ** (k % 2)
+        cases.append((n, (e, d)))
+    for _ in range(4):
+        p, q = (nextprime(rng.randint(2 ** 29, 2 ** 34)) for _ in range(2))
+        r, s = nextprime(rng.randint(2 ** 19, 2 ** 20)), nextprime(rng.randint(2 ** 29, 2 ** 30))
+        cases += [(p * q, (1, p * q) if p != q else (p, 1)), (r * r * s, (r, s))]
+    t0 = time.perf_counter()
+    got = [squarefree_split(n) for n, _ in cases]
+    assert time.perf_counter() - t0 < 5.0
+    assert got == [want for _, want in cases]

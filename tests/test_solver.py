@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from skewrec import (
     iterate_oracle,
     primitive_char_poly,
     promote_field_quadratic,
+    quadratic_roots,
     solve,
     solve_jordan,
     build_frame,
@@ -216,6 +218,23 @@ def test_lam_violation():
                           roots=((I, 1), (J, 1), (y, 1)))
     with pytest.raises(LamViolation):
         solve(spec)
+
+
+def test_planted_roots_with_large_denominators_solve_in_time():
+    # roots with coordinates n/d, |n| <= 10, d <= 100: the companion quartic
+    # has 51-bit coefficients, and scaled to integers 199-bit ones; its
+    # resolvent cubic has a 310-bit constant term, far beyond a divisor search
+    rng = random.Random(5)
+    lam, mu = (H.element([Fraction(rng.randint(-10, 10), rng.randint(1, 100))
+                          for _ in range(4)]) for _ in range(2))
+    p = LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)
+    spec = RecurrenceSpec(H, 2, (-p.coeffs[0], -p.coeffs[1]), (1, J))
+    t0 = time.perf_counter()
+    cf = solve(spec)
+    assert time.perf_counter() - t0 < 1.0
+    assert verify_closed_form(spec, cf, 16).ok
+    roots = [r for r, _ in quadratic_roots(H, p).isolated]
+    assert lam in roots and len(roots) == 2 and all(p.eval(r).is_zero() for r in roots)
 
 
 def test_no_roots_found():
