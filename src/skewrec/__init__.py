@@ -31,7 +31,6 @@ from .algebra import (
     build_frame,
     conj_class,
     polar_form,
-    same_class,
     spherical_representative,
 )
 from .poly import (

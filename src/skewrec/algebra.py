@@ -15,18 +15,21 @@ Octonions are not associative, only alternative, so octonion products are
 written strictly as binary operations throughout.
 
 Representation.  A quaternion is four integer numerators over one positive
-denominator, kept reduced (gcd of all five is 1).  Each sum, product,
-scaling or inverse is computed on plain ints and reduced by one
-multi-argument gcd;
+denominator, kept reduced (gcd of all five is 1): the layout of
+`scalar.IntValue`, which Q(sqrt(d)) scalars share, and which holds the
+sums, scalings, conjugation, inverse, equality and hashing of both.  Each
+result is computed on plain ints and reduced by one multi-argument gcd;
 rational a, b enter as integers over D = den(a)*den(b), so a product is
 D*w1*w2 + A*x1*x2 + B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D.  An
-octonion is a pair of quaternions.  `coords()` returns exact Fractions.
+octonion is a pair of quaternions, and takes its power loop, `__rsub__`,
+`__bool__` and `__str__` from `scalar.ValueOps`.  `coords()` returns exact
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .errors import (
     ContextMismatch,
@@ -37,7 +40,8 @@ from .errors import (
     ValidationError,
     ZeroDivisor,
 )
-from .scalar import FieldContext, ScalarValue
+from .scalar import (_SCALARS, FieldContext, IntValue, ScalarValue, ValueOps, _make, _ratio,
+                     _reduced)
 
 
 class QuaternionAlgebra:
@@ -55,47 +59,47 @@ class QuaternionAlgebra:
         self.b = self.ctx.scalar(b)
         if self.a.is_zero() or self.b.is_zero():
             raise ValidationError("structure constants a, b must be nonzero")
-        an, ad = self.a.u.numerator, self.a.u.denominator
-        bn, bd = self.b.u.numerator, self.b.u.denominator
+        (an,), ad = self.a.num, self.a.den
+        (bn,), bd = self.b.num, self.b.den
         self.consts = (ad * bd, an * bd, bn * ad, an * bn)
 
     def element(self, coords) -> QuatValue:
-        w, x, y, z = (self.ctx.scalar(c).u for c in coords)
-        den = lcm(w.denominator, x.denominator, y.denominator, z.denominator)
+        (w, dw), (x, dx), (y, dy), (z, dz) = map(_ratio, coords)
+        den = lcm(dw, dx, dy, dz)
         # each coordinate is reduced, so the gcd with the lcm is already 1
-        return QuatValue(self, tuple(c.numerator * (den // c.denominator)
-                                     for c in (w, x, y, z)), den)
+        return _make(QuatValue, self, (w * (den // dw), x * (den // dx),
+                                      y * (den // dy), z * (den // dz)), den)
 
     def scalar(self, c) -> QuatValue:
-        c = self.ctx.scalar(c).u
-        return QuatValue(self, (c.numerator, 0, 0, 0), c.denominator)
+        p, q = _ratio(c)
+        return _make(QuatValue, self, (p, 0, 0, 0), q)
 
     def zero(self) -> QuatValue:
-        return QuatValue(self, (0, 0, 0, 0), 1)
+        return _make(QuatValue, self, (0, 0, 0, 0), 1)
 
     def one(self) -> QuatValue:
-        return QuatValue(self, (1, 0, 0, 0), 1)
+        return _make(QuatValue, self, (1, 0, 0, 0), 1)
 
     @property
     def e1(self) -> QuatValue:
-        return QuatValue(self, (0, 1, 0, 0), 1)
+        return _make(QuatValue, self, (0, 1, 0, 0), 1)
 
     @property
     def e2(self) -> QuatValue:
-        return QuatValue(self, (0, 0, 1, 0), 1)
+        return _make(QuatValue, self, (0, 0, 1, 0), 1)
 
     @property
     def e3(self) -> QuatValue:
-        return QuatValue(self, (0, 0, 0, 1), 1)
+        return _make(QuatValue, self, (0, 0, 0, 1), 1)
 
     def basis(self) -> list[QuatValue]:
         return [self.one(), self.e1, self.e2, self.e3]
 
     def coerce(self, v) -> QuatValue:
         if isinstance(v, QuatValue):
-            if v.alg == self:
+            if v.carrier == self:
                 return v
-            raise ContextMismatch(f"value from {v.alg} used in {self}")
+            raise ContextMismatch(f"value from {v.carrier} used in {self}")
         return self.scalar(v)
 
     def __eq__(self, other):
@@ -112,214 +116,43 @@ class QuaternionAlgebra:
         return f"({self.a},{self.b} | {self.ctx})"
 
 
-def _rational(c):
-    """c as an int or Fraction, or None if it is not a scalar at all."""
-    if isinstance(c, (int, Fraction)):
-        return c
-    if isinstance(c, ScalarValue):
-        if c.v:
-            raise ContextMismatch(f"cannot move {c} into Q")
-        return c.u
-    return None
+class QuatValue(IntValue):
+    """Element (w + x*e1 + y*e2 + z*e3) / den of a quaternion algebra, with
+    num = (w, x, y, z) in the layout of `IntValue`."""
 
-
-def _reduced(alg, w, x, y, z, d) -> QuatValue:
-    """The canonical QuatValue (w + x*e1 + y*e2 + z*e3) / d, for d != 0."""
-    g = gcd(d, w, x, y, z)
-    if d < 0:
-        g = -g
-    if g == 1:
-        return QuatValue(alg, (w, x, y, z), d)
-    return QuatValue(alg, (w // g, x // g, y // g, z // g), d // g)
-
-
-class QuatValue:
-    """Element (w + x*e1 + y*e2 + z*e3) / den of a quaternion algebra.
-
-    `num` holds the integers (w, x, y, z) and `den` their shared positive
-    denominator, with gcd(w, x, y, z, den) == 1, so equal values have equal
-    (num, den).  The constructor takes that canonical pair as given; an
-    operation whose result may need reducing builds it through `_reduced`,
-    one gcd per result.  Values are never mutated.
-    """
-
-    __slots__ = ("alg", "num", "den")
+    __slots__ = ()
 
     ASSOCIATIVE = True
 
-    def __init__(self, alg, num, den):
-        self.alg = alg
-        self.num = num
-        self.den = den
-
-    def _coerce(self, other):
-        if isinstance(other, QuatValue):
-            if other.alg == self.alg:
-                return other
-            raise ContextMismatch(f"{self.alg} vs {other.alg}")
-        if isinstance(other, (int, Fraction, ScalarValue)):
-            return self.alg.scalar(other)
-        return None
-
-    def _scaled(self, p, q) -> QuatValue:
-        """self * (p/q) for integers p and q != 0."""
-        w, x, y, z = self.num
-        return _reduced(self.alg, w * p, x * p, y * p, z * p, self.den * q)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        (w1, x1, y1, z1), d1 = self.num, self.den
-        (w2, x2, y2, z2), d2 = o.num, o.den
-        g = gcd(d1, d2)
-        s1, s2 = d2 // g, d1 // g
-        return _reduced(self.alg, w1 * s1 + w2 * s2, x1 * s1 + x2 * s2,
-                        y1 * s1 + y2 * s2, z1 * s1 + z2 * s2, d1 * s1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        if isinstance(other, QuatValue):
-            alg = self.alg
-            if other.alg != alg:
-                raise ContextMismatch(f"{alg} vs {other.alg}")
-            D, A, B, AB = alg.consts
-            w1, x1, y1, z1 = self.num
-            w2, x2, y2, z2 = other.num
-            return _reduced(
-                alg,
-                D * (w1 * w2) + A * (x1 * x2) + B * (y1 * y2) - AB * (z1 * z2),
-                D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
-                D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
-                D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2),
-                D * self.den * other.den,
-            )
-        c = _rational(other)
-        if c is None:
-            return NotImplemented
-        return self._scaled(c.numerator, c.denominator)
-
-    def __rmul__(self, other):
-        # only scalars land here, and those are central
-        c = _rational(other)
-        if c is None:
-            return NotImplemented
-        return self._scaled(c.numerator, c.denominator)
-
-    def __truediv__(self, other):
-        c = _rational(other)
-        if c is None:
-            return NotImplemented
-        if c == 0:
-            raise DivisionByZero("division by zero scalar")
-        return self._scaled(c.denominator, c.numerator)
-
-    def __neg__(self):
-        w, x, y, z = self.num
-        return QuatValue(self.alg, (-w, -x, -y, -z), self.den)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.alg.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conj(self) -> QuatValue:
-        w, x, y, z = self.num
-        return QuatValue(self.alg, (w, -x, -y, -z), self.den)
-
-    def trace(self) -> ScalarValue:
-        return ScalarValue(self.alg.ctx, Fraction(2 * self.num[0], self.den))
+        if not isinstance(other, QuatValue):
+            return self.__rmul__(other)  # a scalar is central
+        alg = self.carrier
+        if other.carrier is not alg and other.carrier != alg:
+            raise ContextMismatch(f"{alg} vs {other.carrier}")
+        D, A, B, AB = alg.consts
+        w1, x1, y1, z1 = self.num
+        w2, x2, y2, z2 = other.num
+        return _reduced(
+            QuatValue, alg,
+            (D * (w1 * w2) + A * (x1 * x2) + B * (y1 * y2) - AB * (z1 * z2),
+             D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
+             D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
+             D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2)),
+            D * self.den * other.den,
+        )
 
     def _scaled_polar(self, other: QuatValue) -> int:
         """B(self, other) * D * self.den * other.den / 2, an integer, for the
         polar form B of the norm (D from the algebra's consts)."""
-        D, A, B, AB = self.alg.consts
+        D, A, B, AB = self.carrier.consts
         w1, x1, y1, z1 = self.num
         w2, x2, y2, z2 = other.num
         return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2)
 
-    def norm(self) -> ScalarValue:
-        return ScalarValue(self.alg.ctx, Fraction(
-            self._scaled_polar(self), self.alg.consts[0] * self.den * self.den))
-
-    def inverse(self) -> QuatValue:
-        if self.is_zero():
-            raise DivisionByZero("division by the zero quaternion")
-        m = self._scaled_polar(self)
-        if m == 0:
-            raise ZeroDivisor(f"{self} has norm 0, so (a,b) is not a division algebra")
-        # conj(q) / N(q) = conj(num) * D * den / m
-        s = self.alg.consts[0] * self.den
-        w, x, y, z = self.num
-        return _reduced(self.alg, w * s, -x * s, -y * s, -z * s, m)
-
-    def scalar_part(self) -> ScalarValue:
-        return ScalarValue(self.alg.ctx, Fraction(self.num[0], self.den))
-
-    def pure(self) -> QuatValue:
-        _, x, y, z = self.num
-        return _reduced(self.alg, 0, x, y, z, self.den)
-
-    def is_zero(self) -> bool:
-        return self.num == (0, 0, 0, 0)
-
-    def is_central(self) -> bool:
-        _, x, y, z = self.num
-        return x == 0 and y == 0 and z == 0
-
-    def coords(self) -> list[Fraction]:
-        return [Fraction(n, self.den) for n in self.num]
-
-    @property
-    def carrier(self) -> QuaternionAlgebra:
-        return self.alg
-
-    def __eq__(self, other):
-        if isinstance(other, QuatValue):
-            return (other.alg == self.alg
-                    and self.num == other.num and self.den == other.den)
-        if isinstance(other, ScalarValue) and other.v:
-            return False  # an irrational scalar equals no quaternion
-        c = _rational(other)
-        if c is None:
-            return NotImplemented
-        return self.num == (c.numerator, 0, 0, 0) and self.den == c.denominator
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __hash__(self):
-        # a central value equals its rational, so it hashes like one
-        if self.is_central():
-            return hash(Fraction(self.num[0], self.den))
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coords()) + "]"
-
-    __repr__ = __str__
+    def _norm_parts(self) -> tuple[int, int]:
+        """(m, D) with N = m / (D * den^2)."""
+        return self._scaled_polar(self), self.carrier.consts[0]
 
 
 class OctonionAlgebra:
@@ -369,13 +202,13 @@ class OctonionAlgebra:
 
     def coerce(self, v) -> OctValue:
         if isinstance(v, OctValue):
-            if v.alg == self:
+            if v.carrier == self:
                 return v
-            raise ContextMismatch(f"value from {v.alg} used in {self}")
+            raise ContextMismatch(f"value from {v.carrier} used in {self}")
         if isinstance(v, QuatValue):
-            if v.alg == self.base:
+            if v.carrier == self.base:
                 return self.embed(v)
-            raise ContextMismatch(f"quaternion from {v.alg} used in {self}")
+            raise ContextMismatch(f"quaternion from {v.carrier} used in {self}")
         return self.scalar(self.ctx.scalar(v))
 
     def __eq__(self, other):
@@ -392,36 +225,36 @@ class OctonionAlgebra:
         return f"({self.base.a},{self.base.b},{self.gamma} | {self.ctx})"
 
 
-class OctValue:
+class OctValue(ValueOps):
     """Element q + r*l0 of an octonion algebra, stored as the pair (q, r)."""
 
-    __slots__ = ("alg", "first", "second")
+    __slots__ = ("carrier", "first", "second")
 
     ASSOCIATIVE = False
 
     def __init__(self, alg, first: QuatValue, second: QuatValue):
-        self.alg = alg
+        self.carrier = alg
         self.first = first
         self.second = second
 
     def _coerce(self, other):
         if isinstance(other, OctValue):
-            if other.alg == self.alg:
+            if other.carrier == self.carrier:
                 return other
-            raise ContextMismatch(f"{self.alg} vs {other.alg}")
+            raise ContextMismatch(f"{self.carrier} vs {other.carrier}")
         if isinstance(other, QuatValue):
-            if other.alg == self.alg.base:
-                return self.alg.embed(other)
-            raise ContextMismatch(f"{self.alg} vs {other.alg}")
-        if isinstance(other, (int, Fraction, ScalarValue)):
-            return self.alg.scalar(other)
+            if other.carrier == self.carrier.base:
+                return self.carrier.embed(other)
+            raise ContextMismatch(f"{self.carrier} vs {other.carrier}")
+        if isinstance(other, _SCALARS):
+            return self.carrier.scalar(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OctValue(self.alg, self.first + o.first, self.second + o.second)
+        return OctValue(self.carrier, self.first + o.first, self.second + o.second)
 
     __radd__ = __add__
 
@@ -429,69 +262,45 @@ class OctValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OctValue(self.alg, self.first - o.first, self.second - o.second)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return OctValue(self.carrier, self.first - o.first, self.second - o.second)
 
     def __mul__(self, other):
-        c = _rational(other)
-        if c is not None:  # a rational is central: scale both halves
-            return OctValue(self.alg, self.first * c, self.second * c)
+        if isinstance(other, _SCALARS):  # a rational is central: scale both halves
+            return OctValue(self.carrier, self.first * other, self.second * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        g = self.alg.gamma
+        g = self.carrier.gamma
         q, r = self.first, self.second
         s, t = o.first, o.second
-        return OctValue(self.alg,
+        return OctValue(self.carrier,
                         q * s + (t.conj() * r) * g,
                         t * q + r * s.conj())
 
     def __rmul__(self, other):
-        c = _rational(other)
-        if c is not None:
-            return self * c
+        if isinstance(other, _SCALARS):
+            return self * other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o * self
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, ScalarValue)):
-            return OctValue(self.alg, self.first / other, self.second / other)
+        if isinstance(other, _SCALARS):
+            return OctValue(self.carrier, self.first / other, self.second / other)
         return NotImplemented
 
     def __neg__(self):
-        return OctValue(self.alg, -self.first, -self.second)
-
-    def __pow__(self, k):
-        # powers of a single element live in an associative subalgebra, so
-        # square-and-multiply is unambiguous even though the algebra is not
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.alg.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return OctValue(self.carrier, -self.first, -self.second)
 
     def conj(self) -> OctValue:
-        return OctValue(self.alg, self.first.conj(), -self.second)
+        return OctValue(self.carrier, self.first.conj(), -self.second)
 
     def trace(self) -> ScalarValue:
         return self.first.trace()
 
     def norm(self) -> ScalarValue:
-        return self.first.norm() - self.alg.gamma * self.second.norm()
+        return self.first.norm() - self.carrier.gamma * self.second.norm()
 
     def inverse(self) -> OctValue:
         if self.is_zero():
@@ -505,7 +314,7 @@ class OctValue:
         return self.first.scalar_part()
 
     def pure(self) -> OctValue:
-        return OctValue(self.alg, self.first.pure(), self.second)
+        return OctValue(self.carrier, self.first.pure(), self.second)
 
     def is_zero(self) -> bool:
         return self.first.is_zero() and self.second.is_zero()
@@ -516,35 +325,23 @@ class OctValue:
     def coords(self) -> list[Fraction]:
         return self.first.coords() + self.second.coords()
 
-    @property
-    def carrier(self) -> OctonionAlgebra:
-        return self.alg
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ScalarValue, QuatValue)):
+        if isinstance(other, (*_SCALARS, QuatValue)):
             try:
                 other = self._coerce(other)
             except ContextMismatch:
                 return False
         if isinstance(other, OctValue):
-            if other.alg != self.alg:
+            if other.carrier != self.carrier:
                 return False
             return self.first == other.first and self.second == other.second
         return NotImplemented
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __hash__(self):
         # q + 0*l0 equals the quaternion q, so it hashes like q
         if self.second.is_zero():
             return hash(self.first)
         return hash((self.first, self.second))
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coords()) + "]"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +375,7 @@ class ConjClass:
         if self.is_central:
             return False
         disc = self.t * self.t - 4 * self.n
-        return not disc.is_square()
+        return disc.sqrt() is None
 
     def __eq__(self, other):
         if not isinstance(other, ConjClass):
@@ -605,10 +402,6 @@ def conj_class(x: QuatValue) -> ConjClass:
     if x.is_central():
         return ConjClass(central=x.scalar_part())
     return ConjClass(t=x.trace(), n=x.norm())
-
-
-def same_class(x: QuatValue, y: QuatValue) -> bool:
-    return conj_class(x) == conj_class(y)
 
 
 def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
@@ -638,7 +431,7 @@ def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
                     continue
                 if p1 == 0 and p2 == 0 and p3 == 0:
                     continue  # pure part must be nonzero to keep the pair distinct
-                y = alg.element([0, Fraction(p1, q), Fraction(p2, q), Fraction(p3, q)])
+                y = _reduced(QuatValue, alg, (0, p1, p2, p3), q)
                 lam = alg.scalar(t / 2) + y
                 return lam, alg.scalar(t) - lam
     raise NoRepresentative(
@@ -658,20 +451,19 @@ def polar_form(x, y) -> ScalarValue:
     B = 2*(w1*w2 - a*x1*x2 - b*y1*y2 + a*b*z1*z2), and for octonions
     q + r*l0 it is B(q1, q2) - gamma*B(r1, r2) on the halves.
     """
-    alg = x.alg
+    alg = x.carrier
     y = alg.coerce(y)
     if isinstance(x, QuatValue):
         num, den = x._scaled_polar(y), x.den * y.den
         D = alg.consts[0]
     else:
         (q1, r1), (q2, r2) = (x.first, x.second), (y.first, y.second)
-        g = alg.gamma.u
+        (gn,), gd = alg.gamma.num, alg.gamma.den
         dq, dr = q1.den * q2.den, r1.den * r2.den
-        num = (q1._scaled_polar(q2) * dr * g.denominator
-               - r1._scaled_polar(r2) * dq * g.numerator)
-        den = dq * dr * g.denominator
+        num = q1._scaled_polar(q2) * dr * gd - r1._scaled_polar(r2) * dq * gn
+        den = dq * dr * gd
         D = alg.base.consts[0]
-    return ScalarValue(alg.ctx, Fraction(2 * num, D * den))
+    return alg.ctx.ratio(2 * num, D * den)
 
 
 def _orthogonalize(x: OctValue, against) -> OctValue:
@@ -733,8 +525,9 @@ class SubalgebraFrame:
 
     def embed(self, q: QuatValue) -> OctValue:
         """Map frame-quaternion coordinates back into the octonion algebra."""
-        w, x, y, z = self.quat.coerce(q).coords()
-        return self.oct.one() * w + self.u * x + self.w * y + self.uw * z
+        q = self.quat.coerce(q)
+        w, x, y, z = q.num
+        return (self.u * x + self.w * y + self.uw * z + w) / q.den
 
     def contains(self, x: OctValue) -> bool:
         return self.decompose(x)[1].is_zero()

@@ -87,8 +87,7 @@ def _parse_algebra(rest: str, line: int, col: int):
     rational = FieldContext.rational()
 
     def frac(tok):
-        v = scalar_parse(tok, rational)
-        return v.u
+        return scalar_parse(tok, rational)
 
     try:
         if name == "field" and len(toks) == 1:

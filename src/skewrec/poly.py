@@ -25,7 +25,6 @@ from .algebra import (
     QuaternionAlgebra,
     conj_class,
     polar_form,
-    same_class,
     spherical_representative,
 )
 from .errors import NoRootsFound, UnsupportedDegree
@@ -398,7 +397,7 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> Ro
     jordan = None
     if spherical is None and len(isolated) == 1:
         lam = isolated[0][0]
-        if same_class(beta - lam, lam):
+        if conj_class(beta - lam) == conj_class(lam):
             jordan = (lam, 2)
     if not isolated and spherical is None:
         if len(factors) == 1 and factors[0][0].degree == 4:

@@ -1,9 +1,14 @@
-"""Exact scalars: the rationals and real quadratic extensions Q(sqrt(d)).
+"""Exact scalars: the rationals and real quadratic extensions Q(sqrt(d)),
+and the integer value layout they share with quaternions.
 
-A value is an immutable pair (u, v) of fractions meaning u + v*sqrt(d),
-with v pinned to 0 in rational contexts.  Numerators and denominators are
-arbitrary-precision, so closed forms evaluated at large k never overflow.
-There is no floating point anywhere in this package.
+A value of an algebra of dimension m over Q is a tuple of m integer
+numerators over one positive denominator, reduced so that the gcd of all
+of them is 1; `IntValue` holds everything that layout does the same way in
+every algebra, and each carrier adds its own product.  A scalar of Q is
+(u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
+(u + v*sqrt(d)) / den.  Numerators and denominators are arbitrary-precision,
+so closed forms evaluated at large k never overflow.  There is no floating
+point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -11,9 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import neg
 
-from .errors import ContextMismatch, DivisionByZero, ParseError
+from .errors import ContextMismatch, DivisionByZero, ParseError, ZeroDivisor
 
 
 def frac_sqrt(x: Fraction) -> Fraction | None:
@@ -83,10 +89,212 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return e, d
 
 
+_new = object.__new__
+
+
+def _ratio(x) -> tuple[int, int]:
+    """An int, a Fraction or a rational-valued ScalarValue as its reduced
+    (numerator, denominator)."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, ScalarValue):
+        if any(x.num[1:]):
+            raise ContextMismatch(f"{x} is not rational")
+        return x.num[0], x.den
+    raise TypeError(f"cannot interpret {x!r} as a scalar")
+
+
+class ValueOps:
+    """What every value class derives from its own `_coerce`, `-`, `*`,
+    `inverse`, `is_zero` and `coords` and its carrier's `one`; no state."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __pow__(self, k):
+        # powers of a single element live in an associative subalgebra, so
+        # square-and-multiply is unambiguous even in an octonion algebra
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        result, base = self.carrier.one(), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __str__(self):
+        return "[" + ",".join(str(c) for c in self.coords()) + "]"
+
+    __repr__ = __str__
+
+
+def _make(cls, carrier, num: tuple, den: int):
+    """The value of class cls with canonical num and den, taken as given."""
+    x = _new(cls)
+    x.carrier = carrier
+    x.num = num
+    x.den = den
+    return x
+
+
+def _reduced(cls, carrier, num: tuple, den: int):
+    """The canonical value num / den of class cls, for den != 0."""
+    if den != 1:  # over 1 every num is canonical
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = tuple([n // g for n in num]), den // g
+    x = _new(cls)
+    x.carrier = carrier
+    x.num = num
+    x.den = den
+    return x
+
+
+class IntValue(ValueOps):
+    """(num[0] + num[1]*e1 + ...) / den in an algebra with basis 1, e1, ...
+
+    `num` holds integers and `den` their shared positive denominator, with
+    gcd(*num, den) == 1, so equal values of a carrier have equal
+    (num, den).  `_make` builds a value from that canonical pair as given;
+    a result that may need reducing is built by `_reduced`, one gcd per
+    result.  Values are never mutated.  A subclass supplies `__mul__` and
+    `_norm_parts`.
+    """
+
+    __slots__ = ("carrier", "num", "den")
+
+    def _coerce(self, other):
+        """other as a value of this carrier, or None if it is neither a
+        scalar nor a value of this class."""
+        if isinstance(other, IntValue) and (other.carrier is self.carrier
+                                            or other.carrier == self.carrier):
+            return other
+        if isinstance(other, _SCALARS):
+            return self.carrier.scalar(other)
+        if type(other) is type(self):
+            raise ContextMismatch(f"{self.carrier} vs {other.carrier}")
+        return None
+
+    def _sum(self, other, sign: int):
+        """self + sign * other."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        g = gcd(self.den, o.den)
+        s1, s2 = o.den // g, sign * (self.den // g)
+        return _reduced(self.__class__, self.carrier,
+                        tuple([a * s1 + b * s2 for a, b in zip(self.num, o.num)]), self.den * s1)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return _make(self.__class__, self.carrier, tuple(map(neg, self.num)), self.den)
+
+    def _scaled(self, p: int, q: int):
+        """self * (p/q) for integers p and q != 0."""
+        return _reduced(self.__class__, self.carrier, tuple([n * p for n in self.num]), self.den * q)
+
+    def __rmul__(self, other):
+        # only scalars land here, and those are central
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return self._scaled(*_ratio(other))
+
+    def __truediv__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        p, q = _ratio(other)
+        if p == 0:
+            raise DivisionByZero("division by zero scalar")
+        return self._scaled(q, p)
+
+    def conj(self):
+        """Negate every coordinate but the first (the identity over Q)."""
+        num = self.num
+        return _make(self.__class__, self.carrier, (num[0], *map(neg, num[1:])), self.den)
+
+    def trace(self) -> ScalarValue:
+        """T(x) = x + conj(x), in the carrier's base field."""
+        return self.carrier.ctx.ratio(2 * self.num[0], self.den)
+
+    def norm(self) -> ScalarValue:
+        """N(x) = x * conj(x), in the carrier's base field."""
+        m, D = self._norm_parts()
+        return self.carrier.ctx.ratio(m, D * self.den * self.den)
+
+    def inverse(self):
+        """conj(x) / N(x)."""
+        if self.is_zero():
+            raise DivisionByZero(f"division by zero in {self.carrier}")
+        m, D = self._norm_parts()
+        if m == 0:
+            raise ZeroDivisor(f"{self} has norm 0, so {self.carrier} is not a division algebra")
+        s = D * self.den
+        num = self.num
+        return _reduced(self.__class__, self.carrier, (num[0] * s, *[-n * s for n in num[1:]]), m)
+
+    def scalar_part(self) -> ScalarValue:
+        return self.carrier.ctx.ratio(self.num[0], self.den)
+
+    def pure(self):
+        return _reduced(self.__class__, self.carrier, (0, *self.num[1:]), self.den)
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def is_central(self) -> bool:
+        """Whether the value is rational: num[1:] is all zero."""
+        return not any(self.num[1:])
+
+    def coords(self) -> list[Fraction]:
+        return [Fraction(n, self.den) for n in self.num]
+
+    def __eq__(self, other):
+        if isinstance(other, IntValue):
+            if other.carrier is self.carrier or other.carrier == self.carrier:
+                return self.num == other.num and self.den == other.den
+            # values of two carriers are equal only as the same rational
+            return (self.is_central() and other.is_central()
+                    and self.num[0] == other.num[0] and self.den == other.den)
+        if isinstance(other, (int, Fraction)):
+            return (self.is_central() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
+
+    def __hash__(self):
+        # a central value equals its rational, so it hashes like one
+        if self.is_central():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.num, self.den))
+
+
 class FieldContext:
     """Base field descriptor: Q, or Q(sqrt(d)) for a squarefree d > 1."""
 
-    __slots__ = ("kind", "d")
+    __slots__ = ("kind", "d", "dim")
 
     def __init__(self, kind: str = "rational", d: int | None = None):
         if kind not in ("rational", "quadratic"):
@@ -100,6 +308,7 @@ class FieldContext:
             raise ValueError("rational context takes no d")
         self.kind = kind
         self.d = d
+        self.dim = 1 if kind == "rational" else 2
 
     @classmethod
     def rational(cls) -> FieldContext:
@@ -112,41 +321,39 @@ class FieldContext:
     # ---- carrier protocol shared with the algebra classes ----------------
 
     @property
-    def dim(self) -> int:
-        return 1 if self.kind == "rational" else 2
+    def ctx(self) -> FieldContext:
+        """The base field of the carrier, as for the algebras: itself."""
+        return self
+
+    def ratio(self, p: int, q: int) -> ScalarValue:
+        """The scalar p/q, for integers p and q != 0."""
+        return _reduced(ScalarValue, self, (p, 0)[:self.dim], q)
 
     def zero(self) -> ScalarValue:
-        return ScalarValue(self, Fraction(0))
+        return self.ratio(0, 1)
 
     def one(self) -> ScalarValue:
-        return ScalarValue(self, Fraction(1))
+        return self.ratio(1, 1)
 
     def scalar(self, x) -> ScalarValue:
         """Coerce an int, Fraction or compatible ScalarValue into this field."""
-        if isinstance(x, ScalarValue):
-            if x.ctx == self:
-                return x
-            if x.v == 0:
-                return ScalarValue(self, x.u)
-            raise ContextMismatch(f"cannot move {x} into {self}")
-        if isinstance(x, (int, Fraction)):
-            return ScalarValue(self, x)
-        raise TypeError(f"cannot interpret {x!r} as a scalar")
+        if isinstance(x, ScalarValue) and x.carrier == self:
+            return x
+        p, q = _ratio(x)
+        return _make(ScalarValue, self, (p, 0)[:self.dim], q)
 
     coerce = scalar
 
     def basis(self) -> list[ScalarValue]:
         if self.kind == "rational":
             return [self.one()]
-        return [self.one(), ScalarValue(self, Fraction(0), Fraction(1))]
+        return [self.one(), ScalarValue(self, 0, 1)]
 
     def element(self, coords) -> ScalarValue:
         coords = list(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        if self.kind == "rational":
-            return ScalarValue(self, Fraction(coords[0]))
-        return ScalarValue(self, Fraction(coords[0]), Fraction(coords[1]))
+        return ScalarValue(self, *coords)
 
     def __eq__(self, other):
         if not isinstance(other, FieldContext):
@@ -162,73 +369,41 @@ class FieldContext:
         return f"Q(rt{self.d})"
 
 
-class ScalarValue:
-    """An element u + v*sqrt(d) of the context's field, fully reduced."""
+class ScalarValue(IntValue):
+    """An element (u + v*sqrt(d)) / den of the context's field: num is
+    (u,) over Q and (u, v) over Q(sqrt(d))."""
 
-    __slots__ = ("ctx", "u", "v")
+    __slots__ = ()
 
     ASSOCIATIVE = True
 
-    def __init__(self, ctx: FieldContext, u, v=Fraction(0)):
-        if not isinstance(u, Fraction):
-            u = Fraction(u)
-        if not isinstance(v, Fraction):
-            v = Fraction(v)
-        if ctx.kind == "rational" and v != 0:
+    def __init__(self, ctx: FieldContext, u, v=0):
+        (p, q), (r, s) = _ratio(u), _ratio(v)
+        if r and ctx.kind == "rational":
             raise ContextMismatch("sqrt coordinate in a rational context")
-        self.ctx = ctx
-        self.u = u
-        self.v = v
+        # both coordinates are reduced, so the gcd with the lcm is already 1
+        den = lcm(q, s)
+        self.carrier = ctx
+        self.num = (p * (den // q), r * (den // s))[:ctx.dim]
+        self.den = den
 
-    # ---- coercion ---------------------------------------------------------
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.num[0], self.den)
 
-    def _coerce(self, other):
-        if isinstance(other, ScalarValue):
-            if other.ctx == self.ctx:
-                return other
-            if other.v == 0:
-                return ScalarValue(self.ctx, other.u)
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-        if isinstance(other, (int, Fraction)):
-            return ScalarValue(self.ctx, Fraction(other))
-        return None
-
-    # ---- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ScalarValue(self.ctx, self.u + o.u, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ScalarValue(self.ctx, self.u - o.u, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.num[1] if len(self.num) == 2 else 0, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.ctx.kind == "rational":
-            return ScalarValue(self.ctx, self.u * o.u)
-        d = self.ctx.d
-        return ScalarValue(
-            self.ctx,
-            self.u * o.u + d * self.v * o.v,
-            self.u * o.v + self.v * o.u,
-        )
-
-    __rmul__ = __mul__
+        ctx, den = self.carrier, self.den * o.den
+        if ctx.kind == "rational":
+            return _reduced(ScalarValue, ctx, (self.num[0] * o.num[0],), den)
+        (u1, v1), (u2, v2) = self.num, o.num
+        return _reduced(ScalarValue, ctx, (u1 * u2 + ctx.d * (v1 * v2), u1 * v2 + v1 * u2), den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -242,122 +417,47 @@ class ScalarValue:
             return NotImplemented
         return o * self.inverse()
 
-    def __neg__(self):
-        return ScalarValue(self.ctx, -self.u, -self.v)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def inverse(self) -> ScalarValue:
-        if self.is_zero():
-            raise DivisionByZero("division by zero scalar")
-        if self.v == 0:
-            return ScalarValue(self.ctx, 1 / self.u)
-        # 1/(u + v rt) = (u - v rt) / (u^2 - d v^2); the denominator cannot
-        # vanish because d is not a rational square
-        n = self.u * self.u - self.ctx.d * self.v * self.v
-        return ScalarValue(self.ctx, self.u / n, -self.v / n)
-
-    # ---- structure --------------------------------------------------------
-
-    def conj(self) -> ScalarValue:
-        """Field conjugation u + v*rt -> u - v*rt (identity over Q)."""
-        return ScalarValue(self.ctx, self.u, -self.v)
-
-    def norm(self) -> ScalarValue:
-        """Field norm u^2 - d v^2, as a rational-valued scalar."""
-        if self.ctx.kind == "rational":
-            return ScalarValue(self.ctx, self.u * self.u)
-        return ScalarValue(self.ctx, self.u * self.u - self.ctx.d * self.v * self.v)
-
-    def trace(self) -> ScalarValue:
-        return ScalarValue(self.ctx, 2 * self.u)
+    def _norm_parts(self) -> tuple[int, int]:
+        """(m, 1) with N = u^2 - d*v^2 = m / den^2; m != 0 for a nonzero
+        value because d is not a rational square."""
+        if self.carrier.kind == "rational":
+            return self.num[0] ** 2, 1
+        u, v = self.num
+        return u * u - self.carrier.d * (v * v), 1
 
     def sqrt(self) -> ScalarValue | None:
         """An exact square root inside the same field, or None."""
-        if self.ctx.kind == "rational":
-            r = frac_sqrt(self.u)
-            return None if r is None else ScalarValue(self.ctx, r)
-        d = self.ctx.d
-        if self.v == 0:
-            r = frac_sqrt(self.u)
+        ctx, u, v = self.carrier, self.u, self.v
+        if ctx.kind == "rational":
+            r = frac_sqrt(u)
+            return None if r is None else ScalarValue(ctx, r)
+        d = ctx.d
+        if v == 0:
+            r = frac_sqrt(u)
             if r is not None:
-                return ScalarValue(self.ctx, r)
-            r = frac_sqrt(self.u / d)
+                return ScalarValue(ctx, r)
+            r = frac_sqrt(u / d)
             if r is not None:
-                return ScalarValue(self.ctx, 0, r)
+                return ScalarValue(ctx, 0, r)
             return None
-        s = frac_sqrt(self.u * self.u - d * self.v * self.v)
+        s = frac_sqrt(u * u - d * v * v)
         if s is None:
             return None
-        for psq in ((self.u + s) / 2, (self.u - s) / 2):
+        for psq in ((u + s) / 2, (u - s) / 2):
             p = frac_sqrt(psq)
             if p is not None and p != 0:
-                cand = ScalarValue(self.ctx, p, self.v / (2 * p))
+                cand = ScalarValue(ctx, p, v / (2 * p))
                 if cand * cand == self:
                     return cand
         return None
-
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
-
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
-    def is_central(self) -> bool:
-        return True
-
-    def scalar_part(self) -> ScalarValue:
-        return self
-
-    def pure(self) -> ScalarValue:
-        return ScalarValue(self.ctx, 0, self.v)
-
-    def coords(self) -> list[Fraction]:
-        if self.ctx.kind == "rational":
-            return [self.u]
-        return [self.u, self.v]
-
-    @property
-    def carrier(self) -> FieldContext:
-        return self.ctx
-
-    # ---- comparison and rendering ------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.v == 0 and self.u == other
-        if isinstance(other, ScalarValue):
-            # rational-valued scalars are equal across contexts
-            if self.v == 0 and other.v == 0:
-                return self.u == other.u
-            return self.ctx == other.ctx and self.u == other.u and self.v == other.v
-        return NotImplemented
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __hash__(self):
-        # a rational-valued scalar equals its Fraction, so it hashes like one
-        if self.v == 0:
-            return hash(self.u)
-        return hash((self.u, self.v, self.ctx.d))
 
     def __str__(self):
         return scalar_render(self)
 
     __repr__ = __str__
+
+
+_SCALARS = (int, Fraction, ScalarValue)
 
 
 def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
@@ -378,21 +478,22 @@ def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
         return int(s[p:q]), q
 
     def read_rat(p):
+        """(numerator, denominator) of a rational literal, and the end."""
         num, q = read_int(p)
         if q < len(s) and s[q] == "/":
             den, q2 = read_int(q + 1)
             if den <= 0:
                 raise ParseError("denominator must be a positive integer", col=q + 1)
-            return Fraction(num, den), q2
-        return Fraction(num), q
+            return (num, den), q2
+        return (num, 1), q
 
-    u, pos = read_rat(0)
+    (a, b), pos = read_rat(0)
     if pos == len(s):
-        return ScalarValue(ctx, u)
+        return ctx.ratio(a, b)
     if s[pos] not in "+-":
         raise ParseError("expected '+', '-' or end of literal", col=pos)
     sign = -1 if s[pos] == "-" else 1
-    v, pos = read_rat(pos + 1)
+    (c, e), pos = read_rat(pos + 1)
     if not s.startswith("*rt", pos):
         raise ParseError("expected '*rt'", col=pos)
     pos += 3
@@ -400,12 +501,12 @@ def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
         raise ParseError("trailing characters after '*rt'", col=pos)
     if ctx.kind != "quadratic":
         raise ContextMismatch("'*rt' literal used in a rational context")
-    return ScalarValue(ctx, u, sign * v)
+    return _reduced(ScalarValue, ctx, (a * e, sign * c * b), b * e)
 
 
 def scalar_render(x: ScalarValue) -> str:
-    """Canonical form; scalar_parse(scalar_render(x), x.ctx) == x."""
-    if x.v == 0:
+    """Canonical form; scalar_parse(scalar_render(x), x.carrier) == x."""
+    if x.is_central():
         return str(x.u)
-    sign = "-" if x.v < 0 else "+"
-    return f"{x.u}{sign}{abs(x.v)}*rt"
+    v = x.v
+    return f"{x.u}{'-' if v < 0 else '+'}{abs(v)}*rt"

@@ -296,8 +296,8 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
             )
         ctx2 = FieldContext.quadratic(d)
         s = ScalarValue(ctx2, 0, Fraction(e, den))
-        c1l = ScalarValue(ctx2, c1.u)
-        lift = lambda xs: tuple(ScalarValue(ctx2, x.u) for x in xs)
+        c1l = ctx2.scalar(c1)
+        lift = lambda xs: tuple(map(ctx2.scalar, xs))
         return RecurrenceSpec(
             ctx2, 2, lift(spec.rhs), lift(spec.init),
             roots=(((-c1l + s) / 2, 1), ((-c1l - s) / 2, 1)),

@@ -1,8 +1,10 @@
-"""`skewrec solve` output on every demo spec, byte for byte.
+"""`skewrec solve`, `eval FILE 500` and `oracle FILE 500` output on every
+demo spec, byte for byte.
 
-The files under tests/golden/ hold the exact stdout of `skewrec solve` on
-demos/specs/<name>.rec.  A change of value representation, a deletion or a
-refactor must leave them unchanged.
+The files under tests/golden/ hold the exact stdout of those commands on
+demos/specs/<name>.rec: <name>.txt for `solve`, <name>.eval500.txt and
+<name>.oracle500.txt for the other two.  A change of value representation,
+a deletion or a refactor must leave them unchanged.
 """
 
 import glob
@@ -14,22 +16,38 @@ from skewrec.cli import main
 
 HERE = os.path.dirname(__file__)
 SPECS = sorted(glob.glob(os.path.join(HERE, "..", "demos", "specs", "*.rec")))
+COMMANDS = {"": ["solve"], ".eval500": ["eval", "500"], ".oracle500": ["oracle", "500"]}
 
 
-def _golden_path(spec):
+def _golden_path(spec, suffix=""):
     name = os.path.splitext(os.path.basename(spec))[0]
-    return os.path.join(HERE, "golden", name + ".txt")
+    return os.path.join(HERE, "golden", name + suffix + ".txt")
 
 
 def test_every_demo_spec_has_a_golden_file():
     assert SPECS
-    names = {os.path.basename(_golden_path(s)) for s in SPECS}
+    names = {os.path.basename(_golden_path(s, x)) for s in SPECS for x in COMMANDS}
     assert names == set(os.listdir(os.path.join(HERE, "golden")))
+
+
+def _assert_matches_golden(spec, suffix, capsys):
+    command, *rest = COMMANDS[suffix]
+    assert main([command, spec, *rest]) == 0
+    with open(_golden_path(spec, suffix), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda p: os.path.basename(p))
 def test_solve_output_matches_golden(spec, capsys):
-    assert main(["solve", spec]) == 0
-    with open(_golden_path(spec), encoding="utf-8") as fh:
-        expected = fh.read()
-    assert capsys.readouterr().out == expected
+    _assert_matches_golden(spec, "", capsys)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: os.path.basename(p))
+def test_eval_output_matches_golden(spec, capsys):
+    _assert_matches_golden(spec, ".eval500", capsys)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: os.path.basename(p))
+def test_oracle_output_matches_golden(spec, capsys):
+    _assert_matches_golden(spec, ".oracle500", capsys)

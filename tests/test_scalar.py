@@ -157,3 +157,32 @@ def test_squarefree_split_agrees_with_sympy():
     got = [squarefree_split(n) for n, _ in cases]
     assert time.perf_counter() - t0 < 5.0
     assert got == [want for _, want in cases]
+
+
+@pytest.mark.parametrize("d", [2, 5, 13])
+def test_quadratic_arithmetic_agrees_with_sympy(d):
+    # the integer layout against sympy's own arithmetic with sqrt(d)
+    from sympy import Rational, expand, radsimp, sqrt
+
+    rt = sqrt(d)
+    ctx = FieldContext.quadratic(d)
+
+    def sym(x):
+        u, v = x.coords()
+        return Rational(u.numerator, u.denominator) + Rational(v.numerator, v.denominator) * rt
+
+    def same(x, expr):
+        return expand(sym(x) - radsimp(expr)) == 0
+
+    rng = random.Random(d)
+    for _ in range(40):
+        x, y = rand_scalar(rng, ctx, num=30, den=12), rand_scalar(rng, ctx, num=30, den=12)
+        X, Y = sym(x), sym(y)
+        assert same(x + y, X + Y) and same(x - y, X - Y) and same(x * y, X * Y)
+        assert same(x.conj(), X.subs(rt, -rt))
+        assert same(x.norm(), X * X.subs(rt, -rt))
+        k = rng.randint(0, 9)
+        assert same(x ** k, X ** k)
+        if not x.is_zero():
+            assert same(x.inverse(), 1 / X)
+            assert same(x ** -k, X ** -k)
