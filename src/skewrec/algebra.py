@@ -15,33 +15,56 @@ Octonions are not associative, only alternative, so octonion products are
 written strictly as binary operations throughout.
 
 Representation.  A quaternion is four integer numerators over one positive
-denominator, kept reduced (gcd of all five is 1): the layout of
+denominator, and an octonion q + r*l0 eight, q's four then r's, kept
+reduced (gcd of all of them and the denominator is 1): the layout of
 `scalar.IntValue`, which Q(sqrt(d)) scalars share, and which holds the
-sums, scalings, conjugation, inverse, equality and hashing of both.  Each
-result is computed on plain ints and reduced by one multi-argument gcd;
-rational a, b enter as integers over D = den(a)*den(b), so a product is
-D*w1*w2 + A*x1*x2 + B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D.  An
-octonion is a pair of quaternions, and takes its power loop, `__rsub__`,
-`__bool__` and `__str__` from `scalar.ValueOps`.  `coords()` returns exact
-Fractions.
+sums, scalings, conjugation, inverse, powers, equality and hashing of all
+of them.  Each carrier adds only its product and the polar form of its
+norm.  Each result is computed on plain ints and reduced by one
+multi-argument gcd; rational a, b enter as integers over
+D = den(a)*den(b), so a quaternion product is D*w1*w2 + A*x1*x2 +
+B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D, and gamma enters over its own
+denominator.  `coords()` returns exact Fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import (
     ContextMismatch,
     DegenerateFrame,
-    DivisionByZero,
     InternalError,
     NoRepresentative,
     ValidationError,
-    ZeroDivisor,
 )
-from .scalar import (_SCALARS, FieldContext, IntValue, ScalarValue, ValueOps, _make, _ratio,
-                     _reduced)
+from .scalar import _SCALARS, FieldContext, IntValue, ScalarValue, _make, _ratio, _reduced
+
+
+def _quat_mul(consts, p, q) -> tuple:
+    """D * p * q for integer 4-tuples p, q of a quaternion algebra with
+    consts (D, A, B, AB), as an integer 4-tuple."""
+    D, A, B, AB = consts
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (D * (w1 * w2) + A * (x1 * x2) + B * (y1 * y2) - AB * (z1 * z2),
+            D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
+            D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
+            D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2))
+
+
+def _quat_polar(consts, p, q) -> int:
+    """D * B(p, q) / 2 for integer 4-tuples p, q, B the polar form of the
+    norm: D*w1*w2 - A*x1*x2 - B*y1*y2 + AB*z1*z2."""
+    D, A, B, AB = consts
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2)
+
+
+def _conj4(p) -> tuple:
+    w, x, y, z = p
+    return (w, -x, -y, -z)
 
 
 class QuaternionAlgebra:
@@ -122,68 +145,65 @@ class QuatValue(IntValue):
 
     __slots__ = ()
 
-    ASSOCIATIVE = True
-
     def __mul__(self, other):
         if not isinstance(other, QuatValue):
             return self.__rmul__(other)  # a scalar is central
         alg = self.carrier
         if other.carrier is not alg and other.carrier != alg:
             raise ContextMismatch(f"{alg} vs {other.carrier}")
-        D, A, B, AB = alg.consts
-        w1, x1, y1, z1 = self.num
-        w2, x2, y2, z2 = other.num
-        return _reduced(
-            QuatValue, alg,
-            (D * (w1 * w2) + A * (x1 * x2) + B * (y1 * y2) - AB * (z1 * z2),
-             D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
-             D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
-             D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2)),
-            D * self.den * other.den,
-        )
+        c = alg.consts
+        return _reduced(QuatValue, alg, _quat_mul(c, self.num, other.num),
+                        c[0] * self.den * other.den)
 
-    def _scaled_polar(self, other: QuatValue) -> int:
-        """B(self, other) * D * self.den * other.den / 2, an integer, for the
-        polar form B of the norm (D from the algebra's consts)."""
-        D, A, B, AB = self.carrier.consts
-        w1, x1, y1, z1 = self.num
-        w2, x2, y2, z2 = other.num
-        return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2)
-
-    def _norm_parts(self) -> tuple[int, int]:
-        """(m, D) with N = m / (D * den^2)."""
-        return self._scaled_polar(self), self.carrier.consts[0]
+    def _scaled_polar(self, other: QuatValue) -> tuple[int, int]:
+        """(m, D) with B(self, other) / 2 = m / (D * self.den * other.den),
+        for the polar form B of the norm and D from the algebra's consts."""
+        c = self.carrier.consts
+        return _quat_polar(c, self.num, other.num), c[0]
 
 
 class OctonionAlgebra:
-    """Cayley-Dickson double of a quaternion algebra with parameter gamma."""
+    """Cayley-Dickson double of a quaternion algebra with parameter gamma.
 
-    __slots__ = ("base", "gamma")
+    Products work on integers: the algebra keeps consts = (G, Gd) with
+    gamma = G / Gd in lowest terms, beside the base algebra's consts.
+    """
+
+    __slots__ = ("base", "gamma", "consts")
 
     def __init__(self, a, b, gamma):
         self.base = QuaternionAlgebra(a, b)
         self.gamma = self.base.ctx.scalar(gamma)
         if self.gamma.is_zero():
             raise ValidationError("doubling parameter gamma must be nonzero")
+        self.consts = (self.gamma.num[0], self.gamma.den)
 
     @property
     def ctx(self) -> FieldContext:
         return self.base.ctx
 
     def pair(self, first, second) -> OctValue:
-        return OctValue(self, self.base.coerce(first), self.base.coerce(second))
+        q, r = self.base.coerce(first), self.base.coerce(second)
+        return _reduced(OctValue, self,
+                        tuple([n * r.den for n in q.num] + [n * q.den for n in r.num]),
+                        q.den * r.den)
 
     def element(self, coords) -> OctValue:
         coords = list(coords)
         if len(coords) != 8:
             raise ValueError("octonion needs 8 coordinates")
-        return self.pair(self.base.element(coords[:4]), self.base.element(coords[4:]))
+        ratios = list(map(_ratio, coords))
+        den = lcm(*[d for _n, d in ratios])
+        # each coordinate is reduced, so the gcd with the lcm is already 1
+        return _make(OctValue, self, tuple([n * (den // d) for n, d in ratios]), den)
 
     def scalar(self, c) -> OctValue:
-        return self.pair(self.base.scalar(c), self.base.zero())
+        p, q = _ratio(c)
+        return _make(OctValue, self, (p, 0, 0, 0, 0, 0, 0, 0), q)
 
     def embed(self, q: QuatValue) -> OctValue:
-        return self.pair(q, self.base.zero())
+        q = self.base.coerce(q)
+        return _make(OctValue, self, (*q.num, 0, 0, 0, 0), q.den)
 
     def zero(self) -> OctValue:
         return self.scalar(0)
@@ -193,12 +213,10 @@ class OctonionAlgebra:
 
     @property
     def ell0(self) -> OctValue:
-        return self.pair(self.base.zero(), self.base.one())
+        return _make(OctValue, self, (0, 0, 0, 0, 1, 0, 0, 0), 1)
 
     def basis(self) -> list[OctValue]:
-        qb = self.base.basis()
-        zero = self.base.zero()
-        return [self.pair(q, zero) for q in qb] + [self.pair(zero, q) for q in qb]
+        return [_make(OctValue, self, tuple(int(i == j) for j in range(8)), 1) for i in range(8)]
 
     def coerce(self, v) -> OctValue:
         if isinstance(v, OctValue):
@@ -225,123 +243,58 @@ class OctonionAlgebra:
         return f"({self.base.a},{self.base.b},{self.gamma} | {self.ctx})"
 
 
-class OctValue(ValueOps):
-    """Element q + r*l0 of an octonion algebra, stored as the pair (q, r)."""
+class OctValue(IntValue):
+    """Element (q + r*l0) / den of an octonion algebra, with num the eight
+    integers of q then r, in the layout of `IntValue`."""
 
-    __slots__ = ("carrier", "first", "second")
+    __slots__ = ()
 
     ASSOCIATIVE = False
 
-    def __init__(self, alg, first: QuatValue, second: QuatValue):
-        self.carrier = alg
-        self.first = first
-        self.second = second
-
     def _coerce(self, other):
-        if isinstance(other, OctValue):
-            if other.carrier == self.carrier:
-                return other
-            raise ContextMismatch(f"{self.carrier} vs {other.carrier}")
-        if isinstance(other, QuatValue):
-            if other.carrier == self.carrier.base:
-                return self.carrier.embed(other)
-            raise ContextMismatch(f"{self.carrier} vs {other.carrier}")
-        if isinstance(other, _SCALARS):
-            return self.carrier.scalar(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OctValue(self.carrier, self.first + o.first, self.second + o.second)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OctValue(self.carrier, self.first - o.first, self.second - o.second)
+        """As for `IntValue`, and a quaternion of the base algebra embeds."""
+        o = IntValue._coerce(self, other)
+        if o is None and isinstance(other, QuatValue):
+            return self.carrier.coerce(other)
+        return o
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):  # a rational is central: scale both halves
-            return OctValue(self.carrier, self.first * other, self.second * other)
+        """(q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l0,
+        on the integer halves over gamma's denominator times D*d1*d2."""
+        if isinstance(other, _SCALARS):  # a rational is central
+            return self._scaled(*_ratio(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        g = self.carrier.gamma
-        q, r = self.first, self.second
-        s, t = o.first, o.second
-        return OctValue(self.carrier,
-                        q * s + (t.conj() * r) * g,
-                        t * q + r * s.conj())
+        alg = self.carrier
+        c, (G, Gd) = alg.base.consts, alg.consts
+        q, r = self.num[:4], self.num[4:]
+        s, t = o.num[:4], o.num[4:]
+        qs, tr = _quat_mul(c, q, s), _quat_mul(c, _conj4(t), r)
+        tq, rs = _quat_mul(c, t, q), _quat_mul(c, r, _conj4(s))
+        return _reduced(OctValue, alg,
+                        tuple([Gd * a + G * b for a, b in zip(qs, tr)]
+                              + [Gd * (a + b) for a, b in zip(tq, rs)]),
+                        Gd * c[0] * self.den * o.den)
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * other
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return OctValue(self.carrier, self.first / other, self.second / other)
-        return NotImplemented
-
-    def __neg__(self):
-        return OctValue(self.carrier, -self.first, -self.second)
-
-    def conj(self) -> OctValue:
-        return OctValue(self.carrier, self.first.conj(), -self.second)
-
-    def trace(self) -> ScalarValue:
-        return self.first.trace()
-
-    def norm(self) -> ScalarValue:
-        return self.first.norm() - self.carrier.gamma * self.second.norm()
-
-    def inverse(self) -> OctValue:
-        if self.is_zero():
-            raise DivisionByZero("division by the zero octonion")
-        n = self.norm()
-        if n.is_zero():
-            raise ZeroDivisor(f"{self} has norm 0, so the algebra is not division")
-        return self.conj() / n
-
-    def scalar_part(self) -> ScalarValue:
-        return self.first.scalar_part()
-
-    def pure(self) -> OctValue:
-        return OctValue(self.carrier, self.first.pure(), self.second)
-
-    def is_zero(self) -> bool:
-        return self.first.is_zero() and self.second.is_zero()
-
-    def is_central(self) -> bool:
-        return self.first.is_central() and self.second.is_zero()
-
-    def coords(self) -> list[Fraction]:
-        return self.first.coords() + self.second.coords()
+    def _scaled_polar(self, other: OctValue) -> tuple[int, int]:
+        """(m, Gd*D) with B(self, other) / 2 = m / (Gd * D * self.den *
+        other.den): B(q1, q2) - gamma*B(r1, r2) on the halves."""
+        (G, Gd), c = self.carrier.consts, self.carrier.base.consts
+        x, y = self.num, other.num
+        return Gd * _quat_polar(c, x[:4], y[:4]) - G * _quat_polar(c, x[4:], y[4:]), Gd * c[0]
 
     def __eq__(self, other):
-        if isinstance(other, (*_SCALARS, QuatValue)):
-            try:
-                other = self._coerce(other)
-            except ContextMismatch:
-                return False
-        if isinstance(other, OctValue):
-            if other.carrier != self.carrier:
-                return False
-            return self.first == other.first and self.second == other.second
-        return NotImplemented
+        # q + 0*l0 equals the quaternion q of the base algebra
+        if isinstance(other, QuatValue) and other.carrier == self.carrier.base:
+            return not any(self.num[4:]) and self.num[:4] == other.num and self.den == other.den
+        return IntValue.__eq__(self, other)
 
     def __hash__(self):
-        # q + 0*l0 equals the quaternion q, so it hashes like q
-        if self.second.is_zero():
-            return hash(self.first)
-        return hash((self.first, self.second))
+        # q + 0*l0 equals q, so it hashes like q
+        if any(self.num[4:]):
+            return hash((self.num, self.den))
+        return hash(_make(QuatValue, self.carrier.base, self.num[:4], self.den))
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +406,8 @@ def polar_form(x, y) -> ScalarValue:
     """
     alg = x.carrier
     y = alg.coerce(y)
-    if isinstance(x, QuatValue):
-        num, den = x._scaled_polar(y), x.den * y.den
-        D = alg.consts[0]
-    else:
-        (q1, r1), (q2, r2) = (x.first, x.second), (y.first, y.second)
-        (gn,), gd = alg.gamma.num, alg.gamma.den
-        dq, dr = q1.den * q2.den, r1.den * r2.den
-        num = q1._scaled_polar(q2) * dr * gd - r1._scaled_polar(r2) * dq * gn
-        den = dq * dr * gd
-        D = alg.base.consts[0]
-    return alg.ctx.ratio(2 * num, D * den)
+    m, D = x._scaled_polar(y)
+    return alg.ctx.ratio(2 * m, D * x.den * y.den)
 
 
 def _orthogonalize(x: OctValue, against) -> OctValue:
@@ -528,9 +472,6 @@ class SubalgebraFrame:
         q = self.quat.coerce(q)
         w, x, y, z = q.num
         return (self.u * x + self.w * y + self.uw * z + w) / q.den
-
-    def contains(self, x: OctValue) -> bool:
-        return self.decompose(x)[1].is_zero()
 
     def __repr__(self):
         return f"SubalgebraFrame(u={self.u}, w={self.w}, ell={self.ell})"

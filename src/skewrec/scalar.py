@@ -1,10 +1,11 @@
 """Exact scalars: the rationals and real quadratic extensions Q(sqrt(d)),
-and the integer value layout they share with quaternions.
+and the integer value layout they share with quaternions and octonions.
 
 A value of an algebra of dimension m over Q is a tuple of m integer
 numerators over one positive denominator, reduced so that the gcd of all
 of them is 1; `IntValue` holds everything that layout does the same way in
-every algebra, and each carrier adds its own product.  A scalar of Q is
+every algebra, its power loop included, and each carrier adds its own
+product and the polar form of its norm.  A scalar of Q is
 (u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
 (u + v*sqrt(d)) / den.  Numerators and denominators are arbitrary-precision,
 so closed forms evaluated at large k never overflow.  There is no floating
@@ -19,7 +20,7 @@ from itertools import count
 from math import gcd, isqrt, lcm
 from operator import neg
 
-from .errors import ContextMismatch, DivisionByZero, ParseError, ZeroDivisor
+from .errors import ContextMismatch, DivisionByZero, ParseError, ValidationError, ZeroDivisor
 
 
 def frac_sqrt(x: Fraction) -> Fraction | None:
@@ -50,37 +51,55 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _rho_factor(n: int) -> int:
-    """A proper factor of a composite n with no prime factor in _MR_BASES:
-    Pollard rho on x -> x^2 + c from x = 2, with Brent's cycle detection
-    (Cohen, GTM 138, 8.5), for c = 1, 2, ... until a run stops short of n."""
+# Steps of x -> x^2 + c that `squarefree_split` spends in Pollard rho on one
+# input, over all its factors: about 2 s at 2 us a step.  Rho finds a prime
+# factor p in about sqrt(p) steps, so this covers p up to about 2**36, while
+# two 60-bit prime factors would need some 2**30 steps.
+RHO_BUDGET = 1 << 20
+
+
+def _rho_factor(n: int, steps: int) -> tuple[int | None, int]:
+    """(a proper factor of n, steps left), for a composite n with no prime
+    factor in _MR_BASES: Pollard rho on x -> x^2 + c from x = 2, with
+    Brent's cycle detection (Cohen, GTM 138, 8.5), for c = 1, 2, ... until
+    a run stops short of n.  (None, 0) once `steps` steps find no factor."""
     for c in count(1):
         y, r, g = 2, 1, 1
         while g == 1:
+            if steps <= 0:
+                return None, 0
             x = y
-            for _ in range(r):
+            for _ in range(min(r, steps)):
                 y = (y * y + c) % n
                 if (g := gcd(x - y, n)) != 1:
                     break
+            steps -= r
             r *= 2
         if g != n:
-            return g
+            return g, steps
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n > 0 as e**2 * d with d squarefree; returns (e, d).  n is
     factored with no trial division up to sqrt(n): a factor is kept when
     `_is_prime` accepts it, else split by a prime of _MR_BASES or by
-    `_rho_factor`."""
+    `_rho_factor`.  Raises ValidationError when Pollard rho spends
+    RHO_BUDGET steps on n without finishing."""
     if n <= 0:
         raise ValueError("squarefree_split needs a positive integer")
-    exponents, todo = Counter(), [n]
+    exponents, todo, steps = Counter(), [n], RHO_BUDGET
     while todo:
         m = todo.pop()
         if _is_prime(m):
             exponents[m] += 1
         elif m > 1:
-            f = next((p for p in _MR_BASES if m % p == 0), None) or _rho_factor(m)
+            f = next((p for p in _MR_BASES if m % p == 0), None)
+            if f is None:
+                f, steps = _rho_factor(m, steps)
+                if f is None:
+                    raise ValidationError(
+                        f"cannot factor {n}: Pollard rho found no factor of {m} "
+                        f"in {RHO_BUDGET} steps")
             todo += [f, m // f]
     e = d = 1
     for p, k in exponents.items():
@@ -104,43 +123,6 @@ def _ratio(x) -> tuple[int, int]:
             raise ContextMismatch(f"{x} is not rational")
         return x.num[0], x.den
     raise TypeError(f"cannot interpret {x!r} as a scalar")
-
-
-class ValueOps:
-    """What every value class derives from its own `_coerce`, `-`, `*`,
-    `inverse`, `is_zero` and `coords` and its carrier's `one`; no state."""
-
-    __slots__ = ()
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __pow__(self, k):
-        # powers of a single element live in an associative subalgebra, so
-        # square-and-multiply is unambiguous even in an octonion algebra
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result, base = self.carrier.one(), self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coords()) + "]"
-
-    __repr__ = __str__
 
 
 def _make(cls, carrier, num: tuple, den: int):
@@ -167,7 +149,7 @@ def _reduced(cls, carrier, num: tuple, den: int):
     return x
 
 
-class IntValue(ValueOps):
+class IntValue:
     """(num[0] + num[1]*e1 + ...) / den in an algebra with basis 1, e1, ...
 
     `num` holds integers and `den` their shared positive denominator, with
@@ -175,10 +157,13 @@ class IntValue(ValueOps):
     (num, den).  `_make` builds a value from that canonical pair as given;
     a result that may need reducing is built by `_reduced`, one gcd per
     result.  Values are never mutated.  A subclass supplies `__mul__` and
-    `_norm_parts`.
+    `_scaled_polar`, from which the norm follows (`ScalarValue` supplies
+    its `_norm_parts` directly).
     """
 
     __slots__ = ("carrier", "num", "den")
+
+    ASSOCIATIVE = True
 
     def _coerce(self, other):
         """other as a value of this carrier, or None if it is neither a
@@ -218,10 +203,34 @@ class IntValue(ValueOps):
         return _reduced(self.__class__, self.carrier, tuple([n * p for n in self.num]), self.den * q)
 
     def __rmul__(self, other):
-        # only scalars land here, and those are central
-        if not isinstance(other, _SCALARS):
+        if isinstance(other, _SCALARS):  # a scalar is central
+            return self._scaled(*_ratio(other))
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._scaled(*_ratio(other))
+        return o * self
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __pow__(self, k):
+        # powers of a single element live in an associative subalgebra, so
+        # square-and-multiply is unambiguous even in an octonion algebra
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        result, base = self.carrier.one(), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def __truediv__(self, other):
         if not isinstance(other, _SCALARS):
@@ -239,6 +248,10 @@ class IntValue(ValueOps):
     def trace(self) -> ScalarValue:
         """T(x) = x + conj(x), in the carrier's base field."""
         return self.carrier.ctx.ratio(2 * self.num[0], self.den)
+
+    def _norm_parts(self) -> tuple[int, int]:
+        """(m, D) with N = m / (D * den^2)."""
+        return self._scaled_polar(self)
 
     def norm(self) -> ScalarValue:
         """N(x) = x * conj(x), in the carrier's base field."""
@@ -272,10 +285,22 @@ class IntValue(ValueOps):
     def coords(self) -> list[Fraction]:
         return [Fraction(n, self.den) for n in self.num]
 
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __str__(self):
+        return "[" + ",".join(str(c) for c in self.coords()) + "]"
+
+    __repr__ = __str__
+
     def __eq__(self, other):
         if isinstance(other, IntValue):
             if other.carrier is self.carrier or other.carrier == self.carrier:
                 return self.num == other.num and self.den == other.den
+            if len(other.num) > len(self.num):
+                # the wider carrier decides: an octonion equals a quaternion
+                # of its base algebra whenever its second half is zero
+                return NotImplemented
             # values of two carriers are equal only as the same rational
             return (self.is_central() and other.is_central()
                     and self.num[0] == other.num[0] and self.den == other.den)
@@ -374,8 +399,6 @@ class ScalarValue(IntValue):
     (u,) over Q and (u, v) over Q(sqrt(d))."""
 
     __slots__ = ()
-
-    ASSOCIATIVE = True
 
     def __init__(self, ctx: FieldContext, u, v=0):
         (p, q), (r, s) = _ratio(u), _ratio(v)

@@ -182,7 +182,7 @@ def test_frame_from_standard_coefficients():
     assert fr.w == -O.embed(K)  # pure(alpha) already orthogonal to u
     assert fr.ell == L
     assert fr.a_prime == -1 and fr.b_prime == -1 and fr.gamma_prime == -1
-    assert fr.contains(alpha) and fr.contains(beta)
+    assert fr.decompose(alpha)[1].is_zero() and fr.decompose(beta)[1].is_zero()
 
 
 def test_frame_central_fallback():
@@ -465,12 +465,87 @@ POLAR_OCTONIONS = [OctonionAlgebra(-1, -1, -1),
 @given(st.sampled_from(POLAR_OCTONIONS), octad, octad)
 def test_polar_form_matches_product_and_norm(alg, cx, cy):
     x, y = alg.element(cx), alg.element(cy)
-    for p, q in ((x, y), (x.first, y.first), (x.second, y.second)):
+    halves = ((alg.base.element(cx[:4]), alg.base.element(cy[:4])),
+              (alg.base.element(cx[4:]), alg.base.element(cy[4:])))
+    for p, q in ((x, y), *halves):
         b = polar_form(p, q)
         assert b == (p * q.conj()).trace()
         assert b == (p + q).norm() - p.norm() - q.norm()
         assert b == polar_form(q, p)
     assert polar_form(x, x) == 2 * x.norm()
+
+
+# ---------------------------------------------------------------------------
+# the eight-numerator octonion layout against the pairwise Cayley-Dickson
+# rule on quaternion halves
+
+SPLIT_OCT = OctonionAlgebra(2, 3, -1)
+ISOTROPIC = SPLIT_OCT.element([1, 0, 0, 0, 1, 1, 0, 0])  # N = 1 + gamma*(1 - 2) = 0
+nonzero_fracs = fracs.filter(bool)
+
+
+def ref_halves(x):
+    c = x.coords()
+    return x.carrier.base.element(c[:4]), x.carrier.base.element(c[4:])
+
+
+def ref_coords(q, r):
+    return q.coords() + r.coords()
+
+
+def ref_mul(x, y):
+    """(q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l0."""
+    (q, r), (s, t) = ref_halves(x), ref_halves(y)
+    return q * s + (t.conj() * r) * x.carrier.gamma, t * q + r * s.conj()
+
+
+def ref_norm(x):
+    q, r = ref_halves(x)
+    return q.norm() - x.carrier.gamma * r.norm()
+
+
+def ref_inverse(x):
+    n = ref_norm(x)
+    if n.is_zero():
+        raise ZeroDivisor(f"{x} has norm 0")
+    q, r = ref_halves(x)
+    return q.conj() / n, -r / n
+
+
+@props
+@given(st.sampled_from(POLAR_OCTONIONS + [SPLIT_OCT]), octad, octad, nonzero_fracs)
+def test_octonion_layout_matches_the_pairwise_reference(alg, cx, cy, c):
+    x, y = alg.element(cx), alg.element(cy)
+    assert_canonical(x * y)
+    assert (x * y).coords() == ref_coords(*ref_mul(x, y))
+    q, r = ref_halves(x)
+    assert x.conj().coords() == ref_coords(q.conj(), -r)
+    assert x.norm() == ref_norm(x)
+    for scaled, by in ((x * c, c), (c * x, c), (x / c, 1 / c)):
+        assert_canonical(scaled)
+        assert scaled.coords() == ref_coords(q * by, r * by)
+    if ref_norm(x).is_zero():
+        with pytest.raises(ZeroDivisor):
+            x.inverse()
+        with pytest.raises(ZeroDivisor):
+            ref_inverse(x)
+    elif not x.is_zero():
+        assert x.inverse().coords() == ref_coords(*ref_inverse(x))
+
+
+@props
+@given(octad)
+def test_split_octonion_zero_norm_inverse_raises_on_both_sides(cx):
+    # N(x * z) = N(x) * N(z) = 0 for the isotropic z
+    x = SPLIT_OCT.element(cx)
+    y = SPLIT_OCT.pair(*ref_mul(x, ISOTROPIC))
+    if y.is_zero():
+        return
+    assert y.norm() == ref_norm(y) == 0
+    with pytest.raises(ZeroDivisor):
+        y.inverse()
+    with pytest.raises(ZeroDivisor):
+        ref_inverse(y)
 
 
 Q2 = FieldContext.quadratic(2)

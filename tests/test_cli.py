@@ -1,5 +1,6 @@
 import glob
 import os
+import time
 
 import pytest
 
@@ -182,6 +183,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["frobnicate", str(bad)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_refuses_a_field_it_cannot_factor_in_time(tmp_path, capsys):
+    # two 61-bit prime factors are far past Pollard rho's step budget, both
+    # in a field_sqrt line and in the discriminant of an order-2 field spec
+    from sympy import nextprime
+
+    from skewrec.scalar import RHO_BUDGET
+
+    p = nextprime(2 ** 60)
+    q = nextprime(p + 2 ** 32)
+    spec = tmp_path / "big.rec"
+    for text in (f"algebra field_sqrt {p * q}\norder 1\nrhs 2\ninit 1\n",
+                 f"algebra field\norder 2\nrhs {p * q} 0\ninit 0 1\n"):
+        spec.write_text(text)
+        t0 = time.perf_counter()
+        assert main(["solve", str(spec)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert str(p * q) in err and str(RHO_BUDGET) in err
 
 
 def test_cli_rejects_root_multiplicities_off_the_order(tmp_path, capsys):
