@@ -7,9 +7,10 @@ of them is 1; `IntValue` holds everything that layout does the same way in
 every algebra, its power loop included, and each carrier adds its own
 product and the polar form of its norm.  A scalar of Q is
 (u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
-(u + v*sqrt(d)) / den.  Numerators and denominators are arbitrary-precision,
-so closed forms evaluated at large k never overflow.  There is no floating
-point anywhere in this package.
+(u + v*sqrt(d)) / den.  `_lucas` gives the integer Lucas pairs from which
+the solver evaluates closed forms.  Numerators and denominators are
+arbitrary-precision, so closed forms evaluated at large k never overflow.
+There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -106,6 +107,20 @@ def squarefree_split(n: int) -> tuple[int, int]:
         e *= p ** (k // 2)
         d *= p ** (k % 2)
     return e, d
+
+
+def _lucas(P: int, Q: int, k: int) -> tuple[int, int]:
+    """(U_k, U_{k+1}), for k >= 0, of the Lucas sequence U_0 = 0, U_1 = 1,
+    U_{j+2} = P*U_{j+1} - Q*U_j, by fast doubling from the top bit of k
+    (Joye and Quisquater, Electronics Letters 1996): U_{2j} =
+    U_j*(2*U_{j+1} - P*U_j) and U_{2j+1} = U_{j+1}^2 - Q*U_j^2, three
+    products of sequence terms per bit."""
+    u0, u1 = 0, 1
+    for bit in bin(k)[2:]:
+        u0, u1 = u0 * (2 * u1 - P * u0), u1 * u1 - Q * (u0 * u0)
+        if bit == "1":
+            u0, u1 = u1, P * u1 - Q * u0
+    return u0, u1
 
 
 _new = object.__new__

@@ -12,6 +12,13 @@ solve the recurrence for every k by a residual polynomial that vanishes at
 deg p + 1 points, and the sum is checked against the initial values (see
 _certify).  `verify_closed_form` is the independent check against direct
 iteration.
+
+A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
+any base (_LucasSum): terms whose bases share central trace T and norm N
+share one integer Lucas pair (U_k, U_{k+1}) of s*T and s^2*N
+(`scalar._lucas`, fast doubling), and a_k is a few big-by-small scalings
+of it over one denominator.  `**` keeps its square-and-multiply loop,
+which the solver uses only for small powers.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
-from math import factorial
+from math import factorial, isqrt, lcm
 from operator import mul
 
 from .algebra import OctonionAlgebra, QuaternionAlgebra, build_frame, conj_class
@@ -34,7 +41,7 @@ from .errors import (
 )
 from .matlin import companion_matrix, jordan_from_roots
 from .poly import LeftPoly, quadratic_roots
-from .scalar import FieldContext, ScalarValue, squarefree_split
+from .scalar import FieldContext, ScalarValue, _lucas, _ratio, _reduced, squarefree_split
 
 
 def algebra_kind(carrier) -> str:
@@ -104,29 +111,107 @@ class Term:
                 deg = s
         return deg
 
+
+def _lucas_params(lam) -> tuple[int, int, int]:
+    """(P, Q, s) for a value lam with central trace T and norm N, where
+    s = lcm(den T, r), r the square root of den N when that is a square and
+    den N otherwise, makes P = s*T and Q = s^2*N integers."""
+    (tn, td), (nn, nd) = _ratio(lam.trace()), _ratio(lam.norm())
+    r = isqrt(nd)
+    s = lcm(td, r if r * r == nd else nd)
+    return tn * (s // td), nn * (s * s // nd), s
+
+
+class _LucasSum:
+    """a_k = sum of p(k) * lam**k * b over the terms of one or more forms,
+    each lifted into the output carrier by a Q-linear map, from one integer
+    Lucas pair per group of terms whose bases share central trace T and
+    norm N (for a Q(sqrt(d)) base, its Galois trace and norm).
+
+    Every base satisfies lam^2 = T*lam - N, so with (P, Q, s) from
+    _lucas_params x = s*lam satisfies x^2 = P*x - Q on integers, and
+    x**k = U_{k+1} - U_k*conj(x) for the Lucas sequence U of (P, Q).  A
+    group keeps S_j = sum c_j*b and R_j = sum c_j*conj(x)*b, lifted, and
+    gives s**-k * (U_{k+1}*S(k) - U_k*R(k)) with S(k) = sum k**j * S_j.
+    All groups keep integer numerators over one denominator `den`, and
+    their sum is taken over den * self.s**k, self.s the lcm of the groups'
+    s, so a call ends with one gcd.
+    """
+
+    __slots__ = ("zero", "den", "s", "groups")
+
+    def __init__(self, zero, pieces):
+        """pieces: (form, lift) pairs, lift None for the identity."""
+        self.zero = zero
+        sums: dict = {}  # (P, Q, s), which fixes (T, N) -> lifted [S_j], [R_j]
+        for form, lift in pieces:
+            for t in form.terms:
+                d = t.degree
+                if d < 0 or t.right.is_zero():
+                    continue
+                lam, b = t.base, t.right
+                P, Q, s = _lucas_params(lam)
+                xb = lam.conj() * b  # R_j takes its factor s below
+                S, R = sums.setdefault((P, Q, s), ([], []))
+                for j in range(d + 1):
+                    c = t.poly[j]
+                    cb, cxb = (b, xb) if c == 1 else (c * b, c * xb)
+                    if lift is not None:
+                        cb, cxb = lift(cb), lift(cxb)
+                    if j < len(S):
+                        S[j], R[j] = S[j] + cb, R[j] + cxb
+                    else:
+                        S.append(cb)
+                        R.append(cxb)
+        self.den = den = lcm(*[v.den for S, R in sums.values() for v in S + R])
+        self.s = lcm(*[s for _P, _Q, s in sums])
+        self.groups = [
+            (P, Q, self.s // s,
+             [tuple([n * (den // v.den) for n in v.num]) for v in S],
+             [tuple([n * (s * den // v.den) for n in v.num]) for v in R])
+            for (P, Q, s), (S, R) in sums.items()]
+
+    def __call__(self, k: int):
+        zero = self.zero
+        out = [0] * len(zero.num)
+        for P, Q, f, S, R in self.groups:
+            u0, u1 = _lucas(P, Q, k)
+            if f != 1:  # over the common s**k
+                f = f ** k
+                u0, u1 = u0 * f, u1 * f
+            sk, rk = S[-1], R[-1]
+            for sj, rj in zip(reversed(S[:-1]), reversed(R[:-1])):  # Horner in k
+                sk = [a * k + b for a, b in zip(sk, sj)]
+                rk = [a * k + b for a, b in zip(rk, rj)]
+            out = [o + u1 * a - u0 * b for o, a, b in zip(out, sk, rk)]
+        return _reduced(zero.__class__, zero.carrier, tuple(out), self.den * self.s ** k)
+
+
+class _LucasForm:
+    """value(k) of a closed form, by the _LucasSum that its `_lucas_sum()`
+    builds from the form's fields on first use and caches on the instance
+    (functools.cached_property would take a lock on every access)."""
+
     def value(self, k: int):
-        acc = self.poly[0].carrier.zero()
-        for s, c in enumerate(self.poly):
-            acc = acc + c * (k ** s)
-        return (acc * self.base ** k) * self.right
+        ev = self.__dict__.get("_lucas")
+        if ev is None:
+            ev = self.__dict__["_lucas"] = self._lucas_sum()
+        return ev(k)
 
 
 @dataclass(frozen=True)
-class AssocForm:
+class AssocForm(_LucasForm):
     """Closed form over an associative algebra: a_k = sum of term values."""
 
     carrier: object
     terms: tuple
 
-    def value(self, k: int):
-        acc = self.carrier.zero()
-        for t in self.terms:
-            acc = acc + t.value(k)
-        return acc
+    def _lucas_sum(self) -> _LucasSum:
+        return _LucasSum(self.carrier.zero(), ((self, None),))
 
 
 @dataclass(frozen=True)
-class OctSplitForm:
+class OctSplitForm(_LucasForm):
     """Octonion closed form a_k = embed(main(k)) + embed(conj(tail(k))) * ell
     over a quaternion frame."""
 
@@ -134,12 +219,10 @@ class OctSplitForm:
     main: AssocForm
     tail: AssocForm
 
-    def value(self, k: int):
-        out = self.frame.embed(self.main.value(k))
-        tail = self.tail.value(k)
-        if not tail.is_zero():
-            out = out + self.frame.embed(tail.conj()) * self.frame.ell
-        return out
+    def _lucas_sum(self) -> _LucasSum:
+        fr = self.frame
+        return _LucasSum(fr.oct.zero(), ((self.main, fr.embed),
+                                         (self.tail, lambda x: fr.embed(x.conj()) * fr.ell)))
 
 
 ClosedForm = AssocForm | OctSplitForm
@@ -435,9 +518,10 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     else:
         _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
     for k, a in enumerate(spec.init):
-        if cf.value(k) != a:
+        got = cf.value(k)
+        if got != a:
             raise InternalError(f"certificate failed: the closed form gives "
-                                f"a_{k} = {cf.value(k)}, not the initial value {a}")
+                                f"a_{k} = {got}, not the initial value {a}")
 
 
 def solve(spec: RecurrenceSpec) -> ClosedForm:

@@ -1,10 +1,11 @@
-"""`skewrec solve`, `eval FILE 500` and `oracle FILE 500` output on every
-demo spec, byte for byte.
+"""`skewrec solve`, `eval FILE K` and `oracle FILE K` output on every demo
+spec, byte for byte, for K = 500 and K = 1025.
 
 The files under tests/golden/ hold the exact stdout of those commands on
-demos/specs/<name>.rec: <name>.txt for `solve`, <name>.eval500.txt and
-<name>.oracle500.txt for the other two.  A change of value representation,
-a deletion or a refactor must leave them unchanged.
+demos/specs/<name>.rec: <name>.txt for `solve`, <name>.evalK.txt and
+<name>.oracleK.txt for the others.  K = 1025 = 2**10 + 1 sets the first and
+the last bit of the closed-form evaluator's doubling loop.  A change of
+value representation, a deletion or a refactor must leave them unchanged.
 """
 
 import glob
@@ -16,7 +17,8 @@ from skewrec.cli import main
 
 HERE = os.path.dirname(__file__)
 SPECS = sorted(glob.glob(os.path.join(HERE, "..", "demos", "specs", "*.rec")))
-COMMANDS = {"": ["solve"], ".eval500": ["eval", "500"], ".oracle500": ["oracle", "500"]}
+COMMANDS = {"": ["solve"], ".eval500": ["eval", "500"], ".oracle500": ["oracle", "500"],
+            ".eval1025": ["eval", "1025"], ".oracle1025": ["oracle", "1025"]}
 
 
 def _golden_path(spec, suffix=""):
@@ -51,3 +53,13 @@ def test_eval_output_matches_golden(spec, capsys):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda p: os.path.basename(p))
 def test_oracle_output_matches_golden(spec, capsys):
     _assert_matches_golden(spec, ".oracle500", capsys)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: os.path.basename(p))
+def test_eval1025_output_matches_golden(spec, capsys):
+    _assert_matches_golden(spec, ".eval1025", capsys)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: os.path.basename(p))
+def test_oracle1025_output_matches_golden(spec, capsys):
+    _assert_matches_golden(spec, ".oracle1025", capsys)

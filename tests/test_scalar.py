@@ -13,7 +13,7 @@ from skewrec import (
     scalar_parse,
     scalar_render,
 )
-from skewrec.scalar import squarefree_split
+from skewrec.scalar import _lucas, squarefree_split
 from conftest import rand_scalar
 
 Q = FieldContext.rational()
@@ -186,3 +186,26 @@ def test_quadratic_arithmetic_agrees_with_sympy(d):
         if not x.is_zero():
             assert same(x.inverse(), 1 / X)
             assert same(x ** -k, X ** -k)
+
+
+def test_lucas_pair_is_fibonacci_at_one_minus_one():
+    from sympy import fibonacci
+
+    for k in range(501):
+        assert _lucas(1, -1, k) == (fibonacci(k), fibonacci(k + 1))
+
+
+def test_lucas_pair_follows_its_recurrence():
+    # U_0 = 0, U_1 = 1, U_{j+2} = P*U_{j+1} - Q*U_j, including P = 0, Q = 0,
+    # negative values and central bases P^2 = 4Q, where U_k = k*(P/2)^(k-1)
+    rng = random.Random(9)
+    pairs = [(0, 0), (0, 5), (3, 0), (-4, -7), (2, 1), (-6, 9), (10, 25)]
+    pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(12)]
+    for P, Q in pairs:
+        us = [0, 1]
+        while len(us) < 302:
+            us.append(P * us[-1] - Q * us[-2])
+        for k in range(301):
+            assert _lucas(P, Q, k) == (us[k], us[k + 1])
+        if P * P == 4 * Q:
+            assert all(us[k] == k * (P // 2) ** (k - 1) for k in range(1, 301))

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from skewrec import (
     NoRepresentative,
@@ -30,6 +30,7 @@ from skewrec import (
     solve,
     solve_jordan,
     build_frame,
+    conj_class,
     mat_inverse,
     vandermonde,
     verify_closed_form,
@@ -518,3 +519,92 @@ def test_solve_raises_only_skewrec_errors_and_returns_checked_forms(data):
     except SkewrecError:
         return
     assert verify_closed_form(spec, cf, 64).ok
+
+
+# ---------------------------------------------------------------------------
+# the Lucas evaluator against the term sum and against iteration
+
+H2 = QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5))
+O2 = OctonionAlgebra(Fraction(-1, 2), Fraction(3, 5), Fraction(-7, 3))
+EVAL_PATHS = ["Q distinct", "Q repeated", "Q(rt5)", "Q(rt13)"] + [
+    f"{alg} {path}" for alg in ("H", "H2") for path in ("distinct", "jordan", "spherical")
+] + [f"{alg} {path}" for alg in ("O", "O2") for path in ("split", "central")]
+
+
+def _term_sum(form, k):
+    """sum of p(k) * lam**k * b over the terms, powers by `**`."""
+    acc = form.carrier.zero()
+    for t in form.terms:
+        pk = form.carrier.zero()
+        for j, c in enumerate(t.poly):
+            pk = pk + c * (k ** j)
+        acc = acc + (pk * t.base ** k) * t.right
+    return acc
+
+
+def _reference_value(cf, k):
+    if isinstance(cf, AssocForm):
+        return _term_sum(cf, k)
+    fr = cf.frame
+    return fr.embed(_term_sum(cf.main, k)) + fr.embed(_term_sum(cf.tail, k).conj()) * fr.ell
+
+
+def _eval_spec(data, path):
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    nonzero = fracs.filter(bool)
+    if path.startswith("Q"):
+        if path == "Q distinct":
+            r1, r2 = data.draw(st.lists(nonzero, min_size=2, max_size=2, unique=True))
+            c0, c1 = -r1 * r2, r1 + r2
+        elif path == "Q repeated":
+            r = data.draw(nonzero)
+            c0, c1 = -r * r, 2 * r
+        else:  # roots u +- e*sqrt(d): solve promotes the spec to Q(sqrt(d))
+            d = int(path[4:-1])
+            u, e = data.draw(fracs), data.draw(nonzero)
+            c0, c1 = d * e * e - u * u, 2 * u
+        return RecurrenceSpec(Q, 2, (c0, c1), tuple(data.draw(fracs) for _ in range(2)))
+    name, kind = path.split()
+    alg = {"H": H, "H2": H2, "O": O, "O2": O2}[name]
+    quat = alg.base if name.startswith("O") else alg
+
+    def element(a, n):
+        return a.element(data.draw(st.lists(fracs, min_size=n, max_size=n)))
+
+    lam = element(quat, 4)
+    if kind in ("distinct", "split"):
+        mu = element(quat, 4)
+        assume(not lam.is_zero() and not mu.is_zero() and conj_class(lam) != conj_class(mu))
+        coeffs = (LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)).coeffs
+        rhs = (-coeffs[0], -coeffs[1])
+    elif kind == "jordan":  # (x - lam)^2
+        assume(not lam.is_central())
+        rhs = (-(lam * lam), 2 * lam)
+    elif kind == "spherical":  # x^2 - T(lam) x + N(lam): central coefficients
+        assume(not lam.is_central())
+        rhs = (-lam.norm(), lam.trace())
+    else:  # central: rational coefficients with rational roots
+        r1, r2 = data.draw(st.lists(nonzero, min_size=2, max_size=2))
+        rhs = (-r1 * r2, r1 + r2)
+    n = 4 if quat is alg else 8  # an octonion spec embeds its quaternion rhs
+    return RecurrenceSpec(alg, 2, rhs, (element(alg, n), element(alg, n)))
+
+
+@pytest.mark.parametrize("path", EVAL_PATHS)
+# no shrinking: every shrink step iterates up to k = 2048 again, so shrinking
+# one failing octonion example would take many minutes
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(data=st.data())
+def test_lucas_evaluator_matches_powers_and_iteration(path, data):
+    spec = _eval_spec(data, path)
+    try:
+        cf = solve(spec)
+    except InternalError:
+        raise
+    except SkewrecError:  # no root within reach: nothing to evaluate
+        assume(False)
+    for k in data.draw(st.lists(st.integers(0, 2048), min_size=1, max_size=3)):
+        got = eval_closed_form(cf, k)
+        assert got == _reference_value(cf, k)
+        assert got == iterate_oracle(spec, k)
