@@ -27,7 +27,6 @@ from .algebra import (
     OctonionAlgebra,
     QuatValue,
     QuaternionAlgebra,
-    SubalgebraFrame,
     build_frame,
     conj_class,
     polar_form,
@@ -35,7 +34,6 @@ from .algebra import (
 )
 from .poly import (
     LeftPoly,
-    RootReport,
     companion_poly,
     divide_by_linear,
     factor_central_quartic,
@@ -43,7 +41,6 @@ from .poly import (
 )
 from .matlin import (
     DMatrix,
-    JordanData,
     companion_matrix,
     eig_check,
     jordan_block_power,
@@ -55,18 +52,15 @@ from .matlin import (
 )
 from .solver import (
     AssocForm,
-    ClosedForm,
     OctSplitForm,
     RecurrenceSpec,
     Term,
-    VerifyReport,
     eval_closed_form,
     iterate_oracle,
     primitive_char_poly,
     promote_field_quadratic,
     solve,
     solve_jordan,
-    solve_octonion2,
     verify_closed_form,
 )
 

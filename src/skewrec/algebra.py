@@ -19,12 +19,19 @@ denominator, and an octonion q + r*l0 eight, q's four then r's, kept
 reduced (gcd of all of them and the denominator is 1): the layout of
 `scalar.IntValue`, which Q(sqrt(d)) scalars share, and which holds the
 sums, scalings, conjugation, inverse, powers, equality and hashing of all
-of them.  Each carrier adds only its product and the polar form of its
-norm.  Each result is computed on plain ints and reduced by one
+of them.  Each value class adds only its product and the polar form of
+its norm.  Each result is computed on plain ints and reduced by one
 multi-argument gcd; rational a, b enter as integers over
 D = den(a)*den(b), so a quaternion product is D*w1*w2 + A*x1*x2 +
 B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D, and gamma enters over its own
 denominator.  `coords()` returns exact Fractions.
+
+Carriers.  `QuaternionAlgebra` and `OctonionAlgebra` derive from
+`scalar.Carrier`, as `FieldContext` does, which holds zero, one, scalar,
+element, basis, coerce, equality and hashing for all of them.  Each adds
+its parameters, their integer constants, the key that equality and hashing
+read, and its repr; the octonion algebra also adds pair, embed, ell0 and a
+coerce that embeds a quaternion of its base algebra.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .errors import (
     NoRepresentative,
     ValidationError,
 )
-from .scalar import _SCALARS, FieldContext, IntValue, ScalarValue, _make, _ratio, _reduced
+from .scalar import _SCALARS, Carrier, FieldContext, IntValue, ScalarValue, _make, _ratio, _reduced
 
 
 def _quat_mul(consts, p, q) -> tuple:
@@ -67,78 +74,6 @@ def _conj4(p) -> tuple:
     return (w, -x, -y, -z)
 
 
-class QuaternionAlgebra:
-    """The four-dimensional algebra (a,b | Q) with a, b nonzero rationals.
-
-    Products work on integers: with D = den(a)*den(b) the algebra keeps
-    D, A = a*D, B = b*D and AB = a*b*D, all integers.
-    """
-
-    __slots__ = ("ctx", "a", "b", "consts")
-
-    def __init__(self, a, b):
-        self.ctx = FieldContext.rational()
-        self.a = self.ctx.scalar(a)
-        self.b = self.ctx.scalar(b)
-        if self.a.is_zero() or self.b.is_zero():
-            raise ValidationError("structure constants a, b must be nonzero")
-        (an,), ad = self.a.num, self.a.den
-        (bn,), bd = self.b.num, self.b.den
-        self.consts = (ad * bd, an * bd, bn * ad, an * bn)
-
-    def element(self, coords) -> QuatValue:
-        (w, dw), (x, dx), (y, dy), (z, dz) = map(_ratio, coords)
-        den = lcm(dw, dx, dy, dz)
-        # each coordinate is reduced, so the gcd with the lcm is already 1
-        return _make(QuatValue, self, (w * (den // dw), x * (den // dx),
-                                      y * (den // dy), z * (den // dz)), den)
-
-    def scalar(self, c) -> QuatValue:
-        p, q = _ratio(c)
-        return _make(QuatValue, self, (p, 0, 0, 0), q)
-
-    def zero(self) -> QuatValue:
-        return _make(QuatValue, self, (0, 0, 0, 0), 1)
-
-    def one(self) -> QuatValue:
-        return _make(QuatValue, self, (1, 0, 0, 0), 1)
-
-    @property
-    def e1(self) -> QuatValue:
-        return _make(QuatValue, self, (0, 1, 0, 0), 1)
-
-    @property
-    def e2(self) -> QuatValue:
-        return _make(QuatValue, self, (0, 0, 1, 0), 1)
-
-    @property
-    def e3(self) -> QuatValue:
-        return _make(QuatValue, self, (0, 0, 0, 1), 1)
-
-    def basis(self) -> list[QuatValue]:
-        return [self.one(), self.e1, self.e2, self.e3]
-
-    def coerce(self, v) -> QuatValue:
-        if isinstance(v, QuatValue):
-            if v.carrier == self:
-                return v
-            raise ContextMismatch(f"value from {v.carrier} used in {self}")
-        return self.scalar(v)
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if not isinstance(other, QuaternionAlgebra):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash(("quat", self.a, self.b))
-
-    def __repr__(self):
-        return f"({self.a},{self.b} | {self.ctx})"
-
-
 class QuatValue(IntValue):
     """Element (w + x*e1 + y*e2 + z*e3) / den of a quaternion algebra, with
     num = (w, x, y, z) in the layout of `IntValue`."""
@@ -162,85 +97,45 @@ class QuatValue(IntValue):
         return _quat_polar(c, self.num, other.num), c[0]
 
 
-class OctonionAlgebra:
-    """Cayley-Dickson double of a quaternion algebra with parameter gamma.
+class QuaternionAlgebra(Carrier):
+    """The four-dimensional algebra (a,b | Q) with a, b nonzero rationals.
 
-    Products work on integers: the algebra keeps consts = (G, Gd) with
-    gamma = G / Gd in lowest terms, beside the base algebra's consts.
+    Products work on integers: with D = den(a)*den(b) the algebra keeps
+    D, A = a*D, B = b*D and AB = a*b*D, all integers.
     """
 
-    __slots__ = ("base", "gamma", "consts")
+    __slots__ = ("ctx", "a", "b", "consts")
 
-    def __init__(self, a, b, gamma):
-        self.base = QuaternionAlgebra(a, b)
-        self.gamma = self.base.ctx.scalar(gamma)
-        if self.gamma.is_zero():
-            raise ValidationError("doubling parameter gamma must be nonzero")
-        self.consts = (self.gamma.num[0], self.gamma.den)
+    value_type = QuatValue
+    dim = 4
 
-    @property
-    def ctx(self) -> FieldContext:
-        return self.base.ctx
-
-    def pair(self, first, second) -> OctValue:
-        q, r = self.base.coerce(first), self.base.coerce(second)
-        return _reduced(OctValue, self,
-                        tuple([n * r.den for n in q.num] + [n * q.den for n in r.num]),
-                        q.den * r.den)
-
-    def element(self, coords) -> OctValue:
-        coords = list(coords)
-        if len(coords) != 8:
-            raise ValueError("octonion needs 8 coordinates")
-        ratios = list(map(_ratio, coords))
-        den = lcm(*[d for _n, d in ratios])
-        # each coordinate is reduced, so the gcd with the lcm is already 1
-        return _make(OctValue, self, tuple([n * (den // d) for n, d in ratios]), den)
-
-    def scalar(self, c) -> OctValue:
-        p, q = _ratio(c)
-        return _make(OctValue, self, (p, 0, 0, 0, 0, 0, 0, 0), q)
-
-    def embed(self, q: QuatValue) -> OctValue:
-        q = self.base.coerce(q)
-        return _make(OctValue, self, (*q.num, 0, 0, 0, 0), q.den)
-
-    def zero(self) -> OctValue:
-        return self.scalar(0)
-
-    def one(self) -> OctValue:
-        return self.scalar(1)
+    def __init__(self, a, b):
+        self.ctx = FieldContext.rational()
+        self.a = self.ctx.scalar(a)
+        self.b = self.ctx.scalar(b)
+        if self.a.is_zero() or self.b.is_zero():
+            raise ValidationError("structure constants a, b must be nonzero")
+        (an,), ad = self.a.num, self.a.den
+        (bn,), bd = self.b.num, self.b.den
+        self.consts = (ad * bd, an * bd, bn * ad, an * bn)
 
     @property
-    def ell0(self) -> OctValue:
-        return _make(OctValue, self, (0, 0, 0, 0, 1, 0, 0, 0), 1)
+    def e1(self) -> QuatValue:
+        return _make(QuatValue, self, (0, 1, 0, 0), 1)
 
-    def basis(self) -> list[OctValue]:
-        return [_make(OctValue, self, tuple(int(i == j) for j in range(8)), 1) for i in range(8)]
+    @property
+    def e2(self) -> QuatValue:
+        return _make(QuatValue, self, (0, 0, 1, 0), 1)
 
-    def coerce(self, v) -> OctValue:
-        if isinstance(v, OctValue):
-            if v.carrier == self:
-                return v
-            raise ContextMismatch(f"value from {v.carrier} used in {self}")
-        if isinstance(v, QuatValue):
-            if v.carrier == self.base:
-                return self.embed(v)
-            raise ContextMismatch(f"quaternion from {v.carrier} used in {self}")
-        return self.scalar(self.ctx.scalar(v))
+    @property
+    def e3(self) -> QuatValue:
+        return _make(QuatValue, self, (0, 0, 0, 1), 1)
 
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if not isinstance(other, OctonionAlgebra):
-            return NotImplemented
-        return self.base == other.base and self.gamma == other.gamma
-
-    def __hash__(self):
-        return hash(("oct", self.base, self.gamma))
+    def key(self) -> tuple:
+        return self.consts  # (D, A, B, AB) fixes a = A/D and b = B/D
 
     def __repr__(self):
-        return f"({self.base.a},{self.base.b},{self.gamma} | {self.ctx})"
+        return f"({self.a},{self.b} | {self.ctx})"
 
 
 class OctValue(IntValue):
@@ -295,6 +190,54 @@ class OctValue(IntValue):
         if any(self.num[4:]):
             return hash((self.num, self.den))
         return hash(_make(QuatValue, self.carrier.base, self.num[:4], self.den))
+
+
+class OctonionAlgebra(Carrier):
+    """Cayley-Dickson double of a quaternion algebra with parameter gamma.
+
+    Products work on integers: the algebra keeps consts = (G, Gd) with
+    gamma = G / Gd in lowest terms, beside the base algebra's consts.
+    """
+
+    __slots__ = ("base", "gamma", "consts")
+
+    value_type = OctValue
+    dim = 8
+
+    def __init__(self, a, b, gamma):
+        self.base = QuaternionAlgebra(a, b)
+        self.gamma = self.base.ctx.scalar(gamma)
+        if self.gamma.is_zero():
+            raise ValidationError("doubling parameter gamma must be nonzero")
+        self.consts = (self.gamma.num[0], self.gamma.den)
+
+    @property
+    def ctx(self) -> FieldContext:
+        return self.base.ctx
+
+    def pair(self, first, second) -> OctValue:
+        q, r = self.base.coerce(first), self.base.coerce(second)
+        return _reduced(OctValue, self,
+                        tuple([n * r.den for n in q.num] + [n * q.den for n in r.num]),
+                        q.den * r.den)
+
+    def embed(self, q: QuatValue) -> OctValue:
+        q = self.base.coerce(q)
+        return _make(OctValue, self, (*q.num, 0, 0, 0, 0), q.den)
+
+    @property
+    def ell0(self) -> OctValue:
+        return _make(OctValue, self, (0, 0, 0, 0, 1, 0, 0, 0), 1)
+
+    def coerce(self, x) -> OctValue:
+        """As for every carrier, and a quaternion of the base algebra embeds."""
+        return self.embed(x) if isinstance(x, QuatValue) else Carrier.coerce(self, x)
+
+    def key(self) -> tuple:
+        return self.base.consts, self.consts
+
+    def __repr__(self):
+        return f"({self.base.a},{self.base.b},{self.gamma} | {self.ctx})"
 
 
 # ---------------------------------------------------------------------------

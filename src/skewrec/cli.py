@@ -30,7 +30,6 @@ from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     AssocForm,
     RecurrenceSpec,
-    algebra_kind,
     eval_closed_form,
     iterate_oracle,
     solve,
@@ -58,15 +57,12 @@ def _parse_bracketed(token: str, ctx: FieldContext, arity: int, line: int, col: 
 
 
 def _parse_element(token: str, algebra, line: int, col: int):
-    kind = algebra_kind(algebra)
-    if kind == "field":
+    if isinstance(algebra, FieldContext):
         try:
             return scalar_parse(token, algebra)
         except ParseError as exc:
             raise ParseError(str(exc), line, col) from exc
-    if kind == "quaternion":
-        return algebra.element(_parse_bracketed(token, algebra.ctx, 4, line, col))
-    return algebra.element(_parse_bracketed(token, algebra.ctx, 8, line, col))
+    return algebra.element(_parse_bracketed(token, algebra.ctx, algebra.dim, line, col))
 
 
 def _tokenize(rest: str, line: int, base_col: int):
@@ -175,10 +171,9 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
 
 def render_spec(spec: RecurrenceSpec) -> str:
     """Canonical file text; parse_spec_file(render_spec(s)) equals s."""
-    kind = algebra_kind(spec.algebra)
-    if kind == "field":
+    if isinstance(spec.algebra, FieldContext):
         alg = "field" if spec.algebra.kind == "rational" else f"field_sqrt {spec.algebra.d}"
-    elif kind == "quaternion":
+    elif isinstance(spec.algebra, QuaternionAlgebra):
         alg = f"quaternion {spec.algebra.a} {spec.algebra.b}"
     else:
         alg = (f"octonion {spec.algebra.base.a} {spec.algebra.base.b} "
@@ -251,7 +246,7 @@ def render_closed_form(cf) -> list[str]:
 
 
 def _print_solution(spec: RecurrenceSpec, cf) -> None:
-    if (isinstance(cf, AssocForm) and algebra_kind(spec.algebra) == "field"
+    if (isinstance(cf, AssocForm) and isinstance(spec.algebra, FieldContext)
             and cf.carrier != spec.algebra):
         print(f"algebra field_sqrt {cf.carrier.d}")
     for line in render_closed_form(cf):

@@ -1,5 +1,6 @@
 """Exact scalars: the rationals and real quadratic extensions Q(sqrt(d)),
-and the integer value layout they share with quaternions and octonions.
+and the integer value layout and carrier base they share with quaternions
+and octonions.
 
 A value of an algebra of dimension m over Q is a tuple of m integer
 numerators over one positive denominator, reduced so that the gcd of all
@@ -7,10 +8,13 @@ of them is 1; `IntValue` holds everything that layout does the same way in
 every algebra, its power loop included, and each carrier adds its own
 product and the polar form of its norm.  A scalar of Q is
 (u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
-(u + v*sqrt(d)) / den.  `_lucas` gives the integer Lucas pairs from which
-the solver evaluates closed forms.  Numerators and denominators are
-arbitrary-precision, so closed forms evaluated at large k never overflow.
-There is no floating point anywhere in this package.
+(u + v*sqrt(d)) / den.  In the same way `Carrier` holds what every
+carrier (`FieldContext` here, the quaternion and octonion algebras) does
+alike: zero, one, scalar, element, basis, coerce, equality and hashing;
+each adds only its own parameters.  `_lucas` gives the integer Lucas
+pairs from which the solver evaluates closed forms.  Numerators and
+denominators are arbitrary-precision, so closed forms evaluated at large k
+never overflow.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -331,84 +335,6 @@ class IntValue:
         return hash((self.num, self.den))
 
 
-class FieldContext:
-    """Base field descriptor: Q, or Q(sqrt(d)) for a squarefree d > 1."""
-
-    __slots__ = ("kind", "d", "dim")
-
-    def __init__(self, kind: str = "rational", d: int | None = None):
-        if kind not in ("rational", "quadratic"):
-            raise ValueError(f"unknown field kind {kind!r}")
-        if kind == "quadratic":
-            if not isinstance(d, int) or d <= 1:
-                raise ValueError("quadratic context needs an integer d > 1")
-            if squarefree_split(d)[0] != 1:
-                raise ValueError(f"d = {d} is not squarefree")
-        elif d is not None:
-            raise ValueError("rational context takes no d")
-        self.kind = kind
-        self.d = d
-        self.dim = 1 if kind == "rational" else 2
-
-    @classmethod
-    def rational(cls) -> FieldContext:
-        return cls()
-
-    @classmethod
-    def quadratic(cls, d: int) -> FieldContext:
-        return cls("quadratic", d)
-
-    # ---- carrier protocol shared with the algebra classes ----------------
-
-    @property
-    def ctx(self) -> FieldContext:
-        """The base field of the carrier, as for the algebras: itself."""
-        return self
-
-    def ratio(self, p: int, q: int) -> ScalarValue:
-        """The scalar p/q, for integers p and q != 0."""
-        return _reduced(ScalarValue, self, (p, 0)[:self.dim], q)
-
-    def zero(self) -> ScalarValue:
-        return self.ratio(0, 1)
-
-    def one(self) -> ScalarValue:
-        return self.ratio(1, 1)
-
-    def scalar(self, x) -> ScalarValue:
-        """Coerce an int, Fraction or compatible ScalarValue into this field."""
-        if isinstance(x, ScalarValue) and x.carrier == self:
-            return x
-        p, q = _ratio(x)
-        return _make(ScalarValue, self, (p, 0)[:self.dim], q)
-
-    coerce = scalar
-
-    def basis(self) -> list[ScalarValue]:
-        if self.kind == "rational":
-            return [self.one()]
-        return [self.one(), ScalarValue(self, 0, 1)]
-
-    def element(self, coords) -> ScalarValue:
-        coords = list(coords)
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        return ScalarValue(self, *coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldContext):
-            return NotImplemented
-        return self.kind == other.kind and self.d == other.d
-
-    def __hash__(self):
-        return hash(("FieldContext", self.kind, self.d))
-
-    def __repr__(self):
-        if self.kind == "rational":
-            return "Q"
-        return f"Q(rt{self.d})"
-
-
 class ScalarValue(IntValue):
     """An element (u + v*sqrt(d)) / den of the context's field: num is
     (u,) over Q and (u, v) over Q(sqrt(d))."""
@@ -496,6 +422,107 @@ class ScalarValue(IntValue):
 
 
 _SCALARS = (int, Fraction, ScalarValue)
+
+
+class Carrier:
+    """What every carrier of values does the same way: Q, Q(sqrt(d)), a
+    quaternion algebra and an octonion algebra.  A subclass sets
+    `value_type`, the class of its values, and `dim`, the number of their
+    coordinates, and gives `key()`, the parameters that fix it, which
+    equality and hashing read."""
+
+    __slots__ = ()
+
+    def scalar(self, x):
+        """The rational x (an int, a Fraction or a rational ScalarValue) as
+        a value of this carrier: x in coordinate 0, the rest 0."""
+        p, q = _ratio(x)
+        return _make(self.value_type, self, (p,) + (0,) * (self.dim - 1), q)
+
+    def zero(self):
+        return _make(self.value_type, self, (0,) * self.dim, 1)
+
+    def one(self):
+        return _make(self.value_type, self, (1,) + (0,) * (self.dim - 1), 1)
+
+    def element(self, coords):
+        """The value with the given rational coordinates, `dim` of them."""
+        ratios = list(map(_ratio, coords))
+        if len(ratios) != self.dim:
+            raise ValueError(f"{self} needs {self.dim} coordinates, got {len(ratios)}")
+        den = lcm(*[q for _p, q in ratios])
+        # each coordinate is reduced, so the gcd with the lcm is already 1
+        return _make(self.value_type, self, tuple([p * (den // q) for p, q in ratios]), den)
+
+    def basis(self) -> list:
+        """1, e1, ...: the values with one coordinate 1 and the others 0."""
+        return [self.element([int(i == j) for j in range(self.dim)]) for i in range(self.dim)]
+
+    def coerce(self, x):
+        """x as a value of this carrier: a value of it passes through, an
+        int, a Fraction or a rational ScalarValue enters by `scalar`, and a
+        value of any other carrier raises ContextMismatch."""
+        if isinstance(x, IntValue):
+            if x.carrier is self or x.carrier == self:
+                return x
+            if not isinstance(x, ScalarValue):
+                raise ContextMismatch(f"value from {x.carrier} used in {self}")
+        return self.scalar(x)
+
+    def __eq__(self, other):
+        if not isinstance(other, Carrier):
+            return NotImplemented
+        return other is self or (other.__class__ is self.__class__ and other.key() == self.key())
+
+    def __hash__(self):
+        return hash((self.__class__, self.key()))
+
+
+class FieldContext(Carrier):
+    """Base field descriptor: Q, or Q(sqrt(d)) for a squarefree d > 1."""
+
+    __slots__ = ("kind", "d", "dim")
+
+    value_type = ScalarValue
+
+    def __init__(self, kind: str = "rational", d: int | None = None):
+        if kind not in ("rational", "quadratic"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == "quadratic":
+            if not isinstance(d, int) or d <= 1:
+                raise ValueError("quadratic context needs an integer d > 1")
+            if squarefree_split(d)[0] != 1:
+                raise ValueError(f"d = {d} is not squarefree")
+        elif d is not None:
+            raise ValueError("rational context takes no d")
+        self.kind = kind
+        self.d = d
+        self.dim = 1 if kind == "rational" else 2
+
+    @classmethod
+    def rational(cls) -> FieldContext:
+        return cls()
+
+    @classmethod
+    def quadratic(cls, d: int) -> FieldContext:
+        return cls("quadratic", d)
+
+    @property
+    def ctx(self) -> FieldContext:
+        """The base field of the carrier, as for the algebras: itself."""
+        return self
+
+    def ratio(self, p: int, q: int) -> ScalarValue:
+        """The scalar p/q, for integers p and q != 0."""
+        return _reduced(ScalarValue, self, (p, 0)[:self.dim], q)
+
+    def key(self) -> tuple:
+        return (self.d,)
+
+    def __repr__(self):
+        if self.kind == "rational":
+            return "Q"
+        return f"Q(rt{self.d})"
 
 
 def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:

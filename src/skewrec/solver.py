@@ -31,7 +31,7 @@ from itertools import accumulate, islice
 from math import factorial, isqrt, lcm
 from operator import mul
 
-from .algebra import OctonionAlgebra, QuaternionAlgebra, build_frame, conj_class
+from .algebra import OctonionAlgebra, build_frame, conj_class
 from .errors import (
     InternalError,
     LamViolation,
@@ -41,17 +41,7 @@ from .errors import (
 )
 from .matlin import companion_matrix, jordan_from_roots
 from .poly import LeftPoly, quadratic_roots
-from .scalar import FieldContext, ScalarValue, _lucas, _ratio, _reduced, squarefree_split
-
-
-def algebra_kind(carrier) -> str:
-    if isinstance(carrier, FieldContext):
-        return "field"
-    if isinstance(carrier, QuaternionAlgebra):
-        return "quaternion"
-    if isinstance(carrier, OctonionAlgebra):
-        return "octonion"
-    raise TypeError(f"unknown algebra carrier {carrier!r}")
+from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _ratio, _reduced, squarefree_split
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,8 @@ class RecurrenceSpec:
     height: int = 20
 
     def __post_init__(self):
-        kind = algebra_kind(self.algebra)
+        if not isinstance(self.algebra, Carrier):
+            raise TypeError(f"unknown algebra carrier {self.algebra!r}")
         if not isinstance(self.order, int) or self.order < 1:
             raise ValidationError("order must be a positive integer")
         rhs = tuple(self.algebra.coerce(v) for v in self.rhs)
@@ -80,7 +71,7 @@ class RecurrenceSpec:
             raise ValidationError("the lowest coefficient rhs[0] must be nonzero")
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "init", init)
-        if kind == "octonion":
+        if isinstance(self.algebra, OctonionAlgebra):
             if self.order != 2:
                 raise UnsupportedOrder("octonion recurrences are solved at order 2 only")
             if self.roots is not None:
@@ -193,6 +184,8 @@ class _LucasForm:
     (functools.cached_property would take a lock on every access)."""
 
     def value(self, k: int):
+        if k < 0:
+            raise ValueError("k must be nonnegative")
         ev = self.__dict__.get("_lucas")
         if ev is None:
             ev = self.__dict__["_lucas"] = self._lucas_sum()
@@ -262,8 +255,6 @@ def iterate_oracle(spec: RecurrenceSpec, k: int):
 
 
 def eval_closed_form(cf: ClosedForm, k: int):
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return cf.value(k)
 
 
@@ -354,7 +345,7 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
     extension by the squarefree part d.  Negative discriminants would need a
     complex extension and are reported as unsolvable here.
     """
-    if algebra_kind(spec.algebra) != "field" or spec.order != 2:
+    if not isinstance(spec.algebra, FieldContext) or spec.order != 2:
         raise ValueError("promotion applies to order-2 field specs")
     ctx = spec.algebra
     c1 = -spec.rhs[1]
@@ -396,12 +387,11 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
 
 
 def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
-    kind = algebra_kind(spec.algebra)
     if spec.roots is not None:
         return solve_jordan(spec, spec.roots)
     if spec.order == 1:
         return solve_jordan(spec, [(spec.rhs[0], 1)])
-    if kind == "field":
+    if isinstance(spec.algebra, FieldContext):
         if spec.order == 2:
             promoted = promote_field_quadratic(spec)
             return solve_jordan(promoted, promoted.roots)
@@ -526,7 +516,7 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
 
 def solve(spec: RecurrenceSpec) -> ClosedForm:
     """Solve the recurrence and certify the result for every k (_certify)."""
-    if algebra_kind(spec.algebra) == "octonion":
+    if isinstance(spec.algebra, OctonionAlgebra):
         cf = solve_octonion2(spec)
     else:
         cf = _solve_assoc(spec)

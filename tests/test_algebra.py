@@ -95,6 +95,33 @@ def test_context_mismatch():
         I * other.e1
 
 
+CARRIERS = {
+    "Q": FieldContext.rational,
+    "Q(rt5)": lambda: FieldContext.quadratic(5),
+    "(-1,-3 | Q)": lambda: QuaternionAlgebra(-1, -3),
+    "(-1,-1,-2 | Q)": lambda: OctonionAlgebra(-1, -1, -2),
+}
+
+
+@pytest.mark.parametrize("make", CARRIERS.values(), ids=CARRIERS.keys())
+def test_carrier_protocol(make):
+    alg = make()
+    for n in (alg.dim - 1, alg.dim + 1):
+        with pytest.raises(ValueError):
+            alg.element([1] * n)
+    basis = alg.basis()
+    assert len(basis) == alg.dim
+    x = sum((Fraction(i + 1, 3) * b for i, b in enumerate(basis)), alg.zero())
+    for v in basis + [x]:
+        assert alg.element(v.coords()) == v
+    twin = make()
+    assert twin is not alg and twin == alg and hash(twin) == hash(alg)
+    q2 = FieldContext.quadratic(2)
+    assert alg.coerce(ScalarValue(q2, Fraction(3, 4))) == Fraction(3, 4)
+    with pytest.raises(ContextMismatch):
+        alg.coerce(ScalarValue(q2, 0, 1))
+
+
 def test_conj_class_examples():
     assert conj_class(I) == ConjClass(t=H.ctx.zero(), n=H.ctx.one())
     assert conj_class(I) == conj_class(J)

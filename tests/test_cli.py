@@ -18,7 +18,7 @@ from skewrec.cli import (
     render_closed_form,
     render_spec,
 )
-from skewrec.solver import algebra_kind, solve
+from skewrec.solver import solve
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -32,7 +32,7 @@ init [1,0,0,0] [1,0,0,0]
 
 def test_parse_spec_file():
     spec = parse_spec_file(DIAG_TEXT)
-    assert algebra_kind(spec.algebra) == "quaternion"
+    assert isinstance(spec.algebra, QuaternionAlgebra)
     H = QuaternionAlgebra(-1, -1)
     assert spec.rhs == (-1 - H.e3, H.e1)
     assert spec.init == (H.one(), H.one())
@@ -71,7 +71,7 @@ def test_parse_octonion_and_field_sqrt():
         "algebra octonion -1 -1 -1\norder 2\n"
         "rhs [-1,0,0,-1,0,0,0,0] [0,1,0,0,0,0,0,0]\n"
         "init [1,0,0,0,0,0,0,0] [0,0,0,0,1,0,0,0]\n")
-    assert algebra_kind(spec.algebra) == "octonion"
+    assert isinstance(spec.algebra, OctonionAlgebra)
     spec = parse_spec_file(
         "algebra field_sqrt 5\norder 2\nrhs 1 0+1*rt\ninit 0 1\n")
     assert spec.algebra.d == 5

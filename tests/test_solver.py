@@ -8,6 +8,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from skewrec import (
     NoRepresentative,
     AssocForm,
+    ContextMismatch,
     FieldContext,
     InternalError,
     LeftPoly,
@@ -70,6 +71,31 @@ def test_spec_validation():
         RecurrenceSpec(O, 2, (L, L), (1, 1), roots=((L, 1), (L, 1)))
     with pytest.raises(ValidationError):
         RecurrenceSpec(H, 2, (I, J), (1, 1), height=0)
+
+
+@pytest.mark.parametrize("alg, rhs", [
+    (QuaternionAlgebra(-1, -1), (OctonionAlgebra(-1, -1, -1).one(), 1)),
+    (FieldContext.rational(), (QuaternionAlgebra(-1, -1).e1,)),
+], ids=["octonion in a quaternion spec", "quaternion in a field spec"])
+def test_spec_rejects_values_of_another_algebra(alg, rhs):
+    with pytest.raises(ContextMismatch):
+        RecurrenceSpec(alg, len(rhs), rhs, (1,) * len(rhs))
+
+
+def test_spec_rejects_an_algebra_that_is_no_carrier():
+    with pytest.raises(TypeError):
+        RecurrenceSpec("quaternion -1 -1", 1, (1,), (1,))
+
+
+@pytest.mark.parametrize("spec", [DIAG, RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L))],
+                         ids=["AssocForm", "OctSplitForm"])
+def test_value_rejects_negative_k(spec):
+    cf = solve(spec)
+    for k in (-1, -1025):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cf.value(k)
+        with pytest.raises(ValueError, match="nonnegative"):
+            eval_closed_form(cf, k)
 
 
 def test_iterate_oracle():
