@@ -379,7 +379,7 @@ class SubalgebraFrame:
     orthogonal under `polar_form` B, with B(v, v) = 2*N(v) != 0, so
     `decompose` reads coordinate i off as B(x, v_i) / B(v_i, v_i); `embed`
     maps frame coordinates back through the first four vectors.  A basis
-    that is not of that kind raises DegenerateFrame.
+    without these properties raises DegenerateFrame.
     """
 
     __slots__ = ("oct", "u", "w", "uw", "ell", "a_prime", "b_prime",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ParseError, SkewrecError, ValidationError
+from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
 from .scalar import FieldContext, scalar_parse
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
@@ -50,7 +50,7 @@ def _parse_bracketed(token: str, ctx: FieldContext, arity: int, line: int, col: 
     for part in parts:
         try:
             out.append(scalar_parse(part, ctx))
-        except ParseError as exc:
+        except (ParseError, ContextMismatch) as exc:
             raise ParseError(str(exc), line, offset) from exc
         offset += len(part) + 1
     return out
@@ -60,7 +60,7 @@ def _parse_element(token: str, algebra, line: int, col: int):
     if isinstance(algebra, FieldContext):
         try:
             return scalar_parse(token, algebra)
-        except ParseError as exc:
+        except (ParseError, ContextMismatch) as exc:
             raise ParseError(str(exc), line, col) from exc
     return algebra.element(_parse_bracketed(token, algebra.ctx, algebra.dim, line, col))
 
@@ -94,7 +94,7 @@ def _parse_algebra(rest: str, line: int, col: int):
             return QuaternionAlgebra(frac(toks[1]), frac(toks[2]))
         if name == "octonion" and len(toks) == 4:
             return OctonionAlgebra(frac(toks[1]), frac(toks[2]), frac(toks[3]))
-    except (ValueError, ParseError) as exc:
+    except (ValueError, ParseError, ContextMismatch) as exc:
         raise ParseError(f"bad algebra parameters: {exc}", line, col) from exc
     raise ParseError(f"unknown algebra form {rest!r}", line, col)
 
@@ -172,7 +172,7 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
 def render_spec(spec: RecurrenceSpec) -> str:
     """Canonical file text; parse_spec_file(render_spec(s)) equals s."""
     if isinstance(spec.algebra, FieldContext):
-        alg = "field" if spec.algebra.kind == "rational" else f"field_sqrt {spec.algebra.d}"
+        alg = "field" if spec.algebra.d is None else f"field_sqrt {spec.algebra.d}"
     elif isinstance(spec.algebra, QuaternionAlgebra):
         alg = f"quaternion {spec.algebra.a} {spec.algebra.b}"
     else:
@@ -318,7 +318,15 @@ def run_command(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return run_command(args)
+    # exact values may have any number of digits; CPython >= 3.10.7 limits
+    # an int-to-str conversion to 4300 of them by default (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)
+    try:
+        return run_command(args)
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -300,7 +300,7 @@ def factor_central_quartic(p: LeftPoly):
     ints, a quartic left without roots is split by the integer resolvent of
     `_split_quartic`, and a quadratic or cubic left is irreducible.
     """
-    if not isinstance(p.carrier, FieldContext) or p.carrier.kind != "rational":
+    if not isinstance(p.carrier, FieldContext) or p.carrier.d is not None:
         raise ValueError("factorization works over rational coefficients only")
     if p.degree > 4:
         raise UnsupportedDegree(f"degree {p.degree} > 4")

