@@ -37,6 +37,7 @@ coerce that embeds a quaternion of its base algebra.
 from __future__ import annotations
 
 from math import isqrt, lcm
+from operator import mul
 
 from .errors import (
     ContextMismatch,
@@ -58,15 +59,6 @@ def _quat_mul(consts, p, q) -> tuple:
             D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
             D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
             D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2))
-
-
-def _quat_polar(consts, p, q) -> int:
-    """D * B(p, q) / 2 for integer 4-tuples p, q, B the polar form of the
-    norm: D*w1*w2 - A*x1*x2 - B*y1*y2 + AB*z1*z2."""
-    D, A, B, AB = consts
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-    return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2)
 
 
 def _conj4(p) -> tuple:
@@ -92,9 +84,11 @@ class QuatValue(IntValue):
 
     def _scaled_polar(self, other: QuatValue) -> tuple[int, int]:
         """(m, D) with B(self, other) / 2 = m / (D * self.den * other.den),
-        for the polar form B of the norm and D from the algebra's consts."""
-        c = self.carrier.consts
-        return _quat_polar(c, self.num, other.num), c[0]
+        for the polar form B of the norm and D from the algebra's consts:
+        m = D*w1*w2 - A*x1*x2 - B*y1*y2 + AB*z1*z2."""
+        D, A, B, AB = self.carrier.consts
+        (w1, x1, y1, z1), (w2, x2, y2, z2) = self.num, other.num
+        return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2), D
 
 
 class QuaternionAlgebra(Carrier):
@@ -174,10 +168,10 @@ class OctValue(IntValue):
 
     def _scaled_polar(self, other: OctValue) -> tuple[int, int]:
         """(m, Gd*D) with B(self, other) / 2 = m / (Gd * D * self.den *
-        other.den): B(q1, q2) - gamma*B(r1, r2) on the halves."""
-        (G, Gd), c = self.carrier.consts, self.carrier.base.consts
-        x, y = self.num, other.num
-        return Gd * _quat_polar(c, x[:4], y[:4]) - G * _quat_polar(c, x[4:], y[4:]), Gd * c[0]
+        other.den): B(q1, q2) - gamma*B(r1, r2) on the halves, read off the
+        algebra's diagonal weights."""
+        w = self.carrier.weights
+        return sum(map(mul, w, map(mul, self.num, other.num))), w[0]
 
     def __eq__(self, other):
         # q + 0*l0 equals the quaternion q of the base algebra
@@ -196,10 +190,11 @@ class OctonionAlgebra(Carrier):
     """Cayley-Dickson double of a quaternion algebra with parameter gamma.
 
     Products work on integers: the algebra keeps consts = (G, Gd) with
-    gamma = G / Gd in lowest terms, beside the base algebra's consts.
+    gamma = G / Gd in lowest terms, beside the base algebra's consts, and
+    the norm form's diagonal weights W, with Gd*D*N(x) = sum_j W_j*x_j^2.
     """
 
-    __slots__ = ("base", "gamma", "consts")
+    __slots__ = ("base", "gamma", "consts", "weights")
 
     value_type = OctValue
     dim = 8
@@ -209,7 +204,9 @@ class OctonionAlgebra(Carrier):
         self.gamma = self.base.ctx.scalar(gamma)
         if self.gamma.is_zero():
             raise ValidationError("doubling parameter gamma must be nonzero")
-        self.consts = (self.gamma.num[0], self.gamma.den)
+        self.consts = G, Gd = self.gamma.num[0], self.gamma.den
+        D, A, B, AB = self.base.consts
+        self.weights = (Gd * D, -Gd * A, -Gd * B, Gd * AB, -G * D, G * A, G * B, -G * AB)
 
     @property
     def ctx(self) -> FieldContext:
@@ -375,15 +372,15 @@ class SubalgebraFrame:
     together with a trace-zero unit ell orthogonal to it, so that the whole
     algebra splits as Q' + Q'*ell.
 
-    The basis {1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell} is pairwise
-    orthogonal under `polar_form` B, with B(v, v) = 2*N(v) != 0, so
-    `decompose` reads coordinate i off as B(x, v_i) / B(v_i, v_i); `embed`
-    maps frame coordinates back through the first four vectors.  A basis
-    without these properties raises DegenerateFrame.
+    The basis f = (1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell) is the integer
+    columns of `mat` over `den`, so `join(q, s)` = q + s*ell for q, s in
+    Q' = `quat` is one integer pass.  f must be pairwise orthogonal under
+    `polar_form` B with B(f_i, f_i) != 0, else DegenerateFrame; then the
+    inverse rows `inv` of `decompose` are x -> B(x, f_i) / B(f_i, f_i).
     """
 
     __slots__ = ("oct", "u", "w", "uw", "ell", "a_prime", "b_prime",
-                 "gamma_prime", "quat", "vecs", "gram")
+                 "gamma_prime", "quat", "mat", "den", "inv")
 
     def __init__(self, oct_alg: OctonionAlgebra, u: OctValue, w: OctValue,
                  ell: OctValue):
@@ -397,24 +394,32 @@ class SubalgebraFrame:
         self.gamma_prime = _central_square(ell, "frame unit ell")
         self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
         vecs = (oct_alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
-        gram = tuple(polar_form(v, v) for v in vecs)
-        if any(g.is_zero() for g in gram) or any(
-                not polar_form(vecs[i], vecs[j]).is_zero() for i in range(8) for j in range(i)):
+        self.den = den = lcm(*[v.den for v in vecs])
+        cols = [[n * (den // v.den) for n in v.num] for v in vecs]
+        self.mat = tuple(zip(*cols))
+        # B(x, y) is proportional to sum_j W_j*x_j*y_j for the algebra's weights W
+        wcols = [[c * wt for c, wt in zip(col, oct_alg.weights)] for col in cols]
+        gram = [sum(map(mul, wc, col)) for wc, col in zip(wcols, cols)]
+        if 0 in gram or any(sum(map(mul, wcols[i], cols[j])) for i in range(8) for j in range(i)):
             raise DegenerateFrame("frame vectors are isotropic or not pairwise orthogonal")
-        self.vecs = vecs
-        self.gram = gram
+        # coordinate i of x = num / d is den * (wcols[i] . num) / (d * gram[i]);
+        # each half of the coordinates goes over the lcm L of its four gram[i]
+        Ls = [lcm(*gram[:4])] * 4 + [lcm(*gram[4:])] * 4
+        rows = [[den * (L // g) * c for c in wc] for wc, g, L in zip(wcols, gram, Ls)]
+        self.inv = ((rows[:4], Ls[0]), (rows[4:], Ls[4]))
 
     def decompose(self, x: OctValue) -> tuple[QuatValue, QuatValue]:
-        """Write x = embed(q) + embed(s)*ell and return (q, s)."""
+        """(q, s) with x = join(q, s)."""
         x = self.oct.coerce(x)
-        c = [polar_form(x, v) / g for v, g in zip(self.vecs, self.gram)]
-        return self.quat.element(c[:4]), self.quat.element(c[4:])
+        return tuple([_reduced(QuatValue, self.quat, tuple([sum(map(mul, r, x.num)) for r in rows]),
+                               L * x.den) for rows, L in self.inv])
 
-    def embed(self, q: QuatValue) -> OctValue:
-        """Map frame-quaternion coordinates back into the octonion algebra."""
-        q = self.quat.coerce(q)
-        w, x, y, z = q.num
-        return (self.u * x + self.w * y + self.uw * z + w) / q.den
+    def join(self, q, s) -> OctValue:
+        """q + s*ell for q and s in the frame's quaternion algebra."""
+        q, s = self.quat.coerce(q), self.quat.coerce(s)
+        v = [n * s.den for n in q.num] + [n * q.den for n in s.num]
+        return _reduced(OctValue, self.oct, tuple([sum(map(mul, r, v)) for r in self.mat]),
+                        self.den * q.den * s.den)
 
     def __repr__(self):
         return f"SubalgebraFrame(u={self.u}, w={self.w}, ell={self.ell})"

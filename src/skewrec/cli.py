@@ -48,10 +48,7 @@ def _parse_bracketed(token: str, ctx: FieldContext, arity: int, line: int, col: 
     out = []
     offset = col + 1
     for part in parts:
-        try:
-            out.append(scalar_parse(part, ctx))
-        except (ParseError, ContextMismatch) as exc:
-            raise ParseError(str(exc), line, offset) from exc
+        out.append(_parse_element(part, ctx, line, offset))
         offset += len(part) + 1
     return out
 
@@ -60,7 +57,9 @@ def _parse_element(token: str, algebra, line: int, col: int):
     if isinstance(algebra, FieldContext):
         try:
             return scalar_parse(token, algebra)
-        except (ParseError, ContextMismatch) as exc:
+        except ParseError as exc:  # exc.col counts from the token's start
+            raise ParseError(exc.reason, line, col + exc.col) from exc
+        except ContextMismatch as exc:
             raise ParseError(str(exc), line, col) from exc
     return algebra.element(_parse_bracketed(token, algebra.ctx, algebra.dim, line, col))
 
@@ -76,25 +75,29 @@ def _tokenize(rest: str, line: int, base_col: int):
 
 
 def _parse_algebra(rest: str, line: int, col: int):
-    toks = [t for t, _ in _tokenize(rest, line, col)]
+    toks = _tokenize(rest, line, col)
     if not toks:
         raise ParseError("empty algebra line", line, col)
-    name = toks[0]
+    name = toks[0][0]
     rational = FieldContext.rational()
 
-    def frac(tok):
-        return scalar_parse(tok, rational)
+    def frac(tok):  # a malformed literal at its own column, as in _parse_element
+        try:
+            return scalar_parse(tok[0], rational)
+        except ParseError as exc:
+            msg = f"bad algebra parameters: {exc.reason}"
+            raise ParseError(msg, line, tok[1] + exc.col) from exc
 
     try:
         if name == "field" and len(toks) == 1:
             return rational
         if name == "field_sqrt" and len(toks) == 2:
-            return FieldContext.quadratic(int(toks[1]))
+            return FieldContext.quadratic(int(toks[1][0]))
         if name == "quaternion" and len(toks) == 3:
             return QuaternionAlgebra(frac(toks[1]), frac(toks[2]))
         if name == "octonion" and len(toks) == 4:
             return OctonionAlgebra(frac(toks[1]), frac(toks[2]), frac(toks[3]))
-    except (ValueError, ParseError, ContextMismatch) as exc:
+    except (ValueError, ContextMismatch) as exc:
         raise ParseError(f"bad algebra parameters: {exc}", line, col) from exc
     raise ParseError(f"unknown algebra form {rest!r}", line, col)
 

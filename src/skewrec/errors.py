@@ -24,9 +24,11 @@ class ContextMismatch(SkewrecError):
 
 
 class ParseError(SkewrecError):
-    """Malformed literal or spec file; carries the offending position."""
+    """Malformed literal or spec file; carries the offending position and,
+    as `reason`, the message without it."""
 
     def __init__(self, message, line=None, col=None):
+        self.reason = message
         self.line = line
         self.col = col
         if line is not None and col is not None:

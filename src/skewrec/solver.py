@@ -6,12 +6,12 @@ the exact Jordan decomposition U * J * U^-1 of the companion matrix, built
 from eigenvector chains of the roots (solve_jordan).  Simple roots are the
 case of 1x1 blocks, where U is the Vandermonde matrix of the roots.
 Order-2 octonion recurrences split over a quaternion subalgebra frame into
-a main part and a conjugated tail, each solved on that same path.  Every
-closed form is certified before it is returned: each term is proved to
-solve the recurrence for every k by a residual polynomial that vanishes at
-deg p + 1 points, and the sum is checked against the initial values (see
-_certify).  `verify_closed_form` is the independent check against direct
-iteration.
+a main part and a conjugated tail, each solved on that same path, by the
+frame's integer change of basis (`decompose` and `join`).  Every closed
+form is certified before it is returned: each term is proved to solve the
+recurrence for every k by a residual polynomial that vanishes at deg p + 1
+points, and the sum is checked against the initial values (see _certify).
+`verify_closed_form` is the independent check against direct iteration.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
@@ -205,17 +205,17 @@ class AssocForm(_LucasForm):
 
 @dataclass(frozen=True)
 class OctSplitForm(_LucasForm):
-    """Octonion closed form a_k = embed(main(k)) + embed(conj(tail(k))) * ell
-    over a quaternion frame."""
+    """Octonion closed form a_k = frame.join(main(k), conj(tail(k))) =
+    main(k) + conj(tail(k)) * ell over a quaternion frame."""
 
     frame: object
     main: AssocForm
     tail: AssocForm
 
     def _lucas_sum(self) -> _LucasSum:
-        fr = self.frame
-        return _LucasSum(fr.oct.zero(), ((self.main, fr.embed),
-                                         (self.tail, lambda x: fr.embed(x.conj()) * fr.ell)))
+        join = self.frame.join
+        return _LucasSum(self.frame.oct.zero(), ((self.main, lambda x: join(x, 0)),
+                                                 (self.tail, lambda x: join(0, x.conj()))))
 
 
 ClosedForm = AssocForm | OctSplitForm
@@ -403,36 +403,19 @@ def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
 def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     """Order-2 octonion recurrences, split over a quaternion frame.
 
-    The coefficients generate an associative subalgebra sitting inside the
-    frame's quaternion part, so the state recursion decomposes into one
-    quaternion recurrence for the frame component and one, with conjugated
-    coefficients, for the ell component.  Central coefficients instead take
-    the frame from the initial values and need no tail.
+    The frame's quaternion part holds the coefficients, so the state
+    recursion decomposes into one quaternion recurrence for the frame
+    component and one, with conjugated coefficients, for the ell component.
+    Central coefficients lie in every frame; theirs is built from the
+    initial values, which then have no ell component, and the tail is empty.
     """
-    alg = spec.algebra
-    alpha, beta = spec.rhs
-    if alpha.is_central() and beta.is_central():
-        frame = build_frame(alg, spec.init[0], spec.init[1])
-        sub = RecurrenceSpec(
-            frame.quat, 2,
-            (frame.quat.scalar(alpha.scalar_part()),
-             frame.quat.scalar(beta.scalar_part())),
-            (frame.decompose(spec.init[0])[0], frame.decompose(spec.init[1])[0]),
-            height=spec.height,
-        )
-        main = _solve_assoc(sub)
-        tail = AssocForm(frame.quat, ())
-        return OctSplitForm(frame, main, tail)
-    frame = build_frame(alg, alpha, beta)
-    alpha_q = frame.decompose(alpha)[0]
-    beta_q = frame.decompose(beta)[0]
-    q, s = frame.decompose(spec.init[0])
-    r, t = frame.decompose(spec.init[1])
-    main = _solve_assoc(RecurrenceSpec(
-        frame.quat, 2, (alpha_q, beta_q), (q, r), height=spec.height))
-    tail = _solve_assoc(RecurrenceSpec(
-        frame.quat, 2, (alpha_q.conj(), beta_q.conj()),
-        (s.conj(), t.conj()), height=spec.height))
+    central = all(r.is_central() for r in spec.rhs)
+    frame = build_frame(spec.algebra, *(spec.init if central else spec.rhs))
+    rhs = tuple(frame.decompose(r)[0] for r in spec.rhs)
+    (q, s), (r, t) = map(frame.decompose, spec.init)
+    main = _solve_assoc(RecurrenceSpec(frame.quat, 2, rhs, (q, r), height=spec.height))
+    tail = AssocForm(frame.quat, ()) if central else _solve_assoc(RecurrenceSpec(
+        frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj()), height=spec.height))
     return OctSplitForm(frame, main, tail)
 
 
@@ -460,12 +443,12 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
 
 
 def _certify_frame(frame) -> None:
-    """embed(x)*embed(y) = embed(x*y) and embed(x)*(embed(y)*ell) =
-    embed(y*x)*ell on the frame's quaternion basis; both sides of each are
+    """join(x, 0)*join(y, 0) = join(x*y, 0) and join(x, 0)*(join(y, 0)*ell) =
+    join(y*x, 0)*ell on the frame's quaternion basis; both sides of each are
     bilinear, so the identities then hold for all x, y."""
     basis = frame.quat.basis()
-    emb = [frame.embed(e) for e in basis]
-    prods = [[frame.embed(x * y) for y in basis] for x in basis]
+    emb = [frame.join(e, 0) for e in basis]
+    prods = [[frame.join(x * y, 0) for y in basis] for x in basis]
     for i, ex in enumerate(emb):
         for j, ey in enumerate(emb):
             if ex * ey != prods[i][j] or ex * (ey * frame.ell) != prods[j][i] * frame.ell:
@@ -479,15 +462,15 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
 
     Every term solves the recurrence, so by left linearity their sum does,
     and a solution is fixed by its first n values.  For an OctSplitForm,
-    rhs[j] must embed a frame quaternion r_j, main must solve the recurrence
-    with the r_j and tail the one with conj(r_j); the frame identities then
-    carry both to a_k = embed(main(k)) + embed(conj(tail(k)))*ell, and with
-    central r_j linearity alone does.
+    rhs[j] must be join(r_j, 0) for a frame quaternion r_j, main must solve
+    the recurrence with the r_j and tail the one with conj(r_j); the frame
+    identities then carry both to a_k = join(main(k), conj(tail(k))), and
+    with central r_j linearity alone does.
     """
     if isinstance(cf, OctSplitForm):
         rhs = [cf.frame.decompose(r)[0] for r in spec.rhs]
         for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
-            if cf.frame.embed(q) != r:
+            if cf.frame.join(q, 0) != r:
                 raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
         if not all(r.is_central() for r in spec.rhs):
             _certify_frame(cf.frame)

@@ -252,9 +252,9 @@ def test_criterion_8_octonion_identity_suite():
                 frames.append(fr)
         for fr in frames:
             for _ in range(25):
-                b = [[fr.embed(rand_quat(rng, fr.quat, 3, 2)) for _ in range(2)]
+                b = [[fr.join(rand_quat(rng, fr.quat, 3, 2), 0) for _ in range(2)]
                      for _ in range(2)]
-                v = [fr.embed(rand_quat(rng, fr.quat, 3, 2)) for _ in range(2)]
+                v = [fr.join(rand_quat(rng, fr.quat, 3, 2), 0) for _ in range(2)]
                 lhs = [b[i][0] * (v[0] * fr.ell) + b[i][1] * (v[1] * fr.ell)
                        for i in range(2)]
                 rhs = [(b[i][0].conj() * v[0].conj()

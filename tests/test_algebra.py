@@ -22,6 +22,7 @@ from skewrec import (
     polar_form,
     spherical_representative,
 )
+from skewrec.algebra import SubalgebraFrame
 from conftest import rand_frac, rand_invertible_quat, rand_oct, rand_quat
 
 H = QuaternionAlgebra(-1, -1)
@@ -244,12 +245,36 @@ def test_frame_decompose_examples():
 
 
 def test_frame_embed_decompose_roundtrip():
+    # decompose and join are inverse changes of basis, and join(q, s) is
+    # q + s*ell with a real octonion product, in division and split algebras
     rng = random.Random(59)
-    fr = build_frame(O, rand_oct(rng, O), rand_oct(rng, O))
-    for _ in range(40):
-        x = rand_oct(rng, O)
-        q, s = fr.decompose(x)
-        assert fr.embed(q) + fr.embed(s) * fr.ell == x
+    for alg in (O, OctonionAlgebra(Fraction(-1, 2), Fraction(3, 5), Fraction(-7, 3)),
+                OctonionAlgebra(2, 3, -1)):
+        frames = 0
+        while frames < 3:
+            try:
+                fr = build_frame(alg, rand_oct(rng, alg), rand_oct(rng, alg))
+            except DegenerateFrame:
+                continue
+            frames += 1
+            for _ in range(15):
+                x = rand_oct(rng, alg)
+                assert fr.join(*fr.decompose(x)) == x
+                q, s = rand_quat(rng, fr.quat, 4, 2), rand_quat(rng, fr.quat, 4, 2)
+                assert fr.decompose(fr.join(q, s)) == (q, s)
+                assert fr.join(q, s) == fr.join(q, 0) + fr.join(s, 0) * fr.ell
+
+
+def test_frame_constructor_rejects_degenerate_bases():
+    # build_frame orthogonalizes first, so only a frame given by hand reaches
+    # the constructor's own check: an ell that is not orthogonal to u, and an
+    # isotropic ell (gamma' = 0)
+    with pytest.raises(DegenerateFrame):
+        SubalgebraFrame(O, O.embed(I), O.embed(J), L + O.embed(I))
+    split = OctonionAlgebra(1, 1, 1)
+    e1, e2 = split.basis()[1:3]
+    with pytest.raises(DegenerateFrame):
+        SubalgebraFrame(split, e1, e2, split.element([0, 0, 0, 0, 1, 1, 0, 0]))
 
 
 def test_frame_cayley_dickson_rule():
@@ -259,8 +284,9 @@ def test_frame_cayley_dickson_rule():
         g = fr.gamma_prime
         for _ in range(25):
             q, r, s, t = (rand_quat(rng, fr.quat, 4, 2) for _ in range(4))
-            lhs = (fr.embed(q) + fr.embed(r) * fr.ell) * (fr.embed(s) + fr.embed(t) * fr.ell)
-            rhs = fr.embed(q * s + (t.conj() * r) * g) + fr.embed(t * q + r * s.conj()) * fr.ell
+            lhs = ((fr.join(q, 0) + fr.join(r, 0) * fr.ell)
+                   * (fr.join(s, 0) + fr.join(t, 0) * fr.ell))
+            rhs = fr.join(q * s + (t.conj() * r) * g, 0) + fr.join(t * q + r * s.conj(), 0) * fr.ell
             assert lhs == rhs
 
 
@@ -270,9 +296,9 @@ def test_frame_matrix_conjugation_lemma():
     for _ in range(3):
         fr = build_frame(O, rand_oct(rng, O), rand_oct(rng, O))
         for _ in range(25):
-            b = [[fr.embed(rand_quat(rng, fr.quat, 4, 2)) for _ in range(2)]
+            b = [[fr.join(rand_quat(rng, fr.quat, 4, 2), 0) for _ in range(2)]
                  for _ in range(2)]
-            v = [fr.embed(rand_quat(rng, fr.quat, 4, 2)) for _ in range(2)]
+            v = [fr.join(rand_quat(rng, fr.quat, 4, 2), 0) for _ in range(2)]
             lhs = [b[i][0] * (v[0] * fr.ell) + b[i][1] * (v[1] * fr.ell)
                    for i in range(2)]
             rhs = [(b[i][0].conj() * v[0].conj()

@@ -83,9 +83,15 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as exc:
         parse_spec_file("algebra field\nborder 2\n")
     assert exc.value.line == 2
-    with pytest.raises(ParseError) as exc:
-        parse_spec_file("algebra field\norder 2\nrhs 1/0 1\ninit 0 1\n")
-    assert exc.value.line == 3
+    # a malformed literal is placed at its own column in the line, once
+    for text, line, col in (
+            ("algebra field\norder 2\nrhs 1/0 1\ninit 0 1\n", 3, 7),
+            ("algebra quaternion -1 -1\norder 1\nrhs [1,2/0,0,0]\ninit [1,0,0,0]\n", 3, 10),
+            ("algebra quaternion 1/0 -1\norder 1\nrhs [1,0,0,0]\ninit [1,0,0,0]\n", 1, 22)):
+        with pytest.raises(ParseError) as exc:
+            parse_spec_file(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value).count("col") == 1
     with pytest.raises(ParseError):
         parse_spec_file("algebra field\nalgebra field\norder 1\nrhs 1\ninit 1\n")
     with pytest.raises(ParseError):

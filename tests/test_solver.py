@@ -456,7 +456,7 @@ def _certificate_specs():
     fr = build_frame(O2, rand_oct(rng, O2), rand_oct(rng, O2))
     lam, mu = rand_quat(rng, fr.quat, 3, 1), rand_quat(rng, fr.quat, 3, 1)
     p = LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)
-    specs.append(RecurrenceSpec(O2, 2, tuple(fr.embed(-c) for c in p.coeffs[:2]),
+    specs.append(RecurrenceSpec(O2, 2, tuple(fr.join(-c, 0) for c in p.coeffs[:2]),
                                 (rand_oct(rng, O2), rand_oct(rng, O2))))
     return specs
 
@@ -572,7 +572,7 @@ def _reference_value(cf, k):
     if isinstance(cf, AssocForm):
         return _term_sum(cf, k)
     fr = cf.frame
-    return fr.embed(_term_sum(cf.main, k)) + fr.embed(_term_sum(cf.tail, k).conj()) * fr.ell
+    return fr.join(_term_sum(cf.main, k), 0) + fr.join(_term_sum(cf.tail, k).conj(), 0) * fr.ell
 
 
 def _eval_spec(data, path):
