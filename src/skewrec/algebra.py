@@ -351,12 +351,15 @@ def polar_form(x, y) -> ScalarValue:
 
 
 def _orthogonalize(x: OctValue, against) -> OctValue:
+    """x minus its projections B(x, v) / B(v, v) * v, one v after the other,
+    the ratio read off the `_scaled_polar` numerators (their D cancels)."""
     out = x
     for v in against:
-        bv = polar_form(v, v)
-        if bv.is_zero():
+        m_v, _ = v._scaled_polar(v)
+        if m_v == 0:
             raise DegenerateFrame(f"cannot orthogonalize against isotropic {v}")
-        out = out - v * (polar_form(out, v) / bv)
+        m, _ = out._scaled_polar(v)
+        out = out - v._scaled(m * v.den, m_v * out.den)
     return out
 
 

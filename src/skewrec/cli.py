@@ -10,10 +10,11 @@ Spec files are line oriented, one key per line, '#' starting a comment:
     height H                      # optional search bound, default 20
 
 Scalar literals are INT, INT/POSINT, or U+V*rt (rt meaning sqrt(D) of a
-field_sqrt context).  Quaternions are [w,x,y,z], octonions [s0,...,s7],
-with scalar entries and no internal spaces.  On a roots line, a bare
-positive integer directly after an element is read as that root's
-multiplicity; write "roots 1 1 2 1" to give the two simple roots 1 and 2.
+field_sqrt context), with ASCII digits only.  Quaternions are [w,x,y,z],
+octonions [s0,...,s7], with scalar entries and no internal spaces.  On a
+roots line, a bare positive integer directly after an element is read as
+that root's multiplicity; write "roots 1 1 2 1" to give the two simple
+roots 1 and 2.
 
 All output is exact.  Exit status: 0 for success or PASS, 1 for FAIL or a
 solver failure, 2 for usage, parse or validation errors.
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import lcm
 
 from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
-from .scalar import FieldContext, scalar_parse
+from .scalar import INT_LITERAL, FieldContext, ScalarValue, _reduced, read_literal, scalar_parse
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     AssocForm,
@@ -39,29 +41,43 @@ from .solver import (
 _KEYS = ("algebra", "order", "rhs", "init", "roots", "height")
 
 
-def _parse_bracketed(token: str, ctx: FieldContext, arity: int, line: int, col: int):
+def _literal(token: str, ctx: FieldContext, line: int, col: int) -> tuple[tuple, int]:
+    """`read_literal` of a token that starts at col, its errors placed there."""
+    try:
+        return read_literal(token, ctx)
+    except ParseError as exc:  # exc.col counts from the token's start
+        raise ParseError(exc.reason, line, col + exc.col) from exc
+    except ContextMismatch as exc:
+        raise ParseError(str(exc), line, col) from exc
+
+
+def _parse_element(token: str, algebra, line: int, col: int):
+    """A field literal, or an algebra's [c0,...] literal over its rational
+    coordinates, read to integers and put over one denominator."""
+    if isinstance(algebra, FieldContext):
+        return _reduced(ScalarValue, algebra, *_literal(token, algebra, line, col))
+    arity = algebra.dim
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected a {arity}-component [..] literal", line, col)
     parts = token[1:-1].split(",")
     if len(parts) != arity:
         raise ParseError(f"expected {arity} components, got {len(parts)}", line, col)
-    out = []
+    nums, dens = [], []
     offset = col + 1
     for part in parts:
-        out.append(_parse_element(part, ctx, line, offset))
+        (p,), q = _literal(part, algebra.ctx, line, offset)
+        nums.append(p)
+        dens.append(q)
         offset += len(part) + 1
-    return out
+    den = lcm(*dens)
+    return _reduced(algebra.value_type, algebra,
+                    tuple([p * (den // q) for p, q in zip(nums, dens)]), den)
 
 
-def _parse_element(token: str, algebra, line: int, col: int):
-    if isinstance(algebra, FieldContext):
-        try:
-            return scalar_parse(token, algebra)
-        except ParseError as exc:  # exc.col counts from the token's start
-            raise ParseError(exc.reason, line, col + exc.col) from exc
-        except ContextMismatch as exc:
-            raise ParseError(str(exc), line, col) from exc
-    return algebra.element(_parse_bracketed(token, algebra.ctx, algebra.dim, line, col))
+def _int_token(text: str) -> int | None:
+    """text as an optionally signed integer of ASCII digits, or None."""
+    m = INT_LITERAL.fullmatch(text)
+    return int(m[0]) if m else None
 
 
 def _tokenize(rest: str, line: int, base_col: int):
@@ -92,7 +108,10 @@ def _parse_algebra(rest: str, line: int, col: int):
         if name == "field" and len(toks) == 1:
             return rational
         if name == "field_sqrt" and len(toks) == 2:
-            return FieldContext.quadratic(int(toks[1][0]))
+            d = _int_token(toks[1][0])
+            if d is None:  # worded as int()'s own error
+                raise ValueError(f"invalid literal for int() with base 10: {toks[1][0]!r}")
+            return FieldContext.quadratic(d)
         if name == "quaternion" and len(toks) == 3:
             return QuaternionAlgebra(frac(toks[1]), frac(toks[2]))
         if name == "octonion" and len(toks) == 4:
@@ -128,9 +147,8 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
     algebra = _parse_algebra(rest, lineno, col)
 
     rest, lineno, col = seen["order"]
-    try:
-        order = int(rest)
-    except ValueError:
+    order = _int_token(rest)
+    if order is None:
         raise ParseError(f"order must be an integer, got {rest!r}", lineno, col)
 
     def elements(key):
@@ -154,8 +172,9 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
             elem = _parse_element(tok, algebra, lineno, tcol)
             i += 1
             mult = 1
-            if i < len(toks) and toks[i][0].isdigit() and int(toks[i][0]) >= 1:
-                mult = int(toks[i][0])
+            nxt = toks[i][0] if i < len(toks) else ""
+            if nxt.isascii() and nxt.isdigit() and int(nxt) >= 1:
+                mult = int(nxt)
                 i += 1
             roots.append((elem, mult))
         roots = tuple(roots)
@@ -163,9 +182,8 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
     height = 20
     if "height" in seen:
         rest, lineno, col = seen["height"]
-        try:
-            height = int(rest)
-        except ValueError:
+        height = _int_token(rest)
+        if height is None:
             raise ParseError(f"height must be an integer, got {rest!r}", lineno, col)
 
     return RecurrenceSpec(algebra, order, tuple(rhs), tuple(init),

@@ -122,12 +122,15 @@ class DMatrix:
         return "DMatrix[" + "; ".join(rows) + "]"
 
 
-def mat_inverse(m: DMatrix) -> DMatrix:
-    """Two-sided inverse by Gauss-Jordan elimination with left row operations.
+def _eliminate(m: DMatrix, right: list) -> list:
+    """Gauss-Jordan elimination with left row operations on [M | R], for a
+    square M and the n rows of R; returns the rows of M^-1 * R.
 
     Pivoting takes the first row whose pivot has nonzero norm; a column with
     no such row is either all zero (Singular) or contains a nonzero zero-norm
-    entry, in which case inverting it raises ZeroDivisor.
+    entry, in which case inverting it raises ZeroDivisor.  Once column c is
+    cleared it is never read again, and row c is zero left of c, so the
+    step on column c touches only the entries right of it.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
@@ -135,10 +138,7 @@ def mat_inverse(m: DMatrix) -> DMatrix:
         raise ValueError("octonion matrices are not invertible here; "
                          "work inside an associative subalgebra")
     n = m.rows
-    carrier = m.entries[0].carrier
-    ident = DMatrix.identity(n, carrier)
-    aug = [m.row(i) + ident.row(i) for i in range(n)]
-
+    aug = [m.row(i) + list(right[i]) for i in range(n)]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -152,13 +152,31 @@ def mat_inverse(m: DMatrix) -> DMatrix:
             nonzero[0].inverse()  # raises ZeroDivisor
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * x for x in aug[col]]
+        prow = aug[col]
+        inv = prow[col].inverse()
+        tail = prow[col + 1:] = [inv * x for x in prow[col + 1:]]
         for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return DMatrix(n, n, [x for row in aug for x in row[n:]])
+            row = aug[r]
+            f = row[col]
+            if r != col and not f.is_zero():
+                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], tail)]
+    return [row[n:] for row in aug]
+
+
+def mat_inverse(m: DMatrix) -> DMatrix:
+    """Two-sided inverse: `_eliminate` with the identity on the right."""
+    ident = DMatrix.identity(m.rows, m.entries[0].carrier)
+    rows = _eliminate(m, [ident.row(i) for i in range(m.rows)])
+    return DMatrix(m.rows, m.rows, [x for row in rows for x in row])
+
+
+def mat_solve(m: DMatrix, vec) -> list:
+    """M^-1 * vec, by one `_eliminate` on [M | vec], with the errors of
+    mat_inverse(m)."""
+    vec = list(vec)
+    if len(vec) != m.rows:
+        raise DimensionMismatch("vector length does not match matrix rows")
+    return [row[0] for row in _eliminate(m, [[x] for x in vec])]
 
 
 def companion_matrix(p) -> DMatrix:
@@ -365,26 +383,32 @@ def jordan_matrix(blocks) -> DMatrix:
     return DMatrix(n, n, entries)
 
 
-def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
-    """Build U column by column from eigenvector chains of a companion matrix.
-
-    Each root lam starts a chain at (1, lam, ..., lam^(n-1)); successive
-    columns solve A*w - w*lam = previous (sylvester_chain_solve, on
-    integers); U is inverted in the algebra.  The result is not checked here:
-    solve certifies the closed form built from it (solver._certify).
-    """
-    rootdata = [(lam, int(m)) for lam, m in rootdata]
+def chain_matrix(a: DMatrix, rootdata) -> DMatrix:
+    """U, built column by column from eigenvector chains of a companion
+    matrix A: each root lam starts a chain at (1, lam, ..., lam^(n-1)), and
+    each further column of its chain solves A*w - w*lam = previous
+    (sylvester_chain_solve, on integers)."""
     n = a.rows
     if sum(m for _, m in rootdata) != n:
         raise ValueError("block sizes must sum to the matrix size")
     columns = []
     for lam, m in rootdata:
-        v = [lam ** i for i in range(n)]
+        v = [lam.carrier.one(), lam][:n]
+        while len(v) < n:
+            v.append(v[-1] * lam)
         columns.append(v)
         for _ in range(m - 1):
             v = sylvester_chain_solve(a, lam, v)
             columns.append(v)
-    u = DMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
+    return DMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
+
+
+def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
+    """U from `chain_matrix` and its inverse in the algebra.  The result is
+    not checked here; solve builds its closed forms from the same
+    `chain_matrix` and certifies them (solver._certify)."""
+    rootdata = [(lam, int(m)) for lam, m in rootdata]
+    u = chain_matrix(a, rootdata)
     try:
         uinv = mat_inverse(u)
     except Singular as exc:

@@ -20,6 +20,7 @@ point anywhere in this package.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -514,40 +515,46 @@ class FieldContext(Carrier):
         return f"Q(rt{self.d})"
 
 
-def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
-    """Parse INT, INT/POSINT, or RAT(+|-)RAT*rt, where rt is sqrt(d)."""
+# an optionally signed integer of ASCII digits: the one integer scanner of
+# spec files, here and in the cli
+INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_int(s: str, p: int) -> tuple[int, int]:
+    """The optionally signed integer of ASCII digits [0-9] that starts at
+    s[p], and the index just past it; ParseError at col p if there is none."""
+    m = INT_LITERAL.match(s, p)
+    if m is None:
+        raise ParseError("expected an integer", col=p)
+    return int(m[0]), m.end()
+
+
+def _read_rat(s: str, p: int) -> tuple[int, int, int]:
+    """(numerator, denominator, end) of the rational literal at s[p]."""
+    num, q = _read_int(s, p)
+    if q < len(s) and s[q] == "/":
+        den, end = _read_int(s, q + 1)
+        if den <= 0:
+            raise ParseError("denominator must be a positive integer", col=q + 1)
+        return num, den, end
+    return num, 1, q
+
+
+def read_literal(text: str, ctx: FieldContext) -> tuple[tuple, int]:
+    """The scalar literal INT, INT/POSINT, or RAT(+|-)RAT*rt (rt meaning
+    sqrt(d)) of ctx as integers (num, den): num holds ctx.dim numerators
+    over den > 0, not yet reduced.  Digits are ASCII; a ParseError's col
+    counts from the start of the stripped text."""
     s = text.strip()
     if not s:
         raise ParseError("empty scalar literal", col=0)
-
-    def read_int(p):
-        q = p
-        if q < len(s) and s[q] in "+-":
-            q += 1
-        digits_from = q
-        while q < len(s) and s[q].isdigit():
-            q += 1
-        if q == digits_from:
-            raise ParseError("expected an integer", col=p)
-        return int(s[p:q]), q
-
-    def read_rat(p):
-        """(numerator, denominator) of a rational literal, and the end."""
-        num, q = read_int(p)
-        if q < len(s) and s[q] == "/":
-            den, q2 = read_int(q + 1)
-            if den <= 0:
-                raise ParseError("denominator must be a positive integer", col=q + 1)
-            return (num, den), q2
-        return (num, 1), q
-
-    (a, b), pos = read_rat(0)
+    a, b, pos = _read_rat(s, 0)
     if pos == len(s):
-        return ctx.ratio(a, b)
+        return (a, 0)[:ctx.dim], b
     if s[pos] not in "+-":
         raise ParseError("expected '+', '-' or end of literal", col=pos)
     sign = -1 if s[pos] == "-" else 1
-    (c, e), pos = read_rat(pos + 1)
+    c, e, pos = _read_rat(s, pos + 1)
     if not s.startswith("*rt", pos):
         raise ParseError("expected '*rt'", col=pos)
     pos += 3
@@ -555,7 +562,12 @@ def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
         raise ParseError("trailing characters after '*rt'", col=pos)
     if ctx.d is None:
         raise ContextMismatch("'*rt' literal used in a rational context")
-    return _reduced(ScalarValue, ctx, (a * e, sign * c * b), b * e)
+    return (a * e, sign * c * b), b * e
+
+
+def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
+    """The value of the scalar literal text in ctx (see `read_literal`)."""
+    return _reduced(ScalarValue, ctx, *read_literal(text, ctx))
 
 
 def scalar_render(x: ScalarValue) -> str:

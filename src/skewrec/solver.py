@@ -3,8 +3,9 @@
 The characteristic data is the monic polynomial x^n - r_{n-1} x^{n-1} - ...
 - r_0.  Over a field or a quaternion algebra one path solves every spec:
 the exact Jordan decomposition U * J * U^-1 of the companion matrix, built
-from eigenvector chains of the roots (solve_jordan).  Simple roots are the
-case of 1x1 blocks, where U is the Vandermonde matrix of the roots.
+from eigenvector chains of the roots (_jordan_form, behind solve_jordan's
+checks for user roots).  Simple roots are the case of 1x1 blocks, where U
+is the Vandermonde matrix of the roots.
 Order-2 octonion recurrences split over a quaternion subalgebra frame into
 a main part and a conjugated tail, each solved on that same path, by the
 frame's integer change of basis (`decompose` and `join`).  Every closed
@@ -36,10 +37,12 @@ from .errors import (
     InternalError,
     LamViolation,
     NoRootsFound,
+    Singular,
+    SingularU,
     UnsupportedOrder,
     ValidationError,
 )
-from .matlin import companion_matrix, jordan_from_roots
+from .matlin import chain_matrix, companion_matrix, mat_solve
 from .poly import LeftPoly, quadratic_roots
 from .scalar import Carrier, FieldContext, _lucas, _ratio, _reduced, squarefree_split
 
@@ -271,7 +274,7 @@ def verify_closed_form(spec: RecurrenceSpec, cf: ClosedForm, kmax: int) -> Verif
 def _check_lam(roots) -> None:
     """No three roots may share a conjugacy class, or U (for simple roots the
     Vandermonde matrix of the roots) can go singular."""
-    if not roots or isinstance(roots[0].carrier, FieldContext):
+    if len(roots) < 3 or isinstance(roots[0].carrier, FieldContext):
         return
     counts: dict = {}
     for r in roots:
@@ -296,10 +299,7 @@ def _binom_coeffs(r: int) -> list[Fraction]:
 
 def solve_jordan(spec: RecurrenceSpec, rootdata) -> AssocForm:
     """Closed form via the Jordan decomposition A = U * J * U^-1 of the
-    companion matrix: a_k is the first row of U * J**k * b with
-    b = U^-1 * init, expanded into terms p(k) * base**k * b_i with deg p
-    below the block size.  Simple roots give 1x1 blocks, U is then the
-    Vandermonde matrix of the roots and each term is base**k * b_i.
+    companion matrix (see _jordan_form), for root data given by a caller.
 
     rootdata is a list of (root, multiplicity); the multiplicities must sum
     to the order, the roots must be pairwise distinct roots of the
@@ -317,17 +317,31 @@ def solve_jordan(spec: RecurrenceSpec, rootdata) -> AssocForm:
         if not p.eval(lam).is_zero():
             raise ValidationError(f"{lam} is not a root of the characteristic polynomial")
     _check_lam(roots)
-    jd = jordan_from_roots(companion_matrix(p), rootdata)
-    b = jd.Uinv.apply(list(spec.init))
+    return _jordan_form(spec, p, rootdata)
+
+
+def _jordan_form(spec: RecurrenceSpec, charpoly: LeftPoly, rootdata) -> AssocForm:
+    """a_k as the first row of U * J**k * b, U the eigenvector chains of the
+    roots of charpoly (chain_matrix) and b = U^-1 * init from one elimination on
+    [U | init], expanded into terms p(k) * base**k * b_i with deg p below
+    the block size.  Simple roots give 1x1 blocks, U is then the
+    Vandermonde matrix of the roots and each term is base**k * b_i.  The
+    root data is taken as established: _certify proves the result."""
+    alg = spec.algebra
+    u = chain_matrix(companion_matrix(charpoly), rootdata)
+    try:
+        b = mat_solve(u, spec.init)
+    except Singular as exc:
+        raise SingularU("eigenvector chains are linearly dependent") from exc
     terms = []
     col = 0
-    for lam, m in jd.blocks:
+    for lam, m in rootdata:
         lam_inv = lam.inverse() if m > 1 else None
         for sp in range(m):
             # the r = 0 summand of column sp is U's first-row entry itself
-            coeffs = [jd.U.entry(0, col + sp)] + [alg.zero()] * sp
+            coeffs = [u.entry(0, col + sp)] + [alg.zero()] * sp
             for r in range(1, sp + 1):
-                base_e = jd.U.entry(0, col + sp - r) * (lam_inv ** r)
+                base_e = u.entry(0, col + sp - r) * (lam_inv ** r)
                 for s, frac in enumerate(_binom_coeffs(r)):
                     if frac:
                         coeffs[s] = coeffs[s] + base_e * frac
@@ -375,26 +389,28 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
 
 
 def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
+    """User roots are validated by solve_jordan; the roots derived here
+    are roots by construction and go straight to _jordan_form."""
     if spec.roots is not None:
         return solve_jordan(spec, spec.roots)
     if spec.order == 1:
-        return solve_jordan(spec, [(spec.rhs[0], 1)])
+        return _jordan_form(spec, primitive_char_poly(spec), [(spec.rhs[0], 1)])
     if isinstance(spec.algebra, FieldContext):
         if spec.order == 2:
             promoted = promote_field_quadratic(spec)
-            return solve_jordan(promoted, promoted.roots)
+            return _jordan_form(promoted, primitive_char_poly(promoted), promoted.roots)
         raise UnsupportedOrder(
             "field recurrences of order > 2 need user-supplied roots"
         )
     if spec.order == 2:
-        report = quadratic_roots(spec.algebra, primitive_char_poly(spec), spec.height)
-        rootdata = report.root_multiplicities()
+        p = primitive_char_poly(spec)
+        rootdata = quadratic_roots(spec.algebra, p, spec.height).root_multiplicities()
         if sum(m for _, m in rootdata) != 2:
             raise NoRootsFound(
                 "a single isolated root without repeated-root structure "
                 "cannot determine an order-2 closed form"
             )
-        return solve_jordan(spec, rootdata)
+        return _jordan_form(spec, p, rootdata)
     raise UnsupportedOrder(
         "quaternion recurrences of order > 2 need user-supplied roots"
     )

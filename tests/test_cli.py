@@ -269,6 +269,35 @@ def test_cli_rejects_root_multiplicities_off_the_order(tmp_path, capsys):
     assert err == "error: root multiplicities must sum to the order 2\n"
 
 
+NON_ASCII_DIGITS = (
+    # str.isdigit accepts a superscript two, and int() an Arabic-Indic
+    # three and an underscore; a spec file takes ASCII digits only
+    ("algebra field\norder 1\nrhs 2\ninit ²\n", 4, 6),
+    ("algebra field\norder 1\nrhs 2\ninit ٣\n", 4, 6),
+    ("algebra field\norder 2\nrhs -1 2\ninit 1 5\nroots 1 ²\n", 5, 9),
+    ("algebra quaternion -1 -1\norder 1\nrhs [1,²,0,0]\ninit [1,0,0,0]\n", 3, 8),
+    ("algebra field\norder 1_0\nrhs 2\ninit 1\n", 2, 7),
+    ("algebra field\norder ١\nrhs 2\ninit 1\n", 2, 7),
+    ("algebra field\norder 1\nrhs 2\ninit 1\nheight 1_0\n", 5, 8),
+    ("algebra field_sqrt ٥\norder 1\nrhs 2\ninit 1\n", 1, 9),
+)
+
+
+@pytest.mark.parametrize("text,line,col", NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_parse_errors(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_spec_file(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_cli_non_ascii_digits_exit_2(tmp_path, capsys):
+    spec = tmp_path / "digits.rec"
+    for text, line, col in NON_ASCII_DIGITS:
+        spec.write_text(text, encoding="utf-8")
+        assert main(["solve", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}, col {col}: ")
+
+
 def test_bundled_demo_files_solve_and_verify(capsys):
     files = sorted(glob.glob(os.path.join(DEMO_DIR, "*.rec")))
     assert len(files) >= 5

@@ -14,6 +14,7 @@ from skewrec import (
     QuaternionAlgebra,
     Singular,
     SingularU,
+    SkewrecError,
     companion_matrix,
     eig_check,
     jordan_block_power,
@@ -23,7 +24,7 @@ from skewrec import (
     sylvester_chain_solve,
     vandermonde,
 )
-from skewrec.matlin import solve_rational
+from skewrec.matlin import mat_solve, solve_rational
 from conftest import rand_frac, rand_invertible_quat, rand_quat, rand_scalar
 
 Q = FieldContext.rational()
@@ -327,3 +328,33 @@ def test_chain_solve_satisfies_equation_over_every_carrier(carrier, n, seed):
     v = [x - y * lam for x, y in zip(a.apply(w0), w0)]
     w = sylvester_chain_solve(a, lam, v)
     assert [x - y * lam for x, y in zip(a.apply(w), w)] == v
+
+
+KERNEL_ALGEBRAS = (
+    QuaternionAlgebra(-1, -1),
+    QuaternionAlgebra(-1, -3),
+    QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+    QuaternionAlgebra(1, 1),  # split: zero-norm pivots raise ZeroDivisor
+)
+KERNEL_COORDS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5)])
+
+
+@props
+@given(st.sampled_from(KERNEL_ALGEBRAS), st.integers(1, 3), st.booleans(), st.data())
+def test_mat_solve_is_the_inverse_applied(alg, n, chains, data):
+    # mat_solve eliminates [U | v] once; it must give mat_inverse(U).apply(v)
+    # or raise what mat_inverse(U) raises, on U the Vandermonde matrix of
+    # random nodes (the chain matrix of simple roots) or a random matrix
+    quat = st.lists(KERNEL_COORDS, min_size=4, max_size=4).map(alg.element)
+    if chains:
+        u = vandermonde(data.draw(st.lists(quat, min_size=n, max_size=n)))
+    else:
+        u = DMatrix(n, n, data.draw(st.lists(quat, min_size=n * n, max_size=n * n)))
+    v = data.draw(st.lists(quat, min_size=n, max_size=n))
+    try:
+        expected = mat_inverse(u).apply(v)
+    except SkewrecError as exc:
+        with pytest.raises(type(exc)):
+            mat_solve(u, v)
+    else:
+        assert mat_solve(u, v) == expected

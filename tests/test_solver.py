@@ -247,6 +247,18 @@ def test_lam_violation():
         solve(spec)
 
 
+def test_derived_roots_are_covered_by_the_certificate(monkeypatch):
+    # roots found by quadratic_roots skip solve_jordan's root checks, so a
+    # wrong one must still be caught, by _certify
+    class WrongRoots:
+        def root_multiplicities(self):
+            return [(I, 1), (J, 1)]  # not roots of DIAG's polynomial
+
+    monkeypatch.setattr("skewrec.solver.quadratic_roots", lambda *args: WrongRoots())
+    with pytest.raises(InternalError, match="certificate failed"):
+        solve(DIAG)
+
+
 def test_planted_roots_with_large_denominators_solve_in_time():
     # roots with coordinates n/d, |n| <= 10, d <= 100: the companion quartic
     # has 51-bit coefficients, and scaled to integers 199-bit ones; its
