@@ -24,7 +24,8 @@ its norm.  Each result is computed on plain ints and reduced by one
 multi-argument gcd; rational a, b enter as integers over
 D = den(a)*den(b), so a quaternion product is D*w1*w2 + A*x1*x2 +
 B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D, and gamma enters over its own
-denominator.  `coords()` returns exact Fractions.
+denominator.  `coords()` returns exact Fractions, and `str` prints from the
+numerators.
 
 Carriers.  `QuaternionAlgebra` and `OctonionAlgebra` derive from
 `scalar.Carrier`, as `FieldContext` does, which holds zero, one, scalar,
@@ -301,22 +302,26 @@ def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
     """Two distinct elements with trace t and norm n, via bounded search.
 
     Looks for lam = t/2 + (p1*e1 + p2*e2 + p3*e3)/q with integer numerators
-    and denominator bounded by `height`; the partner is t - lam.  Raises
-    NoRepresentative when the search space is exhausted.
+    and denominator bounded by `height`; the partner t - lam is conj(lam).
+    Raises NoRepresentative when the search space is exhausted.
     """
     t = alg.ctx.scalar(t)
     n = alg.ctx.scalar(n)
-    a = alg.a.u
-    b = alg.b.u
-    m = (n - t * t / 4).u
-    # p1^2 = (m*q^2 + b*p2^2 - a*b*p3^2) / (-a), scaled by L to plain ints
-    L = lcm(m.denominator, a.denominator, b.denominator, (a * b).denominator)
-    M, B, AB, div = int(m * L), int(b * L), int(a * b * L), int(-a * L)
+    (tn,), td = t.num, t.den
+    (nn,), nd = n.num, n.den
+    # N(lam) = n means p1^2 = (m*q^2 + b*p2^2 - a*b*p3^2) / (-a) with
+    # m = n - t^2/4 = (4*td^2*nn - nd*tn^2) / md, md = 4*td^2*nd; with
+    # a = A/D, b = B/D and a*b = AB/D from the algebra's consts, every term
+    # is scaled by D*md to plain ints
+    D, A, B, AB = alg.consts
+    md = 4 * td * td * nd
+    M = (4 * td * td * nn - nd * tn * tn) * D
+    Bm, ABm, div = B * md, AB * md, -A * md
     for q in range(1, height + 1):
         mq = M * q * q
         for p2 in range(0, height + 1):
             for p3 in range(0, height + 1):
-                val, rem = divmod(mq + B * p2 * p2 - AB * p3 * p3, div)
+                val, rem = divmod(mq + Bm * p2 * p2 - ABm * p3 * p3, div)
                 if val < 0 or rem:
                     continue
                 p1 = isqrt(val)
@@ -324,9 +329,9 @@ def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
                     continue
                 if p1 == 0 and p2 == 0 and p3 == 0:
                     continue  # pure part must be nonzero to keep the pair distinct
-                y = _reduced(QuatValue, alg, (0, p1, p2, p3), q)
-                lam = alg.scalar(t / 2) + y
-                return lam, alg.scalar(t) - lam
+                s = 2 * td
+                lam = _reduced(QuatValue, alg, (tn * q, s * p1, s * p2, s * p3), s * q)
+                return lam, lam.conj()
     raise NoRepresentative(
         f"search exhausted up to height {height}: no element of trace {t} "
         f"and norm {n} in {alg}"

@@ -213,13 +213,20 @@ def render_spec(spec: RecurrenceSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _term_sort_key(term):
-    return (
-        tuple(term.base.coords()),
-        len(term.poly),
-        tuple(c for e in term.poly for c in e.coords()),
-        tuple(term.right.coords()),
-    )
+def _term_order(terms) -> list:
+    """The terms sorted by base, then poly length, then the poly's
+    coordinates, then right; each value's coordinates are compared as
+    integer numerators over one common denominator of all the terms'
+    values, which orders them as their rational coordinates would."""
+    den = lcm(*[v.den for t in terms for v in (t.base, t.right, *t.poly)])
+
+    def key(t):
+        return (tuple([n * (den // t.base.den) for n in t.base.num]),
+                len(t.poly),
+                tuple([n * (den // c.den) for c in t.poly for n in c.num]),
+                tuple([n * (den // t.right.den) for n in t.right.num]))
+
+    return sorted(terms, key=key)
 
 
 def _render_poly(poly) -> str:
@@ -240,7 +247,7 @@ def _render_poly(poly) -> str:
 def _render_terms(form: AssocForm) -> str:
     if not form.terms:
         return "0"
-    terms = sorted(form.terms, key=_term_sort_key)
+    terms = _term_order(form.terms)
     return " + ".join(
         f"({_render_poly(t.poly)})*({t.base})^k"
         f"*({t.right})"

@@ -7,7 +7,8 @@ vector.  There are no determinants here; pivots are inverted in the algebra
 itself, which is what makes elimination work over noncommutative entries.
 
 The one commutative system, the base-field coordinates of a Jordan chain
-step A*w - w*lam = v, is eliminated on integers by `solve_rational`.
+step A*w - w*lam = v, is read off the values' integer numerators and
+eliminated on integers by `_reduce_rows`, the loop `solve_rational` shares.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     Singular,
     SingularU,
 )
+from .scalar import _reduced
 
 
 def _is_associative(x) -> bool:
@@ -260,22 +262,17 @@ def _integer_row(row) -> list:
     return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
-def solve_rational(mat, rhs):
-    """Solve a linear system with int or Fraction entries; free variables
-    are set to 0.
-
-    Returns the solution as Fractions, or None when the system is
-    inconsistent.  Elimination is fraction-free (after Bareiss): each
-    augmented row is scaled to integers by the lcm of its denominators, row
-    i is eliminated against pivot row r as pv*row_i - f*row_r, and each new
-    row is divided by the gcd of its entries.  Every integer row stays a
-    nonzero multiple of the row Gauss-Jordan on Fractions holds, so the
+def _reduce_rows(aug: list, cols: int) -> list | None:
+    """Gauss-Jordan elimination, fraction-free (after Bareiss), on primitive
+    integer rows [A | b] with `cols` columns in A, in place: row i is
+    eliminated against pivot row r as pv*row_i - f*row_r, and each new row
+    is divided by the gcd of its entries.  Every integer row stays a
+    positive multiple of the row Gauss-Jordan on rationals holds, so the
     zero pattern, the pivots, the consistency test and the reduced echelon
-    form are the same; the only division is rhs_r / pivot_r at the end.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [_integer_row(list(mat[r]) + [rhs[r]]) for r in range(rows)]
+    form are the same.  Returns the (row, column) pivots, or None when the
+    system is inconsistent; the solution with free variables at 0 is then
+    b_r / pv_r in each pivot column."""
+    rows = len(aug)
     pivots = []
     r = 0
     for c in range(cols):
@@ -302,6 +299,23 @@ def solve_rational(mat, rhs):
     for i in range(r, rows):
         if aug[i][cols]:
             return None
+    return pivots
+
+
+def solve_rational(mat, rhs):
+    """Solve a linear system with int or Fraction entries; free variables
+    are set to 0.
+
+    Returns the solution as Fractions, or None when the system is
+    inconsistent.  Each augmented row is scaled to integers by the lcm of
+    its denominators and eliminated by `_reduce_rows`; the only division is
+    rhs_r / pivot_r at the end.
+    """
+    cols = len(mat[0]) if mat else 0
+    aug = [_integer_row(list(mat[r]) + [rhs[r]]) for r in range(len(mat))]
+    pivots = _reduce_rows(aug, cols)
+    if pivots is None:
+        return None
     sol = [Fraction(0)] * cols
     for pr, pc in pivots:
         sol[pc] = Fraction(aug[pr][cols], aug[pr][pc])
@@ -314,9 +328,11 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     The unknown is flattened to rational coordinates (the map is linear over
     the base field): block (i, j) of the system has as column c the
     coordinates of a_ij*e_c, minus e_c*lam on the diagonal, for the basis
-    e_c of the carrier.  It is eliminated on integers by solve_rational and
-    free variables are pinned to 0, so the returned representative of the
-    solution coset is deterministic.
+    e_c of the carrier.  The rows of block row i are read off the
+    numerators of those values and of v_i over one common multiple of their
+    denominators, which has the primitive rows of `solve_rational`; they
+    are eliminated by `_reduce_rows` and free variables are pinned to 0, so
+    the returned representative of the solution coset is deterministic.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("chain solve needs a square matrix")
@@ -327,26 +343,34 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     m = len(basis)
     n = a.rows
     right = [b * lam for b in basis]
-    zero_block = [[0] * m] * m
-    mat = []
+    aug = []
     for i in range(n):
-        blocks = []
+        cols = []  # the values whose coordinates are the columns of block row i
         for j in range(n):
             aij = a.entry(i, j)
             if i == j:
-                blocks.append([(-r if aij.is_zero() else aij * b - r).coords()
-                               for b, r in zip(basis, right)])
+                cols += [-r if aij.is_zero() else aij * b - r for b, r in zip(basis, right)]
             elif aij.is_zero():
-                blocks.append(zero_block)
+                cols += [carrier.zero()] * m
             else:
-                blocks.append([(aij * b).coords() for b in basis])
-        for rr in range(m):
-            mat.append([col[rr] for block in blocks for col in block])
-    rhs = [x for vi in v for x in vi.coords()]
-    sol = solve_rational(mat, rhs)
-    if sol is None:
+                cols += [aij * b for b in basis]
+        cols.append(v[i])
+        den = lcm(*[x.den for x in cols])
+        scaled = [(x.num, den // x.den) for x in cols]
+        aug += [_primitive([num[rr] * f for num, f in scaled]) for rr in range(m)]
+    pivots = _reduce_rows(aug, n * m)
+    if pivots is None:
         raise NoSolution("generalized eigenvector system is inconsistent")
-    return [carrier.element(sol[j * m : (j + 1) * m]) for j in range(n)]
+    sol = [(0, 1)] * (n * m)
+    for pr, pc in pivots:
+        sol[pc] = (aug[pr][n * m], aug[pr][pc])
+    out = []
+    for j in range(n):
+        coords = sol[j * m:(j + 1) * m]
+        den = lcm(*[q for _p, q in coords])  # positive; den // q carries q's sign
+        out.append(_reduced(carrier.value_type, carrier,
+                            tuple([p * (den // q) for p, q in coords]), den))
+    return out
 
 
 class JordanData:

@@ -6,16 +6,20 @@ p(t) = sum c_i * t**i, so products convolve coefficients in order:
 the coefficients may be noncommuting, which is why (x-a)(x-b) and
 (x-b)(x-a) generally differ.
 
-The companion polynomial C_p = p*conj(p) is read off polar forms of the
-coefficients, and factored over Q on integers: scaled to a monic integer
-polynomial, its integer roots found by Hensel lifting and its quadratic
-splits by the integer resolvent cubic.
+The companion polynomial C_p = p*conj(p) stays on integers from the polar
+forms of the coefficients to its factors: `_companion` reads it off the
+`_scaled_polar` numerators straight into a scaled monic integer polynomial,
+and `_factor_monic` factors that over Q, its integer roots found by Hensel
+lifting and its quadratic splits by the integer resolvent cubic.
+`quadratic_roots` reads each root class off the integer factors; rational
+`LeftPoly`s of C_p and its factors are built only for a caller that asks
+(`companion_poly`, `factor_central_quartic`, `RootReport.central_factors`,
+the `NoRootsFound` text), and their coefficients print from numerators.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
 
@@ -23,12 +27,12 @@ from .algebra import (
     ConjClass,
     OctonionAlgebra,
     QuaternionAlgebra,
+    QuatValue,
     conj_class,
-    polar_form,
     spherical_representative,
 )
 from .errors import NoRootsFound, UnsupportedDegree
-from .scalar import FieldContext
+from .scalar import FieldContext, _reduced
 
 
 class LeftPoly:
@@ -96,16 +100,20 @@ class LeftPoly:
         return LeftPoly(self.carrier, out)
 
     def eval(self, t):
-        """Left evaluation: sum of c_i * t**i with powers built by repeated
-        multiplication (safe for octonions by power-associativity)."""
-        t = self.carrier.coerce(t)
-        total = self.carrier.zero()
-        power = self.carrier.one()
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * t
-            total = total + c * power
-        return total
+        """Left evaluation sum c_i * t**i, by Horner's rule from the leading
+        coefficient: acc -> acc*t + c_i.  Expanded, that is the sum of
+        (...((c_i*t)*t)...)*t, which is c_i * t**i for octonions too: c_i
+        and t generate an associative subalgebra (Artin's theorem).  A monic
+        p of degree n >= 1 costs n - 1 products."""
+        carrier = self.carrier
+        t = carrier.coerce(t)
+        c = self.coeffs
+        if len(c) < 2:
+            return c[0] if c else carrier.zero()
+        acc = (t if self.is_monic() else c[-1] * t) + c[-2]
+        for ci in reversed(c[:-2]):
+            acc = acc * t + ci
+        return acc
 
     def conj(self) -> LeftPoly:
         """Coefficientwise involution; the identity on field coefficients."""
@@ -128,24 +136,9 @@ class LeftPoly:
 
 
 def companion_poly(p: LeftPoly) -> LeftPoly:
-    """C_p = p * conj(p) for a monic p, over the base field: coefficient m
-    sums B(c_i, c_j) = c_i*conj(c_j) + c_j*conj(c_i) over i < j, i + j = m,
-    and N(c_{m/2}) for even m.  That holds for quaternion and octonion
-    coefficients alike (conj(xy) = conj(y)*conj(x)), so `polar_form` and
-    `norm` read C_p off the integer coordinates with no product."""
-    carrier = p.carrier
-    if not isinstance(carrier, (QuaternionAlgebra, OctonionAlgebra)):
-        raise ValueError("companion polynomial needs quaternion or octonion coefficients")
-    if not p.is_monic():
-        raise ValueError("companion polynomial needs a monic input")
-    c, n = p.coeffs, p.degree
-    out = []
-    for m in range(2 * n + 1):
-        s = c[m // 2].norm().u if m % 2 == 0 else Fraction(0)
-        for i in range(max(0, m - n), (m + 1) // 2):
-            s += polar_form(c[i], c[m - i]).u
-        out.append(s)
-    return LeftPoly(carrier.ctx, out)
+    """C_p = p * conj(p) for a monic p over a quaternion or octonion
+    algebra, as a polynomial over the base field (see `_companion`)."""
+    return _unscaled(p.carrier.ctx, *_companion(p))
 
 
 def divide_by_linear(p: LeftPoly, lam) -> tuple[LeftPoly, object]:
@@ -290,28 +283,50 @@ def _split_quartic(g):
     return None
 
 
-def factor_central_quartic(p: LeftPoly):
-    """Exact factorization over Q of a monic rational polynomial of degree
-    up to 4, as a list of (monic irreducible factor, multiplicity) sorted by
-    degree and then by coefficients.
+def _companion(p: LeftPoly) -> tuple[list[int], int]:
+    """C_p = p * conj(p) for a monic p over a quaternion or octonion algebra,
+    as (g, L): the monic integer g(y) = L**N * C_p(y/L), N = 2 * deg p and
+    L the lcm of the denominators of C_p's coefficients.
 
-    Works on the monic integer g(y) = L**n * p(y/L), L the lcm of the
-    denominators: the integer roots of `_integer_roots` are divided out on
-    ints, a quartic left without roots is split by the integer resolvent of
-    `_split_quartic`, and a quadratic or cubic left is irreducible.
+    Coefficient m of C_p sums B(c_i, c_j) = c_i*conj(c_j) + c_j*conj(c_i)
+    over i < j, i + j = m, and N(c_{m/2}) for even m.  That holds for
+    quaternion and octonion coefficients alike (conj(xy) = conj(y)*conj(x)),
+    and `_scaled_polar` gives B(c_i, c_j) / 2 = m_ij / (D * d_i * d_j) with
+    no product.  Over e = lcm of the d_i, coefficient m is then h_m / E with
+    E = D * e**2 and h_m the sum of m_ij * (e/d_i) * (e/d_j) over the
+    ordered pairs i + j = m.
     """
-    if not isinstance(p.carrier, FieldContext) or p.carrier.d is not None:
-        raise ValueError("factorization works over rational coefficients only")
-    if p.degree > 4:
-        raise UnsupportedDegree(f"degree {p.degree} > 4")
+    carrier = p.carrier
+    if not isinstance(carrier, (QuaternionAlgebra, OctonionAlgebra)):
+        raise ValueError("companion polynomial needs quaternion or octonion coefficients")
     if not p.is_monic():
-        raise ValueError("factorization needs a monic polynomial")
-    f = [c.u for c in p.coeffs]
-    n = len(f) - 1
-    L = lcm(*(c.denominator for c in f))
-    g = [c.numerator * (L ** (n - i) // c.denominator) for i, c in enumerate(f)]
+        raise ValueError("companion polynomial needs a monic input")
+    c, n = p.coeffs, p.degree
+    e = lcm(*[x.den for x in c])
+    s = [e // x.den for x in c]
+    h = [0] * (2 * n + 1)
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            m, D = c[i]._scaled_polar(c[j])
+            h[i + j] += m * s[i] * s[j] * (1 if i == j else 2)
+    E = D * e * e  # h[2n] == E: c_n is 1
+    # h_i / E in lowest terms is (h_i / g_i) / q_i with q_i = E / g_i
+    gs = [gcd(x, E) for x in h]
+    L = lcm(*[E // g for g in gs])
+    N = 2 * n
+    return [(x // g) * (L ** (N - i) * g // E) for i, (x, g) in enumerate(zip(h, gs))], L
+
+
+def _factor_monic(g) -> list[tuple[tuple, int]]:
+    """The monic irreducible factors over Q of a monic integer g of degree up
+    to 4, with multiplicities, as integer coefficient tuples sorted by
+    degree and then by coefficients.  By Gauss's lemma every monic factor of
+    g over Q has integer coefficients.  The integer roots of
+    `_integer_roots` are divided out on ints, a quartic left without roots
+    is split by `_split_quartic`, and a quadratic or cubic left is
+    irreducible."""
     counted = Counter()
-    for r in _integer_roots(g) if n else ():
+    for r in _integer_roots(g) if len(g) > 1 else ():
         q, rem = _divide(g, [-r, 1])
         while rem == [0]:
             g = q
@@ -320,11 +335,39 @@ def factor_central_quartic(p: LeftPoly):
     if len(g) > 2:
         for u in (_split_quartic(g) if len(g) == 5 else None) or [g]:
             counted[tuple(u)] += 1
-    # coefficient i of a degree-d factor is divided by the same L**(d - i)
-    # for every factor, so the integer order is the order of the results
-    return [(LeftPoly(p.carrier, [Fraction(c, L ** (len(u) - 1 - i))
-                                  for i, c in enumerate(u)]), mult)
-            for u, mult in sorted(counted.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+    return sorted(counted.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def _unscaled(ctx: FieldContext, u, L: int) -> LeftPoly:
+    """The monic rational f(x) = L**-deg * u(L*x) of the integer u: its
+    coefficient i is u_i / L**(deg - i)."""
+    d = len(u) - 1
+    return LeftPoly(ctx, [ctx.ratio(c, L ** (d - i)) for i, c in enumerate(u)])
+
+
+def _unscaled_factors(ctx: FieldContext, factors, L: int) -> list:
+    """`_factor_monic`'s factors of L**N * f(y/L) as the factors of f.
+    Coefficient i of a degree-d factor is divided by the same L**(d - i)
+    for every factor, so the integer order is the order of the results."""
+    return [(_unscaled(ctx, u, L), mult) for u, mult in factors]
+
+
+def factor_central_quartic(p: LeftPoly):
+    """Exact factorization over Q of a monic rational polynomial of degree
+    up to 4, as a list of (monic irreducible factor, multiplicity) sorted by
+    degree and then by coefficients: `_factor_monic` of the monic integer
+    g(y) = L**n * p(y/L), L the lcm of the denominators.
+    """
+    if not isinstance(p.carrier, FieldContext) or p.carrier.d is not None:
+        raise ValueError("factorization works over rational coefficients only")
+    if p.degree > 4:
+        raise UnsupportedDegree(f"degree {p.degree} > 4")
+    if not p.is_monic():
+        raise ValueError("factorization needs a monic polynomial")
+    n = p.degree
+    L = lcm(*[c.den for c in p.coeffs])
+    g = [c.num[0] * (L ** (n - i) // c.den) for i, c in enumerate(p.coeffs)]
+    return _unscaled_factors(p.carrier, _factor_monic(g), L)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +375,23 @@ def factor_central_quartic(p: LeftPoly):
 
 
 class RootReport:
-    """Everything found about the roots of a monic quaternion quadratic."""
+    """Everything found about the roots of a monic quaternion quadratic.
+    `central_factors`, the factors of C_p over Q, are built from the
+    integer factors of its scaled form only when read."""
 
-    __slots__ = ("isolated", "jordan", "spherical", "central_factors")
+    __slots__ = ("isolated", "jordan", "spherical", "_scaled")
 
-    def __init__(self, isolated, jordan, spherical, central_factors):
+    def __init__(self, isolated, jordan, spherical, scaled):
+        """scaled: (ctx, factors, L) with factors the `_factor_monic`
+        factors of L**4 * C_p(y/L)."""
         self.isolated = list(isolated)
         self.jordan = jordan
         self.spherical = spherical
-        self.central_factors = list(central_factors)
+        self._scaled = scaled
+
+    @property
+    def central_factors(self) -> list:
+        return _unscaled_factors(*self._scaled)
 
     def root_multiplicities(self):
         """Root data in the shape the solver consumes."""
@@ -360,6 +411,9 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> Ro
     """Roots of a monic quadratic x^2 - beta*x - alpha over a quaternion
     algebra, located class by class through the central companion quartic.
 
+    C_p is factored as the monic integer g(y) = L**4 * C_p(y/L): a factor
+    y + u0 gives the central candidate -u0/L, and a factor
+    y^2 + u1*y + u0 the class of trace t = -u1/L and norm n = u0/L^2.
     For a class (t, n) with beta != t, the only possible root in the class
     is (t - beta)^-1 (n + alpha), kept if it actually evaluates to zero.
     When beta = t and alpha = -n the whole class consists of roots and a
@@ -374,36 +428,39 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> Ro
         raise ValueError("quadratic_roots needs a monic quadratic")
     beta = -p.coeffs[1]
     alpha = -p.coeffs[0]
-    comp = companion_poly(p)
-    factors = factor_central_quartic(comp)
+    g, L = _companion(p)
+    factors = _factor_monic(g)
     isolated = []
     spherical = None
-    for f, _mult in factors:
-        if f.degree == 1:
-            lam = alg.scalar(-f.coeffs[0])
+    for u, _mult in factors:
+        if len(u) == 2:
+            lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
             if p.eval(lam).is_zero():
                 isolated.append((lam, conj_class(lam)))
-        elif f.degree == 2:
-            t = -f.coeffs[1]
-            n = f.coeffs[0]
-            if beta == alg.scalar(t):
-                if alpha == alg.scalar(-n):
-                    reps = spherical_representative(alg, t, n, height)
-                    spherical = (ConjClass(t=t, n=n), reps)
+        elif len(u) == 3:
+            t = _reduced(QuatValue, alg, (-u[1], 0, 0, 0), L)
+            n = _reduced(QuatValue, alg, (u[0], 0, 0, 0), L * L)
+            cls = ConjClass(t=t.scalar_part(), n=n.scalar_part())
+            if beta == t:
+                if alpha == -n:
+                    reps = spherical_representative(alg, cls.t, cls.n, height)
+                    spherical = (cls, reps)
             else:
-                lam = (alg.scalar(t) - beta).inverse() * (alg.scalar(n) + alpha)
+                lam = (t - beta).inverse() * (n + alpha)
                 if p.eval(lam).is_zero():
-                    isolated.append((lam, ConjClass(t=t, n=n)))
+                    isolated.append((lam, cls))
     jordan = None
     if spherical is None and len(isolated) == 1:
         lam = isolated[0][0]
         if conj_class(beta - lam) == conj_class(lam):
             jordan = (lam, 2)
     if not isolated and spherical is None:
-        if len(factors) == 1 and factors[0][0].degree == 4:
+        comp = _unscaled(alg.ctx, g, L)
+        if len(factors) == 1 and len(factors[0][0]) == 5:
             raise NoRootsFound(f"C_p = {comp} is irreducible over Q: the roots "
                                "need a degree-4 scalar extension")
-        listed = " * ".join(f"[{f}]^{m}" if m > 1 else f"[{f}]" for f, m in factors)
+        listed = " * ".join(f"[{f}]^{m}" if m > 1 else f"[{f}]"
+                            for f, m in _unscaled_factors(alg.ctx, factors, L))
         raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
                            "factor yields a root")
-    return RootReport(isolated, jordan, spherical, factors)
+    return RootReport(isolated, jordan, spherical, (alg.ctx, factors, L))

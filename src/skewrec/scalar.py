@@ -12,10 +12,11 @@ product and the polar form of its norm.  A scalar of Q is
 carrier (`FieldContext` here, the quaternion and octonion algebras) does
 alike: zero, one, scalar, element, basis, coerce, equality and hashing;
 each adds only its own parameters: `FieldContext` only d, None for Q.
-`_lucas` gives the integer Lucas pairs from which the solver evaluates
-closed forms.  Numerators and denominators are arbitrary-precision, so
-closed forms evaluated at large k never overflow.  There is no floating
-point anywhere in this package.
+Values print from their numerators by `rational_str`, which gives the
+text of `str(Fraction(n, d))`.  `_lucas` gives the integer Lucas pairs
+from which the solver evaluates closed forms.  Numerators and
+denominators are arbitrary-precision, so closed forms evaluated at large
+k never overflow.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -30,14 +31,28 @@ from operator import neg
 from .errors import ContextMismatch, DivisionByZero, ParseError, ValidationError, ZeroDivisor
 
 
-def frac_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if it is not a square."""
-    if x < 0:
+def rational_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for integers n and d != 0, with no Fraction
+    built: "n" over 1 and "n/d" otherwise, in lowest terms, the sign on n."""
+    if not d:
+        raise ZeroDivisionError(f"rational_str({n}, 0)")
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _ratio_sqrt(n: int, d: int) -> tuple[int, int] | None:
+    """(r, s) with r/s the exact square root of n/d, for d > 0, or None if
+    n/d is not the square of a rational."""
+    if n < 0:
         return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    r, s = isqrt(n), isqrt(d)
+    if r * r == n and s * s == d:
+        return r, s
     return None
 
 
@@ -310,7 +325,8 @@ class IntValue:
         return not self.is_zero()
 
     def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coords()) + "]"
+        den = self.den
+        return "[" + ",".join([rational_str(n, den) for n in self.num]) + "]"
 
     __repr__ = __str__
 
@@ -390,19 +406,25 @@ class ScalarValue(IntValue):
     def sqrt(self) -> ScalarValue | None:
         """The exact square root inside the same field, or None.  Over
         Q(sqrt(d)) it is p + q*sqrt(d) with p > 0, or p = 0 and q >= 0."""
-        ctx, u, v = self.carrier, self.u, self.v
+        ctx, num, den = self.carrier, self.num, self.den
         if ctx.d is None:
-            r = frac_sqrt(u)
-            return None if r is None else ctx.scalar(r)
-        # (p + q*rt)^2 = u + v*rt means p^2 + d*q^2 = u and 2*p*q = v, so p^2
-        # and d*q^2 are the roots (u + s)/2 and (u - s)/2 of z^2 - u*z + d*v^2/4
-        s = frac_sqrt(u * u - ctx.d * v * v)
-        if s is None:
+            r = _ratio_sqrt(num[0], den)
+            return None if r is None else ctx.ratio(*r)
+        # self = (u + v*rt)/den.  (p + q*rt)^2 = self means p^2 + d*q^2 =
+        # u/den and 2*p*q = v/den, so p^2 and d*q^2 are the roots
+        # (u + s)/(2*den) and (u - s)/(2*den) of z^2 - (u/den)*z +
+        # d*v^2/(4*den^2), s^2 = u^2 - d*v^2 (an integer square for a
+        # rational root, since den^2 is a square)
+        u, v = num
+        n = u * u - ctx.d * (v * v)
+        s = isqrt(n) if n >= 0 else -1
+        if s * s != n:
             return None
-        for psq in ((u + s) / 2, (u - s) / 2):
-            p, q = frac_sqrt(psq), frac_sqrt((u - psq) / ctx.d)
+        for p_sq, dq_sq in ((u + s, u - s), (u - s, u + s)):
+            p, q = _ratio_sqrt(p_sq, 2 * den), _ratio_sqrt(dq_sq, 2 * den * ctx.d)
             if p is not None and q is not None:
-                cand = ctx.element((p, -q if v < 0 else q))
+                (pn, pd), (qn, qd) = p, q
+                cand = _reduced(ScalarValue, ctx, (pn * qd, -qn * pd if v < 0 else qn * pd), pd * qd)
                 if cand * cand == self:
                     return cand
         return None
@@ -572,7 +594,8 @@ def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
 
 def scalar_render(x: ScalarValue) -> str:
     """Canonical form; scalar_parse(scalar_render(x), x.carrier) == x."""
+    num, den = x.num, x.den
     if x.is_central():
-        return str(x.u)
-    v = x.v
-    return f"{x.u}{'-' if v < 0 else '+'}{abs(v)}*rt"
+        return rational_str(num[0], den)
+    u, v = num
+    return f"{rational_str(u, den)}{'-' if v < 0 else '+'}{rational_str(abs(v), den)}*rt"

@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import islice
 from math import factorial, isqrt, lcm
-from operator import mul
 
 from .algebra import OctonionAlgebra, build_frame, conj_class
 from .errors import (
@@ -44,7 +42,7 @@ from .errors import (
 )
 from .matlin import chain_matrix, companion_matrix, mat_solve
 from .poly import LeftPoly, quadratic_roots
-from .scalar import Carrier, FieldContext, _lucas, _ratio, _reduced, squarefree_split
+from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _ratio, _reduced, squarefree_split
 
 
 @dataclass(frozen=True)
@@ -284,8 +282,9 @@ def _check_lam(roots) -> None:
             raise LamViolation(f"three roots lie in conjugacy class {cls}")
 
 
-def _binom_coeffs(r: int) -> list[Fraction]:
-    """Coefficients of the polynomial C(k, r) in powers of k."""
+def _binom_coeffs(r: int) -> tuple[list[int], int]:
+    """The polynomial C(k, r) in powers of k, as integer coefficients over
+    r!: k*(k-1)*...*(k-r+1) expanded, and r!."""
     out = [1]
     for i in range(r):
         nxt = [0] * (len(out) + 1)
@@ -293,8 +292,7 @@ def _binom_coeffs(r: int) -> list[Fraction]:
             nxt[s + 1] += c
             nxt[s] -= c * i
         out = nxt
-    fact = factorial(r)
-    return [Fraction(c, fact) for c in out]
+    return out, factorial(r)
 
 
 def solve_jordan(spec: RecurrenceSpec, rootdata) -> AssocForm:
@@ -342,9 +340,10 @@ def _jordan_form(spec: RecurrenceSpec, charpoly: LeftPoly, rootdata) -> AssocFor
             coeffs = [u.entry(0, col + sp)] + [alg.zero()] * sp
             for r in range(1, sp + 1):
                 base_e = u.entry(0, col + sp - r) * (lam_inv ** r)
-                for s, frac in enumerate(_binom_coeffs(r)):
-                    if frac:
-                        coeffs[s] = coeffs[s] + base_e * frac
+                binom, fact = _binom_coeffs(r)
+                for s, c in enumerate(binom):
+                    if c:
+                        coeffs[s] = coeffs[s] + base_e._scaled(c, fact)
             terms.append(Term(tuple(coeffs), lam, b[col + sp]))
         col += m
     return AssocForm(alg, tuple(terms))
@@ -383,7 +382,7 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
             )
         e, d = squarefree_split(num * den)
         ctx = FieldContext.quadratic(d)
-        s, c1 = ctx.element((0, Fraction(e, den))), ctx.scalar(c1)
+        s, c1 = _reduced(ScalarValue, ctx, (0, e), den), ctx.scalar(c1)
     roots = (((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1))
     return dataclasses.replace(spec, algebra=ctx, roots=roots)
 
@@ -440,19 +439,25 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
     a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0: its residual is
     Q(k) * lam**k * b with Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n,
     a polynomial in the central k of degree <= deg p, so Q vanishes
-    identically once it vanishes at k = 0..deg p."""
+    identically once it vanishes at k = 0..deg p.  A product by a factor
+    equal to 1 (lam**0, or p(m) = 1 as for a simple root) is skipped."""
     n = len(rhs)
     for i, t in enumerate(form.terms):
         d = t.degree
         if d < 0 or t.right.is_zero():
             continue
-        pows = list(accumulate([t.base] * n, mul, initial=form.carrier.one()))
+        pows = [form.carrier.one(), t.base]
+        while len(pows) <= n:
+            pows.append(pows[-1] * t.base)
         vals = [reduce(lambda acc, c: acc * m + c, reversed(t.poly[:d]), t.poly[d])
                 for m in range(d + n + 1)]  # p(m) by Horner's rule
         for k in range(d + 1):
-            res = -(vals[k + n] * pows[n])
+            # p(k+j) * lam**j for j = 0..n
+            f = [pows[j] if v == 1 else v if j == 0 else v * pows[j]
+                 for j, v in enumerate(vals[k:k + n + 1])]
+            res = -f[n]
             for j, r in enumerate(rhs):
-                res = res + r * (vals[k + j] * pows[j])
+                res = res + (r if f[j] == 1 else r * f[j])
             if not res.is_zero():
                 raise InternalError(f"certificate failed: {label}term {i} leaves "
                                     f"the residual {res} at k={k}")

@@ -2,8 +2,10 @@ import glob
 import os
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewrec import (
     FieldContext,
@@ -14,12 +16,13 @@ from skewrec import (
     ValidationError,
 )
 from skewrec.cli import (
+    _term_order,
     main,
     parse_spec_file,
     render_closed_form,
     render_spec,
 )
-from skewrec.solver import solve
+from skewrec.solver import Term, solve
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -307,3 +310,26 @@ def test_bundled_demo_files_solve_and_verify(capsys):
         text = open(path).read()
         spec = parse_spec_file(text)
         assert parse_spec_file(render_spec(spec)) == spec
+
+
+def fraction_term_key(term):
+    """The order terms were printed in: rational coordinates as Fractions."""
+    return (tuple(term.base.coords()), len(term.poly),
+            tuple(c for e in term.poly for c in e.coords()), tuple(term.right.coords()))
+
+
+ORDER_COORDS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2),
+                                Fraction(2, 3), Fraction(-5, 6), Fraction(7, 4)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([FieldContext.rational(), FieldContext.quadratic(3),
+                        QuaternionAlgebra(-1, -1), QuaternionAlgebra(Fraction(-1, 2), 3)]),
+       st.data())
+def test_term_order_is_the_fraction_order(carrier, data):
+    # few coordinate values, so that bases and poly lengths often tie and
+    # the later parts of the key decide; sorted() is stable in both orders
+    value = st.lists(ORDER_COORDS, min_size=carrier.dim, max_size=carrier.dim).map(carrier.element)
+    term = st.builds(Term, st.lists(value, min_size=1, max_size=3).map(tuple), value, value)
+    terms = data.draw(st.lists(term, min_size=1, max_size=6))
+    assert [id(t) for t in _term_order(terms)] == [id(t) for t in sorted(terms, key=fraction_term_key)]

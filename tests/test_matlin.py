@@ -358,3 +358,53 @@ def test_mat_solve_is_the_inverse_applied(alg, n, chains, data):
             mat_solve(u, v)
     else:
         assert mat_solve(u, v) == expected
+
+
+def chain_solve_on_coords(a, lam, v):
+    """The chain system A*w - w*lam = v from the coords() of its values,
+    solved by solve_rational, as sylvester_chain_solve used to build it."""
+    carrier = lam.carrier
+    basis = carrier.basis()
+    m, n = len(basis), a.rows
+    mat, rhs = [], []
+    for i in range(n):
+        cols = [a.entry(i, j) * b - (b * lam if i == j else carrier.zero())
+                for j in range(n) for b in basis]
+        for rr in range(m):
+            mat.append([c.coords()[rr] for c in cols])
+            rhs.append(v[i].coords()[rr])
+    sol = solve_rational(mat, rhs)
+    if sol is None:
+        raise NoSolution("inconsistent")
+    return [carrier.element(sol[j * m:(j + 1) * m]) for j in range(n)]
+
+
+@props
+@given(st.sampled_from(CHAIN_CARRIERS + [QuaternionAlgebra(1, 1)]), st.integers(1, 3),
+       st.sampled_from(["image", "random"]), st.integers(0, 2 ** 32))
+def test_chain_solve_on_numerators_is_the_coords_solve(carrier, n, kind, seed):
+    # the rows read off numerators over one common multiple give the same
+    # w as the rows of coords() through solve_rational, or the same error;
+    # A is a companion matrix with lam as a root (a singular system) or
+    # random, and v is in the image or random (often inconsistent)
+    rng = random.Random(seed)
+    lam = rand_entry(rng, carrier)
+    if rng.random() < 0.5:
+        a = DMatrix(n, n, [rand_entry(rng, carrier) for _ in range(n * n)])
+    else:
+        p = LeftPoly.x_minus(lam)
+        for _ in range(n - 1):
+            p = LeftPoly.x_minus(lam if rng.random() < 0.5 else rand_entry(rng, carrier)) * p
+        a = companion_matrix(p)
+    if kind == "image":
+        w0 = [rand_entry(rng, carrier) for _ in range(n)]
+        v = [x - y * lam for x, y in zip(a.apply(w0), w0)]
+    else:
+        v = [rand_entry(rng, carrier) for _ in range(n)]
+    try:
+        expected = chain_solve_on_coords(a, lam, v)
+    except SkewrecError as exc:
+        with pytest.raises(type(exc)):
+            sylvester_chain_solve(a, lam, v)
+    else:
+        assert sylvester_chain_solve(a, lam, v) == expected

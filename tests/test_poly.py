@@ -13,6 +13,7 @@ from skewrec import (
     NoRootsFound,
     OctonionAlgebra,
     QuaternionAlgebra,
+    SkewrecError,
     UnsupportedDegree,
     companion_poly,
     conj_class,
@@ -358,3 +359,81 @@ def test_factor_central_quartic_large_coefficients_agree_with_sympy():
         assert elapsed < FACTOR_BUDGET_S, (p, elapsed)
         got = [([c.u for c in f.coeffs], mult) for f, mult in factors]
         assert got == sympy_monic_factors([c.u for c in p.coeffs]), p
+
+
+# ---------------------------------------------------------------------------
+# C_p on integers and the roots read off its factors, against sympy
+
+ROOT_ALGEBRAS = (
+    QuaternionAlgebra(-1, -1),
+    QuaternionAlgebra(-1, -3),
+    QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+    QuaternionAlgebra(1, 1),  # split
+    QuaternionAlgebra(2, 3),  # split
+)
+
+
+def planted_quadratic(rng, alg, kind):
+    """A monic quadratic with two planted roots in distinct or in one
+    class, the central product with a conjugate, or random coefficients."""
+    lam = rand_quat(rng, alg, 4, 2)
+    if kind == "product":
+        return x_minus(rand_quat(rng, alg, 4, 2)) * x_minus(lam)
+    if kind == "conj":
+        return x_minus(lam.conj()) * x_minus(lam)
+    if kind == "conjugate":
+        g = rand_quat(rng, alg, 3, 2)
+        if g.norm().is_zero():
+            return x_minus(lam) * x_minus(lam)
+        return x_minus((g * lam) * g.inverse()) * x_minus(lam)
+    return LeftPoly(alg, [rand_quat(rng, alg, 3, 2), rand_quat(rng, alg, 3, 2), 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ROOT_ALGEBRAS), st.sampled_from(["product", "conj", "conjugate", "random"]),
+       st.integers(0, 2 ** 32))
+def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
+    # central_factors (and factor_central_quartic of companion_poly) against
+    # sympy's factor_list of the LeftPoly product p * conj(p); every root
+    # reported satisfies lam^2 + c1*lam + c0 = 0, evaluated without eval
+    p = planted_quadratic(random.Random(seed), alg, kind)
+    prod = p * p.conj()
+    assert all(c.is_central() for c in prod.coeffs)
+    expected = sympy_monic_factors([c.coords()[0] for c in prod.coeffs])
+    got = [([c.u for c in f.coeffs], m) for f, m in factor_central_quartic(companion_poly(p))]
+    assert got == expected
+    try:
+        rep = quadratic_roots(alg, p, height=6)
+    except NoRootsFound as exc:
+        if len(expected) == 1 and len(expected[0][0]) == 5:
+            assert "is irreducible over Q" in str(exc)
+        else:
+            listed = [f"[{LeftPoly(Q, c)}]" + (f"^{m}" if m > 1 else "") for c, m in expected]
+            assert " * ".join(listed) in str(exc)
+        return
+    except SkewrecError:  # a zero divisor or an exhausted search: no report
+        return
+    assert [([c.u for c in f.coeffs], m) for f, m in rep.central_factors] == expected
+    c0, c1 = p.coeffs[0], p.coeffs[1]
+    roots = [lam for lam, _ in rep.isolated] + list(rep.spherical[1] if rep.spherical else [])
+    assert roots
+    for lam in roots:
+        assert (lam * lam + c1 * lam + c0).is_zero()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([H, QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+                        OctonionAlgebra(-1, -1, -1), OctonionAlgebra(2, 3, -1)]),
+       st.integers(0, 4), st.booleans(), st.integers(0, 2 ** 32))
+def test_eval_is_the_sum_of_coefficient_times_power(alg, n, monic, seed):
+    # Horner's rule from the leading coefficient against sum c_i * t**i,
+    # for octonions too (Artin's theorem)
+    rng = random.Random(seed)
+    dim = len(alg.basis())
+    rand = lambda: alg.element([rand_frac(rng, 4, 2) for _ in range(dim)])
+    p = LeftPoly(alg, [rand() for _ in range(n)] + [1 if monic else rand()])
+    t = rand()
+    expected = alg.zero()
+    for i, c in enumerate(p.coeffs):
+        expected = expected + c * t ** i
+    assert p.eval(t) == expected

@@ -14,7 +14,7 @@ from skewrec import (
     scalar_parse,
     scalar_render,
 )
-from skewrec.scalar import _lucas, squarefree_split
+from skewrec.scalar import _lucas, rational_str, squarefree_split
 from conftest import rand_scalar
 
 Q = FieldContext.rational()
@@ -229,3 +229,34 @@ def test_lucas_pair_follows_its_recurrence():
             assert _lucas(P, Q, k) == (us[k], us[k + 1])
         if P * P == 4 * Q:
             assert all(us[k] == k * (P // 2) ** (k - 1) for k in range(1, 301))
+
+
+BIG = st.integers(-2 ** 200, 2 ** 200)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(-40, 40), BIG), st.one_of(st.integers(-40, 40), BIG))
+@example(0, 7)
+@example(0, -7)
+@example(-6, 4)
+@example(6, -4)
+@example(5, 1)
+def test_rational_str_is_the_fraction_text(n, d):
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            rational_str(n, d)
+        return
+    assert rational_str(n, d) == str(Fraction(n, d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([Q, Q5]), st.one_of(st.integers(-40, 40), BIG),
+       st.one_of(st.integers(-40, 40), BIG), st.integers(1, 2 ** 70))
+def test_values_print_as_their_fraction_coordinates(ctx, u, v, den):
+    # scalar_render and str print from numerators, as the Fraction
+    # coordinates used to: u over Q, u+v*rt or u-|v|*rt over Q(rt d)
+    x = ctx.element((Fraction(u, den), Fraction(v, den))[:ctx.dim])
+    fu, fv = x.coords()[0], (x.coords() + [Fraction(0)])[1]
+    text = str(fu) if fv == 0 else f"{fu}{'-' if fv < 0 else '+'}{abs(fv)}*rt"
+    assert scalar_render(x) == str(x) == text
+    assert super(ScalarValue, x).__str__() == "[" + ",".join(map(str, x.coords())) + "]"
