@@ -37,6 +37,7 @@ coerce that embeds a quaternion of its base algebra.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
@@ -141,13 +142,6 @@ class OctValue(IntValue):
 
     ASSOCIATIVE = False
 
-    def _coerce(self, other):
-        """As for `IntValue`, and a quaternion of the base algebra embeds."""
-        o = IntValue._coerce(self, other)
-        if o is None and isinstance(other, QuatValue):
-            return self.carrier.coerce(other)
-        return o
-
     def __mul__(self, other):
         """(q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l0,
         on the integer halves over gamma's denominator times D*d1*d2."""
@@ -242,6 +236,7 @@ class OctonionAlgebra(Carrier):
 # conjugacy classes
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ConjClass:
     """Conjugacy-class label: a central scalar, or a (trace, norm) pair.
 
@@ -251,14 +246,13 @@ class ConjClass:
     same caveat attached to ZeroDivisor.
     """
 
-    __slots__ = ("central", "t", "n")
+    central: object = None
+    t: object = None
+    n: object = None
 
-    def __init__(self, central=None, t=None, n=None):
-        if (central is None) == (t is None):
+    def __post_init__(self):
+        if (self.central is None) == (self.t is None):
             raise ValueError("give either a central scalar or a (t, n) pair")
-        self.central = central
-        self.t = t
-        self.n = n
 
     @property
     def is_central(self) -> bool:
@@ -270,20 +264,6 @@ class ConjClass:
             return False
         disc = self.t * self.t - 4 * self.n
         return disc.sqrt() is None
-
-    def __eq__(self, other):
-        if not isinstance(other, ConjClass):
-            return NotImplemented
-        if self.is_central != other.is_central:
-            return False
-        if self.is_central:
-            return self.central == other.central
-        return self.t == other.t and self.n == other.n
-
-    def __hash__(self):
-        if self.is_central:
-            return hash(("class", self.central))
-        return hash(("class", self.t, self.n))
 
     def __repr__(self):
         if self.is_central:

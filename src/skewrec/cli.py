@@ -27,7 +27,7 @@ import sys
 from math import lcm
 
 from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
-from .scalar import INT_LITERAL, FieldContext, ScalarValue, _reduced, read_literal, scalar_parse
+from .scalar import INT_LITERAL, FieldContext, _from_ratios, _reduced, read_literal, scalar_parse
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     AssocForm,
@@ -55,23 +55,20 @@ def _parse_element(token: str, algebra, line: int, col: int):
     """A field literal, or an algebra's [c0,...] literal over its rational
     coordinates, read to integers and put over one denominator."""
     if isinstance(algebra, FieldContext):
-        return _reduced(ScalarValue, algebra, *_literal(token, algebra, line, col))
+        return _reduced(algebra.value_type, algebra, *_literal(token, algebra, line, col))
     arity = algebra.dim
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected a {arity}-component [..] literal", line, col)
     parts = token[1:-1].split(",")
     if len(parts) != arity:
         raise ParseError(f"expected {arity} components, got {len(parts)}", line, col)
-    nums, dens = [], []
+    ratios = []
     offset = col + 1
     for part in parts:
         (p,), q = _literal(part, algebra.ctx, line, offset)
-        nums.append(p)
-        dens.append(q)
+        ratios.append((p, q))
         offset += len(part) + 1
-    den = lcm(*dens)
-    return _reduced(algebra.value_type, algebra,
-                    tuple([p * (den // q) for p, q in zip(nums, dens)]), den)
+    return _from_ratios(algebra, ratios)
 
 
 def _int_token(text: str) -> int | None:
@@ -80,7 +77,7 @@ def _int_token(text: str) -> int | None:
     return int(m[0]) if m else None
 
 
-def _tokenize(rest: str, line: int, base_col: int):
+def _tokenize(rest: str, base_col: int):
     tokens = []
     col = base_col
     for tok in rest.split(" "):
@@ -91,7 +88,7 @@ def _tokenize(rest: str, line: int, base_col: int):
 
 
 def _parse_algebra(rest: str, line: int, col: int):
-    toks = _tokenize(rest, line, col)
+    toks = _tokenize(rest, col)
     if not toks:
         raise ParseError("empty algebra line", line, col)
     name = toks[0][0]
@@ -146,16 +143,22 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
     rest, lineno, col = seen["algebra"]
     algebra = _parse_algebra(rest, lineno, col)
 
-    rest, lineno, col = seen["order"]
-    order = _int_token(rest)
-    if order is None:
-        raise ParseError(f"order must be an integer, got {rest!r}", lineno, col)
+    def int_field(key, default=None):
+        if key not in seen:
+            return default
+        rest, lineno, col = seen[key]
+        value = _int_token(rest)
+        if value is None:
+            raise ParseError(f"{key} must be an integer, got {rest!r}", lineno, col)
+        return value
+
+    order = int_field("order")
 
     def elements(key):
         rest, lineno, col = seen[key]
         return [
             _parse_element(tok, algebra, lineno, tcol)
-            for tok, tcol in _tokenize(rest, lineno, col)
+            for tok, tcol in _tokenize(rest, col)
         ]
 
     rhs = elements("rhs")
@@ -164,7 +167,7 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
     roots = None
     if "roots" in seen:
         rest, lineno, col = seen["roots"]
-        toks = _tokenize(rest, lineno, col)
+        toks = _tokenize(rest, col)
         roots = []
         i = 0
         while i < len(toks):
@@ -179,15 +182,8 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
             roots.append((elem, mult))
         roots = tuple(roots)
 
-    height = 20
-    if "height" in seen:
-        rest, lineno, col = seen["height"]
-        height = _int_token(rest)
-        if height is None:
-            raise ParseError(f"height must be an integer, got {rest!r}", lineno, col)
-
     return RecurrenceSpec(algebra, order, tuple(rhs), tuple(init),
-                          roots=roots, height=height)
+                          roots=roots, height=int_field("height", 20))
 
 
 def render_spec(spec: RecurrenceSpec) -> str:

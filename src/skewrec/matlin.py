@@ -13,8 +13,10 @@ eliminated on integers by `_reduce_rows`, the loop `solve_rational` shares.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add, sub
 
 from .errors import (
     DimensionMismatch,
@@ -22,11 +24,19 @@ from .errors import (
     Singular,
     SingularU,
 )
-from .scalar import _reduced
+from .scalar import _from_ratios
 
 
 def _is_associative(x) -> bool:
     return getattr(type(x), "ASSOCIATIVE", True)
+
+
+def _dot(row, col):
+    """sum_j row[j] * col[j], left to right, each row entry on the left."""
+    acc = row[0] * col[0]
+    for a, b in zip(row[1:], col[1:]):
+        acc = acc + a * b
+    return acc
 
 
 class DMatrix:
@@ -66,21 +76,18 @@ class DMatrix:
     def row(self, i: int) -> list:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, what: str):
         if not isinstance(other, DMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix sum shape mismatch")
-        return DMatrix(self.rows, self.cols,
-                       [a + b for a, b in zip(self.entries, other.entries)])
+            raise DimensionMismatch(f"matrix {what} shape mismatch")
+        return DMatrix(self.rows, self.cols, list(map(op, self.entries, other.entries)))
+
+    def __add__(self, other):
+        return self._entrywise(other, add, "sum")
 
     def __sub__(self, other):
-        if not isinstance(other, DMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix difference shape mismatch")
-        return DMatrix(self.rows, self.cols,
-                       [a - b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(other, sub, "difference")
 
     def __mul__(self, other):
         if not isinstance(other, DMatrix):
@@ -89,27 +96,16 @@ class DMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            for k in range(other.cols):
-                acc = self.entry(i, 0) * other.entry(0, k)
-                for j in range(1, self.cols):
-                    acc = acc + self.entry(i, j) * other.entry(j, k)
-                out.append(acc)
-        return DMatrix(self.rows, other.cols, out)
+        cols = [other.entries[k::other.cols] for k in range(other.cols)]
+        return DMatrix(self.rows, other.cols,
+                       [_dot(self.row(i), col) for i in range(self.rows) for col in cols])
 
     def apply(self, vec) -> list:
         """Matrix times column vector, entries kept left of the components."""
         vec = list(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match matrix columns")
-        out = []
-        for i in range(self.rows):
-            acc = self.entry(i, 0) * vec[0]
-            for j in range(1, self.cols):
-                acc = acc + self.entry(i, j) * vec[j]
-            out.append(acc)
-        return out
+        return [_dot(self.row(i), vec) for i in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, DMatrix):
@@ -204,10 +200,8 @@ def vandermonde(nodes) -> DMatrix:
     if not nodes:
         raise ValueError("vandermonde needs at least one node")
     n = len(nodes)
-    entries = []
-    for i in range(n):
-        entries.extend(node ** i for node in nodes)
-    return DMatrix(n, n, entries)
+    pows = [node.powers(n - 1) for node in nodes]
+    return DMatrix(n, n, [p[i] for i in range(n) for p in pows])
 
 
 def eig_check(a: DMatrix, lam, v, side: str = "left") -> bool:
@@ -269,9 +263,9 @@ def _reduce_rows(aug: list, cols: int) -> list | None:
     is divided by the gcd of its entries.  Every integer row stays a
     positive multiple of the row Gauss-Jordan on rationals holds, so the
     zero pattern, the pivots, the consistency test and the reduced echelon
-    form are the same.  Returns the (row, column) pivots, or None when the
-    system is inconsistent; the solution with free variables at 0 is then
-    b_r / pv_r in each pivot column."""
+    form are the same.  Returns the solution with free variables at 0 as
+    one (numerator, denominator) pair per column, b_r / pv_r in each pivot
+    column and (0, 1) elsewhere, or None when the system is inconsistent."""
     rows = len(aug)
     pivots = []
     r = 0
@@ -299,7 +293,10 @@ def _reduce_rows(aug: list, cols: int) -> list | None:
     for i in range(r, rows):
         if aug[i][cols]:
             return None
-    return pivots
+    sol = [(0, 1)] * cols
+    for pr, pc in pivots:
+        sol[pc] = (aug[pr][cols], aug[pr][pc])
+    return sol
 
 
 def solve_rational(mat, rhs):
@@ -313,13 +310,8 @@ def solve_rational(mat, rhs):
     """
     cols = len(mat[0]) if mat else 0
     aug = [_integer_row(list(mat[r]) + [rhs[r]]) for r in range(len(mat))]
-    pivots = _reduce_rows(aug, cols)
-    if pivots is None:
-        return None
-    sol = [Fraction(0)] * cols
-    for pr, pc in pivots:
-        sol[pc] = Fraction(aug[pr][cols], aug[pr][pc])
-    return sol
+    sol = _reduce_rows(aug, cols)
+    return None if sol is None else [Fraction(p, q) for p, q in sol]
 
 
 def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
@@ -358,30 +350,19 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
         den = lcm(*[x.den for x in cols])
         scaled = [(x.num, den // x.den) for x in cols]
         aug += [_primitive([num[rr] * f for num, f in scaled]) for rr in range(m)]
-    pivots = _reduce_rows(aug, n * m)
-    if pivots is None:
+    sol = _reduce_rows(aug, n * m)
+    if sol is None:
         raise NoSolution("generalized eigenvector system is inconsistent")
-    sol = [(0, 1)] * (n * m)
-    for pr, pc in pivots:
-        sol[pc] = (aug[pr][n * m], aug[pr][pc])
-    out = []
-    for j in range(n):
-        coords = sol[j * m:(j + 1) * m]
-        den = lcm(*[q for _p, q in coords])  # positive; den // q carries q's sign
-        out.append(_reduced(carrier.value_type, carrier,
-                            tuple([p * (den // q) for p, q in coords]), den))
-    return out
+    return [_from_ratios(carrier, sol[j * m:(j + 1) * m]) for j in range(n)]
 
 
+@dataclass(slots=True, eq=False)
 class JordanData:
     """Jordan decomposition A = U * J * Uinv with exact block data."""
 
-    __slots__ = ("blocks", "U", "Uinv")
-
-    def __init__(self, blocks, U: DMatrix, Uinv: DMatrix):
-        self.blocks = tuple(blocks)
-        self.U = U
-        self.Uinv = Uinv
+    blocks: tuple
+    U: DMatrix
+    Uinv: DMatrix
 
     def jordan_matrix(self) -> DMatrix:
         return jordan_matrix(self.blocks)
@@ -417,9 +398,7 @@ def chain_matrix(a: DMatrix, rootdata) -> DMatrix:
         raise ValueError("block sizes must sum to the matrix size")
     columns = []
     for lam, m in rootdata:
-        v = [lam.carrier.one(), lam][:n]
-        while len(v) < n:
-            v.append(v[-1] * lam)
+        v = lam.powers(n - 1)
         columns.append(v)
         for _ in range(m - 1):
             v = sylvester_chain_solve(a, lam, v)
@@ -431,7 +410,7 @@ def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     """U from `chain_matrix` and its inverse in the algebra.  The result is
     not checked here; solve builds its closed forms from the same
     `chain_matrix` and certifies them (solver._certify)."""
-    rootdata = [(lam, int(m)) for lam, m in rootdata]
+    rootdata = tuple([(lam, int(m)) for lam, m in rootdata])
     u = chain_matrix(a, rootdata)
     try:
         uinv = mat_inverse(u)

@@ -5,7 +5,7 @@ and octonions.
 A value of an algebra of dimension m over Q is a tuple of m integer
 numerators over one positive denominator, reduced so that the gcd of all
 of them is 1; `IntValue` holds everything that layout does the same way in
-every algebra, its power loop included, and each carrier adds its own
+every algebra, its powers included, and each carrier adds its own
 product and the polar form of its norm.  A scalar of Q is
 (u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
 (u + v*sqrt(d)) / den.  In the same way `Carrier` holds what every
@@ -185,6 +185,13 @@ def _reduced(cls, carrier, num: tuple, den: int):
     return x
 
 
+def _from_ratios(carrier, ratios):
+    """The value of carrier with coordinates p/q, for its `dim` integer
+    pairs (p, q) with q != 0 of either sign, over the lcm of the q."""
+    den = lcm(*[q for _p, q in ratios])  # positive; den // q carries q's sign
+    return _reduced(carrier.value_type, carrier, tuple([p * (den // q) for p, q in ratios]), den)
+
+
 class IntValue:
     """(num[0] + num[1]*e1 + ...) / den in an algebra with basis 1, e1, ...
 
@@ -202,16 +209,18 @@ class IntValue:
     ASSOCIATIVE = True
 
     def _coerce(self, other):
-        """other as a value of this carrier, or None if it is neither a
-        scalar nor a value of this class."""
-        if isinstance(other, IntValue) and (other.carrier is self.carrier
-                                            or other.carrier == self.carrier):
-            return other
-        if isinstance(other, _SCALARS):
-            return self.carrier.scalar(other)
-        if type(other) is type(self):
-            raise ContextMismatch(f"{self.carrier} vs {other.carrier}")
-        return None
+        """other as a value of this carrier by `carrier.coerce`, or None
+        for a non-number and for a value of a wider carrier of another
+        type, whose reflected method then decides.  Python never calls the
+        reflected method of an operand of the same type."""
+        if isinstance(other, IntValue):
+            if other.carrier is self.carrier or other.carrier == self.carrier:
+                return other
+            if type(other) is not type(self) and len(other.num) > len(self.num):
+                return None
+        elif not isinstance(other, _SCALARS):
+            return None
+        return self.carrier.coerce(other)
 
     def _sum(self, other, sign: int):
         """self + sign * other."""
@@ -252,20 +261,25 @@ class IntValue:
             return NotImplemented
         return o - self
 
+    def powers(self, n: int) -> list:
+        """[1, x, x**2, ..., x**n] for n >= 0, one product per power past x."""
+        out = [self.carrier.one(), self][:n + 1]
+        for _ in range(n - 1):
+            out.append(out[-1] * self)
+        return out
+
     def __pow__(self, k):
         # powers of a single element live in an associative subalgebra, so
         # square-and-multiply is unambiguous even in an octonion algebra
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result, base = self.carrier.one(), self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
+        if k <= 0:
+            return self.inverse() ** -k if k else self.carrier.one()
+        result = self  # from the top bit of k down
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __truediv__(self, other):
@@ -464,9 +478,7 @@ class Carrier:
         ratios = list(map(_ratio, coords))
         if len(ratios) != self.dim:
             raise ValueError(f"{self} needs {self.dim} coordinates, got {len(ratios)}")
-        den = lcm(*[q for _p, q in ratios])
-        # each coordinate is reduced, so the gcd with the lcm is already 1
-        return _make(self.value_type, self, tuple([p * (den // q) for p, q in ratios]), den)
+        return _from_ratios(self, ratios)
 
     def basis(self) -> list:
         """1, e1, ...: the values with one coordinate 1 and the others 0."""
@@ -537,8 +549,9 @@ class FieldContext(Carrier):
         return f"Q(rt{self.d})"
 
 
-# an optionally signed integer of ASCII digits: the one integer scanner of
-# spec files, here and in the cli
+# an optionally signed integer of ASCII digits: the scanner of literals and
+# of the cli's integer fields; a root's multiplicity is read by
+# str.isdigit, so that "+2" after a root stays an element
 INT_LITERAL = re.compile(r"[+-]?[0-9]+")
 
 

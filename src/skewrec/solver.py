@@ -18,8 +18,8 @@ A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
 share one integer Lucas pair (U_k, U_{k+1}) of s*T and s^2*N
 (`scalar._lucas`, fast doubling), and a_k is a few big-by-small scalings
-of it over one denominator.  `**` keeps its square-and-multiply loop,
-which the solver uses only for small powers.
+of it over one denominator.  The solver takes the few small powers it
+needs (chains, certificates) from `powers`, one product per power.
 """
 
 from __future__ import annotations
@@ -334,12 +334,12 @@ def _jordan_form(spec: RecurrenceSpec, charpoly: LeftPoly, rootdata) -> AssocFor
     terms = []
     col = 0
     for lam, m in rootdata:
-        lam_inv = lam.inverse() if m > 1 else None
+        inv_pows = lam.inverse().powers(m - 1) if m > 1 else None
         for sp in range(m):
             # the r = 0 summand of column sp is U's first-row entry itself
             coeffs = [u.entry(0, col + sp)] + [alg.zero()] * sp
             for r in range(1, sp + 1):
-                base_e = u.entry(0, col + sp - r) * (lam_inv ** r)
+                base_e = u.entry(0, col + sp - r) * inv_pows[r]
                 binom, fact = _binom_coeffs(r)
                 for s, c in enumerate(binom):
                     if c:
@@ -446,9 +446,7 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
         d = t.degree
         if d < 0 or t.right.is_zero():
             continue
-        pows = [form.carrier.one(), t.base]
-        while len(pows) <= n:
-            pows.append(pows[-1] * t.base)
+        pows = t.base.powers(n)
         vals = [reduce(lambda acc, c: acc * m + c, reversed(t.poly[:d]), t.poly[d])
                 for m in range(d + n + 1)]  # p(m) by Horner's rule
         for k in range(d + 1):

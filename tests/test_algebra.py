@@ -642,3 +642,85 @@ def test_equal_values_hash_equal(c, cq, mask):
             x + irr
         with pytest.raises(ContextMismatch):
             x * irr
+
+
+# Left operand by row, right operand by column, in the order of MIXED: the
+# carrier of x + y, x - y and x * y, or "CM" where they raise ContextMismatch.
+# Past the rational 3, every value is irrational or non-central, so it enters
+# only a carrier that holds it: a quaternion enters the octonions over its
+# own algebra.  Q + Q(sqrt 2) is refused because both are ScalarValues, and
+# Python never asks the right operand of the same type.
+MIXED = (
+    FieldContext.rational().scalar(3),
+    ScalarValue(FieldContext.quadratic(2), 1, 1),
+    H.element([1, 2, 0, 1]),
+    QuaternionAlgebra(-1, -3).element([0, 1, Fraction(1, 2), 0]),
+    O.element([1, 0, 0, 0, 0, 1, 0, 0]),
+)
+MIXED_OUTCOMES = """
+     Q   CM  H   H3  O
+     Q2  Q2  CM  CM  CM
+     H   CM  H   CM  O
+     H3  CM  CM  H3  CM
+     O   CM  O   CM  O
+"""
+
+
+def test_mixed_carrier_operands_coerce_by_one_rule():
+    names = dict(zip([x.carrier for x in MIXED], ["Q", "Q2", "H", "H3", "O"]))
+    table = [row.split() for row in MIXED_OUTCOMES.strip().splitlines()]
+    for x, row in zip(MIXED, table):
+        for y, expected in zip(MIXED, row):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                try:
+                    got = names[op(x, y).carrier]
+                except ContextMismatch:
+                    got = "CM"  # a bare TypeError is not caught, and fails
+                assert got == expected, (x, y)
+            assert (x == y) == (x is y) and (y == x) == (x is y)
+    # the quaternion embeds, in either order
+    q, o = MIXED[2], MIXED[4]
+    assert q + o == o + q == O.embed(q) + o
+    assert q - o == -(o - q) and q * o == O.embed(q) * o
+    assert O.embed(q) == q and q == O.embed(q)
+    # rationals of every carrier are one value, in both orders
+    threes = [x.carrier.scalar(3) for x in MIXED]
+    assert all(a == b and b == a for a in threes for b in threes)
+
+
+POWER_BASES = (
+    ScalarValue(FieldContext.quadratic(5), Fraction(1, 2), Fraction(-3, 2)),
+    QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)).element([1, Fraction(-1, 3), 2, 1]),
+    O.element([Fraction(1, 2), 1, 0, -1, 2, 0, Fraction(1, 3), 1]),
+)
+
+
+@pytest.mark.parametrize("x", POWER_BASES, ids=["Q(rt5)", "(-1/2,3/5)", "(-1,-1,-1)"])
+def test_powers_and_pow_are_repeated_products(x):
+    one = x.carrier.one()
+    up, down = [one], [one]
+    x_inv = x.inverse()
+    for _ in range(40):
+        up.append(up[-1] * x)
+        down.append(down[-1] * x_inv)
+    assert x.powers(40) == up
+    assert [x.powers(n) for n in range(4)] == [up[:n + 1] for n in range(4)]
+    for k in range(-5, 41):
+        assert x ** k == (up[k] if k >= 0 else down[-k])
+
+
+def test_first_power_makes_no_product(monkeypatch):
+    from skewrec import algebra
+
+    calls = []
+    quat_mul = algebra._quat_mul
+    monkeypatch.setattr(algebra, "_quat_mul", lambda *a: calls.append(1) or quat_mul(*a))
+    for x in POWER_BASES[1:]:
+        calls.clear()
+        assert x ** 1 == x and x.powers(1) == [x.carrier.one(), x]
+        assert calls == []
+        assert x ** 2 == x * x and x.powers(3)[3] == x * x * x
+    h = POWER_BASES[1]
+    calls.clear()
+    h ** 5, h.powers(5)
+    assert len(calls) == 3 + 4  # 5 = 0b101: square, square, times x; 4 steps up

@@ -437,3 +437,16 @@ def test_eval_is_the_sum_of_coefficient_times_power(alg, n, monic, seed):
     for i, c in enumerate(p.coeffs):
         expected = expected + c * t ** i
     assert p.eval(t) == expected
+
+
+def test_negation_difference_and_hash():
+    p = LeftPoly(H, [1 + K, -I, 1])
+    q = LeftPoly(H, [J, 2 * I, 1])
+    assert -p == LeftPoly(H, [-1 - K, I, -1])
+    assert p - q == LeftPoly(H, [1 + K - J, -3 * I])
+    assert q - p == -(p - q) and (p - p).is_zero()
+    assert (p - q) + q == p
+    same = LeftPoly(H, [1 + K, -I, 1])
+    assert hash(p) == hash(same) and len({p, same, q}) == 2
+    trailing_zero = LeftPoly(H, [1, 0])
+    assert trailing_zero == LeftPoly(H, [1]) and hash(trailing_zero) == hash(LeftPoly(H, [1]))

@@ -150,6 +150,15 @@ def test_semantic_equality_across_contexts():
     assert ScalarValue(Q5, 0, 1) != ScalarValue(FieldContext.quadratic(2), 0, 1)
 
 
+def test_scalar_divided_by_a_value():
+    x = ScalarValue(Q5, 1, 1)  # 1 + sqrt(5), norm -4
+    assert 2 / x == ScalarValue(Q5, Fraction(-1, 2), Fraction(1, 2))
+    assert Fraction(3, 4) / x == ScalarValue(Q5, Fraction(-3, 16), Fraction(3, 16))
+    assert (2 / x) * x == 2 and 1 / Q.scalar(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(DivisionByZero):
+        2 / Q5.zero()
+
+
 def test_mixed_context_arithmetic_rejected():
     with pytest.raises(ContextMismatch):
         ScalarValue(Q5, 0, 1) + ScalarValue(FieldContext.quadratic(2), 0, 1)
