@@ -42,7 +42,6 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import (
-    ContextMismatch,
     DegenerateFrame,
     InternalError,
     NoRepresentative,
@@ -75,11 +74,13 @@ class QuatValue(IntValue):
     __slots__ = ()
 
     def __mul__(self, other):
-        if not isinstance(other, QuatValue):
-            return self.__rmul__(other)  # a scalar is central
         alg = self.carrier
-        if other.carrier is not alg and other.carrier != alg:
-            raise ContextMismatch(f"{alg} vs {other.carrier}")
+        if not (isinstance(other, QuatValue) and (other.carrier is alg or other.carrier == alg)):
+            if isinstance(other, _SCALARS):  # a rational is central
+                return self._scaled(*_ratio(other))
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         c = alg.consts
         return _reduced(QuatValue, alg, _quat_mul(c, self.num, other.num),
                         c[0] * self.den * other.den)

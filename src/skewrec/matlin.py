@@ -8,13 +8,12 @@ itself, which is what makes elimination work over noncommutative entries.
 
 The one commutative system, the base-field coordinates of a Jordan chain
 step A*w - w*lam = v, is read off the values' integer numerators and
-eliminated on integers by `_reduce_rows`, the loop `solve_rational` shares.
+eliminated on integers by `_reduce_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, sub
 
@@ -124,11 +123,14 @@ def _eliminate(m: DMatrix, right: list) -> list:
     """Gauss-Jordan elimination with left row operations on [M | R], for a
     square M and the n rows of R; returns the rows of M^-1 * R.
 
-    Pivoting takes the first row whose pivot has nonzero norm; a column with
-    no such row is either all zero (Singular) or contains a nonzero zero-norm
-    entry, in which case inverting it raises ZeroDivisor.  Once column c is
-    cleared it is never read again, and row c is zero left of c, so the
-    step on column c touches only the entries right of it.
+    Pivoting takes the first row whose pivot has nonzero norm (read off the
+    integer numerator of `_norm_parts`); a column with no such row is either
+    all zero (Singular) or contains a nonzero zero-norm entry, in which case
+    inverting it raises ZeroDivisor.  Once column c is cleared it is never
+    read again, and row c is zero left of c, so the step on column c touches
+    only the entries right of it.  A pivot equal to 1 is neither inverted
+    nor applied, and a row factor equal to 1 costs a difference, not a
+    product.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
@@ -140,7 +142,7 @@ def _eliminate(m: DMatrix, right: list) -> list:
     for col in range(n):
         piv = None
         for r in range(col, n):
-            if not aug[r][col].norm().is_zero():
+            if aug[r][col]._norm_parts()[0]:
                 piv = r
                 break
         if piv is None:
@@ -151,12 +153,19 @@ def _eliminate(m: DMatrix, right: list) -> list:
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
         prow = aug[col]
-        inv = prow[col].inverse()
-        tail = prow[col + 1:] = [inv * x for x in prow[col + 1:]]
+        if prow[col].is_one():
+            tail = prow[col + 1:]
+        else:
+            inv = prow[col].inverse()
+            tail = prow[col + 1:] = [inv * x for x in prow[col + 1:]]
         for r in range(n):
             row = aug[r]
             f = row[col]
-            if r != col and not f.is_zero():
+            if r == col or f.is_zero():
+                continue
+            if f.is_one():
+                row[col + 1:] = [x - y for x, y in zip(row[col + 1:], tail)]
+            else:
                 row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], tail)]
     return [row[n:] for row in aug]
 
@@ -250,12 +259,6 @@ def _primitive(row: list) -> list:
     return row
 
 
-def _integer_row(row) -> list:
-    """A row of ints and Fractions as the primitive integer row on its line."""
-    den = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
-
-
 def _reduce_rows(aug: list, cols: int) -> list | None:
     """Gauss-Jordan elimination, fraction-free (after Bareiss), on primitive
     integer rows [A | b] with `cols` columns in A, in place: row i is
@@ -299,32 +302,18 @@ def _reduce_rows(aug: list, cols: int) -> list | None:
     return sol
 
 
-def solve_rational(mat, rhs):
-    """Solve a linear system with int or Fraction entries; free variables
-    are set to 0.
-
-    Returns the solution as Fractions, or None when the system is
-    inconsistent.  Each augmented row is scaled to integers by the lcm of
-    its denominators and eliminated by `_reduce_rows`; the only division is
-    rhs_r / pivot_r at the end.
-    """
-    cols = len(mat[0]) if mat else 0
-    aug = [_integer_row(list(mat[r]) + [rhs[r]]) for r in range(len(mat))]
-    sol = _reduce_rows(aug, cols)
-    return None if sol is None else [Fraction(p, q) for p, q in sol]
-
-
 def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     """Solve A*w - w*lam = v for a vector w over an associative algebra.
 
     The unknown is flattened to rational coordinates (the map is linear over
     the base field): block (i, j) of the system has as column c the
     coordinates of a_ij*e_c, minus e_c*lam on the diagonal, for the basis
-    e_c of the carrier.  The rows of block row i are read off the
-    numerators of those values and of v_i over one common multiple of their
-    denominators, which has the primitive rows of `solve_rational`; they
-    are eliminated by `_reduce_rows` and free variables are pinned to 0, so
-    the returned representative of the solution coset is deterministic.
+    e_c of the carrier; a block a_ij = 1 off the diagonal contributes the
+    basis itself.  The rows of block row i are read off the numerators of
+    those values and of v_i over one common multiple of their denominators
+    and made primitive; they are eliminated by `_reduce_rows` and free
+    variables are pinned to 0, so the returned representative of the
+    solution coset is deterministic.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("chain solve needs a square matrix")
@@ -344,6 +333,8 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
                 cols += [-r if aij.is_zero() else aij * b - r for b, r in zip(basis, right)]
             elif aij.is_zero():
                 cols += [carrier.zero()] * m
+            elif aij.is_one():
+                cols += basis
             else:
                 cols += [aij * b for b in basis]
         cols.append(v[i])

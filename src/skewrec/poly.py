@@ -9,8 +9,13 @@ the coefficients may be noncommuting, which is why (x-a)(x-b) and
 The companion polynomial C_p = p*conj(p) stays on integers from the polar
 forms of the coefficients to its factors: `_companion` reads it off the
 `_scaled_polar` numerators straight into a scaled monic integer polynomial,
-and `_factor_monic` factors that over Q, its integer roots found by Hensel
-lifting and its quadratic splits by the integer resolvent cubic.
+and `_factor_monic` factors that over Q in the order its shape suggests.
+A quartic is first split into two quadratics by the integer resolvent
+cubic (by A = 0 before any search when its depressed form has no linear
+term, as every square's has), and each quadratic is finished by its
+discriminant;
+integer roots are found by Hensel lifting only in a cubic and in a quartic
+that does not split.
 `quadratic_roots` reads each root class off the integer factors; rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
 (`companion_poly`, `factor_central_quartic`, `RootReport.central_factors`,
@@ -64,7 +69,7 @@ class LeftPoly:
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.carrier.one()
+        return bool(self.coeffs) and self.coeffs[-1].is_one()
 
     def __add__(self, other):
         if not isinstance(other, LeftPoly):
@@ -220,10 +225,12 @@ def _squarefree_part(g):
 def _integer_roots(g):
     """The distinct integer roots of a monic integer g, ascending, with no
     integer factored (von zur Gathen and Gerhard, Modern Computer Algebra,
-    ch. 15; Cohen, GTM 138, 3.5).  The roots of h mod p, h = g and p = 3
-    at first, come from trying 0..p-1; while one is a multiple root, h
-    becomes the squarefree part of g and p the next odd prime (2 divides
-    the discriminant of every resolvent cubic).  Each simple root mod p
+    ch. 15; Cohen, GTM 138, 3.5).  `_factor_monic` calls it on a cubic and
+    on a quartic with no quadratic factor, `_split_quartic` on a resolvent
+    cubic.  The roots of h mod p, h = g and p = 3 at first, come from trying
+    0..p-1; while one is a multiple root, h becomes the squarefree part of
+    g and p the next odd prime (2 divides the discriminant of every
+    resolvent cubic).  Each simple root mod p
     lifts to one root mod p**(2**i) by Newton steps (Hensel lifting) until
     the modulus exceeds twice the Cauchy bound 1 + max|h_i|; a symmetric
     residue is kept only if h vanishes there exactly."""
@@ -254,33 +261,61 @@ def _integer_roots(g):
 
 
 def _split_quartic(g):
-    """Monic integer quadratics [u, v] with u*v == g, for a monic integer
-    quartic g with no integer root; None when g is irreducible over Q.
+    """Monic integer quadratics [u, v] with u*v == g, for any monic integer
+    quartic g; None when g has no quadratic factor over Q, that is, when it
+    is irreducible or a linear factor times an irreducible cubic.
 
     z = 4y + c3 depresses g to 256*g((z - c3)/4) = z^4 + P z^2 + Q z + R,
     still on integers.  A split (z^2 + A z + B)(z^2 - A z + D) has
     B + D = P + A^2, A(D - B) = Q and BD = R, so A^2 is an integer root of
-    the resolvent cubic Y^3 + 2P Y^2 + (P^2 - 4R) Y - Q^2.  The candidate
-    u for z^2 + A z + B is kept only if it divides g exactly.
+    the resolvent cubic Y^3 + 2P Y^2 + (P^2 - 4R) Y - Q^2.  When Q = 0,
+    Y = 0 is a root and A = 0 is tried before the cubic is searched for
+    integer roots; that search runs only if A = 0 gives no exact division,
+    as for y^4 + 4 = (y^2 + 2y + 2)(y^2 - 2y + 2), which splits with A = 8.
     """
     c0, c1, c2, c3, _ = g
     P = 16 * c2 - 6 * c3 * c3
     Q = 64 * c1 - 32 * c2 * c3 + 8 * c3 ** 3
     R = 256 * c0 - 64 * c1 * c3 + 16 * c2 * c3 * c3 - 3 * c3 ** 4
+    if Q == 0:
+        # B is a root of t^2 - P t + R; if the square root below is inexact
+        # the exact division rejects the candidate
+        split = _quadratic_divisor(g, 0, P + isqrt(max(P * P - 4 * R, 0)))
+        if split:
+            return split
     for y in _integer_roots([-Q * Q, P * P - 4 * R, 2 * P, 1]):
         A = isqrt(max(y, 0))
-        if A * A != y or (A and Q % A):
-            continue
-        # 2B; for A = 0, B is a root of t^2 - P t + R, and if the square
-        # root below is inexact the exact division rejects the candidate
-        b2 = P + y - Q // A if A else P + isqrt(max(P * P - 4 * R, 0))
-        # u = (z^2 + A z + B at z = 4y + c3) / 16
-        u1, r1 = divmod(8 * c3 + 4 * A, 16)
-        u0, r0 = divmod(2 * c3 * (c3 + A) + b2, 32)
-        v, rem = _divide(g, [u0, u1, 1])
-        if not (r1 or r0 or any(rem)):
-            return [[u0, u1, 1], v]
+        if y > 0 and A * A == y and Q % A == 0:  # y = 0 only if Q = 0: tried above
+            split = _quadratic_divisor(g, A, P + y - Q // A)
+            if split:
+                return split
     return None
+
+
+def _quadratic_divisor(g, A, b2):
+    """[u, g / u] for u = (z^2 + A z + B at z = 4y + c3) / 16, with b2 = 2B,
+    when u is an integer quadratic that divides the quartic g exactly;
+    None otherwise."""
+    c3 = g[3]
+    u1, r1 = divmod(8 * c3 + 4 * A, 16)
+    u0, r0 = divmod(2 * c3 * (c3 + A) + b2, 32)
+    if r1 or r0:
+        return None
+    v, rem = _divide(g, [u0, u1, 1])
+    return None if any(rem) else [[u0, u1, 1], v]
+
+
+def _split_quadratic(u):
+    """The monic integer quadratic u = [u0, u1, 1] as its monic factors over
+    Q: the linear factors y - (-u1 -+ s)/2 when the discriminant
+    u1^2 - 4*u0 is the square s^2 of an integer (s and u1 have one parity),
+    u itself otherwise."""
+    u0, u1, _ = u
+    disc = u1 * u1 - 4 * u0
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return [u]
+    return [[(u1 + s) // 2, 1], [(u1 - s) // 2, 1]]
 
 
 def _companion(p: LeftPoly) -> tuple[list[int], int]:
@@ -321,20 +356,30 @@ def _factor_monic(g) -> list[tuple[tuple, int]]:
     """The monic irreducible factors over Q of a monic integer g of degree up
     to 4, with multiplicities, as integer coefficient tuples sorted by
     degree and then by coefficients.  By Gauss's lemma every monic factor of
-    g over Q has integer coefficients.  The integer roots of
-    `_integer_roots` are divided out on ints, a quartic left without roots
-    is split by `_split_quartic`, and a quadratic or cubic left is
-    irreducible."""
-    counted = Counter()
-    for r in _integer_roots(g) if len(g) > 1 else ():
-        q, rem = _divide(g, [-r, 1])
-        while rem == [0]:
-            g = q
-            counted[(-r, 1)] += 1
+    g over Q has integer coefficients.
+
+    The factors are sought in the order the companion quartics need: a
+    quartic goes to `_split_quartic` first, and each quadratic of a split,
+    like a quadratic g, is finished by its discriminant (`_split_quadratic`).
+    `_integer_roots` runs only on a cubic and on a quartic that does not
+    split, which is irreducible or a linear factor times an irreducible
+    cubic; the roots are divided out on ints and what is left is
+    irreducible.  A linear g is its own factor.  Factorization over Q is
+    unique, so the order of the search does not change the result."""
+    quads = _split_quartic(g) if len(g) == 5 else [g] if len(g) == 3 else None
+    if quads is not None:
+        factors = [f for u in quads for f in _split_quadratic(u)]
+    else:
+        factors = []
+        for r in _integer_roots(g) if len(g) > 2 else ():
             q, rem = _divide(g, [-r, 1])
-    if len(g) > 2:
-        for u in (_split_quartic(g) if len(g) == 5 else None) or [g]:
-            counted[tuple(u)] += 1
+            while rem == [0]:
+                g = q
+                factors.append([-r, 1])
+                q, rem = _divide(g, [-r, 1])
+        if len(g) > 1:
+            factors.append(g)
+    counted = Counter(map(tuple, factors))
     return sorted(counted.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 

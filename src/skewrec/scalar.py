@@ -328,6 +328,9 @@ class IntValue:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
+
     def is_central(self) -> bool:
         """Whether the value is rational: num[1:] is all zero."""
         return not any(self.num[1:])

@@ -28,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
 from .algebra import OctonionAlgebra, build_frame, conj_class
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .matlin import chain_matrix, companion_matrix, mat_solve
 from .poly import LeftPoly, quadratic_roots
-from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _ratio, _reduced, squarefree_split
+from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _reduced, squarefree_split
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,13 @@ class Term:
 def _lucas_params(lam) -> tuple[int, int, int]:
     """(P, Q, s) for a value lam with central trace T and norm N, where
     s = lcm(den T, r), r the square root of den N when that is a square and
-    den N otherwise, makes P = s*T and Q = s^2*N integers."""
-    (tn, td), (nn, nd) = _ratio(lam.trace()), _ratio(lam.norm())
+    den N otherwise, makes P = s*T and Q = s^2*N integers.  T = 2*num[0]/den
+    and N = m/(D*den^2), with (m, D) from `_norm_parts`, are put in lowest
+    terms on ints."""
+    m, D = lam._norm_parts()
+    t, den, nd = 2 * lam.num[0], lam.den, D * lam.den * lam.den
+    gt, gn = gcd(t, den), gcd(m, nd)
+    tn, td, nn, nd = t // gt, den // gt, m // gn, nd // gn
     r = isqrt(nd)
     s = lcm(td, r if r * r == nd else nd)
     return tn * (s // td), nn * (s * s // nd), s

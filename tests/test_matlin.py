@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from skewrec import (
     sylvester_chain_solve,
     vandermonde,
 )
-from skewrec.matlin import mat_solve, solve_rational
+from skewrec.matlin import _primitive, _reduce_rows, mat_solve
 from conftest import rand_frac, rand_invertible_quat, rand_quat, rand_scalar
 
 Q = FieldContext.rational()
@@ -244,6 +245,29 @@ def test_lam_random_triples_and_pairs():
 props = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
+def _integer_row(row) -> list:
+    """A row of ints and Fractions as the primitive integer row on its line."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def solve_rational(mat, rhs):
+    """Solve a linear system with int or Fraction entries; free variables
+    are set to 0.
+
+    Returns the solution as Fractions, or None when the system is
+    inconsistent.  Each augmented row is scaled to integers by the lcm of
+    its denominators and eliminated by the package's integer kernel
+    `_reduce_rows`; the only division is rhs_r / pivot_r at the end.  Being
+    checked against sympy here, it is the oracle for `sylvester_chain_solve`
+    below.
+    """
+    cols = len(mat[0]) if mat else 0
+    aug = [_integer_row(list(mat[r]) + [rhs[r]]) for r in range(len(mat))]
+    sol = _reduce_rows(aug, cols)
+    return None if sol is None else [Fraction(p, q) for p, q in sol]
+
+
 def sympy_solution(mat, rhs):
     """The solution with free variables at 0, read off sympy's reduced row
     echelon form of [mat | rhs], and the pivot columns; None if inconsistent."""
@@ -358,6 +382,24 @@ def test_mat_solve_is_the_inverse_applied(alg, n, chains, data):
             mat_solve(u, v)
     else:
         assert mat_solve(u, v) == expected
+
+
+def test_mat_solve_makes_no_product_or_inverse_by_one(monkeypatch):
+    # on [[1, 1], [lam, mu] | init] the pivot 1 is neither inverted nor
+    # applied and the row factor 1 costs a difference: what is left is
+    # lam*1 and lam*a_0, one inverse of mu - lam and one product by it
+    from skewrec import algebra, scalar
+
+    products, inverses = [], []
+    quat_mul, inverse = algebra._quat_mul, scalar.IntValue.inverse
+    monkeypatch.setattr(algebra, "_quat_mul", lambda *a: products.append(1) or quat_mul(*a))
+    monkeypatch.setattr(scalar.IntValue, "inverse", lambda x: inverses.append(1) or inverse(x))
+    lam, mu = H.element([1, 2, 0, -1]), H.element([Fraction(1, 2), 0, 3, 1])
+    init = [H.element([0, 1, Fraction(1, 3), 0]), H.element([2, 0, -1, 1])]
+    u = vandermonde([lam, mu])
+    b = mat_solve(u, init)
+    assert (len(products), len(inverses)) == (3, 1)
+    assert b == mat_inverse(u).apply(init) and u.apply(b) == init
 
 
 def chain_solve_on_coords(a, lam, v):

@@ -328,6 +328,93 @@ def test_factor_central_quartic_agrees_with_sympy(parts, dense):
     assert got == sympy_monic_factors([c.u for c in p.coeffs])
 
 
+def int_product(*factors):
+    """The product of integer polynomials given low degree first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def factor_shapes(rng):
+    """(name, monic integer polynomial) for each shape whose factors
+    `_factor_monic` finds by a different step: a quartic is split first, a
+    quadratic is finished by its discriminant, and integer roots are sought
+    only in a cubic or in a quartic with no quadratic factor."""
+    def lin():
+        return [rng.randint(-12, 12), 1]
+
+    def quad():
+        return [rng.randint(-40, 40), rng.randint(-12, 12), 1]
+
+    def irreducible_cubic():
+        while True:
+            c = [rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-20, 20), 1]
+            if len(sympy_monic_factors(c)) == 1:
+                return c
+
+    # (y^2 + 2ky + 2k^2)(y^2 - 2ky + 2k^2), y^4 - 3y^2 + 1 and y^4 + y^2 + 1
+    # split only with A != 0, though Q = 0 makes y = 0 a resolvent root
+    yield "biquadratic", [4, 0, 0, 0, 1]
+    yield "biquadratic", [1, 0, -3, 0, 1]
+    yield "biquadratic", [1, 0, 1, 0, 1]
+    yield "square", [4, 0, 4, 0, 1]  # (y^2 + 2)^2
+    yield "irreducible", [2, 0, 0, 0, 1]
+    for _ in range(30):
+        k = rng.randint(1, 9)
+        yield "biquadratic", [4 * k ** 4, 0, 0, 0, 1]
+        yield "biquadratic", [rng.randint(-30, 30), 0, rng.randint(-20, 20), 0, 1]
+        q, a = quad(), lin()
+        yield "square", int_product(q, q)
+        yield "linear * cubic", int_product(lin(), irreducible_cubic())
+        yield "linear^2 * quadratic", int_product(a, a, quad())
+        yield "linear * linear * quadratic", int_product(lin(), lin(), quad())
+        r, t = rng.randint(-30, 30), rng.randint(-30, 30)
+        yield "quadratic, square discriminant", int_product([-r, 1], [-t, 1])
+        yield "quadratic", quad()
+        yield "quartic", [rng.randint(-40, 40) for _ in range(4)] + [1]
+
+
+def test_factor_monic_agrees_with_sympy_on_every_shape():
+    # the factor list, in its order, is sympy's factor_list over QQ
+    from skewrec.poly import _factor_monic
+
+    seen = set()
+    for name, g in factor_shapes(random.Random(16)):
+        got = [(list(u), m) for u, m in _factor_monic(g)]
+        assert got == sympy_monic_factors(g), (name, g)
+        seen.add((name, tuple(len(u) - 1 for u, m in got for _ in range(m))))
+    # each named shape occurs with the factor degrees it is named for
+    for name, degrees in [("biquadratic", (2, 2)), ("square", (2, 2)),
+                          ("linear * cubic", (1, 3)), ("linear^2 * quadratic", (1, 1, 2)),
+                          ("linear * linear * quadratic", (1, 1, 2)),
+                          ("quadratic, square discriminant", (1, 1)),
+                          ("quadratic", (2,)), ("irreducible", (4,)), ("quartic", (4,))]:
+        assert (name, degrees) in seen, name
+
+
+def test_squares_split_with_no_root_search(monkeypatch):
+    # C_p of a Jordan or spherical spec is a square q^2: its depressed form
+    # has Q = 0, and A = 0 splits it before any resolvent root is sought
+    from skewrec import poly
+
+    calls = []
+    integer_roots = poly._integer_roots
+    monkeypatch.setattr(poly, "_integer_roots", lambda g: calls.append(g) or integer_roots(g))
+    rng = random.Random(5)
+    for _ in range(50):
+        q = [rng.randint(-40, 40), rng.randint(-12, 12), 1]
+        factors = poly._factor_monic(int_product(q, q))
+        assert sum(m * (len(u) - 1) for u, m in factors) == 4
+    assert calls == []
+    assert poly._factor_monic([4, 0, 0, 0, 1]) == [((2, -2, 1), 1), ((2, 2, 1), 1)]
+    assert calls  # y^4 + 4 needs the resolvent's root 64
+
+
 # Per-call budget for the differential test below, in seconds.  The integer
 # kernel takes under 5 ms per call; a search over the divisors of the
 # coefficients, exponential in their bit length, did not return from the
