@@ -23,6 +23,7 @@ solver failure, 2 for usage, parse or validation errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from math import lcm
 
@@ -78,13 +79,7 @@ def _int_token(text: str) -> int | None:
 
 
 def _tokenize(rest: str, base_col: int):
-    tokens = []
-    col = base_col
-    for tok in rest.split(" "):
-        if tok:
-            tokens.append((tok, col))
-        col += len(tok) + 1
-    return tokens
+    return [(m[0], base_col + m.start()) for m in re.finditer(r"[^ ]+", rest)]
 
 
 def _parse_algebra(rest: str, line: int, col: int):

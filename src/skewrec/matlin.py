@@ -23,7 +23,7 @@ from .errors import (
     Singular,
     SingularU,
 )
-from .scalar import _from_ratios
+from .scalar import _from_ratios, _times
 
 
 def _is_associative(x) -> bool:
@@ -128,9 +128,9 @@ def _eliminate(m: DMatrix, right: list) -> list:
     all zero (Singular) or contains a nonzero zero-norm entry, in which case
     inverting it raises ZeroDivisor.  Once column c is cleared it is never
     read again, and row c is zero left of c, so the step on column c touches
-    only the entries right of it.  A pivot equal to 1 is neither inverted
-    nor applied, and a row factor equal to 1 costs a difference, not a
-    product.
+    only the entries right of it.  A pivot equal to 1 is not inverted, and
+    every product by 1 (a pivot or row factor of 1, or an entry 1 right of
+    the pivot) is skipped by `scalar._times`.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
@@ -153,20 +153,13 @@ def _eliminate(m: DMatrix, right: list) -> list:
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
         prow = aug[col]
-        if prow[col].is_one():
-            tail = prow[col + 1:]
-        else:
-            inv = prow[col].inverse()
-            tail = prow[col + 1:] = [inv * x for x in prow[col + 1:]]
+        inv = prow[col] if prow[col].is_one() else prow[col].inverse()
+        tail = prow[col + 1:] = [_times(inv, x) for x in prow[col + 1:]]
         for r in range(n):
             row = aug[r]
             f = row[col]
-            if r == col or f.is_zero():
-                continue
-            if f.is_one():
-                row[col + 1:] = [x - y for x, y in zip(row[col + 1:], tail)]
-            else:
-                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], tail)]
+            if r != col and not f.is_zero():
+                row[col + 1:] = [x - _times(f, y) for x, y in zip(row[col + 1:], tail)]
     return [row[n:] for row in aug]
 
 
@@ -308,12 +301,12 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     The unknown is flattened to rational coordinates (the map is linear over
     the base field): block (i, j) of the system has as column c the
     coordinates of a_ij*e_c, minus e_c*lam on the diagonal, for the basis
-    e_c of the carrier; a block a_ij = 1 off the diagonal contributes the
-    basis itself.  The rows of block row i are read off the numerators of
-    those values and of v_i over one common multiple of their denominators
-    and made primitive; they are eliminated by `_reduce_rows` and free
-    variables are pinned to 0, so the returned representative of the
-    solution coset is deterministic.
+    e_c of the carrier, with no product by 1 (`scalar._times`): a block
+    a_ij = 1 off the diagonal contributes the basis itself.  The rows of
+    block row i are read off the numerators of those values and of v_i over
+    one common multiple of their denominators and made primitive; they are
+    eliminated by `_reduce_rows` and free variables are pinned to 0, so the
+    returned representative of the solution coset is deterministic.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("chain solve needs a square matrix")
@@ -323,20 +316,17 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     basis = carrier.basis()
     m = len(basis)
     n = a.rows
-    right = [b * lam for b in basis]
+    right = [_times(b, lam) for b in basis]
     aug = []
     for i in range(n):
         cols = []  # the values whose coordinates are the columns of block row i
         for j in range(n):
             aij = a.entry(i, j)
-            if i == j:
-                cols += [-r if aij.is_zero() else aij * b - r for b, r in zip(basis, right)]
-            elif aij.is_zero():
-                cols += [carrier.zero()] * m
-            elif aij.is_one():
-                cols += basis
+            if aij.is_zero():
+                cols += [-r for r in right] if i == j else [carrier.zero()] * m
             else:
-                cols += [aij * b for b in basis]
+                prods = [_times(aij, b) for b in basis]
+                cols += [x - r for x, r in zip(prods, right)] if i == j else prods
         cols.append(v[i])
         den = lcm(*[x.den for x in cols])
         scaled = [(x.num, den // x.den) for x in cols]

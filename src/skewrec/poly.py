@@ -14,8 +14,9 @@ A quartic is first split into two quadratics by the integer resolvent
 cubic (by A = 0 before any search when its depressed form has no linear
 term, as every square's has), and each quadratic is finished by its
 discriminant;
-integer roots are found by Hensel lifting only in a cubic and in a quartic
-that does not split.
+integer roots are sought only in a cubic and in a quartic that does not
+split, which is then squarefree: in closed form in a cubic of
+discriminant 0, by Hensel lifting otherwise.
 `quadratic_roots` reads each root class off the integer factors; rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
 (`companion_poly`, `factor_central_quartic`, `RootReport.central_factors`,
@@ -36,8 +37,8 @@ from .algebra import (
     conj_class,
     spherical_representative,
 )
-from .errors import NoRootsFound, UnsupportedDegree
-from .scalar import FieldContext, _reduced
+from .errors import InternalError, NoRootsFound, UnsupportedDegree
+from .scalar import FieldContext, _reduced, _times
 
 
 class LeftPoly:
@@ -115,7 +116,7 @@ class LeftPoly:
         c = self.coeffs
         if len(c) < 2:
             return c[0] if c else carrier.zero()
-        acc = (t if self.is_monic() else c[-1] * t) + c[-2]
+        acc = _times(c[-1], t) + c[-2]
         for ci in reversed(c[:-2]):
             acc = acc * t + ci
         return acc
@@ -184,10 +185,6 @@ def _horner(g, y):
     return acc
 
 
-def _derivative(g):
-    return [i * c for i, c in enumerate(g)][1:]
-
-
 def _divide(g, a):
     """(quotient, remainder) of g divided by a monic a."""
     g, n = list(g), len(a) - 1
@@ -199,63 +196,55 @@ def _divide(g, a):
     return q, g[:n]
 
 
-def _squarefree_part(g):
-    """g / gcd(g, g') for a monic g: the monic polynomial with the roots of
-    g, each once.  The gcd is the last nonzero remainder of the primitive
-    pseudo-remainder sequence of g and g'."""
-    a, b = g, _derivative(g)
-    while len(b) > 1:
-        r = list(a)  # the primitive part of lc(b)**k * a mod b
-        while len(r) >= len(b):
-            c, s = r[-1], len(r) - len(b)
-            r = [x * b[-1] for x in r]
-            for i, x in enumerate(b):
-                r[s + i] -= c * x
-            while r and r[-1] == 0:
-                r.pop()
-        c = gcd(*r)
-        a, b = b, [x // c for x in r]
-    if b:
-        return g
-    # the primitive part of a divides monic g, so it is monic up to sign
-    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
-    return _divide(g, [x // c for x in a])[0]
-
-
 def _integer_roots(g):
     """The distinct integer roots of a monic integer g, ascending, with no
     integer factored (von zur Gathen and Gerhard, Modern Computer Algebra,
-    ch. 15; Cohen, GTM 138, 3.5).  `_factor_monic` calls it on a cubic and
-    on a quartic with no quadratic factor, `_split_quartic` on a resolvent
-    cubic.  The roots of h mod p, h = g and p = 3 at first, come from trying
-    0..p-1; while one is a multiple root, h becomes the squarefree part of
-    g and p the next odd prime (2 divides the discriminant of every
-    resolvent cubic).  Each simple root mod p
-    lifts to one root mod p**(2**i) by Newton steps (Hensel lifting) until
-    the modulus exceeds twice the Cauchy bound 1 + max|h_i|; a symmetric
-    residue is kept only if h vanishes there exactly."""
-    h, dh, squarefree = g, _derivative(g), False
+    ch. 15; Cohen, GTM 138, 3.5), for g squarefree or a cubic.
+    `_factor_monic` calls it on a cubic and on a quartic with no quadratic
+    factor, `_split_quartic` on a resolvent cubic.  A quartic with a
+    repeated factor splits, as (y - r)^2 * q or as q^2, so a quartic that
+    gets here is squarefree.  A cubic y^3 + a y^2 + b y + c of discriminant
+    0 has the repeated root r = -a/3 when a^2 = 3b (a triple root) and
+    r = (9c - ab) / (2(a^2 - 3b)) otherwise, and the other root -a - 2r;
+    both are integers by Gauss's lemma.  Otherwise g is squarefree: the
+    roots of g mod p, p = 3 at first, come from trying 0..p-1, and while
+    one is a multiple root p becomes the next odd prime (2 divides the
+    discriminant of every resolvent cubic); InternalError once those primes
+    outgrow any nonzero discriminant.  Each simple root mod p lifts
+    to one root mod p**(2**i) by Newton steps (Hensel lifting) until the
+    modulus exceeds twice the Cauchy bound 1 + max|g_i|; a symmetric
+    residue is kept only if g vanishes there exactly."""
+    if len(g) == 4:
+        c, b, a, _ = g
+        if a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c == 0:
+            d = a * a - 3 * b
+            r = (9 * c - a * b) // (2 * d) if d else -a // 3
+            return sorted({r, -a - 2 * r})
+    dg = [i * c for i, c in enumerate(g)][1:]  # g'
+    bound = 2 * (1 + max(map(abs, g[:-1])))
+    # each prime at which g has a multiple root divides the discriminant,
+    # a product of n(n-1) root differences below `bound` when it is nonzero
+    disc_bound, tried = bound ** ((len(g) - 1) * (len(g) - 2)), 1
     for p in count(3, 2):
         if any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
             continue
-        found = [a for a in range(p) if _horner(h, a) % p == 0]
-        if all(_horner(dh, a) % p for a in found):
+        found = [a for a in range(p) if _horner(g, a) % p == 0]
+        if all(_horner(dg, a) % p for a in found):
             break
-        if not squarefree:
-            h, squarefree = _squarefree_part(g), True
-            dh = _derivative(h)
-    bound = 2 * (1 + max(map(abs, h[:-1])))
+        tried *= p
+        if tried > disc_bound:
+            raise InternalError(f"{g} reached the integer root search with a repeated factor")
     roots = []
     for a in found:
         m = p
         while True:
             r = a - m if 2 * a > m else a
-            hr = _horner(h, r)
-            if hr == 0 or m > bound:
+            gr = _horner(g, r)
+            if gr == 0 or m > bound:
                 break
             m *= m
-            a = (r - hr * pow(_horner(dh, r), -1, m)) % m
-        if hr == 0:
+            a = (r - gr * pow(_horner(dg, r), -1, m)) % m
+        if gr == 0:
             roots.append(r)
     return sorted(roots)
 

@@ -370,6 +370,14 @@ class IntValue:
         return hash((self.num, self.den))
 
 
+def _times(x, y):
+    """x * y for values x and y, with no product when either is 1 (by
+    `IntValue.is_one`): the other factor is returned as it is."""
+    if x.is_one():
+        return y
+    return x if y.is_one() else x * y
+
+
 class ScalarValue(IntValue):
     """An element (u + v*sqrt(d)) / den of the context's field: num is
     (u,) over Q and (u, v) over Q(sqrt(d))."""
@@ -485,7 +493,8 @@ class Carrier:
 
     def basis(self) -> list:
         """1, e1, ...: the values with one coordinate 1 and the others 0."""
-        return [self.element([int(i == j) for j in range(self.dim)]) for i in range(self.dim)]
+        return [_make(self.value_type, self, tuple([int(i == j) for j in range(self.dim)]), 1)
+                for i in range(self.dim)]
 
     def coerce(self, x):
         """x as a value of this carrier: a value of it passes through, an

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .matlin import chain_matrix, companion_matrix, mat_solve
 from .poly import LeftPoly, quadratic_roots
-from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _reduced, squarefree_split
+from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _reduced, _times, squarefree_split
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class _LucasSum:
                 S, R = sums.setdefault((P, Q, s), ([], []))
                 for j in range(d + 1):
                     c = t.poly[j]
-                    cb, cxb = (b, xb) if c == 1 else (c * b, c * xb)
+                    cb, cxb = _times(c, b), _times(c, xb)
                     if lift is not None:
                         cb, cxb = lift(cb), lift(cxb)
                     if j < len(S):
@@ -344,7 +344,7 @@ def _jordan_form(spec: RecurrenceSpec, charpoly: LeftPoly, rootdata) -> AssocFor
             # the r = 0 summand of column sp is U's first-row entry itself
             coeffs = [u.entry(0, col + sp)] + [alg.zero()] * sp
             for r in range(1, sp + 1):
-                base_e = u.entry(0, col + sp - r) * inv_pows[r]
+                base_e = _times(u.entry(0, col + sp - r), inv_pows[r])
                 binom, fact = _binom_coeffs(r)
                 for s, c in enumerate(binom):
                     if c:
@@ -445,7 +445,8 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
     Q(k) * lam**k * b with Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n,
     a polynomial in the central k of degree <= deg p, so Q vanishes
     identically once it vanishes at k = 0..deg p.  A product by a factor
-    equal to 1 (lam**0, or p(m) = 1 as for a simple root) is skipped."""
+    equal to 1 (lam**0, or p(m) = 1 as for a simple root) is skipped
+    (`scalar._times`)."""
     n = len(rhs)
     for i, t in enumerate(form.terms):
         d = t.degree
@@ -456,11 +457,10 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
                 for m in range(d + n + 1)]  # p(m) by Horner's rule
         for k in range(d + 1):
             # p(k+j) * lam**j for j = 0..n
-            f = [pows[j] if v == 1 else v if j == 0 else v * pows[j]
-                 for j, v in enumerate(vals[k:k + n + 1])]
+            f = [_times(v, pw) for v, pw in zip(vals[k:k + n + 1], pows)]
             res = -f[n]
             for j, r in enumerate(rhs):
-                res = res + (r if f[j] == 1 else r * f[j])
+                res = res + _times(r, f[j])
             if not res.is_zero():
                 raise InternalError(f"certificate failed: {label}term {i} leaves "
                                     f"the residual {res} at k={k}")
@@ -472,10 +472,11 @@ def _certify_frame(frame) -> None:
     bilinear, so the identities then hold for all x, y."""
     basis = frame.quat.basis()
     emb = [frame.join(e, 0) for e in basis]
+    emb_ell = [e * frame.ell for e in emb]
     prods = [[frame.join(x * y, 0) for y in basis] for x in basis]
     for i, ex in enumerate(emb):
         for j, ey in enumerate(emb):
-            if ex * ey != prods[i][j] or ex * (ey * frame.ell) != prods[j][i] * frame.ell:
+            if ex * ey != prods[i][j] or ex * emb_ell[j] != prods[j][i] * frame.ell:
                 raise InternalError(f"certificate failed: the frame does not split "
                                     f"the algebra at ({basis[i]}, {basis[j]})")
 

@@ -728,3 +728,21 @@ def test_first_power_makes_no_product(monkeypatch):
     calls.clear()
     h ** 5, h.powers(5)
     assert len(calls) == 3 + 4  # 5 = 0b101: square, square, times x; 4 steps up
+
+
+def test_times_returns_the_other_factor_of_a_product_by_one(monkeypatch):
+    from skewrec import algebra
+    from skewrec.scalar import _times
+
+    calls = []
+    quat_mul = algebra._quat_mul
+    monkeypatch.setattr(algebra, "_quat_mul", lambda *a: calls.append(1) or quat_mul(*a))
+    for x in POWER_BASES:
+        one = x.carrier.one()
+        assert _times(one, x) is x and _times(x, one) is x
+        assert _times(one, one) is one
+    assert calls == []
+    x = POWER_BASES[1]
+    y = x.carrier.element([0, 2, Fraction(1, 2), -1])
+    assert _times(x, y) == x * y and _times(y, x) == y * x
+    assert len(calls) == 4

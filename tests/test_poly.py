@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from skewrec import (
     ConjClass,
     FieldContext,
+    InternalError,
     LeftPoly,
     NoRootsFound,
     OctonionAlgebra,
@@ -344,7 +345,8 @@ def factor_shapes(rng):
     """(name, monic integer polynomial) for each shape whose factors
     `_factor_monic` finds by a different step: a quartic is split first, a
     quadratic is finished by its discriminant, and integer roots are sought
-    only in a cubic or in a quartic with no quadratic factor."""
+    only in a cubic, in closed form when its discriminant is 0, or in a
+    quartic with no quadratic factor."""
     def lin():
         return [rng.randint(-12, 12), 1]
 
@@ -377,6 +379,15 @@ def factor_shapes(rng):
         yield "quadratic, square discriminant", int_product([-r, 1], [-t, 1])
         yield "quadratic", quad()
         yield "quartic", [rng.randint(-40, 40) for _ in range(4)] + [1]
+        b = lin()
+        while b == a:
+            b = lin()
+        yield "cubic, double root", int_product(a, a, b)
+        yield "cubic, triple root", int_product(a, a, a)
+        # Y^2 (Y + 2P): the resolvent cubic of a depressed quartic with
+        # Q = 0 and P^2 = 4R
+        yield "cubic Y^2 (Y + 2P)", [0, 0, 2 * rng.choice([-1, 1]) * rng.randint(1, 40), 1]
+        yield "cubic", [rng.randint(-40, 40) for _ in range(3)] + [1]
 
 
 def test_factor_monic_agrees_with_sympy_on_every_shape():
@@ -393,8 +404,50 @@ def test_factor_monic_agrees_with_sympy_on_every_shape():
                           ("linear * cubic", (1, 3)), ("linear^2 * quadratic", (1, 1, 2)),
                           ("linear * linear * quadratic", (1, 1, 2)),
                           ("quadratic, square discriminant", (1, 1)),
-                          ("quadratic", (2,)), ("irreducible", (4,)), ("quartic", (4,))]:
+                          ("quadratic", (2,)), ("irreducible", (4,)), ("quartic", (4,)),
+                          ("cubic, double root", (1, 1, 1)), ("cubic, triple root", (1, 1, 1)),
+                          ("cubic Y^2 (Y + 2P)", (1, 1, 1)), ("cubic", (3,))]:
         assert (name, degrees) in seen, name
+
+
+def test_factor_central_quartic_on_zero_discriminant_cubics_and_unsplit_quartics():
+    # the same shapes as rational polynomials f(x) = g(L*x) / L^deg, against
+    # sympy's factor_list
+    shapes = {"cubic, double root", "cubic, triple root", "cubic Y^2 (Y + 2P)",
+              "irreducible", "quartic", "linear * cubic"}
+    for name, g in factor_shapes(random.Random(17)):
+        if name not in shapes:
+            continue
+        for L in (1, 6):
+            p = LeftPoly(Q, [Fraction(c, L ** (len(g) - 1 - i)) for i, c in enumerate(g)])
+            got = [([c.u for c in f.coeffs], m) for f, m in factor_central_quartic(p)]
+            assert got == sympy_monic_factors([c.u for c in p.coeffs]), (name, g, L)
+
+
+def test_no_quartic_with_a_repeated_factor_reaches_the_root_search(monkeypatch):
+    # the root search takes a squarefree polynomial or a cubic: a quartic
+    # with a repeated factor must be split before it (squares q^2 are
+    # covered by test_squares_split_with_no_root_search)
+    from skewrec import poly
+
+    integer_roots = poly._integer_roots
+
+    def spy(g):
+        assert len(g) != 5, g
+        return integer_roots(g)
+
+    monkeypatch.setattr(poly, "_integer_roots", spy)
+    rng = random.Random(9)
+    for _ in range(40):
+        a, b = [rng.randint(-12, 12), 1], [rng.randint(-12, 12), 1]
+        q = [rng.randint(-40, 40), rng.randint(-12, 12), 1]
+        for g in (int_product(a, a, q), int_product(a, a, a, b),
+                  int_product(a, a, a, a), int_product(a, a, b, b)):
+            got = [(list(u), m) for u, m in poly._factor_monic(g)]
+            assert got == sympy_monic_factors(g), g
+    # one that got there anyway is refused, not searched for ever
+    with pytest.raises(InternalError):
+        integer_roots(int_product([-1, 1], [-1, 1], [1, 0, 1]))
 
 
 def test_squares_split_with_no_root_search(monkeypatch):
