@@ -62,6 +62,15 @@ def _quat_mul(consts, p, q) -> tuple:
             D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2))
 
 
+def _quat_polar(consts, p, q) -> int:
+    """m = D*w1*w2 - A*x1*x2 - B*y1*y2 + AB*z1*z2 for integer 4-tuples p, q
+    and consts (D, A, B, AB): B(p, q) / 2 = m / D for the polar form B of
+    the norm, so m = D * N(p) when p = q."""
+    D, A, B, AB = consts
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = p, q
+    return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2)
+
+
 def _conj4(p) -> tuple:
     w, x, y, z = p
     return (w, -x, -y, -z)
@@ -87,11 +96,10 @@ class QuatValue(IntValue):
 
     def _scaled_polar(self, other: QuatValue) -> tuple[int, int]:
         """(m, D) with B(self, other) / 2 = m / (D * self.den * other.den),
-        for the polar form B of the norm and D from the algebra's consts:
-        m = D*w1*w2 - A*x1*x2 - B*y1*y2 + AB*z1*z2."""
-        D, A, B, AB = self.carrier.consts
-        (w1, x1, y1, z1), (w2, x2, y2, z2) = self.num, other.num
-        return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2), D
+        for the polar form B of the norm and D from the algebra's consts
+        (`_quat_polar`)."""
+        consts = self.carrier.consts
+        return _quat_polar(consts, self.num, other.num), consts[0]
 
 
 class QuaternionAlgebra(Carrier):

@@ -11,7 +11,10 @@ Spec files are line oriented, one key per line, '#' starting a comment:
 
 Scalar literals are INT, INT/POSINT, or U+V*rt (rt meaning sqrt(D) of a
 field_sqrt context), with ASCII digits only.  Quaternions are [w,x,y,z],
-octonions [s0,...,s7], with scalar entries and no internal spaces.  On a
+octonions [s0,...,s7], with scalar entries and no internal spaces; such an
+element of INT and INT/POSINT entries is read by one regular-expression
+match, and any other token by the positioned reader, which places each
+error at its column.  On a
 roots line, a bare positive integer directly after an element is read as
 that root's multiplicity; write "roots 1 1 2 1" to give the two simple
 roots 1 and 2.
@@ -52,12 +55,25 @@ def _literal(token: str, ctx: FieldContext, line: int, col: int) -> tuple[tuple,
         raise ParseError(str(exc), line, col) from exc
 
 
+# an algebra's [c0,...] literal of `dim` coordinates INT or INT/POSINT, read
+# by one match into (numerator, denominator) groups; any other token, a '+'
+# on a denominator among them, goes to the positioned reader, which reads it
+# or raises the ParseError at its column
+_RAT = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?"
+_ELEMENT = {dim: re.compile(r"\[" + ",".join([_RAT] * dim) + r"\]")
+            for dim in (QuaternionAlgebra.dim, OctonionAlgebra.dim)}
+
+
 def _parse_element(token: str, algebra, line: int, col: int):
     """A field literal, or an algebra's [c0,...] literal over its rational
     coordinates, read to integers and put over one denominator."""
     if isinstance(algebra, FieldContext):
         return _reduced(algebra.value_type, algebra, *_literal(token, algebra, line, col))
     arity = algebra.dim
+    m = _ELEMENT[arity].fullmatch(token)
+    if m:
+        g = m.groups()
+        return _from_ratios(algebra, [(int(p), int(q) if q else 1) for p, q in zip(g[::2], g[1::2])])
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected a {arity}-component [..] literal", line, col)
     parts = token[1:-1].split(",")

@@ -16,8 +16,9 @@ term, as every square's has), and each quadratic is finished by its
 discriminant;
 integer roots are sought only in a cubic and in a quartic that does not
 split, which is then squarefree: in closed form in a cubic of
-discriminant 0, by Hensel lifting otherwise.
-`quadratic_roots` reads each root class off the integer factors; rational
+discriminant 0, by Hensel lifting up to a Fujiwara root bound otherwise.
+`quadratic_roots` reads each root class off the integer factors and tests
+it on integer numerators (the candidate root and p(lam) = 0); rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
 (`companion_poly`, `factor_central_quartic`, `RootReport.central_factors`,
 the `NoRootsFound` text), and their coefficients print from numerators.
@@ -34,6 +35,9 @@ from .algebra import (
     OctonionAlgebra,
     QuaternionAlgebra,
     QuatValue,
+    _conj4,
+    _quat_mul,
+    _quat_polar,
     conj_class,
     spherical_representative,
 )
@@ -212,8 +216,10 @@ def _integer_roots(g):
     discriminant of every resolvent cubic); InternalError once those primes
     outgrow any nonzero discriminant.  Each simple root mod p lifts
     to one root mod p**(2**i) by Newton steps (Hensel lifting) until the
-    modulus exceeds twice the Cauchy bound 1 + max|g_i|; a symmetric
-    residue is kept only if g vanishes there exactly."""
+    modulus exceeds 2 * rb, rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i) >=
+    2 * max_i |g_{n-i}|**(1/i), which bounds every root (Fujiwara, 1916):
+    a root then is its symmetric residue, which is kept only if g vanishes
+    there exactly."""
     if len(g) == 4:
         c, b, a, _ = g
         if a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c == 0:
@@ -221,10 +227,14 @@ def _integer_roots(g):
             r = (9 * c - a * b) // (2 * d) if d else -a // 3
             return sorted({r, -a - 2 * r})
     dg = [i * c for i, c in enumerate(g)][1:]  # g'
-    bound = 2 * (1 + max(map(abs, g[:-1])))
+    n = len(g) - 1
+    # every root has |r| <= rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i), the
+    # Fujiwara bound 2 * max_i |g_{n-i}|**(1/i) rounded up on ints
+    bound = 4 << max([-(-abs(g[n - i]).bit_length() // i) for i in range(1, n + 1)])
     # each prime at which g has a multiple root divides the discriminant,
-    # a product of n(n-1) root differences below `bound` when it is nonzero
-    disc_bound, tried = bound ** ((len(g) - 1) * (len(g) - 2)), 1
+    # a product of n(n-1) root differences of at most 2 * rb = bound when
+    # it is nonzero
+    disc_bound, tried = bound ** (n * (n - 1)), 1
     for p in count(3, 2):
         if any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
             continue
@@ -441,6 +451,18 @@ class RootReport:
                 f"spherical={self.spherical})")
 
 
+def _is_root(p: LeftPoly, lam: QuatValue) -> bool:
+    """Whether the monic quaternion quadratic p = x^2 + c1*x + c0 vanishes
+    at lam, as a zero test on integer numerators: lam^2 + c1*lam + c0 over
+    the common denominator D * den(lam)^2 * den(c1) * den(c0), D from the
+    algebra's consts (a product of numerators carries one D)."""
+    c0, c1 = p.coeffs[:2]
+    consts, ln, dl = p.carrier.consts, lam.num, lam.den
+    sq, cl = _quat_mul(consts, ln, ln), _quat_mul(consts, c1.num, ln)
+    s2, s1, s0 = c1.den * c0.den, dl * c0.den, consts[0] * dl * dl * c1.den
+    return not any([a * s2 + b * s1 + c * s0 for a, b, c in zip(sq, cl, c0.num)])
+
+
 def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> RootReport:
     """Roots of a monic quadratic x^2 - beta*x - alpha over a quaternion
     algebra, located class by class through the central companion quartic.
@@ -455,38 +477,59 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> Ro
     cofactor beta - lam stays in the same class is reported with
     multiplicity two, matching the forced factorization
     p = (x - (beta - lam)) (x - lam).
+
+    The class tests run on integer numerators: beta = t and alpha = -n by
+    cross-multiplying, the candidate from one `_quat_mul` of conj(X) and
+    Y, the numerators of t - beta and n + alpha, reduced once, and the
+    root test by `_is_root`.  A ConjClass is built only for a class that
+    yields a root or is spherical.  A t - beta of norm 0 (a split algebra)
+    raises ZeroDivisor, as its inverse does.
     """
     if p.carrier != alg:
         raise ValueError("polynomial and algebra disagree")
     if p.degree != 2 or not p.is_monic():
         raise ValueError("quadratic_roots needs a monic quadratic")
-    beta = -p.coeffs[1]
-    alpha = -p.coeffs[0]
     g, L = _companion(p)
     factors = _factor_monic(g)
+    c0, c1 = p.coeffs[:2]  # beta = -c1, alpha = -c0
+    (c1w, *c1v), d1 = c1.num, c1.den
+    (c0w, *c0v), d0 = c0.num, c0.den
+    consts, LL = alg.consts, L * L
+
+    def label(u):  # the class of y^2 + u1*y + u0
+        return ConjClass(t=alg.ctx.ratio(-u[1], L), n=alg.ctx.ratio(u[0], LL))
+
     isolated = []
     spherical = None
     for u, _mult in factors:
         if len(u) == 2:
             lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
-            if p.eval(lam).is_zero():
+            if _is_root(p, lam):
                 isolated.append((lam, conj_class(lam)))
-        elif len(u) == 3:
-            t = _reduced(QuatValue, alg, (-u[1], 0, 0, 0), L)
-            n = _reduced(QuatValue, alg, (u[0], 0, 0, 0), L * L)
-            cls = ConjClass(t=t.scalar_part(), n=n.scalar_part())
-            if beta == t:
-                if alpha == -n:
-                    reps = spherical_representative(alg, cls.t, cls.n, height)
-                    spherical = (cls, reps)
-            else:
-                lam = (t - beta).inverse() * (n + alpha)
-                if p.eval(lam).is_zero():
-                    isolated.append((lam, cls))
+            continue
+        if len(u) != 3:
+            continue
+        # t - beta = X / (L*d1) and n + alpha = Y / (L^2*d0)
+        X = (L * c1w - u[1] * d1, *[L * x for x in c1v])
+        Y = (u[0] * d0 - LL * c0w, *[-LL * y for y in c0v])
+        if not any(X):  # beta = t
+            if not any(Y):  # alpha = -n
+                cls = label(u)
+                spherical = (cls, spherical_representative(alg, cls.t, cls.n, height))
+            continue
+        nx = _quat_polar(consts, X, X)  # N(t - beta) * D * (L*d1)^2
+        if nx == 0:  # the value t - beta raises ZeroDivisor
+            _reduced(QuatValue, alg, X, L * d1).inverse()
+        # (t - beta)^-1 (n + alpha) = conj(X) * Y * D*L*d1 / (nx * L^2*d0),
+        # and conj(X) * Y is _quat_mul(conj(X), Y) / D
+        lam = _reduced(QuatValue, alg, tuple([z * d1 for z in _quat_mul(consts, _conj4(X), Y)]),
+                       nx * L * d0)
+        if _is_root(p, lam):
+            isolated.append((lam, label(u)))
     jordan = None
     if spherical is None and len(isolated) == 1:
         lam = isolated[0][0]
-        if conj_class(beta - lam) == conj_class(lam):
+        if conj_class(-c1 - lam) == conj_class(lam):
             jordan = (lam, 2)
     if not isolated and spherical is None:
         comp = _unscaled(alg.ctx, g, L)

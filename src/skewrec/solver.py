@@ -11,15 +11,19 @@ a main part and a conjugated tail, each solved on that same path, by the
 frame's integer change of basis (`decompose` and `join`).  Every closed
 form is certified before it is returned: each term is proved to solve the
 recurrence for every k by a residual polynomial that vanishes at deg p + 1
-points, and the sum is checked against the initial values (see _certify).
-`verify_closed_form` is the independent check against direct iteration.
+points, and the sum is checked against the initial values, which are read
+off the residual products at k = 0 (see _certify).  `verify_closed_form`
+is the independent check against direct iteration.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
 share one integer Lucas pair (U_k, U_{k+1}) of s*T and s^2*N
 (`scalar._lucas`, fast doubling), and a_k is a few big-by-small scalings
-of it over one denominator.  The solver takes the few small powers it
-needs (chains, certificates) from `powers`, one product per power.
+of it over one denominator.  Each form builds its evaluator on its first
+`value` and checks it there against the initial values the certificate
+proved, so `solve` itself builds none.  The solver takes the few small
+powers it needs (chains, certificates) from `powers`, one product per
+power.
 """
 
 from __future__ import annotations
@@ -184,17 +188,30 @@ class _LucasSum:
         return _reduced(zero.__class__, zero.carrier, tuple(out), self.den * self.s ** k)
 
 
+def _check_init(values, init, what: str) -> None:
+    """InternalError naming the first a_k of values that is not init[k]."""
+    for k, (got, a) in enumerate(zip(values, init)):
+        if got != a:
+            raise InternalError(f"{what} gives a_{k} = {got}, not the initial value {a}")
+
+
 class _LucasForm:
     """value(k) of a closed form, by the _LucasSum that its `_lucas_sum()`
     builds from the form's fields on first use and caches on the instance
-    (functools.cached_property would take a lock on every access)."""
+    (functools.cached_property would take a lock on every access).  Before
+    the first value is returned, the new evaluator is checked against the
+    initial values that `_certify` proved for the form, kept on it as
+    `_init` (none for a form that was never certified)."""
 
     def value(self, k: int):
         if k < 0:
             raise ValueError("k must be nonnegative")
         ev = self.__dict__.get("_lucas")
         if ev is None:
-            ev = self.__dict__["_lucas"] = self._lucas_sum()
+            ev = self._lucas_sum()
+            init = self.__dict__.get("_init", ())
+            _check_init(map(ev, range(len(init))), init, "evaluator check failed: the Lucas sum")
+            self.__dict__["_lucas"] = ev
         return ev(k)
 
 
@@ -439,15 +456,19 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     return OctSplitForm(frame, main, tail)
 
 
-def _certify_terms(form: AssocForm, rhs, label: str) -> None:
+def _certify_terms(form: AssocForm, rhs, label: str) -> list:
     """Prove that every term p(k) * lam**k * b of form solves
     a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0: its residual is
     Q(k) * lam**k * b with Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n,
     a polynomial in the central k of degree <= deg p, so Q vanishes
     identically once it vanishes at k = 0..deg p.  A product by a factor
     equal to 1 (lam**0, or p(m) = 1 as for a simple root) is skipped
-    (`scalar._times`)."""
+    (`scalar._times`).
+
+    Returns the form's values a_0..a_{n-1}, read off the k = 0 products
+    f_j = p(j) * lam**j: a_j is the sum of f_j * b over the terms."""
     n = len(rhs)
+    init = None
     for i, t in enumerate(form.terms):
         d = t.degree
         if d < 0 or t.right.is_zero():
@@ -464,6 +485,10 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
             if not res.is_zero():
                 raise InternalError(f"certificate failed: {label}term {i} leaves "
                                     f"the residual {res} at k={k}")
+            if k == 0:
+                a = [_times(fj, t.right) for fj in f[:n]]
+                init = a if init is None else [x + y for x, y in zip(init, a)]
+    return init or [form.carrier.zero()] * n
 
 
 def _certify_frame(frame) -> None:
@@ -490,7 +515,10 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     rhs[j] must be join(r_j, 0) for a frame quaternion r_j, main must solve
     the recurrence with the r_j and tail the one with conj(r_j); the frame
     identities then carry both to a_k = join(main(k), conj(tail(k))), and
-    with central r_j linearity alone does.
+    with central r_j linearity alone does.  The first n values are read off
+    the residual products (`_certify_terms`), so no evaluator is built
+    here; the proved values are kept on cf, and its evaluator checks itself
+    against them when it is built (`_LucasForm.value`).
     """
     if isinstance(cf, OctSplitForm):
         rhs = [cf.frame.decompose(r)[0] for r in spec.rhs]
@@ -499,15 +527,13 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
                 raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
         if not all(r.is_central() for r in spec.rhs):
             _certify_frame(cf.frame)
-        _certify_terms(cf.main, rhs, "main ")
-        _certify_terms(cf.tail, [r.conj() for r in rhs], "tail ")
+        main = _certify_terms(cf.main, rhs, "main ")
+        tail = _certify_terms(cf.tail, [r.conj() for r in rhs], "tail ")
+        values = [cf.frame.join(m, t.conj()) for m, t in zip(main, tail)]
     else:
-        _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
-    for k, a in enumerate(spec.init):
-        got = cf.value(k)
-        if got != a:
-            raise InternalError(f"certificate failed: the closed form gives "
-                                f"a_{k} = {got}, not the initial value {a}")
+        values = _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
+    _check_init(values, spec.init, "certificate failed: the closed form")
+    cf.__dict__["_init"] = spec.init
 
 
 def solve(spec: RecurrenceSpec) -> ClosedForm:

@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -291,6 +292,67 @@ def test_non_ascii_digits_are_parse_errors(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse_spec_file(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# coordinates the one-match element reader takes, and near-misses that it
+# must leave to the positioned reader: a zero, signed or '+'-signed
+# denominator, a '*rt' literal, non-ASCII digits, an empty coordinate
+VALID_COORDS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-999, 999), st.integers(1, 999)),
+    st.builds(lambda sign, z, n: f"{sign}{'0' * z}{n}", st.sampled_from(["", "+", "-"]),
+              st.integers(0, 3), st.integers(0, 99)),
+    st.builds(lambda p, z, q: f"{p}/{'0' * z}{q}", st.integers(-99, 99), st.integers(1, 3),
+              st.integers(1, 99)),
+)
+NEAR_MISSES = ["1/0", "3/00", "2/-3", "2/+3", "-2/+3", "+7/+1", "0/+05", "1+2*rt", "2*rt",
+               "1/2-1*rt", "²", "٣", "1٣", "1/٣", "", " ", "+", "-", "1/", "/2", "1//2", "1_0",
+               "0x1", "1.5", "1e3", "[1", "1]"]
+
+
+def _read_element(token, alg):
+    """_parse_element's value, or its ParseError as (line, col, reason)."""
+    from skewrec.cli import _parse_element
+
+    try:
+        return _parse_element(token, alg, 7, 3)
+    except ParseError as exc:
+        return (exc.line, exc.col, exc.reason)
+
+
+def _read_by_the_positioned_reader(token, alg):
+    from skewrec import cli
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_ELEMENT", {alg.dim: re.compile(r"(?!)")})
+        return _read_element(token, alg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QuaternionAlgebra(-1, -1), OctonionAlgebra(-1, -1, -1)]), st.data())
+def test_element_reader_agrees_with_the_positioned_reader(alg, data):
+    arity = data.draw(st.sampled_from([alg.dim] * 4 + [alg.dim - 1, alg.dim + 1]))
+    parts = data.draw(st.lists(VALID_COORDS, min_size=arity, max_size=arity))
+    if data.draw(st.booleans()):
+        parts[data.draw(st.integers(0, arity - 1))] = data.draw(st.sampled_from(NEAR_MISSES))
+    shape = data.draw(st.sampled_from(["[{}]"] * 12 + ["{}]", "[{}", "{}", "[[{}]"]))
+    token = shape.format(",".join(parts))
+    assert _read_element(token, alg) == _read_by_the_positioned_reader(token, alg)
+
+
+def test_element_reader_leaves_every_near_miss_to_the_positioned_reader():
+    from skewrec import cli
+
+    alg = QuaternionAlgebra(-1, -1)
+    for bad in NEAR_MISSES:
+        for token in (f"[{bad},1,-2,3/4]", f"[1,-2,3/4,{bad}]"):
+            assert not cli._ELEMENT[4].fullmatch(token)
+            assert _read_element(token, alg) == _read_by_the_positioned_reader(token, alg)
+    # a '+' on a denominator is the reader's to accept
+    assert _read_element("[1/+3,0,0,0]", alg) == alg.element([Fraction(1, 3), 0, 0, 0])
+    token = "[-3/004,+2,0,7/21]"
+    assert cli._ELEMENT[4].fullmatch(token)
+    assert _read_element(token, alg) == alg.element([Fraction(-3, 4), 2, 0, Fraction(1, 3)])
 
 
 def test_cli_non_ascii_digits_exit_2(tmp_path, capsys):

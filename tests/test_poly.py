@@ -2,6 +2,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,6 +476,73 @@ def test_squares_split_with_no_root_search(monkeypatch):
 FACTOR_BUDGET_S = 0.25
 
 
+def sympy_integer_roots(g):
+    """The distinct integer roots of the monic integer g, ascending, by sympy."""
+    from sympy import Poly, symbols
+
+    roots = Poly(list(reversed(g)), symbols("y")).ground_roots()
+    return sorted(int(r) for r in roots if r.is_integer)
+
+
+def irreducible_int(rng, degree, size):
+    """A monic integer polynomial of the given degree, 2 or 3, irreducible
+    over Q, with coefficients up to size."""
+    while True:
+        f = [rng.randint(-size, size) for _ in range(degree)] + [1]
+        if sympy_monic_factors(f) == [(f, 1)]:
+            return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["three roots", "root * quadratic", "irreducible cubic", "four roots",
+                        "two roots * quadratic", "root * cubic"]),
+       st.integers(0, 2 ** 32))
+def test_integer_roots_agree_with_sympy_up_to_a_trillion(shape, seed):
+    # cubics of every shape and squarefree quartics (the root search's
+    # precondition) with integer roots of up to 10**12 in size
+    from skewrec.poly import _integer_roots
+
+    rng = random.Random(seed)
+    size = 10 ** rng.randint(1, 12)
+    roots = rng.sample(range(-size, size + 1), 4)
+    lin = [[-r, 1] for r in roots]
+    if shape == "three roots":  # repeated roots too: any cubic qualifies
+        g = int_product(*rng.choice([lin[:3], [lin[0], lin[0], lin[1]], [lin[0]] * 3]))
+    elif shape == "root * quadratic":
+        g = int_product(lin[0], irreducible_int(rng, 2, size))
+    elif shape == "irreducible cubic":
+        g = irreducible_int(rng, 3, size)
+    elif shape == "four roots":
+        g = int_product(*lin)
+    elif shape == "two roots * quadratic":
+        g = int_product(lin[0], lin[1], irreducible_int(rng, 2, size))
+    else:
+        g = int_product(lin[0], irreducible_int(rng, 3, size))
+    assert _integer_roots(g) == sympy_integer_roots(g), g
+
+
+def test_integer_roots_find_roots_near_the_lifting_bound():
+    # the cubics (y - r)(y^2 + a*y + b) with r > max_i 2**ceil(bits(g_{3-i}) / i),
+    # that is, with a root beyond half the bound rb that stops the lifting,
+    # so that a bound half as large misses some of them; their integer
+    # roots are r and those of the quadratic, by its discriminant
+    from skewrec.poly import _integer_roots
+
+    checked = 0
+    for r in range(1, 41):
+        for a in range(-24, 25):
+            for b in range(-48, 49):
+                g = int_product([-r, 1], [b, a, 1])
+                if r <= max([1 << -(-abs(g[3 - i]).bit_length() // i) for i in (1, 2, 3)]):
+                    continue
+                disc = a * a - 4 * b
+                s = isqrt(disc) if disc >= 0 else -1
+                quad = {(-a + s) // 2, (-a - s) // 2} if s * s == disc else set()
+                assert _integer_roots(g) == sorted({r} | quad), g
+                checked += 1
+    assert checked > 5000
+
+
 def test_factor_central_quartic_large_coefficients_agree_with_sympy():
     # quartics and cubics whose coefficients have 30 to 120 bits: products
     # of linear and quadratic factors with 8- to 30-bit numerators (so that
@@ -559,6 +627,119 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
     assert roots
     for lam in roots:
         assert (lam * lam + c1 * lam + c0).is_zero()
+
+
+def quadratic_roots_by_values(alg, p, height=20):
+    """quadratic_roots as it was before its class tests moved onto integers:
+    t, n, the candidate (t - beta)^-1 (n + alpha) and p(lam) as values, and
+    a ConjClass for every quadratic factor."""
+    from skewrec.algebra import QuatValue, spherical_representative
+    from skewrec.poly import RootReport, _companion, _factor_monic, _unscaled, _unscaled_factors
+    from skewrec.scalar import _reduced
+
+    beta = -p.coeffs[1]
+    alpha = -p.coeffs[0]
+    g, L = _companion(p)
+    factors = _factor_monic(g)
+    isolated = []
+    spherical = None
+    for u, _mult in factors:
+        if len(u) == 2:
+            lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
+            if p.eval(lam).is_zero():
+                isolated.append((lam, conj_class(lam)))
+        elif len(u) == 3:
+            t = _reduced(QuatValue, alg, (-u[1], 0, 0, 0), L)
+            n = _reduced(QuatValue, alg, (u[0], 0, 0, 0), L * L)
+            cls = ConjClass(t=t.scalar_part(), n=n.scalar_part())
+            if beta == t:
+                if alpha == -n:
+                    reps = spherical_representative(alg, cls.t, cls.n, height)
+                    spherical = (cls, reps)
+            else:
+                lam = (t - beta).inverse() * (n + alpha)
+                if p.eval(lam).is_zero():
+                    isolated.append((lam, cls))
+    jordan = None
+    if spherical is None and len(isolated) == 1:
+        lam = isolated[0][0]
+        if conj_class(beta - lam) == conj_class(lam):
+            jordan = (lam, 2)
+    if not isolated and spherical is None:
+        comp = _unscaled(alg.ctx, g, L)
+        if len(factors) == 1 and len(factors[0][0]) == 5:
+            raise NoRootsFound(f"C_p = {comp} is irreducible over Q: the roots "
+                               "need a degree-4 scalar extension")
+        listed = " * ".join(f"[{f}]^{m}" if m > 1 else f"[{f}]"
+                            for f, m in _unscaled_factors(alg.ctx, factors, L))
+        raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
+                           "factor yields a root")
+    return RootReport(isolated, jordan, spherical, (alg.ctx, factors, L))
+
+
+def _roots_outcome(find, alg, p):
+    """The report's data and repr, or the error's class and text."""
+    try:
+        rep = find(alg, p, 6)
+    except SkewrecError as exc:
+        return type(exc).__name__, str(exc)
+    return (rep.isolated, rep.jordan, rep.spherical, rep.central_factors), repr(rep)
+
+
+DIFFERENTIAL_ALGEBRAS = (
+    QuaternionAlgebra(-1, -1),
+    QuaternionAlgebra(-1, -3),
+    QuaternionAlgebra(1, 1),  # split: zero divisors
+    QuaternionAlgebra(2, 3),  # split
+    QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),  # products carry D = 10
+)
+
+
+DIFFERENTIAL_KINDS = ["product", "conj", "conjugate", "random", "central", "scalar root",
+                      "zero divisor"]
+
+
+def differential_quadratic(rng, alg, kind):
+    """planted_quadratic's kinds, and x^2 - t*x + n (a spherical class or
+    central roots), a central root times another, and a cofactor that in
+    (1, 1) is the root's conjugate plus the zero divisor e1 + e3."""
+    if kind == "central":
+        return LeftPoly(alg, [rand_frac(rng, 6, 2), rand_frac(rng, 6, 2), 1])
+    if kind == "scalar root":
+        return x_minus(rand_quat(rng, alg, 4, 2)) * x_minus(alg.scalar(rand_frac(rng, 4, 2)))
+    if kind == "zero divisor":
+        lam = rand_quat(rng, alg, 4, 2)
+        return x_minus(lam.conj() + alg.e1 + alg.e3) * x_minus(lam)
+    return planted_quadratic(rng, alg, kind)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DIFFERENTIAL_ALGEBRAS), st.sampled_from(DIFFERENTIAL_KINDS),
+       st.integers(0, 2 ** 32))
+def test_quadratic_roots_agrees_with_the_value_level_class_loop(alg, kind, seed):
+    p = differential_quadratic(random.Random(seed), alg, kind)
+    assert _roots_outcome(quadratic_roots, alg, p) == _roots_outcome(quadratic_roots_by_values,
+                                                                     alg, p)
+
+
+def test_quadratic_roots_differential_covers_every_outcome():
+    # the drawn quadratics reach isolated, Jordan and spherical roots, both
+    # NoRootsFound texts and the split algebras' ZeroDivisor
+    seen = set()
+    rng = random.Random(19)
+    n_alg, n_kind = len(DIFFERENTIAL_ALGEBRAS), len(DIFFERENTIAL_KINDS)
+    for i in range(n_alg * n_kind * 20):
+        alg = DIFFERENTIAL_ALGEBRAS[i % n_alg]
+        p = differential_quadratic(rng, alg, DIFFERENTIAL_KINDS[i // n_alg % n_kind])
+        out = _roots_outcome(quadratic_roots, alg, p)
+        assert out == _roots_outcome(quadratic_roots_by_values, alg, p)
+        if isinstance(out[0], str):
+            seen.add(out[0] + (" irreducible" if "irreducible" in out[1] else ""))
+        else:
+            isolated, jordan, spherical, _ = out[0]
+            seen.add("jordan" if jordan else "spherical" if spherical else f"{len(isolated)} isolated")
+    assert {"1 isolated", "2 isolated", "jordan", "spherical", "NoRootsFound",
+            "NoRootsFound irreducible", "ZeroDivisor"} <= seen, seen
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -36,6 +36,7 @@ from skewrec import (
     vandermonde,
     verify_closed_form,
 )
+from skewrec import solver
 from skewrec.solver import _certify
 from conftest import adjoin_root, rand_oct, rand_quat, rand_quat_common_den
 
@@ -518,6 +519,52 @@ def test_certificate_checks_the_frame():
     object.__setattr__(broken, "ell", broken.w)
     with pytest.raises(InternalError, match="does not split the algebra"):
         _certify(spec, OctSplitForm(broken, cf.main, cf.tail))
+
+
+def _order_three_user_roots():
+    lams = [I, 1 + J, H.scalar(2)]
+    return RecurrenceSpec(H, 3, _planted_rhs(lams), (1, I, J), roots=tuple((lam, 1) for lam in lams))
+
+
+EVALUATOR_SPECS = {
+    "field": RecurrenceSpec(Q, 2, (-2, 3), (0, 1)),  # roots 1 and 2
+    "promoted": FIB,
+    "distinct": DIAG,
+    "jordan": JORDAN,
+    "spherical": RecurrenceSpec(H, 2, (-1, 1), (I, J)),
+    "order-3 user roots": _order_three_user_roots(),
+    "octonion": RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L)),
+}
+
+
+@pytest.mark.parametrize("spec", EVALUATOR_SPECS.values(), ids=EVALUATOR_SPECS.keys())
+def test_solve_builds_no_evaluator_and_the_first_value_builds_one(spec, monkeypatch):
+    built = []
+    init = solver._LucasSum.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(solver._LucasSum, "__init__", counted)
+    cf = solve(spec)
+    assert built == []
+    assert cf.value(7) == iterate_oracle(spec, 7)
+    assert len(built) == 1
+    assert [cf.value(k) for k in range(spec.order)] == list(spec.init)
+    assert len(built) == 1
+
+
+def test_the_first_value_checks_the_evaluator_against_the_certified_initial_values(monkeypatch):
+    cf = solve(DIAG)
+    call = solver._LucasSum.__call__
+    monkeypatch.setattr(solver._LucasSum, "__call__",
+                        lambda self, k: call(self, k) + (1 if k == 1 else 0))
+    with pytest.raises(InternalError, match="evaluator check failed: .* gives a_1 = "):
+        cf.value(5)
+    # an uncertified form has nothing to check against: verify decides
+    bad = AssocForm(H, cf.terms)
+    assert not verify_closed_form(DIAG, bad, 4).ok
 
 
 SOLVE_ALGEBRAS = [Q, FieldContext.quadratic(2), H,
