@@ -19,8 +19,8 @@ denominator, and an octonion q + r*l0 eight, q's four then r's, kept
 reduced (gcd of all of them and the denominator is 1): the layout of
 `scalar.IntValue`, which Q(sqrt(d)) scalars share, and which holds the
 sums, scalings, conjugation, inverse, powers, equality and hashing of all
-of them.  Each value class adds only its product and the polar form of
-its norm.  Each result is computed on plain ints and reduced by one
+of them, and the one polar form of their norms.  Each value class adds
+only its product.  Each result is computed on plain ints and reduced by one
 multi-argument gcd; rational a, b enter as integers over
 D = den(a)*den(b), so a quaternion product is D*w1*w2 + A*x1*x2 +
 B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D, and gamma enters over its own
@@ -30,9 +30,14 @@ numerators.
 Carriers.  `QuaternionAlgebra` and `OctonionAlgebra` derive from
 `scalar.Carrier`, as `FieldContext` does, which holds zero, one, scalar,
 element, basis, coerce, equality and hashing for all of them.  Each adds
-its parameters, their integer constants, the key that equality and hashing
-read, and its repr; the octonion algebra also adds pair, embed, ell0 and a
-coerce that embeds a quaternion of its base algebra.
+its parameters, their integer constants, the diagonal `weights` of its
+norm form, the key that equality and hashing read, and its repr; the
+octonion algebra also adds pair, embed, ell0 and a coerce that embeds a
+quaternion of its base algebra.  The norm form is diagonal in the basis:
+<1, -a, -b, ab> for (a,b | Q), scaled by D to (D, -A, -B, AB), and
+N(q + r*l0) = N(q) - gamma*N(r) for the double.  Every norm job (norm,
+inverse, polar form, the companion polynomial, the isotropy tests and the
+squares of a frame) reads it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ from .errors import (
 )
 from .scalar import _SCALARS, Carrier, FieldContext, IntValue, ScalarValue, _make, _ratio, _reduced
 
+# the default bound of the searches for a spherical representative
+# (`spherical_representative`, `RecurrenceSpec.height`, a spec's height line)
+DEFAULT_HEIGHT = 20
+
 
 def _quat_mul(consts, p, q) -> tuple:
     """D * p * q for integer 4-tuples p, q of a quaternion algebra with
@@ -60,15 +69,6 @@ def _quat_mul(consts, p, q) -> tuple:
             D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
             D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
             D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2))
-
-
-def _quat_polar(consts, p, q) -> int:
-    """m = D*w1*w2 - A*x1*x2 - B*y1*y2 + AB*z1*z2 for integer 4-tuples p, q
-    and consts (D, A, B, AB): B(p, q) / 2 = m / D for the polar form B of
-    the norm, so m = D * N(p) when p = q."""
-    D, A, B, AB = consts
-    (w1, x1, y1, z1), (w2, x2, y2, z2) = p, q
-    return D * (w1 * w2) - A * (x1 * x2) - B * (y1 * y2) + AB * (z1 * z2)
 
 
 def _conj4(p) -> tuple:
@@ -94,22 +94,17 @@ class QuatValue(IntValue):
         return _reduced(QuatValue, alg, _quat_mul(c, self.num, other.num),
                         c[0] * self.den * other.den)
 
-    def _scaled_polar(self, other: QuatValue) -> tuple[int, int]:
-        """(m, D) with B(self, other) / 2 = m / (D * self.den * other.den),
-        for the polar form B of the norm and D from the algebra's consts
-        (`_quat_polar`)."""
-        consts = self.carrier.consts
-        return _quat_polar(consts, self.num, other.num), consts[0]
-
 
 class QuaternionAlgebra(Carrier):
     """The four-dimensional algebra (a,b | Q) with a, b nonzero rationals.
 
     Products work on integers: with D = den(a)*den(b) the algebra keeps
-    D, A = a*D, B = b*D and AB = a*b*D, all integers.
+    consts = (D, A, B, AB), A = a*D, B = b*D and AB = a*b*D, all integers,
+    and the norm form's diagonal weights (D, -A, -B, AB), with
+    D*N(x) = D*w^2 - A*x^2 - B*y^2 + AB*z^2 on the numerators.
     """
 
-    __slots__ = ("ctx", "a", "b", "consts")
+    __slots__ = ("ctx", "a", "b", "consts", "weights")
 
     value_type = QuatValue
     dim = 4
@@ -122,7 +117,8 @@ class QuaternionAlgebra(Carrier):
             raise ValidationError("structure constants a, b must be nonzero")
         (an,), ad = self.a.num, self.a.den
         (bn,), bd = self.b.num, self.b.den
-        self.consts = (ad * bd, an * bd, bn * ad, an * bn)
+        self.consts = D, A, B, AB = (ad * bd, an * bd, bn * ad, an * bn)
+        self.weights = (D, -A, -B, AB)
 
     @property
     def e1(self) -> QuatValue:
@@ -170,13 +166,6 @@ class OctValue(IntValue):
                               + [Gd * (a + b) for a, b in zip(tq, rs)]),
                         Gd * c[0] * self.den * o.den)
 
-    def _scaled_polar(self, other: OctValue) -> tuple[int, int]:
-        """(m, Gd*D) with B(self, other) / 2 = m / (Gd * D * self.den *
-        other.den): B(q1, q2) - gamma*B(r1, r2) on the halves, read off the
-        algebra's diagonal weights."""
-        w = self.carrier.weights
-        return sum(map(mul, w, map(mul, self.num, other.num))), w[0]
-
     def __eq__(self, other):
         # q + 0*l0 equals the quaternion q of the base algebra
         if isinstance(other, QuatValue) and other.carrier == self.carrier.base:
@@ -195,7 +184,8 @@ class OctonionAlgebra(Carrier):
 
     Products work on integers: the algebra keeps consts = (G, Gd) with
     gamma = G / Gd in lowest terms, beside the base algebra's consts, and
-    the norm form's diagonal weights W, with Gd*D*N(x) = sum_j W_j*x_j^2.
+    the norm form's diagonal weights: N(q + r*l0) = N(q) - gamma*N(r) makes
+    them Gd*W then -G*W for the base algebra's weights W.
     """
 
     __slots__ = ("base", "gamma", "consts", "weights")
@@ -209,8 +199,8 @@ class OctonionAlgebra(Carrier):
         if self.gamma.is_zero():
             raise ValidationError("doubling parameter gamma must be nonzero")
         self.consts = G, Gd = self.gamma.num[0], self.gamma.den
-        D, A, B, AB = self.base.consts
-        self.weights = (Gd * D, -Gd * A, -Gd * B, Gd * AB, -G * D, G * A, G * B, -G * AB)
+        W = self.base.weights
+        self.weights = tuple([Gd * w for w in W] + [-G * w for w in W])
 
     @property
     def ctx(self) -> FieldContext:
@@ -287,7 +277,7 @@ def conj_class(x: QuatValue) -> ConjClass:
     return ConjClass(t=x.trace(), n=x.norm())
 
 
-def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
+def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = DEFAULT_HEIGHT):
     """Two distinct elements with trace t and norm n, via bounded search.
 
     Looks for lam = t/2 + (p1*e1 + p2*e2 + p3*e3)/q with integer numerators
@@ -334,9 +324,11 @@ def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
 def polar_form(x, y) -> ScalarValue:
     """Bilinear form attached to the norm: B(x, y) = N(x+y) - N(x) - N(y).
 
-    Read off the coordinates on integers, with no product: for quaternions
-    B = 2*(w1*w2 - a*x1*x2 - b*y1*y2 + a*b*z1*z2), and for octonions
-    q + r*l0 it is B(q1, q2) - gamma*B(r1, r2) on the halves.
+    Read off the coordinates and the carrier's diagonal `weights` by
+    `IntValue._scaled_polar`, with no product: for quaternions
+    B = 2*(w1*w2 - a*x1*x2 - b*y1*y2 + a*b*z1*z2), for octonions q + r*l0
+    it is B(q1, q2) - gamma*B(r1, r2) on the halves, and over Q(sqrt(d))
+    it is 2*(u1*u2 - d*v1*v2).
     """
     alg = x.carrier
     y = alg.coerce(y)
@@ -355,13 +347,6 @@ def _orthogonalize(x: OctValue, against) -> OctValue:
         m, _ = out._scaled_polar(v)
         out = out - v._scaled(m * v.den, m_v * out.den)
     return out
-
-
-def _central_square(x: OctValue, what: str) -> ScalarValue:
-    sq = x * x
-    if not sq.is_central():
-        raise InternalError(f"{what} squared is not central")
-    return sq.scalar_part()
 
 
 class SubalgebraFrame:
@@ -386,9 +371,13 @@ class SubalgebraFrame:
         self.w = w
         self.ell = ell
         self.uw = uw = u * w
-        self.a_prime = _central_square(u, "frame generator u")
-        self.b_prime = _central_square(w, "frame generator w")
-        self.gamma_prime = _central_square(ell, "frame unit ell")
+        # a non-central x has x^2 = T(x)*x - N(x) central exactly when x
+        # is pure, T(x) = 0, and then x^2 = -N(x)
+        for x, what in ((u, "frame generator u"), (w, "frame generator w"),
+                        (ell, "frame unit ell")):
+            if x.num[0]:
+                raise InternalError(f"{what} squared is not central")
+        self.a_prime, self.b_prime, self.gamma_prime = -u.norm(), -w.norm(), -ell.norm()
         self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
         vecs = (oct_alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
         self.den = den = lcm(*[v.den for v in vecs])
@@ -440,7 +429,7 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
         u = alpha.pure()
     if u.is_zero():
         u = alg.embed(alg.base.e1)
-    if u.norm().is_zero():
+    if not u._norm_parts()[0]:
         raise DegenerateFrame(f"generator {u} is isotropic")
 
     w0 = alpha.pure()
@@ -457,7 +446,7 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
                 break
     if w is None:
         raise DegenerateFrame("no vector independent of u survived orthogonalization")
-    if w.norm().is_zero():
+    if not w._norm_parts()[0]:
         raise DegenerateFrame(f"orthogonalization produced isotropic {w}")
 
     span = [alg.one(), u, w, u * w]
@@ -465,7 +454,7 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
     qb = alg.basis()
     for s in [qb[4], qb[5], qb[6], qb[7], qb[1], qb[2], qb[3]]:
         cand = _orthogonalize(s, span)
-        if not cand.is_zero() and not cand.norm().is_zero():
+        if cand._norm_parts()[0]:  # nonzero and not isotropic
             ell = cand
             break
     if ell is None:

@@ -32,7 +32,7 @@ from math import lcm
 
 from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
 from .scalar import INT_LITERAL, FieldContext, _from_ratios, _reduced, read_literal, scalar_parse
-from .algebra import OctonionAlgebra, QuaternionAlgebra
+from .algebra import DEFAULT_HEIGHT, OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     AssocForm,
     RecurrenceSpec,
@@ -194,7 +194,7 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
         roots = tuple(roots)
 
     return RecurrenceSpec(algebra, order, tuple(rhs), tuple(init),
-                          roots=roots, height=int_field("height", 20))
+                          roots=roots, height=int_field("height", DEFAULT_HEIGHT))
 
 
 def render_spec(spec: RecurrenceSpec) -> str:
@@ -215,7 +215,7 @@ def render_spec(spec: RecurrenceSpec) -> str:
     if spec.roots is not None:
         lines.append("roots " + " ".join(
             f"{r} {m}" for r, m in spec.roots))
-    if spec.height != 20:
+    if spec.height != DEFAULT_HEIGHT:
         lines.append(f"height {spec.height}")
     return "\n".join(lines) + "\n"
 

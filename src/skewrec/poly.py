@@ -31,18 +31,18 @@ from itertools import count
 from math import gcd, isqrt, lcm
 
 from .algebra import (
+    DEFAULT_HEIGHT,
     ConjClass,
     OctonionAlgebra,
     QuaternionAlgebra,
     QuatValue,
     _conj4,
     _quat_mul,
-    _quat_polar,
     conj_class,
     spherical_representative,
 )
 from .errors import InternalError, NoRootsFound, UnsupportedDegree
-from .scalar import FieldContext, _reduced, _times
+from .scalar import FieldContext, _make, _reduced, _times
 
 
 class LeftPoly:
@@ -463,7 +463,8 @@ def _is_root(p: LeftPoly, lam: QuatValue) -> bool:
     return not any([a * s2 + b * s1 + c * s0 for a, b, c in zip(sq, cl, c0.num)])
 
 
-def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> RootReport:
+def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly,
+                    height: int = DEFAULT_HEIGHT) -> RootReport:
     """Roots of a monic quadratic x^2 - beta*x - alpha over a quaternion
     algebra, located class by class through the central companion quartic.
 
@@ -517,7 +518,7 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly, height: int = 20) -> Ro
                 cls = label(u)
                 spherical = (cls, spherical_representative(alg, cls.t, cls.n, height))
             continue
-        nx = _quat_polar(consts, X, X)  # N(t - beta) * D * (L*d1)^2
+        nx, _ = _make(QuatValue, alg, X, 1)._norm_parts()  # N(t - beta) * D * (L*d1)^2
         if nx == 0:  # the value t - beta raises ZeroDivisor
             _reduced(QuatValue, alg, X, L * d1).inverse()
         # (t - beta)^-1 (n + alpha) = conj(X) * Y * D*L*d1 / (nx * L^2*d0),

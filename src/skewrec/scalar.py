@@ -5,13 +5,16 @@ and octonions.
 A value of an algebra of dimension m over Q is a tuple of m integer
 numerators over one positive denominator, reduced so that the gcd of all
 of them is 1; `IntValue` holds everything that layout does the same way in
-every algebra, its powers included, and each carrier adds its own
-product and the polar form of its norm.  A scalar of Q is
+every algebra, its powers and its one polar form included, and each value
+class adds only its product.  A scalar of Q is
 (u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
 (u + v*sqrt(d)) / den.  In the same way `Carrier` holds what every
 carrier (`FieldContext` here, the quaternion and octonion algebras) does
 alike: zero, one, scalar, element, basis, coerce, equality and hashing;
-each adds only its own parameters: `FieldContext` only d, None for Q.
+each adds only its own parameters (`FieldContext` only d, None for Q) and
+`weights`, the diagonal of its norm form on the integer layout:
+W_0 * den^2 * N(x) = sum_j W_j * num_j^2, (1,) over Q and (1, -d) over
+Q(sqrt(d)).
 Values print from their numerators by `rational_str`, which gives the
 text of `str(Fraction(n, d))`.  `_lucas` gives the integer Lucas pairs
 from which the solver evaluates closed forms.  Numerators and
@@ -26,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
-from operator import neg
+from operator import mul, neg
 
 from .errors import ContextMismatch, DivisionByZero, ParseError, ValidationError, ZeroDivisor
 
@@ -199,9 +202,9 @@ class IntValue:
     gcd(*num, den) == 1, so equal values of a carrier have equal
     (num, den).  `_make` builds a value from that canonical pair as given;
     a result that may need reducing is built by `_reduced`, one gcd per
-    result.  Values are never mutated.  A subclass supplies `__mul__` and
-    `_scaled_polar`, from which the norm follows (`ScalarValue` supplies
-    its `_norm_parts` directly).
+    result.  Values are never mutated.  A subclass supplies `__mul__`;
+    the norm, the inverse and the polar form read the carrier's `weights`
+    through `_scaled_polar`.
     """
 
     __slots__ = ("carrier", "num", "den")
@@ -298,6 +301,14 @@ class IntValue:
     def trace(self) -> ScalarValue:
         """T(x) = x + conj(x), in the carrier's base field."""
         return self.carrier.ctx.ratio(2 * self.num[0], self.den)
+
+    def _scaled_polar(self, other) -> tuple[int, int]:
+        """(m, W_0) with B(self, other) / 2 = m / (W_0 * self.den * other.den),
+        B the polar form of the norm and W the carrier's `weights`:
+        m = sum_j W_j * self.num[j] * other.num[j], so m = W_0 * den^2 * N
+        when other is self."""
+        w = self.carrier.weights
+        return sum(map(mul, w, map(mul, self.num, other.num))), w[0]
 
     def _norm_parts(self) -> tuple[int, int]:
         """(m, D) with N = m / (D * den^2)."""
@@ -420,14 +431,6 @@ class ScalarValue(IntValue):
             return NotImplemented
         return o * self.inverse()
 
-    def _norm_parts(self) -> tuple[int, int]:
-        """(m, 1) with N = u^2 - d*v^2 = m / den^2; m != 0 for a nonzero
-        value because d is not a rational square."""
-        if self.carrier.d is None:
-            return self.num[0] ** 2, 1
-        u, v = self.num
-        return u * u - self.carrier.d * (v * v), 1
-
     def sqrt(self) -> ScalarValue | None:
         """The exact square root inside the same field, or None.  Over
         Q(sqrt(d)) it is p + q*sqrt(d) with p > 0, or p = 0 and q >= 0."""
@@ -441,7 +444,7 @@ class ScalarValue(IntValue):
         # d*v^2/(4*den^2), s^2 = u^2 - d*v^2 (an integer square for a
         # rational root, since den^2 is a square)
         u, v = num
-        n = u * u - ctx.d * (v * v)
+        n, _ = self._norm_parts()
         s = isqrt(n) if n >= 0 else -1
         if s * s != n:
             return None
@@ -467,8 +470,8 @@ class Carrier:
     """What every carrier of values does the same way: Q, Q(sqrt(d)), a
     quaternion algebra and an octonion algebra.  A subclass sets
     `value_type`, the class of its values, and `dim`, the number of their
-    coordinates, and gives `key()`, the parameters that fix it, which
-    equality and hashing read."""
+    coordinates, and `weights`, the diagonal of its norm form, and gives
+    `key()`, the parameters that fix it, which equality and hashing read."""
 
     __slots__ = ()
 
@@ -518,9 +521,11 @@ class Carrier:
 
 class FieldContext(Carrier):
     """Base field descriptor: Q for d = None, or Q(sqrt(d)) for a squarefree
-    integer d > 1; `dim` (1 over Q, 2 over Q(sqrt(d))) follows from d."""
+    integer d > 1; `dim` (1 over Q, 2 over Q(sqrt(d))) and `weights`, (1,)
+    and (1, -d) for the norm u^2 - d*v^2, follow from d.  The norm of a
+    nonzero value is nonzero because d is not a rational square."""
 
-    __slots__ = ("d", "dim")
+    __slots__ = ("d", "dim", "weights")
 
     value_type = ScalarValue
 
@@ -532,6 +537,7 @@ class FieldContext(Carrier):
                 raise ValueError(f"d = {d} is not squarefree")
         self.d = d
         self.dim = 1 if d is None else 2
+        self.weights = (1,) if d is None else (1, -d)
 
     @classmethod
     def rational(cls) -> FieldContext:

@@ -34,7 +34,7 @@ from functools import reduce
 from itertools import islice
 from math import factorial, gcd, isqrt, lcm
 
-from .algebra import OctonionAlgebra, build_frame, conj_class
+from .algebra import DEFAULT_HEIGHT, OctonionAlgebra, build_frame, conj_class
 from .errors import (
     InternalError,
     LamViolation,
@@ -59,7 +59,7 @@ class RecurrenceSpec:
     rhs: tuple
     init: tuple
     roots: tuple | None = None
-    height: int = 20
+    height: int = DEFAULT_HEIGHT
 
     def __post_init__(self):
         if not isinstance(self.algebra, Carrier):

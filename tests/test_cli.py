@@ -23,6 +23,7 @@ from skewrec.cli import (
     render_closed_form,
     render_spec,
 )
+from skewrec import solver
 from skewrec.solver import Term, solve
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
@@ -91,11 +92,14 @@ def test_parse_errors_carry_positions():
     for text, line, col in (
             ("algebra field\norder 2\nrhs 1/0 1\ninit 0 1\n", 3, 7),
             ("algebra quaternion -1 -1\norder 1\nrhs [1,2/0,0,0]\ninit [1,0,0,0]\n", 3, 10),
-            ("algebra quaternion 1/0 -1\norder 1\nrhs [1,0,0,0]\ninit [1,0,0,0]\n", 1, 22)):
+            ("algebra quaternion 1/0 -1\norder 1\nrhs [1,0,0,0]\ninit [1,0,0,0]\n", 1, 22),
+            ("algebra field_sqrt 2\norder 1\nrhs 1+2\ninit 1\n", 3, 8)):
         with pytest.raises(ParseError) as exc:
             parse_spec_file(text)
         assert (exc.value.line, exc.value.col) == (line, col)
         assert str(exc.value).count("col") == 1
+    # the last case: a second part with no '*rt' after it
+    assert exc.value.reason == "expected '*rt'"
     with pytest.raises(ParseError):
         parse_spec_file("algebra field\nalgebra field\norder 1\nrhs 1\ninit 1\n")
     with pytest.raises(ParseError):
@@ -361,6 +365,19 @@ def test_cli_non_ascii_digits_exit_2(tmp_path, capsys):
         spec.write_text(text, encoding="utf-8")
         assert main(["solve", str(spec)]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}, col {col}: ")
+
+
+def test_cli_verify_reports_the_first_failing_k(monkeypatch, capsys):
+    # a Lucas sum off by 1 from k = 2 on passes the evaluator's own check of
+    # a_0 and a_1, so only the comparison with iteration can catch it
+    lucas_call = solver._LucasSum.__call__
+    monkeypatch.setattr(solver._LucasSum, "__call__",
+                        lambda self, k: lucas_call(self, k) + (1 if k >= 2 else 0))
+    path = os.path.join(DEMO_DIR, "fibonacci.rec")
+    assert main(["verify", path, "10"]) == 1
+    assert capsys.readouterr().out == "FAIL at k=2\n"
+    spec = parse_spec_file(open(path).read())
+    assert solver.verify_closed_form(spec, solve(spec), 10).first_failure == 2
 
 
 def test_bundled_demo_files_solve_and_verify(capsys):

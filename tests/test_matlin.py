@@ -101,6 +101,30 @@ def test_inverse_propagates_zero_divisor():
         mat_inverse(bad)
 
 
+def _assert_solves_and_inverts(m, v, expected):
+    x = mat_solve(m, v)
+    assert x == expected and m.apply(x) == v
+    ident = DMatrix.identity(m.rows, m.entries[0].carrier)
+    minv = mat_inverse(m)
+    assert m * minv == ident and minv * m == ident
+
+
+def test_elimination_swaps_rows_for_a_zero_pivot():
+    # the first pivot is 0, so rows 0 and 1 are swapped
+    m = DMatrix.from_rows([[H.zero(), H.one()], [H.one(), J]])
+    _assert_solves_and_inverts(m, [I, J], [J + K, I])
+
+
+def test_elimination_swaps_rows_for_a_pivot_of_norm_zero():
+    # over the split algebra (1, 1) the first pivot 1 + e1 is nonzero but has
+    # norm 0: elimination takes the next row instead of inverting it
+    split = QuaternionAlgebra(1, 1)
+    e1, one = split.e1, split.one()
+    assert (1 + e1).norm() == 0
+    m = DMatrix.from_rows([[1 + e1, one], [one, split.zero()]])
+    _assert_solves_and_inverts(m, [one, e1], [e1, -e1])
+
+
 def test_inverse_rejects_octonion_entries():
     O = OctonionAlgebra(-1, -1, -1)
     m = DMatrix.identity(2, O)
