@@ -46,17 +46,8 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
-from .errors import (
-    DegenerateFrame,
-    InternalError,
-    NoRepresentative,
-    ValidationError,
-)
+from .errors import DegenerateFrame, InternalError, NoRepresentative, ValidationError
 from .scalar import _SCALARS, Carrier, FieldContext, IntValue, ScalarValue, _make, _ratio, _reduced
-
-# the default bound of the searches for a spherical representative
-# (`spherical_representative`, `RecurrenceSpec.height`, a spec's height line)
-DEFAULT_HEIGHT = 20
 
 
 def _quat_mul(consts, p, q) -> tuple:
@@ -277,7 +268,7 @@ def conj_class(x: QuatValue) -> ConjClass:
     return ConjClass(t=x.trace(), n=x.norm())
 
 
-def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = DEFAULT_HEIGHT):
+def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
     """Two distinct elements with trace t and norm n, via bounded search.
 
     Looks for lam = t/2 + (p1*e1 + p2*e2 + p3*e3)/q with integer numerators

@@ -7,7 +7,6 @@ Spec files are line oriented, one key per line, '#' starting a comment:
     rhs E0 E1 ... E{N-1}          # a_{k+N} = sum rhs[j] * a_{k+j}
     init E0 E1 ... E{N-1}
     roots E [mult] E [mult] ...   # optional user-supplied roots
-    height H                      # optional search bound, default 20
 
 Scalar literals are INT, INT/POSINT, or U+V*rt (rt meaning sqrt(D) of a
 field_sqrt context), with ASCII digits only.  Quaternions are [w,x,y,z],
@@ -32,9 +31,10 @@ from math import lcm
 
 from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
 from .scalar import INT_LITERAL, FieldContext, _from_ratios, _reduced, read_literal, scalar_parse
-from .algebra import DEFAULT_HEIGHT, OctonionAlgebra, QuaternionAlgebra
+from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     AssocForm,
+    CentralForm,
     RecurrenceSpec,
     eval_closed_form,
     iterate_oracle,
@@ -42,7 +42,7 @@ from .solver import (
     verify_closed_form,
 )
 
-_KEYS = ("algebra", "order", "rhs", "init", "roots", "height")
+_KEYS = ("algebra", "order", "rhs", "init", "roots")
 
 
 def _literal(token: str, ctx: FieldContext, line: int, col: int) -> tuple[tuple, int]:
@@ -154,16 +154,10 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
     rest, lineno, col = seen["algebra"]
     algebra = _parse_algebra(rest, lineno, col)
 
-    def int_field(key, default=None):
-        if key not in seen:
-            return default
-        rest, lineno, col = seen[key]
-        value = _int_token(rest)
-        if value is None:
-            raise ParseError(f"{key} must be an integer, got {rest!r}", lineno, col)
-        return value
-
-    order = int_field("order")
+    rest, lineno, col = seen["order"]
+    order = _int_token(rest)
+    if order is None:
+        raise ParseError(f"order must be an integer, got {rest!r}", lineno, col)
 
     def elements(key):
         rest, lineno, col = seen[key]
@@ -193,8 +187,7 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
             roots.append((elem, mult))
         roots = tuple(roots)
 
-    return RecurrenceSpec(algebra, order, tuple(rhs), tuple(init),
-                          roots=roots, height=int_field("height", DEFAULT_HEIGHT))
+    return RecurrenceSpec(algebra, order, tuple(rhs), tuple(init), roots=roots)
 
 
 def render_spec(spec: RecurrenceSpec) -> str:
@@ -215,8 +208,6 @@ def render_spec(spec: RecurrenceSpec) -> str:
     if spec.roots is not None:
         lines.append("roots " + " ".join(
             f"{r} {m}" for r, m in spec.roots))
-    if spec.height != DEFAULT_HEIGHT:
-        lines.append(f"height {spec.height}")
     return "\n".join(lines) + "\n"
 
 
@@ -266,6 +257,9 @@ def render_closed_form(cf) -> list[str]:
     """Deterministic text lines for a closed form."""
     if isinstance(cf, AssocForm):
         return ["a_k = " + _render_terms(cf)]
+    if isinstance(cf, CentralForm):
+        return ["a_k = U_k*a_1 - n*U_(k-1)*a_0 for U_0 = 0, U_1 = 1, U_(k+2) = t*U_(k+1) "
+                f"- n*U_k with t = {cf.t}, n = {cf.n}, a_0 = {cf.a0}, a_1 = {cf.a1}"]
     frame = cf.frame
     lines = [
         f"frame u = {frame.u}",

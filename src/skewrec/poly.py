@@ -31,7 +31,6 @@ from itertools import count
 from math import gcd, isqrt, lcm
 
 from .algebra import (
-    DEFAULT_HEIGHT,
     ConjClass,
     OctonionAlgebra,
     QuaternionAlgebra,
@@ -39,7 +38,6 @@ from .algebra import (
     _conj4,
     _quat_mul,
     conj_class,
-    spherical_representative,
 )
 from .errors import InternalError, NoRootsFound, UnsupportedDegree
 from .scalar import FieldContext, _make, _reduced, _times
@@ -419,9 +417,9 @@ def factor_central_quartic(p: LeftPoly):
 
 
 class RootReport:
-    """Everything found about the roots of a monic quaternion quadratic.
-    `central_factors`, the factors of C_p over Q, are built from the
-    integer factors of its scaled form only when read."""
+    """Everything found about the roots of a monic quaternion quadratic, a
+    central p's class of roots as `spherical`.  `central_factors`, C_p's
+    factors over Q, are built from its scaled integer factors when read."""
 
     __slots__ = ("isolated", "jordan", "spherical", "_scaled")
 
@@ -438,10 +436,7 @@ class RootReport:
         return _unscaled_factors(*self._scaled)
 
     def root_multiplicities(self):
-        """Root data in the shape the solver consumes."""
-        if self.spherical is not None:
-            lam, mu = self.spherical[1]
-            return [(lam, 1), (mu, 1)]
+        """Root data in the shape the solver consumes (none for a class)."""
         if self.jordan is not None:
             return [self.jordan]
         return [(lam, 1) for lam, _ in self.isolated]
@@ -463,8 +458,7 @@ def _is_root(p: LeftPoly, lam: QuatValue) -> bool:
     return not any([a * s2 + b * s1 + c * s0 for a, b, c in zip(sq, cl, c0.num)])
 
 
-def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly,
-                    height: int = DEFAULT_HEIGHT) -> RootReport:
+def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
     """Roots of a monic quadratic x^2 - beta*x - alpha over a quaternion
     algebra, located class by class through the central companion quartic.
 
@@ -473,8 +467,8 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly,
     y^2 + u1*y + u0 the class of trace t = -u1/L and norm n = u0/L^2.
     For a class (t, n) with beta != t, the only possible root in the class
     is (t - beta)^-1 (n + alpha), kept if it actually evaluates to zero.
-    When beta = t and alpha = -n the whole class consists of roots and a
-    representative pair is searched for.  A single isolated root lam whose
+    When beta = t and alpha = -n the whole class consists of roots and is
+    reported, with no element sought.  A single isolated root lam whose
     cofactor beta - lam stays in the same class is reported with
     multiplicity two, matching the forced factorization
     p = (x - (beta - lam)) (x - lam).
@@ -515,8 +509,7 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly,
         Y = (u[0] * d0 - LL * c0w, *[-LL * y for y in c0v])
         if not any(X):  # beta = t
             if not any(Y):  # alpha = -n
-                cls = label(u)
-                spherical = (cls, spherical_representative(alg, cls.t, cls.n, height))
+                spherical = label(u)
             continue
         nx, _ = _make(QuatValue, alg, X, 1)._norm_parts()  # N(t - beta) * D * (L*d1)^2
         if nx == 0:  # the value t - beta raises ZeroDivisor
@@ -528,7 +521,7 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly,
         if _is_root(p, lam):
             isolated.append((lam, label(u)))
     jordan = None
-    if spherical is None and len(isolated) == 1:
+    if len(isolated) == 1:  # a spherical class comes with no isolated root
         lam = isolated[0][0]
         if conj_class(-c1 - lam) == conj_class(lam):
             jordan = (lam, 2)

@@ -8,12 +8,13 @@ checks for user roots).  Simple roots are the case of 1x1 blocks, where U
 is the Vandermonde matrix of the roots.
 Order-2 octonion recurrences split over a quaternion subalgebra frame into
 a main part and a conjugated tail, each solved on that same path, by the
-frame's integer change of basis (`decompose` and `join`).  Every closed
-form is certified before it is returned: each term is proved to solve the
-recurrence for every k by a residual polynomial that vanishes at deg p + 1
-points, and the sum is checked against the initial values, which are read
-off the residual products at k = 0 (see _certify).  `verify_closed_form`
-is the independent check against direct iteration.
+frame's integer change of basis (`decompose` and `join`).  Rational
+order-2 coefficients with irrational roots take a CentralForm instead.
+Every closed form is certified before it is returned: each term is proved
+to solve the recurrence for every k by a residual polynomial that
+vanishes at deg p + 1 points, and the sum is checked against the initial
+values, which are read off the residual products at k = 0 (see _certify).
+`verify_closed_form` is the independent check against direct iteration.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
@@ -32,9 +33,9 @@ import dataclasses
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, isqrt, lcm
 
-from .algebra import DEFAULT_HEIGHT, OctonionAlgebra, build_frame, conj_class
+from .algebra import OctonionAlgebra, build_frame, conj_class
 from .errors import (
     InternalError,
     LamViolation,
@@ -59,7 +60,6 @@ class RecurrenceSpec:
     rhs: tuple
     init: tuple
     roots: tuple | None = None
-    height: int = DEFAULT_HEIGHT
 
     def __post_init__(self):
         if not isinstance(self.algebra, Carrier):
@@ -86,8 +86,6 @@ class RecurrenceSpec:
             if any(m < 1 for _, m in roots):
                 raise ValidationError("root multiplicities must be >= 1")
             object.__setattr__(self, "roots", roots)
-        if not isinstance(self.height, int) or self.height < 1:
-            raise ValidationError("height must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -108,69 +106,60 @@ class Term:
         return deg
 
 
-def _lucas_params(lam) -> tuple[int, int, int]:
-    """(P, Q, s) for a value lam with central trace T and norm N, where
-    s = lcm(den T, r), r the square root of den N when that is a square and
-    den N otherwise, makes P = s*T and Q = s^2*N integers.  T = 2*num[0]/den
-    and N = m/(D*den^2), with (m, D) from `_norm_parts`, are put in lowest
-    terms on ints."""
-    m, D = lam._norm_parts()
-    t, den, nd = 2 * lam.num[0], lam.den, D * lam.den * lam.den
-    gt, gn = gcd(t, den), gcd(m, nd)
-    tn, td, nn, nd = t // gt, den // gt, m // gn, nd // gn
+def _lucas_params(T, N) -> tuple[int, int, int]:
+    """(s*T, s^2*N, s) for rationals T and N in lowest terms, with s =
+    lcm(den T, r), r = sqrt(den N) if that is an integer and den N if not."""
+    (tn, *_), td = T.num, T.den
+    (nn, *_), nd = N.num, N.den
     r = isqrt(nd)
     s = lcm(td, r if r * r == nd else nd)
     return tn * (s // td), nn * (s * s // nd), s
 
 
-class _LucasSum:
-    """a_k = sum of p(k) * lam**k * b over the terms of one or more forms,
-    each lifted into the output carrier by a Q-linear map, from one integer
-    Lucas pair per group of terms whose bases share central trace T and
-    norm N (for a Q(sqrt(d)) base, its Galois trace and norm).
+def _term_groups(pieces) -> dict:
+    """`_LucasSum` groups of the terms p(k) * lam**k * b of pieces' (form,
+    Q-linear lift into the output carrier) pairs.  A base of trace T and
+    norm N (Galois over Q(sqrt(d))) has lam^2 = T*lam - N, so with (P, Q, s)
+    from _lucas_params (s*lam)**k = U_{k+1} - U_k*s*conj(lam), U the Lucas
+    sequence of (P, Q): its group adds c_j*b to S_j, c_j*conj(lam)*b to R_j."""
+    sums: dict = {}  # (P, Q, s), which fixes (T, N) -> lifted [S_j], [R_j]
+    for form, lift in pieces:
+        for t in form.terms:
+            d = t.degree
+            if d < 0 or t.right.is_zero():
+                continue
+            lam, b, xb = t.base, t.right, t.base.conj() * t.right
+            S, R = sums.setdefault(_lucas_params(lam.trace(), lam.norm()), ([], []))
+            for j in range(d + 1):
+                c = t.poly[j]
+                cb, cxb = lift(_times(c, b)), lift(_times(c, xb))
+                if j < len(S):
+                    S[j], R[j] = S[j] + cb, R[j] + cxb
+                else:
+                    S.append(cb)
+                    R.append(cxb)
+    return sums
 
-    Every base satisfies lam^2 = T*lam - N, so with (P, Q, s) from
-    _lucas_params x = s*lam satisfies x^2 = P*x - Q on integers, and
-    x**k = U_{k+1} - U_k*conj(x) for the Lucas sequence U of (P, Q).  A
-    group keeps S_j = sum c_j*b and R_j = sum c_j*conj(x)*b, lifted, and
-    gives s**-k * (U_{k+1}*S(k) - U_k*R(k)) with S(k) = sum k**j * S_j.
-    All groups keep integer numerators over one denominator `den`, and
-    their sum is taken over den * self.s**k, self.s the lcm of the groups'
-    s, so a call ends with one gcd.
-    """
+
+class _LucasSum:
+    """a_k = sum over groups (P, Q, s) of s**-k * (U_{k+1}*S(k) -
+    U_k*s*R(k)), S(k) = sum k**j * S_j and likewise R(k), U the Lucas
+    sequence of (P, Q).  All groups keep integer numerators over one `den`,
+    summed over den * self.s**k, self.s the lcm of the groups' s, so a call
+    ends with one gcd."""
 
     __slots__ = ("zero", "den", "s", "groups")
 
-    def __init__(self, zero, pieces):
-        """pieces: (form, lift) pairs, lift None for the identity."""
+    def __init__(self, zero, groups: dict):
+        """groups: {(P, Q, s): ([S_j], [R_j])}, R_j without its factor s."""
         self.zero = zero
-        sums: dict = {}  # (P, Q, s), which fixes (T, N) -> lifted [S_j], [R_j]
-        for form, lift in pieces:
-            for t in form.terms:
-                d = t.degree
-                if d < 0 or t.right.is_zero():
-                    continue
-                lam, b = t.base, t.right
-                P, Q, s = _lucas_params(lam)
-                xb = lam.conj() * b  # R_j takes its factor s below
-                S, R = sums.setdefault((P, Q, s), ([], []))
-                for j in range(d + 1):
-                    c = t.poly[j]
-                    cb, cxb = _times(c, b), _times(c, xb)
-                    if lift is not None:
-                        cb, cxb = lift(cb), lift(cxb)
-                    if j < len(S):
-                        S[j], R[j] = S[j] + cb, R[j] + cxb
-                    else:
-                        S.append(cb)
-                        R.append(cxb)
-        self.den = den = lcm(*[v.den for S, R in sums.values() for v in S + R])
-        self.s = lcm(*[s for _P, _Q, s in sums])
+        self.den = den = lcm(*[v.den for S, R in groups.values() for v in S + R])
+        self.s = lcm(*[s for _P, _Q, s in groups])
         self.groups = [
             (P, Q, self.s // s,
              [tuple([n * (den // v.den) for n in v.num]) for v in S],
              [tuple([n * (s * den // v.den) for n in v.num]) for v in R])
-            for (P, Q, s), (S, R) in sums.items()]
+            for (P, Q, s), (S, R) in groups.items()]
 
     def __call__(self, k: int):
         zero = self.zero
@@ -223,7 +212,7 @@ class AssocForm(_LucasForm):
     terms: tuple
 
     def _lucas_sum(self) -> _LucasSum:
-        return _LucasSum(self.carrier.zero(), ((self, None),))
+        return _LucasSum(self.carrier.zero(), _term_groups(((self, lambda x: x),)))
 
 
 @dataclass(frozen=True)
@@ -237,11 +226,29 @@ class OctSplitForm(_LucasForm):
 
     def _lucas_sum(self) -> _LucasSum:
         join = self.frame.join
-        return _LucasSum(self.frame.oct.zero(), ((self.main, lambda x: join(x, 0)),
-                                                 (self.tail, lambda x: join(0, x.conj()))))
+        return _LucasSum(self.frame.oct.zero(), _term_groups(
+            ((self.main, lambda x: join(x, 0)), (self.tail, lambda x: join(0, x.conj())))))
 
 
-ClosedForm = AssocForm | OctSplitForm
+@dataclass(frozen=True)
+class CentralForm(_LucasForm):
+    """a_k = U_k*a1 - n*U_{k-1}*a0 for a_{k+2} = t*a_{k+1} - n*a_k with
+    rational t and n, in any carrier, U the Lucas sequence of (t, n).  Its
+    `_LucasSum` is the one group S = [a0], R = [t*a0 - a1], since
+    U_{k+1} - t*U_k = -n*U_{k-1}."""
+
+    carrier: object
+    t: object
+    n: object
+    a0: object
+    a1: object
+
+    def _lucas_sum(self) -> _LucasSum:
+        return _LucasSum(self.carrier.zero(), {_lucas_params(self.t, self.n): (
+            [self.a0], [self.a0 * self.t - self.a1])})
+
+
+ClosedForm = AssocForm | OctSplitForm | CentralForm
 
 
 @dataclass(frozen=True)
@@ -420,21 +427,15 @@ def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
         if spec.order == 2:
             promoted = promote_field_quadratic(spec)
             return _jordan_form(promoted, primitive_char_poly(promoted), promoted.roots)
-        raise UnsupportedOrder(
-            "field recurrences of order > 2 need user-supplied roots"
-        )
+        raise UnsupportedOrder("field recurrences of order > 2 need user-supplied roots")
     if spec.order == 2:
         p = primitive_char_poly(spec)
-        rootdata = quadratic_roots(spec.algebra, p, spec.height).root_multiplicities()
+        rootdata = quadratic_roots(spec.algebra, p).root_multiplicities()
         if sum(m for _, m in rootdata) != 2:
-            raise NoRootsFound(
-                "a single isolated root without repeated-root structure "
-                "cannot determine an order-2 closed form"
-            )
+            raise NoRootsFound("a single isolated root without repeated-root structure "
+                               "cannot determine an order-2 closed form")
         return _jordan_form(spec, p, rootdata)
-    raise UnsupportedOrder(
-        "quaternion recurrences of order > 2 need user-supplied roots"
-    )
+    raise UnsupportedOrder("quaternion recurrences of order > 2 need user-supplied roots")
 
 
 def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
@@ -450,9 +451,9 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     frame = build_frame(spec.algebra, *(spec.init if central else spec.rhs))
     rhs = tuple(frame.decompose(r)[0] for r in spec.rhs)
     (q, s), (r, t) = map(frame.decompose, spec.init)
-    main = _solve_assoc(RecurrenceSpec(frame.quat, 2, rhs, (q, r), height=spec.height))
+    main = _solve_assoc(RecurrenceSpec(frame.quat, 2, rhs, (q, r)))
     tail = AssocForm(frame.quat, ()) if central else _solve_assoc(RecurrenceSpec(
-        frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj()), height=spec.height))
+        frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj())))
     return OctSplitForm(frame, main, tail)
 
 
@@ -511,16 +512,23 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     InternalError naming the failing term or initial value.
 
     Every term solves the recurrence, so by left linearity their sum does,
-    and a solution is fixed by its first n values.  For an OctSplitForm,
-    rhs[j] must be join(r_j, 0) for a frame quaternion r_j, main must solve
-    the recurrence with the r_j and tail the one with conj(r_j); the frame
-    identities then carry both to a_k = join(main(k), conj(tail(k))), and
-    with central r_j linearity alone does.  The first n values are read off
-    the residual products (`_certify_terms`), so no evaluator is built
-    here; the proved values are kept on cf, and its evaluator checks itself
-    against them when it is built (`_LucasForm.value`).
+    and a solution is fixed by its first n values; a CentralForm solves
+    a_{k+2} = t*a_{k+1} - n*a_k as its rational U does, so rhs = (-n, t)
+    and init = (a0, a1) prove it.  For an OctSplitForm, rhs[j] must be
+    join(r_j, 0) for a frame quaternion r_j, main must solve the recurrence
+    with the r_j and tail the one with conj(r_j); the frame identities then
+    carry both to a_k = join(main(k), conj(tail(k))), and with central r_j
+    linearity alone does.  The first n values are read off the residual
+    products (`_certify_terms`), so no evaluator is built here; the proved
+    values are kept on cf, and its evaluator checks itself against them
+    when it is built (`_LucasForm.value`).
     """
-    if isinstance(cf, OctSplitForm):
+    if isinstance(cf, CentralForm):
+        if spec.rhs != (cf.carrier.coerce(-cf.n), cf.carrier.coerce(cf.t)):
+            raise InternalError(f"certificate failed: the Lucas form solves a_(k+2) = "
+                                f"{cf.t}*a_(k+1) - {cf.n}*a_k, not the recurrence")
+        values = [cf.a0, cf.a1]
+    elif isinstance(cf, OctSplitForm):
         rhs = [cf.frame.decompose(r)[0] for r in spec.rhs]
         for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
             if cf.frame.join(q, 0) != r:
@@ -536,9 +544,22 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     cf.__dict__["_init"] = spec.init
 
 
+def _central_tn(spec: RecurrenceSpec):
+    """(t, n) with rhs = (-n, t) for an order-2 quaternion or octonion spec with
+    no user roots, rational rhs and t^2 - 4n no rational square, else None."""
+    if (spec.order == 2 and spec.roots is None and not isinstance(spec.algebra, FieldContext)
+            and all(r.is_central() for r in spec.rhs)):
+        t, n = spec.rhs[1].scalar_part(), -spec.rhs[0].scalar_part()
+        if (t * t - 4 * n).sqrt() is None:
+            return t, n
+
+
 def solve(spec: RecurrenceSpec) -> ClosedForm:
     """Solve the recurrence and certify the result for every k (_certify)."""
-    if isinstance(spec.algebra, OctonionAlgebra):
+    tn = _central_tn(spec)
+    if tn is not None:
+        cf = CentralForm(spec.algebra, *tn, *spec.init)
+    elif isinstance(spec.algebra, OctonionAlgebra):
         cf = solve_octonion2(spec)
     else:
         cf = _solve_assoc(spec)

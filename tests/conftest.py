@@ -21,8 +21,8 @@ def rand_quat(rng, alg, num=9, den=3):
 
 
 def rand_quat_common_den(rng, alg, num=9, maxden=2):
-    """Coordinates over one shared denominator, so the spherical search
-    stays inside its default height bound."""
+    """Coordinates over one shared denominator, so that the trace and norm
+    of the value stay small."""
     den = rng.randint(1, maxden)
     return alg.element([Fraction(rng.randint(-num, num), den) for _ in range(4)])
 

@@ -221,7 +221,7 @@ def test_criterion_7_randomized_solver_vs_iteration():
             p = LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)
             run(RecurrenceSpec(H, 2, (-p.coeffs[0], -p.coeffs[1]),
                                (rand_quat(rng, H), rand_quat(rng, H))))
-        # conjugate-root products: central polynomial, the spherical path
+        # conjugate-root products: central polynomial, the Lucas form
         while solved < 200:
             lam = rand_quat_common_den(rng, H, 6, 2)
             if lam.is_central() or lam.norm().is_zero():

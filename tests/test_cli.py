@@ -42,7 +42,7 @@ def test_parse_spec_file():
     H = QuaternionAlgebra(-1, -1)
     assert spec.rhs == (-1 - H.e3, H.e1)
     assert spec.init == (H.one(), H.one())
-    assert spec.height == 20 and spec.roots is None
+    assert spec.roots is None
 
 
 def test_parse_comments_and_blanks():
@@ -53,12 +53,14 @@ def test_parse_comments_and_blanks():
 
 
 def test_parse_roots_and_height():
-    text = ("algebra field\norder 2\nrhs -2 3\ninit 0 1\n"
-            "roots 1 1 2 1\nheight 12\n")
+    text = "algebra field\norder 2\nrhs -2 3\ninit 0 1\nroots 1 1 2 1\n"
     spec = parse_spec_file(text)
     assert spec.roots == ((FieldContext.rational().scalar(1), 1),
                           (FieldContext.rational().scalar(2), 1))
-    assert spec.height == 12
+    # the format has no height key: no search needs a bound
+    with pytest.raises(ParseError) as exc:
+        parse_spec_file(text + "height 12\n")
+    assert (exc.value.reason, exc.value.line, exc.value.col) == ("unknown key 'height'", 6, 1)
     # a bare positive integer right after an element is its multiplicity
     spec = parse_spec_file(
         "algebra field\norder 2\nrhs -1 2\ninit 1 5\nroots 1 2\n")
@@ -133,7 +135,7 @@ def test_render_roundtrip():
     assert again == spec
     assert render_spec(again) == text
     witht = parse_spec_file(
-        "algebra field\norder 2\nrhs -1 2\ninit 1 5\nroots 1 2\nheight 9\n")
+        "algebra field\norder 2\nrhs -1 2\ninit 1 5\nroots 1 2\n")
     assert parse_spec_file(render_spec(witht)) == witht
 
 
@@ -286,7 +288,6 @@ NON_ASCII_DIGITS = (
     ("algebra quaternion -1 -1\norder 1\nrhs [1,²,0,0]\ninit [1,0,0,0]\n", 3, 8),
     ("algebra field\norder 1_0\nrhs 2\ninit 1\n", 2, 7),
     ("algebra field\norder ١\nrhs 2\ninit 1\n", 2, 7),
-    ("algebra field\norder 1\nrhs 2\ninit 1\nheight 1_0\n", 5, 8),
     ("algebra field_sqrt ٥\norder 1\nrhs 2\ninit 1\n", 1, 9),
 )
 

@@ -197,11 +197,9 @@ def test_quadratic_roots_jordan():
 def test_quadratic_roots_spherical():
     p = LeftPoly(H, [1, 0, 1])  # x^2 + 1
     rep = quadratic_roots(H, p)
-    assert rep.spherical is not None
-    cls, (lam, mu) = rep.spherical
-    assert cls == ConjClass(t=Q.zero(), n=Q.one())
-    assert (lam, mu) == (I, -I)
-    assert not rep.isolated
+    assert rep.spherical == ConjClass(t=Q.zero(), n=Q.one())
+    assert not rep.isolated and rep.jordan is None
+    assert rep.root_multiplicities() == []
 
 
 def test_quadratic_roots_central_rational():
@@ -240,11 +238,7 @@ def test_quadratic_roots_planted_root_recovered():
         roots = [r for r, _ in rep.isolated]
         if rep.jordan:
             roots.append(rep.jordan[0])
-        if rep.spherical:
-            roots.extend(rep.spherical[1])
-        assert any(r == lam for r in roots) or (
-            rep.spherical is not None and conj_class(lam) == rep.spherical[0]
-        )
+        assert any(r == lam for r in roots) or conj_class(lam) == rep.spherical
 
 
 def test_quadratic_roots_report_invariants():
@@ -611,7 +605,7 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
     got = [([c.u for c in f.coeffs], m) for f, m in factor_central_quartic(companion_poly(p))]
     assert got == expected
     try:
-        rep = quadratic_roots(alg, p, height=6)
+        rep = quadratic_roots(alg, p)
     except NoRootsFound as exc:
         if len(expected) == 1 and len(expected[0][0]) == 5:
             assert "is irreducible over Q" in str(exc)
@@ -619,21 +613,23 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
             listed = [f"[{LeftPoly(Q, c)}]" + (f"^{m}" if m > 1 else "") for c, m in expected]
             assert " * ".join(listed) in str(exc)
         return
-    except SkewrecError:  # a zero divisor or an exhausted search: no report
+    except SkewrecError:  # a zero divisor: no report
         return
     assert [([c.u for c in f.coeffs], m) for f, m in rep.central_factors] == expected
     c0, c1 = p.coeffs[0], p.coeffs[1]
-    roots = [lam for lam, _ in rep.isolated] + list(rep.spherical[1] if rep.spherical else [])
-    assert roots
+    if rep.spherical:  # p = x^2 - t*x + n: every element of the class is a root
+        assert (c0, c1) == (rep.spherical.n, -rep.spherical.t) and not rep.isolated
+    roots = [lam for lam, _ in rep.isolated]
+    assert roots or rep.spherical
     for lam in roots:
         assert (lam * lam + c1 * lam + c0).is_zero()
 
 
-def quadratic_roots_by_values(alg, p, height=20):
+def quadratic_roots_by_values(alg, p):
     """quadratic_roots as it was before its class tests moved onto integers:
     t, n, the candidate (t - beta)^-1 (n + alpha) and p(lam) as values, and
     a ConjClass for every quadratic factor."""
-    from skewrec.algebra import QuatValue, spherical_representative
+    from skewrec.algebra import QuatValue
     from skewrec.poly import RootReport, _companion, _factor_monic, _unscaled, _unscaled_factors
     from skewrec.scalar import _reduced
 
@@ -654,8 +650,7 @@ def quadratic_roots_by_values(alg, p, height=20):
             cls = ConjClass(t=t.scalar_part(), n=n.scalar_part())
             if beta == t:
                 if alpha == -n:
-                    reps = spherical_representative(alg, cls.t, cls.n, height)
-                    spherical = (cls, reps)
+                    spherical = cls
             else:
                 lam = (t - beta).inverse() * (n + alpha)
                 if p.eval(lam).is_zero():
@@ -680,7 +675,7 @@ def quadratic_roots_by_values(alg, p, height=20):
 def _roots_outcome(find, alg, p):
     """The report's data and repr, or the error's class and text."""
     try:
-        rep = find(alg, p, 6)
+        rep = find(alg, p)
     except SkewrecError as exc:
         return type(exc).__name__, str(exc)
     return (rep.isolated, rep.jordan, rep.spherical, rep.central_factors), repr(rep)

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -6,7 +8,6 @@ import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from skewrec import (
-    NoRepresentative,
     AssocForm,
     ContextMismatch,
     FieldContext,
@@ -37,7 +38,7 @@ from skewrec import (
     verify_closed_form,
 )
 from skewrec import solver
-from skewrec.solver import _certify
+from skewrec.solver import CentralForm, _certify
 from conftest import adjoin_root, rand_oct, rand_quat, rand_quat_common_den
 
 Q = FieldContext.rational()
@@ -70,8 +71,6 @@ def test_spec_validation():
         RecurrenceSpec(O, 3, (L, L, L), (1, 1, 1))
     with pytest.raises(ValidationError):
         RecurrenceSpec(O, 2, (L, L), (1, 1), roots=((L, 1), (L, 1)))
-    with pytest.raises(ValidationError):
-        RecurrenceSpec(H, 2, (I, J), (1, 1), height=0)
 
 
 @pytest.mark.parametrize("alg, rhs", [
@@ -177,16 +176,13 @@ def test_simple_roots_solve_through_the_vandermonde_matrix():
 
 
 def test_solve_spherical():
-    spec = RecurrenceSpec(H, 2, (-1, 0), (H.one(), K))
-    cf = solve(spec)
-    assert [t.base for t in cf.terms] == [I, -I]
-    assert verify_closed_form(spec, cf, 32).ok
-    # spherical class with fractional representatives: x^2 - x + 1
-    spec = RecurrenceSpec(H, 2, (-1, 1), (I, J))
-    cf = solve(spec)
-    assert verify_closed_form(spec, cf, 32).ok
-    for t in cf.terms:
-        assert t.base.trace() == 1 and t.base.norm() == 1
+    # x^2 + 1 and x^2 - x + 1 are central with no rational root: every
+    # element of their class is a root, and the spec takes the Lucas form
+    for rhs, init, t, n in (((-1, 0), (H.one(), K), 0, 1), ((-1, 1), (I, J), 1, 1)):
+        spec = RecurrenceSpec(H, 2, rhs, init)
+        cf = solve(spec)
+        assert cf == CentralForm(H, Q.scalar(t), Q.scalar(n), *init)
+        assert verify_closed_form(spec, cf, 32).ok
 
 
 def test_solve_field_paths():
@@ -282,6 +278,18 @@ def test_no_roots_found():
         solve(RecurrenceSpec(H, 2, (I, 0), (1, 1)))
 
 
+def test_a_single_isolated_root_is_no_closed_form():
+    # in the split algebra (1,1), the classes of C_p yield one root, of
+    # class (3/2, -2); its cofactor, a zero divisor of class (1/2, 0), is
+    # no root C_p's factors find, so there is neither a pair nor a Jordan root
+    S = QuaternionAlgebra(1, 1)
+    spec = RecurrenceSpec(S, 2, (S.element([-1, 1, -1, 1]), S.element([1, Fraction(1, 2), 2, 0])),
+                          (S.element([0, 1, Fraction(-1, 2), -2]), S.element([-1, 2, 1, 0])))
+    with pytest.raises(NoRootsFound, match="^a single isolated root without repeated-root "
+                                           "structure cannot determine an order-2 closed form$"):
+        solve(spec)
+
+
 def test_octonion_two_distinct_roots():
     spec = RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L))
     cf = solve(spec)
@@ -304,17 +312,19 @@ def test_octonion_repeated_root():
 
 
 def test_octonion_central_coefficients():
-    spec = RecurrenceSpec(O, 2, (-1, 0), (1, L))
+    # rational roots 1 and 2: a frame from the initial values, no tail
+    spec = RecurrenceSpec(O, 2, (-2, 3), (1, L))
     cf = solve(spec)
-    assert not cf.tail.terms
+    assert isinstance(cf, OctSplitForm) and not cf.tail.terms
     assert verify_closed_form(spec, cf, 32).ok
-    spec = RecurrenceSpec(O, 2, (-5, 2), (OI, L))  # x^2 - 2x + 5, class (2, 5)
-    cf = solve(spec)
-    assert verify_closed_form(spec, cf, 32).ok
-    # x^2 + 3x - 2 would need trace -3 and norm -2, impossible in a definite
-    # algebra, and its discriminant 17 is not a rational square either
-    with pytest.raises(NoRepresentative):
-        solve(RecurrenceSpec(O, 2, (2, -3), (OI, L)))
+    # x^2 + 1, x^2 - 2x + 5 (class (2, 5)) and x^2 + 3x - 2, whose class of
+    # trace -3 and norm -2 is empty in a definite algebra: no rational
+    # root, so each takes the Lucas form
+    for rhs, init in (((-1, 0), (1, L)), ((-5, 2), (OI, L)), ((2, -3), (OI, L))):
+        spec = RecurrenceSpec(O, 2, rhs, init)
+        cf = solve(spec)
+        assert cf == CentralForm(O, Q.scalar(rhs[1]), Q.scalar(-rhs[0]), *spec.init)
+        assert verify_closed_form(spec, cf, 32).ok
 
 
 def test_closed_form_reproduces_initials():
@@ -409,7 +419,13 @@ def _certifies(spec, cf):
 
 def _corrupted(cf):
     """Every form that differs from cf in one term: right + 1, base + 1, or
-    an extra power of k in the coefficient polynomial."""
+    an extra power of k in the coefficient polynomial; for a CentralForm,
+    every one that differs in one of t, n, a0 and a1 by 1."""
+    if isinstance(cf, CentralForm):
+        for field in ("t", "n", "a0", "a1"):
+            yield dataclasses.replace(cf, **{field: getattr(cf, field) + 1})
+        return
+
     def variants(form, rebuild):
         for i, t in enumerate(form.terms):
             one = form.carrier.one()
@@ -495,6 +511,14 @@ def test_certificate_names_what_fails():
     shifted = RecurrenceSpec(H, 2, DIAG.rhs, (2, 1))
     with pytest.raises(InternalError, match="a_0"):
         _certify(shifted, solve(DIAG))
+    # a Lucas form of another recurrence, and one of other initial values
+    spec = RecurrenceSpec(H, 2, (-1, 1), (I, J))
+    cf = solve(spec)
+    with pytest.raises(InternalError, match=re.escape(
+            "the Lucas form solves a_(k+2) = 2*a_(k+1) - 1*a_k, not the recurrence")):
+        _certify(spec, dataclasses.replace(cf, t=cf.t + 1))
+    with pytest.raises(InternalError, match=re.escape("gives a_1 = [1,0,1,0], not the initial")):
+        _certify(spec, dataclasses.replace(cf, a1=cf.a1 + 1))
 
 
 def test_certificate_checks_every_point_up_to_the_degree():
@@ -534,6 +558,7 @@ EVALUATOR_SPECS = {
     "spherical": RecurrenceSpec(H, 2, (-1, 1), (I, J)),
     "order-3 user roots": _order_three_user_roots(),
     "octonion": RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L)),
+    "octonion lucas": RecurrenceSpec(O, 2, (-5, 2), (OI, L)),
 }
 
 
@@ -599,7 +624,7 @@ def test_solve_raises_only_skewrec_errors_and_returns_checked_forms(data):
                 # multiplicities need not sum to the order: solve must say so
                 mults = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=order))
                 roots = tuple(zip(lams, mults))
-        spec = RecurrenceSpec(alg, order, rhs, init, roots=roots, height=6)
+        spec = RecurrenceSpec(alg, order, rhs, init, roots=roots)
         cf = solve(spec)
     except SkewrecError:
         return
@@ -613,7 +638,7 @@ H2 = QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5))
 O2 = OctonionAlgebra(Fraction(-1, 2), Fraction(3, 5), Fraction(-7, 3))
 EVAL_PATHS = ["Q distinct", "Q repeated", "Q(rt5)", "Q(rt13)"] + [
     f"{alg} {path}" for alg in ("H", "H2") for path in ("distinct", "jordan", "spherical")
-] + [f"{alg} {path}" for alg in ("O", "O2") for path in ("split", "central")]
+] + [f"{alg} {path}" for alg in ("O", "O2") for path in ("split", "central", "spherical")]
 
 
 def _term_sum(form, k):
@@ -627,7 +652,9 @@ def _term_sum(form, k):
     return acc
 
 
-def _reference_value(cf, k):
+def _reference_value(spec, cf, k):
+    if isinstance(cf, CentralForm):  # no terms to power: iteration
+        return iterate_oracle(spec, k)
     if isinstance(cf, AssocForm):
         return _term_sum(cf, k)
     fr = cf.frame
@@ -691,5 +718,30 @@ def test_lucas_evaluator_matches_powers_and_iteration(path, data):
         assume(False)
     for k in data.draw(st.lists(st.integers(0, 2048), min_size=1, max_size=3)):
         got = eval_closed_form(cf, k)
-        assert got == _reference_value(cf, k)
+        assert got == _reference_value(spec, cf, k)
         assert got == iterate_oracle(spec, k)
+
+
+# ---------------------------------------------------------------------------
+# central order-2 specs: the Lucas form in every carrier
+
+CENTRAL_CARRIERS = {
+    "H": H, "H2": H2, "(1,1)": QuaternionAlgebra(1, 1), "(2,3)": QuaternionAlgebra(2, 3),
+    "O": O, "(2,3,-1)": OctonionAlgebra(2, 3, -1),
+}
+
+
+@pytest.mark.parametrize("alg", CENTRAL_CARRIERS.values(), ids=CENTRAL_CARRIERS.keys())
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_central_specs_take_the_lucas_form_in_every_carrier(alg, data):
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    t, n = data.draw(fracs), data.draw(fracs.filter(bool))
+    assume(Q.scalar(t * t - 4 * n).sqrt() is None)
+    init = tuple(alg.element(data.draw(st.lists(fracs, min_size=alg.dim, max_size=alg.dim)))
+                 for _ in range(2))
+    spec = RecurrenceSpec(alg, 2, (-n, t), init)
+    cf = solve(spec)
+    assert cf == CentralForm(alg, Q.scalar(t), Q.scalar(n), *init)
+    assert _certifies(spec, cf)
+    assert verify_closed_form(spec, cf, 64).ok
