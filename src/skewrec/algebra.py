@@ -111,6 +111,11 @@ class QuaternionAlgebra(Carrier):
         self.consts = D, A, B, AB = (ad * bd, an * bd, bn * ad, an * bn)
         self.weights = (D, -A, -B, AB)
 
+    def _num_mul(self, p, q) -> tuple:
+        """The numerators of x * y for values x, y with numerators p, q, over
+        den(x) * den(y) * weights[0], weights[0] = D."""
+        return _quat_mul(self.consts, p, q)
+
     @property
     def e1(self) -> QuatValue:
         return _make(QuatValue, self, (0, 1, 0, 0), 1)

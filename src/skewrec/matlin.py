@@ -8,7 +8,11 @@ itself, which is what makes elimination work over noncommutative entries.
 
 The one commutative system, the base-field coordinates of a Jordan chain
 step A*w - w*lam = v, is read off the values' integer numerators and
-eliminated on integers by `_reduce_rows`.
+eliminated on integers by `_reduce_rows`.  For a companion matrix and an
+invertible lam, the shift rows give w_i in terms of w_{n-1}, and the step
+is the m x m system of w_{n-1} alone, m the carrier's dimension
+(`_companion_step`); any other matrix or lam takes the flattened
+(n*m) x (n*m) system (`sylvester_chain_solve`), the reference of the first.
 """
 
 from __future__ import annotations
@@ -298,11 +302,14 @@ def _reduce_rows(aug: list, cols: int) -> list | None:
 def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     """Solve A*w - w*lam = v for a vector w over an associative algebra.
 
-    The unknown is flattened to rational coordinates (the map is linear over
-    the base field): block (i, j) of the system has as column c the
-    coordinates of a_ij*e_c, minus e_c*lam on the diagonal, for the basis
-    e_c of the carrier, with no product by 1 (`scalar._times`): a block
-    a_ij = 1 off the diagonal contributes the basis itself.  The rows of
+    chain_matrix takes it where `_companion_step` does not apply: for a
+    matrix without the companion shift rows and for a lam of norm 0; the
+    test suite holds that m x m step to it.  The unknown is flattened to
+    rational coordinates (the map is linear over the base field): block
+    (i, j) of the system has as column c the coordinates of a_ij*e_c,
+    minus e_c*lam on the diagonal, for the basis e_c of the carrier, with
+    no product by 1 (`scalar._times`): a block a_ij = 1 off the diagonal
+    contributes the basis itself.  The rows of
     block row i are read off the numerators of those values and of v_i over
     one common multiple of their denominators and made primitive; they are
     eliminated by `_reduce_rows` and free variables are pinned to 0, so the
@@ -369,28 +376,104 @@ def jordan_matrix(blocks) -> DMatrix:
     return DMatrix(n, n, entries)
 
 
-def chain_matrix(a: DMatrix, rootdata) -> DMatrix:
-    """U, built column by column from eigenvector chains of a companion
-    matrix A: each root lam starts a chain at (1, lam, ..., lam^(n-1)), and
-    each further column of its chain solves A*w - w*lam = previous
-    (sylvester_chain_solve, on integers)."""
-    n = a.rows
-    if sum(m for _, m in rootdata) != n:
-        raise ValueError("block sizes must sum to the matrix size")
+def _companion_step(row, lam, inv, v) -> list:
+    """The w of `sylvester_chain_solve(A, lam, v)` for the companion matrix
+    A with last row `row`, given inv = lam^-1.
+
+    Rows i < n-1 read w_{i+1} - w_i*lam = v_i, so w_i = (w_{i+1} - v_i)*inv,
+    which is x*inv^(n-1-i) - K_i in x = w_{n-1}, with K_{n-1} = 0 and
+    K_i = (K_{i+1} + v_i)*inv.  The last row then leaves the m x m system
+    S(x) = sum_j row_j*x*inv^(n-1-j) - x*lam = v_{n-1} + sum_j row_j*K_j,
+    m the carrier's dimension.  Its columns S(e_c) are built on integer
+    numerators by the carrier's product `_num_mul` over one denominator and
+    eliminated by `_reduce_rows`, free variables at 0.  With lam invertible
+    the first (n-1)*m columns of the flattened system are all pivots, so its
+    free columns are those of S and, the reduced echelon form being unique,
+    the representative is the same."""
+    carrier = lam.carrier
+    n, m = len(row), carrier.dim
+    mul, D = carrier._num_mul, carrier.weights[0]
+    rhs, k = v[n - 1], None
+    for i in range(n - 2, -1, -1):
+        k = _times(v[i] if k is None else k + v[i], inv)  # K_i
+        if not row[i].is_zero():
+            rhs = rhs + _times(row[i], k)
+    # S(e_c) = sum_j row_j*z_{e-j} - e_c*lam with z_t = e_c*inv^t, e = n-1,
+    # over den = D * rho * s**e * den(lam), rho = lcm(den row_j) and
+    # s = D * den(inv), the denominator that each product by inv adds
+    rho, s, e = lcm(*[r.den for r in row]), D * inv.den, n - 1
+    terms = [(e - j, [x * (rho // r.den) for x in r.num], s ** j * lam.den)
+             for j, r in enumerate(row) if not r.is_zero()]
+    lam_f = rho * s ** e
+    cols = []
+    for c in range(m):
+        z = [tuple([int(i == c) for i in range(m)])]
+        for _ in range(e):
+            z.append(mul(z[-1], inv.num))
+        col = [-x * lam_f for x in mul(z[0], lam.num)]
+        for t, rn, f in terms:
+            col = [a + x * f for a, x in zip(col, mul(rn, z[t]))]
+        cols.append(col)
+    den = D * lam_f * lam.den
+    aug = [_primitive([col[rr] * rhs.den for col in cols] + [rhs.num[rr] * den])
+           for rr in range(m)]
+    sol = _reduce_rows(aug, m)
+    if sol is None:
+        raise NoSolution("generalized eigenvector system is inconsistent")
+    w = [_from_ratios(carrier, sol)] * n
+    for i in range(n - 2, -1, -1):
+        w[i] = _times(w[i + 1] - v[i], inv)
+    return w
+
+
+def _chain_matrix(rootdata, row, invs, full) -> DMatrix:
+    """U for a matrix A with the companion shift rows and last row `row`:
+    each root lam starts a chain at (1, lam, ..., lam^(n-1)), n = len(row),
+    and each further column of its chain solves A*w - w*lam = previous, by
+    `_companion_step` when invs, aligned with rootdata, holds lam^-1, and by
+    sylvester_chain_solve on A = full() when it holds None."""
+    n = len(row)
     columns = []
-    for lam, m in rootdata:
+    for (lam, m), inv in zip(rootdata, invs):
         v = lam.powers(n - 1)
         columns.append(v)
         for _ in range(m - 1):
-            v = sylvester_chain_solve(a, lam, v)
+            if inv is None:
+                v = sylvester_chain_solve(full(), lam, v)
+            else:
+                v = _companion_step(row, lam, inv, v)
             columns.append(v)
     return DMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
 
 
+def _chain_inverses(rootdata) -> list:
+    """lam^-1 for each (lam, m) of rootdata with a chain (m > 1) and a
+    nonzero norm, the roots whose chains `_companion_step` solves, and None
+    for every other root."""
+    return [lam.inverse() if m > 1 and lam._norm_parts()[0] else None for lam, m in rootdata]
+
+
+def chain_matrix(a: DMatrix, rootdata) -> DMatrix:
+    """U, built column by column from eigenvector chains of A: each root lam
+    starts a chain at (1, lam, ..., lam^(n-1)), and each further column of
+    its chain solves A*w - w*lam = previous.  When A has the companion shift
+    rows (ones on the superdiagonal, zeros elsewhere above the last row)
+    and lam has a nonzero norm, that is the m x m system of
+    `_companion_step`; otherwise the flattened system of
+    sylvester_chain_solve."""
+    n = a.rows
+    if sum(m for _, m in rootdata) != n:
+        raise ValueError("block sizes must sum to the matrix size")
+    shift = all(a.entry(i, j).is_one() if j == i + 1 else a.entry(i, j).is_zero()
+                for i in range(n - 1) for j in range(n))
+    invs = _chain_inverses(rootdata) if shift else [None] * len(rootdata)
+    return _chain_matrix(rootdata, a.row(n - 1), invs, lambda: a)
+
+
 def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     """U from `chain_matrix` and its inverse in the algebra.  The result is
-    not checked here; solve builds its closed forms from the same
-    `chain_matrix` and certifies them (solver._certify)."""
+    not checked here; solve builds its closed forms from the same chains
+    (`_chain_matrix`) and certifies them (solver._certify)."""
     rootdata = tuple([(lam, int(m)) for lam, m in rootdata])
     u = chain_matrix(a, rootdata)
     try:

@@ -446,16 +446,22 @@ class RootReport:
                 f"spherical={self.spherical})")
 
 
-def _is_root(p: LeftPoly, lam: QuatValue) -> bool:
-    """Whether the monic quaternion quadratic p = x^2 + c1*x + c0 vanishes
-    at lam, as a zero test on integer numerators: lam^2 + c1*lam + c0 over
-    the common denominator D * den(lam)^2 * den(c1) * den(c0), D from the
-    algebra's consts (a product of numerators carries one D)."""
-    c0, c1 = p.coeffs[:2]
-    consts, ln, dl = p.carrier.consts, lam.num, lam.den
-    sq, cl = _quat_mul(consts, ln, ln), _quat_mul(consts, c1.num, ln)
-    s2, s1, s0 = c1.den * c0.den, dl * c0.den, consts[0] * dl * dl * c1.den
-    return not any([a * s2 + b * s1 + c * s0 for a, b, c in zip(sq, cl, c0.num)])
+def _is_root(coeffs, lam) -> bool:
+    """Whether sum c_i * lam**i vanishes, for the coefficients c_0..c_n
+    (n >= 1, low degree first) of a polynomial over an associative carrier
+    and lam of the same carrier, as a zero test on integer numerators:
+    Horner's rule acc -> acc*lam + c_i keeps acc as numerators over one s,
+    each product by lam is the carrier's integer product `_num_mul`, which
+    puts weights[0] * s * den(lam) under it, and each sum cross-multiplies
+    by den(c_i).  A leading c_n = 1 costs no product."""
+    carrier = lam.carrier
+    mul, D, ln, dl = carrier._num_mul, carrier.weights[0], lam.num, lam.den
+    top, c0 = coeffs[-1], coeffs[0]
+    acc, s = (ln, dl) if top.is_one() else (mul(top.num, ln), D * top.den * dl)
+    for c in coeffs[-2:0:-1]:
+        cd = c.den
+        acc, s = mul([a * cd + b * s for a, b in zip(acc, c.num)], ln), D * s * cd * dl
+    return not any([a * c0.den + b * s for a, b in zip(acc, c0.num)])
 
 
 def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
@@ -499,7 +505,7 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
     for u, _mult in factors:
         if len(u) == 2:
             lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
-            if _is_root(p, lam):
+            if _is_root(p.coeffs, lam):
                 isolated.append((lam, conj_class(lam)))
             continue
         if len(u) != 3:
@@ -518,7 +524,7 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
         # and conj(X) * Y is _quat_mul(conj(X), Y) / D
         lam = _reduced(QuatValue, alg, tuple([z * d1 for z in _quat_mul(consts, _conj4(X), Y)]),
                        nx * L * d0)
-        if _is_root(p, lam):
+        if _is_root(p.coeffs, lam):
             isolated.append((lam, label(u)))
     jordan = None
     if len(isolated) == 1:  # a spherical class comes with no isolated root

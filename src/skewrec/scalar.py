@@ -14,7 +14,10 @@ alike: zero, one, scalar, element, basis, coerce, equality and hashing;
 each adds only its own parameters (`FieldContext` only d, None for Q) and
 `weights`, the diagonal of its norm form on the integer layout:
 W_0 * den^2 * N(x) = sum_j W_j * num_j^2, (1,) over Q and (1, -d) over
-Q(sqrt(d)).
+Q(sqrt(d)).  An associative carrier also gives `_num_mul`, the integer
+product of two numerator tuples, over W_0 times the two denominators: the
+formula its value class multiplies by (`_field_mul` here), which the
+solver's integer root tests and chain systems run on.
 Values print from their numerators by `rational_str`, which gives the
 text of `str(Fraction(n, d))`.  `_lucas` gives the integer Lucas pairs
 from which the solver evaluates closed forms.  Numerators and
@@ -389,6 +392,16 @@ def _times(x, y):
     return x if y.is_one() else x * y
 
 
+def _field_mul(d, p, q) -> tuple:
+    """p * q for the integer numerators p, q of two values of Q (d None) or
+    of Q(sqrt(d)), as integer numerators; `ScalarValue.__mul__` and
+    `FieldContext._num_mul` both use it."""
+    if d is None:
+        return (p[0] * q[0],)
+    (u1, v1), (u2, v2) = p, q
+    return (u1 * u2 + d * (v1 * v2), u1 * v2 + v1 * u2)
+
+
 class ScalarValue(IntValue):
     """An element (u + v*sqrt(d)) / den of the context's field: num is
     (u,) over Q and (u, v) over Q(sqrt(d))."""
@@ -413,11 +426,8 @@ class ScalarValue(IntValue):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx, den = self.carrier, self.den * o.den
-        if ctx.d is None:
-            return _reduced(ScalarValue, ctx, (self.num[0] * o.num[0],), den)
-        (u1, v1), (u2, v2) = self.num, o.num
-        return _reduced(ScalarValue, ctx, (u1 * u2 + ctx.d * (v1 * v2), u1 * v2 + v1 * u2), den)
+        ctx = self.carrier
+        return _reduced(ScalarValue, ctx, _field_mul(ctx.d, self.num, o.num), self.den * o.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -553,6 +563,11 @@ class FieldContext(Carrier):
     def ctx(self) -> FieldContext:
         """The base field of the carrier, as for the algebras: itself."""
         return self
+
+    def _num_mul(self, p, q) -> tuple:
+        """The numerators of x * y for values x, y with numerators p, q, over
+        den(x) * den(y) * weights[0] (which is 1 here)."""
+        return _field_mul(self.d, p, q)
 
     def ratio(self, p: int, q: int) -> ScalarValue:
         """The scalar p/q, for integers p and q != 0."""

@@ -5,15 +5,18 @@ The characteristic data is the monic polynomial x^n - r_{n-1} x^{n-1} - ...
 the exact Jordan decomposition U * J * U^-1 of the companion matrix, built
 from eigenvector chains of the roots (_jordan_form, behind solve_jordan's
 checks for user roots).  Simple roots are the case of 1x1 blocks, where U
-is the Vandermonde matrix of the roots.
+is the Vandermonde matrix of the roots and no companion matrix is built; a
+chain step reads only the companion's last row, rhs, and solves an m x m
+system (`matlin._companion_step`).
 Order-2 octonion recurrences split over a quaternion subalgebra frame into
 a main part and a conjugated tail, each solved on that same path, by the
 frame's integer change of basis (`decompose` and `join`).  Rational
 order-2 coefficients with irrational roots take a CentralForm instead.
-Every closed form is certified before it is returned: each term is proved
-to solve the recurrence for every k by a residual polynomial that
-vanishes at deg p + 1 points, and the sum is checked against the initial
-values, which are read off the residual products at k = 0 (see _certify).
+Every closed form is certified before it is returned: a term with one
+rational coefficient (every simple root) by one integer test that its base
+is a root of the characteristic polynomial, any other by a residual
+polynomial that vanishes at deg p + 1 points; the sum is checked against
+the initial values, read on integer numerators (see _certify_terms).
 `verify_closed_form` is the independent check against direct iteration.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 from math import factorial, isqrt, lcm
 
@@ -45,8 +47,8 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .matlin import chain_matrix, companion_matrix, mat_solve
-from .poly import LeftPoly, quadratic_roots
+from .matlin import _chain_inverses, _chain_matrix, companion_matrix, mat_solve
+from .poly import LeftPoly, _is_root, quadratic_roots
 from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _reduced, _times, squarefree_split
 
 
@@ -349,21 +351,26 @@ def solve_jordan(spec: RecurrenceSpec, rootdata) -> AssocForm:
 
 def _jordan_form(spec: RecurrenceSpec, charpoly: LeftPoly, rootdata) -> AssocForm:
     """a_k as the first row of U * J**k * b, U the eigenvector chains of the
-    roots of charpoly (chain_matrix) and b = U^-1 * init from one elimination on
+    roots of charpoly and b = U^-1 * init from one elimination on
     [U | init], expanded into terms p(k) * base**k * b_i with deg p below
     the block size.  Simple roots give 1x1 blocks, U is then the
-    Vandermonde matrix of the roots and each term is base**k * b_i.  The
+    Vandermonde matrix of the roots and each term is base**k * b_i.  A chain
+    step reads only rhs, the companion matrix's last row, and the one
+    lam^-1 per chain root that the terms need too (`matlin._chain_matrix`);
+    the companion matrix is built only for a chain root of norm 0.  The
     root data is taken as established: _certify proves the result."""
     alg = spec.algebra
-    u = chain_matrix(companion_matrix(charpoly), rootdata)
+    invs = _chain_inverses(rootdata)
+    u = _chain_matrix(rootdata, spec.rhs, invs, lambda: companion_matrix(charpoly))
     try:
         b = mat_solve(u, spec.init)
     except Singular as exc:
         raise SingularU("eigenvector chains are linearly dependent") from exc
     terms = []
     col = 0
-    for lam, m in rootdata:
-        inv_pows = lam.inverse().powers(m - 1) if m > 1 else None
+    for (lam, m), inv in zip(rootdata, invs):
+        # a chain root of norm 0 has no inv, and raises ZeroDivisor here
+        inv_pows = (inv or lam.inverse()).powers(m - 1) if m > 1 else None
         for sp in range(m):
             # the r = 0 summand of column sp is U's first-row entry itself
             coeffs = [u.entry(0, col + sp)] + [alg.zero()] * sp
@@ -459,37 +466,85 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
 
 def _certify_terms(form: AssocForm, rhs, label: str) -> list:
     """Prove that every term p(k) * lam**k * b of form solves
-    a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0: its residual is
+    a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0, and return the
+    form's values a_0..a_{n-1}, a_j the sum of p(j) * lam**j * b over the
+    terms, each read on integer numerators and reduced once.
+
+    A term whose p is one rational c leaves the residual
+    -c * chi(lam) * lam**k * b, chi(x) = x^n - sum_j rhs[j] x^j, so one
+    integer test chi(lam) = 0 (`poly._is_root`) proves it for every k; its
+    a_j are c * lam**j * b, by the carrier's integer product.  Any other
+    term, and one whose lam fails that test, has the residual
     Q(k) * lam**k * b with Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n,
     a polynomial in the central k of degree <= deg p, so Q vanishes
-    identically once it vanishes at k = 0..deg p.  A product by a factor
-    equal to 1 (lam**0, or p(m) = 1 as for a simple root) is skipped
-    (`scalar._times`).
-
-    Returns the form's values a_0..a_{n-1}, read off the k = 0 products
-    f_j = p(j) * lam**j: a_j is the sum of f_j * b over the terms."""
+    identically once it vanishes at k = 0..deg p; Q(k) is formed on integer
+    numerators too, from p(k+j) and lam**j, and its a_j from p(j) * lam**j.
+    For a constant p, Q(k) is one value z, and z * lam**k * b vanishes for
+    every k once it does at k = 0 and 1, since lam**k * b satisfies lam's
+    central quadratic; that passes the terms of a split algebra with
+    z * b = 0 and z != 0."""
     n = len(rhs)
-    init = None
+    carrier = form.carrier
+    mul, D, one = carrier._num_mul, carrier.weights[0], carrier.one()
+    chi = [-r for r in rhs] + [one]
+    rs = None  # (j, numerators of rhs[j] over rho), built for the first Q(k)
+    sums = [None] * n  # a_j as (numerators, denominator)
+
+    def add(j, num, den):
+        if sums[j] is None:
+            sums[j] = num, den
+        else:
+            acc, d = sums[j]
+            sums[j] = [a * den + x * d for a, x in zip(acc, num)], d * den
+
     for i, t in enumerate(form.terms):
         d = t.degree
-        if d < 0 or t.right.is_zero():
+        lam, b = t.base, t.right
+        if d < 0 or b.is_zero():
             continue
-        pows = t.base.powers(n)
-        vals = [reduce(lambda acc, c: acc * m + c, reversed(t.poly[:d]), t.poly[d])
-                for m in range(d + n + 1)]  # p(m) by Horner's rule
+        sl = D * lam.den  # what each product by lam puts under the numerators
+        if d == 0 and t.poly[0].is_central() and _is_root(chi, lam):
+            (cn, *_), cd = t.poly[0].num, t.poly[0].den
+            w, s = [x * cn for x in b.num], b.den * cd  # c*b, then lam * w per j
+            for j in range(n):
+                if j:
+                    w, s = mul(lam.num, w), sl * s
+                add(j, w, s)
+            continue
+        if rs is None:
+            rho = lcm(*[r.den for r in rhs])
+            rs = [(j, [x * (rho // r.den) for x in r.num])
+                  for j, r in enumerate(rhs) if not r.is_zero()]
+        # e*p(m) by Horner's rule and lam**j = L_j / sl**j, on numerators
+        e = lcm(*[c.den for c in t.poly[:d + 1]])
+        cs = [[x * (e // c.den) for x in c.num] for c in t.poly[d::-1]]
+        vals = []
+        for m in range(d + n + 1):
+            v = cs[0]
+            for c in cs[1:]:
+                v = [x * m + y for x, y in zip(v, c)]
+            vals.append(v)
+        pows = [one.num]
+        for _ in range(n):
+            pows.append(mul(pows[-1], lam.num))
         for k in range(d + 1):
-            # p(k+j) * lam**j for j = 0..n
-            f = [_times(v, pw) for v, pw in zip(vals[k:k + n + 1], pows)]
-            res = -f[n]
-            for j, r in enumerate(rhs):
-                res = res + _times(r, f[j])
-            if not res.is_zero():
-                raise InternalError(f"certificate failed: {label}term {i} leaves "
-                                    f"the residual {res} at k={k}")
+            # p(k+j) * lam**j = f[j] / (D * e * sl**j), and Q(k) over
+            # D**2 * rho * e * sl**n
+            f = [mul(v, pw) for v, pw in zip(vals[k:k + n + 1], pows)]
+            q = [-x * D * rho for x in f[n]]
+            for j, r in rs:
+                q = [a + x * sl ** (n - j) for a, x in zip(q, mul(r, f[j]))]
+            if any(q):
+                res = _reduced(carrier.value_type, carrier, tuple(q), D * D * rho * e * sl ** n)
+                if not (d == 0 and (res * b).is_zero() and (res * (lam * b)).is_zero()):
+                    raise InternalError(f"certificate failed: {label}term {i} leaves "
+                                        f"the residual {res} at k={k}")
             if k == 0:
-                a = [_times(fj, t.right) for fj in f[:n]]
-                init = a if init is None else [x + y for x, y in zip(init, a)]
-    return init or [form.carrier.zero()] * n
+                for j in range(n):
+                    add(j, mul(f[j], b.num), D * D * e * sl ** j * b.den)
+    zero = carrier.zero()
+    return [zero if a is None else _reduced(carrier.value_type, carrier, tuple(a[0]), a[1])
+            for a in sums]
 
 
 def _certify_frame(frame) -> None:
@@ -518,8 +573,8 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     join(r_j, 0) for a frame quaternion r_j, main must solve the recurrence
     with the r_j and tail the one with conj(r_j); the frame identities then
     carry both to a_k = join(main(k), conj(tail(k))), and with central r_j
-    linearity alone does.  The first n values are read off the residual
-    products (`_certify_terms`), so no evaluator is built here; the proved
+    linearity alone does.  The first n values are read on integer
+    numerators (`_certify_terms`), so no evaluator is built here; the proved
     values are kept on cf, and its evaluator checks itself against them
     when it is built (`_LucasForm.value`).
     """

@@ -25,7 +25,7 @@ from skewrec import (
     sylvester_chain_solve,
     vandermonde,
 )
-from skewrec.matlin import _primitive, _reduce_rows, mat_solve
+from skewrec.matlin import _companion_step, _primitive, _reduce_rows, chain_matrix, mat_solve
 from conftest import rand_frac, rand_invertible_quat, rand_quat, rand_scalar
 
 Q = FieldContext.rational()
@@ -474,3 +474,64 @@ def test_chain_solve_on_numerators_is_the_coords_solve(carrier, n, kind, seed):
             sylvester_chain_solve(a, lam, v)
     else:
         assert sylvester_chain_solve(a, lam, v) == expected
+
+
+@props
+@given(st.sampled_from(CHAIN_CARRIERS), st.integers(1, 4),
+       st.sampled_from(["chain", "image", "random"]), st.integers(0, 2 ** 32))
+def test_companion_step_is_the_flattened_chain_solve(carrier, n, kind, seed):
+    # the m x m Schur system of a companion matrix gives the representative
+    # of the flattened (n*m) x (n*m) system, or raises NoSolution with it;
+    # lam is a root of p, repeated about half of the time, or random, and v
+    # starts a chain (1, lam, ..., lam^(n-1)), is in the image, or is random
+    rng = random.Random(seed)
+    lam = rand_entry(rng, carrier)
+    while lam.is_zero():
+        lam = rand_entry(rng, carrier)
+    if rng.random() < 0.8:
+        p = LeftPoly.x_minus(lam)
+        for _ in range(n - 1):
+            p = LeftPoly.x_minus(lam if rng.random() < 0.5 else rand_entry(rng, carrier)) * p
+    else:
+        p = LeftPoly(carrier, [rand_entry(rng, carrier) for _ in range(n)] + [1])
+    a = companion_matrix(p)
+    if kind == "chain":
+        v = lam.powers(n - 1)
+    elif kind == "image":
+        w0 = [rand_entry(rng, carrier) for _ in range(n)]
+        v = [x - y * lam for x, y in zip(a.apply(w0), w0)]
+    else:
+        v = [rand_entry(rng, carrier) for _ in range(n)]
+    try:
+        expected = sylvester_chain_solve(a, lam, v)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            _companion_step(a.row(n - 1), lam, lam.inverse(), v)
+    else:
+        assert _companion_step(a.row(n - 1), lam, lam.inverse(), v) == expected
+
+
+def test_chain_matrix_takes_the_flattened_solve_off_the_companion_step(monkeypatch):
+    # a root of norm 0 (in the split (1, 1)) and a matrix without the
+    # companion shift rows have no m x m system: their chains come from
+    # sylvester_chain_solve, and an invertible root of a companion matrix
+    # never reaches it
+    from skewrec import matlin
+
+    S = QuaternionAlgebra(1, 1)
+    lam = S.element([1, 1, 0, 0])  # (1 + e1)^2 = 2*(1 + e1), norm 0
+    a = companion_matrix(LeftPoly.x_minus(lam) * LeftPoly.x_minus(lam))
+    w = sylvester_chain_solve(a, lam, lam.powers(1))
+    u = DMatrix.from_rows([[S.one(), w[0]], [lam, w[1]]])
+    monkeypatch.setattr(matlin, "_companion_step", lambda *args: pytest.fail("m x m step"))
+    assert chain_matrix(a, [(lam, 2)]) == u
+    b = DMatrix.from_rows([[J, H.one()], [H.one(), I + J]])  # no shift rows
+    w = sylvester_chain_solve(b, I, I.powers(1))
+    assert chain_matrix(b, [(I, 2)]) == DMatrix.from_rows([[H.one(), w[0]], [I, w[1]]])
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(matlin, "sylvester_chain_solve", lambda *args: calls.append(args))
+    a = companion_matrix(LeftPoly.x_minus(I) * LeftPoly.x_minus(I))
+    u = chain_matrix(a, [(I, 2)])
+    w = [u.entry(0, 1), u.entry(1, 1)]
+    assert [x - y * I for x, y in zip(a.apply(w), w)] == [H.one(), I] and calls == []

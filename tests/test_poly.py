@@ -23,7 +23,8 @@ from skewrec import (
     factor_central_quartic,
     quadratic_roots,
 )
-from conftest import rand_frac, rand_quat, rand_invertible_quat
+from skewrec.poly import _is_root
+from conftest import rand_frac, rand_quat, rand_invertible_quat, rand_scalar
 
 Q = FieldContext.rational()
 H = QuaternionAlgebra(-1, -1)
@@ -766,3 +767,34 @@ def test_negation_difference_and_hash():
     assert hash(p) == hash(same) and len({p, same, q}) == 2
     trailing_zero = LeftPoly(H, [1, 0])
     assert trailing_zero == LeftPoly(H, [1]) and hash(trailing_zero) == hash(LeftPoly(H, [1]))
+
+
+ROOT_TEST_CARRIERS = [Q, FieldContext.quadratic(2), H,
+                      QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+                      QuaternionAlgebra(1, 1), QuaternionAlgebra(2, 3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ROOT_TEST_CARRIERS), st.integers(1, 4), st.booleans(),
+       st.sampled_from(["planted", "random"]), st.integers(0, 2 ** 32))
+def test_is_root_is_the_zero_test_of_left_evaluation(carrier, n, monic, kind, seed):
+    # the integer Horner test against LeftPoly.eval, over every associative
+    # carrier, split algebras included; lam is a root of g * (x - lam), so
+    # the planted half of the cases are roots
+    rng = random.Random(seed)
+    if isinstance(carrier, FieldContext):
+        rand = lambda: rand_scalar(rng, carrier, 4, 2)
+    else:
+        rand = lambda: rand_quat(rng, carrier, 4, 2)
+    lam = rand()
+    top = carrier.one() if monic else rand()
+    while top.is_zero():
+        top = rand()
+    if kind == "planted":
+        p = LeftPoly(carrier, [rand() for _ in range(n - 1)] + [top]) * x_minus(lam)
+    else:
+        p = LeftPoly(carrier, [rand() for _ in range(n)] + [top])
+    assert p.degree == n
+    expected = p.eval(lam).is_zero()
+    assert _is_root(p.coeffs, lam) == expected
+    assert expected or kind == "random"

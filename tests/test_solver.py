@@ -10,6 +10,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from skewrec import (
     AssocForm,
     ContextMismatch,
+    DMatrix,
     FieldContext,
     InternalError,
     LeftPoly,
@@ -20,6 +21,7 @@ from skewrec import (
     QuaternionAlgebra,
     RecurrenceSpec,
     ScalarValue,
+    SingularU,
     SkewrecError,
     Term,
     UnsupportedOrder,
@@ -38,6 +40,7 @@ from skewrec import (
     verify_closed_form,
 )
 from skewrec import solver
+from skewrec.matlin import mat_solve
 from skewrec.solver import CentralForm, _certify
 from conftest import adjoin_root, rand_oct, rand_quat, rand_quat_common_den
 
@@ -530,6 +533,76 @@ def test_certificate_checks_every_point_up_to_the_degree():
     assert not verify_closed_form(spec, bad, 16).ok
     with pytest.raises(InternalError, match="term 0 leaves the residual -4 at k=1"):
         _certify(spec, bad)
+
+
+def test_simple_roots_certify_by_one_integer_root_test_each(monkeypatch):
+    # each simple root is proved by one integer test of chi(lam) = 0, which
+    # passes, and its a_j are read on integer numerators: the certificate
+    # multiplies no value
+    from skewrec import algebra
+
+    products, tests = [], []
+    mul, is_root = algebra.QuatValue.__mul__, solver._is_root
+    cf = solve(DIAG)
+    monkeypatch.setattr(algebra.QuatValue, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    monkeypatch.setattr(solver, "_is_root", lambda *a: tests.append(is_root(*a)) or tests[-1])
+    _certify(DIAG, cf)
+    assert all(t.degree == 0 for t in cf.terms)
+    assert tests == [True, True] and products == []
+
+
+S11 = QuaternionAlgebra(1, 1)  # M_2(Q): w + x*e1 + y*e2 + z*e3 is [[w+x, y+z], [y-z, w-x]]
+E11 = S11.element([Fraction(1, 2), Fraction(1, 2), 0, 0])
+E22 = S11.element([Fraction(1, 2), Fraction(-1, 2), 0, 0])
+
+
+def test_a_split_term_with_chi_lam_times_b_zero_certifies():
+    # a_{k+1} = r*a_k with r = 2*E22 - E11: a_k = (2*E22)^k * E22 is 2^k*E22,
+    # a solution, though chi(lam) = lam - r = E11 is no zero; E11 * E22 = 0
+    lam, b = 2 * E22, E22
+    spec = RecurrenceSpec(S11, 1, (lam - E11,), (b,))
+    form = AssocForm(S11, (Term((S11.one(),), lam, b),))
+    assert not (lam - spec.rhs[0]).is_zero() and ((lam - spec.rhs[0]) * b).is_zero()
+    assert verify_closed_form(spec, form, 16).ok
+    _certify(spec, form)
+
+
+def test_a_split_term_with_chi_lam_times_lam_b_nonzero_is_rejected():
+    # chi(lam) * b = 0 alone proves nothing: here chi(lam) * lam * b != 0,
+    # and the form is right at k = 0 and 1 but wrong from k = 2 on
+    h = Fraction(1, 2)
+    lam = S11.element([h, -h, h, h])  # [[0, 1], [0, 1]]
+    spec = RecurrenceSpec(S11, 1, (lam - E11,), (E22,))
+    form = AssocForm(S11, (Term((S11.one(),), lam, E22),))
+    assert (E11 * E22).is_zero() and not (E11 * lam * E22).is_zero()
+    assert verify_closed_form(spec, form, 16).first_failure == 2
+    with pytest.raises(InternalError, match=re.escape(f"term 0 leaves the residual {-E11} at k=0")):
+        _certify(spec, form)
+
+
+def test_a_constant_term_with_a_quaternion_coefficient_takes_the_residual():
+    # only a rational c passes c * lam**k * b by chi(lam) = 0: with c = 1 + i
+    # and b solved so that a_0 and a_1 are right, the term is no solution
+    lam, mu = (t.base for t in solve(DIAG).terms)
+    c = 1 + I
+    u = DMatrix.from_rows([[c, H.one()], [c * lam, mu]])
+    b1, b2 = mat_solve(u, DIAG.init)
+    form = AssocForm(H, (Term((c,), lam, b1), Term((H.one(),), mu, b2)))
+    assert verify_closed_form(DIAG, form, 16).first_failure == 2
+    with pytest.raises(InternalError, match="term 0 leaves the residual"):
+        _certify(DIAG, form)
+
+
+def test_dependent_chains_in_a_split_algebra_raise_singular_u():
+    # nu = diag(1, 2) in M_2(Q) is a root of (x - 1)(x - 2), so the three
+    # distinct roots 1, 2, nu of (x - 1)(x - 2)(x - nu), in three classes,
+    # have a singular Vandermonde matrix
+    nu = S11.element([Fraction(3, 2), Fraction(-1, 2), 0, 0])
+    p = LeftPoly(S11, [2, -3, 1]) * LeftPoly.x_minus(nu)
+    spec = RecurrenceSpec(S11, 3, tuple(-c for c in p.coeffs[:3]), (1, 0, 0),
+                          roots=((1, 1), (2, 1), (nu, 1)))
+    with pytest.raises(SingularU, match="eigenvector chains are linearly dependent"):
+        solve(spec)
 
 
 def test_certificate_checks_the_frame():
