@@ -20,12 +20,16 @@ reduced (gcd of all of them and the denominator is 1): the layout of
 `scalar.IntValue`, which Q(sqrt(d)) scalars share, and which holds the
 sums, scalings, conjugation, inverse, powers, equality and hashing of all
 of them, and the one polar form of their norms.  Each value class adds
-only its product.  Each result is computed on plain ints and reduced by one
-multi-argument gcd; rational a, b enter as integers over
-D = den(a)*den(b), so a quaternion product is D*w1*w2 + A*x1*x2 +
-B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D, and gamma enters over its own
-denominator.  `coords()` returns exact Fractions, and `str` prints from the
-numerators.
+only its product.  Each result is computed on plain ints and reduced by the
+only factor that can cancel (`scalar._sum`, `scalar._product`): gcd(d1,
+d2) for a sum, and for a product by a factor z whose denominator is narrow
+beside a wide one, a factor of W_0 * N(z) (times its scaling), since
+conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x hold in every composition
+algebra, octonions and split algebras included.  Rational a, b enter as
+integers over D = den(a)*den(b), so a quaternion product is D*w1*w2 +
+A*x1*x2 + B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D, and gamma enters
+over its own denominator.  `coords()` returns exact Fractions, and `str`
+prints from the numerators.
 
 Carriers.  `QuaternionAlgebra` and `OctonionAlgebra` derive from
 `scalar.Carrier`, as `FieldContext` does, which holds zero, one, scalar,
@@ -46,8 +50,9 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
-from .errors import DegenerateFrame, InternalError, NoRepresentative, ValidationError
-from .scalar import _SCALARS, Carrier, FieldContext, IntValue, ScalarValue, _make, _ratio, _reduced
+from .errors import DegenerateFrame, NoRepresentative, ValidationError
+from .scalar import (_SCALARS, Carrier, FieldContext, IntValue, ScalarValue, _make, _product,
+                     _ratio, _reduced)
 
 
 def _quat_mul(consts, p, q) -> tuple:
@@ -81,9 +86,7 @@ class QuatValue(IntValue):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        c = alg.consts
-        return _reduced(QuatValue, alg, _quat_mul(c, self.num, other.num),
-                        c[0] * self.den * other.den)
+        return _product(self, other, _quat_mul(alg.consts, self.num, other.num))
 
 
 class QuaternionAlgebra(Carrier):
@@ -157,10 +160,8 @@ class OctValue(IntValue):
         s, t = o.num[:4], o.num[4:]
         qs, tr = _quat_mul(c, q, s), _quat_mul(c, _conj4(t), r)
         tq, rs = _quat_mul(c, t, q), _quat_mul(c, r, _conj4(s))
-        return _reduced(OctValue, alg,
-                        tuple([Gd * a + G * b for a, b in zip(qs, tr)]
-                              + [Gd * (a + b) for a, b in zip(tq, rs)]),
-                        Gd * c[0] * self.den * o.den)
+        return _product(self, o, tuple([Gd * a + G * b for a, b in zip(qs, tr)]
+                                       + [Gd * (a + b) for a, b in zip(tq, rs)]))
 
     def __eq__(self, other):
         # q + 0*l0 equals the quaternion q of the base algebra
@@ -334,12 +335,12 @@ def polar_form(x, y) -> ScalarValue:
 
 def _orthogonalize(x: OctValue, against) -> OctValue:
     """x minus its projections B(x, v) / B(v, v) * v, one v after the other,
-    the ratio read off the `_scaled_polar` numerators (their D cancels)."""
+    for pairwise orthogonal v of nonzero norm: the projection of x on the
+    complement of their span.  The ratio is read off the `_scaled_polar`
+    numerators (their D cancels)."""
     out = x
     for v in against:
         m_v, _ = v._scaled_polar(v)
-        if m_v == 0:
-            raise DegenerateFrame(f"cannot orthogonalize against isotropic {v}")
         m, _ = out._scaled_polar(v)
         out = out - v._scaled(m * v.den, m_v * out.den)
     return out
@@ -367,14 +368,6 @@ class SubalgebraFrame:
         self.w = w
         self.ell = ell
         self.uw = uw = u * w
-        # a non-central x has x^2 = T(x)*x - N(x) central exactly when x
-        # is pure, T(x) = 0, and then x^2 = -N(x)
-        for x, what in ((u, "frame generator u"), (w, "frame generator w"),
-                        (ell, "frame unit ell")):
-            if x.num[0]:
-                raise InternalError(f"{what} squared is not central")
-        self.a_prime, self.b_prime, self.gamma_prime = -u.norm(), -w.norm(), -ell.norm()
-        self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
         vecs = (oct_alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
         self.den = den = lcm(*[v.den for v in vecs])
         cols = [[n * (den // v.den) for n in v.num] for v in vecs]
@@ -384,6 +377,9 @@ class SubalgebraFrame:
         gram = [sum(map(mul, wc, col)) for wc, col in zip(wcols, cols)]
         if 0 in gram or any(sum(map(mul, wcols[i], cols[j])) for i in range(8) for j in range(i)):
             raise DegenerateFrame("frame vectors are isotropic or not pairwise orthogonal")
+        # u, w and ell are orthogonal to 1, so pure: x^2 = T(x)*x - N(x) = -N(x)
+        self.a_prime, self.b_prime, self.gamma_prime = -u.norm(), -w.norm(), -ell.norm()
+        self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
         # coordinate i of x = num / d is den * (wcols[i] . num) / (d * gram[i]);
         # each half of the coordinates goes over the lcm L of its four gram[i]
         Ls = [lcm(*gram[:4])] * 4 + [lcm(*gram[4:])] * 4
@@ -428,32 +424,20 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
     if not u._norm_parts()[0]:
         raise DegenerateFrame(f"generator {u} is isotropic")
 
-    w0 = alpha.pure()
-    w = None
-    if not w0.is_zero():
-        cand = _orthogonalize(w0, [u])
-        if not cand.is_zero():
-            w = cand
-    if w is None:
-        for s in alg.basis()[1:]:
-            cand = _orthogonalize(s, [u])
-            if not cand.is_zero():
-                w = cand
-                break
-    if w is None:
-        raise DegenerateFrame("no vector independent of u survived orthogonalization")
+    # s - B(s, u) / B(u, u) * u is zero only for s a multiple of u, which
+    # at most one of the basis vectors e1, ..., e7 is, so some w is found
+    w = next(c for c in (_orthogonalize(s, [u]) for s in [alpha.pure(), *alg.basis()[1:]])
+             if not c.is_zero())
     if not w._norm_parts()[0]:
         raise DegenerateFrame(f"orthogonalization produced isotropic {w}")
 
+    # ell is the first projection P(s) on the complement V of span(1, u, w,
+    # u*w) that is not isotropic, and one is: P is self-adjoint for B, so
+    # sum_i N(P(e_i)) / N(e_i) over the basis is trace(P) = dim V = 4, and
+    # P(1) = 0
     span = [alg.one(), u, w, u * w]
-    ell = None
     qb = alg.basis()
-    for s in [qb[4], qb[5], qb[6], qb[7], qb[1], qb[2], qb[3]]:
-        cand = _orthogonalize(s, span)
-        if cand._norm_parts()[0]:  # nonzero and not isotropic
-            ell = cand
-            break
-    if ell is None:
-        raise DegenerateFrame("no usable doubling unit orthogonal to the frame")
+    ell = next(c for c in (_orthogonalize(s, span) for s in qb[4:] + qb[1:4])
+               if c._norm_parts()[0])
 
     return SubalgebraFrame(alg, u, w, ell)

@@ -6,7 +6,13 @@ A value of an algebra of dimension m over Q is a tuple of m integer
 numerators over one positive denominator, reduced so that the gcd of all
 of them is 1; `IntValue` holds everything that layout does the same way in
 every algebra, its powers and its one polar form included, and each value
-class adds only its product.  A scalar of Q is
+class adds only its product, which `_product` reduces.  A result is reduced
+by the only common factor it can have, not by a gcd against its whole
+denominator: a sum over lcm(d1, d2) by a divisor of g = gcd(d1, d2), as a
+prime with a higher power in one operand's denominator leaves some
+numerator of the sum prime to it; a product of a narrow factor z with
+N(z) != 0 and a wide one by a divisor of W_0 * d_z * gcd(d_o, W_0 * m_z),
+as conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x.  A scalar of Q is
 (u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
 (u + v*sqrt(d)) / den.  In the same way `Carrier` holds what every
 carrier (`FieldContext` here, the quaternion and octonion algebras) does
@@ -176,10 +182,12 @@ def _make(cls, carrier, num: tuple, den: int):
     return x
 
 
-def _reduced(cls, carrier, num: tuple, den: int):
-    """The canonical value num / den of class cls, for den != 0."""
+def _reduced(cls, carrier, num: tuple, den: int, bound: int = 0):
+    """The canonical value num / den of class cls, for den != 0.  A nonzero
+    `bound` is a divisor of den that gcd(den, *num) divides, and the gcd is
+    taken against it instead of den."""
     if den != 1:  # over 1 every num is canonical
-        g = gcd(den, *num)
+        g = gcd(bound or den, *num)
         if den < 0:
             g = -g
         if g != 1:
@@ -204,9 +212,13 @@ class IntValue:
     `num` holds integers and `den` their shared positive denominator, with
     gcd(*num, den) == 1, so equal values of a carrier have equal
     (num, den).  `_make` builds a value from that canonical pair as given;
-    a result that may need reducing is built by `_reduced`, one gcd per
-    result.  Values are never mutated.  A subclass supplies `__mul__`;
-    the norm, the inverse and the polar form read the carrier's `weights`
+    a result that may need reducing is built by `_reduced`, with its gcd
+    against the factor that can cancel where one is known: gcd(d1, d2) for
+    a sum (`_sum`) and W_0 * d_z * gcd(d_o, W_0 * m_z) for a product with a
+    narrow factor z (`_product`); a scaling by p/q divides out gcd(p, den)
+    and gcd(q, *num), as a Fraction product does (`_scaled`).  Values are
+    never mutated.  A subclass supplies `__mul__`, through `_product`; the
+    norm, the inverse and the polar form read the carrier's `weights`
     through `_scaled_polar`.
     """
 
@@ -229,14 +241,25 @@ class IntValue:
         return self.carrier.coerce(other)
 
     def _sum(self, other, sign: int):
-        """self + sign * other."""
+        """self + sign * other, over L = lcm(d1, d2) for the denominators d1
+        and d2.  Only g = gcd(d1, d2) can cancel: a prime with a higher power
+        in d1 than in d2 divides every numerator's other-term but not some
+        self-term, as self is reduced (and the other way round), and a prime
+        with equal powers has the same power in L as in g.  So the sum is
+        reduced by gcd(g, *num), and is canonical as it is when g = 1."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not any(o.num):
+            return self
+        if not any(self.num):
+            return o if sign > 0 else -o
         g = gcd(self.den, o.den)
         s1, s2 = o.den // g, sign * (self.den // g)
-        return _reduced(self.__class__, self.carrier,
-                        tuple([a * s1 + b * s2 for a, b in zip(self.num, o.num)]), self.den * s1)
+        num = tuple([a * s1 + b * s2 for a, b in zip(self.num, o.num)])
+        if g == 1:
+            return _make(self.__class__, self.carrier, num, self.den * s1)
+        return _reduced(self.__class__, self.carrier, num, self.den * s1, g)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -250,8 +273,21 @@ class IntValue:
         return _make(self.__class__, self.carrier, tuple(map(neg, self.num)), self.den)
 
     def _scaled(self, p: int, q: int):
-        """self * (p/q) for integers p and q != 0."""
-        return _reduced(self.__class__, self.carrier, tuple([n * p for n in self.num]), self.den * q)
+        """self * (p/q) for integers p and q != 0, reduced as a Fraction
+        product is: with p/q in lowest terms, a prime that divides the
+        result's denominator and every numerator divides gcd(p, den) or
+        gcd(q, *num), so dividing those out leaves it canonical."""
+        g = gcd(p, q)
+        if q < 0:
+            g = -g
+        p, q = p // g, q // g
+        num, den = self.num, self.den
+        g1, g2 = gcd(p, den), gcd(q, *num)
+        if g1 != 1:
+            p, den = p // g1, den // g1
+        if g2 != 1:
+            q, num = q // g2, [n // g2 for n in num]
+        return _make(self.__class__, self.carrier, tuple([n * p for n in num]), den * q)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):  # a scalar is central
@@ -392,6 +428,34 @@ def _times(x, y):
     return x if y.is_one() else x * y
 
 
+def _product(x, y, num: tuple):
+    """The value x * y, of x's class and carrier, from num: its integer
+    numerators over W_0 * x.den * y.den, W the carrier's `weights`.
+
+    When one denominator is wider than 64 bits and the other, d_z of the
+    factor z, is not, the gcd is taken against W_0 * d_z * gcd(d_o, W_0 *
+    m_z) instead, o the other factor and m_z = W_0 * d_z^2 * N(z)
+    (`_norm_parts`): two gcds against small numbers.  Every composition
+    algebra has conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x (from the
+    alternative laws, so octonions and split algebras too), which on
+    numerators says that the gcd g of num and the denominator divides
+    W_0 * m_z * num(o); a prime of d_o leaves some numerator of o prime to
+    it, so it divides g at most as often as W_0 * m_z.  A zero divisor z
+    (m_z = 0) gets gcd(d_o, 0) = d_o, the whole denominator again, and
+    every other product takes the gcd against the whole denominator."""
+    carrier = x.carrier
+    w0 = carrier.weights[0]
+    dz, do = x.den, y.den
+    den = w0 * dz * do
+    if (dz | do) >> 64:
+        if dz > do:
+            x, dz, do = y, do, dz
+        if not dz >> 64:
+            m, _ = x._norm_parts()
+            return _reduced(x.__class__, carrier, num, den, w0 * dz * gcd(do, w0 * m))
+    return _reduced(x.__class__, carrier, num, den)
+
+
 def _field_mul(d, p, q) -> tuple:
     """p * q for the integer numerators p, q of two values of Q (d None) or
     of Q(sqrt(d)), as integer numerators; `ScalarValue.__mul__` and
@@ -426,8 +490,7 @@ class ScalarValue(IntValue):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.carrier
-        return _reduced(ScalarValue, ctx, _field_mul(ctx.d, self.num, o.num), self.den * o.den)
+        return _product(self, o, _field_mul(self.carrier.d, self.num, o.num))
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -1,8 +1,9 @@
-"""Shared random-element generators for the test suite (all seeded)."""
+"""Shared random-element generators (all seeded) and a Fraction reference
+product for the test suite."""
 
 from fractions import Fraction
 
-from skewrec import LeftPoly
+from skewrec import LeftPoly, OctonionAlgebra, QuaternionAlgebra
 
 
 def rand_frac(rng, num=9, den=3):
@@ -46,3 +47,33 @@ def adjoin_root(p, lam):
         return LeftPoly.x_minus(lam) * p
     mu = (v * lam) * v.inverse()
     return LeftPoly.x_minus(mu) * p
+
+
+def fraction_mul(carrier, x, y):
+    """x * y for lists of Fraction coordinates of a carrier, from its
+    parameters alone: d for Q(sqrt(d)), the products of (a,b | Q) with
+    e1^2 = a, e2^2 = b and e3 = e1*e2 = -e2*e1, and (q + r*l)(s + t*l) =
+    q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l for the octonion double with
+    parameter gamma."""
+    if isinstance(carrier, OctonionAlgebra):
+        def mul(u, v):
+            return fraction_mul(carrier.base, u, v)
+
+        def conj(v):
+            return [v[0]] + [-c for c in v[1:]]
+
+        g = carrier.gamma.u
+        q, r, s, t = x[:4], x[4:], y[:4], y[4:]
+        return ([a + g * b for a, b in zip(mul(q, s), mul(conj(t), r))]
+                + [a + b for a, b in zip(mul(t, q), mul(r, conj(s)))])
+    if isinstance(carrier, QuaternionAlgebra):
+        a, b = carrier.a.u, carrier.b.u
+        w1, x1, y1, z1 = x
+        w2, x2, y2, z2 = y
+        return [w1 * w2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
+                w1 * x2 + x1 * w2 - b * y1 * z2 + b * z1 * y2,
+                w1 * y2 + y1 * w2 + a * x1 * z2 - a * z1 * x2,
+                w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2]
+    if carrier.d is None:
+        return [x[0] * y[0]]
+    return [x[0] * y[0] + carrier.d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]]

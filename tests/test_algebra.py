@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,9 @@ from skewrec import (
     polar_form,
     spherical_representative,
 )
-from skewrec.algebra import SubalgebraFrame
-from conftest import rand_frac, rand_invertible_quat, rand_oct, rand_quat
+from skewrec.algebra import SubalgebraFrame, _orthogonalize
+from skewrec.scalar import _reduced
+from conftest import fraction_mul, rand_frac, rand_invertible_quat, rand_oct, rand_quat
 
 H = QuaternionAlgebra(-1, -1)
 I, J, K = H.e1, H.e2, H.e3
@@ -275,6 +277,12 @@ def test_frame_constructor_rejects_degenerate_bases():
     e1, e2 = split.basis()[1:3]
     with pytest.raises(DegenerateFrame):
         SubalgebraFrame(split, e1, e2, split.element([0, 0, 0, 0, 1, 1, 0, 0]))
+    # a vector with a scalar part is not orthogonal to 1, so not pure, and
+    # its square is not the central -N(x) that a' reads
+    for u, w, ell in ((1 + O.embed(I), O.embed(J), L), (O.embed(I), O.embed(J) - 2, L),
+                      (O.embed(I), O.embed(J), L + 1)):
+        with pytest.raises(DegenerateFrame, match="not pairwise orthogonal"):
+            SubalgebraFrame(O, u, w, ell)
 
 
 def test_frame_cayley_dickson_rule():
@@ -307,12 +315,37 @@ def test_frame_matrix_conjugation_lemma():
             assert lhs == rhs
 
 
+SPLIT_111 = OctonionAlgebra(1, 1, 1)  # weights (1, -1, -1, 1, -1, 1, 1, -1)
+
+
 def test_degenerate_frame():
-    split = OctonionAlgebra(1, 1, 1)
-    bad = split.element([0, 1, 0, 0, 0, 1, 0, 0])
+    # the two isotropic generators that build_frame rejects: u, the pure part
+    # of beta, and w, the pure part of alpha orthogonalized against u
+    e = SPLIT_111.basis()
+    bad = e[1] + e[5]
     assert bad.norm().is_zero()
-    with pytest.raises(DegenerateFrame):
-        build_frame(split, split.one(), bad)
+    with pytest.raises(DegenerateFrame, match=r"generator \[0,1,0,0,0,1,0,0\] is isotropic"):
+        build_frame(SPLIT_111, SPLIT_111.one(), bad)
+    assert polar_form(e[2] + e[3], e[1]).is_zero() and (e[2] + e[3]).norm().is_zero()
+    with pytest.raises(DegenerateFrame, match=r"orthogonalization produced isotropic \[0,0,1,1"):
+        build_frame(SPLIT_111, e[2] + e[3], e[1])
+
+
+def test_frame_candidates_fall_back_in_a_split_algebra():
+    # w: alpha's pure part and e1 are multiples of u = e1, so w is e2
+    e = SPLIT_111.basis()
+    fr = build_frame(SPLIT_111, 2 * e[1], e[1])
+    assert fr.u == e[1] and fr.w == e[2]
+    # ell: with u = -e1 - e5 - e6 and w = e2 the projections of e4, ..., e7 on
+    # the complement of span(1, u, w, u*w) are all isotropic, so ell is e1's
+    u = -e[1] - e[5] - e[6]
+    fr = build_frame(SPLIT_111, e[2], u)
+    assert fr.u == u and fr.w == e[2]
+    span = [SPLIT_111.one(), u, e[2], u * e[2]]
+    assert all(_orthogonalize(s, span).norm().is_zero() for s in e[4:])
+    assert fr.ell == _orthogonalize(e[1], span) and not fr.ell.norm().is_zero()
+    x = SPLIT_111.element([1, 2, -1, 0, 3, Fraction(1, 2), 0, 1])
+    assert fr.join(*fr.decompose(x)) == x
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +466,14 @@ def test_hamilton_products_agree_with_sympy(cx, cy):
     assert (H.element(cx) * H.element(cy)).coords() == expected
 
 
-def fraction_product(alg, p, q):
-    """The product formula on plain Fractions, independent of the scaling."""
-    a, b = alg.a.u, alg.b.u
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-    return [w1 * w2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
-            w1 * x2 + x1 * w2 - b * y1 * z2 + b * z1 * y2,
-            w1 * y2 + y1 * w2 + a * x1 * z2 - a * z1 * x2,
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2]
-
-
 @props
 @given(algebras, quad, quad)
 def test_rational_structure_constants_products(alg, cx, cy):
     x, y = alg.element(cx), alg.element(cy)
-    assert (x * y).coords() == fraction_product(alg, cx, cy)
+    assert (x * y).coords() == fraction_mul(alg, cx, cy)
     assert alg.e1 * alg.e1 == alg.a and alg.e2 * alg.e2 == alg.b
     assert alg.e3 * alg.e3 == -(alg.a * alg.b)
-    assert x.norm() == fraction_product(alg, cx, x.conj().coords())[0]
+    assert x.norm() == fraction_mul(alg, cx, x.conj().coords())[0]
 
 
 @props
@@ -746,3 +768,100 @@ def test_times_returns_the_other_factor_of_a_product_by_one(monkeypatch):
     y = x.carrier.element([0, 2, Fraction(1, 2), -1])
     assert _times(x, y) == x * y and _times(y, x) == y * x
     assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# sums, products and scalings reduce only by the factor that can cancel, and
+# so give the value that one full gcd of the raw result gives
+
+REDUCTION_CARRIERS = [
+    FieldContext.rational(), FieldContext.quadratic(2),
+    QuaternionAlgebra(-1, -1), QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+    QuaternionAlgebra(1, 1), QuaternionAlgebra(2, 3),
+    OctonionAlgebra(-1, -1, -1), OctonionAlgebra(1, 1, 1),
+    OctonionAlgebra(-1, -2, Fraction(-3, 2)), OctonionAlgebra(2, 3, -1),
+]
+reduction_props = settings(max_examples=250, deadline=None, derandomize=True, database=None)
+# products of powers of 2, 3 and 5, small or wider than 64 bits, so that
+# numerators and denominators share primes
+smooth = st.builds(lambda i, j, k: 2 ** i * 3 ** j * 5 ** k,
+                   st.integers(0, 90), st.integers(0, 40), st.integers(0, 20))
+small_smooth = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 25])
+
+
+@st.composite
+def reduction_values(draw, carrier):
+    """A value of carrier, zero one time in ten, over a small or a wide
+    denominator."""
+    if draw(st.integers(0, 9)) == 0:
+        return carrier.zero()
+    den = draw(st.one_of(small_smooth, smooth))
+    nums = draw(st.lists(st.builds(mul, st.integers(-7, 7), small_smooth),
+                         min_size=carrier.dim, max_size=carrier.dim))
+    return carrier.element([Fraction(n, den) for n in nums])
+
+
+def assert_same(got, want):
+    assert type(got) is type(want) and got.carrier == want.carrier
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@reduction_props
+@given(st.data())
+def test_sums_and_products_reduce_as_one_full_gcd_does(data):
+    alg = data.draw(st.sampled_from(REDUCTION_CARRIERS))
+    x, y = data.draw(reduction_values(alg)), data.draw(reduction_values(alg))
+    cx, cy = x.coords(), y.coords()
+    # `element` reduces by one gcd against the whole denominator
+    assert_same(x * y, alg.element(fraction_mul(alg, cx, cy)))
+    assert_same(y * x, alg.element(fraction_mul(alg, cy, cx)))
+    assert_same(x + y, alg.element([a + b for a, b in zip(cx, cy)]))
+    assert_same(x - y, alg.element([a - b for a, b in zip(cx, cy)]))
+    assert_same(y - x, alg.element([b - a for a, b in zip(cx, cy)]))
+
+
+@reduction_props
+@given(st.data(), st.sampled_from([-1, 1]), st.one_of(st.just(0), smooth, small_smooth),
+       st.one_of(smooth, small_smooth))
+def test_scaling_reduces_as_one_full_gcd_does(data, sign, p, q):
+    alg = data.draw(st.sampled_from(REDUCTION_CARRIERS))
+    x = data.draw(reduction_values(alg))
+    for pp, qq in ((p, sign * q), (sign * q, p or 1), (6 * p, 4 * sign * q)):
+        assert_same(x._scaled(pp, qq),
+                    _reduced(type(x), alg, tuple([n * pp for n in x.num]), x.den * qq))
+
+
+def test_planted_products_reduce_by_the_norm_of_the_narrow_factor():
+    # (1 + e1)/2^80 * (1 - e1) = 2/2^80 in (-1,-1): the factor 2 comes from
+    # N(1 - e1) = 2, and the narrow factor may stand on either side
+    wide, narrow = H.element([Fraction(1, 2 ** 80), Fraction(1, 2 ** 80), 0, 0]), 1 - I
+    for z in (wide * narrow, narrow.conj() * wide.conj()):
+        assert (z.num, z.den) == ((1, 0, 0, 0), 2 ** 79)
+    # 5 * Y/5^80 with N(Y) = 39 prime to 5: only the norm of the narrow
+    # factor 5 shows the 5 that cancels
+    y = H.element([Fraction(c, 5 ** 80) for c in (1, 2, 3, 5)])
+    for z in (H.scalar(5) * y, y * H.scalar(5)):
+        assert (z.num, z.den) == ((1, 2, 3, 5), 5 ** 79)
+    # 1 + e1 is a zero divisor of (1,1 | Q), so the full gcd is taken:
+    # (1 + e1)^2 / 2^80 = (2 + 2e1) / 2^80
+    split = QuaternionAlgebra(1, 1)
+    zd = split.element([1, 1, 0, 0])
+    assert zd.norm() == 0
+    for z in (zd * (zd / 2 ** 80), (zd / 2 ** 80) * zd):
+        assert (z.num, z.den) == ((1, 1, 0, 0), 2 ** 79)
+    # an octonion product by a narrow factor of norm 2, on both sides
+    wide = O.element([Fraction(1, 2 ** 70)] + [0] * 4 + [Fraction(1, 2 ** 70), 0, 0])
+    narrow = O.element([1, 0, 0, 0, 0, -1, 0, 0])
+    for z in (wide * narrow, narrow.conj() * wide.conj()):
+        assert (z.num, z.den) == ((1, 0, 0, 0, 0, 0, 0, 0), 2 ** 69)
+
+
+def test_sums_with_zero_return_the_other_operand():
+    x = H.element([Fraction(1, 4), 2, Fraction(-3, 4), 0])
+    zero = H.zero()
+    assert (x + zero) is x and (zero + x) is x and (x - zero) is x
+    assert (x + 0) is x and (0 + x) is x and (x - 0) is x
+    assert_same(zero - x, -x)
+    assert_same(0 - x, -x)
+    # 1/4 + 1/4: the shared denominator 4 cancels to 2
+    assert_same(H.scalar(Fraction(1, 4)) + H.scalar(Fraction(1, 4)), H.scalar(Fraction(1, 2)))

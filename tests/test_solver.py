@@ -42,7 +42,7 @@ from skewrec import (
 from skewrec import solver
 from skewrec.matlin import mat_solve
 from skewrec.solver import CentralForm, _certify
-from conftest import adjoin_root, rand_oct, rand_quat, rand_quat_common_den
+from conftest import adjoin_root, fraction_mul, rand_oct, rand_quat, rand_quat_common_den
 
 Q = FieldContext.rational()
 H = QuaternionAlgebra(-1, -1)
@@ -106,6 +106,42 @@ def test_iterate_oracle():
     assert iterate_oracle(FIB, 0) == 0 and iterate_oracle(FIB, 1) == 1
     assert iterate_oracle(DIAG, 2) == -1 + I - K
     assert iterate_oracle(DIAG, 0) == 1
+
+
+F = Fraction
+# one spec with fractional coefficients and initial values per carrier, as
+# (carrier, rhs, init) coordinate lists; (1,1) has the zero divisor
+# (1 + e1)/2 as its rhs[0]
+ORACLE_SPECS = {
+    "Q": (Q, [[F(3, 2)], [F(-1, 3)], [F(5, 4)]], [[F(1, 2)], [-2], [F(7, 3)]]),
+    "(-1,-1)": (H, [[F(1, 2), 0, 1, F(-1, 3)], [2, F(1, 3), 0, 1], [-1, 1, F(1, 2), 0]],
+                [[1, 0, 0, F(1, 2)], [0, F(2, 3), 1, 0], [F(-1, 2), 1, 1, 1]]),
+    "(-1/2,3/5)": (QuaternionAlgebra(F(-1, 2), F(3, 5)), [[F(1, 3), 1, -1, 0], [1, F(1, 2), 0, 2]],
+                   [[1, F(1, 7), 0, 0], [0, 0, 1, F(-1, 2)]]),
+    "(1,1)": (QuaternionAlgebra(1, 1), [[F(1, 2), F(1, 2), 0, 0], [1, F(-2, 3), F(1, 5), 3]],
+              [[1, 0, F(1, 3), 0], [0, 1, 0, F(-1, 4)]]),
+    "(-1,-1,-1)": (O, [[F(1, 2), 0, 1, 0, 0, -1, 0, F(1, 3)], [1, 1, 0, 0, F(1, 2), 0, 0, 0]],
+                   [[1, 0, F(-1, 2), 0, 0, 0, 2, 0], [0, F(1, 3), 0, 1, 0, 0, 0, -1]]),
+    "(1,1,1)": (OctonionAlgebra(1, 1, 1), [[F(2, 3), 0, 0, 1, F(-1, 2), 0, 0, 0],
+                                           [0, 1, F(1, 4), 0, 0, 0, 1, 0]],
+                [[0, 1, 0, 0, F(1, 5), 0, 0, 1], [1, 0, 0, F(-1, 3), 0, 2, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_iterate_oracle_matches_a_fraction_iteration(name):
+    # an independent forward iteration on Fraction coordinates, its products
+    # written out from the carrier's a, b and gamma (`conftest.fraction_mul`)
+    alg, rhs, init = ORACLE_SPECS[name]
+    n = len(rhs)
+    spec = RecurrenceSpec(alg, n, tuple(map(alg.element, rhs)), tuple(map(alg.element, init)))
+    window = [[F(c) for c in a] for a in init]
+    for _ in range(301 - n):
+        terms = [fraction_mul(alg, r, a) for r, a in zip(rhs, window)]
+        window = window[1:] + [[sum(cs) for cs in zip(*terms)]]
+    a300 = iterate_oracle(spec, 300)
+    assert a300.coords() == window[-1]
+    assert a300.den.bit_length() > 64
 
 
 def test_promote_golden_ratio():
