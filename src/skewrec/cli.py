@@ -142,7 +142,7 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", lineno, line.index(key) + 1)
         if key in seen:
-            raise ParseError(f"duplicate key {key!r}", lineno, 1)
+            raise ParseError(f"duplicate key {key!r}", lineno, line.index(key) + 1)
         rest = stripped[len(key):].strip()
         col = raw.index(rest, raw.index(key)) + 1 if rest else len(raw) + 1
         seen[key] = (rest, lineno, col)
@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:  # a leading BOM is no key
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

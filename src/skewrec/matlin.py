@@ -8,11 +8,12 @@ itself, which is what makes elimination work over noncommutative entries.
 
 The one commutative system, the base-field coordinates of a Jordan chain
 step A*w - w*lam = v, is read off the values' integer numerators and
-eliminated on integers by `_reduce_rows`.  For a companion matrix and an
-invertible lam, the shift rows give w_i in terms of w_{n-1}, and the step
-is the m x m system of w_{n-1} alone, m the carrier's dimension
-(`_companion_step`); any other matrix or lam takes the flattened
-(n*m) x (n*m) system (`sylvester_chain_solve`), the reference of the first.
+eliminated on integers by `_reduce_rows`.  The solver's companion matrix
+and invertible lam take the m x m system of w_{n-1} alone, m the
+carrier's dimension, since the shift rows give w_i in terms of w_{n-1}
+(`_companion_step`).  The public `chain_matrix`, for any matrix, takes the
+flattened (n*m) x (n*m) system (`sylvester_chain_solve`), the reference
+of the first.
 """
 
 from __future__ import annotations
@@ -302,18 +303,17 @@ def _reduce_rows(aug: list, cols: int) -> list | None:
 def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     """Solve A*w - w*lam = v for a vector w over an associative algebra.
 
-    chain_matrix takes it where `_companion_step` does not apply: for a
-    matrix without the companion shift rows and for a lam of norm 0; the
-    test suite holds that m x m step to it.  The unknown is flattened to
-    rational coordinates (the map is linear over the base field): block
-    (i, j) of the system has as column c the coordinates of a_ij*e_c,
-    minus e_c*lam on the diagonal, for the basis e_c of the carrier, with
-    no product by 1 (`scalar._times`): a block a_ij = 1 off the diagonal
-    contributes the basis itself.  The rows of
-    block row i are read off the numerators of those values and of v_i over
-    one common multiple of their denominators and made primitive; they are
-    eliminated by `_reduce_rows` and free variables are pinned to 0, so the
-    returned representative of the solution coset is deterministic.
+    chain_matrix takes it for every step, and the test suite holds the
+    solver's m x m step (`_companion_step`) to it.  The unknown is
+    flattened to rational coordinates (the map is linear over the base
+    field): block (i, j) of the system has as column c the coordinates of
+    a_ij*e_c, minus e_c*lam on the diagonal, for the basis e_c of the
+    carrier, with no product by 1 (`scalar._times`): a block a_ij = 1 off
+    the diagonal contributes the basis itself.  The rows of block row i are
+    read off the numerators of those values and of v_i over one common
+    multiple of their denominators and made primitive; they are eliminated
+    by `_reduce_rows` and free variables are pinned to 0, so the returned
+    representative of the solution coset is deterministic.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("chain solve needs a square matrix")
@@ -426,48 +426,28 @@ def _companion_step(row, lam, inv, v) -> list:
     return w
 
 
-def _chain_matrix(rootdata, row, invs, full) -> DMatrix:
-    """U for a matrix A with the companion shift rows and last row `row`:
-    each root lam starts a chain at (1, lam, ..., lam^(n-1)), n = len(row),
-    and each further column of its chain solves A*w - w*lam = previous, by
-    `_companion_step` when invs, aligned with rootdata, holds lam^-1, and by
-    sylvester_chain_solve on A = full() when it holds None."""
-    n = len(row)
+def _chain_matrix(rootdata, step) -> DMatrix:
+    """U from eigenvector chains: each root lam starts a chain at
+    (1, lam, ..., lam^(n-1)), n the sum of the multiplicities, and each
+    further column of its chain is step(i, previous), the w of
+    A*w - w*lam = previous for the root lam = rootdata[i][0]."""
+    n = sum(m for _, m in rootdata)
     columns = []
-    for (lam, m), inv in zip(rootdata, invs):
+    for i, (lam, m) in enumerate(rootdata):
         v = lam.powers(n - 1)
         columns.append(v)
         for _ in range(m - 1):
-            if inv is None:
-                v = sylvester_chain_solve(full(), lam, v)
-            else:
-                v = _companion_step(row, lam, inv, v)
+            v = step(i, v)
             columns.append(v)
     return DMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
 
 
-def _chain_inverses(rootdata) -> list:
-    """lam^-1 for each (lam, m) of rootdata with a chain (m > 1) and a
-    nonzero norm, the roots whose chains `_companion_step` solves, and None
-    for every other root."""
-    return [lam.inverse() if m > 1 and lam._norm_parts()[0] else None for lam, m in rootdata]
-
-
 def chain_matrix(a: DMatrix, rootdata) -> DMatrix:
-    """U, built column by column from eigenvector chains of A: each root lam
-    starts a chain at (1, lam, ..., lam^(n-1)), and each further column of
-    its chain solves A*w - w*lam = previous.  When A has the companion shift
-    rows (ones on the superdiagonal, zeros elsewhere above the last row)
-    and lam has a nonzero norm, that is the m x m system of
-    `_companion_step`; otherwise the flattened system of
-    sylvester_chain_solve."""
-    n = a.rows
-    if sum(m for _, m in rootdata) != n:
+    """U, built column by column from eigenvector chains of A
+    (`_chain_matrix`), each chain step by sylvester_chain_solve."""
+    if sum(m for _, m in rootdata) != a.rows:
         raise ValueError("block sizes must sum to the matrix size")
-    shift = all(a.entry(i, j).is_one() if j == i + 1 else a.entry(i, j).is_zero()
-                for i in range(n - 1) for j in range(n))
-    invs = _chain_inverses(rootdata) if shift else [None] * len(rootdata)
-    return _chain_matrix(rootdata, a.row(n - 1), invs, lambda: a)
+    return _chain_matrix(rootdata, lambda i, v: sylvester_chain_solve(a, rootdata[i][0], v))
 
 
 def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:

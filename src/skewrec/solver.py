@@ -5,9 +5,11 @@ The characteristic data is the monic polynomial x^n - r_{n-1} x^{n-1} - ...
 the exact Jordan decomposition U * J * U^-1 of the companion matrix, built
 from eigenvector chains of the roots (_jordan_form, behind solve_jordan's
 checks for user roots).  Simple roots are the case of 1x1 blocks, where U
-is the Vandermonde matrix of the roots and no companion matrix is built; a
-chain step reads only the companion's last row, rhs, and solves an m x m
-system (`matlin._companion_step`).
+is the Vandermonde matrix of the roots; a chain step reads only the
+companion's last row, rhs, and solves an m x m system
+(`matlin._companion_step`), so no companion matrix is ever built.  Every
+root is tested on integers (`poly._is_root`), a user root by solve_jordan
+and a derived one by the certificate.
 Order-2 octonion recurrences split over a quaternion subalgebra frame into
 a main part and a conjugated tail, each solved on that same path, by the
 frame's integer change of basis (`decompose` and `join`).  Rational
@@ -47,7 +49,7 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .matlin import _chain_inverses, _chain_matrix, companion_matrix, mat_solve
+from .matlin import _chain_matrix, _companion_step, mat_solve
 from .poly import LeftPoly, _is_root, quadratic_roots
 from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _reduced, _times, squarefree_split
 
@@ -84,10 +86,18 @@ class RecurrenceSpec:
             if self.roots is not None:
                 raise ValidationError("user roots are not accepted for octonion specs")
         if self.roots is not None:
-            roots = tuple((self.algebra.coerce(r), int(m)) for r, m in self.roots)
-            if any(m < 1 for _, m in roots):
-                raise ValidationError("root multiplicities must be >= 1")
-            object.__setattr__(self, "roots", roots)
+            object.__setattr__(self, "roots", _root_data(self.algebra, self.roots))
+
+
+def _root_data(alg, roots) -> tuple:
+    """((root, multiplicity), ...) with each root coerced into alg, or
+    ValidationError for a multiplicity that is not an int >= 1."""
+    roots = tuple((alg.coerce(r), m) for r, m in roots)
+    if not all(isinstance(m, int) for _, m in roots):
+        raise ValidationError("root multiplicities must be integers")
+    if any(m < 1 for _, m in roots):
+        raise ValidationError("root multiplicities must be >= 1")
+    return roots
 
 
 @dataclass(frozen=True)
@@ -330,52 +340,52 @@ def solve_jordan(spec: RecurrenceSpec, rootdata) -> AssocForm:
     """Closed form via the Jordan decomposition A = U * J * U^-1 of the
     companion matrix (see _jordan_form), for root data given by a caller.
 
-    rootdata is a list of (root, multiplicity); the multiplicities must sum
-    to the order, the roots must be pairwise distinct roots of the
-    characteristic polynomial and no three may share a conjugacy class.
+    rootdata is a list of (root, multiplicity); each multiplicity must be
+    an int >= 1 and together they must sum to the order, the roots must be
+    pairwise distinct roots of the characteristic polynomial, each tested
+    on integers (`poly._is_root`), and no three may share a conjugacy class.
     """
-    alg = spec.algebra
-    rootdata = [(alg.coerce(lam), int(m)) for lam, m in rootdata]
+    rootdata = _root_data(spec.algebra, rootdata)
     roots = [lam for lam, _ in rootdata]
     if sum(m for _, m in rootdata) != spec.order:
         raise ValidationError(f"root multiplicities must sum to the order {spec.order}")
     if len(set(roots)) != len(roots):
         raise ValidationError("roots must be pairwise distinct")
-    p = primitive_char_poly(spec)
+    chi = primitive_char_poly(spec).coeffs
     for lam in roots:
-        if not p.eval(lam).is_zero():
+        if not _is_root(chi, lam):
             raise ValidationError(f"{lam} is not a root of the characteristic polynomial")
     _check_lam(roots)
-    return _jordan_form(spec, p, rootdata)
+    return _jordan_form(spec, rootdata)
 
 
-def _jordan_form(spec: RecurrenceSpec, charpoly: LeftPoly, rootdata) -> AssocForm:
+def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     """a_k as the first row of U * J**k * b, U the eigenvector chains of the
-    roots of charpoly and b = U^-1 * init from one elimination on
-    [U | init], expanded into terms p(k) * base**k * b_i with deg p below
-    the block size.  Simple roots give 1x1 blocks, U is then the
-    Vandermonde matrix of the roots and each term is base**k * b_i.  A chain
-    step reads only rhs, the companion matrix's last row, and the one
-    lam^-1 per chain root that the terms need too (`matlin._chain_matrix`);
-    the companion matrix is built only for a chain root of norm 0.  The
-    root data is taken as established: _certify proves the result."""
+    roots and b = U^-1 * init from one elimination on [U | init], expanded
+    into terms p(k) * base**k * b_i with deg p below the block size.
+    Simple roots give 1x1 blocks, U is then the Vandermonde matrix of the
+    roots and each term is base**k * b_i.  The powers lam^-r, r < m, that
+    the terms need are taken for every chain root (m > 1) before any chain
+    is built, so a chain root of norm 0 raises ZeroDivisor up front.  A
+    chain step reads only rhs, the companion matrix's last row, and lam^-1
+    (`matlin._companion_step`).  The root data is taken as established:
+    _certify proves the result."""
     alg = spec.algebra
-    invs = _chain_inverses(rootdata)
-    u = _chain_matrix(rootdata, spec.rhs, invs, lambda: companion_matrix(charpoly))
+    inv_pows = [lam.inverse().powers(m - 1) if m > 1 else None for lam, m in rootdata]
+    u = _chain_matrix(rootdata, lambda i, v: _companion_step(
+        spec.rhs, rootdata[i][0], inv_pows[i][1], v))
     try:
         b = mat_solve(u, spec.init)
     except Singular as exc:
         raise SingularU("eigenvector chains are linearly dependent") from exc
     terms = []
     col = 0
-    for (lam, m), inv in zip(rootdata, invs):
-        # a chain root of norm 0 has no inv, and raises ZeroDivisor here
-        inv_pows = (inv or lam.inverse()).powers(m - 1) if m > 1 else None
+    for (lam, m), pows in zip(rootdata, inv_pows):
         for sp in range(m):
             # the r = 0 summand of column sp is U's first-row entry itself
             coeffs = [u.entry(0, col + sp)] + [alg.zero()] * sp
             for r in range(1, sp + 1):
-                base_e = _times(u.entry(0, col + sp - r), inv_pows[r])
+                base_e = _times(u.entry(0, col + sp - r), pows[r])
                 binom, fact = _binom_coeffs(r)
                 for s, c in enumerate(binom):
                     if c:
@@ -429,11 +439,11 @@ def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
     if spec.roots is not None:
         return solve_jordan(spec, spec.roots)
     if spec.order == 1:
-        return _jordan_form(spec, primitive_char_poly(spec), [(spec.rhs[0], 1)])
+        return _jordan_form(spec, [(spec.rhs[0], 1)])
     if isinstance(spec.algebra, FieldContext):
         if spec.order == 2:
             promoted = promote_field_quadratic(spec)
-            return _jordan_form(promoted, primitive_char_poly(promoted), promoted.roots)
+            return _jordan_form(promoted, promoted.roots)
         raise UnsupportedOrder("field recurrences of order > 2 need user-supplied roots")
     if spec.order == 2:
         p = primitive_char_poly(spec)
@@ -441,7 +451,7 @@ def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
         if sum(m for _, m in rootdata) != 2:
             raise NoRootsFound("a single isolated root without repeated-root structure "
                                "cannot determine an order-2 closed form")
-        return _jordan_form(spec, p, rootdata)
+        return _jordan_form(spec, rootdata)
     raise UnsupportedOrder("quaternion recurrences of order > 2 need user-supplied roots")
 
 

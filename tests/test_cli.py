@@ -102,8 +102,15 @@ def test_parse_errors_carry_positions():
         assert str(exc.value).count("col") == 1
     # the last case: a second part with no '*rt' after it
     assert exc.value.reason == "expected '*rt'"
-    with pytest.raises(ParseError):
-        parse_spec_file("algebra field\nalgebra field\norder 1\nrhs 1\ninit 1\n")
+    # a duplicate key is placed at its own column, as an unknown key is
+    for text, line, col in (("algebra field\nalgebra field\norder 1\nrhs 1\ninit 1\n", 2, 1),
+                            ("algebra field\norder 1\n   order 1\nrhs 1\ninit 1\n", 3, 4),
+                            ("algebra field\norder 1\n   rhs 1\n\trhs 1\ninit 1\n", 4, 2)):
+        with pytest.raises(ParseError) as exc:
+            parse_spec_file(text)
+        key = text.splitlines()[line - 1].split()[0]
+        assert (exc.value.line, exc.value.col, exc.value.reason) == (
+            line, col, f"duplicate key {key!r}")
     with pytest.raises(ParseError):
         parse_spec_file("algebra quaternion -1 -1\norder 1\nrhs [1,0,0]\ninit [1,0,0,0]\n")
     # a '*rt' literal where the scalars are rational
@@ -379,6 +386,19 @@ def test_cli_verify_reports_the_first_failing_k(monkeypatch, capsys):
     assert capsys.readouterr().out == "FAIL at k=2\n"
     spec = parse_spec_file(open(path).read())
     assert solver.verify_closed_form(spec, solve(spec), 10).first_failure == 2
+
+
+@pytest.mark.parametrize("command", [["solve"], ["eval", "1025"], ["verify", "16"]])
+def test_a_byte_order_mark_changes_no_output(tmp_path, capsys, command):
+    # editors on some systems save UTF-8 with a leading BOM; it is no key
+    plain = os.path.join(DEMO_DIR, "quat_repeated_root.rec")
+    bom = tmp_path / "bom.rec"
+    with open(plain, "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert main([command[0], plain, *command[1:]]) == 0
+    expected = capsys.readouterr()
+    assert main([command[0], str(bom), *command[1:]]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_bundled_demo_files_solve_and_verify(capsys):

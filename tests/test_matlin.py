@@ -512,10 +512,10 @@ def test_companion_step_is_the_flattened_chain_solve(carrier, n, kind, seed):
 
 
 def test_chain_matrix_takes_the_flattened_solve_off_the_companion_step(monkeypatch):
-    # a root of norm 0 (in the split (1, 1)) and a matrix without the
-    # companion shift rows have no m x m system: their chains come from
-    # sylvester_chain_solve, and an invertible root of a companion matrix
-    # never reaches it
+    # chain_matrix takes every chain step by sylvester_chain_solve and never
+    # the solver's m x m step: for a root of norm 0 (in the split (1, 1)),
+    # for a matrix without the companion shift rows, and for an invertible
+    # root of a companion matrix alike
     from skewrec import matlin
 
     S = QuaternionAlgebra(1, 1)
@@ -528,10 +528,8 @@ def test_chain_matrix_takes_the_flattened_solve_off_the_companion_step(monkeypat
     b = DMatrix.from_rows([[J, H.one()], [H.one(), I + J]])  # no shift rows
     w = sylvester_chain_solve(b, I, I.powers(1))
     assert chain_matrix(b, [(I, 2)]) == DMatrix.from_rows([[H.one(), w[0]], [I, w[1]]])
-    monkeypatch.undo()
-    calls = []
-    monkeypatch.setattr(matlin, "sylvester_chain_solve", lambda *args: calls.append(args))
     a = companion_matrix(LeftPoly.x_minus(I) * LeftPoly.x_minus(I))
     u = chain_matrix(a, [(I, 2)])
     w = [u.entry(0, 1), u.entry(1, 1)]
-    assert [x - y * I for x, y in zip(a.apply(w), w)] == [H.one(), I] and calls == []
+    assert [x - y * I for x, y in zip(a.apply(w), w)] == [H.one(), I]
+    assert w == _companion_step(a.row(1), I, I.inverse(), I.powers(1))

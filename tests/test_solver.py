@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import glob
+import os
 import random
 import re
 import time
@@ -26,6 +29,7 @@ from skewrec import (
     Term,
     UnsupportedOrder,
     ValidationError,
+    ZeroDivisor,
     eval_closed_form,
     iterate_oracle,
     primitive_char_poly,
@@ -39,7 +43,8 @@ from skewrec import (
     vandermonde,
     verify_closed_form,
 )
-from skewrec import solver
+from skewrec import matlin, solver
+from skewrec.cli import parse_spec_file
 from skewrec.matlin import mat_solve
 from skewrec.solver import CentralForm, _certify
 from conftest import adjoin_root, fraction_mul, rand_oct, rand_quat, rand_quat_common_den
@@ -273,6 +278,17 @@ def test_solve_rejects_wrong_user_roots():
                        (((J, 1), (J, 1)), "pairwise distinct")):
         with pytest.raises(ValidationError, match=why):
             solve(RecurrenceSpec(H, 2, (-1 - K, I), (1, 1), roots=roots))
+
+
+@pytest.mark.parametrize("roots", [((I, 1.9), (J, "1")), ((I, Fraction(1)), (J, 1)),
+                                   ((I, 2.0),), ((I, 0), (J, 2))])
+def test_root_multiplicities_must_be_ints_of_at_least_one(roots):
+    # a multiplicity is never truncated: 1.9 is no simple root
+    why = "must be >= 1" if roots[0][1] == 0 else "must be integers"
+    with pytest.raises(ValidationError, match=why):
+        RecurrenceSpec(H, 2, (-1 - K, I), (1, 1), roots=roots)
+    with pytest.raises(ValidationError, match=why):
+        solve_jordan(DIAG, roots)
 
 
 def test_lam_violation():
@@ -854,3 +870,79 @@ def test_central_specs_take_the_lucas_form_in_every_carrier(alg, data):
     assert cf == CentralForm(alg, Q.scalar(t), Q.scalar(n), *init)
     assert _certifies(spec, cf)
     assert verify_closed_form(spec, cf, 64).ok
+
+
+# ---------------------------------------------------------------------------
+# one kernel per job on the root path
+
+DEMO_SPECS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "specs",
+                                           "*.rec")))
+
+
+@contextlib.contextmanager
+def _one_kernel_per_job():
+    """Fail on any flattened chain solve, companion matrix or value
+    evaluation of a polynomial: chains take the m x m companion step and
+    roots the integer root test."""
+    def fail(what):
+        return lambda *args, **kwargs: pytest.fail(f"solve called {what}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (matlin, solver):
+            mp.setattr(mod, "sylvester_chain_solve", fail("sylvester_chain_solve"), raising=False)
+            mp.setattr(mod, "companion_matrix", fail("companion_matrix"), raising=False)
+        mp.setattr(LeftPoly, "eval", fail("LeftPoly.eval"))
+        yield
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=os.path.basename)
+def test_solve_runs_no_flattened_solve_companion_matrix_or_value_eval(path):
+    with open(path, encoding="utf-8") as fh:
+        spec = parse_spec_file(fh.read())
+    with _one_kernel_per_job():
+        cf = solve(spec)
+    assert verify_closed_form(spec, cf, 8).ok
+
+
+R2 = FieldContext.quadratic(2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_drawn_jordan_and_user_root_specs_take_one_kernel_per_job(data):
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    alg = data.draw(st.sampled_from([H, H2, R2]), label="algebra")
+
+    def element():
+        xs = data.draw(st.lists(fracs, min_size=alg.dim, max_size=alg.dim))
+        return ScalarValue(alg, *xs) if alg is R2 else alg.element(xs)
+
+    kind = data.draw(st.sampled_from(["jordan", "jordan roots given", "roots given"]))
+    lam = element()
+    assume(not lam.is_zero())
+    if kind == "roots given":  # simple user roots, planted
+        lams = [lam] + [element() for _ in range(data.draw(st.integers(0, 2)))]
+        assume(len(set(lams)) == len(lams) and not any(x.is_zero() for x in lams))
+        spec = RecurrenceSpec(alg, len(lams), _planted_rhs(lams),
+                              tuple(element() for _ in lams), roots=tuple((x, 1) for x in lams))
+    else:  # (x - lam)^2, its double root found by solve or given
+        roots = ((lam, 2),) if kind == "jordan roots given" else None
+        spec = RecurrenceSpec(alg, 2, (-(lam * lam), 2 * lam), (element(), element()), roots=roots)
+    try:
+        with _one_kernel_per_job():
+            cf = solve(spec)
+    except (LamViolation, NoRootsFound, SingularU):
+        assume(False)
+    assert verify_closed_form(spec, cf, 12).ok
+
+
+def test_a_norm_zero_chain_root_raises_zero_divisor_before_any_chain(monkeypatch):
+    # 1 + e1 has norm 0 in the split (1, 1): its lam^-1 is taken before the
+    # chains are built, so no chain step and no flattened solve runs
+    lam = S11.element([1, 1, 0, 0])
+    spec = RecurrenceSpec(S11, 2, (-(lam * lam), 2 * lam), (1, 0), roots=((lam, 2),))
+    monkeypatch.setattr(solver, "_companion_step", lambda *args: pytest.fail("chain step"))
+    with _one_kernel_per_job():
+        with pytest.raises(ZeroDivisor, match=re.escape(
+                "[1,1,0,0] has norm 0, so (1,1 | Q) is not a division algebra")):
+            solve(spec)
