@@ -30,7 +30,7 @@ import sys
 from math import lcm
 
 from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
-from .scalar import INT_LITERAL, FieldContext, _from_ratios, _reduced, read_literal, scalar_parse
+from .scalar import INT_LITERAL, FieldContext, ScalarValue, _from_ratios, _reduced, read_literal
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     AssocForm,
@@ -73,7 +73,10 @@ def _parse_element(token: str, algebra, line: int, col: int):
     m = _ELEMENT[arity].fullmatch(token)
     if m:
         g = m.groups()
-        return _from_ratios(algebra, [(int(p), int(q) if q else 1) for p, q in zip(g[::2], g[1::2])])
+        qs = [int(q) if q else 1 for q in g[1::2]]
+        den = lcm(*qs)
+        return _reduced(algebra.value_type, algebra,
+                        tuple([int(p) * (den // q) for p, q in zip(g[::2], qs)]), den)
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected a {arity}-component [..] literal", line, col)
     parts = token[1:-1].split(",")
@@ -94,8 +97,11 @@ def _int_token(text: str) -> int | None:
     return int(m[0]) if m else None
 
 
+_TOKEN = re.compile(r"[^ ]+")
+
+
 def _tokenize(rest: str, base_col: int):
-    return [(m[0], base_col + m.start()) for m in re.finditer(r"[^ ]+", rest)]
+    return [(m[0], base_col + m.start()) for m in _TOKEN.finditer(rest)]
 
 
 def _parse_algebra(rest: str, line: int, col: int):
@@ -107,10 +113,11 @@ def _parse_algebra(rest: str, line: int, col: int):
 
     def frac(tok):  # a malformed literal at its own column, as in _parse_element
         try:
-            return scalar_parse(tok[0], rational)
+            (n,), d = read_literal(tok[0], rational)
         except ParseError as exc:
             msg = f"bad algebra parameters: {exc.reason}"
             raise ParseError(msg, line, tok[1] + exc.col) from exc
+        return n if d == 1 else _reduced(ScalarValue, rational, (n,), d)
 
     try:
         if name == "field" and len(toks) == 1:

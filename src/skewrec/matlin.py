@@ -27,6 +27,7 @@ from .errors import (
     NoSolution,
     Singular,
     SingularU,
+    ValidationError,
 )
 from .scalar import _from_ratios, _times
 
@@ -133,9 +134,9 @@ def _eliminate(m: DMatrix, right: list) -> list:
     all zero (Singular) or contains a nonzero zero-norm entry, in which case
     inverting it raises ZeroDivisor.  Once column c is cleared it is never
     read again, and row c is zero left of c, so the step on column c touches
-    only the entries right of it.  A pivot equal to 1 is not inverted, and
-    every product by 1 (a pivot or row factor of 1, or an entry 1 right of
-    the pivot) is skipped by `scalar._times`.
+    only the entries right of it.  No product by 1 is taken: a pivot or a
+    row factor is tested for 1 once per row, and an entry right of the
+    pivot once per product.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
@@ -158,13 +159,20 @@ def _eliminate(m: DMatrix, right: list) -> list:
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
         prow = aug[col]
-        inv = prow[col] if prow[col].is_one() else prow[col].inverse()
-        tail = prow[col + 1:] = [_times(inv, x) for x in prow[col + 1:]]
+        tail = prow[col + 1:]
+        if not prow[col].is_one():
+            inv = prow[col].inverse()
+            tail = prow[col + 1:] = [inv if x.is_one() else inv * x for x in tail]
         for r in range(n):
             row = aug[r]
             f = row[col]
-            if r != col and not f.is_zero():
-                row[col + 1:] = [x - _times(f, y) for x, y in zip(row[col + 1:], tail)]
+            if r == col or f.is_zero():
+                continue
+            if f.is_one():
+                row[col + 1:] = [x - y for x, y in zip(row[col + 1:], tail)]
+            else:
+                row[col + 1:] = [x - (f if y.is_one() else f * y)
+                                 for x, y in zip(row[col + 1:], tail)]
     return [row[n:] for row in aug]
 
 
@@ -431,7 +439,7 @@ def _chain_matrix(rootdata, step) -> DMatrix:
     (1, lam, ..., lam^(n-1)), n the sum of the multiplicities, and each
     further column of its chain is step(i, previous), the w of
     A*w - w*lam = previous for the root lam = rootdata[i][0]."""
-    n = sum(m for _, m in rootdata)
+    n = sum([m for _, m in rootdata])
     columns = []
     for i, (lam, m) in enumerate(rootdata):
         v = lam.powers(n - 1)
@@ -450,11 +458,23 @@ def chain_matrix(a: DMatrix, rootdata) -> DMatrix:
     return _chain_matrix(rootdata, lambda i, v: sylvester_chain_solve(a, rootdata[i][0], v))
 
 
+def _checked_multiplicities(rootdata) -> tuple:
+    """rootdata as a tuple of (root, multiplicity) pairs, or ValidationError
+    for a multiplicity that is not an int >= 1."""
+    rootdata = tuple(rootdata)
+    if not all(isinstance(m, int) for _, m in rootdata):
+        raise ValidationError("root multiplicities must be integers")
+    if any(m < 1 for _, m in rootdata):
+        raise ValidationError("root multiplicities must be >= 1")
+    return rootdata
+
+
 def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
-    """U from `chain_matrix` and its inverse in the algebra.  The result is
-    not checked here; solve builds its closed forms from the same chains
-    (`_chain_matrix`) and certifies them (solver._certify)."""
-    rootdata = tuple([(lam, int(m)) for lam, m in rootdata])
+    """U from `chain_matrix` and its inverse in the algebra, for root data
+    whose multiplicities are ints >= 1.  The result is not checked here;
+    solve builds its closed forms from the same chains (`_chain_matrix`)
+    and certifies them (solver._certify)."""
+    rootdata = _checked_multiplicities(rootdata)
     u = chain_matrix(a, rootdata)
     try:
         uinv = mat_inverse(u)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import count
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .algebra import (
     ConjClass,
@@ -40,7 +41,7 @@ from .algebra import (
     conj_class,
 )
 from .errors import InternalError, NoRootsFound, UnsupportedDegree
-from .scalar import FieldContext, _make, _reduced, _times
+from .scalar import FieldContext, _reduced, _times
 
 
 class LeftPoly:
@@ -180,11 +181,14 @@ def divide_by_linear(p: LeftPoly, lam) -> tuple[LeftPoly, object]:
 # quadratic factors are integer quadratics; y = L*x maps them back to f.
 
 
-def _horner(g, y):
-    acc = 0
+def _horner_dg(g, y):
+    """(g(y), g'(y)) by one Horner pass: acc -> acc*y + c and, beside it,
+    d -> d*y + acc before acc steps."""
+    acc = d = 0
     for c in reversed(g):
+        d = d * y + acc
         acc = acc * y + c
-    return acc
+    return acc, d
 
 
 def _divide(g, a):
@@ -209,35 +213,42 @@ def _integer_roots(g):
     0 has the repeated root r = -a/3 when a^2 = 3b (a triple root) and
     r = (9c - ab) / (2(a^2 - 3b)) otherwise, and the other root -a - 2r;
     both are integers by Gauss's lemma.  Otherwise g is squarefree: the
-    roots of g mod p, p = 3 at first, come from trying 0..p-1, and while
-    one is a multiple root p becomes the next odd prime (2 divides the
-    discriminant of every resolvent cubic); InternalError once those primes
-    outgrow any nonzero discriminant.  Each simple root mod p lifts
-    to one root mod p**(2**i) by Newton steps (Hensel lifting) until the
-    modulus exceeds 2 * rb, rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i) >=
-    2 * max_i |g_{n-i}|**(1/i), which bounds every root (Fujiwara, 1916):
-    a root then is its symmetric residue, which is kept only if g vanishes
-    there exactly."""
+    roots of g mod p, p = 3 at first, come from trying 0..p-1 on g's
+    coefficients reduced mod p, and while one is a multiple root p becomes
+    the next odd prime (2 divides the discriminant of every resolvent
+    cubic); InternalError once those primes outgrow any nonzero
+    discriminant.  Each simple root mod p lifts to one root mod p**(2**i)
+    by Newton steps (Hensel lifting) until the modulus exceeds 2 * rb,
+    rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i) >= 2 * max_i |g_{n-i}|**(1/i),
+    which bounds every root (Fujiwara, 1916): a root then is its symmetric
+    residue, which is kept only if g vanishes there exactly.  Each residue
+    and each Newton step takes g and g' from one Horner pass (`_horner_dg`)."""
     if len(g) == 4:
         c, b, a, _ = g
         if a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c == 0:
             d = a * a - 3 * b
             r = (9 * c - a * b) // (2 * d) if d else -a // 3
             return sorted({r, -a - 2 * r})
-    dg = [i * c for i, c in enumerate(g)][1:]  # g'
     n = len(g) - 1
     # every root has |r| <= rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i), the
     # Fujiwara bound 2 * max_i |g_{n-i}|**(1/i) rounded up on ints
     bound = 4 << max([-(-abs(g[n - i]).bit_length() // i) for i in range(1, n + 1)])
     # each prime at which g has a multiple root divides the discriminant,
     # a product of n(n-1) root differences of at most 2 * rb = bound when
-    # it is nonzero
+    # it is nonzero; tried is the product of the odd primes below p, so an
+    # odd p is prime exactly when it is prime to tried
     disc_bound, tried = bound ** (n * (n - 1)), 1
     for p in count(3, 2):
-        if any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        if gcd(p, tried) != 1:
             continue
-        found = [a for a in range(p) if _horner(g, a) % p == 0]
-        if all(_horner(dg, a) % p for a in found):
+        gp, found = [c % p for c in g], []
+        for a in range(p):
+            v, dv = _horner_dg(gp, a)
+            if v % p == 0:
+                if dv % p == 0:  # a multiple root mod p
+                    break
+                found.append(a)
+        else:
             break
         tried *= p
         if tried > disc_bound:
@@ -247,11 +258,11 @@ def _integer_roots(g):
         m = p
         while True:
             r = a - m if 2 * a > m else a
-            gr = _horner(g, r)
+            gr, dgr = _horner_dg(g, r)
             if gr == 0 or m > bound:
                 break
             m *= m
-            a = (r - gr * pow(_horner(dg, r), -1, m)) % m
+            a = (r - gr * pow(dgr, -1, m)) % m
         if gr == 0:
             roots.append(r)
     return sorted(roots)
@@ -324,9 +335,10 @@ def _companion(p: LeftPoly) -> tuple[list[int], int]:
     over i < j, i + j = m, and N(c_{m/2}) for even m.  That holds for
     quaternion and octonion coefficients alike (conj(xy) = conj(y)*conj(x)),
     and `_scaled_polar` gives B(c_i, c_j) / 2 = m_ij / (D * d_i * d_j) with
-    no product.  Over e = lcm of the d_i, coefficient m is then h_m / E with
-    E = D * e**2 and h_m the sum of m_ij * (e/d_i) * (e/d_j) over the
-    ordered pairs i + j = m.
+    no product; against the leading c_n = 1 it is m_in = D * w_i, w_i the
+    first numerator of c_i, read off directly.  Over e = lcm of the d_i,
+    coefficient m is then h_m / E with E = D * e**2 and h_m the sum of
+    m_ij * (e/d_i) * (e/d_j) over the ordered pairs i + j = m.
     """
     carrier = p.carrier
     if not isinstance(carrier, (QuaternionAlgebra, OctonionAlgebra)):
@@ -334,14 +346,16 @@ def _companion(p: LeftPoly) -> tuple[list[int], int]:
     if not p.is_monic():
         raise ValueError("companion polynomial needs a monic input")
     c, n = p.coeffs, p.degree
+    D = carrier.weights[0]
     e = lcm(*[x.den for x in c])
     s = [e // x.den for x in c]
     h = [0] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            m, D = c[i]._scaled_polar(c[j])
+    for i in range(n):
+        h[i + n] += 2 * D * c[i].num[0] * s[i] * e  # B(c_i, 1) / 2 = D * w_i / d_i
+        for j in range(i, n):
+            m, _ = c[i]._scaled_polar(c[j])
             h[i + j] += m * s[i] * s[j] * (1 if i == j else 2)
-    E = D * e * e  # h[2n] == E: c_n is 1
+    E = h[2 * n] = D * e * e  # N(c_n) = 1
     # h_i / E in lowest terms is (h_i / g_i) / q_i with q_i = E / g_i
     gs = [gcd(x, E) for x in h]
     L = lcm(*[E // g for g in gs])
@@ -418,18 +432,29 @@ def factor_central_quartic(p: LeftPoly):
 
 class RootReport:
     """Everything found about the roots of a monic quaternion quadratic, a
-    central p's class of roots as `spherical`.  `central_factors`, C_p's
-    factors over Q, are built from its scaled integer factors when read."""
+    central p's class of roots as `spherical`.  The class labels of the
+    isolated roots and `central_factors`, C_p's factors over Q, are built
+    from the scaled integer factors when read."""
 
-    __slots__ = ("isolated", "jordan", "spherical", "_scaled")
+    __slots__ = ("_isolated", "jordan", "spherical", "_scaled")
 
     def __init__(self, isolated, jordan, spherical, scaled):
-        """scaled: (ctx, factors, L) with factors the `_factor_monic`
-        factors of L**4 * C_p(y/L)."""
-        self.isolated = list(isolated)
+        """isolated: (root, label) pairs, a label given as its ConjClass or
+        as the factor y^2 + u1*y + u0 of its class (None: a rational root);
+        scaled: (ctx, factors, L) with factors the `_factor_monic` factors
+        of L**4 * C_p(y/L)."""
+        self._isolated = list(isolated)
         self.jordan = jordan
         self.spherical = spherical
         self._scaled = scaled
+
+    @property
+    def isolated(self) -> list:
+        """(root, ConjClass) pairs, labelled here."""
+        ctx, _, L = self._scaled
+        return [(lam, conj_class(lam) if u is None else
+                 u if isinstance(u, ConjClass) else _class_label(ctx, u, L))
+                for lam, u in self._isolated]
 
     @property
     def central_factors(self) -> list:
@@ -439,11 +464,17 @@ class RootReport:
         """Root data in the shape the solver consumes (none for a class)."""
         if self.jordan is not None:
             return [self.jordan]
-        return [(lam, 1) for lam, _ in self.isolated]
+        return [(lam, 1) for lam, _ in self._isolated]
 
     def __repr__(self):
         return (f"RootReport(isolated={self.isolated}, jordan={self.jordan}, "
                 f"spherical={self.spherical})")
+
+
+def _class_label(ctx, u, L) -> ConjClass:
+    """The class of trace -u1/L and norm u0/L^2 of the scaled factor
+    y^2 + u1*y + u0."""
+    return ConjClass(t=ctx.ratio(-u[1], L), n=ctx.ratio(u[0], L * L))
 
 
 def _is_root(coeffs, lam) -> bool:
@@ -480,11 +511,13 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
     p = (x - (beta - lam)) (x - lam).
 
     The class tests run on integer numerators: beta = t and alpha = -n by
-    cross-multiplying, the candidate from one `_quat_mul` of conj(X) and
-    Y, the numerators of t - beta and n + alpha, reduced once, and the
-    root test by `_is_root`.  A ConjClass is built only for a class that
-    yields a root or is spherical.  A t - beta of norm 0 (a split algebra)
-    raises ZeroDivisor, as its inverse does.
+    cross-multiplying, N(t - beta) off the carrier's `weights`, the
+    candidate from one `_quat_mul` of conj(X) and Y, the numerators of
+    t - beta and n + alpha, reduced once, the root test by `_is_root`, and
+    the Jordan test, that beta - lam has the class of lam, as equal trace
+    and norm of their numerators.  A root's ConjClass label is built only
+    when the report's `isolated` is read.  A t - beta of norm 0 (a split
+    algebra) raises ZeroDivisor, as its inverse does.
     """
     if p.carrier != alg:
         raise ValueError("polynomial and algebra disagree")
@@ -495,18 +528,15 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
     c0, c1 = p.coeffs[:2]  # beta = -c1, alpha = -c0
     (c1w, *c1v), d1 = c1.num, c1.den
     (c0w, *c0v), d0 = c0.num, c0.den
-    consts, LL = alg.consts, L * L
+    consts, weights, LL = alg.consts, alg.weights, L * L
 
-    def label(u):  # the class of y^2 + u1*y + u0
-        return ConjClass(t=alg.ctx.ratio(-u[1], L), n=alg.ctx.ratio(u[0], LL))
-
-    isolated = []
+    isolated = []  # (root, its factor u, None for a linear one)
     spherical = None
     for u, _mult in factors:
         if len(u) == 2:
             lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
             if _is_root(p.coeffs, lam):
-                isolated.append((lam, conj_class(lam)))
+                isolated.append((lam, None))
             continue
         if len(u) != 3:
             continue
@@ -515,9 +545,9 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
         Y = (u[0] * d0 - LL * c0w, *[-LL * y for y in c0v])
         if not any(X):  # beta = t
             if not any(Y):  # alpha = -n
-                spherical = label(u)
+                spherical = _class_label(alg.ctx, u, L)
             continue
-        nx, _ = _make(QuatValue, alg, X, 1)._norm_parts()  # N(t - beta) * D * (L*d1)^2
+        nx = sum(map(mul, weights, map(mul, X, X)))  # N(t - beta) * D * (L*d1)^2
         if nx == 0:  # the value t - beta raises ZeroDivisor
             _reduced(QuatValue, alg, X, L * d1).inverse()
         # (t - beta)^-1 (n + alpha) = conj(X) * Y * D*L*d1 / (nx * L^2*d0),
@@ -525,11 +555,17 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
         lam = _reduced(QuatValue, alg, tuple([z * d1 for z in _quat_mul(consts, _conj4(X), Y)]),
                        nx * L * d0)
         if _is_root(p.coeffs, lam):
-            isolated.append((lam, label(u)))
+            isolated.append((lam, u))
     jordan = None
     if len(isolated) == 1:  # a spherical class comes with no isolated root
         lam = isolated[0][0]
-        if conj_class(-c1 - lam) == conj_class(lam):
+        # beta - lam = Z / (d1 * dl) has lam's class when both are central or
+        # both are not, with equal trace and equal norm
+        ln, dl = lam.num, lam.den
+        Z = [-a * dl - b * d1 for a, b in zip(c1.num, ln)]
+        if (any(Z[1:]) == any(ln[1:]) and Z[0] == ln[0] * d1
+                and sum(map(mul, weights, map(mul, Z, Z)))
+                == sum(map(mul, weights, map(mul, ln, ln))) * d1 * d1):
             jordan = (lam, 2)
     if not isolated and spherical is None:
         comp = _unscaled(alg.ctx, g, L)

@@ -34,6 +34,7 @@ k never overflow.  There is no floating point anywhere in this package.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -46,6 +47,8 @@ from .errors import ContextMismatch, DivisionByZero, ParseError, ValidationError
 def rational_str(n: int, d: int) -> str:
     """str(Fraction(n, d)) for integers n and d != 0, with no Fraction
     built: "n" over 1 and "n/d" otherwise, in lowest terms, the sign on n."""
+    if d == 1:  # every integer value, with no gcd
+        return str(n)
     if not d:
         raise ZeroDivisionError(f"rational_str({n}, 0)")
     g = gcd(n, d)
@@ -414,10 +417,19 @@ class IntValue:
         return NotImplemented
 
     def __hash__(self):
-        # a central value equals its rational, so it hashes like one
-        if self.is_central():
-            return hash(Fraction(self.num[0], self.den))
-        return hash((self.num, self.den))
+        # a central value equals its rational, so it hashes like one:
+        # hash(Fraction(n, d)) for n/d in lowest terms, from the pair, as
+        # Fraction.__hash__ computes it (modulus P, infinity for P | d); a
+        # hash of -1 becomes -2 as for every __hash__
+        if any(self.num[1:]):
+            return hash((self.num, self.den))
+        n = self.num[0]
+        P = sys.hash_info.modulus
+        try:
+            h = hash(abs(n)) * pow(self.den, -1, P) % P
+        except ValueError:  # P divides den
+            h = sys.hash_info.inf
+        return h if n >= 0 else -h
 
 
 def _times(x, y):

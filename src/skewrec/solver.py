@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .matlin import _chain_matrix, _companion_step, mat_solve
+from .matlin import _chain_matrix, _checked_multiplicities, _companion_step, mat_solve
 from .poly import LeftPoly, _is_root, quadratic_roots
 from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _reduced, _times, squarefree_split
 
@@ -70,8 +70,9 @@ class RecurrenceSpec:
             raise TypeError(f"unknown algebra carrier {self.algebra!r}")
         if not isinstance(self.order, int) or self.order < 1:
             raise ValidationError("order must be a positive integer")
-        rhs = tuple(self.algebra.coerce(v) for v in self.rhs)
-        init = tuple(self.algebra.coerce(v) for v in self.init)
+        coerce = self.algebra.coerce
+        rhs = tuple([coerce(v) for v in self.rhs])
+        init = tuple([coerce(v) for v in self.init])
         if len(rhs) != self.order:
             raise ValidationError(f"rhs needs {self.order} coefficients, got {len(rhs)}")
         if len(init) != self.order:
@@ -92,12 +93,8 @@ class RecurrenceSpec:
 def _root_data(alg, roots) -> tuple:
     """((root, multiplicity), ...) with each root coerced into alg, or
     ValidationError for a multiplicity that is not an int >= 1."""
-    roots = tuple((alg.coerce(r), m) for r, m in roots)
-    if not all(isinstance(m, int) for _, m in roots):
-        raise ValidationError("root multiplicities must be integers")
-    if any(m < 1 for _, m in roots):
-        raise ValidationError("root multiplicities must be >= 1")
-    return roots
+    coerce = alg.coerce
+    return _checked_multiplicities([(coerce(r), m) for r, m in roots])
 
 
 @dataclass(frozen=True)
@@ -380,12 +377,13 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
         raise SingularU("eigenvector chains are linearly dependent") from exc
     terms = []
     col = 0
+    first, zero = u.row(0), alg.zero()
     for (lam, m), pows in zip(rootdata, inv_pows):
         for sp in range(m):
             # the r = 0 summand of column sp is U's first-row entry itself
-            coeffs = [u.entry(0, col + sp)] + [alg.zero()] * sp
+            coeffs = [first[col + sp]] + [zero] * sp
             for r in range(1, sp + 1):
-                base_e = _times(u.entry(0, col + sp - r), pows[r])
+                base_e = _times(first[col + sp - r], pows[r])
                 binom, fact = _binom_coeffs(r)
                 for s, c in enumerate(binom):
                     if c:
@@ -448,7 +446,7 @@ def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
     if spec.order == 2:
         p = primitive_char_poly(spec)
         rootdata = quadratic_roots(spec.algebra, p).root_multiplicities()
-        if sum(m for _, m in rootdata) != 2:
+        if sum([m for _, m in rootdata]) != 2:
             raise NoRootsFound("a single isolated root without repeated-root structure "
                                "cannot determine an order-2 closed form")
         return _jordan_form(spec, rootdata)
@@ -498,15 +496,7 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> list:
     mul, D, one = carrier._num_mul, carrier.weights[0], carrier.one()
     chi = [-r for r in rhs] + [one]
     rs = None  # (j, numerators of rhs[j] over rho), built for the first Q(k)
-    sums = [None] * n  # a_j as (numerators, denominator)
-
-    def add(j, num, den):
-        if sums[j] is None:
-            sums[j] = num, den
-        else:
-            acc, d = sums[j]
-            sums[j] = [a * den + x * d for a, x in zip(acc, num)], d * den
-
+    parts = [[] for _ in range(n)]  # a_j's summands as (numerators, denominator)
     for i, t in enumerate(form.terms):
         d = t.degree
         lam, b = t.base, t.right
@@ -519,7 +509,7 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> list:
             for j in range(n):
                 if j:
                     w, s = mul(lam.num, w), sl * s
-                add(j, w, s)
+                parts[j].append((w, s))
             continue
         if rs is None:
             rho = lcm(*[r.den for r in rhs])
@@ -551,10 +541,17 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> list:
                                         f"the residual {res} at k={k}")
             if k == 0:
                 for j in range(n):
-                    add(j, mul(f[j], b.num), D * D * e * sl ** j * b.den)
-    zero = carrier.zero()
-    return [zero if a is None else _reduced(carrier.value_type, carrier, tuple(a[0]), a[1])
-            for a in sums]
+                    parts[j].append((mul(f[j], b.num), D * D * e * sl ** j * b.den))
+    values = []
+    for summands in parts:
+        if not summands:
+            values.append(carrier.zero())
+            continue
+        acc, den = summands[0]
+        for num, d in summands[1:]:
+            acc, den = [a * d + x * den for a, x in zip(acc, num)], den * d
+        values.append(_reduced(carrier.value_type, carrier, tuple(acc), den))
+    return values
 
 
 def _certify_frame(frame) -> None:
@@ -613,7 +610,7 @@ def _central_tn(spec: RecurrenceSpec):
     """(t, n) with rhs = (-n, t) for an order-2 quaternion or octonion spec with
     no user roots, rational rhs and t^2 - 4n no rational square, else None."""
     if (spec.order == 2 and spec.roots is None and not isinstance(spec.algebra, FieldContext)
-            and all(r.is_central() for r in spec.rhs)):
+            and spec.rhs[0].is_central() and spec.rhs[1].is_central()):
         t, n = spec.rhs[1].scalar_part(), -spec.rhs[0].scalar_part()
         if (t * t - 4 * n).sqrt() is None:
             return t, n

@@ -16,6 +16,7 @@ from skewrec import (
     Singular,
     SingularU,
     SkewrecError,
+    ValidationError,
     companion_matrix,
     eig_check,
     jordan_block_power,
@@ -234,6 +235,17 @@ def test_jordan_from_roots_errors():
         jordan_from_roots(a, [(J, 1)])  # multiplicities must sum to n
     with pytest.raises(SingularU):
         jordan_from_roots(a, [(J, 1), (J, 1)])  # identical chains
+
+
+def test_jordan_from_roots_rejects_multiplicities_off_the_ints():
+    # int(m) read 1.9 and "1" as 1: blocks (1, 1), (2, 1) for x^2 - 3x + 2
+    a = companion_matrix(LeftPoly(Q, [2, -3, 1]))
+    with pytest.raises(ValidationError, match="^root multiplicities must be integers$"):
+        jordan_from_roots(a, [(1, 1.9), (2, "1")])
+    with pytest.raises(ValidationError, match="^root multiplicities must be >= 1$"):
+        jordan_from_roots(a, [(Q.scalar(1), 0), (Q.scalar(2), 2)])
+    jd = jordan_from_roots(a, [(Q.scalar(1), 1), (Q.scalar(2), 1)])
+    assert jd.blocks == ((1, 1), (2, 1)) and jd.U == vandermonde([Q.scalar(1), Q.scalar(2)])
 
 
 def test_lam_random_triples_and_pairs():

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from skewrec import (
     ContextMismatch,
     DivisionByZero,
     FieldContext,
+    OctonionAlgebra,
     ParseError,
+    QuaternionAlgebra,
     ScalarValue,
     scalar_parse,
     scalar_render,
@@ -269,3 +272,25 @@ def test_values_print_as_their_fraction_coordinates(ctx, u, v, den):
     text = str(fu) if fv == 0 else f"{fu}{'-' if fv < 0 else '+'}{abs(fv)}*rt"
     assert scalar_render(x) == str(x) == text
     assert super(ScalarValue, x).__str__() == "[" + ",".join(map(str, x.coords())) + "]"
+
+
+MODULUS = sys.hash_info.modulus
+CENTRAL_CARRIERS = (Q, Q5, QuaternionAlgebra(-1, -1), QuaternionAlgebra(Fraction(-1, 2), 3),
+                    OctonionAlgebra(-1, -1, -1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(-40, 40), BIG),
+       st.one_of(st.integers(1, 40), st.integers(1, 2 ** 200),
+                 st.integers(1, 2 ** 70).map(lambda k: k * MODULUS)))
+@example(-1, 1)  # a hash of -1 is -2
+@example(3, MODULUS)  # no inverse of the denominator: infinity
+@example(-3, 2 * MODULUS)
+@example(0, MODULUS)
+def test_central_values_hash_like_their_fractions(n, d):
+    # IntValue.__hash__ computes hash(Fraction(n, d)) from the integer pair
+    f = Fraction(n, d)
+    assert hash(Q.ratio(n, d)) == hash(f)
+    for carrier in CENTRAL_CARRIERS:
+        x = carrier.scalar(f)
+        assert x == f and hash(x) == hash(f)

@@ -12,6 +12,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 from skewrec import (
     AssocForm,
+    ConjClass,
     ContextMismatch,
     DMatrix,
     FieldContext,
@@ -289,6 +290,27 @@ def test_root_multiplicities_must_be_ints_of_at_least_one(roots):
         RecurrenceSpec(H, 2, (-1 - K, I), (1, 1), roots=roots)
     with pytest.raises(ValidationError, match=why):
         solve_jordan(DIAG, roots)
+
+
+def test_solve_builds_no_class_labels(monkeypatch):
+    # solve reads only root_multiplicities(), so no ConjClass is built on the
+    # distinct-root or on the Jordan path; a report's isolated still labels
+    built = []
+    post_init = ConjClass.__post_init__
+    monkeypatch.setattr(ConjClass, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    distinct = LeftPoly.x_minus(1 + J) * LeftPoly.x_minus(I)
+    jordan = LeftPoly(H, [-K, -(I + J), 1])  # (x - j)(x - i): i twice
+    for p, mults in ((distinct, [1, 1]), (jordan, [2])):
+        roots = quadratic_roots(H, p).root_multiplicities()
+        assert I in [lam for lam, _ in roots] and [m for _, m in roots] == mults
+        cf = solve(RecurrenceSpec(H, 2, (-p.coeffs[0], -p.coeffs[1]), (1, J)))
+        assert {t.base for t in cf.terms} == {lam for lam, _ in roots}
+    assert not built
+    rep = quadratic_roots(H, jordan)
+    assert not built and rep.jordan == (I, 2)
+    isolated = rep.isolated
+    assert len(built) == 1 and isolated == [(I, conj_class(I))]
 
 
 def test_lam_violation():
