@@ -29,7 +29,6 @@ from .algebra import (
     QuaternionAlgebra,
     build_frame,
     conj_class,
-    polar_form,
     spherical_representative,
 )
 from .poly import (
@@ -43,7 +42,6 @@ from .matlin import (
     DMatrix,
     companion_matrix,
     eig_check,
-    jordan_block_power,
     jordan_from_roots,
     jordan_matrix,
     mat_inverse,

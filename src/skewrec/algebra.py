@@ -51,8 +51,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import DegenerateFrame, NoRepresentative, ValidationError
-from .scalar import (_SCALARS, Carrier, FieldContext, IntValue, ScalarValue, _make, _product,
-                     _ratio, _reduced)
+from .scalar import _SCALARS, Carrier, FieldContext, IntValue, _make, _product, _ratio, _reduced
 
 
 def _quat_mul(consts, p, q) -> tuple:
@@ -254,13 +253,6 @@ class ConjClass:
     def is_central(self) -> bool:
         return self.central is not None
 
-    def min_poly_is_irreducible(self) -> bool:
-        """Whether x^2 - t x + n has no roots in the base field."""
-        if self.is_central:
-            return False
-        disc = self.t * self.t - 4 * self.n
-        return disc.sqrt() is None
-
     def __repr__(self):
         if self.is_central:
             return f"ConjClass(central={self.central})"
@@ -318,21 +310,6 @@ def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):
 # quaternion frames inside an octonion algebra
 
 
-def polar_form(x, y) -> ScalarValue:
-    """Bilinear form attached to the norm: B(x, y) = N(x+y) - N(x) - N(y).
-
-    Read off the coordinates and the carrier's diagonal `weights` by
-    `IntValue._scaled_polar`, with no product: for quaternions
-    B = 2*(w1*w2 - a*x1*x2 - b*y1*y2 + a*b*z1*z2), for octonions q + r*l0
-    it is B(q1, q2) - gamma*B(r1, r2) on the halves, and over Q(sqrt(d))
-    it is 2*(u1*u2 - d*v1*v2).
-    """
-    alg = x.carrier
-    y = alg.coerce(y)
-    m, D = x._scaled_polar(y)
-    return alg.ctx.ratio(2 * m, D * x.den * y.den)
-
-
 def _orthogonalize(x: OctValue, against) -> OctValue:
     """x minus its projections B(x, v) / B(v, v) * v, one v after the other,
     for pairwise orthogonal v of nonzero norm: the projection of x on the
@@ -346,6 +323,33 @@ def _orthogonalize(x: OctValue, against) -> OctValue:
     return out
 
 
+def _frame_basis(alg: OctonionAlgebra, u, w, ell) -> tuple:
+    """(u*w, mat, den, wcols, gram) for the frame f = (1, u, w, u*w, ell,
+    u*ell, w*ell, (u*w)*ell) of alg, four products: f as the integer columns
+    of `mat` over `den`, each column times the algebra's `weights` (wcols),
+    and the diagonal `gram` of the Gram matrix wcols[i] . cols[j], which is
+    B(f_i, f_j) up to one positive factor.
+
+    Raises DegenerateFrame unless that matrix is diagonal with no zero on
+    its diagonal.  Then the frame splits alg, by the Cayley-Dickson doubling
+    lemma (Springer and Veldkamp, Octonions, Jordan Algebras and Exceptional
+    Groups, 1.5): u, w and ell are orthogonal to 1, so pure, and u*u =
+    -N(u), w*w = -N(w), u*w = -w*u, so span(1, u, w, u*w) is the quaternion
+    algebra (-N(u), -N(w) | Q), doubled to alg by ell of nonzero norm
+    orthogonal to it.
+    """
+    u, w, ell = alg.coerce(u), alg.coerce(w), alg.coerce(ell)
+    uw = u * w
+    vecs = (alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
+    den = lcm(*[v.den for v in vecs])
+    cols = [[n * (den // v.den) for n in v.num] for v in vecs]
+    wcols = [[c * wt for c, wt in zip(col, alg.weights)] for col in cols]
+    gram = [sum(map(mul, wc, col)) for wc, col in zip(wcols, cols)]
+    if 0 in gram or any(sum(map(mul, wcols[i], cols[j])) for i in range(8) for j in range(i)):
+        raise DegenerateFrame("frame vectors are isotropic or not pairwise orthogonal")
+    return uw, tuple(zip(*cols)), den, wcols, gram
+
+
 class SubalgebraFrame:
     """A quaternion subalgebra Q' = span(1, u, w, u*w) of an octonion algebra,
     together with a trace-zero unit ell orthogonal to it, so that the whole
@@ -354,8 +358,9 @@ class SubalgebraFrame:
     The basis f = (1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell) is the integer
     columns of `mat` over `den`, so `join(q, s)` = q + s*ell for q, s in
     Q' = `quat` is one integer pass.  f must be pairwise orthogonal under
-    `polar_form` B with B(f_i, f_i) != 0, else DegenerateFrame; then the
-    inverse rows `inv` of `decompose` are x -> B(x, f_i) / B(f_i, f_i).
+    the polar form B of the norm (`IntValue._scaled_polar`) with B(f_i, f_i)
+    != 0, else DegenerateFrame (`_frame_basis`); then the inverse rows `inv`
+    of `decompose` are x -> B(x, f_i) / B(f_i, f_i).
     """
 
     __slots__ = ("oct", "u", "w", "uw", "ell", "a_prime", "b_prime",
@@ -367,23 +372,14 @@ class SubalgebraFrame:
         self.u = u
         self.w = w
         self.ell = ell
-        self.uw = uw = u * w
-        vecs = (oct_alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
-        self.den = den = lcm(*[v.den for v in vecs])
-        cols = [[n * (den // v.den) for n in v.num] for v in vecs]
-        self.mat = tuple(zip(*cols))
-        # B(x, y) is proportional to sum_j W_j*x_j*y_j for the algebra's weights W
-        wcols = [[c * wt for c, wt in zip(col, oct_alg.weights)] for col in cols]
-        gram = [sum(map(mul, wc, col)) for wc, col in zip(wcols, cols)]
-        if 0 in gram or any(sum(map(mul, wcols[i], cols[j])) for i in range(8) for j in range(i)):
-            raise DegenerateFrame("frame vectors are isotropic or not pairwise orthogonal")
+        self.uw, self.mat, self.den, wcols, gram = _frame_basis(oct_alg, u, w, ell)
         # u, w and ell are orthogonal to 1, so pure: x^2 = T(x)*x - N(x) = -N(x)
         self.a_prime, self.b_prime, self.gamma_prime = -u.norm(), -w.norm(), -ell.norm()
         self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
         # coordinate i of x = num / d is den * (wcols[i] . num) / (d * gram[i]);
         # each half of the coordinates goes over the lcm L of its four gram[i]
         Ls = [lcm(*gram[:4])] * 4 + [lcm(*gram[4:])] * 4
-        rows = [[den * (L // g) * c for c in wc] for wc, g, L in zip(wcols, gram, Ls)]
+        rows = [[self.den * (L // g) * c for c in wc] for wc, g, L in zip(wcols, gram, Ls)]
         self.inv = ((rows[:4], Ls[0]), (rows[4:], Ls[4]))
 
     def decompose(self, x: OctValue) -> tuple[QuatValue, QuatValue]:

@@ -19,7 +19,7 @@ of the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, sub
 
 from .errors import (
@@ -234,27 +234,6 @@ def eig_check(a: DMatrix, lam, v, side: str = "left") -> bool:
     else:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     return all(p == q for p, q in zip(av, target))
-
-
-def jordan_block_power(lam, m: int, k: int) -> DMatrix:
-    """k-th power of the m x m Jordan block for lam.
-
-    Entry (i, j) is C(k, j-i) * lam**(k-(j-i)); entries whose exponent would
-    go negative are zero, consistently with C(k, s) = 0 for s > k.
-    """
-    if m < 1 or k < 0:
-        raise ValueError("need m >= 1 and k >= 0")
-    carrier = lam.carrier
-    zero = carrier.zero()
-    entries = []
-    for i in range(m):
-        for j in range(m):
-            s = j - i
-            if s < 0 or s > k:
-                entries.append(zero)
-            else:
-                entries.append(comb(k, s) * lam ** (k - s))
-    return DMatrix(m, m, entries)
 
 
 def _primitive(row: list) -> list:

@@ -39,8 +39,10 @@ from dataclasses import dataclass
 from itertools import islice
 from math import factorial, isqrt, lcm
 
-from .algebra import OctonionAlgebra, build_frame, conj_class
+from .algebra import OctonionAlgebra, QuaternionAlgebra, _frame_basis, build_frame, conj_class
 from .errors import (
+    ContextMismatch,
+    DegenerateFrame,
     InternalError,
     LamViolation,
     NoRootsFound,
@@ -554,19 +556,21 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> list:
     return values
 
 
-def _certify_frame(frame) -> None:
-    """join(x, 0)*join(y, 0) = join(x*y, 0) and join(x, 0)*(join(y, 0)*ell) =
-    join(y*x, 0)*ell on the frame's quaternion basis; both sides of each are
-    bilinear, so the identities then hold for all x, y."""
-    basis = frame.quat.basis()
-    emb = [frame.join(e, 0) for e in basis]
-    emb_ell = [e * frame.ell for e in emb]
-    prods = [[frame.join(x * y, 0) for y in basis] for x in basis]
-    for i, ex in enumerate(emb):
-        for j, ey in enumerate(emb):
-            if ex * ey != prods[i][j] or ex * emb_ell[j] != prods[j][i] * frame.ell:
-                raise InternalError(f"certificate failed: the frame does not split "
-                                    f"the algebra at ({basis[i]}, {basis[j]})")
+def _certify_frame(alg: OctonionAlgebra, frame) -> None:
+    """Prove that frame splits alg as Q' + Q'*ell, Q' = span(1, u, w, u*w)
+    = frame.quat, by the hypotheses of the Cayley-Dickson doubling lemma:
+    the shape and Gram test of `_frame_basis`, run afresh on the frame's own
+    u, w and ell, must pass and give back its `mat` and `den`, and `quat`
+    must be (-N(u), -N(w) | Q).  Then join(x, 0)*join(y, 0) = join(x*y, 0)
+    and join(x, 0)*(join(y, 0)*ell) = join(y*x, 0)*ell for all x, y."""
+    try:
+        _, mat, den, _, _ = _frame_basis(alg, frame.u, frame.w, frame.ell)
+        ok = ((mat, den) == (frame.mat, frame.den)
+              and frame.quat == QuaternionAlgebra(-frame.u.norm(), -frame.w.norm()))
+    except (ContextMismatch, DegenerateFrame):
+        ok = False
+    if not ok:
+        raise InternalError("certificate failed: the frame does not split the algebra")
 
 
 def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
@@ -578,7 +582,8 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     a_{k+2} = t*a_{k+1} - n*a_k as its rational U does, so rhs = (-n, t)
     and init = (a0, a1) prove it.  For an OctSplitForm, rhs[j] must be
     join(r_j, 0) for a frame quaternion r_j, main must solve the recurrence
-    with the r_j and tail the one with conj(r_j); the frame identities then
+    with the r_j and tail the one with conj(r_j); the frame identities, proved
+    by the doubling lemma's shape and Gram test (`_certify_frame`), then
     carry both to a_k = join(main(k), conj(tail(k))), and with central r_j
     linearity alone does.  The first n values are read on integer
     numerators (`_certify_terms`), so no evaluator is built here; the proved
@@ -596,7 +601,7 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
             if cf.frame.join(q, 0) != r:
                 raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
         if not all(r.is_central() for r in spec.rhs):
-            _certify_frame(cf.frame)
+            _certify_frame(spec.algebra, cf.frame)
         main = _certify_terms(cf.main, rhs, "main ")
         tail = _certify_terms(cf.tail, [r.conj() for r in rhs], "tail ")
         values = [cf.frame.join(m, t.conj()) for m, t in zip(main, tail)]

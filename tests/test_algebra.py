@@ -20,7 +20,6 @@ from skewrec import (
     ZeroDivisor,
     build_frame,
     conj_class,
-    polar_form,
     spherical_representative,
 )
 from skewrec.algebra import SubalgebraFrame, _orthogonalize
@@ -31,6 +30,12 @@ H = QuaternionAlgebra(-1, -1)
 I, J, K = H.e1, H.e2, H.e3
 O = OctonionAlgebra(-1, -1, -1)
 L = O.ell0
+
+
+def polar(x, y):
+    """B(x, y) = N(x+y) - N(x) - N(y), read off `_scaled_polar`."""
+    m, D = x._scaled_polar(y)
+    return x.carrier.ctx.ratio(2 * m, D * x.den * y.den)
 
 
 def test_multiplication_table():
@@ -141,15 +146,6 @@ def test_conj_class_invariance_under_conjugation():
         assert conj_class(x) == conj_class((g * x) * g.inverse())
 
 
-def test_conj_class_min_poly_irreducible_in_division_algebra():
-    rng = random.Random(31)
-    for _ in range(100):
-        x = rand_quat(rng, H)
-        if x.is_central():
-            continue
-        assert conj_class(x).min_poly_is_irreducible()
-
-
 # ---------------------------------------------------------------------------
 # octonions
 
@@ -235,7 +231,7 @@ def test_frame_orthogonality_invariants():
         assert fr.u.trace() == 0 and fr.w.trace() == 0 and fr.ell.trace() == 0
         assert fr.u * fr.w == -(fr.w * fr.u)
         for v in (O.one(), fr.u, fr.w, fr.uw):
-            assert polar_form(fr.ell, v).is_zero()
+            assert polar(fr.ell, v).is_zero()
 
 
 def test_frame_decompose_examples():
@@ -326,7 +322,7 @@ def test_degenerate_frame():
     assert bad.norm().is_zero()
     with pytest.raises(DegenerateFrame, match=r"generator \[0,1,0,0,0,1,0,0\] is isotropic"):
         build_frame(SPLIT_111, SPLIT_111.one(), bad)
-    assert polar_form(e[2] + e[3], e[1]).is_zero() and (e[2] + e[3]).norm().is_zero()
+    assert polar(e[2] + e[3], e[1]).is_zero() and (e[2] + e[3]).norm().is_zero()
     with pytest.raises(DegenerateFrame, match=r"orthogonalization produced isotropic \[0,0,1,1"):
         build_frame(SPLIT_111, e[2] + e[3], e[1])
 
@@ -543,11 +539,11 @@ def test_polar_form_matches_product_and_norm(alg, cx, cy):
     halves = ((alg.base.element(cx[:4]), alg.base.element(cy[:4])),
               (alg.base.element(cx[4:]), alg.base.element(cy[4:])))
     for p, q in ((x, y), *halves):
-        b = polar_form(p, q)
+        b = polar(p, q)
         assert b == (p * q.conj()).trace()
         assert b == (p + q).norm() - p.norm() - q.norm()
-        assert b == polar_form(q, p)
-    assert polar_form(x, x) == 2 * x.norm()
+        assert b == polar(q, p)
+    assert polar(x, x) == 2 * x.norm()
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ from skewrec import (
     ValidationError,
     companion_matrix,
     eig_check,
-    jordan_block_power,
     jordan_from_roots,
-    jordan_matrix,
     mat_inverse,
     sylvester_chain_solve,
     vandermonde,
@@ -172,24 +170,6 @@ def test_left_eigen_iff_root():
         for cand in (lam, probe):
             v = [H.one(), cand]
             assert eig_check(a, cand, v, "left") == p.eval(cand).is_zero()
-
-
-def test_jordan_block_power():
-    jb = jordan_block_power(I, 2, 5)
-    assert jb == DMatrix.from_rows([[I ** 5, 5 * I ** 4], [H.zero(), I ** 5]])
-    assert jordan_block_power(I, 3, 0) == DMatrix.identity(3, H)
-    assert jordan_block_power(J, 1, 7) == DMatrix(1, 1, [J ** 7])
-
-
-def test_jordan_block_power_matches_repeated_multiplication():
-    rng = random.Random(11)
-    for m in (2, 3):
-        lam = rand_invertible_quat(rng, H)
-        block = jordan_matrix([(lam, m)])
-        acc = DMatrix.identity(m, H)
-        for k in range(17):
-            assert jordan_block_power(lam, m, k) == acc
-            acc = acc * block
 
 
 def test_chain_solve_satisfies_equation():

@@ -14,6 +14,7 @@ from skewrec import (
     AssocForm,
     ConjClass,
     ContextMismatch,
+    DegenerateFrame,
     DMatrix,
     FieldContext,
     InternalError,
@@ -690,6 +691,68 @@ def test_certificate_checks_the_frame():
     object.__setattr__(broken, "ell", broken.w)
     with pytest.raises(InternalError, match="does not split the algebra"):
         _certify(spec, OctSplitForm(broken, cf.main, cf.tail))
+    # the right columns, but quat is not (u^2, w^2 | Q): the rhs still join
+    # back, and only the frame check sees it
+    wrong = build_frame(O, -1 - OK, OI)
+    wrong.quat = QuaternionAlgebra(wrong.a_prime, 2 * wrong.b_prime)
+    with pytest.raises(InternalError, match="does not split the algebra"):
+        _certify(spec, OctSplitForm(wrong, cf.main, cf.tail))
+    # the same columns from u, w and ell of another octonion algebra: their
+    # products prove nothing about the spec's
+    alien = build_frame(O, -1 - OK, OI)
+    O2 = OctonionAlgebra(-1, -1, -2)
+    for attr in ("u", "w", "ell"):
+        setattr(alien, attr, O2.element(getattr(alien, attr).coords()))
+    with pytest.raises(InternalError, match="does not split the algebra"):
+        _certify(spec, OctSplitForm(alien, cf.main, cf.tail))
+
+
+def _splits_by_identities(frame):
+    """The product-identity oracle: join(x, 0)*join(y, 0) = join(x*y, 0) and
+    join(x, 0)*(join(y, 0)*ell) = join(y*x, 0)*ell on the 16 pairs of the
+    frame's quaternion basis; both sides of each are bilinear, so they then
+    hold for all x, y."""
+    basis = frame.quat.basis()
+    emb = [frame.join(e, 0) for e in basis]
+    return all(ex * ey == frame.join(x * y, 0)
+               and ex * (ey * frame.ell) == frame.join(y * x, 0) * frame.ell
+               for x, ex in zip(basis, emb) for y, ey in zip(basis, emb))
+
+
+FRAME_ALGEBRAS = [O, OctonionAlgebra(-1, -2, Fraction(-3, 2)), OctonionAlgebra(1, 1, 1),
+                  OctonionAlgebra(2, 3, -1)]
+frame_coords = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                        min_size=8, max_size=8)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FRAME_ALGEBRAS), frame_coords, frame_coords,
+       st.sampled_from([None, "u", "w", "ell", "quat", "mat"]),
+       st.integers(1, 3), st.integers(0, 63))
+def test_frame_check_against_the_product_identities(alg, ca, cb, attr, step, at):
+    # the shape and Gram test passes every frame build_frame returns, and
+    # none with u, w, ell, quat or one mat entry changed; wherever it passes,
+    # the 16-pair identities hold
+    try:
+        fr = build_frame(alg, alg.element(ca), alg.element(cb))
+    except DegenerateFrame:
+        return
+    if attr == "quat":
+        fr.quat = QuaternionAlgebra(fr.a_prime * (step + 1), fr.b_prime)
+    elif attr == "mat":
+        rows = [list(r) for r in fr.mat]
+        rows[at // 8][at % 8] += step
+        fr.mat = tuple(map(tuple, rows))
+    elif attr is not None:
+        setattr(fr, attr, getattr(fr, attr) + step * alg.basis()[at % 8])
+    try:
+        solver._certify_frame(alg, fr)
+        certified = True
+    except InternalError:
+        certified = False
+    assert certified == (attr is None)
+    if certified:
+        assert _splits_by_identities(fr)
 
 
 def _order_three_user_roots():
