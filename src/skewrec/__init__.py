@@ -56,9 +56,7 @@ from .solver import (
     eval_closed_form,
     iterate_oracle,
     primitive_char_poly,
-    promote_field_quadratic,
     solve,
-    solve_jordan,
     verify_closed_form,
 )
 

@@ -3,13 +3,13 @@
 The characteristic data is the monic polynomial x^n - r_{n-1} x^{n-1} - ...
 - r_0.  Over a field or a quaternion algebra one path solves every spec:
 the exact Jordan decomposition U * J * U^-1 of the companion matrix, built
-from eigenvector chains of the roots (_jordan_form, behind solve_jordan's
-checks for user roots).  Simple roots are the case of 1x1 blocks, where U
-is the Vandermonde matrix of the roots; a chain step reads only the
-companion's last row, rhs, and solves an m x m system
-(`matlin._companion_step`), so no companion matrix is ever built.  Every
-root is tested on integers (`poly._is_root`), a user root by solve_jordan
-and a derived one by the certificate.
+from eigenvector chains of the roots (_jordan_form, fed by the root step
+_roots, which checks user roots and finds or promotes the others).  Simple
+roots are the case of 1x1 blocks, where U is the Vandermonde matrix of the
+roots; a chain step reads only the companion's last row, rhs, and solves
+an m x m system (`matlin._companion_step`), so no companion matrix is ever
+built.  Every root is tested on integers (`poly._is_root`), a user root by
+the root step and a derived one by the certificate.
 Order-2 octonion recurrences split over a quaternion subalgebra frame into
 a main part and a conjugated tail, each solved on that same path, by the
 frame's integer change of basis (`decompose` and `join`).  Rational
@@ -89,14 +89,9 @@ class RecurrenceSpec:
             if self.roots is not None:
                 raise ValidationError("user roots are not accepted for octonion specs")
         if self.roots is not None:
-            object.__setattr__(self, "roots", _root_data(self.algebra, self.roots))
-
-
-def _root_data(alg, roots) -> tuple:
-    """((root, multiplicity), ...) with each root coerced into alg, or
-    ValidationError for a multiplicity that is not an int >= 1."""
-    coerce = alg.coerce
-    return _checked_multiplicities([(coerce(r), m) for r, m in roots])
+            # ((root, multiplicity), ...), each multiplicity an int >= 1
+            object.__setattr__(self, "roots", _checked_multiplicities(
+                [(coerce(r), m) for r, m in self.roots]))
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,7 @@ class _LucasForm:
     (functools.cached_property would take a lock on every access).  Before
     the first value is returned, the new evaluator is checked against the
     initial values that `_certify` proved for the form, kept on it as
-    `_init` (none for a form that was never certified)."""
+    `_init` (none for a hand-built form, which `solve` never returned)."""
 
     def value(self, k: int):
         if k < 0:
@@ -335,29 +330,6 @@ def _binom_coeffs(r: int) -> tuple[list[int], int]:
     return out, factorial(r)
 
 
-def solve_jordan(spec: RecurrenceSpec, rootdata) -> AssocForm:
-    """Closed form via the Jordan decomposition A = U * J * U^-1 of the
-    companion matrix (see _jordan_form), for root data given by a caller.
-
-    rootdata is a list of (root, multiplicity); each multiplicity must be
-    an int >= 1 and together they must sum to the order, the roots must be
-    pairwise distinct roots of the characteristic polynomial, each tested
-    on integers (`poly._is_root`), and no three may share a conjugacy class.
-    """
-    rootdata = _root_data(spec.algebra, rootdata)
-    roots = [lam for lam, _ in rootdata]
-    if sum(m for _, m in rootdata) != spec.order:
-        raise ValidationError(f"root multiplicities must sum to the order {spec.order}")
-    if len(set(roots)) != len(roots):
-        raise ValidationError("roots must be pairwise distinct")
-    chi = primitive_char_poly(spec).coeffs
-    for lam in roots:
-        if not _is_root(chi, lam):
-            raise ValidationError(f"{lam} is not a root of the characteristic polynomial")
-    _check_lam(roots)
-    return _jordan_form(spec, rootdata)
-
-
 def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     """a_k as the first row of U * J**k * b, U the eigenvector chains of the
     roots and b = U^-1 * init from one elimination on [U | init], expanded
@@ -395,24 +367,52 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     return AssocForm(alg, tuple(terms))
 
 
-def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
-    """Attach exact roots to an order-2 field spec, extending Q to Q(sqrt(d))
-    when the discriminant demands it.
+def _roots(spec: RecurrenceSpec) -> tuple:
+    """(spec, root data) for _jordan_form: the spec, moved to Q(sqrt(d)) if
+    its roots lie there, and its roots as ((root, multiplicity), ...).
 
-    A zero discriminant yields one root of multiplicity two; a square
-    discriminant keeps the field; any other discriminant over Q moves to
-    the real quadratic extension by its squarefree part d.  Negative
-    discriminants would need a complex extension and are unsolvable here.
+    User roots must have multiplicities summing to the order, be pairwise
+    distinct roots of the characteristic polynomial, each tested on
+    integers (`poly._is_root`), and no three may share a conjugacy class.
+    The roots derived here are roots by construction and skip those
+    checks; _certify proves the form built from them.  An order-2 field
+    spec with a zero discriminant has one root of multiplicity two; a
+    square discriminant keeps the field; any other discriminant over Q
+    moves the spec to the real quadratic extension by its squarefree part
+    d.  Negative discriminants would need a complex extension and are
+    unsolvable here.  An order-2 quaternion spec takes the roots that
+    `quadratic_roots` finds.
     """
-    if not isinstance(spec.algebra, FieldContext) or spec.order != 2:
-        raise ValueError("promotion applies to order-2 field specs")
+    if spec.roots is not None:
+        roots = [lam for lam, _ in spec.roots]
+        if sum(m for _, m in spec.roots) != spec.order:
+            raise ValidationError(f"root multiplicities must sum to the order {spec.order}")
+        if len(set(roots)) != len(roots):
+            raise ValidationError("roots must be pairwise distinct")
+        chi = primitive_char_poly(spec).coeffs
+        for lam in roots:
+            if not _is_root(chi, lam):
+                raise ValidationError(f"{lam} is not a root of the characteristic polynomial")
+        _check_lam(roots)
+        return spec, spec.roots
+    if spec.order == 1:
+        return spec, ((spec.rhs[0], 1),)
+    field = isinstance(spec.algebra, FieldContext)
+    if spec.order != 2:
+        kind = "field" if field else "quaternion"
+        raise UnsupportedOrder(f"{kind} recurrences of order > 2 need user-supplied roots")
+    if not field:
+        rootdata = quadratic_roots(spec.algebra, primitive_char_poly(spec)).root_multiplicities()
+        if sum([m for _, m in rootdata]) != 2:
+            raise NoRootsFound("a single isolated root without repeated-root structure "
+                               "cannot determine an order-2 closed form")
+        return spec, rootdata
     ctx = spec.algebra
     c1 = -spec.rhs[1]
     c0 = -spec.rhs[0]
     disc = c1 * c1 - 4 * c0
     if disc.is_zero():
-        root = -c1 / 2
-        return dataclasses.replace(spec, roots=((root, 2),))
+        return spec, ((-c1 / 2, 2),)
     s = disc.sqrt()
     if s is None:
         if ctx.d is not None:
@@ -429,30 +429,8 @@ def promote_field_quadratic(spec: RecurrenceSpec) -> RecurrenceSpec:
         e, d = squarefree_split(num * den)
         ctx = FieldContext.quadratic(d)
         s, c1 = _reduced(ScalarValue, ctx, (0, e), den), ctx.scalar(c1)
-    roots = (((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1))
-    return dataclasses.replace(spec, algebra=ctx, roots=roots)
-
-
-def _solve_assoc(spec: RecurrenceSpec) -> AssocForm:
-    """User roots are validated by solve_jordan; the roots derived here
-    are roots by construction and go straight to _jordan_form."""
-    if spec.roots is not None:
-        return solve_jordan(spec, spec.roots)
-    if spec.order == 1:
-        return _jordan_form(spec, [(spec.rhs[0], 1)])
-    if isinstance(spec.algebra, FieldContext):
-        if spec.order == 2:
-            promoted = promote_field_quadratic(spec)
-            return _jordan_form(promoted, promoted.roots)
-        raise UnsupportedOrder("field recurrences of order > 2 need user-supplied roots")
-    if spec.order == 2:
-        p = primitive_char_poly(spec)
-        rootdata = quadratic_roots(spec.algebra, p).root_multiplicities()
-        if sum([m for _, m in rootdata]) != 2:
-            raise NoRootsFound("a single isolated root without repeated-root structure "
-                               "cannot determine an order-2 closed form")
-        return _jordan_form(spec, rootdata)
-    raise UnsupportedOrder("quaternion recurrences of order > 2 need user-supplied roots")
+        spec = dataclasses.replace(spec, algebra=ctx)
+    return spec, (((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1))
 
 
 def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
@@ -468,9 +446,9 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     frame = build_frame(spec.algebra, *(spec.init if central else spec.rhs))
     rhs = tuple(frame.decompose(r)[0] for r in spec.rhs)
     (q, s), (r, t) = map(frame.decompose, spec.init)
-    main = _solve_assoc(RecurrenceSpec(frame.quat, 2, rhs, (q, r)))
-    tail = AssocForm(frame.quat, ()) if central else _solve_assoc(RecurrenceSpec(
-        frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj())))
+    main = _jordan_form(*_roots(RecurrenceSpec(frame.quat, 2, rhs, (q, r))))
+    tail = AssocForm(frame.quat, ()) if central else _jordan_form(*_roots(RecurrenceSpec(
+        frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj()))))
     return OctSplitForm(frame, main, tail)
 
 
@@ -629,6 +607,6 @@ def solve(spec: RecurrenceSpec) -> ClosedForm:
     elif isinstance(spec.algebra, OctonionAlgebra):
         cf = solve_octonion2(spec)
     else:
-        cf = _solve_assoc(spec)
+        cf = _jordan_form(*_roots(spec))
     _certify(spec, cf)
     return cf

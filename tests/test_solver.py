@@ -5,6 +5,7 @@ import os
 import random
 import re
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -35,10 +36,8 @@ from skewrec import (
     eval_closed_form,
     iterate_oracle,
     primitive_char_poly,
-    promote_field_quadratic,
     quadratic_roots,
     solve,
-    solve_jordan,
     build_frame,
     conj_class,
     mat_inverse,
@@ -63,6 +62,38 @@ L = O.ell0
 DIAG = RecurrenceSpec(H, 2, (-1 - K, I), (1, 1))
 JORDAN = RecurrenceSpec(H, 2, (K, I + J), (1, 0))
 FIB = RecurrenceSpec(Q, 2, (1, 1), (0, 1))
+
+
+PUBLIC_NAMES = {
+    # errors
+    "ContextMismatch", "DegenerateFrame", "DimensionMismatch", "DivisionByZero",
+    "InternalError", "LamViolation", "NoRepresentative", "NoRootsFound", "NoSolution",
+    "ParseError", "SingularU", "Singular", "SkewrecError", "UnsupportedDegree",
+    "UnsupportedOrder", "ValidationError", "ZeroDivisor",
+    # scalar
+    "FieldContext", "ScalarValue", "scalar_parse", "scalar_render",
+    # algebra
+    "ConjClass", "OctValue", "OctonionAlgebra", "QuatValue", "QuaternionAlgebra",
+    "build_frame", "conj_class", "spherical_representative",
+    # poly
+    "LeftPoly", "companion_poly", "divide_by_linear", "factor_central_quartic",
+    "quadratic_roots",
+    # matlin
+    "DMatrix", "companion_matrix", "eig_check", "jordan_from_roots", "jordan_matrix",
+    "mat_inverse", "sylvester_chain_solve", "vandermonde",
+    # solver: solve is the one public way to a closed form
+    "AssocForm", "OctSplitForm", "RecurrenceSpec", "Term", "eval_closed_form",
+    "iterate_oracle", "primitive_char_poly", "solve", "verify_closed_form",
+}
+
+
+def test_public_names_are_the_listed_exports():
+    # an export changes only on purpose: the list is edited with it
+    import skewrec
+    names = {n for n, v in vars(skewrec).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert len(PUBLIC_NAMES) == 51
+    assert names == PUBLIC_NAMES
 
 
 def test_primitive_char_poly():
@@ -152,10 +183,10 @@ def test_iterate_oracle_matches_a_fraction_iteration(name):
 
 
 def test_promote_golden_ratio():
-    promoted = promote_field_quadratic(FIB)
+    promoted, roots = solver._roots(FIB)
     ctx = promoted.algebra
     assert ctx.d == 5
-    (r1, m1), (r2, m2) = promoted.roots
+    (r1, m1), (r2, m2) = roots
     assert (m1, m2) == (1, 1)
     assert r1 == ScalarValue(ctx, Fraction(1, 2), Fraction(1, 2))
     assert r2 == ScalarValue(ctx, Fraction(1, 2), Fraction(-1, 2))
@@ -163,33 +194,33 @@ def test_promote_golden_ratio():
 
 def test_promote_rational_and_repeated():
     spec = RecurrenceSpec(Q, 2, (-2, 3), (0, 1))  # x^2 - 3x + 2
-    promoted = promote_field_quadratic(spec)
+    promoted, roots = solver._roots(spec)
     assert promoted.algebra == Q
-    assert [r for r, _ in promoted.roots] == [Q.scalar(2), Q.scalar(1)]
+    assert [r for r, _ in roots] == [Q.scalar(2), Q.scalar(1)]
     spec = RecurrenceSpec(Q, 2, (-1, 2), (1, 5))  # x^2 - 2x + 1
-    promoted = promote_field_quadratic(spec)
-    assert promoted.roots == ((Q.scalar(1), 2),)
+    promoted, roots = solver._roots(spec)
+    assert roots == ((Q.scalar(1), 2),)
 
 
 def test_promote_negative_discriminant():
     spec = RecurrenceSpec(Q, 2, (-1, 0), (0, 1))  # x^2 + 1
     with pytest.raises(NoRootsFound):
-        promote_field_quadratic(spec)
+        solver._roots(spec)
 
 
 def test_promote_inside_quadratic_context():
     ctx = FieldContext.quadratic(5)
     # x^2 - x - 1 splits over Q(rt5) without further promotion
     spec = RecurrenceSpec(ctx, 2, (1, 1), (0, 1))
-    promoted = promote_field_quadratic(spec)
+    promoted, roots = solver._roots(spec)
     assert promoted.algebra == ctx
-    assert promoted.roots[0][0] == ScalarValue(ctx, Fraction(1, 2), Fraction(1, 2))
+    assert roots[0][0] == ScalarValue(ctx, Fraction(1, 2), Fraction(1, 2))
     # x^2 - 3x + 1 has discriminant 5, a square in Q(rt5)
     spec = RecurrenceSpec(ctx, 2, (-1, 3), (0, 1))
     assert verify_closed_form(spec, solve(spec), 20).ok
     # x^2 - x - 7 has discriminant 29; no further extension is attempted
     with pytest.raises(NoRootsFound):
-        promote_field_quadratic(RecurrenceSpec(ctx, 2, (7, 1), (0, 1)))
+        solver._roots(RecurrenceSpec(ctx, 2, (7, 1), (0, 1)))
 
 
 def test_solve_two_distinct_roots():
@@ -214,7 +245,7 @@ def test_simple_roots_solve_through_the_vandermonde_matrix():
     # 1x1 Jordan blocks: U is the Vandermonde matrix, every term is
     # lam**k * b_i with b = V^-1 * init
     roots = [J, I + J]
-    cf = solve_jordan(DIAG, [(r, 1) for r in roots])
+    cf = solve(dataclasses.replace(DIAG, roots=[(r, 1) for r in roots]))
     b = mat_inverse(vandermonde(roots)).apply(list(DIAG.init))
     assert [(t.poly, t.base, t.right) for t in cf.terms] == [
         ((H.one(),), lam, bi) for lam, bi in zip(roots, b)]
@@ -289,8 +320,6 @@ def test_root_multiplicities_must_be_ints_of_at_least_one(roots):
     why = "must be >= 1" if roots[0][1] == 0 else "must be integers"
     with pytest.raises(ValidationError, match=why):
         RecurrenceSpec(H, 2, (-1 - K, I), (1, 1), roots=roots)
-    with pytest.raises(ValidationError, match=why):
-        solve_jordan(DIAG, roots)
 
 
 def test_solve_builds_no_class_labels(monkeypatch):
@@ -323,8 +352,8 @@ def test_lam_violation():
 
 
 def test_derived_roots_are_covered_by_the_certificate(monkeypatch):
-    # roots found by quadratic_roots skip solve_jordan's root checks, so a
-    # wrong one must still be caught, by _certify
+    # roots found by quadratic_roots skip the root step's checks for user
+    # roots, so a wrong one must still be caught, by _certify
     class WrongRoots:
         def root_multiplicities(self):
             return [(I, 1), (J, 1)]  # not roots of DIAG's polynomial
