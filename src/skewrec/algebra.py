@@ -323,9 +323,10 @@ def _orthogonalize(x: OctValue, against) -> OctValue:
     return out
 
 
-def _frame_basis(alg: OctonionAlgebra, u, w, ell) -> tuple:
+def _frame_basis(alg: OctonionAlgebra, u, w, ell, uw=None) -> tuple:
     """(u*w, mat, den, wcols, gram) for the frame f = (1, u, w, u*w, ell,
-    u*ell, w*ell, (u*w)*ell) of alg, four products: f as the integer columns
+    u*ell, w*ell, (u*w)*ell) of alg, four products (three when the caller
+    passes the u*w it has already taken): f as the integer columns
     of `mat` over `den`, each column times the algebra's `weights` (wcols),
     and the diagonal `gram` of the Gram matrix wcols[i] . cols[j], which is
     B(f_i, f_j) up to one positive factor.
@@ -339,7 +340,7 @@ def _frame_basis(alg: OctonionAlgebra, u, w, ell) -> tuple:
     orthogonal to it.
     """
     u, w, ell = alg.coerce(u), alg.coerce(w), alg.coerce(ell)
-    uw = u * w
+    uw = u * w if uw is None else uw
     vecs = (alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
     den = lcm(*[v.den for v in vecs])
     cols = [[n * (den // v.den) for n in v.num] for v in vecs]
@@ -367,12 +368,12 @@ class SubalgebraFrame:
                  "gamma_prime", "quat", "mat", "den", "inv")
 
     def __init__(self, oct_alg: OctonionAlgebra, u: OctValue, w: OctValue,
-                 ell: OctValue):
+                 ell: OctValue, uw: OctValue | None = None):
         self.oct = oct_alg
         self.u = u
         self.w = w
         self.ell = ell
-        self.uw, self.mat, self.den, wcols, gram = _frame_basis(oct_alg, u, w, ell)
+        self.uw, self.mat, self.den, wcols, gram = _frame_basis(oct_alg, u, w, ell, uw)
         # u, w and ell are orthogonal to 1, so pure: x^2 = T(x)*x - N(x) = -N(x)
         self.a_prime, self.b_prime, self.gamma_prime = -u.norm(), -w.norm(), -ell.norm()
         self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
@@ -436,4 +437,4 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
     ell = next(c for c in (_orthogonalize(s, span) for s in qb[4:] + qb[1:4])
                if c._norm_parts()[0])
 
-    return SubalgebraFrame(alg, u, w, ell)
+    return SubalgebraFrame(alg, u, w, ell, span[3])

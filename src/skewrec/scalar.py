@@ -116,15 +116,15 @@ def _rho_factor(n: int, steps: int) -> tuple[int | None, int]:
             return g, steps
 
 
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n > 0 as e**2 * d with d squarefree; returns (e, d).  n is
-    factored with no trial division up to sqrt(n): a factor is kept when
-    `_is_prime` accepts it, else split by a prime of _MR_BASES or by
-    `_rho_factor`.  Raises ValidationError when Pollard rho spends
-    RHO_BUDGET steps on n without finishing."""
-    if n <= 0:
-        raise ValueError("squarefree_split needs a positive integer")
-    exponents, todo, steps = Counter(), [n], RHO_BUDGET
+def _factor(n: int, steps: int) -> tuple[Counter, int]:
+    """(the exponents of n's prime factors, the part of n left unfactored)
+    for n > 0.  n is factored with no trial division up to sqrt(n): a
+    factor is kept when `_is_prime` accepts it, else split by a prime of
+    _MR_BASES or by `_rho_factor`; a composite that Pollard rho does not
+    split within the `steps` steps left goes to the unfactored part, which
+    is then divided by every prime found, so that it is prime to them all,
+    and is 1 when n is fully factored."""
+    exponents, todo, rest = Counter(), [n], 1
     while todo:
         m = todo.pop()
         if _is_prime(m):
@@ -134,10 +134,26 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if f is None:
                 f, steps = _rho_factor(m, steps)
                 if f is None:
-                    raise ValidationError(
-                        f"cannot factor {n}: Pollard rho found no factor of {m} "
-                        f"in {RHO_BUDGET} steps")
+                    rest *= m
+                    continue
             todo += [f, m // f]
+    for p in exponents:
+        while rest % p == 0:
+            rest //= p
+            exponents[p] += 1
+    return exponents, rest
+
+
+def squarefree_split(n: int) -> tuple[int, int]:
+    """Write n > 0 as e**2 * d with d squarefree; returns (e, d), from the
+    prime factors of n (`_factor`).  Raises ValidationError when Pollard
+    rho spends RHO_BUDGET steps on n without finishing."""
+    if n <= 0:
+        raise ValueError("squarefree_split needs a positive integer")
+    exponents, rest = _factor(n, RHO_BUDGET)
+    if rest != 1:
+        raise ValidationError(f"cannot factor {n}: Pollard rho found no factor of {rest} "
+                              f"in {RHO_BUDGET} steps")
     e = d = 1
     for p, k in exponents.items():
         e *= p ** (k // 2)
@@ -147,15 +163,19 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 def _lucas(P: int, Q: int, k: int) -> tuple[int, int]:
     """(U_k, U_{k+1}), for k >= 0, of the Lucas sequence U_0 = 0, U_1 = 1,
-    U_{j+2} = P*U_{j+1} - Q*U_j, by fast doubling from the top bit of k
-    (Joye and Quisquater, Electronics Letters 1996): U_{2j} =
-    U_j*(2*U_{j+1} - P*U_j) and U_{2j+1} = U_{j+1}^2 - Q*U_j^2, three
-    products of sequence terms per bit."""
-    u0, u1 = 0, 1
-    for bit in bin(k)[2:]:
-        u0, u1 = u0 * (2 * u1 - P * u0), u1 * u1 - Q * (u0 * u0)
+    U_{j+2} = P*U_{j+1} - Q*U_j, by fast doubling from (U_1, U_2) = (1, P)
+    at the top bit of k (Joye and Quisquater, Electronics Letters 1996):
+    U_{2j} = U_j*(2*U_{j+1} - P*U_j), U_{2j+1} = U_{j+1}^2 - Q*U_j^2 and
+    U_{2j+2} = U_{j+1}*(P*U_{j+1} - 2*Q*U_j), so each further bit of k
+    takes three products of sequence terms, one step."""
+    if not k:
+        return 0, 1
+    u0, u1, q2 = 1, P, 2 * Q
+    for bit in bin(k)[3:]:
         if bit == "1":
-            u0, u1 = u1, P * u1 - Q * u0
+            u0, u1 = u1 * u1 - Q * (u0 * u0), u1 * (P * u1 - q2 * u0)
+        else:
+            u0, u1 = u0 * (2 * u1 - P * u0), u1 * u1 - Q * (u0 * u0)
     return u0, u1
 
 

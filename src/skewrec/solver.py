@@ -25,11 +25,14 @@ A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
 share one integer Lucas pair (U_k, U_{k+1}) of s*T and s^2*N
 (`scalar._lucas`, fast doubling), and a_k is a few big-by-small scalings
-of it over one denominator.  Each form builds its evaluator on its first
-`value` and checks it there against the initial values the certificate
-proved, so `solve` itself builds none.  The solver takes the few small
-powers it needs (chains, certificates) from `powers`, one product per
-power.
+of it over one denominator den * s**k, reduced by one gcd against a
+number that k does not change and by the primes of s (`_PowerReducer`),
+so no gcd it takes grows with k unless powers of an odd prime of s cancel
+at every k.  Each form builds its evaluator on its
+first `value` and checks it there against the initial values the
+certificate proved, so `solve` itself builds none.  The solver takes the
+few small powers it needs (chains, certificates) from `powers`, one
+product per power.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import islice
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
 from .algebra import OctonionAlgebra, QuaternionAlgebra, _frame_basis, build_frame, conj_class
 from .errors import (
@@ -53,7 +56,17 @@ from .errors import (
 )
 from .matlin import _chain_matrix, _checked_multiplicities, _companion_step, mat_solve
 from .poly import LeftPoly, _is_root, quadratic_roots
-from .scalar import Carrier, FieldContext, ScalarValue, _lucas, _reduced, _times, squarefree_split
+from .scalar import (
+    Carrier,
+    FieldContext,
+    ScalarValue,
+    _factor,
+    _lucas,
+    _make,
+    _reduced,
+    _times,
+    squarefree_split,
+)
 
 
 @dataclass(frozen=True)
@@ -147,40 +160,120 @@ def _term_groups(pieces) -> dict:
     return sums
 
 
+# Pollard rho steps that one evaluator spends factoring its s, a few ms at
+# most; a part of s that they do not split is reduced by one gcd against
+# its power.
+S_RHO_STEPS = 1 << 12
+
+
+class _PowerReducer:
+    """Lowest terms of integer numerators over den * s**k, for fixed den and
+    s and any k >= 0.  For k >= 2 a call takes one gcd against `base`,
+    which k does not change: the part of den prime to s times p**2 for each
+    prime p of s (`scalar._factor`), and times the power of any part of s
+    left unfactored.  Only when p**2 divides every numerator does it look
+    for p's higher powers, up to v_p(den) + k*v_p(s) in all: for p = 2 by
+    one shift, read from the lowest set bit of the numerators' OR, and for
+    an odd p by one `n % p` pass, which settles it unless p**3 divides every
+    numerator; then one gcd against p's remaining power takes the rest.
+    Beside an unfactored part's power, only that gcd grows with k, and only
+    a form whose values gain fewer than v_p(s) powers of p per step takes
+    it: s = 3 for a norm N of denominator 3, where about k/2 powers of 3
+    cancel at every k."""
+
+    __slots__ = ("den", "s", "primes", "base", "rest")
+
+    def __init__(self, den: int, s: int):
+        self.den, self.s = den, s
+        exponents, self.rest = _factor(s, S_RHO_STEPS)
+        self.primes = []  # (p, v_p(s), v_p(den)) for each prime p of s
+        base = 1
+        for p, e in sorted(exponents.items()):
+            d = 0
+            while den % p == 0:
+                den //= p
+                d += 1
+            self.primes.append((p, e, d))
+            base *= p * p
+        self.base = den * base
+
+    def __call__(self, num: list, k: int) -> tuple[tuple, int]:
+        """(num', den') in lowest terms with num'[i] / den' = num[i] / (den * s**k)."""
+        den = self.den * self.s ** k
+        if k < 2:  # a small denominator, and p**2 may not divide it: one gcd
+            q = gcd(den, *num)
+            return tuple([n // q for n in num]), den // q
+        if not any(num):
+            return tuple(num), 1
+        q = gcd(self.base if self.rest == 1 else self.base * self.rest ** k, *num)
+        if q == 1:
+            return tuple(num), den
+        num = [n // q for n in num]
+        for p, e, d in self.primes:
+            if q % (p * p) == 0:
+                cap = d + k * e - 2
+                if p == 2:
+                    x = 0
+                    for n in num:
+                        x |= n
+                    v = min((x & -x).bit_length() - 1, cap)
+                    if v:
+                        num = [n >> v for n in num]
+                        q <<= v
+                elif cap and not any([n % p for n in num]):  # one gcd finds the rest
+                    f = gcd(p ** cap, *num)
+                    num = [n // f for n in num]
+                    q *= f
+        return tuple(num), den // q
+
+
 class _LucasSum:
     """a_k = sum over groups (P, Q, s) of s**-k * (U_{k+1}*S(k) -
     U_k*s*R(k)), S(k) = sum k**j * S_j and likewise R(k), U the Lucas
     sequence of (P, Q).  All groups keep integer numerators over one `den`,
-    summed over den * self.s**k, self.s the lcm of the groups' s, so a call
-    ends with one gcd."""
+    summed over den * s**k, s the lcm of the groups' s, and reduced by the
+    primes of den * s (`_PowerReducer`), or with s = 1 by one gcd against
+    den.  A group with constant S and R takes no Horner step, and one whose
+    s is the lcm no power of its factor."""
 
-    __slots__ = ("zero", "den", "s", "groups")
+    __slots__ = ("zero", "den", "groups", "reduce")
 
     def __init__(self, zero, groups: dict):
         """groups: {(P, Q, s): ([S_j], [R_j])}, R_j without its factor s."""
         self.zero = zero
         self.den = den = lcm(*[v.den for S, R in groups.values() for v in S + R])
-        self.s = lcm(*[s for _P, _Q, s in groups])
+        lcm_s = lcm(*[s for _P, _Q, s in groups])
         self.groups = [
-            (P, Q, self.s // s,
+            (P, Q, lcm_s // s,
              [tuple([n * (den // v.den) for n in v.num]) for v in S],
              [tuple([n * (s * den // v.den) for n in v.num]) for v in R])
             for (P, Q, s), (S, R) in groups.items()]
+        # with s = 1 the denominator is den at every k, and one `_reduced`
+        # call costs less per value than the reducer's steps
+        self.reduce = _PowerReducer(den, lcm_s) if lcm_s != 1 else None
 
     def __call__(self, k: int):
-        zero = self.zero
-        out = [0] * len(zero.num)
+        out = None
         for P, Q, f, S, R in self.groups:
             u0, u1 = _lucas(P, Q, k)
             if f != 1:  # over the common s**k
                 f = f ** k
                 u0, u1 = u0 * f, u1 * f
             sk, rk = S[-1], R[-1]
-            for sj, rj in zip(reversed(S[:-1]), reversed(R[:-1])):  # Horner in k
-                sk = [a * k + b for a, b in zip(sk, sj)]
-                rk = [a * k + b for a, b in zip(rk, rj)]
-            out = [o + u1 * a - u0 * b for o, a, b in zip(out, sk, rk)]
-        return _reduced(zero.__class__, zero.carrier, tuple(out), self.den * self.s ** k)
+            if len(S) > 1:
+                for sj, rj in zip(S[-2::-1], R[-2::-1]):  # Horner in k
+                    sk = [a * k + b for a, b in zip(sk, sj)]
+                    rk = [a * k + b for a, b in zip(rk, rj)]
+            if out is None:
+                out = [u1 * a - u0 * b for a, b in zip(sk, rk)]
+            else:
+                out = [o + u1 * a - u0 * b for o, a, b in zip(out, sk, rk)]
+        zero = self.zero
+        if out is None:
+            return zero
+        if self.reduce is None:
+            return _reduced(zero.__class__, zero.carrier, tuple(out), self.den)
+        return _make(zero.__class__, zero.carrier, *self.reduce(out, k))
 
 
 def _check_init(values, init, what: str) -> None:

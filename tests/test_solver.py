@@ -7,6 +7,7 @@ import re
 import time
 import types
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -44,7 +45,7 @@ from skewrec import (
     vandermonde,
     verify_closed_form,
 )
-from skewrec import matlin, solver
+from skewrec import matlin, scalar, solver
 from skewrec.cli import parse_spec_file
 from skewrec.matlin import mat_solve
 from skewrec.solver import CentralForm, _certify
@@ -959,6 +960,163 @@ def test_lucas_evaluator_matches_powers_and_iteration(path, data):
         got = eval_closed_form(cf, k)
         assert got == _reference_value(spec, cf, k)
         assert got == iterate_oracle(spec, k)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator's reduction over den * s**k, prime by prime
+
+
+def _lowest_terms(num, den):
+    """num / den in lowest terms, each coordinate reduced as a Fraction and
+    put over the lcm of their denominators."""
+    fr = [Fraction(n, den) for n in num]
+    d = lcm(*[f.denominator for f in fr])
+    return tuple([f.numerator * (d // f.denominator) for f in fr]), d
+
+
+# no shrinking: a failing example near k = 4096 shrinks for minutes
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(s=st.sampled_from([1, 2, 3, 4, 6, 12]), data=st.data(),
+       k=st.one_of(st.integers(0, 3), st.integers(4, 4096)),
+       den=st.builds(lambda a, b, c: 2 ** a * 3 ** b * c,
+                     st.integers(0, 4), st.integers(0, 4), st.integers(1, 35)),
+       small=st.lists(st.integers(-40, 40), min_size=1, max_size=8))
+def test_power_reducer_gives_the_lowest_terms_of_every_coordinate(s, k, data, den, small):
+    full = den * s ** k
+    v2 = (full & -full).bit_length() - 1
+    v3 = next(v for v in range(full.bit_length()) if full % 3 ** (v + 1))
+
+    def power(v):  # small, or near the denominator's own power v
+        return data.draw(st.one_of(st.integers(0, 3), st.integers(max(0, v - 2), v + 2)))
+
+    common = 2 ** power(v2) * 3 ** power(v3) * data.draw(st.integers(1, 35))
+    num = [x * common for x in small]
+    reduce = solver._PowerReducer(den, s)
+    assert reduce(num, k) == _lowest_terms(num, full)
+    assert reduce([0] * len(num), k) == ((0,) * len(num), 1)
+
+
+def test_power_reducer_at_every_cap_for_small_k():
+    # k <= 3, where v_p(den * s**k) can be 1, and common factors 2**i * 3**j
+    # on both sides of the denominator's own powers of 2 and 3
+    for s in (1, 2, 3, 4, 6, 12):
+        for den in (1, 2, 3, 5, 12, 18, 45):
+            reduce = solver._PowerReducer(den, s)
+            for k in range(4):
+                full = den * s ** k
+                for i in range(10):
+                    for j in range(7):
+                        for small in ([1, -2, 0, 5], [0, 15, -45, 0]):
+                            num = [x * 2 ** i * 3 ** j for x in small]
+                            assert reduce(num, k) == _lowest_terms(num, full)
+
+
+def test_power_reducer_takes_an_unfactored_part_of_s_by_one_gcd():
+    m61, m89 = 2 ** 61 - 1, 2 ** 89 - 1  # Mersenne primes, far past the rho steps on s
+    reduce = solver._PowerReducer(6 * m61, 6 * m61 * m89)
+    assert (reduce.primes, reduce.rest) == ([(2, 1, 1), (3, 1, 1)], m61 * m89)
+    for k in (0, 1, 5, 40):
+        full = 6 * m61 * (6 * m61 * m89) ** k
+        for num in ([1, -2, 0, 5], [m61 ** 3 * 4, -m61 ** 2 * 12, 0, m61 * m89 * 2],
+                    [full, 2 * full, -full, 0]):
+            assert reduce(num, k) == _lowest_terms(num, full)
+
+
+@pytest.mark.parametrize("name", ["quat_fractional", "oct_central_fractional"])
+def test_no_gcd_of_the_evaluator_grows_with_k(name, monkeypatch):
+    # s = 2 and s = 3: a gcd against den * s**k would take a 50,000- or
+    # 79,000-bit argument at k = 50000
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "specs", name + ".rec")
+    with open(path) as fh:
+        cf = solve(parse_spec_file(fh.read()))
+    cf.value(0)  # builds the evaluator and checks it
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    for module in (solver, scalar):
+        monkeypatch.setattr(module, "gcd", recorded)
+    got = cf.value(50000)
+    assert got.den.bit_length() > 40000
+    dim = len(got.num)
+    for args in calls:  # every argument but the numerators stays small
+        assert len(args) <= dim + 1
+        assert all(b < 1000 for b in sorted(a.bit_length() for a in args)[:len(args) - dim])
+
+
+def _h2_o2_spec(name, kind):
+    """A fixed spec of one H2 or O2 path of EVAL_PATHS, its s with the odd
+    primes 3 and 5 (3 alone on O2 central)."""
+    alg = {"H2": H2, "O2": O2}[name]
+    quat = alg.base if name == "O2" else alg
+    lam = quat.element([Fraction(1, 3), 1, Fraction(-1, 2), 2])
+    mu = quat.element([Fraction(2, 3), -1, 0, Fraction(1, 2)])
+    if kind in ("distinct", "split"):
+        coeffs = (LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)).coeffs
+        rhs = (-coeffs[0], -coeffs[1])
+    elif kind == "jordan":
+        rhs = (-(lam * lam), 2 * lam)
+    elif kind == "spherical":
+        rhs = (-lam.norm(), lam.trace())
+    else:  # central, rational roots 1/3 and 2/3
+        rhs = (Fraction(-2, 9), 1)
+    n = alg.dim
+    init = ([Fraction(1, 3)] + [1] * (n - 1), [Fraction(-2, 5)] + [0, 1] * (n // 2 - 1) + [3])
+    return RecurrenceSpec(alg, 2, rhs, tuple(alg.element(v) for v in init))
+
+
+@pytest.mark.parametrize("path", [p for p in EVAL_PATHS if p.split()[0] in ("H2", "O2")])
+def test_lucas_evaluator_past_k_2048(path):
+    spec = _h2_o2_spec(*path.split())
+    cf = solve(spec)
+    cf.value(0)
+    primes = [p for p, _e, _d in cf._lucas.reduce.primes]
+    assert 3 in primes and (path == "O2 central" or 5 in primes)
+    for k in (4095, 4096):
+        assert cf.value(k) == _reference_value(spec, cf, k)
+
+
+@pytest.mark.parametrize("alg", [H2, O])
+def test_a_vanishing_lucas_form_gives_the_canonical_zero(alg):
+    # t = 0 and a0 = 0: a_k = U_k * a1 and U_k = 0 at even k, over den * 3**k
+    a1 = alg.element([Fraction(1, 2)] + [1] * (alg.dim - 1))
+    cf = solve(RecurrenceSpec(alg, 2, (Fraction(-1, 3), 0), (0, a1)))
+    assert isinstance(cf, CentralForm)
+    zero = alg.zero()
+    for k in (0, 2, 64, 4096):
+        got = cf.value(k)
+        assert (got.num, got.den) == (zero.num, 1) and got == zero
+    assert cf.value(1) == a1
+
+
+@pytest.mark.parametrize("alg", [H2, O])
+def test_a_cancelling_power_of_3_takes_two_passes_and_two_gcds(alg, monkeypatch):
+    # t = 0 and n = 1/3: a_{2m} = (-1/3)**m * a0 and a_{2m+1} = (-1/3)**m * a1,
+    # over den * 3**k, so about k/2 powers of 3 cancel at every k; each pass
+    # over the numerators is one `any`, and one pass per power would take k/2
+    a0 = alg.element([Fraction(2, 5)] + [1] * (alg.dim - 1))
+    a1 = alg.element([Fraction(1, 2)] + [-1, 3] * (alg.dim // 2 - 1) + [7])
+    cf = solve(RecurrenceSpec(alg, 2, (Fraction(-1, 3), 0), (a0, a1)))
+    assert isinstance(cf, CentralForm)
+    cf.value(0)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "any", counted("any", any), raising=False)
+    monkeypatch.setattr(solver, "gcd", counted("gcd", gcd))
+    for k in (1024, 1025, 40000, 40001):
+        calls.clear()
+        got = cf.value(k)
+        assert sorted(calls) == ["any", "any", "gcd", "gcd"]
+        assert got == Fraction(-1, 3) ** (k // 2) * (a1 if k % 2 else a0)
 
 
 # ---------------------------------------------------------------------------
