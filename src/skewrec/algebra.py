@@ -36,7 +36,7 @@ Carriers.  `QuaternionAlgebra` and `OctonionAlgebra` derive from
 element, basis, coerce, equality and hashing for all of them.  Each adds
 its parameters, their integer constants, the diagonal `weights` of its
 norm form, the key that equality and hashing read, and its repr; the
-octonion algebra also adds pair, embed, ell0 and a coerce that embeds a
+octonion algebra also adds embed, ell0 and a coerce that embeds a
 quaternion of its base algebra.  The norm form is diagonal in the basis:
 <1, -a, -b, ab> for (a,b | Q), scaled by D to (D, -A, -B, AB), and
 N(q + r*l0) = N(q) - gamma*N(r) for the double.  Every norm job (norm,
@@ -201,12 +201,6 @@ class OctonionAlgebra(Carrier):
     @property
     def ctx(self) -> FieldContext:
         return self.base.ctx
-
-    def pair(self, first, second) -> OctValue:
-        q, r = self.base.coerce(first), self.base.coerce(second)
-        return _reduced(OctValue, self,
-                        tuple([n * r.den for n in q.num] + [n * q.den for n in r.num]),
-                        q.den * r.den)
 
     def embed(self, q: QuatValue) -> OctValue:
         q = self.base.coerce(q)

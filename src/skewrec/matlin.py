@@ -210,13 +210,12 @@ def companion_matrix(p) -> DMatrix:
 
 
 def vandermonde(nodes) -> DMatrix:
-    """Rows of increasing powers: row i holds node_j ** i."""
-    nodes = list(nodes)
-    if not nodes:
+    """Rows of increasing powers: row i holds node_j ** i, the U of
+    `_chain_matrix` for simple roots, which takes no chain step."""
+    rootdata = [(node, 1) for node in nodes]
+    if not rootdata:
         raise ValueError("vandermonde needs at least one node")
-    n = len(nodes)
-    pows = [node.powers(n - 1) for node in nodes]
-    return DMatrix(n, n, [p[i] for i in range(n) for p in pows])
+    return _chain_matrix(rootdata, None)
 
 
 def eig_check(a: DMatrix, lam, v, side: str = "left") -> bool:

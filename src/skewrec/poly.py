@@ -18,7 +18,8 @@ integer roots are sought only in a cubic and in a quartic that does not
 split, which is then squarefree: in closed form in a cubic of
 discriminant 0, by Hensel lifting up to a Fujiwara root bound otherwise.
 `quadratic_roots` reads each root class off the integer factors and tests
-it on integer numerators (the candidate root and p(lam) = 0); rational
+it on integer numerators (the candidate root, and p(lam) = 0 by the
+residual kernel `_residual` that also proves closed forms); rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
 (`companion_poly`, `factor_central_quartic`, `RootReport.central_factors`,
 the `NoRootsFound` text), and their coefficients print from numerators.
@@ -477,22 +478,33 @@ def _class_label(ctx, u, L) -> ConjClass:
     return ConjClass(t=ctx.ratio(-u[1], L), n=ctx.ratio(u[0], L * L))
 
 
-def _is_root(coeffs, lam) -> bool:
-    """Whether sum c_i * lam**i vanishes, for the coefficients c_0..c_n
-    (n >= 1, low degree first) of a polynomial over an associative carrier
-    and lam of the same carrier, as a zero test on integer numerators:
-    Horner's rule acc -> acc*lam + c_i keeps acc as numerators over one s,
-    each product by lam is the carrier's integer product `_num_mul`, which
-    puts weights[0] * s * den(lam) under it, and each sum cross-multiplies
-    by den(c_i).  A leading c_n = 1 costs no product."""
+def _residual(coeffs, lam) -> tuple[list, int]:
+    """(numerators, denominator) of sum c_i * lam**i, not reduced, for the
+    coefficients c_0..c_n (n >= 1, low degree first) of a polynomial over
+    an associative carrier, each given as its (numerators, denominator)
+    pair, and lam of the same carrier: the package's one residual kernel,
+    which tests roots (`_is_root`) and proves closed forms
+    (`solver._certify_terms`).  Horner's rule acc -> acc*lam + c_i keeps
+    acc as numerators over one s, each product by lam is the carrier's
+    integer product `_num_mul`, which puts weights[0] * s * den(lam) under
+    it, and each sum cross-multiplies by den(c_i).  A leading c_n = 1
+    costs no product."""
     carrier = lam.carrier
     mul, D, ln, dl = carrier._num_mul, carrier.weights[0], lam.num, lam.den
-    top, c0 = coeffs[-1], coeffs[0]
-    acc, s = (ln, dl) if top.is_one() else (mul(top.num, ln), D * top.den * dl)
-    for c in coeffs[-2:0:-1]:
-        cd = c.den
-        acc, s = mul([a * cd + b * s for a, b in zip(acc, c.num)], ln), D * s * cd * dl
-    return not any([a * c0.den + b * s for a, b in zip(acc, c0.num)])
+    (tn, td), (n0, d0) = coeffs[-1], coeffs[0]
+    if td == 1 and tn[0] == 1 and not any(tn[1:]):
+        acc, s = ln, dl
+    else:
+        acc, s = mul(tn, ln), D * td * dl
+    for cn, cd in coeffs[-2:0:-1]:
+        acc, s = mul([a * cd + b * s for a, b in zip(acc, cn)], ln), D * s * cd * dl
+    return [a * d0 + b * s for a, b in zip(acc, n0)], s * d0
+
+
+def _is_root(coeffs, lam) -> bool:
+    """Whether sum c_i * lam**i vanishes, for coefficient values c_0..c_n:
+    the zero test of `_residual`."""
+    return not any(_residual([(c.num, c.den) for c in coeffs], lam)[0])
 
 
 def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
@@ -513,7 +525,8 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
     The class tests run on integer numerators: beta = t and alpha = -n by
     cross-multiplying, N(t - beta) off the carrier's `weights`, the
     candidate from one `_quat_mul` of conj(X) and Y, the numerators of
-    t - beta and n + alpha, reduced once, the root test by `_is_root`, and
+    t - beta and n + alpha, reduced once, the root test by `_is_root`, the
+    zero test of the package's one residual kernel `_residual`, and
     the Jordan test, that beta - lam has the class of lam, as equal trace
     and norm of their numerators.  A root's ConjClass label is built only
     when the report's `isolated` is read.  A t - beta of norm 0 (a split

@@ -8,17 +8,18 @@ _roots, which checks user roots and finds or promotes the others).  Simple
 roots are the case of 1x1 blocks, where U is the Vandermonde matrix of the
 roots; a chain step reads only the companion's last row, rhs, and solves
 an m x m system (`matlin._companion_step`), so no companion matrix is ever
-built.  Every root is tested on integers (`poly._is_root`), a user root by
-the root step and a derived one by the certificate.
+built.  Every root is tested on integers, a user root by the root step
+(`poly._is_root`) and a derived one by the certificate.
 Order-2 octonion recurrences split over a quaternion subalgebra frame into
 a main part and a conjugated tail, each solved on that same path, by the
 frame's integer change of basis (`decompose` and `join`).  Rational
 order-2 coefficients with irrational roots take a CentralForm instead.
-Every closed form is certified before it is returned: a term with one
-rational coefficient (every simple root) by one integer test that its base
-is a root of the characteristic polynomial, any other by a residual
-polynomial that vanishes at deg p + 1 points; the sum is checked against
-the initial values, read on integer numerators (see _certify_terms).
+Every closed form is certified before it is returned: each term by its
+residual polynomial, which vanishes at deg p + 1 points, each point one
+integer Horner pass of the residual kernel (`poly._residual`), whose p = 1
+case, every simple root, is the characteristic polynomial at the root;
+the sum is checked against the initial values, read on integer numerators
+(see _certify_terms).
 `verify_closed_form` is the independent check against direct iteration.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
@@ -55,7 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .matlin import _chain_matrix, _checked_multiplicities, _companion_step, mat_solve
-from .poly import LeftPoly, _is_root, quadratic_roots
+from .poly import LeftPoly, _is_root, _residual, quadratic_roots
 from .scalar import (
     Carrier,
     FieldContext,
@@ -426,14 +427,14 @@ def _binom_coeffs(r: int) -> tuple[list[int], int]:
 def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     """a_k as the first row of U * J**k * b, U the eigenvector chains of the
     roots and b = U^-1 * init from one elimination on [U | init], expanded
-    into terms p(k) * base**k * b_i with deg p below the block size.
-    Simple roots give 1x1 blocks, U is then the Vandermonde matrix of the
-    roots and each term is base**k * b_i.  The powers lam^-r, r < m, that
-    the terms need are taken for every chain root (m > 1) before any chain
-    is built, so a chain root of norm 0 raises ZeroDivisor up front.  A
-    chain step reads only rhs, the companion matrix's last row, and lam^-1
-    (`matlin._companion_step`).  The root data is taken as established:
-    _certify proves the result."""
+    into terms p(k) * base**k * b_i with deg p below the block size, and
+    none for a b_i of 0.  Simple roots give 1x1 blocks, U is then the
+    Vandermonde matrix of the roots and each term is base**k * b_i.  The
+    powers lam^-r, r < m, that the terms need are taken for every chain
+    root (m > 1) before any chain is built, so a chain root of norm 0
+    raises ZeroDivisor up front.  A chain step reads only rhs, the
+    companion matrix's last row, and lam^-1 (`matlin._companion_step`).
+    The root data is taken as established: _certify proves the result."""
     alg = spec.algebra
     inv_pows = [lam.inverse().powers(m - 1) if m > 1 else None for lam, m in rootdata]
     u = _chain_matrix(rootdata, lambda i, v: _companion_step(
@@ -447,6 +448,8 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     first, zero = u.row(0), alg.zero()
     for (lam, m), pows in zip(rootdata, inv_pows):
         for sp in range(m):
+            if b[col + sp].is_zero():
+                continue
             # the r = 0 summand of column sp is U's first-row entry itself
             coeffs = [first[col + sp]] + [zero] * sp
             for r in range(1, sp + 1):
@@ -548,73 +551,54 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
 def _certify_terms(form: AssocForm, rhs, label: str) -> list:
     """Prove that every term p(k) * lam**k * b of form solves
     a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0, and return the
-    form's values a_0..a_{n-1}, a_j the sum of p(j) * lam**j * b over the
+    form's values a_0..a_{n-1}, a_j the sum of p(j) * (lam**j * b) over the
     terms, each read on integer numerators and reduced once.
 
-    A term whose p is one rational c leaves the residual
-    -c * chi(lam) * lam**k * b, chi(x) = x^n - sum_j rhs[j] x^j, so one
-    integer test chi(lam) = 0 (`poly._is_root`) proves it for every k; its
-    a_j are c * lam**j * b, by the carrier's integer product.  Any other
-    term, and one whose lam fails that test, has the residual
-    Q(k) * lam**k * b with Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n,
-    a polynomial in the central k of degree <= deg p, so Q vanishes
-    identically once it vanishes at k = 0..deg p; Q(k) is formed on integer
-    numerators too, from p(k+j) and lam**j, and its a_j from p(j) * lam**j.
-    For a constant p, Q(k) is one value z, and z * lam**k * b vanishes for
-    every k once it does at k = 0 and 1, since lam**k * b satisfies lam's
-    central quadratic; that passes the terms of a split algebra with
-    z * b = 0 and z != 0."""
+    A term leaves the residual Q(k) * lam**k * b with
+    Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n, a polynomial in the
+    central k of degree <= deg p, so Q vanishes identically once it
+    vanishes at k = 0..deg p.  -Q(k) is the left polynomial with
+    coefficients -rhs[j] * p(k+j) and p(k+n) evaluated at lam, one pass of
+    the residual kernel `poly._residual`; for p = 1 those coefficients are
+    chi(x) = x^n - sum_j rhs[j] x^j, built once, so a simple root costs one
+    Horner pass.  For a constant p, Q(k) is one value z, and z * lam**k * b
+    vanishes for every k once it does at k = 0 and 1, since lam**k * b
+    satisfies lam's central quadratic; that passes the terms of a split
+    algebra with z * b = 0 and z != 0."""
     n = len(rhs)
     carrier = form.carrier
-    mul, D, one = carrier._num_mul, carrier.weights[0], carrier.one()
-    chi = [-r for r in rhs] + [one]
-    rs = None  # (j, numerators of rhs[j] over rho), built for the first Q(k)
+    mul, D = carrier._num_mul, carrier.weights[0]
+    chi = [(tuple([-x for x in r.num]), r.den) for r in rhs] + [(carrier.one().num, 1)]
     parts = [[] for _ in range(n)]  # a_j's summands as (numerators, denominator)
     for i, t in enumerate(form.terms):
         d = t.degree
         lam, b = t.base, t.right
         if d < 0 or b.is_zero():
             continue
-        sl = D * lam.den  # what each product by lam puts under the numerators
-        if d == 0 and t.poly[0].is_central() and _is_root(chi, lam):
-            (cn, *_), cd = t.poly[0].num, t.poly[0].den
-            w, s = [x * cn for x in b.num], b.den * cd  # c*b, then lam * w per j
-            for j in range(n):
-                if j:
-                    w, s = mul(lam.num, w), sl * s
-                parts[j].append((w, s))
-            continue
-        if rs is None:
-            rho = lcm(*[r.den for r in rhs])
-            rs = [(j, [x * (rho // r.den) for x in r.num])
-                  for j, r in enumerate(rhs) if not r.is_zero()]
-        # e*p(m) by Horner's rule and lam**j = L_j / sl**j, on numerators
-        e = lcm(*[c.den for c in t.poly[:d + 1]])
-        cs = [[x * (e // c.den) for x in c.num] for c in t.poly[d::-1]]
-        vals = []
-        for m in range(d + n + 1):
-            v = cs[0]
-            for c in cs[1:]:
-                v = [x * m + y for x, y in zip(v, c)]
-            vals.append(v)
-        pows = [one.num]
-        for _ in range(n):
-            pows.append(mul(pows[-1], lam.num))
+        one = d == 0 and t.poly[0].is_one()
+        if not one:  # e * p(m) for m = 0..d+n, by Horner's rule on numerators
+            e = lcm(*[c.den for c in t.poly[:d + 1]])
+            cs = [[x * (e // c.den) for x in c.num] for c in t.poly[d::-1]]
+            vals = []
+            for m in range(d + n + 1):
+                v = cs[0]
+                for c in cs[1:]:
+                    v = [x * m + y for x, y in zip(v, c)]
+                vals.append(v)
         for k in range(d + 1):
-            # p(k+j) * lam**j = f[j] / (D * e * sl**j), and Q(k) over
-            # D**2 * rho * e * sl**n
-            f = [mul(v, pw) for v, pw in zip(vals[k:k + n + 1], pows)]
-            q = [-x * D * rho for x in f[n]]
-            for j, r in rs:
-                q = [a + x * sl ** (n - j) for a, x in zip(q, mul(r, f[j]))]
-            if any(q):
-                res = _reduced(carrier.value_type, carrier, tuple(q), D * D * rho * e * sl ** n)
+            coeffs = chi if one else [(mul(rn, vals[k + j]), D * rd * e)
+                                      for j, (rn, rd) in enumerate(chi[:n])] + [(vals[k + n], e)]
+            num, den = _residual(coeffs, lam)  # -Q(k)
+            if any(num):
+                res = _reduced(carrier.value_type, carrier, tuple([-x for x in num]), den)
                 if not (d == 0 and (res * b).is_zero() and (res * (lam * b)).is_zero()):
                     raise InternalError(f"certificate failed: {label}term {i} leaves "
                                         f"the residual {res} at k={k}")
-            if k == 0:
-                for j in range(n):
-                    parts[j].append((mul(f[j], b.num), D * D * e * sl ** j * b.den))
+        w, s, sl = b.num, b.den, D * lam.den  # lam**j * b, one product by lam per j
+        for j in range(n):
+            if j:
+                w, s = mul(lam.num, w), sl * s
+            parts[j].append((w, s) if one else (mul(vals[j], w), D * e * s))
     values = []
     for summands in parts:
         if not summands:

@@ -23,7 +23,8 @@ from skewrec import (
     factor_central_quartic,
     quadratic_roots,
 )
-from skewrec.poly import _is_root
+from skewrec.poly import _is_root, _residual
+from skewrec.scalar import _reduced
 from conftest import rand_frac, rand_quat, rand_invertible_quat, rand_scalar
 
 Q = FieldContext.rational()
@@ -778,9 +779,10 @@ ROOT_TEST_CARRIERS = [Q, FieldContext.quadratic(2), H,
 @given(st.sampled_from(ROOT_TEST_CARRIERS), st.integers(1, 4), st.booleans(),
        st.sampled_from(["planted", "random"]), st.integers(0, 2 ** 32))
 def test_is_root_is_the_zero_test_of_left_evaluation(carrier, n, monic, kind, seed):
-    # the integer Horner test against LeftPoly.eval, over every associative
-    # carrier, split algebras included; lam is a root of g * (x - lam), so
-    # the planted half of the cases are roots
+    # the residual kernel and its zero test against LeftPoly.eval, over
+    # every associative carrier, split algebras included: the reduced
+    # residual is the value p(lam); lam is a root of g * (x - lam), so the
+    # planted half of the cases are roots
     rng = random.Random(seed)
     if isinstance(carrier, FieldContext):
         rand = lambda: rand_scalar(rng, carrier, 4, 2)
@@ -795,6 +797,8 @@ def test_is_root_is_the_zero_test_of_left_evaluation(carrier, n, monic, kind, se
     else:
         p = LeftPoly(carrier, [rand() for _ in range(n)] + [top])
     assert p.degree == n
+    num, den = _residual([(c.num, c.den) for c in p.coeffs], lam)
+    assert _reduced(carrier.value_type, carrier, tuple(num), den) == p.eval(lam)
     expected = p.eval(lam).is_zero()
     assert _is_root(p.coeffs, lam) == expected
     assert expected or kind == "random"

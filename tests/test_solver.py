@@ -46,7 +46,7 @@ from skewrec import (
     verify_closed_form,
 )
 from skewrec import matlin, scalar, solver
-from skewrec.cli import parse_spec_file
+from skewrec.cli import parse_spec_file, render_closed_form
 from skewrec.matlin import mat_solve
 from skewrec.solver import CentralForm, _certify
 from conftest import adjoin_root, fraction_mul, rand_oct, rand_quat, rand_quat_common_den
@@ -640,20 +640,48 @@ def test_certificate_checks_every_point_up_to_the_degree():
         _certify(spec, bad)
 
 
+def test_solve_keeps_no_term_whose_right_factor_is_zero():
+    # the double root 2 of a_{k+2} = 4a_{k+1} - 4a_k with a_k = 2^k leaves
+    # b = 0 on its chain's second column, and init (0, 0) leaves every b_i
+    # at 0; a hand-built form keeps such a term, and the certificate and
+    # the evaluator skip it (3^k * 0 with chi(3) != 0)
+    chain = RecurrenceSpec(Q, 2, (-4, 4), (1, 2))
+    zero = RecurrenceSpec(Q, 2, (-2, 3), (0, 0))
+    assert render_closed_form(solve(chain)) == ["a_k = (1)*(2)^k*(1)"]
+    assert solve(zero).terms == () and render_closed_form(solve(zero)) == ["a_k = 0"]
+    # initial values in the ell half leave the octonion main part no term
+    e = O.basis()
+    oct_spec = RecurrenceSpec(O, 2, (O.embed(-K), O.embed(I + J)), (e[4], e[5]))
+    assert render_closed_form(solve(oct_spec))[-1] == (
+        "a_k = 0 + conj(([1,0,0,0])*([0,-1/2,0,1/2])^k*([1,0,0,0]))*l")
+    for spec in (chain, zero, oct_spec):
+        assert verify_closed_form(spec, solve(spec), 16).ok
+    spec, one = RecurrenceSpec(Q, 1, (2,), (1,)), Q.one()
+    form = AssocForm(Q, (Term((one,), Q.scalar(2), one), Term((one,), Q.scalar(3), Q.zero())))
+    _certify(spec, form)
+    assert verify_closed_form(spec, form, 16).ok
+
+
 def test_simple_roots_certify_by_one_integer_root_test_each(monkeypatch):
-    # each simple root is proved by one integer test of chi(lam) = 0, which
-    # passes, and its a_j are read on integer numerators: the certificate
-    # multiplies no value
+    # each simple root is proved by one pass of the residual kernel over
+    # chi's coefficients, which finds chi(lam) = 0, and its a_j are read on
+    # integer numerators: the certificate multiplies no value
     from skewrec import algebra
 
-    products, tests = [], []
-    mul, is_root = algebra.QuatValue.__mul__, solver._is_root
+    products, zeros = [], []
+    mul, residual = algebra.QuatValue.__mul__, solver._residual
+
+    def spy(coeffs, lam):
+        out = residual(coeffs, lam)
+        zeros.append(not any(out[0]))
+        return out
+
     cf = solve(DIAG)
     monkeypatch.setattr(algebra.QuatValue, "__mul__", lambda x, y: products.append(1) or mul(x, y))
-    monkeypatch.setattr(solver, "_is_root", lambda *a: tests.append(is_root(*a)) or tests[-1])
+    monkeypatch.setattr(solver, "_residual", spy)
     _certify(DIAG, cf)
     assert all(t.degree == 0 for t in cf.terms)
-    assert tests == [True, True] and products == []
+    assert zeros == [True, True] and products == []
 
 
 S11 = QuaternionAlgebra(1, 1)  # M_2(Q): w + x*e1 + y*e2 + z*e3 is [[w+x, y+z], [y-z, w-x]]
