@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
     ZeroDivisor,
 )
-from .scalar import FieldContext, ScalarValue, scalar_parse, scalar_render
+from .scalar import FieldContext, ScalarValue, scalar_render
 from .algebra import (
     ConjClass,
     OctValue,

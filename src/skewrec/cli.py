@@ -274,10 +274,11 @@ def render_closed_form(cf) -> list[str]:
         f"frame l = {frame.ell}",
         f"frame u^2 = {frame.a_prime} w^2 = {frame.b_prime} l^2 = {frame.gamma_prime}",
     ]
-    body = "a_k = " + _render_terms(cf.main)
+    body = _render_terms(cf.main)
     if cf.tail.terms:
-        body += f" + conj({_render_terms(cf.tail)})*l"
-    lines.append(body)
+        tail = f"conj({_render_terms(cf.tail)})*l"
+        body = f"{body} + {tail}" if cf.main.terms else tail
+    lines.append("a_k = " + body)
     return lines
 
 
@@ -321,7 +322,7 @@ def run_command(args) -> int:
     try:
         with open(args.file, encoding="utf-8-sig") as fh:  # a leading BOM is no key
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # no file, or no UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

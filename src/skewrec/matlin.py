@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, sub
 
 from .errors import (
     DimensionMismatch,
@@ -70,29 +69,11 @@ class DMatrix:
         one, zero = carrier.one(), carrier.zero()
         return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
-    @classmethod
-    def scalar_matrix(cls, n: int, c) -> DMatrix:
-        zero = c.carrier.zero()
-        return cls(n, n, [c if i == j else zero for i in range(n) for j in range(n)])
-
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> list:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def _entrywise(self, other, op, what: str):
-        if not isinstance(other, DMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"matrix {what} shape mismatch")
-        return DMatrix(self.rows, self.cols, list(map(op, self.entries, other.entries)))
-
-    def __add__(self, other):
-        return self._entrywise(other, add, "sum")
-
-    def __sub__(self, other):
-        return self._entrywise(other, sub, "difference")
 
     def __mul__(self, other):
         if not isinstance(other, DMatrix):

@@ -21,8 +21,8 @@ discriminant 0, by Hensel lifting up to a Fujiwara root bound otherwise.
 it on integer numerators (the candidate root, and p(lam) = 0 by the
 residual kernel `_residual` that also proves closed forms); rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
-(`companion_poly`, `factor_central_quartic`, `RootReport.central_factors`,
-the `NoRootsFound` text), and their coefficients print from numerators.
+(`companion_poly`, `factor_central_quartic`, the `NoRootsFound` text), and
+their coefficients print from numerators.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class LeftPoly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, carrier) -> LeftPoly:
-        return cls(carrier, [])
-
-    @classmethod
     def x_minus(cls, lam) -> LeftPoly:
         carrier = lam.carrier
         return cls(carrier, [-lam, carrier.one()])
@@ -76,30 +72,11 @@ class LeftPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one()
 
-    def __add__(self, other):
-        if not isinstance(other, LeftPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return LeftPoly(self.carrier, out)
-
-    def __neg__(self):
-        return LeftPoly(self.carrier, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, LeftPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, LeftPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return LeftPoly.zero(self.carrier)
+            return LeftPoly(self.carrier, [])
         zero = self.carrier.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
@@ -160,10 +137,10 @@ def divide_by_linear(p: LeftPoly, lam) -> tuple[LeftPoly, object]:
     carrier = p.carrier
     lam = carrier.coerce(lam)
     if p.is_zero():
-        return LeftPoly.zero(carrier), carrier.zero()
+        return LeftPoly(carrier, []), carrier.zero()
     n = p.degree
     if n == 0:
-        return LeftPoly.zero(carrier), p.coeffs[0]
+        return LeftPoly(carrier, []), p.coeffs[0]
     g = [None] * n
     g[n - 1] = p.coeffs[n]
     for i in range(n - 1, 0, -1):
@@ -434,16 +411,15 @@ def factor_central_quartic(p: LeftPoly):
 class RootReport:
     """Everything found about the roots of a monic quaternion quadratic, a
     central p's class of roots as `spherical`.  The class labels of the
-    isolated roots and `central_factors`, C_p's factors over Q, are built
-    from the scaled integer factors when read."""
+    isolated roots are built from the scaled integer factors when read;
+    C_p's factors over Q are `factor_central_quartic(companion_poly(p))`."""
 
     __slots__ = ("_isolated", "jordan", "spherical", "_scaled")
 
     def __init__(self, isolated, jordan, spherical, scaled):
         """isolated: (root, label) pairs, a label given as its ConjClass or
-        as the factor y^2 + u1*y + u0 of its class (None: a rational root);
-        scaled: (ctx, factors, L) with factors the `_factor_monic` factors
-        of L**4 * C_p(y/L)."""
+        as the `_factor_monic` factor y^2 + u1*y + u0 of L**4 * C_p(y/L)
+        that holds its class (None: a rational root); scaled: (ctx, L)."""
         self._isolated = list(isolated)
         self.jordan = jordan
         self.spherical = spherical
@@ -452,14 +428,10 @@ class RootReport:
     @property
     def isolated(self) -> list:
         """(root, ConjClass) pairs, labelled here."""
-        ctx, _, L = self._scaled
+        ctx, L = self._scaled
         return [(lam, conj_class(lam) if u is None else
                  u if isinstance(u, ConjClass) else _class_label(ctx, u, L))
                 for lam, u in self._isolated]
-
-    @property
-    def central_factors(self) -> list:
-        return _unscaled_factors(*self._scaled)
 
     def root_multiplicities(self):
         """Root data in the shape the solver consumes (none for a class)."""
@@ -589,4 +561,4 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
                             for f, m in _unscaled_factors(alg.ctx, factors, L))
         raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
                            "factor yields a root")
-    return RootReport(isolated, jordan, spherical, (alg.ctx, factors, L))
+    return RootReport(isolated, jordan, spherical, (alg.ctx, L))

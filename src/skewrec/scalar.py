@@ -510,14 +510,6 @@ class ScalarValue(IntValue):
             raise ContextMismatch("sqrt coordinate in a rational context")
         return ctx.element((u, v)[:ctx.dim])
 
-    @property
-    def u(self) -> Fraction:
-        return Fraction(self.num[0], self.den)
-
-    @property
-    def v(self) -> Fraction:
-        return Fraction(self.num[1] if len(self.num) == 2 else 0, self.den)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -529,12 +521,6 @@ class ScalarValue(IntValue):
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def sqrt(self) -> ScalarValue | None:
         """The exact square root inside the same field, or None.  Over
@@ -728,13 +714,9 @@ def read_literal(text: str, ctx: FieldContext) -> tuple[tuple, int]:
     return (a * e, sign * c * b), b * e
 
 
-def scalar_parse(text: str, ctx: FieldContext) -> ScalarValue:
-    """The value of the scalar literal text in ctx (see `read_literal`)."""
-    return _reduced(ScalarValue, ctx, *read_literal(text, ctx))
-
-
 def scalar_render(x: ScalarValue) -> str:
-    """Canonical form; scalar_parse(scalar_render(x), x.carrier) == x."""
+    """Canonical form; read_literal(scalar_render(x), x.carrier) is x's
+    numerators and denominator times one common factor."""
     num, den = x.num, x.den
     if x.is_central():
         return rational_str(num[0], den)

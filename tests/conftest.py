@@ -62,12 +62,12 @@ def fraction_mul(carrier, x, y):
         def conj(v):
             return [v[0]] + [-c for c in v[1:]]
 
-        g = carrier.gamma.u
+        g = carrier.gamma.coords()[0]
         q, r, s, t = x[:4], x[4:], y[:4], y[4:]
         return ([a + g * b for a, b in zip(mul(q, s), mul(conj(t), r))]
                 + [a + b for a, b in zip(mul(t, q), mul(r, conj(s)))])
     if isinstance(carrier, QuaternionAlgebra):
-        a, b = carrier.a.u, carrier.b.u
+        a, b = carrier.a.coords()[0], carrier.b.coords()[0]
         w1, x1, y1, z1 = x
         w2, x2, y2, z2 = y
         return [w1 * w2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,

@@ -381,7 +381,7 @@ def test_spherical_representative_random_classes():
 def fraction_spherical(alg, t, n, height):
     """(p1, p2, p3, q) of the first hit of the search on plain Fractions, in
     the same order as spherical_representative, or None."""
-    a, b = alg.a.u, alg.b.u
+    a, b = alg.a.coords()[0], alg.b.coords()[0]
     m = n - t * t / 4
     for q in range(1, height + 1):
         for p2 in range(height + 1):
@@ -407,7 +407,7 @@ def test_spherical_representative_matches_the_fraction_search():
         if rng.random() < 0.6:  # a class that has elements of small height
             den = rng.randint(1, 3)
             x = alg.element([Fraction(rng.randint(-4, 4), den) for _ in range(4)])
-            t, n = x.trace().u, x.norm().u
+            t, n = x.trace().coords()[0], x.norm().coords()[0]
         else:
             t, n = rand_frac(rng, 6, 4), rand_frac(rng, 9, 4)
         hit = fraction_spherical(alg, t, n, height)

@@ -83,7 +83,7 @@ def test_parse_octonion_and_field_sqrt():
     spec = parse_spec_file(
         "algebra field_sqrt 5\norder 2\nrhs 1 0+1*rt\ninit 0 1\n")
     assert spec.algebra.d == 5
-    assert spec.rhs[1].v == 1
+    assert spec.rhs[1].coords()[1] == 1
 
 
 def test_parse_errors_carry_positions():
@@ -373,6 +373,17 @@ def test_cli_non_ascii_digits_exit_2(tmp_path, capsys):
         spec.write_text(text, encoding="utf-8")
         assert main(["solve", str(spec)]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}, col {col}: ")
+
+
+def test_cli_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a byte that starts no UTF-8 sequence is reported, not raised
+    spec = tmp_path / "latin1.rec"
+    spec.write_bytes(b"algebra field\norder 1\nrhs 2\ninit \xff\n")
+    for argv in (["solve", str(spec)], ["eval", str(spec), "3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "can't decode byte 0xff" in captured.err
 
 
 def test_cli_verify_reports_the_first_failing_k(monkeypatch, capsys):

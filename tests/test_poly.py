@@ -117,7 +117,9 @@ def test_divide_by_linear_roundtrip():
         p = LeftPoly(H, [rand_quat(rng, H) for _ in range(4)])
         lam = rand_quat(rng, H)
         g, r = divide_by_linear(p, lam)
-        assert g * x_minus(lam) + LeftPoly(H, [r]) == p
+        coeffs = list((g * x_minus(lam)).coeffs) or [H.zero()]
+        coeffs[0] = coeffs[0] + r
+        assert LeftPoly(H, coeffs) == p
         assert r == p.eval(lam)
 
 
@@ -207,7 +209,7 @@ def test_quadratic_roots_spherical():
 def test_quadratic_roots_central_rational():
     p = x_minus(H.scalar(1)) * x_minus(H.scalar(2))
     rep = quadratic_roots(H, p)
-    assert sorted(lam.scalar_part().u for lam, _ in rep.isolated) == [1, 2]
+    assert sorted(lam.scalar_part().coords()[0] for lam, _ in rep.isolated) == [1, 2]
 
 
 def test_quadratic_roots_none():
@@ -257,7 +259,7 @@ def test_quadratic_roots_report_invariants():
             assert p.eval(root).is_zero()
             # the root's class shows up among the central factors
             match = False
-            for f, _ in rep.central_factors:
+            for f, _ in factor_central_quartic(comp):
                 if f.degree == 2 and cls == ConjClass(t=-f.coeffs[1], n=f.coeffs[0]):
                     match = True
                 if f.degree == 1 and cls == ConjClass(central=-f.coeffs[0]):
@@ -322,8 +324,8 @@ def test_factor_central_quartic_agrees_with_sympy(parts, dense):
                 p = p * f
         if p.degree < 1:
             return
-    got = [([c.u for c in f.coeffs], mult) for f, mult in factor_central_quartic(p)]
-    assert got == sympy_monic_factors([c.u for c in p.coeffs])
+    got = [([c.coords()[0] for c in f.coeffs], mult) for f, mult in factor_central_quartic(p)]
+    assert got == sympy_monic_factors([c.coords()[0] for c in p.coeffs])
 
 
 def int_product(*factors):
@@ -417,8 +419,8 @@ def test_factor_central_quartic_on_zero_discriminant_cubics_and_unsplit_quartics
             continue
         for L in (1, 6):
             p = LeftPoly(Q, [Fraction(c, L ** (len(g) - 1 - i)) for i, c in enumerate(g)])
-            got = [([c.u for c in f.coeffs], m) for f, m in factor_central_quartic(p)]
-            assert got == sympy_monic_factors([c.u for c in p.coeffs]), (name, g, L)
+            got = [([c.coords()[0] for c in f.coeffs], m) for f, m in factor_central_quartic(p)]
+            assert got == sympy_monic_factors([c.coords()[0] for c in p.coeffs]), (name, g, L)
 
 
 def test_no_quartic_with_a_repeated_factor_reaches_the_root_search(monkeypatch):
@@ -561,8 +563,8 @@ def test_factor_central_quartic_large_coefficients_agree_with_sympy():
         factors = factor_central_quartic(p)
         elapsed = time.perf_counter() - t0
         assert elapsed < FACTOR_BUDGET_S, (p, elapsed)
-        got = [([c.u for c in f.coeffs], mult) for f, mult in factors]
-        assert got == sympy_monic_factors([c.u for c in p.coeffs]), p
+        got = [([c.coords()[0] for c in f.coeffs], mult) for f, mult in factors]
+        assert got == sympy_monic_factors([c.coords()[0] for c in p.coeffs]), p
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +599,15 @@ def planted_quadratic(rng, alg, kind):
 @given(st.sampled_from(ROOT_ALGEBRAS), st.sampled_from(["product", "conj", "conjugate", "random"]),
        st.integers(0, 2 ** 32))
 def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
-    # central_factors (and factor_central_quartic of companion_poly) against
-    # sympy's factor_list of the LeftPoly product p * conj(p); every root
-    # reported satisfies lam^2 + c1*lam + c0 = 0, evaluated without eval
+    # factor_central_quartic of companion_poly against sympy's factor_list of
+    # the LeftPoly product p * conj(p); every root reported satisfies
+    # lam^2 + c1*lam + c0 = 0, evaluated without eval
     p = planted_quadratic(random.Random(seed), alg, kind)
     prod = p * p.conj()
     assert all(c.is_central() for c in prod.coeffs)
     expected = sympy_monic_factors([c.coords()[0] for c in prod.coeffs])
-    got = [([c.u for c in f.coeffs], m) for f, m in factor_central_quartic(companion_poly(p))]
+    got = [([c.coords()[0] for c in f.coeffs], m)
+           for f, m in factor_central_quartic(companion_poly(p))]
     assert got == expected
     try:
         rep = quadratic_roots(alg, p)
@@ -617,7 +620,6 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
         return
     except SkewrecError:  # a zero divisor: no report
         return
-    assert [([c.u for c in f.coeffs], m) for f, m in rep.central_factors] == expected
     c0, c1 = p.coeffs[0], p.coeffs[1]
     if rep.spherical:  # p = x^2 - t*x + n: every element of the class is a root
         assert (c0, c1) == (rep.spherical.n, -rep.spherical.t) and not rep.isolated
@@ -671,7 +673,7 @@ def quadratic_roots_by_values(alg, p):
                             for f, m in _unscaled_factors(alg.ctx, factors, L))
         raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
                            "factor yields a root")
-    return RootReport(isolated, jordan, spherical, (alg.ctx, factors, L))
+    return RootReport(isolated, jordan, spherical, (alg.ctx, L))
 
 
 def _roots_outcome(find, alg, p):
@@ -680,7 +682,7 @@ def _roots_outcome(find, alg, p):
         rep = find(alg, p)
     except SkewrecError as exc:
         return type(exc).__name__, str(exc)
-    return (rep.isolated, rep.jordan, rep.spherical, rep.central_factors), repr(rep)
+    return (rep.isolated, rep.jordan, rep.spherical), repr(rep)
 
 
 DIFFERENTIAL_ALGEBRAS = (
@@ -733,7 +735,7 @@ def test_quadratic_roots_differential_covers_every_outcome():
         if isinstance(out[0], str):
             seen.add(out[0] + (" irreducible" if "irreducible" in out[1] else ""))
         else:
-            isolated, jordan, spherical, _ = out[0]
+            isolated, jordan, spherical = out[0]
             seen.add("jordan" if jordan else "spherical" if spherical else f"{len(isolated)} isolated")
     assert {"1 isolated", "2 isolated", "jordan", "spherical", "NoRootsFound",
             "NoRootsFound irreducible", "ZeroDivisor"} <= seen, seen
@@ -760,10 +762,6 @@ def test_eval_is_the_sum_of_coefficient_times_power(alg, n, monic, seed):
 def test_negation_difference_and_hash():
     p = LeftPoly(H, [1 + K, -I, 1])
     q = LeftPoly(H, [J, 2 * I, 1])
-    assert -p == LeftPoly(H, [-1 - K, I, -1])
-    assert p - q == LeftPoly(H, [1 + K - J, -3 * I])
-    assert q - p == -(p - q) and (p - p).is_zero()
-    assert (p - q) + q == p
     same = LeftPoly(H, [1 + K, -I, 1])
     assert hash(p) == hash(same) and len({p, same, q}) == 2
     trailing_zero = LeftPoly(H, [1, 0])
