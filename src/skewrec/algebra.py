@@ -325,14 +325,14 @@ def _frame_basis(alg: OctonionAlgebra, u, w, ell, uw=None) -> tuple:
     and the diagonal `gram` of the Gram matrix wcols[i] . cols[j], which is
     B(f_i, f_j) up to one positive factor.
 
-    Raises DegenerateFrame unless that matrix is diagonal with no zero on
-    its diagonal.  Then the frame splits alg, by the Cayley-Dickson doubling
-    lemma (Springer and Veldkamp, Octonions, Jordan Algebras and Exceptional
-    Groups, 1.5): u, w and ell are orthogonal to 1, so pure, and u*u =
-    -N(u), w*w = -N(w), u*w = -w*u, so span(1, u, w, u*w) is the quaternion
-    algebra (-N(u), -N(w) | Q), doubled to alg by ell of nonzero norm
-    orthogonal to it.
-    """
+    Raises DegenerateFrame unless gram has no zero and the seven hypotheses
+    of the Cayley-Dickson doubling lemma hold (Springer and Veldkamp,
+    Octonions, Jordan Algebras and Exceptional Groups, 1.5): 1, u, w pairwise
+    orthogonal, and ell orthogonal to 1, u, w, u*w.  Then u and w are pure,
+    u*u = -N(u), w*w = -N(w), u*w = -w*u, so span(1, u, w, u*w) is the
+    quaternion algebra (-N(u), -N(w) | Q), doubled to alg by ell, and the
+    other 21 entries off the diagonal vanish, as B(x, y*ell) =
+    B(conj(y)*x, ell) and B(x*ell, y*ell) = N(ell)*B(x, y)."""
     u, w, ell = alg.coerce(u), alg.coerce(w), alg.coerce(ell)
     uw = u * w if uw is None else uw
     vecs = (alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
@@ -340,7 +340,8 @@ def _frame_basis(alg: OctonionAlgebra, u, w, ell, uw=None) -> tuple:
     cols = [[n * (den // v.den) for n in v.num] for v in vecs]
     wcols = [[c * wt for c, wt in zip(col, alg.weights)] for col in cols]
     gram = [sum(map(mul, wc, col)) for wc, col in zip(wcols, cols)]
-    if 0 in gram or any(sum(map(mul, wcols[i], cols[j])) for i in range(8) for j in range(i)):
+    if 0 in gram or any(sum(map(mul, wcols[i], cols[j]))
+                        for i, j in ((1, 0), (2, 0), (2, 1), (4, 0), (4, 1), (4, 2), (4, 3))):
         raise DegenerateFrame("frame vectors are isotropic or not pairwise orthogonal")
     return uw, tuple(zip(*cols)), den, wcols, gram
 
@@ -352,10 +353,11 @@ class SubalgebraFrame:
 
     The basis f = (1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell) is the integer
     columns of `mat` over `den`, so `join(q, s)` = q + s*ell for q, s in
-    Q' = `quat` is one integer pass.  f must be pairwise orthogonal under
-    the polar form B of the norm (`IntValue._scaled_polar`) with B(f_i, f_i)
-    != 0, else DegenerateFrame (`_frame_basis`); then the inverse rows `inv`
-    of `decompose` are x -> B(x, f_i) / B(f_i, f_i).
+    Q' = `quat` is one integer pass.  f is pairwise orthogonal under the
+    polar form B of the norm (`IntValue._scaled_polar`) with B(f_i, f_i)
+    != 0, by the doubling lemma once `_frame_basis` has tested its seven
+    hypotheses and the eight norms (else DegenerateFrame); so the inverse
+    rows `inv` of `decompose` are x -> B(x, f_i) / B(f_i, f_i).
     """
 
     __slots__ = ("oct", "u", "w", "uw", "ell", "a_prime", "b_prime",

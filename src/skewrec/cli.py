@@ -318,15 +318,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decoded(data: bytes) -> str:
+    """data as UTF-8 text with a leading BOM dropped (it is no key); bytes
+    that are no UTF-8 are a ParseError at the first bad byte's line and column."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.start indexes exc.object, the bytes after a BOM
+        lines = (exc.object[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(f"can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}",
+                         len(lines), len(lines[-1])) from exc
+
+
 def run_command(args) -> int:
     try:
-        with open(args.file, encoding="utf-8-sig") as fh:  # a leading BOM is no key
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:  # no file, or no UTF-8 text
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:  # no file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        spec = parse_spec_file(text)
+        spec = parse_spec_file(_decoded(data))
         if args.command == "solve":
             _print_solution(spec, solve(spec))
             return 0

@@ -13,10 +13,10 @@ and `_factor_monic` factors that over Q in the order its shape suggests.
 A quartic is first split into two quadratics by the integer resolvent
 cubic (by A = 0 before any search when its depressed form has no linear
 term, as every square's has), and each quadratic is finished by its
-discriminant;
-integer roots are sought only in a cubic and in a quartic that does not
-split, which is then squarefree: in closed form in a cubic of
-discriminant 0, by Hensel lifting up to a Fujiwara root bound otherwise.
+discriminant; integer roots are sought only in a cubic and in a quartic
+that does not split, which is then squarefree: in closed form in a cubic
+of discriminant 0, otherwise mod the first odd prime that does not divide
+the discriminant, Hensel-lifted up to a Fujiwara root bound.
 `quadratic_roots` reads each root class off the integer factors and tests
 it on integer numerators (the candidate root, and p(lam) = 0 by the
 residual kernel `_residual` that also proves closed forms); rational
@@ -180,59 +180,60 @@ def _divide(g, a):
     return q, g[:n]
 
 
+def _depressed(g):
+    """(P, Q, R) with 256 * g((z - c3) / 4) = z^4 + P z^2 + Q z + R, on
+    integers, for a monic integer quartic g."""
+    c0, c1, c2, c3, _ = g
+    return (16 * c2 - 6 * c3 * c3, 64 * c1 - 32 * c2 * c3 + 8 * c3 ** 3,
+            256 * c0 - 64 * c1 * c3 + 16 * c2 * c3 * c3 - 3 * c3 ** 4)
+
+
+def _discriminant(g) -> int:
+    """disc(g) for a monic integer cubic g, 2**24 * disc(g) for a quartic:
+    the discriminant of its resolvent cubic Y^3 + 2P Y^2 + (P^2 - 4R) Y - Q^2
+    (`_depressed`), whose roots are the (z_i + z_j)^2 over g's z = 4y + c3."""
+    if len(g) == 5:
+        P, Q, R = _depressed(g)
+        g = [-Q * Q, P * P - 4 * R, 2 * P, 1]
+    c, b, a, _ = g
+    return a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
+
+
 def _integer_roots(g):
-    """The distinct integer roots of a monic integer g, ascending, with no
-    integer factored (von zur Gathen and Gerhard, Modern Computer Algebra,
-    ch. 15; Cohen, GTM 138, 3.5), for g squarefree or a cubic.
-    `_factor_monic` calls it on a cubic and on a quartic with no quadratic
-    factor, `_split_quartic` on a resolvent cubic.  A quartic with a
-    repeated factor splits, as (y - r)^2 * q or as q^2, so a quartic that
-    gets here is squarefree.  A cubic y^3 + a y^2 + b y + c of discriminant
-    0 has the repeated root r = -a/3 when a^2 = 3b (a triple root) and
+    """The distinct integer roots of a monic integer cubic or quartic g,
+    ascending, with no integer factored (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 15; Cohen, GTM 138, 3.5), for `_factor_monic`'s
+    cubics and quartics with no quadratic factor and `_split_quartic`'s
+    resolvent cubics.  A quartic with a repeated factor splits, as
+    (y - r)^2 * q or as q^2, so one of discriminant 0 raises
+    InternalError.  A cubic y^3 + a y^2 + b y + c of discriminant 0 has the
+    repeated root r = -a/3 when a^2 = 3b (a triple root) and
     r = (9c - ab) / (2(a^2 - 3b)) otherwise, and the other root -a - 2r;
-    both are integers by Gauss's lemma.  Otherwise g is squarefree: the
-    roots of g mod p, p = 3 at first, come from trying 0..p-1 on g's
-    coefficients reduced mod p, and while one is a multiple root p becomes
-    the next odd prime (2 divides the discriminant of every resolvent
-    cubic); InternalError once those primes outgrow any nonzero
-    discriminant.  Each simple root mod p lifts to one root mod p**(2**i)
-    by Newton steps (Hensel lifting) until the modulus exceeds 2 * rb,
-    rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i) >= 2 * max_i |g_{n-i}|**(1/i),
-    which bounds every root (Fujiwara, 1916): a root then is its symmetric
-    residue, which is kept only if g vanishes there exactly.  Each residue
-    and each Newton step takes g and g' from one Horner pass (`_horner_dg`)."""
-    if len(g) == 4:
-        c, b, a, _ = g
-        if a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c == 0:
-            d = a * a - 3 * b
-            r = (9 * c - a * b) // (2 * d) if d else -a // 3
-            return sorted({r, -a - 2 * r})
-    n = len(g) - 1
-    # every root has |r| <= rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i), the
-    # Fujiwara bound 2 * max_i |g_{n-i}|**(1/i) rounded up on ints
-    bound = 4 << max([-(-abs(g[n - i]).bit_length() // i) for i in range(1, n + 1)])
-    # each prime at which g has a multiple root divides the discriminant,
-    # a product of n(n-1) root differences of at most 2 * rb = bound when
-    # it is nonzero; tried is the product of the odd primes below p, so an
-    # odd p is prime exactly when it is prime to tried
-    disc_bound, tried = bound ** (n * (n - 1)), 1
-    for p in count(3, 2):
-        if gcd(p, tried) != 1:
-            continue
-        gp, found = [c % p for c in g], []
-        for a in range(p):
-            v, dv = _horner_dg(gp, a)
-            if v % p == 0:
-                if dv % p == 0:  # a multiple root mod p
-                    break
-                found.append(a)
-        else:
-            break
-        tried *= p
-        if tried > disc_bound:
+    both are integers by Gauss's lemma.  Otherwise p is the first odd prime
+    that does not divide the discriminant (`_discriminant`), so g mod p is
+    squarefree: each root of g mod p, found by trying 0..p-1 on g's
+    coefficients mod p, is simple and lifts to one root mod p**(2**i) by
+    Newton steps (Hensel lifting) until the modulus exceeds 2 * rb, where
+    rb >= 2 * max_i |g_{n-i}|**(1/i) bounds every root (Fujiwara, 1916): a
+    root then is its symmetric residue, kept only if g vanishes there
+    exactly.  Each residue and Newton step takes g and g' from one Horner
+    pass (`_horner_dg`)."""
+    disc = _discriminant(g)
+    if disc == 0:
+        if len(g) == 5:
             raise InternalError(f"{g} reached the integer root search with a repeated factor")
-    roots = []
-    for a in found:
+        c, b, a, _ = g
+        d = a * a - 3 * b
+        r = (9 * c - a * b) // (2 * d) if d else -a // 3
+        return sorted({r, -a - 2 * r})
+    n = len(g) - 1
+    # rb = 2 * max_i 2**ceil(bits(g_{n-i}) / i), Fujiwara's bound on ints
+    bound = 4 << max([-(-abs(g[n - i]).bit_length() // i) for i in range(1, n + 1)])
+    p = next(p for p in count(3, 2) if disc % p and all(p % q for q in range(3, p, 2)))
+    gp, roots = [c % p for c in g], []
+    for a in range(p):
+        if _horner_dg(gp, a)[0] % p:
+            continue
         m = p
         while True:
             r = a - m if 2 * a > m else a
@@ -252,17 +253,14 @@ def _split_quartic(g):
     is irreducible or a linear factor times an irreducible cubic.
 
     z = 4y + c3 depresses g to 256*g((z - c3)/4) = z^4 + P z^2 + Q z + R,
-    still on integers.  A split (z^2 + A z + B)(z^2 - A z + D) has
-    B + D = P + A^2, A(D - B) = Q and BD = R, so A^2 is an integer root of
-    the resolvent cubic Y^3 + 2P Y^2 + (P^2 - 4R) Y - Q^2.  When Q = 0,
+    still on integers (`_depressed`).  A split (z^2 + A z + B)(z^2 - A z + D)
+    has B + D = P + A^2, A(D - B) = Q and BD = R, so A^2 is an integer root
+    of the resolvent cubic Y^3 + 2P Y^2 + (P^2 - 4R) Y - Q^2.  When Q = 0,
     Y = 0 is a root and A = 0 is tried before the cubic is searched for
     integer roots; that search runs only if A = 0 gives no exact division,
     as for y^4 + 4 = (y^2 + 2y + 2)(y^2 - 2y + 2), which splits with A = 8.
     """
-    c0, c1, c2, c3, _ = g
-    P = 16 * c2 - 6 * c3 * c3
-    Q = 64 * c1 - 32 * c2 * c3 + 8 * c3 ** 3
-    R = 256 * c0 - 64 * c1 * c3 + 16 * c2 * c3 * c3 - 3 * c3 ** 4
+    P, Q, R = _depressed(g)
     if Q == 0:
         # B is a root of t^2 - P t + R; if the square root below is inexact
         # the exact division rejects the candidate

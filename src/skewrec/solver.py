@@ -613,11 +613,11 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> list:
 
 def _certify_frame(alg: OctonionAlgebra, frame) -> None:
     """Prove that frame splits alg as Q' + Q'*ell, Q' = span(1, u, w, u*w)
-    = frame.quat, by the hypotheses of the Cayley-Dickson doubling lemma:
-    the shape and Gram test of `_frame_basis`, run afresh on the frame's own
-    u, w and ell, must pass and give back its `mat` and `den`, and `quat`
-    must be (-N(u), -N(w) | Q).  Then join(x, 0)*join(y, 0) = join(x*y, 0)
-    and join(x, 0)*(join(y, 0)*ell) = join(y*x, 0)*ell for all x, y."""
+    = frame.quat, by the Cayley-Dickson doubling lemma: `_frame_basis`, run
+    afresh on the frame's own u, w and ell, must find its hypotheses (seven
+    orthogonalities, eight nonzero norms) and give back `mat` and `den`, and
+    `quat` must be (-N(u), -N(w) | Q).  Then join(x, 0)*join(y, 0) =
+    join(x*y, 0) and join(x, 0)*(join(y, 0)*ell) = join(y*x, 0)*ell for all x, y."""
     try:
         _, mat, den, _, _ = _frame_basis(alg, frame.u, frame.w, frame.ell)
         ok = ((mat, den) == (frame.mat, frame.den)

@@ -1,0 +1,185 @@
+"""Recorded mutants of src/skewrec, each of which its named tests must kill.
+
+    python3 tests/mutants.py
+
+Each entry of MUTANTS names a module of src/skewrec, a snippet that must
+occur in it exactly once, the snippet's replacement, and the pytest node ids
+that must fail once the replacement is made.  EQUIVALENT lists mutants that
+change no behaviour, each with the reason why: their named tests must still
+pass, and if one fails, the code it points at has changed.
+
+The runner copies src/, tests/, demos/ and pyproject.toml to a temporary
+directory, checks that every named test passes there, then applies one
+mutant at a time and runs its tests with pytest in a subprocess.  It exits 1
+if a mutant survives, an equivalent mutant is killed, a snippet does not
+occur exactly once, or a named test fails on the unmutated copy.  The
+working tree is never changed.  Only the standard library is imported here;
+the subprocesses need pytest, hypothesis and sympy, as the test suite does.
+
+A change that adds a check adds the mutants that the check must kill here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "demos", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/skewrec
+    snippet: str
+    replacement: str
+    tests: tuple  # pytest node ids, relative to the repository root
+    reason: str = ""  # for an equivalent mutant: why nothing changes
+
+
+ALG, POLY, SOLVER = "algebra.py", "poly.py", "solver.py"
+# the doubling lemma's seven pairs (i, j) of the frame f = (1, u, w, u*w,
+# ell, u*ell, w*ell, (u*w)*ell), as _frame_basis lists them
+PAIRS = ("(1, 0)", "(2, 0)", "(2, 1)", "(4, 0)", "(4, 1)", "(4, 2)", "(4, 3)")
+ONE_HYPOTHESIS = ("tests/test_algebra.py::test_a_frame_breaking_one_lemma_hypothesis_alone_is_degenerate",
+                  "tests/test_algebra.py::test_seven_orthogonalities_decide_as_the_full_gram_test")
+REDUCER = ("tests/test_solver.py::test_power_reducer_gives_the_lowest_terms_of_every_coordinate",
+           "tests/test_solver.py::test_power_reducer_at_every_cap_for_small_k")
+
+
+def _pairs(skip=None) -> str:
+    return "(" + ", ".join(p for p in PAIRS if p != skip) + ")"
+
+
+MUTANTS = [
+    # the integer root search: its prime must not divide the discriminant
+    Mutant("root search takes p = 3 even when 3 divides the discriminant", POLY,
+           "if disc % p and all(", "if all(",
+           ("tests/test_poly.py::test_integer_roots_skip_every_prime_of_the_discriminant",)),
+    # the octonion frame: each of the doubling lemma's seven hypotheses, and
+    # the norms, is tested by _frame_basis
+    *[Mutant(f"frame check skips the pair (i, j) = {p}", ALG, _pairs(), _pairs(p), ONE_HYPOTHESIS)
+      for p in PAIRS],
+    Mutant("frame check skips the zero test of the Gram diagonal", ALG,
+           "if 0 in gram or any(", "if any(",
+           ("tests/test_algebra.py::test_frame_constructor_rejects_degenerate_bases",)),
+    Mutant("frame column u*ell off by one", ALG,
+           "ell, u * ell, w * ell, uw * ell)", "ell, u * ell + 1, w * ell, uw * ell)",
+           ("tests/test_algebra.py::test_frame_embed_decompose_roundtrip",)),
+    Mutant("build_frame takes ell = u*w inside the quaternion part", ALG,
+           "return SubalgebraFrame(alg, u, w, ell, span[3])",
+           "return SubalgebraFrame(alg, u, w, span[3], span[3])",
+           ("tests/test_algebra.py::test_frame_orthogonality_invariants",)),
+    Mutant("the certificate's frame check takes ell = u*w inside the quaternion part", SOLVER,
+           "_frame_basis(alg, frame.u, frame.w, frame.ell)",
+           "_frame_basis(alg, frame.u, frame.w, frame.uw)",
+           ("tests/test_solver.py::test_certificate_checks_the_frame",)),
+    # the certificate's term proof (_certify_terms)
+    Mutant("term residual checked at k = 0 only", SOLVER,
+           "for k in range(d + 1):", "for k in range(1):",
+           ("tests/test_solver.py::test_certificate_checks_every_point_up_to_the_degree",)),
+    Mutant("term residual takes p(k) for p(k+j)", SOLVER, "vals[k + j]", "vals[k]",
+           ("tests/test_solver.py::test_solve_repeated_root",)),
+    Mutant("split-algebra term accepted without z*lam*b = 0", SOLVER,
+           " and (res * (lam * b)).is_zero()", "",
+           ("tests/test_solver.py::test_a_split_term_with_chi_lam_times_lam_b_nonzero_is_rejected",)),
+    # the evaluator's reduction (_PowerReducer and its call in _LucasSum)
+    Mutant("value reduced by one gcd against den*s**k", SOLVER,
+           "return _make(zero.__class__, zero.carrier, *self.reduce(out, k))",
+           "return _reduced(zero.__class__, zero.carrier, tuple(out), self.den * self.reduce.s ** k)",
+           ("tests/test_solver.py::test_no_gcd_of_the_evaluator_grows_with_k",)),
+    Mutant("power of 2 taken past its cap", SOLVER,
+           "v = min((x & -x).bit_length() - 1, cap)", "v = (x & -x).bit_length() - 1", REDUCER),
+    Mutant("odd prime's gcd against p**(cap + 1)", SOLVER,
+           "f = gcd(p ** cap, *num)", "f = gcd(p ** (cap + 1), *num)", REDUCER),
+    Mutant("base takes p for p**2", SOLVER, "base *= p * p", "base *= p", REDUCER),
+    Mutant("one-gcd path for k < 1 only", SOLVER, "if k < 2:", "if k < 1:", REDUCER),
+    Mutant("no gcd on the s = 1 path", SOLVER,
+           "return _reduced(zero.__class__, zero.carrier, tuple(out), self.den)",
+           "return _make(zero.__class__, zero.carrier, tuple(out), self.den)",
+           ("tests/test_solver.py::test_lucas_evaluator_matches_powers_and_iteration",)),
+    Mutant("odd prime's tail gcd against p**(cap - 1)", SOLVER,
+           "f = gcd(p ** cap, *num)", "f = gcd(p ** (cap - 1), *num)", REDUCER),
+    Mutant("no tail gcd for an odd prime", SOLVER,
+           "elif cap and not any(", "elif False and not any(", REDUCER),
+    Mutant("tail gcd only when cap > 1", SOLVER,
+           "elif cap and not any(", "elif cap > 1 and not any(", REDUCER),
+]
+
+EQUIVALENT = [
+    Mutant("central hash maps -1 to -2 itself", "scalar.py",
+           "return h if n >= 0 else -h",
+           "h = h if n >= 0 else -h\n        return -2 if h == -1 else h",
+           ("tests/test_scalar.py::test_central_values_hash_like_their_fractions",
+            "tests/test_algebra.py::test_equal_values_hash_equal"),
+           reason="Python maps a __hash__ result of -1 to -2 for every class"),
+]
+
+
+def _pytest(copy: str, tests) -> int:
+    """pytest's exit status on the named tests of the copy."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="skewrec-mutants-") as copy:
+        for name in COPIED:
+            src = os.path.join(ROOT, name)
+            if os.path.isdir(src):
+                shutil.copytree(src, os.path.join(copy, name),
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, copy)
+        named = sorted({t for m in MUTANTS + EQUIVALENT for t in m.tests})
+        status = _pytest(copy, named)
+        if status != 0:
+            print(f"the named tests do not pass unmutated (pytest exit {status})")
+            return 1
+        for m in MUTANTS + EQUIVALENT:
+            path = os.path.join(copy, "src", "skewrec", m.module)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            found = text.count(m.snippet)
+            if found != 1:
+                problems.append(f"{m.name}: snippet found {found} times in {m.module}")
+                print(f"ERROR     {problems[-1]}")
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(m.snippet, m.replacement))
+            start = time.perf_counter()
+            try:
+                status = _pytest(copy, m.tests)
+            except subprocess.TimeoutExpired:
+                status = None
+            finally:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            took = f"{time.perf_counter() - start:5.1f} s"
+            if m.reason:
+                verdict = "survived" if status == 0 else "KILLED"
+                if status != 0:
+                    problems.append(f"equivalent mutant {m.name} fails its tests")
+            else:
+                verdict = "killed" if status == 1 else "SURVIVED" if status == 0 else "ERROR"
+                if status != 1:
+                    problems.append(f"{m.name}: pytest exit {status}, not 1")
+            print(f"{verdict:9} {took}  {m.name}")
+    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent: "
+          + ("all as recorded" if not problems else f"{len(problems)} problems"))
+    for p in problems:
+        print("  " + p)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

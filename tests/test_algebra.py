@@ -281,6 +281,73 @@ def test_frame_constructor_rejects_degenerate_bases():
             SubalgebraFrame(O, u, w, ell)
 
 
+# the doubling lemma's seven orthogonalities, as index pairs (i, j) of the
+# frame f = (1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell)
+LEMMA_PAIRS = ((1, 0), (2, 0), (2, 1), (4, 0), (4, 1), (4, 2), (4, 3))
+FRAME_ALGEBRAS = {"O": O, "(1,1,1)": OctonionAlgebra(1, 1, 1),
+                  "(2,3,-1)": OctonionAlgebra(2, 3, -1)}
+
+
+def frame_gram(u, w, ell):
+    """The 8x8 Gram matrix B(f_i, f_j) of the frame, with true products and
+    B(x, y) = N(x + y) - N(x) - N(y)."""
+    uw = u * w
+    f = (u.carrier.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
+    return [[(x + y).norm() - x.norm() - y.norm() for y in f] for x in f]
+
+
+def full_gram_test(u, w, ell):
+    """The 28-entry oracle: the Gram matrix is diagonal with no zero on its
+    diagonal."""
+    gram = frame_gram(u, w, ell)
+    return (all(not gram[i][i].is_zero() for i in range(8))
+            and all(gram[i][j].is_zero() for i in range(8) for j in range(i)))
+
+
+@pytest.mark.parametrize("alg", FRAME_ALGEBRAS.values(), ids=FRAME_ALGEBRAS.keys())
+@pytest.mark.parametrize("pair", LEMMA_PAIRS)
+def test_a_frame_breaking_one_lemma_hypothesis_alone_is_degenerate(alg, pair):
+    # u = e1, w = e2, ell = e4 with 2*f_j added to generator f_i: only
+    # B(f_i, f_j) of the seven is nonzero, and no norm is zero
+    e = alg.basis()
+    gens = {1: e[1], 2: e[2], 4: e[4]}
+    i, j = pair
+    gens[i] = gens[i] + 2 * e[j]
+    u, w, ell = gens[1], gens[2], gens[4]
+    gram = frame_gram(u, w, ell)
+    assert all(not gram[k][k].is_zero() for k in range(8))
+    assert [p for p in LEMMA_PAIRS if not gram[p[0]][p[1]].is_zero()] == [pair]
+    with pytest.raises(DegenerateFrame, match="not pairwise orthogonal"):
+        SubalgebraFrame(alg, u, w, ell)
+
+
+COEF = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(FRAME_ALGEBRAS.values())
+                       + [OctonionAlgebra(-1, -2, Fraction(-3, 2))]),
+       st.permutations(range(1, 8)), st.lists(COEF, min_size=5, max_size=5),
+       st.lists(st.booleans(), min_size=2, max_size=2), st.integers(0, 3),
+       st.integers(0, 7), st.sampled_from([1, -2, Fraction(1, 3)]))
+def test_seven_orthogonalities_decide_as_the_full_gram_test(alg, perm, c, wide, which, at, shift):
+    # u, w and ell on disjoint basis vectors (about a quarter of these frames
+    # split the algebra), one of them then shifted by a multiple of a basis
+    # vector: the frame's check accepts exactly the (u, w, ell) whose whole
+    # Gram matrix is diagonal with no zero on its diagonal
+    e = alg.basis()
+    gens = [c[0] * e[perm[0]] + (c[1] * e[perm[1]] if wide[0] else 0), c[2] * e[perm[2]],
+            c[3] * e[perm[3]] + (c[4] * e[perm[4]] if wide[1] else 0)]
+    if which < 3:
+        gens[which] = gens[which] + shift * e[at]
+    try:
+        SubalgebraFrame(alg, *gens)
+        accepted = True
+    except DegenerateFrame:
+        accepted = False
+    assert accepted == full_gram_test(*gens)
+
+
 def test_frame_cayley_dickson_rule():
     rng = random.Random(61)
     for _ in range(3):

@@ -377,13 +377,23 @@ def test_cli_non_ascii_digits_exit_2(tmp_path, capsys):
 
 def test_cli_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
     # a byte that starts no UTF-8 sequence is reported, not raised
+    # at its line and column, as every other parse error is, also after a
+    # byte-order mark, which is no column
     spec = tmp_path / "latin1.rec"
     spec.write_bytes(b"algebra field\norder 1\nrhs 2\ninit \xff\n")
-    for argv in (["solve", str(spec)], ["eval", str(spec), "3"]):
+    bom = tmp_path / "bom_latin1.rec"
+    bom.write_bytes(b"\xef\xbb\xbf" + spec.read_bytes())
+    for argv in (["solve", str(spec)], ["eval", str(spec), "3"], ["solve", str(bom)]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "can't decode byte 0xff" in captured.err
+        assert captured.err == "error: line 4, col 6: can't decode byte 0xff: invalid start byte\n"
+    # lines as the parser counts them (CRLF is one break), columns in characters
+    spec.write_bytes(b"algebra field\r\norder 1\r\n\r\nrhs 2\r\ninit 1 \xe2\x82\xac\xe2\n")
+    assert main(["solve", str(spec)]) == 2
+    assert capsys.readouterr().err == ("error: line 5, col 9: can't decode byte 0xe2: "
+                                       "invalid continuation byte\n")
 
 
 def test_cli_verify_reports_the_first_failing_k(monkeypatch, capsys):

@@ -519,6 +519,36 @@ def test_integer_roots_agree_with_sympy_up_to_a_trillion(shape, seed):
     assert _integer_roots(g) == sympy_integer_roots(g), g
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-50, 50), min_size=3, max_size=4))
+def test_root_search_discriminant_agrees_with_sympy(coeffs):
+    # the discriminant that names the root search's prime: disc(g) of a
+    # cubic, and 2**24 * disc(g) of a quartic, read off its resolvent cubic
+    from sympy import Poly, discriminant, symbols
+    from skewrec.poly import _discriminant
+
+    g = coeffs + [1]
+    expected = discriminant(Poly(list(reversed(g)), symbols("y")))
+    assert _discriminant(g) == (2 ** 24 if len(g) == 5 else 1) * expected
+
+
+def test_integer_roots_skip_every_prime_of_the_discriminant():
+    # roots that collide mod 3, 5, 7 and 11 make g mod p non-squarefree for
+    # each of those p: the search must take p = 13, where they are simple
+    from skewrec.poly import _discriminant, _integer_roots
+
+    rng = random.Random(13)
+    for _ in range(200):
+        r = rng.randint(-10 ** 6, 10 ** 6)
+        roots = [r, r + 1155 * rng.randint(1, 99), r - 1155 * rng.randint(1, 99)]
+        cubic = int_product(*[[-x, 1] for x in roots])
+        assert _discriminant(cubic) % 1155 == 0
+        assert _integer_roots(cubic) == sorted(set(roots))
+        quad = irreducible_int(rng, 2, 50)
+        quartic = int_product(quad, [-roots[0], 1], [-roots[1], 1])
+        assert _integer_roots(quartic) == sorted(set(roots[:2])), quartic
+
+
 def test_integer_roots_find_roots_near_the_lifting_bound():
     # the cubics (y - r)(y^2 + a*y + b) with r > max_i 2**ceil(bits(g_{3-i}) / i),
     # that is, with a root beyond half the bound rb that stops the lifting,
