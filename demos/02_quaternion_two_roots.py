@@ -17,6 +17,7 @@ from skewrec import (
     QuaternionAlgebra,
     RecurrenceSpec,
     companion_poly,
+    conj_class,
     factor_central_quartic,
     mat_inverse,
     primitive_char_poly,
@@ -37,12 +38,11 @@ print("companion quartic:", companion_poly(p))
 print("its factors:", [(str(f), m) for f, m in
                         factor_central_quartic(companion_poly(p))])
 
-report = quadratic_roots(H, p)
+roots, _, _ = quadratic_roots(H, p)
 print("\nroots with their classes:")
-for root, cls in report.isolated:
-    print("  ", root, " in ", cls)
+for root in roots:
+    print("  ", root, " in ", conj_class(root))
 
-roots = [root for root, _ in report.isolated]
 v = vandermonde(roots)
 print("\nVandermonde of the roots:", v)
 print("its exact inverse:       ", mat_inverse(v))

@@ -35,12 +35,11 @@ g, r = divide_by_linear(p, i)
 print("dividing by (x - e1):  quotient", g, " remainder", r)
 print("evaluating at e2 instead:", p.eval(j), " (so e2 is not a root)")
 
-report = quadratic_roots(H, p)
-print("root report: isolated =", [str(x) for x, _ in report.isolated],
-      " jordan =", report.jordan)
+roots, jordan, _ = quadratic_roots(H, p)
+print("root report: isolated =", [str(x) for x in roots], " jordan =", jordan)
 
 a = companion_matrix(p)
-jd = jordan_from_roots(a, [report.jordan])
+jd = jordan_from_roots(a, [jordan])
 print("\nJordan matrix:", jd.jordan_matrix())
 print("transition U:  ", jd.U)
 print("U J U^-1 == A: ", (jd.U * jd.jordan_matrix()) * jd.Uinv == a)

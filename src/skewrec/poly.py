@@ -17,9 +17,10 @@ discriminant; integer roots are sought only in a cubic and in a quartic
 that does not split, which is then squarefree: in closed form in a cubic
 of discriminant 0, otherwise mod the first odd prime that does not divide
 the discriminant, Hensel-lifted up to a Fujiwara root bound.
-`quadratic_roots` reads each root class off the integer factors and tests
-it on integer numerators (the candidate root, and p(lam) = 0 by the
-residual kernel `_residual` that also proves closed forms); rational
+`quadratic_roots` reads each root class off the integer factors on
+integer numerators: every irreducible quadratic factor's class holds a
+root, found with no test, and only a central candidate is tested, by the
+residual kernel `_residual` that also proves closed forms; rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
 (`companion_poly`, `factor_central_quartic`, the `NoRootsFound` text), and
 their coefficients print from numerators.
@@ -39,7 +40,6 @@ from .algebra import (
     QuatValue,
     _conj4,
     _quat_mul,
-    conj_class,
 )
 from .errors import InternalError, NoRootsFound, UnsupportedDegree
 from .scalar import FieldContext, _reduced, _times
@@ -406,48 +406,6 @@ def factor_central_quartic(p: LeftPoly):
 # roots of monic quadratics over a quaternion algebra
 
 
-class RootReport:
-    """Everything found about the roots of a monic quaternion quadratic, a
-    central p's class of roots as `spherical`.  The class labels of the
-    isolated roots are built from the scaled integer factors when read;
-    C_p's factors over Q are `factor_central_quartic(companion_poly(p))`."""
-
-    __slots__ = ("_isolated", "jordan", "spherical", "_scaled")
-
-    def __init__(self, isolated, jordan, spherical, scaled):
-        """isolated: (root, label) pairs, a label given as its ConjClass or
-        as the `_factor_monic` factor y^2 + u1*y + u0 of L**4 * C_p(y/L)
-        that holds its class (None: a rational root); scaled: (ctx, L)."""
-        self._isolated = list(isolated)
-        self.jordan = jordan
-        self.spherical = spherical
-        self._scaled = scaled
-
-    @property
-    def isolated(self) -> list:
-        """(root, ConjClass) pairs, labelled here."""
-        ctx, L = self._scaled
-        return [(lam, conj_class(lam) if u is None else
-                 u if isinstance(u, ConjClass) else _class_label(ctx, u, L))
-                for lam, u in self._isolated]
-
-    def root_multiplicities(self):
-        """Root data in the shape the solver consumes (none for a class)."""
-        if self.jordan is not None:
-            return [self.jordan]
-        return [(lam, 1) for lam, _ in self._isolated]
-
-    def __repr__(self):
-        return (f"RootReport(isolated={self.isolated}, jordan={self.jordan}, "
-                f"spherical={self.spherical})")
-
-
-def _class_label(ctx, u, L) -> ConjClass:
-    """The class of trace -u1/L and norm u0/L^2 of the scaled factor
-    y^2 + u1*y + u0."""
-    return ConjClass(t=ctx.ratio(-u[1], L), n=ctx.ratio(u[0], L * L))
-
-
 def _residual(coeffs, lam) -> tuple[list, int]:
     """(numerators, denominator) of sum c_i * lam**i, not reduced, for the
     coefficients c_0..c_n (n >= 1, low degree first) of a polynomial over
@@ -477,30 +435,38 @@ def _is_root(coeffs, lam) -> bool:
     return not any(_residual([(c.num, c.den) for c in coeffs], lam)[0])
 
 
-def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
+def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> tuple:
     """Roots of a monic quadratic x^2 - beta*x - alpha over a quaternion
-    algebra, located class by class through the central companion quartic.
+    algebra, located class by class through the central companion quartic,
+    as (roots, jordan, spherical): the isolated roots, (lam, 2) or None,
+    and the ConjClass of a central p's class of roots or None.
 
-    C_p is factored as the monic integer g(y) = L**4 * C_p(y/L): a factor
-    y + u0 gives the central candidate -u0/L, and a factor
-    y^2 + u1*y + u0 the class of trace t = -u1/L and norm n = u0/L^2.
-    For a class (t, n) with beta != t, the only possible root in the class
-    is (t - beta)^-1 (n + alpha), kept if it actually evaluates to zero.
-    When beta = t and alpha = -n the whole class consists of roots and is
-    reported, with no element sought.  A single isolated root lam whose
-    cofactor beta - lam stays in the same class is reported with
+    C_p = p * conj(p) (Gordon and Motzkin, Trans. AMS 116, 1965) is
+    factored as the monic integer g(y) = L**4 * C_p(y/L).  A factor y + u0
+    gives the central candidate c = -u0/L, kept if p(c) = 0 (`_is_root`):
+    C_p(c) = N(p(c)) = 0 makes p(c) a zero divisor, which in a split
+    algebra need not be 0.  A factor y^2 + u1*y + u0 gives the class of
+    trace t = -u1/L and norm n = u0/L^2.  When beta = t and alpha = -n the
+    whole class consists of roots and is returned, with no element sought.
+    Otherwise the class holds the root lam = X^-1 Y, X = t - beta and
+    Y = n + alpha, taken with no test.  Let theta be a root of
+    y^2 - t*y + n, irrational as the factor is irreducible over Q; then
+    p(theta) = X*theta - Y, and C_p(theta) = N(X)*theta^2 - B(X, Y)*theta
+    + N(Y) = 0, B the polar form, gives B(X, Y) = t*N(X) and
+    N(Y) = n*N(X).  So T(lam) = B(X, Y)/N(X) = t and N(lam) = n, and as
+    every quaternion, in a split algebra too, has
+    lam^2 = T(lam)*lam - N(lam), X*lam = Y gives
+    p(lam) = lam^2 - t*lam + n = 0.  A single isolated root lam whose
+    cofactor beta - lam stays in the same class is returned with
     multiplicity two, matching the forced factorization
     p = (x - (beta - lam)) (x - lam).
 
-    The class tests run on integer numerators: beta = t and alpha = -n by
-    cross-multiplying, N(t - beta) off the carrier's `weights`, the
-    candidate from one `_quat_mul` of conj(X) and Y, the numerators of
-    t - beta and n + alpha, reduced once, the root test by `_is_root`, the
-    zero test of the package's one residual kernel `_residual`, and
-    the Jordan test, that beta - lam has the class of lam, as equal trace
-    and norm of their numerators.  A root's ConjClass label is built only
-    when the report's `isolated` is read.  A t - beta of norm 0 (a split
-    algebra) raises ZeroDivisor, as its inverse does.
+    The class steps run on integer numerators: beta = t and alpha = -n by
+    cross-multiplying, N(X) off the carrier's `weights`, the root from one
+    `_quat_mul` of the numerators of conj(X) and Y, reduced once, and the
+    Jordan test, that beta - lam has the class of lam, as equal trace and
+    norm of their numerators.  An X of norm 0 (a split algebra) raises
+    ZeroDivisor, as its inverse does.
     """
     if p.carrier != alg:
         raise ValueError("polynomial and algebra disagree")
@@ -513,13 +479,13 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
     (c0w, *c0v), d0 = c0.num, c0.den
     consts, weights, LL = alg.consts, alg.weights, L * L
 
-    isolated = []  # (root, its factor u, None for a linear one)
+    roots = []
     spherical = None
     for u, _mult in factors:
         if len(u) == 2:
             lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
             if _is_root(p.coeffs, lam):
-                isolated.append((lam, None))
+                roots.append(lam)
             continue
         if len(u) != 3:
             continue
@@ -528,20 +494,18 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
         Y = (u[0] * d0 - LL * c0w, *[-LL * y for y in c0v])
         if not any(X):  # beta = t
             if not any(Y):  # alpha = -n
-                spherical = _class_label(alg.ctx, u, L)
+                spherical = ConjClass(t=alg.ctx.ratio(-u[1], L), n=alg.ctx.ratio(u[0], LL))
             continue
         nx = sum(map(mul, weights, map(mul, X, X)))  # N(t - beta) * D * (L*d1)^2
         if nx == 0:  # the value t - beta raises ZeroDivisor
             _reduced(QuatValue, alg, X, L * d1).inverse()
         # (t - beta)^-1 (n + alpha) = conj(X) * Y * D*L*d1 / (nx * L^2*d0),
         # and conj(X) * Y is _quat_mul(conj(X), Y) / D
-        lam = _reduced(QuatValue, alg, tuple([z * d1 for z in _quat_mul(consts, _conj4(X), Y)]),
-                       nx * L * d0)
-        if _is_root(p.coeffs, lam):
-            isolated.append((lam, u))
+        num = _quat_mul(consts, _conj4(X), Y)
+        roots.append(_reduced(QuatValue, alg, tuple([z * d1 for z in num]), nx * L * d0))
     jordan = None
-    if len(isolated) == 1:  # a spherical class comes with no isolated root
-        lam = isolated[0][0]
+    if len(roots) == 1:  # a spherical class comes with no isolated root
+        lam = roots[0]
         # beta - lam = Z / (d1 * dl) has lam's class when both are central or
         # both are not, with equal trace and equal norm
         ln, dl = lam.num, lam.den
@@ -550,7 +514,7 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
                 and sum(map(mul, weights, map(mul, Z, Z)))
                 == sum(map(mul, weights, map(mul, ln, ln))) * d1 * d1):
             jordan = (lam, 2)
-    if not isolated and spherical is None:
+    if not roots and spherical is None:
         comp = _unscaled(alg.ctx, g, L)
         if len(factors) == 1 and len(factors[0][0]) == 5:
             raise NoRootsFound(f"C_p = {comp} is irreducible over Q: the roots "
@@ -559,4 +523,4 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> RootReport:
                             for f, m in _unscaled_factors(alg.ctx, factors, L))
         raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
                            "factor yields a root")
-    return RootReport(isolated, jordan, spherical, (alg.ctx, L))
+    return roots, jordan, spherical

@@ -29,11 +29,11 @@ share one integer Lucas pair (U_k, U_{k+1}) of s*T and s^2*N
 of it over one denominator den * s**k, reduced by one gcd against a
 number that k does not change and by the primes of s (`_PowerReducer`),
 so no gcd it takes grows with k unless powers of an odd prime of s cancel
-at every k.  Each form builds its evaluator on its
-first `value` and checks it there against the initial values the
-certificate proved, so `solve` itself builds none.  The solver takes the
-few small powers it needs (chains, certificates) from `powers`, one
-product per power.
+at every k.  Each form builds its evaluator on its first `value` and
+proves it there against the form's own terms at k < deg C, C the product
+of their classes' quadratics, so `solve` itself builds none.  The solver
+takes the few small powers it needs (chains, certificates) from `powers`,
+one product per power.
 """
 
 from __future__ import annotations
@@ -277,29 +277,37 @@ class _LucasSum:
         return _make(zero.__class__, zero.carrier, *self.reduce(out, k))
 
 
-def _check_init(values, init, what: str) -> None:
-    """InternalError naming the first a_k of values that is not init[k]."""
-    for k, (got, a) in enumerate(zip(values, init)):
+def _check_values(values, expected, what: str, of: str) -> None:
+    """InternalError naming the first a_k of values that is not expected[k]."""
+    for k, (got, a) in enumerate(zip(values, expected, strict=True)):
         if got != a:
-            raise InternalError(f"{what} gives a_{k} = {got}, not the initial value {a}")
+            raise InternalError(f"{what} gives a_{k} = {got}, not {of} {a}")
 
 
 class _LucasForm:
-    """value(k) of a closed form, by the _LucasSum that its `_lucas_sum()`
-    builds from the form's fields on first use and caches on the instance
-    (functools.cached_property would take a lock on every access).  Before
-    the first value is returned, the new evaluator is checked against the
-    initial values that `_certify` proved for the form, kept on it as
-    `_init` (none for a hand-built form, which `solve` never returned)."""
+    """value(k) of a closed form, by the _LucasSum of its `_groups()`, built
+    on first use and cached on the instance (functools.cached_property would
+    take a lock on every access), and first proved against the form's own
+    terms (`_values`) at k < deg C: C = prod (x^2 - T*x + N)^m over the
+    classes (T, N) of the groups and of the terms' bases (`_classes`), keyed
+    by `_lucas_params`, m the larger of the group's coefficient count and
+    the class's largest deg p + 1.  A group with m coefficients sums k**j
+    times sequences that satisfy x^2 - T*x + N, j < m, and so does a term
+    p(k) * lam**k * b, j <= deg p, as lam^2 = T*lam - N; so both satisfy C's
+    recurrence and agree at every k.  A hand-built form is proved too."""
 
     def value(self, k: int):
         if k < 0:
             raise ValueError("k must be nonnegative")
         ev = self.__dict__.get("_lucas")
         if ev is None:
-            ev = self._lucas_sum()
-            init = self.__dict__.get("_init", ())
-            _check_init(map(ev, range(len(init))), init, "evaluator check failed: the Lucas sum")
+            zero, groups = self._groups()
+            mult = {key: max(len(S), len(R)) for key, (S, R) in groups.items()}
+            for key, m in self._classes():
+                mult[key] = max(mult.get(key, 0), m)
+            ev, n = _LucasSum(zero, groups), 2 * sum(mult.values())
+            _check_values(map(ev, range(n)), self._values(n),
+                          "evaluator check failed: the Lucas sum", "the terms' value")
             self.__dict__["_lucas"] = ev
         return ev(k)
 
@@ -311,8 +319,20 @@ class AssocForm(_LucasForm):
     carrier: object
     terms: tuple
 
-    def _lucas_sum(self) -> _LucasSum:
-        return _LucasSum(self.carrier.zero(), _term_groups(((self, lambda x: x),)))
+    def _groups(self):
+        return self.carrier.zero(), _term_groups(((self, lambda x: x),))
+
+    def _classes(self) -> list:
+        return [(_lucas_params(t.base.trace(), t.base.norm()), t.degree + 1) for t in self.terms]
+
+    def _values(self, n: int) -> list:
+        """a_0..a_{n-1} as sums of p(k) * lam**k * b, by powers of lam."""
+        out = [self.carrier.zero()] * n
+        for t in self.terms:
+            for k, pw in enumerate(t.base.powers(n - 1)):
+                pk = sum([k ** s * c for s, c in enumerate(t.poly)], self.carrier.zero())
+                out[k] = out[k] + pk * pw * t.right
+        return out
 
 
 @dataclass(frozen=True)
@@ -324,10 +344,17 @@ class OctSplitForm(_LucasForm):
     main: AssocForm
     tail: AssocForm
 
-    def _lucas_sum(self) -> _LucasSum:
+    def _groups(self):
         join = self.frame.join
-        return _LucasSum(self.frame.oct.zero(), _term_groups(
-            ((self.main, lambda x: join(x, 0)), (self.tail, lambda x: join(0, x.conj())))))
+        return self.frame.oct.zero(), _term_groups(
+            ((self.main, lambda x: join(x, 0)), (self.tail, lambda x: join(0, x.conj()))))
+
+    def _classes(self) -> list:
+        return self.main._classes() + self.tail._classes()
+
+    def _values(self, n: int) -> list:
+        return [self.frame.join(m, t.conj())
+                for m, t in zip(self.main._values(n), self.tail._values(n))]
 
 
 @dataclass(frozen=True)
@@ -343,9 +370,18 @@ class CentralForm(_LucasForm):
     a0: object
     a1: object
 
-    def _lucas_sum(self) -> _LucasSum:
-        return _LucasSum(self.carrier.zero(), {_lucas_params(self.t, self.n): (
-            [self.a0], [self.a0 * self.t - self.a1])})
+    def _groups(self):
+        return self.carrier.zero(), {_lucas_params(self.t, self.n): (
+            [self.a0], [self.a0 * self.t - self.a1])}
+
+    def _classes(self) -> list:
+        return [(_lucas_params(self.t, self.n), 1)]
+
+    def _values(self, n: int) -> list:
+        out = [self.a0, self.a1]
+        while len(out) < n:
+            out.append(out[-1] * self.t - out[-2] * self.n)
+        return out
 
 
 ClosedForm = AssocForm | OctSplitForm | CentralForm
@@ -498,11 +534,11 @@ def _roots(spec: RecurrenceSpec) -> tuple:
         kind = "field" if field else "quaternion"
         raise UnsupportedOrder(f"{kind} recurrences of order > 2 need user-supplied roots")
     if not field:
-        rootdata = quadratic_roots(spec.algebra, primitive_char_poly(spec)).root_multiplicities()
-        if sum([m for _, m in rootdata]) != 2:
+        roots, jordan, _ = quadratic_roots(spec.algebra, primitive_char_poly(spec))
+        if jordan is None and len(roots) != 2:
             raise NoRootsFound("a single isolated root without repeated-root structure "
                                "cannot determine an order-2 closed form")
-        return spec, rootdata
+        return spec, [jordan] if jordan else [(lam, 1) for lam in roots]
     ctx = spec.algebra
     c1 = -spec.rhs[1]
     c0 = -spec.rhs[0]
@@ -641,9 +677,9 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     by the doubling lemma's shape and Gram test (`_certify_frame`), then
     carry both to a_k = join(main(k), conj(tail(k))), and with central r_j
     linearity alone does.  The first n values are read on integer
-    numerators (`_certify_terms`), so no evaluator is built here; the proved
-    values are kept on cf, and its evaluator checks itself against them
-    when it is built (`_LucasForm.value`).
+    numerators (`_certify_terms`), so no evaluator is built here and nothing
+    is kept on cf: its evaluator is proved against its terms when it is
+    built (`_LucasForm.value`).
     """
     if isinstance(cf, CentralForm):
         if spec.rhs != (cf.carrier.coerce(-cf.n), cf.carrier.coerce(cf.t)):
@@ -662,8 +698,7 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
         values = [cf.frame.join(m, t.conj()) for m, t in zip(main, tail)]
     else:
         values = _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
-    _check_init(values, spec.init, "certificate failed: the closed form")
-    cf.__dict__["_init"] = spec.init
+    _check_values(values, spec.init, "certificate failed: the closed form", "the initial value")
 
 
 def _central_tn(spec: RecurrenceSpec):

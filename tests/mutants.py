@@ -80,6 +80,31 @@ MUTANTS = [
            "_frame_basis(alg, frame.u, frame.w, frame.ell)",
            "_frame_basis(alg, frame.u, frame.w, frame.uw)",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
+    # the roots of a quaternion quadratic (quadratic_roots): a central
+    # candidate is tested, a class root is X^-1 Y by theorem
+    Mutant("central candidate kept without its root test", POLY,
+           "if _is_root(p.coeffs, lam):", "if True:",
+           ("tests/test_poly.py::test_quadratic_roots_none",)),
+    Mutant("class root taken as Y * conj(X), a right quotient", POLY,
+           "consts, _conj4(X), Y)", "consts, Y, _conj4(X))",
+           ("tests/test_poly.py::test_quadratic_roots_two_distinct_classes",)),
+    # the chain step of the solver's Jordan form is the m x m companion step
+    Mutant("flattened sylvester_chain_solve put back as the chain step", SOLVER,
+           "lambda i, v: _companion_step(\n        spec.rhs, rootdata[i][0], inv_pows[i][1], v))",
+           "lambda i, v: __import__('skewrec.matlin', fromlist=['_']).sylvester_chain_solve(\n"
+           "        __import__('skewrec.matlin', fromlist=['_']).companion_matrix(\n"
+           "            primitive_char_poly(spec)), rootdata[i][0], v))",
+           ("tests/test_solver.py::test_solve_runs_no_flattened_solve_companion_matrix_or_value_eval",)),
+    # the evaluator is proved against the form's terms at k < deg C
+    Mutant("Lucas groups add c*k*(k-1) to the first group", SOLVER,
+           "    return sums\n",
+           "    S, R = next(iter(sums.values()))\n"
+           "    while len(S) < 3:\n"
+           "        S.append(S[0] - S[0])\n"
+           "        R.append(R[0] - R[0])\n"
+           "    S[1], S[2] = S[1] - S[0], S[2] + S[0]\n"
+           "    return sums\n",
+           ("tests/test_solver.py::test_solve_builds_no_evaluator_and_the_first_value_builds_one",)),
     # the certificate's term proof (_certify_terms)
     Mutant("term residual checked at k = 0 only", SOLVER,
            "for k in range(d + 1):", "for k in range(1):",

@@ -182,34 +182,33 @@ def test_factor_degree_guard():
 
 def test_quadratic_roots_two_distinct_classes():
     p = LeftPoly(H, [1 + K, -I, 1])
-    rep = quadratic_roots(H, p)
-    assert [lam for lam, _ in rep.isolated] == [J, I + J]
-    assert rep.isolated[0][1] == ConjClass(t=Q.zero(), n=Q.one())
-    assert rep.isolated[1][1] == ConjClass(t=Q.zero(), n=Q.scalar(2))
-    assert rep.jordan is None and rep.spherical is None
+    roots, jordan, spherical = quadratic_roots(H, p)
+    assert roots == [J, I + J]
+    assert conj_class(roots[0]) == ConjClass(t=Q.zero(), n=Q.one())
+    assert conj_class(roots[1]) == ConjClass(t=Q.zero(), n=Q.scalar(2))
+    assert jordan is None and spherical is None
 
 
 def test_quadratic_roots_jordan():
     p = LeftPoly(H, [-K, -(I + J), 1])
-    rep = quadratic_roots(H, p)
-    assert [lam for lam, _ in rep.isolated] == [I]
-    assert rep.jordan == (I, 2)
+    roots, jordan, _ = quadratic_roots(H, p)
+    assert roots == [I]
+    assert jordan == (I, 2)
     g, r = divide_by_linear(p, I)
     assert r.is_zero() and g == x_minus(J)  # forced split (x - j)(x - i)
 
 
 def test_quadratic_roots_spherical():
     p = LeftPoly(H, [1, 0, 1])  # x^2 + 1
-    rep = quadratic_roots(H, p)
-    assert rep.spherical == ConjClass(t=Q.zero(), n=Q.one())
-    assert not rep.isolated and rep.jordan is None
-    assert rep.root_multiplicities() == []
+    roots, jordan, spherical = quadratic_roots(H, p)
+    assert spherical == ConjClass(t=Q.zero(), n=Q.one())
+    assert roots == [] and jordan is None  # no root data for the solver
 
 
 def test_quadratic_roots_central_rational():
     p = x_minus(H.scalar(1)) * x_minus(H.scalar(2))
-    rep = quadratic_roots(H, p)
-    assert sorted(lam.scalar_part().coords()[0] for lam, _ in rep.isolated) == [1, 2]
+    roots, _, _ = quadratic_roots(H, p)
+    assert sorted(lam.scalar_part().coords()[0] for lam in roots) == [1, 2]
 
 
 def test_quadratic_roots_none():
@@ -238,11 +237,10 @@ def test_quadratic_roots_planted_root_recovered():
         if lam.is_zero() or mu.is_zero():
             continue
         p = x_minus(mu) * x_minus(lam)
-        rep = quadratic_roots(H, p)
-        roots = [r for r, _ in rep.isolated]
-        if rep.jordan:
-            roots.append(rep.jordan[0])
-        assert any(r == lam for r in roots) or conj_class(lam) == rep.spherical
+        roots, jordan, spherical = quadratic_roots(H, p)
+        if jordan:
+            roots.append(jordan[0])
+        assert any(r == lam for r in roots) or conj_class(lam) == spherical
 
 
 def test_quadratic_roots_report_invariants():
@@ -253,9 +251,9 @@ def test_quadratic_roots_report_invariants():
         if lam.is_zero() or mu.is_zero():
             continue
         p = x_minus(mu) * x_minus(lam)
-        rep = quadratic_roots(H, p)
+        roots, _, _ = quadratic_roots(H, p)
         comp = companion_poly(p)
-        for root, cls in rep.isolated:
+        for root, cls in [(r, conj_class(r)) for r in roots]:
             assert p.eval(root).is_zero()
             # the root's class shows up among the central factors
             match = False
@@ -276,9 +274,9 @@ def test_quadratic_roots_at_most_two_per_class():
         lam, mu = rand_quat(rng, H), rand_quat(rng, H)
         if lam.is_zero() or mu.is_zero():
             continue
-        rep = quadratic_roots(H, x_minus(mu) * x_minus(lam))
+        roots, _, _ = quadratic_roots(H, x_minus(mu) * x_minus(lam))
         seen = {}
-        for _root, cls in rep.isolated:
+        for cls in map(conj_class, roots):
             seen[cls] = seen.get(cls, 0) + 1
         assert all(v <= 2 for v in seen.values())
 
@@ -640,7 +638,7 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
            for f, m in factor_central_quartic(companion_poly(p))]
     assert got == expected
     try:
-        rep = quadratic_roots(alg, p)
+        roots, _, spherical = quadratic_roots(alg, p)
     except NoRootsFound as exc:
         if len(expected) == 1 and len(expected[0][0]) == 5:
             assert "is irreducible over Q" in str(exc)
@@ -651,33 +649,34 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
     except SkewrecError:  # a zero divisor: no report
         return
     c0, c1 = p.coeffs[0], p.coeffs[1]
-    if rep.spherical:  # p = x^2 - t*x + n: every element of the class is a root
-        assert (c0, c1) == (rep.spherical.n, -rep.spherical.t) and not rep.isolated
-    roots = [lam for lam, _ in rep.isolated]
-    assert roots or rep.spherical
+    if spherical:  # p = x^2 - t*x + n: every element of the class is a root
+        assert (c0, c1) == (spherical.n, -spherical.t) and not roots
+    assert roots or spherical
     for lam in roots:
         assert (lam * lam + c1 * lam + c0).is_zero()
 
 
-def quadratic_roots_by_values(alg, p):
-    """quadratic_roots as it was before its class tests moved onto integers:
-    t, n, the candidate (t - beta)^-1 (n + alpha) and p(lam) as values, and
-    a ConjClass for every quadratic factor."""
+def quadratic_roots_by_values(alg, p, tested=None):
+    """quadratic_roots as it was before its class steps moved onto integers:
+    t, n, the candidate (t - beta)^-1 (n + alpha) and p(lam) = 0 as values,
+    and a ConjClass for every quadratic factor.  A class candidate is a root
+    of that class by theorem: the reference tests it, asserts so, and
+    appends it to tested, if given."""
     from skewrec.algebra import QuatValue
-    from skewrec.poly import RootReport, _companion, _factor_monic, _unscaled, _unscaled_factors
+    from skewrec.poly import _companion, _factor_monic, _unscaled, _unscaled_factors
     from skewrec.scalar import _reduced
 
     beta = -p.coeffs[1]
     alpha = -p.coeffs[0]
     g, L = _companion(p)
     factors = _factor_monic(g)
-    isolated = []
+    roots = []
     spherical = None
     for u, _mult in factors:
         if len(u) == 2:
             lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
             if p.eval(lam).is_zero():
-                isolated.append((lam, conj_class(lam)))
+                roots.append(lam)
         elif len(u) == 3:
             t = _reduced(QuatValue, alg, (-u[1], 0, 0, 0), L)
             n = _reduced(QuatValue, alg, (u[0], 0, 0, 0), L * L)
@@ -687,14 +686,16 @@ def quadratic_roots_by_values(alg, p):
                     spherical = cls
             else:
                 lam = (t - beta).inverse() * (n + alpha)
-                if p.eval(lam).is_zero():
-                    isolated.append((lam, cls))
+                assert p.eval(lam).is_zero() and conj_class(lam) == cls
+                roots.append(lam)
+                if tested is not None:
+                    tested.append(lam)
     jordan = None
-    if spherical is None and len(isolated) == 1:
-        lam = isolated[0][0]
+    if spherical is None and len(roots) == 1:
+        lam = roots[0]
         if conj_class(beta - lam) == conj_class(lam):
             jordan = (lam, 2)
-    if not isolated and spherical is None:
+    if not roots and spherical is None:
         comp = _unscaled(alg.ctx, g, L)
         if len(factors) == 1 and len(factors[0][0]) == 5:
             raise NoRootsFound(f"C_p = {comp} is irreducible over Q: the roots "
@@ -703,16 +704,17 @@ def quadratic_roots_by_values(alg, p):
                             for f, m in _unscaled_factors(alg.ctx, factors, L))
         raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
                            "factor yields a root")
-    return RootReport(isolated, jordan, spherical, (alg.ctx, L))
+    return roots, jordan, spherical
 
 
 def _roots_outcome(find, alg, p):
-    """The report's data and repr, or the error's class and text."""
+    """The roots with their conj_class labels, jordan and spherical, or the
+    error's class and text."""
     try:
-        rep = find(alg, p)
+        roots, jordan, spherical = find(alg, p)
     except SkewrecError as exc:
         return type(exc).__name__, str(exc)
-    return (rep.isolated, rep.jordan, rep.spherical), repr(rep)
+    return [(lam, conj_class(lam)) for lam in roots], jordan, spherical
 
 
 DIFFERENTIAL_ALGEBRAS = (
@@ -722,6 +724,7 @@ DIFFERENTIAL_ALGEBRAS = (
     QuaternionAlgebra(2, 3),  # split
     QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),  # products carry D = 10
 )
+SPLIT_ALGEBRAS = DIFFERENTIAL_ALGEBRAS[2:4]  # the others are division algebras
 
 
 DIFFERENTIAL_KINDS = ["product", "conj", "conjugate", "random", "central", "scalar root",
@@ -753,7 +756,9 @@ def test_quadratic_roots_agrees_with_the_value_level_class_loop(alg, kind, seed)
 
 def test_quadratic_roots_differential_covers_every_outcome():
     # the drawn quadratics reach isolated, Jordan and spherical roots, both
-    # NoRootsFound texts and the split algebras' ZeroDivisor
+    # NoRootsFound texts, the split algebras' ZeroDivisor, and class roots,
+    # taken with no test, in a division and in a split algebra, each of
+    # which the reference finds a root of its class by p(lam) = 0
     seen = set()
     rng = random.Random(19)
     n_alg, n_kind = len(DIFFERENTIAL_ALGEBRAS), len(DIFFERENTIAL_KINDS)
@@ -761,14 +766,19 @@ def test_quadratic_roots_differential_covers_every_outcome():
         alg = DIFFERENTIAL_ALGEBRAS[i % n_alg]
         p = differential_quadratic(rng, alg, DIFFERENTIAL_KINDS[i // n_alg % n_kind])
         out = _roots_outcome(quadratic_roots, alg, p)
-        assert out == _roots_outcome(quadratic_roots_by_values, alg, p)
+        tested = []
+        assert out == _roots_outcome(lambda a, q: quadratic_roots_by_values(a, q, tested), alg, p)
+        if tested:
+            seen.add("class root in a " + ("split" if alg in SPLIT_ALGEBRAS else "division")
+                     + " algebra")
         if isinstance(out[0], str):
             seen.add(out[0] + (" irreducible" if "irreducible" in out[1] else ""))
         else:
-            isolated, jordan, spherical = out[0]
-            seen.add("jordan" if jordan else "spherical" if spherical else f"{len(isolated)} isolated")
+            roots, jordan, spherical = out
+            seen.add("jordan" if jordan else "spherical" if spherical else f"{len(roots)} isolated")
     assert {"1 isolated", "2 isolated", "jordan", "spherical", "NoRootsFound",
-            "NoRootsFound irreducible", "ZeroDivisor"} <= seen, seen
+            "NoRootsFound irreducible", "ZeroDivisor", "class root in a division algebra",
+            "class root in a split algebra"} <= seen, seen
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -324,8 +324,8 @@ def test_root_multiplicities_must_be_ints_of_at_least_one(roots):
 
 
 def test_solve_builds_no_class_labels(monkeypatch):
-    # solve reads only root_multiplicities(), so no ConjClass is built on the
-    # distinct-root or on the Jordan path; a report's isolated still labels
+    # quadratic_roots returns roots without labels, so no ConjClass is built
+    # on the distinct-root or on the Jordan path; conj_class labels a root
     built = []
     post_init = ConjClass.__post_init__
     monkeypatch.setattr(ConjClass, "__post_init__",
@@ -333,15 +333,16 @@ def test_solve_builds_no_class_labels(monkeypatch):
     distinct = LeftPoly.x_minus(1 + J) * LeftPoly.x_minus(I)
     jordan = LeftPoly(H, [-K, -(I + J), 1])  # (x - j)(x - i): i twice
     for p, mults in ((distinct, [1, 1]), (jordan, [2])):
-        roots = quadratic_roots(H, p).root_multiplicities()
+        isolated, double, _ = quadratic_roots(H, p)
+        roots = [double] if double else [(lam, 1) for lam in isolated]
         assert I in [lam for lam, _ in roots] and [m for _, m in roots] == mults
         cf = solve(RecurrenceSpec(H, 2, (-p.coeffs[0], -p.coeffs[1]), (1, J)))
         assert {t.base for t in cf.terms} == {lam for lam, _ in roots}
     assert not built
-    rep = quadratic_roots(H, jordan)
-    assert not built and rep.jordan == (I, 2)
-    isolated = rep.isolated
-    assert len(built) == 1 and isolated == [(I, conj_class(I))]
+    isolated, double, _ = quadratic_roots(H, jordan)
+    assert not built and double == (I, 2)
+    labels = [(lam, conj_class(lam)) for lam in isolated]
+    assert len(built) == 1 and labels == [(I, conj_class(I))]
 
 
 def test_lam_violation():
@@ -355,11 +356,8 @@ def test_lam_violation():
 def test_derived_roots_are_covered_by_the_certificate(monkeypatch):
     # roots found by quadratic_roots skip the root step's checks for user
     # roots, so a wrong one must still be caught, by _certify
-    class WrongRoots:
-        def root_multiplicities(self):
-            return [(I, 1), (J, 1)]  # not roots of DIAG's polynomial
-
-    monkeypatch.setattr("skewrec.solver.quadratic_roots", lambda *args: WrongRoots())
+    wrong = ([I, J], None, None)  # not roots of DIAG's polynomial
+    monkeypatch.setattr("skewrec.solver.quadratic_roots", lambda *args: wrong)
     with pytest.raises(InternalError, match="certificate failed"):
         solve(DIAG)
 
@@ -377,7 +375,7 @@ def test_planted_roots_with_large_denominators_solve_in_time():
     cf = solve(spec)
     assert time.perf_counter() - t0 < 1.0
     assert verify_closed_form(spec, cf, 16).ok
-    roots = [r for r, _ in quadratic_roots(H, p).isolated]
+    roots = quadratic_roots(H, p)[0]
     assert lam in roots and len(roots) == 2 and all(p.eval(r).is_zero() for r in roots)
 
 
@@ -855,9 +853,38 @@ def test_the_first_value_checks_the_evaluator_against_the_certified_initial_valu
                         lambda self, k: call(self, k) + (1 if k == 1 else 0))
     with pytest.raises(InternalError, match="evaluator check failed: .* gives a_1 = "):
         cf.value(5)
-    # an uncertified form has nothing to check against: verify decides
+    # a hand-built form is checked against its own terms as well
     bad = AssocForm(H, cf.terms)
-    assert not verify_closed_form(DIAG, bad, 4).ok
+    with pytest.raises(InternalError, match="evaluator check failed: .* gives a_1 = "):
+        verify_closed_form(DIAG, bad, 4)
+
+
+def _with_k_k_minus_1(term_groups):
+    """_term_groups with c*k*(k - 1) added to the first group's S, c its
+    S_0: the evaluator still agrees with the form at k = 0 and 1."""
+    def mutated(pieces):
+        groups = term_groups(pieces)
+        S, R = next(iter(groups.values()))
+        while len(S) < 3:
+            S.append(S[0] - S[0])
+            R.append(R[0] - R[0])
+        S[1], S[2] = S[1] - S[0], S[2] + S[0]
+        return groups
+    return mutated
+
+
+@pytest.mark.parametrize("name", ["quat_two_roots", "quat_repeated_root", "oct_two_roots"])
+def test_the_first_value_proves_the_evaluator_past_the_initial_values(name, monkeypatch):
+    # an evaluator that agrees with the form below the order n but not at
+    # k = 2 passes solve and a check at k < n; the first value checks it at
+    # k < deg C, which proves every k
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "specs", name + ".rec")
+    with open(path, encoding="utf-8") as fh:
+        spec = parse_spec_file(fh.read())
+    monkeypatch.setattr(solver, "_term_groups", _with_k_k_minus_1(solver._term_groups))
+    cf = solve(spec)
+    with pytest.raises(InternalError, match="evaluator check failed: the Lucas sum gives a_2 = "):
+        cf.value(0)
 
 
 SOLVE_ALGEBRAS = [Q, FieldContext.quadratic(2), H,
