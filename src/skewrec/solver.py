@@ -18,8 +18,8 @@ Every closed form is certified before it is returned: each term by its
 residual polynomial, which vanishes at deg p + 1 points, each point one
 integer Horner pass of the residual kernel (`poly._residual`), whose p = 1
 case, every simple root, is the characteristic polynomial at the root;
-the sum is checked against the initial values, read on integer numerators
-(see _certify_terms).
+the sum's first n values, read on integer numerators by `_values`, which
+also proves the evaluator, are checked against the initial values.
 `verify_closed_form` is the independent check against direct iteration.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
@@ -31,9 +31,8 @@ number that k does not change and by the primes of s (`_PowerReducer`),
 so no gcd it takes grows with k unless powers of an odd prime of s cancel
 at every k.  Each form builds its evaluator on its first `value` and
 proves it there against the form's own terms at k < deg C, C the product
-of their classes' quadratics, so `solve` itself builds none.  The solver
-takes the few small powers it needs (chains, certificates) from `powers`,
-one product per power.
+of their classes' quadratics, so `solve` itself builds none.  The Jordan
+chains take their few small powers from `powers`, one product each.
 """
 
 from __future__ import annotations
@@ -144,10 +143,7 @@ def _term_groups(pieces) -> dict:
     sequence of (P, Q): its group adds c_j*b to S_j, c_j*conj(lam)*b to R_j."""
     sums: dict = {}  # (P, Q, s), which fixes (T, N) -> lifted [S_j], [R_j]
     for form, lift in pieces:
-        for t in form.terms:
-            d = t.degree
-            if d < 0 or t.right.is_zero():
-                continue
+        for _, t, d in form._live_terms():
             lam, b, xb = t.base, t.right, t.base.conj() * t.right
             S, R = sums.setdefault(_lucas_params(lam.trace(), lam.norm()), ([], []))
             for j in range(d + 1):
@@ -325,14 +321,45 @@ class AssocForm(_LucasForm):
     def _classes(self) -> list:
         return [(_lucas_params(t.base.trace(), t.base.norm()), t.degree + 1) for t in self.terms]
 
+    def _live_terms(self) -> list:
+        """(i, terms[i], deg p) for each term whose p and b are not 0."""
+        return [(i, t, d) for i, t in enumerate(self.terms)
+                if (d := t.degree) >= 0 and not t.right.is_zero()]
+
     def _values(self, n: int) -> list:
-        """a_0..a_{n-1} as sums of p(k) * lam**k * b, by powers of lam."""
-        out = [self.carrier.zero()] * n
-        for t in self.terms:
-            for k, pw in enumerate(t.base.powers(n - 1)):
-                pk = sum([k ** s * c for s, c in enumerate(t.poly)], self.carrier.zero())
-                out[k] = out[k] + pk * pw * t.right
-        return out
+        """a_0..a_{n-1}, a_j the sum of p(j) * (lam**j * b) over the terms, on
+        integer numerators: lam**j * b by one product `_num_mul` by lam per
+        j, p(j) by Horner's rule (`_poly_nums`) unless p is 1, and each a_j
+        summed over one denominator and reduced once."""
+        carrier = self.carrier
+        mul, D = carrier._num_mul, carrier.weights[0]
+        sums = [((0,) * carrier.dim, 1)] * n  # a_j as (numerators, denominator)
+        for _, t, d in self._live_terms():
+            one = d == 0 and t.poly[0].is_one()
+            if not one:
+                e, vals = _poly_nums(t.poly, d, n)
+            lam, w, s, sl = t.base, t.right.num, t.right.den, D * t.base.den
+            for j in range(n):
+                if j:
+                    w, s = mul(lam.num, w), sl * s
+                x, q = (w, s) if one else (mul(vals[j], w), D * e * s)
+                acc, den = sums[j]
+                sums[j] = [a * q + y * den for a, y in zip(acc, x)], den * q
+        return [_reduced(carrier.value_type, carrier, tuple(acc), den) for acc, den in sums]
+
+
+def _poly_nums(poly, d: int, count: int) -> tuple[int, list]:
+    """(e, [e * p(m) for m < count]) on integer numerators by Horner's rule,
+    p = sum poly[s] * m**s of degree d >= 0 and e the lcm of its denominators."""
+    e = lcm(*[c.den for c in poly[:d + 1]])
+    cs = [[x * (e // c.den) for x in c.num] for c in poly[d::-1]]
+    vals = []
+    for m in range(count):
+        v = cs[0]
+        for c in cs[1:]:
+            v = [x * m + y for x, y in zip(v, c)]
+        vals.append(v)
+    return e, vals
 
 
 @dataclass(frozen=True)
@@ -584,11 +611,9 @@ def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     return OctSplitForm(frame, main, tail)
 
 
-def _certify_terms(form: AssocForm, rhs, label: str) -> list:
+def _certify_terms(form: AssocForm, rhs, label: str) -> None:
     """Prove that every term p(k) * lam**k * b of form solves
-    a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0, and return the
-    form's values a_0..a_{n-1}, a_j the sum of p(j) * (lam**j * b) over the
-    terms, each read on integer numerators and reduced once.
+    a_{k+n} = sum_j rhs[j] * a_{k+j} for every k >= 0.
 
     A term leaves the residual Q(k) * lam**k * b with
     Q(k) = sum_j rhs[j] p(k+j) lam**j - p(k+n) lam**n, a polynomial in the
@@ -605,22 +630,11 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> list:
     carrier = form.carrier
     mul, D = carrier._num_mul, carrier.weights[0]
     chi = [(tuple([-x for x in r.num]), r.den) for r in rhs] + [(carrier.one().num, 1)]
-    parts = [[] for _ in range(n)]  # a_j's summands as (numerators, denominator)
-    for i, t in enumerate(form.terms):
-        d = t.degree
+    for i, t, d in form._live_terms():
         lam, b = t.base, t.right
-        if d < 0 or b.is_zero():
-            continue
         one = d == 0 and t.poly[0].is_one()
-        if not one:  # e * p(m) for m = 0..d+n, by Horner's rule on numerators
-            e = lcm(*[c.den for c in t.poly[:d + 1]])
-            cs = [[x * (e // c.den) for x in c.num] for c in t.poly[d::-1]]
-            vals = []
-            for m in range(d + n + 1):
-                v = cs[0]
-                for c in cs[1:]:
-                    v = [x * m + y for x, y in zip(v, c)]
-                vals.append(v)
+        if not one:  # e * p(m) for m = 0..d+n
+            e, vals = _poly_nums(t.poly, d, d + n + 1)
         for k in range(d + 1):
             coeffs = chi if one else [(mul(rn, vals[k + j]), D * rd * e)
                                       for j, (rn, rd) in enumerate(chi[:n])] + [(vals[k + n], e)]
@@ -630,21 +644,6 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> list:
                 if not (d == 0 and (res * b).is_zero() and (res * (lam * b)).is_zero()):
                     raise InternalError(f"certificate failed: {label}term {i} leaves "
                                         f"the residual {res} at k={k}")
-        w, s, sl = b.num, b.den, D * lam.den  # lam**j * b, one product by lam per j
-        for j in range(n):
-            if j:
-                w, s = mul(lam.num, w), sl * s
-            parts[j].append((w, s) if one else (mul(vals[j], w), D * e * s))
-    values = []
-    for summands in parts:
-        if not summands:
-            values.append(carrier.zero())
-            continue
-        acc, den = summands[0]
-        for num, d in summands[1:]:
-            acc, den = [a * d + x * den for a, x in zip(acc, num)], den * d
-        values.append(_reduced(carrier.value_type, carrier, tuple(acc), den))
-    return values
 
 
 def _certify_frame(alg: OctonionAlgebra, frame) -> None:
@@ -676,16 +675,14 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     with the r_j and tail the one with conj(r_j); the frame identities, proved
     by the doubling lemma's shape and Gram test (`_certify_frame`), then
     carry both to a_k = join(main(k), conj(tail(k))), and with central r_j
-    linearity alone does.  The first n values are read on integer
-    numerators (`_certify_terms`), so no evaluator is built here and nothing
-    is kept on cf: its evaluator is proved against its terms when it is
-    built (`_LucasForm.value`).
+    linearity alone does.  The first n values are the form's `_values`,
+    which also proves its evaluator when it is built (`_LucasForm.value`),
+    so no evaluator is built here and nothing is kept on cf.
     """
     if isinstance(cf, CentralForm):
         if spec.rhs != (cf.carrier.coerce(-cf.n), cf.carrier.coerce(cf.t)):
             raise InternalError(f"certificate failed: the Lucas form solves a_(k+2) = "
                                 f"{cf.t}*a_(k+1) - {cf.n}*a_k, not the recurrence")
-        values = [cf.a0, cf.a1]
     elif isinstance(cf, OctSplitForm):
         rhs = [cf.frame.decompose(r)[0] for r in spec.rhs]
         for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
@@ -693,12 +690,12 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
                 raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
         if not all(r.is_central() for r in spec.rhs):
             _certify_frame(spec.algebra, cf.frame)
-        main = _certify_terms(cf.main, rhs, "main ")
-        tail = _certify_terms(cf.tail, [r.conj() for r in rhs], "tail ")
-        values = [cf.frame.join(m, t.conj()) for m, t in zip(main, tail)]
+        _certify_terms(cf.main, rhs, "main ")
+        _certify_terms(cf.tail, [r.conj() for r in rhs], "tail ")
     else:
-        values = _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
-    _check_values(values, spec.init, "certificate failed: the closed form", "the initial value")
+        _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
+    _check_values(cf._values(spec.order), spec.init,
+                  "certificate failed: the closed form", "the initial value")
 
 
 def _central_tn(spec: RecurrenceSpec):

@@ -105,6 +105,11 @@ MUTANTS = [
            "    S[1], S[2] = S[1] - S[0], S[2] + S[0]\n"
            "    return sums\n",
            ("tests/test_solver.py::test_solve_builds_no_evaluator_and_the_first_value_builds_one",)),
+    # the one reader of a form's first values, for the certificate at
+    # j < n and for the evaluator proof past it (AssocForm._values)
+    Mutant("lam's power advances only while 0 < j < 2", SOLVER,
+           "if j:\n", "if 0 < j < 2:\n",
+           ("tests/test_solver.py::test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind",)),
     # the certificate's term proof (_certify_terms)
     Mutant("term residual checked at k = 0 only", SOLVER,
            "for k in range(d + 1):", "for k in range(1):",

@@ -4,6 +4,8 @@ import glob
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 import types
 from fractions import Fraction
@@ -95,6 +97,19 @@ def test_public_names_are_the_listed_exports():
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert len(PUBLIC_NAMES) == 50
     assert names == PUBLIC_NAMES
+
+
+def test_import_loads_only_the_standard_library_and_the_package():
+    # the package has no runtime dependency (pyproject's dependencies = []):
+    # sympy and hypothesis stay on the test side
+    import skewrec
+    code = ("import sys; before = set(sys.modules); import skewrec; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skewrec.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "skewrec.solver" in out
+    assert [m for m in out if m.partition(".")[0] not in sys.stdlib_module_names | {"skewrec"}] == []
 
 
 def test_primitive_char_poly():
@@ -885,6 +900,36 @@ def test_the_first_value_proves_the_evaluator_past_the_initial_values(name, monk
     cf = solve(spec)
     with pytest.raises(InternalError, match="evaluator check failed: the Lucas sum gives a_2 = "):
         cf.value(0)
+
+
+def test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind(monkeypatch):
+    # _values(n) at n = the order, which the certificate reads, and at the n
+    # that the first value proves the evaluator at (2 * sum m, j >= n)
+    lam, mu = S11.e1 + 2 * S11.e2, 1 + S11.e3
+    coeffs = (LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)).coeffs
+    specs = [RecurrenceSpec(S11, 2, (-coeffs[0], -coeffs[1]), (1, S11.e1))]
+    for path in DEMO_SPECS:
+        with open(path, encoding="utf-8") as fh:
+            specs.append(parse_spec_file(fh.read()))
+    proved, check = [], solver._check_values
+    monkeypatch.setattr(solver, "_check_values", lambda values, expected, *args: (
+        proved.append(len(expected)), check(values, expected, *args)))
+    kinds, past = set(), set()  # form kinds, and those read past the order
+    for spec in specs:
+        cf = solve(spec)
+        proved.clear()
+        cf.value(0)
+        assert len(proved) == 1 and proved[0] >= spec.order
+        for n in (spec.order, proved[0]):
+            assert cf._values(n) == [iterate_oracle(spec, k) for k in range(n)]
+        carrier = getattr(cf, "carrier", None)
+        kind = type(cf).__name__ + (f" {carrier.d}" if isinstance(carrier, FieldContext) else "")
+        kinds.add(kind)
+        if proved[0] > spec.order:
+            past.add(kind)
+    # Fibonacci's conjugate roots and a Lucas form have deg C = 2
+    assert kinds == {"AssocForm None", "AssocForm 5", "AssocForm", "OctSplitForm", "CentralForm"}
+    assert past == {"AssocForm None", "AssocForm", "OctSplitForm"}
 
 
 SOLVE_ALGEBRAS = [Q, FieldContext.quadratic(2), H,
