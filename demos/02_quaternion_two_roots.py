@@ -38,7 +38,7 @@ print("companion quartic:", companion_poly(p))
 print("its factors:", [(str(f), m) for f, m in
                         factor_central_quartic(companion_poly(p))])
 
-roots, _, _ = quadratic_roots(H, p)
+roots, _, _ = quadratic_roots(p)
 print("\nroots with their classes:")
 for root in roots:
     print("  ", root, " in ", conj_class(root))

@@ -18,6 +18,7 @@ from skewrec import (
     companion_matrix,
     divide_by_linear,
     jordan_from_roots,
+    jordan_matrix,
     primitive_char_poly,
     quadratic_roots,
     solve,
@@ -35,14 +36,14 @@ g, r = divide_by_linear(p, i)
 print("dividing by (x - e1):  quotient", g, " remainder", r)
 print("evaluating at e2 instead:", p.eval(j), " (so e2 is not a root)")
 
-roots, jordan, _ = quadratic_roots(H, p)
+roots, jordan, _ = quadratic_roots(p)
 print("root report: isolated =", [str(x) for x in roots], " jordan =", jordan)
 
 a = companion_matrix(p)
 jd = jordan_from_roots(a, [jordan])
-print("\nJordan matrix:", jd.jordan_matrix())
+print("\nJordan matrix:", jordan_matrix(jd.blocks))
 print("transition U:  ", jd.U)
-print("U J U^-1 == A: ", (jd.U * jd.jordan_matrix()) * jd.Uinv == a)
+print("U J U^-1 == A: ", (jd.U * jordan_matrix(jd.blocks)) * jd.Uinv == a)
 
 for inits in ((1, 0), (0, 1)):
     s = RecurrenceSpec(H, 2, (k, i + j), inits)

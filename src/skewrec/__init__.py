@@ -8,7 +8,6 @@ from .errors import (
     DivisionByZero,
     InternalError,
     LamViolation,
-    NoRepresentative,
     NoRootsFound,
     NoSolution,
     ParseError,
@@ -20,7 +19,7 @@ from .errors import (
     ValidationError,
     ZeroDivisor,
 )
-from .scalar import FieldContext, ScalarValue, scalar_render
+from .scalar import FieldContext, ScalarValue
 from .algebra import (
     ConjClass,
     OctValue,
@@ -29,7 +28,6 @@ from .algebra import (
     QuaternionAlgebra,
     build_frame,
     conj_class,
-    spherical_representative,
 )
 from .poly import (
     LeftPoly,
@@ -50,6 +48,7 @@ from .matlin import (
 )
 from .solver import (
     AssocForm,
+    CentralForm,
     OctSplitForm,
     RecurrenceSpec,
     Term,

@@ -30,7 +30,7 @@ import sys
 from math import lcm
 
 from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
-from .scalar import INT_LITERAL, FieldContext, ScalarValue, _from_ratios, _reduced, read_literal
+from .scalar import INT_LITERAL, FieldContext, _from_ratios, _reduced, read_literal
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     AssocForm,
@@ -109,15 +109,11 @@ def _parse_algebra(rest: str, line: int, col: int):
     if not toks:
         raise ParseError("empty algebra line", line, col)
     name = toks[0][0]
-    rational = FieldContext.rational()
+    rational = FieldContext()
 
     def frac(tok):  # a malformed literal at its own column, as in _parse_element
-        try:
-            (n,), d = read_literal(tok[0], rational)
-        except ParseError as exc:
-            msg = f"bad algebra parameters: {exc.reason}"
-            raise ParseError(msg, line, tok[1] + exc.col) from exc
-        return n if d == 1 else _reduced(ScalarValue, rational, (n,), d)
+        (n,), d = _literal(tok[0], rational, line, tok[1])
+        return n if d == 1 else rational.ratio(n, d)
 
     try:
         if name == "field" and len(toks) == 1:
@@ -126,12 +122,12 @@ def _parse_algebra(rest: str, line: int, col: int):
             d = _int_token(toks[1][0])
             if d is None:  # worded as int()'s own error
                 raise ValueError(f"invalid literal for int() with base 10: {toks[1][0]!r}")
-            return FieldContext.quadratic(d)
+            return FieldContext(d)
         if name == "quaternion" and len(toks) == 3:
             return QuaternionAlgebra(frac(toks[1]), frac(toks[2]))
         if name == "octonion" and len(toks) == 4:
             return OctonionAlgebra(frac(toks[1]), frac(toks[2]), frac(toks[3]))
-    except (ValueError, ContextMismatch) as exc:
+    except (ValueError, ValidationError) as exc:
         raise ParseError(f"bad algebra parameters: {exc}", line, col) from exc
     raise ParseError(f"unknown algebra form {rest!r}", line, col)
 

@@ -199,21 +199,14 @@ def vandermonde(nodes) -> DMatrix:
     return _chain_matrix(rootdata, None)
 
 
-def eig_check(a: DMatrix, lam, v, side: str = "left") -> bool:
-    """Does A*v equal lam*v (left) or v*lam (right), exactly?"""
+def eig_check(a: DMatrix, lam, v) -> bool:
+    """Does A*v equal lam*v exactly, lam on the left?"""
     if a.rows != a.cols:
         raise DimensionMismatch("eig_check needs a square matrix")
     v = list(v)
     if all(x.is_zero() for x in v):
         raise ValueError("eigenvector must be nonzero")
-    av = a.apply(v)
-    if side == "left":
-        target = [lam * x for x in v]
-    elif side == "right":
-        target = [x * lam for x in v]
-    else:
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    return all(p == q for p, q in zip(av, target))
+    return all(p == lam * x for p, x in zip(a.apply(v), v))
 
 
 def _primitive(row: list) -> list:
@@ -318,9 +311,6 @@ class JordanData:
     blocks: tuple
     U: DMatrix
     Uinv: DMatrix
-
-    def jordan_matrix(self) -> DMatrix:
-        return jordan_matrix(self.blocks)
 
     def __repr__(self):
         shape = ", ".join(f"({lam}, {m})" for lam, m in self.blocks)

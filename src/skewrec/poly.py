@@ -435,11 +435,12 @@ def _is_root(coeffs, lam) -> bool:
     return not any(_residual([(c.num, c.den) for c in coeffs], lam)[0])
 
 
-def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> tuple:
+def quadratic_roots(p: LeftPoly) -> tuple:
     """Roots of a monic quadratic x^2 - beta*x - alpha over a quaternion
-    algebra, located class by class through the central companion quartic,
-    as (roots, jordan, spherical): the isolated roots, (lam, 2) or None,
-    and the ConjClass of a central p's class of roots or None.
+    algebra, p's carrier, located class by class through the central
+    companion quartic, as (roots, jordan, spherical): the isolated roots,
+    (lam, 2) or None, and the ConjClass of a central p's class of roots or
+    None.  A p over any other carrier raises ValueError.
 
     C_p = p * conj(p) (Gordon and Motzkin, Trans. AMS 116, 1965) is
     factored as the monic integer g(y) = L**4 * C_p(y/L).  A factor y + u0
@@ -468,8 +469,9 @@ def quadratic_roots(alg: QuaternionAlgebra, p: LeftPoly) -> tuple:
     norm of their numerators.  An X of norm 0 (a split algebra) raises
     ZeroDivisor, as its inverse does.
     """
-    if p.carrier != alg:
-        raise ValueError("polynomial and algebra disagree")
+    alg = p.carrier
+    if not isinstance(alg, QuaternionAlgebra):
+        raise ValueError(f"quadratic_roots needs a quaternion algebra, not {alg}")
     if p.degree != 2 or not p.is_monic():
         raise ValueError("quadratic_roots needs a monic quadratic")
     g, L = _companion(p)

@@ -500,15 +500,10 @@ def _field_mul(d, p, q) -> tuple:
 
 class ScalarValue(IntValue):
     """An element (u + v*sqrt(d)) / den of the context's field: num is
-    (u,) over Q and (u, v) over Q(sqrt(d))."""
+    (u,) over Q and (u, v) over Q(sqrt(d)).  Built, as every carrier's
+    values are, by `ctx.element`, `ctx.scalar` or `ctx.ratio`."""
 
     __slots__ = ()
-
-    def __new__(cls, ctx: FieldContext, u, v=0):
-        """The value u + v*sqrt(d) of ctx, built by `ctx.element`."""
-        if v and ctx.d is None:
-            raise ContextMismatch("sqrt coordinate in a rational context")
-        return ctx.element((u, v)[:ctx.dim])
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -549,7 +544,13 @@ class ScalarValue(IntValue):
         return None
 
     def __str__(self):
-        return scalar_render(self)
+        """Canonical text: read_literal(str(x), x.carrier) gives x's
+        numerators and denominator times one common factor."""
+        num, den = self.num, self.den
+        if self.is_central():
+            return rational_str(num[0], den)
+        u, v = num
+        return f"{rational_str(u, den)}{'-' if v < 0 else '+'}{rational_str(abs(v), den)}*rt"
 
     __repr__ = __str__
 
@@ -634,12 +635,6 @@ class FieldContext(Carrier):
     def rational(cls) -> FieldContext:
         return cls()
 
-    @classmethod
-    def quadratic(cls, d: int) -> FieldContext:
-        if d is None:
-            raise ValueError("quadratic context needs an integer d > 1")
-        return cls(d)
-
     @property
     def ctx(self) -> FieldContext:
         """The base field of the carrier, as for the algebras: itself."""
@@ -693,7 +688,8 @@ def read_literal(text: str, ctx: FieldContext) -> tuple[tuple, int]:
     """The scalar literal INT, INT/POSINT, or RAT(+|-)RAT*rt (rt meaning
     sqrt(d)) of ctx as integers (num, den): num holds ctx.dim numerators
     over den > 0, not yet reduced.  Digits are ASCII; a ParseError's col
-    counts from the start of the stripped text."""
+    counts from the start of the stripped text.  It reads back the text
+    `str` gives a ScalarValue of ctx."""
     s = text.strip()
     if not s:
         raise ParseError("empty scalar literal", col=0)
@@ -713,12 +709,3 @@ def read_literal(text: str, ctx: FieldContext) -> tuple[tuple, int]:
         raise ContextMismatch("'*rt' literal used in a rational context")
     return (a * e, sign * c * b), b * e
 
-
-def scalar_render(x: ScalarValue) -> str:
-    """Canonical form; read_literal(scalar_render(x), x.carrier) is x's
-    numerators and denominator times one common factor."""
-    num, den = x.num, x.den
-    if x.is_central():
-        return rational_str(num[0], den)
-    u, v = num
-    return f"{rational_str(u, den)}{'-' if v < 0 else '+'}{rational_str(abs(v), den)}*rt"

@@ -561,7 +561,7 @@ def _roots(spec: RecurrenceSpec) -> tuple:
         kind = "field" if field else "quaternion"
         raise UnsupportedOrder(f"{kind} recurrences of order > 2 need user-supplied roots")
     if not field:
-        roots, jordan, _ = quadratic_roots(spec.algebra, primitive_char_poly(spec))
+        roots, jordan, _ = quadratic_roots(primitive_char_poly(spec))
         if jordan is None and len(roots) != 2:
             raise NoRootsFound("a single isolated root without repeated-root structure "
                                "cannot determine an order-2 closed form")
@@ -586,7 +586,7 @@ def _roots(spec: RecurrenceSpec) -> tuple:
                 "quadratic extensions are supported"
             )
         e, d = squarefree_split(num * den)
-        ctx = FieldContext.quadratic(d)
+        ctx = FieldContext(d)
         s, c1 = _reduced(ScalarValue, ctx, (0, e), den), ctx.scalar(c1)
         spec = dataclasses.replace(spec, algebra=ctx)
     return spec, (((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1))

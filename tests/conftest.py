@@ -13,8 +13,7 @@ def rand_frac(rng, num=9, den=3):
 def rand_scalar(rng, ctx, num=9, den=3):
     if ctx.d is None:
         return ctx.scalar(rand_frac(rng, num, den))
-    from skewrec import ScalarValue
-    return ScalarValue(ctx, rand_frac(rng, num, den), rand_frac(rng, num, den))
+    return ctx.element((rand_frac(rng, num, den), rand_frac(rng, num, den)))
 
 
 def rand_quat(rng, alg, num=9, den=3):

@@ -113,14 +113,22 @@ def test_parse_errors_carry_positions():
             line, col, f"duplicate key {key!r}")
     with pytest.raises(ParseError):
         parse_spec_file("algebra quaternion -1 -1\norder 1\nrhs [1,0,0]\ninit [1,0,0,0]\n")
-    # a '*rt' literal where the scalars are rational
+    # a '*rt' literal where the scalars are rational, an algebra parameter too
     for text, line, col in (
             ("algebra field\norder 1\nrhs 1+1*rt\ninit 1\n", 3, 5),
             ("algebra quaternion -1 -1\norder 1\nrhs [1+1*rt,0,0,0]\ninit [1,0,0,0]\n", 3, 6),
-            ("algebra quaternion 1+1*rt -1\norder 1\nrhs [1,0,0,0]\ninit [1,0,0,0]\n", 1, 9)):
+            ("algebra quaternion 1+1*rt -1\norder 1\nrhs [1,0,0,0]\ninit [1,0,0,0]\n", 1, 20)):
         with pytest.raises(ParseError) as exc:
             parse_spec_file(text)
         assert (exc.value.line, exc.value.col) == (line, col)
+    # a parameter the algebra refuses is placed where the algebra form
+    # starts, as a field_sqrt D that is no squarefree D > 1 is
+    for form, reason in (("quaternion -1 0/5", "structure constants a, b must be nonzero"),
+                         ("octonion -1 -1 0", "doubling parameter gamma must be nonzero")):
+        with pytest.raises(ParseError) as exc:
+            parse_spec_file(f"algebra {form}\norder 1\nrhs 1\ninit 1\n")
+        assert (exc.value.line, exc.value.col, exc.value.reason) == (
+            1, 9, f"bad algebra parameters: {reason}")
 
 
 def test_validation_errors():
@@ -206,6 +214,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 2
     capsys.readouterr()
     bad.write_text("algebra field\norder 1\nrhs 1+1*rt\ninit 1\n")
+    assert main(["solve", str(bad)]) == 2
+    capsys.readouterr()
+    bad.write_text("algebra octonion -1 -1 0\norder 1\nrhs 1\ninit 1\n")
     assert main(["solve", str(bad)]) == 2
     capsys.readouterr()
     unsolvable = tmp_path / "hard.rec"
@@ -444,7 +455,7 @@ ORDER_COORDS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2),
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([FieldContext.rational(), FieldContext.quadratic(3),
+@given(st.sampled_from([FieldContext.rational(), FieldContext(3),
                         QuaternionAlgebra(-1, -1), QuaternionAlgebra(Fraction(-1, 2), 3)]),
        st.data())
 def test_term_order_is_the_fraction_order(carrier, data):

@@ -20,12 +20,13 @@ from skewrec import (
     companion_matrix,
     eig_check,
     jordan_from_roots,
+    jordan_matrix,
     mat_inverse,
     sylvester_chain_solve,
     vandermonde,
 )
 from skewrec.matlin import _companion_step, _primitive, _reduce_rows, chain_matrix, mat_solve
-from conftest import rand_frac, rand_invertible_quat, rand_quat, rand_scalar
+from conftest import rand_frac, rand_quat, rand_scalar
 
 Q = FieldContext.rational()
 H = QuaternionAlgebra(-1, -1)
@@ -143,17 +144,11 @@ def test_eig_check_sides():
     p = LeftPoly(H, [1 + K, -I, 1])
     a = companion_matrix(p)
     v = [H.one(), J]
-    assert eig_check(a, J, v, "left")
-    assert not eig_check(a, H.zero(), [H.one(), H.zero()], "left")
-    assert not eig_check(a, H.one(), v, "left")
-    # right eigenvalues move along the conjugacy class
-    rng = random.Random(5)
-    for _ in range(20):
-        g = rand_invertible_quat(rng, H)
-        mu = (g.inverse() * J) * g
-        assert eig_check(a, mu, [x * g for x in v], "right")
+    assert eig_check(a, J, v)
+    assert not eig_check(a, H.zero(), [H.one(), H.zero()])
+    assert not eig_check(a, H.one(), v)
     with pytest.raises(ValueError):
-        eig_check(a, J, [H.zero(), H.zero()], "left")
+        eig_check(a, J, [H.zero(), H.zero()])
 
 
 def test_left_eigen_iff_root():
@@ -167,7 +162,7 @@ def test_left_eigen_iff_root():
         probe = rand_quat(rng, H)
         for cand in (lam, probe):
             v = [H.one(), cand]
-            assert eig_check(a, cand, v, "left") == p.eval(cand).is_zero()
+            assert eig_check(a, cand, v) == p.eval(cand).is_zero()
 
 
 def test_chain_solve_satisfies_equation():
@@ -191,10 +186,10 @@ def test_jordan_from_roots_repeated():
     p = LeftPoly(H, [-K, -(I + J), 1])
     a = companion_matrix(p)
     jd = jordan_from_roots(a, [(I, 2)])
-    assert jd.jordan_matrix() == DMatrix.from_rows([[I, H.one()], [H.zero(), I]])
+    assert jordan_matrix(jd.blocks) == DMatrix.from_rows([[I, H.one()], [H.zero(), I]])
     ident = DMatrix.identity(2, H)
     assert jd.U * jd.Uinv == ident and jd.Uinv * jd.U == ident
-    assert (jd.U * jd.jordan_matrix()) * jd.Uinv == a
+    assert (jd.U * jordan_matrix(jd.blocks)) * jd.Uinv == a
 
 
 def test_jordan_from_roots_diagonal_is_vandermonde():
@@ -202,7 +197,7 @@ def test_jordan_from_roots_diagonal_is_vandermonde():
     a = companion_matrix(p)
     jd = jordan_from_roots(a, [(J, 1), (I + J, 1)])
     assert jd.U == vandermonde([J, I + J])
-    assert jd.jordan_matrix() == DMatrix.from_rows(
+    assert jordan_matrix(jd.blocks) == DMatrix.from_rows(
         [[J, H.zero()], [H.zero(), I + J]])
 
 
@@ -333,7 +328,7 @@ def test_solve_rational_agrees_with_sympy(rows, cols, rank, kind, seed):
 
 CHAIN_CARRIERS = [
     FieldContext.rational(),
-    FieldContext.quadratic(2),
+    FieldContext(2),
     QuaternionAlgebra(-1, -1),
     QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
     QuaternionAlgebra(Fraction(7, 3), Fraction(-2, 9)),

@@ -182,7 +182,7 @@ def test_factor_degree_guard():
 
 def test_quadratic_roots_two_distinct_classes():
     p = LeftPoly(H, [1 + K, -I, 1])
-    roots, jordan, spherical = quadratic_roots(H, p)
+    roots, jordan, spherical = quadratic_roots(p)
     assert roots == [J, I + J]
     assert conj_class(roots[0]) == ConjClass(t=Q.zero(), n=Q.one())
     assert conj_class(roots[1]) == ConjClass(t=Q.zero(), n=Q.scalar(2))
@@ -191,7 +191,7 @@ def test_quadratic_roots_two_distinct_classes():
 
 def test_quadratic_roots_jordan():
     p = LeftPoly(H, [-K, -(I + J), 1])
-    roots, jordan, _ = quadratic_roots(H, p)
+    roots, jordan, _ = quadratic_roots(p)
     assert roots == [I]
     assert jordan == (I, 2)
     g, r = divide_by_linear(p, I)
@@ -200,15 +200,21 @@ def test_quadratic_roots_jordan():
 
 def test_quadratic_roots_spherical():
     p = LeftPoly(H, [1, 0, 1])  # x^2 + 1
-    roots, jordan, spherical = quadratic_roots(H, p)
+    roots, jordan, spherical = quadratic_roots(p)
     assert spherical == ConjClass(t=Q.zero(), n=Q.one())
     assert roots == [] and jordan is None  # no root data for the solver
 
 
 def test_quadratic_roots_central_rational():
     p = x_minus(H.scalar(1)) * x_minus(H.scalar(2))
-    roots, _, _ = quadratic_roots(H, p)
+    roots, _, _ = quadratic_roots(p)
     assert sorted(lam.scalar_part().coords()[0] for lam in roots) == [1, 2]
+
+
+def test_quadratic_roots_needs_a_quaternion_algebra():
+    for carrier in (Q, OctonionAlgebra(-1, -1, -1)):
+        with pytest.raises(ValueError, match="needs a quaternion algebra"):
+            quadratic_roots(LeftPoly(carrier, [1, 0, 1]))
 
 
 def test_quadratic_roots_none():
@@ -216,7 +222,7 @@ def test_quadratic_roots_none():
     with pytest.raises(NoRootsFound, match=re.escape(
             "C_p = (1)*x^4 + (1) is irreducible over Q: the roots need a "
             "degree-4 scalar extension")):
-        quadratic_roots(H, p)
+        quadratic_roots(p)
     # in the split algebra (1,1), x^2 + e1*x - 2 has no root although its
     # companion quartic splits into linear factors
     split = QuaternionAlgebra(1, 1)
@@ -225,7 +231,7 @@ def test_quadratic_roots_none():
             "C_p = (1)*x^4 + (-5)*x^2 + (4) factors over Q as [(1)*x + (-2)] * "
             "[(1)*x + (-1)] * [(1)*x + (1)] * [(1)*x + (2)], and no factor yields "
             "a root")):
-        quadratic_roots(split, p)
+        quadratic_roots(p)
 
 
 def test_quadratic_roots_planted_root_recovered():
@@ -237,7 +243,7 @@ def test_quadratic_roots_planted_root_recovered():
         if lam.is_zero() or mu.is_zero():
             continue
         p = x_minus(mu) * x_minus(lam)
-        roots, jordan, spherical = quadratic_roots(H, p)
+        roots, jordan, spherical = quadratic_roots(p)
         if jordan:
             roots.append(jordan[0])
         assert any(r == lam for r in roots) or conj_class(lam) == spherical
@@ -251,7 +257,7 @@ def test_quadratic_roots_report_invariants():
         if lam.is_zero() or mu.is_zero():
             continue
         p = x_minus(mu) * x_minus(lam)
-        roots, _, _ = quadratic_roots(H, p)
+        roots, _, _ = quadratic_roots(p)
         comp = companion_poly(p)
         for root, cls in [(r, conj_class(r)) for r in roots]:
             assert p.eval(root).is_zero()
@@ -274,7 +280,7 @@ def test_quadratic_roots_at_most_two_per_class():
         lam, mu = rand_quat(rng, H), rand_quat(rng, H)
         if lam.is_zero() or mu.is_zero():
             continue
-        roots, _, _ = quadratic_roots(H, x_minus(mu) * x_minus(lam))
+        roots, _, _ = quadratic_roots(x_minus(mu) * x_minus(lam))
         seen = {}
         for cls in map(conj_class, roots):
             seen[cls] = seen.get(cls, 0) + 1
@@ -638,7 +644,7 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
            for f, m in factor_central_quartic(companion_poly(p))]
     assert got == expected
     try:
-        roots, _, spherical = quadratic_roots(alg, p)
+        roots, _, spherical = quadratic_roots(p)
     except NoRootsFound as exc:
         if len(expected) == 1 and len(expected[0][0]) == 5:
             assert "is irreducible over Q" in str(exc)
@@ -656,7 +662,7 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
         assert (lam * lam + c1 * lam + c0).is_zero()
 
 
-def quadratic_roots_by_values(alg, p, tested=None):
+def quadratic_roots_by_values(p, tested=None):
     """quadratic_roots as it was before its class steps moved onto integers:
     t, n, the candidate (t - beta)^-1 (n + alpha) and p(lam) = 0 as values,
     and a ConjClass for every quadratic factor.  A class candidate is a root
@@ -666,6 +672,7 @@ def quadratic_roots_by_values(alg, p, tested=None):
     from skewrec.poly import _companion, _factor_monic, _unscaled, _unscaled_factors
     from skewrec.scalar import _reduced
 
+    alg = p.carrier
     beta = -p.coeffs[1]
     alpha = -p.coeffs[0]
     g, L = _companion(p)
@@ -707,11 +714,11 @@ def quadratic_roots_by_values(alg, p, tested=None):
     return roots, jordan, spherical
 
 
-def _roots_outcome(find, alg, p):
+def _roots_outcome(find, p):
     """The roots with their conj_class labels, jordan and spherical, or the
     error's class and text."""
     try:
-        roots, jordan, spherical = find(alg, p)
+        roots, jordan, spherical = find(p)
     except SkewrecError as exc:
         return type(exc).__name__, str(exc)
     return [(lam, conj_class(lam)) for lam in roots], jordan, spherical
@@ -750,8 +757,7 @@ def differential_quadratic(rng, alg, kind):
        st.integers(0, 2 ** 32))
 def test_quadratic_roots_agrees_with_the_value_level_class_loop(alg, kind, seed):
     p = differential_quadratic(random.Random(seed), alg, kind)
-    assert _roots_outcome(quadratic_roots, alg, p) == _roots_outcome(quadratic_roots_by_values,
-                                                                     alg, p)
+    assert _roots_outcome(quadratic_roots, p) == _roots_outcome(quadratic_roots_by_values, p)
 
 
 def test_quadratic_roots_differential_covers_every_outcome():
@@ -765,9 +771,9 @@ def test_quadratic_roots_differential_covers_every_outcome():
     for i in range(n_alg * n_kind * 20):
         alg = DIFFERENTIAL_ALGEBRAS[i % n_alg]
         p = differential_quadratic(rng, alg, DIFFERENTIAL_KINDS[i // n_alg % n_kind])
-        out = _roots_outcome(quadratic_roots, alg, p)
+        out = _roots_outcome(quadratic_roots, p)
         tested = []
-        assert out == _roots_outcome(lambda a, q: quadratic_roots_by_values(a, q, tested), alg, p)
+        assert out == _roots_outcome(lambda q: quadratic_roots_by_values(q, tested), p)
         if tested:
             seen.add("class root in a " + ("split" if alg in SPLIT_ALGEBRAS else "division")
                      + " algebra")
@@ -808,7 +814,7 @@ def test_negation_difference_and_hash():
     assert trailing_zero == LeftPoly(H, [1]) and hash(trailing_zero) == hash(LeftPoly(H, [1]))
 
 
-ROOT_TEST_CARRIERS = [Q, FieldContext.quadratic(2), H,
+ROOT_TEST_CARRIERS = [Q, FieldContext(2), H,
                       QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
                       QuaternionAlgebra(1, 1), QuaternionAlgebra(2, 3)]
 

@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import dataclasses
 import glob
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -29,7 +31,6 @@ from skewrec import (
     OctonionAlgebra,
     QuaternionAlgebra,
     RecurrenceSpec,
-    ScalarValue,
     SingularU,
     SkewrecError,
     Term,
@@ -70,14 +71,14 @@ FIB = RecurrenceSpec(Q, 2, (1, 1), (0, 1))
 PUBLIC_NAMES = {
     # errors
     "ContextMismatch", "DegenerateFrame", "DimensionMismatch", "DivisionByZero",
-    "InternalError", "LamViolation", "NoRepresentative", "NoRootsFound", "NoSolution",
+    "InternalError", "LamViolation", "NoRootsFound", "NoSolution",
     "ParseError", "SingularU", "Singular", "SkewrecError", "UnsupportedDegree",
     "UnsupportedOrder", "ValidationError", "ZeroDivisor",
     # scalar
-    "FieldContext", "ScalarValue", "scalar_render",
+    "FieldContext", "ScalarValue",
     # algebra
     "ConjClass", "OctValue", "OctonionAlgebra", "QuatValue", "QuaternionAlgebra",
-    "build_frame", "conj_class", "spherical_representative",
+    "build_frame", "conj_class",
     # poly
     "LeftPoly", "companion_poly", "divide_by_linear", "factor_central_quartic",
     "quadratic_roots",
@@ -85,7 +86,7 @@ PUBLIC_NAMES = {
     "DMatrix", "companion_matrix", "eig_check", "jordan_from_roots", "jordan_matrix",
     "mat_inverse", "sylvester_chain_solve", "vandermonde",
     # solver: solve is the one public way to a closed form
-    "AssocForm", "OctSplitForm", "RecurrenceSpec", "Term", "eval_closed_form",
+    "AssocForm", "CentralForm", "OctSplitForm", "RecurrenceSpec", "Term", "eval_closed_form",
     "iterate_oracle", "primitive_char_poly", "solve", "verify_closed_form",
 }
 
@@ -95,8 +96,12 @@ def test_public_names_are_the_listed_exports():
     import skewrec
     names = {n for n, v in vars(skewrec).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 48
     assert names == PUBLIC_NAMES
+    # every form kind solve returns can be imported, CentralForm included
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "specs", "spherical.rec")
+    with open(path, encoding="utf-8") as fh:
+        assert isinstance(solve(parse_spec_file(fh.read())), skewrec.CentralForm)
 
 
 def test_import_loads_only_the_standard_library_and_the_package():
@@ -204,8 +209,8 @@ def test_promote_golden_ratio():
     assert ctx.d == 5
     (r1, m1), (r2, m2) = roots
     assert (m1, m2) == (1, 1)
-    assert r1 == ScalarValue(ctx, Fraction(1, 2), Fraction(1, 2))
-    assert r2 == ScalarValue(ctx, Fraction(1, 2), Fraction(-1, 2))
+    assert r1 == ctx.element((Fraction(1, 2), Fraction(1, 2)))
+    assert r2 == ctx.element((Fraction(1, 2), Fraction(-1, 2)))
 
 
 def test_promote_rational_and_repeated():
@@ -225,12 +230,12 @@ def test_promote_negative_discriminant():
 
 
 def test_promote_inside_quadratic_context():
-    ctx = FieldContext.quadratic(5)
+    ctx = FieldContext(5)
     # x^2 - x - 1 splits over Q(rt5) without further promotion
     spec = RecurrenceSpec(ctx, 2, (1, 1), (0, 1))
     promoted, roots = solver._roots(spec)
     assert promoted.algebra == ctx
-    assert roots[0][0] == ScalarValue(ctx, Fraction(1, 2), Fraction(1, 2))
+    assert roots[0][0] == ctx.element((Fraction(1, 2), Fraction(1, 2)))
     # x^2 - 3x + 1 has discriminant 5, a square in Q(rt5)
     spec = RecurrenceSpec(ctx, 2, (-1, 3), (0, 1))
     assert verify_closed_form(spec, solve(spec), 20).ok
@@ -348,13 +353,13 @@ def test_solve_builds_no_class_labels(monkeypatch):
     distinct = LeftPoly.x_minus(1 + J) * LeftPoly.x_minus(I)
     jordan = LeftPoly(H, [-K, -(I + J), 1])  # (x - j)(x - i): i twice
     for p, mults in ((distinct, [1, 1]), (jordan, [2])):
-        isolated, double, _ = quadratic_roots(H, p)
+        isolated, double, _ = quadratic_roots(p)
         roots = [double] if double else [(lam, 1) for lam in isolated]
         assert I in [lam for lam, _ in roots] and [m for _, m in roots] == mults
         cf = solve(RecurrenceSpec(H, 2, (-p.coeffs[0], -p.coeffs[1]), (1, J)))
         assert {t.base for t in cf.terms} == {lam for lam, _ in roots}
     assert not built
-    isolated, double, _ = quadratic_roots(H, jordan)
+    isolated, double, _ = quadratic_roots(jordan)
     assert not built and double == (I, 2)
     labels = [(lam, conj_class(lam)) for lam in isolated]
     assert len(built) == 1 and labels == [(I, conj_class(I))]
@@ -390,7 +395,7 @@ def test_planted_roots_with_large_denominators_solve_in_time():
     cf = solve(spec)
     assert time.perf_counter() - t0 < 1.0
     assert verify_closed_form(spec, cf, 16).ok
-    roots = quadratic_roots(H, p)[0]
+    roots = quadratic_roots(p)[0]
     assert lam in roots and len(roots) == 2 and all(p.eval(r).is_zero() for r in roots)
 
 
@@ -598,7 +603,7 @@ def _certificate_specs():
     for c0, c1 in ((2, -3), (1, -2), (-1, -1), (-3, 1), (Fraction(1, 4), -1)):
         specs.append(RecurrenceSpec(Q, 2, (-c0, -c1), (rng.randint(-5, 5), rng.randint(1, 5))))
     specs.append(RecurrenceSpec(Q, 3, (2, -5, 4), (3, 1, 4), roots=((1, 2), (2, 1))))
-    specs.append(RecurrenceSpec(FieldContext.quadratic(5), 2, (1, 1), (0, 1)))
+    specs.append(RecurrenceSpec(FieldContext(5), 2, (1, 1), (0, 1)))
     specs += [DIAG, JORDAN, RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L)),
               RecurrenceSpec(O, 2, (OK, OI + OJ), (1, L)),
               RecurrenceSpec(O, 2, (-5, 2), (OI, L))]
@@ -932,7 +937,7 @@ def test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind(monk
     assert past == {"AssocForm None", "AssocForm", "OctSplitForm"}
 
 
-SOLVE_ALGEBRAS = [Q, FieldContext.quadratic(2), H,
+SOLVE_ALGEBRAS = [Q, FieldContext(2), H,
                   QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)), O]
 
 
@@ -942,10 +947,7 @@ def test_solve_raises_only_skewrec_errors_and_returns_checked_forms(data):
     fracs = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
     def element(carrier):
-        if isinstance(carrier, FieldContext):
-            return ScalarValue(carrier, *data.draw(
-                st.lists(fracs, min_size=carrier.dim, max_size=carrier.dim)))
-        n = 8 if isinstance(carrier, OctonionAlgebra) else 4
+        n = carrier.dim
         return carrier.element(data.draw(st.lists(fracs, min_size=n, max_size=n)))
 
     alg = data.draw(st.sampled_from(SOLVE_ALGEBRAS))
@@ -1276,7 +1278,36 @@ def test_solve_runs_no_flattened_solve_companion_matrix_or_value_eval(path):
     assert verify_closed_form(spec, cf, 8).ok
 
 
-R2 = FieldContext.quadratic(2)
+COPIES = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+
+
+@pytest.mark.parametrize("x", [Q.ratio(-3, 4), FieldContext(5).element((Fraction(1, 2), -2)),
+                               H.element([1, Fraction(-2, 3), 0, 5]),
+                               O.element([0, 1, 0, 0, Fraction(1, 7), 0, -3, 2])], ids=repr)
+def test_values_copy_and_pickle(x):
+    for dup in COPIES:
+        y = dup(x)
+        assert y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=os.path.basename)
+def test_specs_and_forms_pickle(path):
+    with open(path, encoding="utf-8") as fh:
+        spec = parse_spec_file(fh.read())
+    cf = solve(spec)
+    ks = [*range(spec.order + 2), 300]
+    before = pickle.dumps((spec, cf))
+    want = [cf.value(k) for k in ks]  # the first value() caches the evaluator
+    for blob in (before, pickle.dumps((spec, cf))):
+        spec2, cf2 = pickle.loads(blob)
+        assert spec2 == spec
+        assert render_closed_form(cf2) == render_closed_form(cf)
+        assert [cf2.value(k) for k in ks] == want
+    assert copy.deepcopy(spec) == spec
+    assert [copy.deepcopy(cf).value(k) for k in ks] == want
+
+
+R2 = FieldContext(2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1287,7 +1318,7 @@ def test_drawn_jordan_and_user_root_specs_take_one_kernel_per_job(data):
 
     def element():
         xs = data.draw(st.lists(fracs, min_size=alg.dim, max_size=alg.dim))
-        return ScalarValue(alg, *xs) if alg is R2 else alg.element(xs)
+        return alg.element(xs)
 
     kind = data.draw(st.sampled_from(["jordan", "jordan roots given", "roots given"]))
     lam = element()
