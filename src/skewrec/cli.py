@@ -33,8 +33,6 @@ from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
 from .scalar import INT_LITERAL, FieldContext, _from_ratios, _reduced, read_literal
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
-    AssocForm,
-    CentralForm,
     RecurrenceSpec,
     eval_closed_form,
     iterate_oracle,
@@ -214,76 +212,9 @@ def render_spec(spec: RecurrenceSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _term_order(terms) -> list:
-    """The terms sorted by base, then poly length, then the poly's
-    coordinates, then right; each value's coordinates are compared as
-    integer numerators over one common denominator of all the terms'
-    values, which orders them as their rational coordinates would."""
-    den = lcm(*[v.den for t in terms for v in (t.base, t.right, *t.poly)])
-
-    def key(t):
-        return (tuple([n * (den // t.base.den) for n in t.base.num]),
-                len(t.poly),
-                tuple([n * (den // c.den) for c in t.poly for n in c.num]),
-                tuple([n * (den // t.right.den) for n in t.right.num]))
-
-    return sorted(terms, key=key)
-
-
-def _render_poly(poly) -> str:
-    parts = []
-    for s in range(len(poly) - 1, -1, -1):
-        c = poly[s]
-        if c.is_zero():
-            continue
-        if s == 0:
-            parts.append(str(c))
-        elif s == 1:
-            parts.append(f"{c}*k")
-        else:
-            parts.append(f"{c}*k^{s}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _render_terms(form: AssocForm) -> str:
-    if not form.terms:
-        return "0"
-    terms = _term_order(form.terms)
-    return " + ".join(
-        f"({_render_poly(t.poly)})*({t.base})^k"
-        f"*({t.right})"
-        for t in terms
-    )
-
-
 def render_closed_form(cf) -> list[str]:
     """Deterministic text lines for a closed form."""
-    if isinstance(cf, AssocForm):
-        return ["a_k = " + _render_terms(cf)]
-    if isinstance(cf, CentralForm):
-        return ["a_k = U_k*a_1 - n*U_(k-1)*a_0 for U_0 = 0, U_1 = 1, U_(k+2) = t*U_(k+1) "
-                f"- n*U_k with t = {cf.t}, n = {cf.n}, a_0 = {cf.a0}, a_1 = {cf.a1}"]
-    frame = cf.frame
-    lines = [
-        f"frame u = {frame.u}",
-        f"frame w = {frame.w}",
-        f"frame l = {frame.ell}",
-        f"frame u^2 = {frame.a_prime} w^2 = {frame.b_prime} l^2 = {frame.gamma_prime}",
-    ]
-    body = _render_terms(cf.main)
-    if cf.tail.terms:
-        tail = f"conj({_render_terms(cf.tail)})*l"
-        body = f"{body} + {tail}" if cf.main.terms else tail
-    lines.append("a_k = " + body)
-    return lines
-
-
-def _print_solution(spec: RecurrenceSpec, cf) -> None:
-    if (isinstance(cf, AssocForm) and isinstance(spec.algebra, FieldContext)
-            and cf.carrier != spec.algebra):
-        print(f"algebra field_sqrt {cf.carrier.d}")
-    for line in render_closed_form(cf):
-        print(line)
+    return cf._lines()
 
 
 def _nonneg(text: str) -> int:
@@ -335,7 +266,11 @@ def run_command(args) -> int:
     try:
         spec = parse_spec_file(_decoded(data))
         if args.command == "solve":
-            _print_solution(spec, solve(spec))
+            cf = solve(spec)
+            if cf.carrier != spec.algebra:  # a promoted field
+                print(f"algebra field_sqrt {cf.carrier.d}")
+            for line in render_closed_form(cf):
+                print(line)
             return 0
         if args.command == "eval":
             cf = solve(spec)

@@ -22,6 +22,13 @@ the sum's first n values, read on integer numerators by `_values`, which
 also proves the evaluator, are checked against the initial values.
 `verify_closed_form` is the independent check against direct iteration.
 
+Each kind of closed form is one subclass of ClosedForm (AssocForm,
+OctSplitForm, CentralForm) that carries all of its own behaviour: its
+`carrier`, the algebra of its values; `_groups` and `_classes`, what its
+evaluator sums and the classes that prove it; `_values`, its first
+values; `_certify`, its proof that it solves the recurrence; and `_lines`,
+its text, which `cli.render_closed_form` prints.  No code tests its kind.
+
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
 share one integer Lucas pair (U_k, U_{k+1}) of s*T and s^2*N
@@ -280,9 +287,10 @@ def _check_values(values, expected, what: str, of: str) -> None:
             raise InternalError(f"{what} gives a_{k} = {got}, not {of} {a}")
 
 
-class _LucasForm:
-    """value(k) of a closed form, by the _LucasSum of its `_groups()`, built
-    on first use and cached on the instance (functools.cached_property would
+class ClosedForm:
+    """The base class of every kind of closed form (see the module
+    docstring).  value(k) is the _LucasSum of its `_groups()`, built on
+    first use and cached on the instance (functools.cached_property would
     take a lock on every access), and first proved against the form's own
     terms (`_values`) at k < deg C: C = prod (x^2 - T*x + N)^m over the
     classes (T, N) of the groups and of the terms' bases (`_classes`), keyed
@@ -297,11 +305,11 @@ class _LucasForm:
             raise ValueError("k must be nonnegative")
         ev = self.__dict__.get("_lucas")
         if ev is None:
-            zero, groups = self._groups()
+            groups = self._groups()
             mult = {key: max(len(S), len(R)) for key, (S, R) in groups.items()}
             for key, m in self._classes():
                 mult[key] = max(mult.get(key, 0), m)
-            ev, n = _LucasSum(zero, groups), 2 * sum(mult.values())
+            ev, n = _LucasSum(self.carrier.zero(), groups), 2 * sum(mult.values())
             _check_values(map(ev, range(n)), self._values(n),
                           "evaluator check failed: the Lucas sum", "the terms' value")
             self.__dict__["_lucas"] = ev
@@ -309,14 +317,14 @@ class _LucasForm:
 
 
 @dataclass(frozen=True)
-class AssocForm(_LucasForm):
+class AssocForm(ClosedForm):
     """Closed form over an associative algebra: a_k = sum of term values."""
 
     carrier: object
     terms: tuple
 
     def _groups(self):
-        return self.carrier.zero(), _term_groups(((self, lambda x: x),))
+        return _term_groups(((self, lambda x: x),))
 
     def _classes(self) -> list:
         return [(_lucas_params(t.base.trace(), t.base.norm()), t.degree + 1) for t in self.terms]
@@ -347,6 +355,13 @@ class AssocForm(_LucasForm):
                 sums[j] = [a * q + y * den for a, y in zip(acc, x)], den * q
         return [_reduced(carrier.value_type, carrier, tuple(acc), den) for acc, den in sums]
 
+    def _certify(self, spec: RecurrenceSpec) -> None:
+        """Every term solves the recurrence, so by left linearity their sum does."""
+        _certify_terms(self, [self.carrier.coerce(r) for r in spec.rhs], "")
+
+    def _lines(self) -> list[str]:
+        return ["a_k = " + _render_terms(self)]
+
 
 def _poly_nums(poly, d: int, count: int) -> tuple[int, list]:
     """(e, [e * p(m) for m < count]) on integer numerators by Horner's rule,
@@ -362,8 +377,46 @@ def _poly_nums(poly, d: int, count: int) -> tuple[int, list]:
     return e, vals
 
 
+def _term_order(terms) -> list:
+    """The terms sorted by base, then poly length, then the poly's
+    coordinates, then right; each value's coordinates are compared as
+    integer numerators over one common denominator of all the terms'
+    values, which orders them as their rational coordinates would."""
+    den = lcm(*[v.den for t in terms for v in (t.base, t.right, *t.poly)])
+
+    def key(t):
+        return (tuple([n * (den // t.base.den) for n in t.base.num]),
+                len(t.poly),
+                tuple([n * (den // c.den) for c in t.poly for n in c.num]),
+                tuple([n * (den // t.right.den) for n in t.right.num]))
+
+    return sorted(terms, key=key)
+
+
+def _render_poly(poly) -> str:
+    parts = []
+    for s in range(len(poly) - 1, -1, -1):
+        c = poly[s]
+        if c.is_zero():
+            continue
+        if s == 0:
+            parts.append(str(c))
+        elif s == 1:
+            parts.append(f"{c}*k")
+        else:
+            parts.append(f"{c}*k^{s}")
+    return " + ".join(parts) if parts else "0"
+
+
+def _render_terms(form: AssocForm) -> str:
+    if not form.terms:
+        return "0"
+    return " + ".join(f"({_render_poly(t.poly)})*({t.base})^k*({t.right})"
+                      for t in _term_order(form.terms))
+
+
 @dataclass(frozen=True)
-class OctSplitForm(_LucasForm):
+class OctSplitForm(ClosedForm):
     """Octonion closed form a_k = frame.join(main(k), conj(tail(k))) =
     main(k) + conj(tail(k)) * ell over a quaternion frame."""
 
@@ -371,9 +424,13 @@ class OctSplitForm(_LucasForm):
     main: AssocForm
     tail: AssocForm
 
+    @property
+    def carrier(self):
+        return self.frame.oct
+
     def _groups(self):
         join = self.frame.join
-        return self.frame.oct.zero(), _term_groups(
+        return _term_groups(
             ((self.main, lambda x: join(x, 0)), (self.tail, lambda x: join(0, x.conj()))))
 
     def _classes(self) -> list:
@@ -383,9 +440,34 @@ class OctSplitForm(_LucasForm):
         return [self.frame.join(m, t.conj())
                 for m, t in zip(self.main._values(n), self.tail._values(n))]
 
+    def _certify(self, spec: RecurrenceSpec) -> None:
+        """rhs[j] must be join(r_j, 0) for a frame quaternion r_j, main must
+        solve the recurrence with the r_j and tail the one with conj(r_j);
+        the frame identities, proved by the doubling lemma's shape and Gram
+        test (`_certify_frame`), then carry both to a_k = join(main(k),
+        conj(tail(k))), and with central r_j linearity alone does."""
+        rhs = [self.frame.decompose(r)[0] for r in spec.rhs]
+        for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
+            if self.frame.join(q, 0) != r:
+                raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
+        if not all(r.is_central() for r in spec.rhs):
+            _certify_frame(spec.algebra, self.frame)
+        _certify_terms(self.main, rhs, "main ")
+        _certify_terms(self.tail, [r.conj() for r in rhs], "tail ")
+
+    def _lines(self) -> list[str]:
+        frame = self.frame
+        body = _render_terms(self.main)
+        if self.tail.terms:
+            tail = f"conj({_render_terms(self.tail)})*l"
+            body = f"{body} + {tail}" if self.main.terms else tail
+        return [f"frame u = {frame.u}", f"frame w = {frame.w}", f"frame l = {frame.ell}",
+                f"frame u^2 = {frame.a_prime} w^2 = {frame.b_prime} l^2 = {frame.gamma_prime}",
+                "a_k = " + body]
+
 
 @dataclass(frozen=True)
-class CentralForm(_LucasForm):
+class CentralForm(ClosedForm):
     """a_k = U_k*a1 - n*U_{k-1}*a0 for a_{k+2} = t*a_{k+1} - n*a_k with
     rational t and n, in any carrier, U the Lucas sequence of (t, n).  Its
     `_LucasSum` is the one group S = [a0], R = [t*a0 - a1], since
@@ -398,8 +480,7 @@ class CentralForm(_LucasForm):
     a1: object
 
     def _groups(self):
-        return self.carrier.zero(), {_lucas_params(self.t, self.n): (
-            [self.a0], [self.a0 * self.t - self.a1])}
+        return {_lucas_params(self.t, self.n): ([self.a0], [self.a0 * self.t - self.a1])}
 
     def _classes(self) -> list:
         return [(_lucas_params(self.t, self.n), 1)]
@@ -410,8 +491,16 @@ class CentralForm(_LucasForm):
             out.append(out[-1] * self.t - out[-2] * self.n)
         return out
 
+    def _certify(self, spec: RecurrenceSpec) -> None:
+        """It solves a_{k+2} = t*a_{k+1} - n*a_k, as its rational U does, so
+        it solves the recurrence if rhs = (-n, t)."""
+        if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):
+            raise InternalError(f"certificate failed: the Lucas form solves a_(k+2) = "
+                                f"{self.t}*a_(k+1) - {self.n}*a_k, not the recurrence")
 
-ClosedForm = AssocForm | OctSplitForm | CentralForm
+    def _lines(self) -> list[str]:
+        return ["a_k = U_k*a_1 - n*U_(k-1)*a_0 for U_0 = 0, U_1 = 1, U_(k+2) = t*U_(k+1) "
+                f"- n*U_k with t = {self.t}, n = {self.n}, a_0 = {self.a0}, a_1 = {self.a1}"]
 
 
 @dataclass(frozen=True)
@@ -665,35 +754,11 @@ def _certify_frame(alg: OctonionAlgebra, frame) -> None:
 
 def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     """Prove that cf gives the recurrence's a_k for every k, or raise
-    InternalError naming the failing term or initial value.
-
-    Every term solves the recurrence, so by left linearity their sum does,
-    and a solution is fixed by its first n values; a CentralForm solves
-    a_{k+2} = t*a_{k+1} - n*a_k as its rational U does, so rhs = (-n, t)
-    and init = (a0, a1) prove it.  For an OctSplitForm, rhs[j] must be
-    join(r_j, 0) for a frame quaternion r_j, main must solve the recurrence
-    with the r_j and tail the one with conj(r_j); the frame identities, proved
-    by the doubling lemma's shape and Gram test (`_certify_frame`), then
-    carry both to a_k = join(main(k), conj(tail(k))), and with central r_j
-    linearity alone does.  The first n values are the form's `_values`,
-    which also proves its evaluator when it is built (`_LucasForm.value`),
-    so no evaluator is built here and nothing is kept on cf.
-    """
-    if isinstance(cf, CentralForm):
-        if spec.rhs != (cf.carrier.coerce(-cf.n), cf.carrier.coerce(cf.t)):
-            raise InternalError(f"certificate failed: the Lucas form solves a_(k+2) = "
-                                f"{cf.t}*a_(k+1) - {cf.n}*a_k, not the recurrence")
-    elif isinstance(cf, OctSplitForm):
-        rhs = [cf.frame.decompose(r)[0] for r in spec.rhs]
-        for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
-            if cf.frame.join(q, 0) != r:
-                raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
-        if not all(r.is_central() for r in spec.rhs):
-            _certify_frame(spec.algebra, cf.frame)
-        _certify_terms(cf.main, rhs, "main ")
-        _certify_terms(cf.tail, [r.conj() for r in rhs], "tail ")
-    else:
-        _certify_terms(cf, [cf.carrier.coerce(r) for r in spec.rhs], "")
+    InternalError naming the failing term or initial value: cf's own
+    `_certify` proves that it solves the recurrence, and a solution is fixed
+    by its first n values, cf's `_values`, which builds no evaluator, so
+    nothing is kept on cf."""
+    cf._certify(spec)
     _check_values(cf._values(spec.order), spec.init,
                   "certificate failed: the closed form", "the initial value")
 

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
     reason: str = ""  # for an equivalent mutant: why nothing changes
 
 
-ALG, POLY, SOLVER = "algebra.py", "poly.py", "solver.py"
+ALG, POLY, SCALAR, SOLVER = "algebra.py", "poly.py", "scalar.py", "solver.py"
 # the doubling lemma's seven pairs (i, j) of the frame f = (1, u, w, u*w,
 # ell, u*ell, w*ell, (u*w)*ell), as _frame_basis lists them
 PAIRS = ("(1, 0)", "(2, 0)", "(2, 1)", "(4, 0)", "(4, 1)", "(4, 2)", "(4, 3)")
@@ -58,6 +58,35 @@ def _pairs(skip=None) -> str:
 
 
 MUTANTS = [
+    # the arithmetic kernels that the solver, the certificate and
+    # iterate_oracle all multiply and reduce through
+    Mutant("quaternion product with the sign of its AB term flipped", ALG,
+           "- AB * (z1 * z2),", "+ AB * (z1 * z2),",
+           ("tests/test_algebra.py::test_multiplication_table",)),
+    Mutant("quaternion product with its e3 cross term reversed", ALG,
+           "x1 * y2 - y1 * x2))", "y1 * x2 - x1 * y2))",
+           ("tests/test_algebra.py::test_multiplication_table",)),
+    Mutant("octonion product takes t*q as q*t", ALG,
+           "_quat_mul(c, t, q)", "_quat_mul(c, q, t)",
+           ("tests/test_algebra.py::test_nonzero_associator",)),
+    Mutant("octonion product with gamma's sign flipped", ALG,
+           "Gd * a + G * b", "Gd * a - G * b",
+           ("tests/test_algebra.py::test_doubling_unit",)),
+    Mutant("Q(sqrt(d)) product without d", SCALAR,
+           "u1 * u2 + d * (v1 * v2)", "u1 * u2 + (v1 * v2)",
+           ("tests/test_scalar.py::test_quadratic_multiplication",)),
+    Mutant("sum never reduced", SCALAR,
+           "return _reduced(self.__class__, self.carrier, num, self.den * s1, g)",
+           "return _make(self.__class__, self.carrier, num, self.den * s1)",
+           ("tests/test_scalar.py::test_field_axioms",)),
+    Mutant("scaling without its numerator gcd", SCALAR,
+           "g1, g2 = gcd(p, den), gcd(q, *num)", "g1, g2 = gcd(p, den), 1",
+           ("tests/test_algebra.py::test_octonion_scaling_is_coordinatewise",)),
+    Mutant("inverse without D", SCALAR, "s = D * self.den", "s = self.den",
+           ("tests/test_solver.py::test_lucas_evaluator_matches_powers_and_iteration",)),
+    Mutant("reduction keeps a negative denominator", SCALAR,
+           "        if den < 0:\n            g = -g\n", "",
+           ("tests/test_scalar.py::test_field_axioms",)),
     # the integer root search: its prime must not divide the discriminant
     Mutant("root search takes p = 3 even when 3 divides the discriminant", POLY,
            "if disc % p and all(", "if all(",
@@ -110,6 +139,35 @@ MUTANTS = [
     Mutant("lam's power advances only while 0 < j < 2", SOLVER,
            "if j:\n", "if 0 < j < 2:\n",
            ("tests/test_solver.py::test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind",)),
+    # the certificate of each form kind (its `_certify`, then the first n
+    # values in solver._certify)
+    Mutant("Lucas form compares only rhs[1]", SOLVER,
+           "if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):",
+           "if spec.rhs[1] != self.carrier.coerce(self.t):",
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
+    Mutant("Lucas form compares only rhs[0]", SOLVER,
+           "if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):",
+           "if spec.rhs[0] != self.carrier.coerce(-self.n):",
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
+    Mutant("initial values not compared", SOLVER,
+           "cf._values(spec.order), spec.init,", "spec.init, spec.init,",
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
+    Mutant("octonion rhs-in-frame test skipped", SOLVER,
+           "if self.frame.join(q, 0) != r:", "if False:",
+           ("tests/test_solver.py::test_certificate_checks_the_frame",)),
+    Mutant("octonion frame not proved for non-central rhs", SOLVER,
+           "_certify_frame(spec.algebra, self.frame)", "pass",
+           ("tests/test_solver.py::test_certificate_checks_the_frame",)),
+    Mutant("octonion tail proved with rhs, not conj(rhs)", SOLVER,
+           '_certify_terms(self.tail, [r.conj() for r in rhs], "tail ")',
+           '_certify_terms(self.tail, rhs, "tail ")',
+           ("tests/test_solver.py::test_octonion_two_distinct_roots",)),
+    Mutant("octonion main part not proved", SOLVER,
+           '_certify_terms(self.main, rhs, "main ")', "pass",
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
+    Mutant("octonion tail not proved", SOLVER,
+           '_certify_terms(self.tail, [r.conj() for r in rhs], "tail ")', "pass",
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
     # the certificate's term proof (_certify_terms)
     Mutant("term residual checked at k = 0 only", SOLVER,
            "for k in range(d + 1):", "for k in range(1):",
@@ -143,7 +201,7 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
-    Mutant("central hash maps -1 to -2 itself", "scalar.py",
+    Mutant("central hash maps -1 to -2 itself", SCALAR,
            "return h if n >= 0 else -h",
            "h = h if n >= 0 else -h\n        return -2 if h == -1 else h",
            ("tests/test_scalar.py::test_central_values_hash_like_their_fractions",

@@ -17,14 +17,13 @@ from skewrec import (
     ValidationError,
 )
 from skewrec.cli import (
-    _term_order,
     main,
     parse_spec_file,
     render_closed_form,
     render_spec,
 )
 from skewrec import solver
-from skewrec.solver import Term, solve
+from skewrec.solver import Term, _term_order, solve
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 

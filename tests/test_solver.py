@@ -543,21 +543,28 @@ def _certifies(spec, cf):
     return True
 
 
-def _corrupted(cf):
-    """Every form that differs from cf in one term: right + 1, base + 1, or
-    an extra power of k in the coefficient polynomial; for a CentralForm,
-    every one that differs in one of t, n, a0 and a1 by 1."""
+def _corrupted(cf, n):
+    """Every form that differs from cf in one term: right + 1, base + 1, an
+    extra power of k in the coefficient polynomial, or k*(k-1)*...*(k-n+1)
+    added to that polynomial, which keeps a_0..a_{n-1} and so leaves the
+    term proofs alone to see it; for a CentralForm, every one that differs
+    in one of t, n, a0 and a1 by 1."""
     if isinstance(cf, CentralForm):
         for field in ("t", "n", "a0", "a1"):
             yield dataclasses.replace(cf, **{field: getattr(cf, field) + 1})
         return
+    falling, _ = solver._binom_coeffs(n)
 
     def variants(form, rebuild):
         for i, t in enumerate(form.terms):
             one = form.carrier.one()
+            kept = list(t.poly) + [form.carrier.zero()] * (len(falling) - len(t.poly))
+            for s, c in enumerate(falling):
+                kept[s] = kept[s] + c
             for bad in (Term(t.poly, t.base, t.right + 1),
                         Term(t.poly, t.base + 1, t.right),
-                        Term(t.poly + (one,), t.base, t.right)):
+                        Term(t.poly + (one,), t.base, t.right),
+                        Term(tuple(kept), t.base, t.right)):
                 yield rebuild(AssocForm(form.carrier, form.terms[:i] + (bad,) + form.terms[i + 1:]))
 
     if isinstance(cf, AssocForm):
@@ -621,7 +628,7 @@ def test_certificate_rejects_what_iteration_rejects():
     for spec in _certificate_specs():
         cf = solve(spec)
         assert _certifies(spec, cf) and verify_closed_form(spec, cf, 16).ok
-        for bad in _corrupted(cf):
+        for bad in _corrupted(cf, spec.order):
             assert _certifies(spec, bad) == verify_closed_form(spec, bad, 16).ok
             mutants += 1
     assert mutants >= 250
