@@ -8,15 +8,15 @@ Spec files are line oriented, one key per line, '#' starting a comment:
     init E0 E1 ... E{N-1}
     roots E [mult] E [mult] ...   # optional user-supplied roots
 
-Scalar literals are INT, INT/POSINT, or U+V*rt (rt meaning sqrt(D) of a
-field_sqrt context), with ASCII digits only.  Quaternions are [w,x,y,z],
-octonions [s0,...,s7], with scalar entries and no internal spaces; such an
-element of INT and INT/POSINT entries is read by one regular-expression
-match, and any other token by the positioned reader, which places each
-error at its column.  On a
-roots line, a bare positive integer directly after an element is read as
-that root's multiplicity; write "roots 1 1 2 1" to give the two simple
-roots 1 and 2.
+Each value token, and each algebra parameter, is read by its carrier's
+`read`, the inverse of `str` on its values (`scalar`): scalar literals
+INT, INT/POSINT, or U+V*rt (rt meaning sqrt(D) of a field_sqrt context),
+with ASCII digits only; quaternions [w,x,y,z] and octonions [s0,...,s7],
+with scalar entries and no internal spaces.  This module holds the spec
+grammar only, and places a reader's ParseError at its token's line and
+column.  On a roots line, a bare positive integer directly after an
+element is read as that root's multiplicity; write "roots 1 1 2 1" to give
+the two simple roots 1 and 2.
 
 All output is exact.  Exit status: 0 for success or PASS, 1 for FAIL or a
 solver failure, 2 for usage, parse or validation errors.
@@ -27,10 +27,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from math import lcm
 
-from .errors import ContextMismatch, ParseError, SkewrecError, ValidationError
-from .scalar import INT_LITERAL, FieldContext, _from_ratios, _reduced, read_literal
+from .errors import ParseError, SkewrecError, ValidationError
+from .scalar import INT_LITERAL, FieldContext
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .solver import (
     RecurrenceSpec,
@@ -43,50 +42,12 @@ from .solver import (
 _KEYS = ("algebra", "order", "rhs", "init", "roots")
 
 
-def _literal(token: str, ctx: FieldContext, line: int, col: int) -> tuple[tuple, int]:
-    """`read_literal` of a token that starts at col, its errors placed there."""
+def _read(carrier, token: str, line: int, col: int):
+    """carrier.read(token) for a token at (line, col), its ParseError placed there."""
     try:
-        return read_literal(token, ctx)
+        return carrier.read(token)
     except ParseError as exc:  # exc.col counts from the token's start
         raise ParseError(exc.reason, line, col + exc.col) from exc
-    except ContextMismatch as exc:
-        raise ParseError(str(exc), line, col) from exc
-
-
-# an algebra's [c0,...] literal of `dim` coordinates INT or INT/POSINT, read
-# by one match into (numerator, denominator) groups; any other token, a '+'
-# on a denominator among them, goes to the positioned reader, which reads it
-# or raises the ParseError at its column
-_RAT = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?"
-_ELEMENT = {dim: re.compile(r"\[" + ",".join([_RAT] * dim) + r"\]")
-            for dim in (QuaternionAlgebra.dim, OctonionAlgebra.dim)}
-
-
-def _parse_element(token: str, algebra, line: int, col: int):
-    """A field literal, or an algebra's [c0,...] literal over its rational
-    coordinates, read to integers and put over one denominator."""
-    if isinstance(algebra, FieldContext):
-        return _reduced(algebra.value_type, algebra, *_literal(token, algebra, line, col))
-    arity = algebra.dim
-    m = _ELEMENT[arity].fullmatch(token)
-    if m:
-        g = m.groups()
-        qs = [int(q) if q else 1 for q in g[1::2]]
-        den = lcm(*qs)
-        return _reduced(algebra.value_type, algebra,
-                        tuple([int(p) * (den // q) for p, q in zip(g[::2], qs)]), den)
-    if not (token.startswith("[") and token.endswith("]")):
-        raise ParseError(f"expected a {arity}-component [..] literal", line, col)
-    parts = token[1:-1].split(",")
-    if len(parts) != arity:
-        raise ParseError(f"expected {arity} components, got {len(parts)}", line, col)
-    ratios = []
-    offset = col + 1
-    for part in parts:
-        (p,), q = _literal(part, algebra.ctx, line, offset)
-        ratios.append((p, q))
-        offset += len(part) + 1
-    return _from_ratios(algebra, ratios)
 
 
 def _int_token(text: str) -> int | None:
@@ -108,11 +69,6 @@ def _parse_algebra(rest: str, line: int, col: int):
         raise ParseError("empty algebra line", line, col)
     name = toks[0][0]
     rational = FieldContext()
-
-    def frac(tok):  # a malformed literal at its own column, as in _parse_element
-        (n,), d = _literal(tok[0], rational, line, tok[1])
-        return n if d == 1 else rational.ratio(n, d)
-
     try:
         if name == "field" and len(toks) == 1:
             return rational
@@ -121,10 +77,11 @@ def _parse_algebra(rest: str, line: int, col: int):
             if d is None:  # worded as int()'s own error
                 raise ValueError(f"invalid literal for int() with base 10: {toks[1][0]!r}")
             return FieldContext(d)
-        if name == "quaternion" and len(toks) == 3:
-            return QuaternionAlgebra(frac(toks[1]), frac(toks[2]))
-        if name == "octonion" and len(toks) == 4:
-            return OctonionAlgebra(frac(toks[1]), frac(toks[2]), frac(toks[3]))
+        if (name, len(toks)) in (("quaternion", 3), ("octonion", 4)):
+            # each parameter a rational, a malformed one placed at its own column
+            params = [_read(rational, tok, line, tcol) for tok, tcol in toks[1:]]
+            algebra = QuaternionAlgebra if name == "quaternion" else OctonionAlgebra
+            return algebra(*params)
     except (ValueError, ValidationError) as exc:
         raise ParseError(f"bad algebra parameters: {exc}", line, col) from exc
     raise ParseError(f"unknown algebra form {rest!r}", line, col)
@@ -163,7 +120,7 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
     def elements(key):
         rest, lineno, col = seen[key]
         return [
-            _parse_element(tok, algebra, lineno, tcol)
+            _read(algebra, tok, lineno, tcol)
             for tok, tcol in _tokenize(rest, col)
         ]
 
@@ -178,7 +135,7 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
         i = 0
         while i < len(toks):
             tok, tcol = toks[i]
-            elem = _parse_element(tok, algebra, lineno, tcol)
+            elem = _read(algebra, tok, lineno, tcol)
             i += 1
             mult = 1
             nxt = toks[i][0] if i < len(toks) else ""

@@ -419,10 +419,14 @@ def _checked_multiplicities(rootdata) -> tuple:
 
 
 def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
-    """U from `chain_matrix` and its inverse in the algebra, for root data
-    whose multiplicities are ints >= 1.  The result is not checked here;
-    solve builds its closed forms from the same chains (`_chain_matrix`)
-    and certifies them (solver._certify)."""
+    """U from `chain_matrix` and its inverse in the algebra, for a companion
+    matrix A and root data whose multiplicities are ints >= 1.  Each chain
+    starts at (1, lam, ..., lam^(n-1)), which is an eigenvector only when
+    rows 0..n-2 of A are the shift rows, so any other A is a ValueError.
+    The result is not checked here; solve builds its closed forms from the
+    same chains (`_chain_matrix`) and certifies them (solver._certify)."""
+    if any(a.entry(i, j) != int(j == i + 1) for i in range(a.rows - 1) for j in range(a.cols)):
+        raise ValueError("jordan_from_roots needs a companion matrix, rows 0..n-2 the shift rows")
     rootdata = _checked_multiplicities(rootdata)
     u = chain_matrix(a, rootdata)
     try:

@@ -11,8 +11,8 @@ by the only common factor it can have, not by a gcd against its whole
 denominator: a sum over lcm(d1, d2) by a divisor of g = gcd(d1, d2), as a
 prime with a higher power in one operand's denominator leaves some
 numerator of the sum prime to it; a product of a narrow factor z with
-N(z) != 0 and a wide one by a divisor of W_0 * d_z * gcd(d_o, W_0 * m_z),
-as conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x.  A scalar of Q is
+N(z) != 0 and a wide one by a divisor of W_0 * d_z * gcd(d_o, m_z), as
+conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x.  A scalar of Q is
 (u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
 (u + v*sqrt(d)) / den.  In the same way `Carrier` holds what every
 carrier (`FieldContext` here, the quaternion and octonion algebras) does
@@ -25,10 +25,13 @@ product of two numerator tuples, over W_0 times the two denominators: the
 formula its value class multiplies by (`_field_mul` here), which the
 solver's integer root tests and chain systems run on.
 Values print from their numerators by `rational_str`, which gives the
-text of `str(Fraction(n, d))`.  `_lucas` gives the integer Lucas pairs
-from which the solver evaluates closed forms.  Numerators and
-denominators are arbitrary-precision, so closed forms evaluated at large
-k never overflow.  There is no floating point anywhere in this package.
+text of `str(Fraction(n, d))`, and each carrier's `read` reads that text
+back, so that carrier.read(str(x)) == x: a scalar literal of the field,
+or [c0,...] over the base field for an algebra.  `_lucas` gives the
+integer Lucas pairs from which the solver evaluates closed forms.
+Numerators and denominators are arbitrary-precision, so closed forms
+evaluated at large k never overflow.  There is no floating point anywhere
+in this package.
 """
 
 from __future__ import annotations
@@ -56,6 +59,40 @@ def rational_str(n: int, d: int) -> str:
         g = -g
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+# an optionally signed integer of ASCII digits: the scanner of literals and
+# of the cli's integer fields; a root's multiplicity is read by
+# str.isdigit, so that "+2" after a root stays an element
+INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_int(s: str, p: int) -> tuple[int, int]:
+    """The optionally signed integer of ASCII digits [0-9] that starts at
+    s[p], and the index just past it; ParseError at col p if there is none."""
+    m = INT_LITERAL.match(s, p)
+    if m is None:
+        raise ParseError("expected an integer", col=p)
+    return int(m[0]), m.end()
+
+
+def _read_rat(s: str, p: int) -> tuple[int, int, int]:
+    """(numerator, denominator, end) of the rational literal at s[p]."""
+    num, q = _read_int(s, p)
+    if q < len(s) and s[q] == "/":
+        den, end = _read_int(s, q + 1)
+        if den <= 0:
+            raise ParseError("denominator must be a positive integer", col=q + 1)
+        return num, den, end
+    return num, 1, q
+
+
+# an algebra's [c0,...] literal of `dim` coordinates INT or INT/POSINT, for
+# the quaternion and octonion algebras, read by one match into (numerator,
+# denominator) groups; `Carrier.read` gives any other text, a '+' on a
+# denominator among them, to its positioned reader
+_RAT = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?"
+_ELEMENT = {dim: re.compile(r"\[" + ",".join([_RAT] * dim) + r"\]") for dim in (4, 8)}
 
 
 def _ratio_sqrt(n: int, d: int) -> tuple[int, int] | None:
@@ -237,7 +274,7 @@ class IntValue:
     (num, den).  `_make` builds a value from that canonical pair as given;
     a result that may need reducing is built by `_reduced`, with its gcd
     against the factor that can cancel where one is known: gcd(d1, d2) for
-    a sum (`_sum`) and W_0 * d_z * gcd(d_o, W_0 * m_z) for a product with a
+    a sum (`_sum`) and W_0 * d_z * gcd(d_o, m_z) for a product with a
     narrow factor z (`_product`); a scaling by p/q divides out gcd(p, den)
     and gcd(q, *num), as a Fraction product does (`_scaled`).  Values are
     never mutated.  A subclass supplies `__mul__`, through `_product`; the
@@ -415,6 +452,7 @@ class IntValue:
         return not self.is_zero()
 
     def __str__(self):
+        """[c0,...]: the text that `carrier.read` reads back."""
         den = self.den
         return "[" + ",".join([rational_str(n, den) for n in self.num]) + "]"
 
@@ -465,16 +503,20 @@ def _product(x, y, num: tuple):
     numerators over W_0 * x.den * y.den, W the carrier's `weights`.
 
     When one denominator is wider than 64 bits and the other, d_z of the
-    factor z, is not, the gcd is taken against W_0 * d_z * gcd(d_o, W_0 *
-    m_z) instead, o the other factor and m_z = W_0 * d_z^2 * N(z)
-    (`_norm_parts`): two gcds against small numbers.  Every composition
-    algebra has conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x (from the
-    alternative laws, so octonions and split algebras too), which on
-    numerators says that the gcd g of num and the denominator divides
-    W_0 * m_z * num(o); a prime of d_o leaves some numerator of o prime to
-    it, so it divides g at most as often as W_0 * m_z.  A zero divisor z
-    (m_z = 0) gets gcd(d_o, 0) = d_o, the whole denominator again, and
-    every other product takes the gcd against the whole denominator."""
+    factor z, is not, the gcd is taken against B = W_0 * d_z * gcd(d_o,
+    m_z), a divisor of the denominator, instead, o the other factor and
+    m_z = W_0 * d_z^2 * N(z) (`_norm_parts`): two gcds against small
+    numbers.  The gcd g of num and the denominator divides B: in every
+    composition algebra conj(z)(zo) = N(z) o = (oz) conj(z) (from the
+    alternative laws, so octonions and split algebras too), and over
+    W_0^2 * d_z^2 * d_o these have integer combinations of num as
+    numerators, and also W_0 * m_z * num(o)_i, which g thus divides.  A
+    prime p of d_o leaves some num(o)_i prime to p, as o is reduced, so
+    v_p(g) <= min(v_p(W_0 d_z d_o), v_p(W_0 m_z)) <= v_p(W_0 d_z) +
+    min(v_p(d_o), v_p(m_z)) = v_p(B); any other prime divides g at most as
+    often as it divides W_0 * d_z.  A zero divisor z (m_z = 0) gets
+    gcd(d_o, 0) = d_o, the whole denominator again, and every other
+    product takes the gcd against the whole denominator."""
     carrier = x.carrier
     w0 = carrier.weights[0]
     dz, do = x.den, y.den
@@ -484,7 +526,7 @@ def _product(x, y, num: tuple):
             x, dz, do = y, do, dz
         if not dz >> 64:
             m, _ = x._norm_parts()
-            return _reduced(x.__class__, carrier, num, den, w0 * dz * gcd(do, w0 * m))
+            return _reduced(x.__class__, carrier, num, den, w0 * dz * gcd(do, m))
     return _reduced(x.__class__, carrier, num, den)
 
 
@@ -544,8 +586,7 @@ class ScalarValue(IntValue):
         return None
 
     def __str__(self):
-        """Canonical text: read_literal(str(x), x.carrier) gives x's
-        numerators and denominator times one common factor."""
+        """Canonical text: x.carrier.read(str(x)) == x."""
         num, den = self.num, self.den
         if self.is_central():
             return rational_str(num[0], den)
@@ -585,6 +626,32 @@ class Carrier:
         if len(ratios) != self.dim:
             raise ValueError(f"{self} needs {self.dim} coordinates, got {len(ratios)}")
         return _from_ratios(self, ratios)
+
+    def read(self, text: str):
+        """The value whose `str` is text, so that read(str(x)) == x: [c0,...]
+        with no spaces, `dim` literals of the base field (`ctx.read`), read by
+        one match of `_ELEMENT` when all are INT or INT/POSINT, else by the
+        positioned reader, whose ParseError col counts from text's start."""
+        m = _ELEMENT[self.dim].fullmatch(text)
+        if m:
+            g = m.groups()
+            qs = [int(q) if q else 1 for q in g[1::2]]
+            den = lcm(*qs)
+            num = tuple([int(p) * (den // q) for p, q in zip(g[::2], qs)])
+            return _reduced(self.value_type, self, num, den)
+        if not (text.startswith("[") and text.endswith("]")):
+            raise ParseError(f"expected a {self.dim}-component [..] literal", col=0)
+        parts = text[1:-1].split(",")
+        if len(parts) != self.dim:
+            raise ParseError(f"expected {self.dim} components, got {len(parts)}", col=0)
+        coords, col = [], 1
+        for part in parts:
+            try:
+                coords.append(self.ctx.read(part))
+            except ParseError as exc:  # exc.col counts from the part's start
+                raise ParseError(exc.reason, col=col + exc.col) from exc
+            col += len(part) + 1
+        return self.element(coords)
 
     def basis(self) -> list:
         """1, e1, ...: the values with one coordinate 1 and the others 0."""
@@ -649,6 +716,30 @@ class FieldContext(Carrier):
         """The scalar p/q, for integers p and q != 0."""
         return _reduced(ScalarValue, self, (p, 0)[:self.dim], q)
 
+    def read(self, text: str) -> ScalarValue:
+        """The scalar whose `str` is text, so that read(str(x)) == x: INT,
+        INT/POSINT or RAT(+|-)RAT*rt, rt meaning sqrt(d), in ASCII digits.
+        A ParseError's col counts from the start of the stripped text; a
+        '*rt' literal of Q is one at col 0."""
+        s = text.strip()
+        if not s:
+            raise ParseError("empty scalar literal", col=0)
+        a, b, pos = _read_rat(s, 0)
+        if pos == len(s):
+            return self.ratio(a, b)
+        if s[pos] not in "+-":
+            raise ParseError("expected '+', '-' or end of literal", col=pos)
+        sign = -1 if s[pos] == "-" else 1
+        c, e, pos = _read_rat(s, pos + 1)
+        if not s.startswith("*rt", pos):
+            raise ParseError("expected '*rt'", col=pos)
+        pos += 3
+        if pos != len(s):
+            raise ParseError("trailing characters after '*rt'", col=pos)
+        if self.d is None:
+            raise ParseError("'*rt' literal used in a rational context", col=0)
+        return _reduced(ScalarValue, self, (a * e, sign * c * b), b * e)
+
     def key(self) -> tuple:
         return (self.d,)
 
@@ -656,56 +747,3 @@ class FieldContext(Carrier):
         if self.d is None:
             return "Q"
         return f"Q(rt{self.d})"
-
-
-# an optionally signed integer of ASCII digits: the scanner of literals and
-# of the cli's integer fields; a root's multiplicity is read by
-# str.isdigit, so that "+2" after a root stays an element
-INT_LITERAL = re.compile(r"[+-]?[0-9]+")
-
-
-def _read_int(s: str, p: int) -> tuple[int, int]:
-    """The optionally signed integer of ASCII digits [0-9] that starts at
-    s[p], and the index just past it; ParseError at col p if there is none."""
-    m = INT_LITERAL.match(s, p)
-    if m is None:
-        raise ParseError("expected an integer", col=p)
-    return int(m[0]), m.end()
-
-
-def _read_rat(s: str, p: int) -> tuple[int, int, int]:
-    """(numerator, denominator, end) of the rational literal at s[p]."""
-    num, q = _read_int(s, p)
-    if q < len(s) and s[q] == "/":
-        den, end = _read_int(s, q + 1)
-        if den <= 0:
-            raise ParseError("denominator must be a positive integer", col=q + 1)
-        return num, den, end
-    return num, 1, q
-
-
-def read_literal(text: str, ctx: FieldContext) -> tuple[tuple, int]:
-    """The scalar literal INT, INT/POSINT, or RAT(+|-)RAT*rt (rt meaning
-    sqrt(d)) of ctx as integers (num, den): num holds ctx.dim numerators
-    over den > 0, not yet reduced.  Digits are ASCII; a ParseError's col
-    counts from the start of the stripped text.  It reads back the text
-    `str` gives a ScalarValue of ctx."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty scalar literal", col=0)
-    a, b, pos = _read_rat(s, 0)
-    if pos == len(s):
-        return (a, 0)[:ctx.dim], b
-    if s[pos] not in "+-":
-        raise ParseError("expected '+', '-' or end of literal", col=pos)
-    sign = -1 if s[pos] == "-" else 1
-    c, e, pos = _read_rat(s, pos + 1)
-    if not s.startswith("*rt", pos):
-        raise ParseError("expected '*rt'", col=pos)
-    pos += 3
-    if pos != len(s):
-        raise ParseError("trailing characters after '*rt'", col=pos)
-    if ctx.d is None:
-        raise ContextMismatch("'*rt' literal used in a rational context")
-    return (a * e, sign * c * b), b * e
-

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
     reason: str = ""  # for an equivalent mutant: why nothing changes
 
 
-ALG, POLY, SCALAR, SOLVER = "algebra.py", "poly.py", "scalar.py", "solver.py"
+ALG, MATLIN, POLY, SCALAR, SOLVER = "algebra.py", "matlin.py", "poly.py", "scalar.py", "solver.py"
 # the doubling lemma's seven pairs (i, j) of the frame f = (1, u, w, u*w,
 # ell, u*ell, w*ell, (u*w)*ell), as _frame_basis lists them
 PAIRS = ("(1, 0)", "(2, 0)", "(2, 1)", "(4, 0)", "(4, 1)", "(4, 2)", "(4, 3)")
@@ -117,6 +117,12 @@ MUTANTS = [
     Mutant("class root taken as Y * conj(X), a right quotient", POLY,
            "consts, _conj4(X), Y)", "consts, Y, _conj4(X))",
            ("tests/test_poly.py::test_quadratic_roots_two_distinct_classes",)),
+    # the public Jordan form's chains start at eigenvectors of a companion
+    # matrix only
+    Mutant("jordan_from_roots takes a matrix that is not a companion matrix", MATLIN,
+           "if any(a.entry(i, j)", "if False and any(a.entry(i, j)",
+           ("tests/test_matlin.py::"
+            "test_jordan_from_roots_refuses_a_matrix_that_is_not_a_companion_matrix",)),
     # the chain step of the solver's Jordan form is the m x m companion step
     Mutant("flattened sylvester_chain_solve put back as the chain step", SOLVER,
            "lambda i, v: _companion_step(\n        spec.rhs, rootdata[i][0], inv_pows[i][1], v))",

@@ -333,20 +333,21 @@ NEAR_MISSES = ["1/0", "3/00", "2/-3", "2/+3", "-2/+3", "+7/+1", "0/+05", "1+2*rt
 
 
 def _read_element(token, alg):
-    """_parse_element's value, or its ParseError as (line, col, reason)."""
-    from skewrec.cli import _parse_element
+    """alg.read's value for a token at line 7, col 3, as the spec reader
+    places it, or its ParseError as (line, col, reason)."""
+    from skewrec.cli import _read
 
     try:
-        return _parse_element(token, alg, 7, 3)
+        return _read(alg, token, 7, 3)
     except ParseError as exc:
         return (exc.line, exc.col, exc.reason)
 
 
 def _read_by_the_positioned_reader(token, alg):
-    from skewrec import cli
+    from skewrec import scalar
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_ELEMENT", {alg.dim: re.compile(r"(?!)")})
+        mp.setattr(scalar, "_ELEMENT", {alg.dim: re.compile(r"(?!)")})
         return _read_element(token, alg)
 
 
@@ -363,17 +364,17 @@ def test_element_reader_agrees_with_the_positioned_reader(alg, data):
 
 
 def test_element_reader_leaves_every_near_miss_to_the_positioned_reader():
-    from skewrec import cli
+    from skewrec import scalar
 
     alg = QuaternionAlgebra(-1, -1)
     for bad in NEAR_MISSES:
         for token in (f"[{bad},1,-2,3/4]", f"[1,-2,3/4,{bad}]"):
-            assert not cli._ELEMENT[4].fullmatch(token)
+            assert not scalar._ELEMENT[4].fullmatch(token)
             assert _read_element(token, alg) == _read_by_the_positioned_reader(token, alg)
     # a '+' on a denominator is the reader's to accept
     assert _read_element("[1/+3,0,0,0]", alg) == alg.element([Fraction(1, 3), 0, 0, 0])
     token = "[-3/004,+2,0,7/21]"
-    assert cli._ELEMENT[4].fullmatch(token)
+    assert scalar._ELEMENT[4].fullmatch(token)
     assert _read_element(token, alg) == alg.element([Fraction(-3, 4), 2, 0, Fraction(1, 3)])
 
 

@@ -210,6 +210,17 @@ def test_jordan_from_roots_errors():
         jordan_from_roots(a, [(J, 1), (J, 1)])  # identical chains
 
 
+def test_jordan_from_roots_refuses_a_matrix_that_is_not_a_companion_matrix():
+    # diag(i, j) has eigenvectors e_0 and e_1, not (1, i) and (1, j): the
+    # chains would give a U with U*J*U^-1 != A
+    diag = DMatrix(2, 2, [I, H.zero(), H.zero(), J])
+    with pytest.raises(ValueError, match="needs a companion matrix"):
+        jordan_from_roots(diag, [(I, 1), (J, 1)])
+    # chain_matrix stays general, and its chains do not diagonalize diag
+    u = chain_matrix(diag, [(I, 1), (J, 1)])
+    assert (u * jordan_matrix(((I, 1), (J, 1)))) * mat_inverse(u) != diag
+
+
 def test_jordan_from_roots_rejects_multiplicities_off_the_ints():
     # int(m) read 1.9 and "1" as 1: blocks (1, 1), (2, 1) for x^2 - 3x + 2
     a = companion_matrix(LeftPoly(Q, [2, -3, 1]))

@@ -15,7 +15,7 @@ from skewrec import (
     QuaternionAlgebra,
     ScalarValue,
 )
-from skewrec.scalar import _lucas, rational_str, read_literal, squarefree_split
+from skewrec.scalar import _lucas, rational_str, squarefree_split
 from conftest import rand_scalar
 
 Q = FieldContext.rational()
@@ -58,39 +58,42 @@ def test_division_by_zero():
 
 
 def test_parse_examples():
-    (n,), d = read_literal("5/10", Q)
-    assert Fraction(n, d) == Fraction(1, 2)
-    assert str(Q.ratio(n, d)) == "1/2"
-    num, den = read_literal("1/2+1/2*rt", Q5)
-    assert [Fraction(c, den) for c in num] == [Fraction(1, 2), Fraction(1, 2)]
-    num, den = read_literal("0-1*rt", Q5)
-    assert [Fraction(c, den) for c in num] == [0, -1]
-    (n,), d = read_literal("-7", Q)
-    assert Fraction(n, d) == -7
+    x = Q.read("5/10")
+    assert x == Fraction(1, 2) and str(x) == "1/2"
+    assert Q5.read("1/2+1/2*rt").coords() == [Fraction(1, 2), Fraction(1, 2)]
+    assert Q5.read("0-1*rt").coords() == [0, -1]
+    assert Q5.read("3/4") == Q5.ratio(3, 4)
+    assert Q.read("-7") == -7
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        read_literal("1/0", Q)
-    with pytest.raises(ParseError):
-        read_literal("", Q)
-    with pytest.raises(ParseError):
-        read_literal("1/2+", Q5)
-    with pytest.raises(ParseError):
-        read_literal("1//2", Q)
-    with pytest.raises(ParseError):
-        read_literal("1+2*rt junk", Q5)
-    with pytest.raises(ContextMismatch):
-        read_literal("1+2*rt", Q)
+    # (text, carrier, reason, col counted from the start of the text)
+    for text, ctx, reason, col in (
+            ("1/0", Q, "denominator must be a positive integer", 2),
+            ("", Q, "empty scalar literal", 0),
+            ("1/2+", Q5, "expected an integer", 4),
+            ("1//2", Q, "expected an integer", 2),
+            ("1+2*rt junk", Q5, "trailing characters after '*rt'", 6),
+            ("1+2*rt", Q, "'*rt' literal used in a rational context", 0)):
+        with pytest.raises(ParseError) as exc:
+            ctx.read(text)
+        assert (exc.value.reason, exc.value.line, exc.value.col) == (reason, None, col)
 
 
-def test_parse_render_roundtrip():
-    rng = random.Random(11)
-    for ctx in (Q, Q5):
-        for _ in range(200):
-            x = rand_scalar(rng, ctx)
-            num, den = read_literal(str(x), ctx)
-            assert [Fraction(c, den) for c in num] == x.coords()
+READ_CARRIERS = [Q, Q5, QuaternionAlgebra(-1, -1),
+                 QuaternionAlgebra(Fraction(1, 2), Fraction(-1, 4)), OctonionAlgebra(-1, -1, -1)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(READ_CARRIERS), st.data())
+def test_parse_render_roundtrip(carrier, data):
+    # every carrier reads back the text it prints, on coordinates over small
+    # denominators and over ones wider than 64 bits
+    coord = st.one_of(st.fractions(max_denominator=12),
+                      st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70)))
+    x = carrier.element(data.draw(st.lists(coord, min_size=carrier.dim, max_size=carrier.dim)))
+    assert carrier.read(str(x)) == x
+    assert str(carrier.read(str(x))) == str(x)
 
 
 def test_field_axioms():
@@ -188,6 +191,17 @@ def test_squarefree_split_agrees_with_sympy():
     got = [squarefree_split(n) for n, _ in cases]
     assert time.perf_counter() - t0 < 5.0
     assert got == [want for _, want in cases]
+
+
+def test_factor_divides_the_unfactored_part_by_every_prime_found(monkeypatch):
+    # rho splits 43 off 43^2 * 47, then gives up on 43 * 47: the second 43
+    # is found only by dividing the unfactored part by the primes found
+    from skewrec import scalar
+
+    n = 43 ** 2 * 47
+    monkeypatch.setattr(scalar, "_rho_factor",
+                        lambda m, steps: (43, steps) if m == n else (None, 0))
+    assert scalar._factor(n, 100) == ({43: 2}, 47)
 
 
 @pytest.mark.parametrize("d", [2, 5, 13])

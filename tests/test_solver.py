@@ -915,8 +915,9 @@ def test_the_first_value_proves_the_evaluator_past_the_initial_values(name, monk
 
 
 def test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind(monkeypatch):
-    # _values(n) at n = the order, which the certificate reads, and at the n
-    # that the first value proves the evaluator at (2 * sum m, j >= n)
+    # _values(n) at n = the order, which the certificate reads, at the n
+    # that the first value proves the evaluator at (2 * sum m, j >= n), and
+    # three past that, which neither reads
     lam, mu = S11.e1 + 2 * S11.e2, 1 + S11.e3
     coeffs = (LeftPoly.x_minus(mu) * LeftPoly.x_minus(lam)).coeffs
     specs = [RecurrenceSpec(S11, 2, (-coeffs[0], -coeffs[1]), (1, S11.e1))]
@@ -932,7 +933,7 @@ def test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind(monk
         proved.clear()
         cf.value(0)
         assert len(proved) == 1 and proved[0] >= spec.order
-        for n in (spec.order, proved[0]):
+        for n in (spec.order, proved[0], proved[0] + 3):
             assert cf._values(n) == [iterate_oracle(spec, k) for k in range(n)]
         carrier = getattr(cf, "carrier", None)
         kind = type(cf).__name__ + (f" {carrier.d}" if isinstance(carrier, FieldContext) else "")
