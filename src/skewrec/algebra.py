@@ -25,11 +25,12 @@ only factor that can cancel (`scalar._sum`, `scalar._product`): gcd(d1,
 d2) for a sum, and for a product by a factor z whose denominator is narrow
 beside a wide one, a factor of W_0 * N(z) (times its scaling), since
 conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x hold in every composition
-algebra, octonions and split algebras included.  Rational a, b enter as
-integers over D = den(a)*den(b), so a quaternion product is D*w1*w2 +
-A*x1*x2 + B*y1*y2 - AB*z1*z2 (and so on) over d1*d2*D, and gamma enters
-over its own denominator.  `coords()` returns exact Fractions, and `str`
-prints from the numerators.
+algebra, octonions and split algebras included; a rational factor is
+central, so its product is a scaling.  Rational a, b enter as integers
+over D = den(a)*den(b), so a quaternion product is (D*w1)*w2 + (A*x1)*x2 +
+(B*y1)*y2 - (AB*z1)*z2 (and so on) over d1*d2*D, the constants applied to
+the left factor first, and gamma enters over its own denominator.
+`coords()` returns exact Fractions, and `str` prints from the numerators.
 
 Carriers.  `QuaternionAlgebra` and `OctonionAlgebra` derive from
 `scalar.Carrier`, as `FieldContext` does, which holds zero, one, scalar,
@@ -51,19 +52,22 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import DegenerateFrame, NoRepresentative, ValidationError
-from .scalar import _SCALARS, Carrier, FieldContext, IntValue, _make, _product, _ratio, _reduced
+from .scalar import Carrier, FieldContext, IntValue, _make, _product, _reduced
 
 
 def _quat_mul(consts, p, q) -> tuple:
     """D * p * q for integer 4-tuples p, q of a quaternion algebra with
-    consts (D, A, B, AB), as an integer 4-tuple."""
+    consts (D, A, B, AB), as an integer 4-tuple; the constants go on p
+    first, so a narrow p times a wide q takes 28 wide operations, not 37."""
     D, A, B, AB = consts
     w1, x1, y1, z1 = p
     w2, x2, y2, z2 = q
-    return (D * (w1 * w2) + A * (x1 * x2) + B * (y1 * y2) - AB * (z1 * z2),
-            D * (w1 * x2 + x1 * w2) + B * (z1 * y2 - y1 * z2),
-            D * (w1 * y2 + y1 * w2) + A * (x1 * z2 - z1 * x2),
-            D * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2))
+    Dw, Dx, Dy, Dz = D * w1, D * x1, D * y1, D * z1
+    Ax, Az, By, Bz, ABz = A * x1, A * z1, B * y1, B * z1, AB * z1
+    return (Dw * w2 + Ax * x2 + By * y2 - ABz * z2,
+            Dw * x2 + Dx * w2 + Bz * y2 - By * z2,
+            Dw * y2 + Dy * w2 + Ax * z2 - Az * x2,
+            Dw * z2 + Dz * w2 + Dx * y2 - Dy * x2)
 
 
 def _conj4(p) -> tuple:
@@ -80,12 +84,15 @@ class QuatValue(IntValue):
     def __mul__(self, other):
         alg = self.carrier
         if not (isinstance(other, QuatValue) and (other.carrier is alg or other.carrier == alg)):
-            if isinstance(other, _SCALARS):  # a rational is central
-                return self._scaled(*_ratio(other))
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _product(self, other, _quat_mul(alg.consts, self.num, other.num))
+        p, q = self.num, other.num
+        if not (q[1] or q[2] or q[3]):  # a rational is central: a scaling
+            return self._scaled(q[0], other.den)
+        if not (p[1] or p[2] or p[3]):
+            return other._scaled(p[0], self.den)
+        return _product(self, other, _quat_mul(alg.consts, p, q))
 
 
 class QuaternionAlgebra(Carrier):
@@ -148,11 +155,13 @@ class OctValue(IntValue):
     def __mul__(self, other):
         """(q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l0,
         on the integer halves over gamma's denominator times D*d1*d2."""
-        if isinstance(other, _SCALARS):  # a rational is central
-            return self._scaled(*_ratio(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_central():  # a rational is central: a scaling
+            return self._scaled(o.num[0], o.den)
+        if self.is_central():
+            return o._scaled(self.num[0], self.den)
         alg = self.carrier
         c, (G, Gd) = alg.base.consts, alg.consts
         q, r = self.num[:4], self.num[4:]

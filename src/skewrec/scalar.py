@@ -40,9 +40,10 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from math import gcd, isqrt, lcm
-from operator import mul, neg
+from operator import mul, neg, or_
 
 from .errors import ContextMismatch, DivisionByZero, ParseError, ValidationError, ZeroDivisor
 
@@ -245,9 +246,23 @@ def _make(cls, carrier, num: tuple, den: int):
 def _reduced(cls, carrier, num: tuple, den: int, bound: int = 0):
     """The canonical value num / den of class cls, for den != 0.  A nonzero
     `bound` is a divisor of den that gcd(den, *num) divides, and the gcd is
-    taken against it instead of den."""
+    taken against it instead of den.  When the result's den is wider than
+    64 bits, that number b = 2^e * o (o odd) sheds its 2s by shifts:
+    gcd(b, *num) = gcd(2^e, *num) * gcd(o, *num) as o is odd, and
+    gcd(2^e, *num) = 2^v for v = min(e, v_2(n_0 | n_1 | ...)), as an OR's
+    lowest set bit is the lowest of its operands'.  So num and den shift
+    right by v and the gcd is taken against o alone; all-zero numerators
+    reduce against b, as over a narrow den.  A narrow den keeps the one
+    gcd against b: the split costs more than it saves there, and taking it
+    on every den slowed quat-solve's ops_per_s by 3-4% and long-horizon's
+    setup_s by 3-8% (BENCH_39.json, "unguarded_runs")."""
     if den != 1:  # over 1 every num is canonical
-        g = gcd(bound or den, *num)
+        b = bound or den
+        if den.bit_length() > 64 and (e := (b & -b).bit_length() - 1) and (low := reduce(or_, num)):
+            if v := min(e, (low & -low).bit_length() - 1):
+                num, den = tuple([n >> v for n in num]), den >> v
+            b >>= e
+        g = gcd(b, *num)
         if den < 0:
             g = -g
         if g != 1:
@@ -276,7 +291,8 @@ class IntValue:
     against the factor that can cancel where one is known: gcd(d1, d2) for
     a sum (`_sum`) and W_0 * d_z * gcd(d_o, m_z) for a product with a
     narrow factor z (`_product`); a scaling by p/q divides out gcd(p, den)
-    and gcd(q, *num), as a Fraction product does (`_scaled`).  Values are
+    and gcd(q, *num), as a Fraction product does (`_scaled`); over a den
+    wider than 64 bits the 2s go by shifts first (`_reduced`).  Values are
     never mutated.  A subclass supplies `__mul__`, through `_product`; the
     norm, the inverse and the polar form read the carrier's `weights`
     through `_scaled_polar`.
@@ -719,9 +735,10 @@ class FieldContext(Carrier):
     def read(self, text: str) -> ScalarValue:
         """The scalar whose `str` is text, so that read(str(x)) == x: INT,
         INT/POSINT or RAT(+|-)RAT*rt, rt meaning sqrt(d), in ASCII digits.
-        A ParseError's col counts from the start of the stripped text; a
+        Only ASCII whitespace is stripped (not a no-break space, say), and a
+        ParseError's col counts from the start of the stripped text; a
         '*rt' literal of Q is one at col 0."""
-        s = text.strip()
+        s = text.strip(" \t\n\r\x0b\x0c")
         if not s:
             raise ParseError("empty scalar literal", col=0)
         a, b, pos = _read_rat(s, 0)

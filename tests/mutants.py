@@ -61,11 +61,20 @@ MUTANTS = [
     # the arithmetic kernels that the solver, the certificate and
     # iterate_oracle all multiply and reduce through
     Mutant("quaternion product with the sign of its AB term flipped", ALG,
-           "- AB * (z1 * z2),", "+ AB * (z1 * z2),",
+           "- ABz * z2,", "+ ABz * z2,",
            ("tests/test_algebra.py::test_multiplication_table",)),
     Mutant("quaternion product with its e3 cross term reversed", ALG,
-           "x1 * y2 - y1 * x2))", "y1 * x2 - x1 * y2))",
+           "Dx * y2 - Dy * x2)", "Dy * x2 - Dx * y2)",
            ("tests/test_algebra.py::test_multiplication_table",)),
+    Mutant("central product test misses the e3 coordinate", ALG,
+           "if not (q[1] or q[2] or q[3]):", "if not (q[1] or q[2]):",
+           ("tests/test_algebra.py::test_multiplication_table",)),
+    Mutant("a central left factor scales by the right one", ALG,
+           "return other._scaled(p[0], self.den)", "return self._scaled(q[0], other.den)",
+           ("tests/test_algebra.py::test_a_rational_factor_multiplies_as_the_full_product_does",)),
+    Mutant("a central left octonion factor scales by the right one", ALG,
+           "return o._scaled(self.num[0], self.den)", "return self._scaled(o.num[0], o.den)",
+           ("tests/test_algebra.py::test_a_rational_factor_multiplies_as_the_full_product_does",)),
     Mutant("octonion product takes t*q as q*t", ALG,
            "_quat_mul(c, t, q)", "_quat_mul(c, q, t)",
            ("tests/test_algebra.py::test_nonzero_associator",)),
@@ -84,6 +93,15 @@ MUTANTS = [
            ("tests/test_algebra.py::test_octonion_scaling_is_coordinatewise",)),
     Mutant("inverse without D", SCALAR, "s = D * self.den", "s = self.den",
            ("tests/test_solver.py::test_lucas_evaluator_matches_powers_and_iteration",)),
+    Mutant("product by a narrow factor bounds its gcd without the factor's norm", SCALAR,
+           "w0 * dz * gcd(do, m))", "w0 * dz)",
+           ("tests/test_algebra.py::test_planted_products_reduce_by_the_norm_of_the_narrow_factor",)),
+    Mutant("wide reduction shifts out more 2s than its bound has", SCALAR,
+           "if v := min(e, (low & -low).bit_length() - 1):", "if v := (low & -low).bit_length() - 1:",
+           ("tests/test_algebra.py::test_planted_wide_reductions_shift_out_only_the_2s_their_bound_has",)),
+    Mutant("wide reduction takes its odd gcd against the whole bound", SCALAR,
+           "            b >>= e\n", "",
+           ("tests/test_algebra.py::test_planted_wide_reductions_shift_out_only_the_2s_their_bound_has",)),
     Mutant("reduction keeps a negative denominator", SCALAR,
            "        if den < 0:\n            g = -g\n", "",
            ("tests/test_scalar.py::test_field_axioms",)),

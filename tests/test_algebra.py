@@ -848,17 +848,25 @@ reduction_props = settings(max_examples=250, deadline=None, derandomize=True, da
 smooth = st.builds(lambda i, j, k: 2 ** i * 3 ** j * 5 ** k,
                    st.integers(0, 90), st.integers(0, 40), st.integers(0, 20))
 small_smooth = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 25])
+# a power of 2 times the prime 2^61 - 1 times a power of 3: a wide
+# denominator whose odd part is wide too, so that a reduction which shifts
+# out the 2s still has a gcd against more than 1 to take
+wide_odd = st.builds(lambda i, j: 2 ** i * (2 ** 61 - 1) * 3 ** j,
+                     st.integers(0, 90), st.integers(0, 40))
 
 
 @st.composite
 def reduction_values(draw, carrier):
-    """A value of carrier, zero one time in ten, over a small or a wide
-    denominator."""
-    if draw(st.integers(0, 9)) == 0:
+    """A value of carrier, zero one time in ten and central (rational) one
+    time in ten, over a small or a wide denominator."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
         return carrier.zero()
-    den = draw(st.one_of(small_smooth, smooth))
+    den = draw(st.one_of(small_smooth, smooth, wide_odd))
     nums = draw(st.lists(st.builds(mul, st.integers(-7, 7), small_smooth),
                          min_size=carrier.dim, max_size=carrier.dim))
+    if kind == 1:
+        nums[1:] = [0] * (carrier.dim - 1)
     return carrier.element([Fraction(n, den) for n in nums])
 
 
@@ -898,10 +906,14 @@ def test_planted_products_reduce_by_the_norm_of_the_narrow_factor():
     wide, narrow = H.element([Fraction(1, 2 ** 80), Fraction(1, 2 ** 80), 0, 0]), 1 - I
     for z in (wide * narrow, narrow.conj() * wide.conj()):
         assert (z.num, z.den) == ((1, 0, 0, 0), 2 ** 79)
-    # 5 * Y/5^80 with N(Y) = 39 prime to 5: only the norm of the narrow
-    # factor 5 shows the 5 that cancels
-    y = H.element([Fraction(c, 5 ** 80) for c in (1, 2, 3, 5)])
-    for z in (H.scalar(5) * y, y * H.scalar(5)):
+    # z = 1 + 2e1 of norm 5 times conj(z) Y / 5^80, N(Y) = 39 prime to 5,
+    # on either side: the wide factor's numerators (5, 0, 13, -1) and
+    # (5, 0, -7, 11) show no 5, and only the norm of the narrow factor
+    # shows the 5 that cancels
+    narrow, w = H.element([1, 2, 0, 0]), H.element([1, 2, 3, 5])
+    wide, wide_right = narrow.conj() * w / 5 ** 80, w * narrow.conj() / 5 ** 80
+    assert wide.num == (5, 0, 13, -1) and wide_right.num == (5, 0, -7, 11)
+    for z in (narrow * wide, wide_right * narrow):
         assert (z.num, z.den) == ((1, 2, 3, 5), 5 ** 79)
     # 1 + e1 is a zero divisor of (1,1 | Q), so the full gcd is taken:
     # (1 + e1)^2 / 2^80 = (2 + 2e1) / 2^80
@@ -915,6 +927,35 @@ def test_planted_products_reduce_by_the_norm_of_the_narrow_factor():
     narrow = O.element([1, 0, 0, 0, 0, -1, 0, 0])
     for z in (wide * narrow, narrow.conj() * wide.conj()):
         assert (z.num, z.den) == ((1, 0, 0, 0, 0, 0, 0, 0), 2 ** 69)
+
+
+def test_planted_wide_reductions_shift_out_only_the_2s_their_bound_has():
+    # each raw result has numerators divisible by 8 over a wide denominator
+    # 2 * 3^k, the gcd bound: one 2 cancels, and the odd part 3^k shares
+    # nothing with the numerators left
+    w = 3 ** 50
+    Q = FieldContext.rational()
+    assert_same(Q.ratio(1, 2 * w) * Q.ratio(8, w), Q.ratio(4, w * w))
+    assert_same(Q.ratio(3, 2 * w) + Q.ratio(5, 2 * w), Q.ratio(4, w))
+    x, y = H.element([Fraction(1, 2 * w)] * 4), H.element([Fraction(8, w), Fraction(8, w), 0, 0])
+    assert_same(x * y, H.element(fraction_mul(H, x.coords(), y.coords())))
+    assert (x * y).num == (0, 8, 8, 0) and (x * y).den == w * w
+
+
+def test_a_rational_factor_multiplies_as_the_full_product_does():
+    # [3/2,0,0,0] is central, so its product with y on either side is y
+    # scaled by 3/2, (6, 3, 12, 18) / 2^81, whose odd numerator 3 leaves
+    # nothing to cancel
+    y = H.element([Fraction(c, 2 ** 80) for c in (2, 1, 4, 6)])
+    r = H.scalar(Fraction(3, 2))
+    assert r.num == (3, 0, 0, 0)
+    for got in (r * y, y * r):
+        assert_same(got, H.element(fraction_mul(H, r.coords(), y.coords())))
+        assert (got.num, got.den) == ((6, 3, 12, 18), 2 ** 81)
+        assert_same(got, y._scaled(3, 2))
+    oy = O.element([Fraction(c, 2 ** 80) for c in (2, 1, 4, 6, 0, 3, 8, 1)])
+    for got in (O.scalar(Fraction(3, 2)) * oy, oy * O.scalar(Fraction(3, 2))):
+        assert (got.num, got.den) == ((6, 3, 12, 18, 0, 9, 24, 3), 2 ** 81)
 
 
 def test_sums_with_zero_return_the_other_operand():

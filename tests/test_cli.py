@@ -316,6 +316,15 @@ def test_non_ascii_digits_are_parse_errors(text, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("coord", ["\xa01", "\xa01/0"])
+def test_a_no_break_space_in_a_literal_is_a_parse_error_at_its_column(coord):
+    # the part "\xa01/0" of the literal starts at col 12, where the no-break
+    # space is; stripped, it read as 1 or placed its zero denominator at col 14
+    with pytest.raises(ParseError) as exc:
+        parse_spec_file(f"algebra quaternion -1 -1\norder 1\nrhs [1,0,0,{coord}]\ninit [1,0,0,0]\n")
+    assert (exc.value.reason, exc.value.line, exc.value.col) == ("expected an integer", 3, 12)
+
+
 # coordinates the one-match element reader takes, and near-misses that it
 # must leave to the positioned reader: a zero, signed or '+'-signed
 # denominator, a '*rt' literal, non-ASCII digits, an empty coordinate

@@ -74,10 +74,16 @@ def test_parse_errors():
             ("1/2+", Q5, "expected an integer", 4),
             ("1//2", Q, "expected an integer", 2),
             ("1+2*rt junk", Q5, "trailing characters after '*rt'", 6),
-            ("1+2*rt", Q, "'*rt' literal used in a rational context", 0)):
+            ("1+2*rt", Q, "'*rt' literal used in a rational context", 0),
+            # only ASCII whitespace is stripped: a no-break space or an em
+            # space is an error at its own column
+            ("\xa01", Q, "expected an integer", 0),
+            (" \xa01/2", Q, "expected an integer", 0),
+            ("1/2\u2003", Q, "expected '+', '-' or end of literal", 3)):
         with pytest.raises(ParseError) as exc:
             ctx.read(text)
         assert (exc.value.reason, exc.value.line, exc.value.col) == (reason, None, col)
+    assert Q.read(" \t1/2\r\n") == Fraction(1, 2)
 
 
 READ_CARRIERS = [Q, Q5, QuaternionAlgebra(-1, -1),
