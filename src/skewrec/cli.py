@@ -1,6 +1,9 @@
 """Command-line front end: skewrec {solve,eval,oracle,verify} FILE [K].
 
-Spec files are line oriented, one key per line, '#' starting a comment:
+Spec files are line oriented, one key per line, '#' starting a comment.
+Tokens are separated by ASCII spaces and tabs only: any other character,
+a no-break space included, belongs to a token.  Each line is split once
+into (token, column) pairs, the first of which is its key:
 
     algebra field | field_sqrt D | quaternion A B | octonion A B G
     order N
@@ -56,96 +59,78 @@ def _int_token(text: str) -> int | None:
     return int(m[0]) if m else None
 
 
-_TOKEN = re.compile(r"[^ ]+")
+_TOKEN = re.compile(r"[^ \t]+")
 
 
-def _tokenize(rest: str, base_col: int):
-    return [(m[0], base_col + m.start()) for m in _TOKEN.finditer(rest)]
-
-
-def _parse_algebra(rest: str, line: int, col: int):
-    toks = _tokenize(rest, col)
+def _parse_algebra(toks, line: int, col: int):
+    """The carrier of an algebra line's value pairs, which start at col."""
     if not toks:
         raise ParseError("empty algebra line", line, col)
-    name = toks[0][0]
+    name, params = toks[0][0], toks[1:]
     rational = FieldContext()
     try:
-        if name == "field" and len(toks) == 1:
+        if name == "field" and not params:
             return rational
-        if name == "field_sqrt" and len(toks) == 2:
-            d = _int_token(toks[1][0])
+        if name == "field_sqrt" and len(params) == 1:
+            d = _int_token(params[0][0])
             if d is None:  # worded as int()'s own error
-                raise ValueError(f"invalid literal for int() with base 10: {toks[1][0]!r}")
+                raise ValueError(f"invalid literal for int() with base 10: {params[0][0]!r}")
             return FieldContext(d)
-        if (name, len(toks)) in (("quaternion", 3), ("octonion", 4)):
+        if (name, len(params)) in (("quaternion", 2), ("octonion", 3)):
             # each parameter a rational, a malformed one placed at its own column
-            params = [_read(rational, tok, line, tcol) for tok, tcol in toks[1:]]
+            params = [_read(rational, tok, line, tcol) for tok, tcol in params]
             algebra = QuaternionAlgebra if name == "quaternion" else OctonionAlgebra
             return algebra(*params)
     except (ValueError, ValidationError) as exc:
         raise ParseError(f"bad algebra parameters: {exc}", line, col) from exc
-    raise ParseError(f"unknown algebra form {rest!r}", line, col)
+    raise ParseError(f"unknown algebra form {' '.join(t for t, _ in toks)!r}", line, col)
 
 
 def parse_spec_file(text: str) -> RecurrenceSpec:
     """Parse and validate a recurrence spec file."""
-    seen: dict[str, tuple[str, int, int]] = {}
+    seen: dict[str, tuple[list, int, int]] = {}  # key -> (value pairs, line, col)
     for lineno, raw in enumerate(text.splitlines(), 1):
-        raw = raw.replace("\t", " ")
-        line = raw.split("#", 1)[0].rstrip()
-        stripped = line.strip()
-        if not stripped:
+        toks = [(m[0], m.start() + 1) for m in _TOKEN.finditer(raw.split("#", 1)[0])]
+        if not toks:
             continue
-        key = stripped.split(" ", 1)[0]
+        key, col = toks[0]
         if key not in _KEYS:
-            raise ParseError(f"unknown key {key!r}", lineno, line.index(key) + 1)
+            raise ParseError(f"unknown key {key!r}", lineno, col)
         if key in seen:
-            raise ParseError(f"duplicate key {key!r}", lineno, line.index(key) + 1)
-        rest = stripped[len(key):].strip()
-        col = raw.index(rest, raw.index(key)) + 1 if rest else len(raw) + 1
-        seen[key] = (rest, lineno, col)
+            raise ParseError(f"duplicate key {key!r}", lineno, col)
+        # the values start at their first token, or right after a bare key
+        seen[key] = (toks[1:], lineno, toks[1][1] if len(toks) > 1 else col + len(key))
 
     for key in ("algebra", "order", "rhs", "init"):
         if key not in seen:
             raise ValidationError(f"missing required key {key!r}")
 
-    rest, lineno, col = seen["algebra"]
-    algebra = _parse_algebra(rest, lineno, col)
+    algebra = _parse_algebra(*seen["algebra"])
 
-    rest, lineno, col = seen["order"]
-    order = _int_token(rest)
+    toks, lineno, col = seen["order"]
+    order = _int_token(toks[0][0]) if len(toks) == 1 else None
     if order is None:
-        raise ParseError(f"order must be an integer, got {rest!r}", lineno, col)
+        got = " ".join(t for t, _ in toks)
+        raise ParseError(f"order must be an integer, got {got!r}", lineno, col)
 
     def elements(key):
-        rest, lineno, col = seen[key]
-        return [
-            _read(algebra, tok, lineno, tcol)
-            for tok, tcol in _tokenize(rest, col)
-        ]
-
-    rhs = elements("rhs")
-    init = elements("init")
+        toks, lineno, _ = seen[key]
+        return tuple([_read(algebra, tok, lineno, tcol) for tok, tcol in toks])
 
     roots = None
     if "roots" in seen:
-        rest, lineno, col = seen["roots"]
-        toks = _tokenize(rest, col)
-        roots = []
-        i = 0
-        while i < len(toks):
-            tok, tcol = toks[i]
-            elem = _read(algebra, tok, lineno, tcol)
-            i += 1
-            mult = 1
-            nxt = toks[i][0] if i < len(toks) else ""
-            if nxt.isascii() and nxt.isdigit() and int(nxt) >= 1:
-                mult = int(nxt)
-                i += 1
-            roots.append((elem, mult))
+        toks, lineno, _ = seen["roots"]
+        roots, bare = [], False  # bare: the last root has no multiplicity yet
+        for tok, tcol in toks:
+            if bare and tok.isascii() and tok.isdigit() and int(tok) >= 1:
+                roots[-1] = (roots[-1][0], int(tok))
+                bare = False
+            else:
+                roots.append((_read(algebra, tok, lineno, tcol), 1))
+                bare = True
         roots = tuple(roots)
 
-    return RecurrenceSpec(algebra, order, tuple(rhs), tuple(init), roots=roots)
+    return RecurrenceSpec(algebra, order, elements("rhs"), elements("init"), roots=roots)
 
 
 def render_spec(spec: RecurrenceSpec) -> str:

@@ -532,7 +532,9 @@ def _product(x, y, num: tuple):
     min(v_p(d_o), v_p(m_z)) = v_p(B); any other prime divides g at most as
     often as it divides W_0 * d_z.  A zero divisor z (m_z = 0) gets
     gcd(d_o, 0) = d_o, the whole denominator again, and every other
-    product takes the gcd against the whole denominator."""
+    product takes the gcd against the whole denominator.  The bound halves
+    `iterate_oracle` where denominators grow by an odd prime, and costs
+    11-19% where `_reduced` shifts out their 2s (BENCH_40.json)."""
     carrier = x.carrier
     w0 = carrier.weights[0]
     dz, do = x.den, y.den

@@ -183,7 +183,8 @@ class _PowerReducer:
     Beside an unfactored part's power, only that gcd grows with k, and only
     a form whose values gain fewer than v_p(s) powers of p per step takes
     it: s = 3 for a norm N of denominator 3, where about k/2 powers of 3
-    cancel at every k."""
+    cancel at every k.  With s = 1 there are no primes, base is den, and
+    every call takes one gcd against den, at every k."""
 
     __slots__ = ("den", "s", "primes", "base", "rest")
 
@@ -236,25 +237,23 @@ class _LucasSum:
     U_k*s*R(k)), S(k) = sum k**j * S_j and likewise R(k), U the Lucas
     sequence of (P, Q).  All groups keep integer numerators over one `den`,
     summed over den * s**k, s the lcm of the groups' s, and reduced by the
-    primes of den * s (`_PowerReducer`), or with s = 1 by one gcd against
-    den.  A group with constant S and R takes no Horner step, and one whose
-    s is the lcm no power of its factor."""
+    primes of den * s (`_PowerReducer`); with s = 1 it has none and takes
+    one gcd against den.  A group with constant S and R takes no Horner
+    step, and one whose s is the lcm no power of its factor."""
 
-    __slots__ = ("zero", "den", "groups", "reduce")
+    __slots__ = ("zero", "groups", "reduce")
 
     def __init__(self, zero, groups: dict):
         """groups: {(P, Q, s): ([S_j], [R_j])}, R_j without its factor s."""
         self.zero = zero
-        self.den = den = lcm(*[v.den for S, R in groups.values() for v in S + R])
+        den = lcm(*[v.den for S, R in groups.values() for v in S + R])
         lcm_s = lcm(*[s for _P, _Q, s in groups])
         self.groups = [
             (P, Q, lcm_s // s,
              [tuple([n * (den // v.den) for n in v.num]) for v in S],
              [tuple([n * (s * den // v.den) for n in v.num]) for v in R])
             for (P, Q, s), (S, R) in groups.items()]
-        # with s = 1 the denominator is den at every k, and one `_reduced`
-        # call costs less per value than the reducer's steps
-        self.reduce = _PowerReducer(den, lcm_s) if lcm_s != 1 else None
+        self.reduce = _PowerReducer(den, lcm_s)
 
     def __call__(self, k: int):
         out = None
@@ -275,8 +274,6 @@ class _LucasSum:
         zero = self.zero
         if out is None:
             return zero
-        if self.reduce is None:
-            return _reduced(zero.__class__, zero.carrier, tuple(out), self.den)
         return _make(zero.__class__, zero.carrier, *self.reduce(out, k))
 
 

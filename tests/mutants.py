@@ -43,7 +43,8 @@ class Mutant(NamedTuple):
     reason: str = ""  # for an equivalent mutant: why nothing changes
 
 
-ALG, MATLIN, POLY, SCALAR, SOLVER = "algebra.py", "matlin.py", "poly.py", "scalar.py", "solver.py"
+ALG, CLI, MATLIN, POLY, SCALAR, SOLVER = (
+    "algebra.py", "cli.py", "matlin.py", "poly.py", "scalar.py", "solver.py")
 # the doubling lemma's seven pairs (i, j) of the frame f = (1, u, w, u*w,
 # ell, u*ell, w*ell, (u*w)*ell), as _frame_basis lists them
 PAIRS = ("(1, 0)", "(2, 0)", "(2, 1)", "(4, 0)", "(4, 1)", "(4, 2)", "(4, 3)")
@@ -204,7 +205,7 @@ MUTANTS = [
     # the evaluator's reduction (_PowerReducer and its call in _LucasSum)
     Mutant("value reduced by one gcd against den*s**k", SOLVER,
            "return _make(zero.__class__, zero.carrier, *self.reduce(out, k))",
-           "return _reduced(zero.__class__, zero.carrier, tuple(out), self.den * self.reduce.s ** k)",
+           "return _reduced(zero.__class__, zero.carrier, tuple(out), self.reduce.den * self.reduce.s ** k)",
            ("tests/test_solver.py::test_no_gcd_of_the_evaluator_grows_with_k",)),
     Mutant("power of 2 taken past its cap", SOLVER,
            "v = min((x & -x).bit_length() - 1, cap)", "v = (x & -x).bit_length() - 1", REDUCER),
@@ -213,8 +214,8 @@ MUTANTS = [
     Mutant("base takes p for p**2", SOLVER, "base *= p * p", "base *= p", REDUCER),
     Mutant("one-gcd path for k < 1 only", SOLVER, "if k < 2:", "if k < 1:", REDUCER),
     Mutant("no gcd on the s = 1 path", SOLVER,
-           "return _reduced(zero.__class__, zero.carrier, tuple(out), self.den)",
-           "return _make(zero.__class__, zero.carrier, tuple(out), self.den)",
+           "den = self.den * self.s ** k",
+           "den = self.den * self.s ** k\n        if self.s == 1:\n            return tuple(num), den",
            ("tests/test_solver.py::test_lucas_evaluator_matches_powers_and_iteration",)),
     Mutant("odd prime's tail gcd against p**(cap - 1)", SOLVER,
            "f = gcd(p ** cap, *num)", "f = gcd(p ** (cap - 1), *num)", REDUCER),
@@ -222,6 +223,15 @@ MUTANTS = [
            "elif cap and not any(", "elif False and not any(", REDUCER),
     Mutant("tail gcd only when cap > 1", SOLVER,
            "elif cap and not any(", "elif cap > 1 and not any(", REDUCER),
+    # the spec reader's one split of each line
+    Mutant("spec line stripped of Unicode whitespace", CLI,
+           'raw.split("#", 1)[0])', 'raw.split("#", 1)[0].strip())',
+           ("tests/test_cli.py::test_a_no_break_space_in_a_literal_is_a_parse_error_at_its_column",)),
+    Mutant("tab read as part of a token", CLI, r'_TOKEN = re.compile(r"[^ \t]+")',
+           r'_TOKEN = re.compile(r"[^ ]+")',
+           ("tests/test_cli.py::test_respaced_demo_specs_parse_to_the_same_spec",)),
+    Mutant("a 0 after a root read as its multiplicity", CLI, "int(tok) >= 1", "int(tok) >= 0",
+           ("tests/test_cli.py::test_parse_roots_and_height",)),
 ]
 
 EQUIVALENT = [

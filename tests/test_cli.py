@@ -64,6 +64,10 @@ def test_parse_roots_and_height():
     spec = parse_spec_file(
         "algebra field\norder 2\nrhs -1 2\ninit 1 5\nroots 1 2\n")
     assert spec.roots == ((FieldContext.rational().scalar(1), 2),)
+    # a 0 is no multiplicity: it is the next root
+    spec = parse_spec_file(text.replace("roots 1 1 2 1", "roots 2 0"))
+    assert spec.roots == ((FieldContext.rational().scalar(2), 1),
+                          (FieldContext.rational().scalar(0), 1))
     spec = parse_spec_file(
         "algebra quaternion -1 -1\norder 2\nrhs [0,0,0,1] [0,1,1,0]\n"
         "init [1,0,0,0] [0,0,0,0]\nroots [0,1,0,0] 2\n")
@@ -316,13 +320,45 @@ def test_non_ascii_digits_are_parse_errors(text, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
-@pytest.mark.parametrize("coord", ["\xa01", "\xa01/0"])
-def test_a_no_break_space_in_a_literal_is_a_parse_error_at_its_column(coord):
+NO_BREAK_SPACES = {  # test id: (spec text, (reason, line, col))
     # the part "\xa01/0" of the literal starts at col 12, where the no-break
     # space is; stripped, it read as 1 or placed its zero denominator at col 14
+    "\xa01": ("algebra quaternion -1 -1\norder 1\nrhs [1,0,0,\xa01]\ninit [1,0,0,0]\n",
+              ("expected an integer", 3, 12)),
+    "\xa01/0": ("algebra quaternion -1 -1\norder 1\nrhs [1,0,0,\xa01/0]\ninit [1,0,0,0]\n",
+                ("expected an integer", 3, 12)),
+    # only ASCII spaces and tabs separate tokens, at a line's ends too (a
+    # token's repr in a message shows a no-break space as \xa0)
+    "rhs \xa02": ("algebra field\norder 1\nrhs \xa02\ninit 1\n", ("expected an integer", 3, 5)),
+    "\xa0algebra field": ("\xa0algebra field\norder 1\nrhs 2\ninit 1\n",
+                          ("unknown key '\\xa0algebra'", 1, 1)),
+    "order 2\xa0": ("algebra field\norder 2\xa0\nrhs -2 3\ninit 0 1\n",
+                    ("order must be an integer, got '2\\xa0'", 2, 7)),
+}
+
+
+@pytest.mark.parametrize("text,expected", NO_BREAK_SPACES.values(), ids=NO_BREAK_SPACES)
+def test_a_no_break_space_in_a_literal_is_a_parse_error_at_its_column(text, expected):
     with pytest.raises(ParseError) as exc:
-        parse_spec_file(f"algebra quaternion -1 -1\norder 1\nrhs [1,0,0,{coord}]\ninit [1,0,0,0]\n")
-    assert (exc.value.reason, exc.value.line, exc.value.col) == ("expected an integer", 3, 12)
+        parse_spec_file(text)
+    assert (exc.value.reason, exc.value.line, exc.value.col) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(glob.glob(os.path.join(DEMO_DIR, "*.rec")))), st.data())
+def test_respaced_demo_specs_parse_to_the_same_spec(path, data):
+    # tokens are separated by runs of ASCII spaces and tabs, at a line's ends
+    # too, and a '#' comment ends any line
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    edge = st.text(st.sampled_from(" \t"), max_size=3)
+    gap = st.text(st.sampled_from(" \t"), min_size=1, max_size=3)
+    respaced = []
+    for line in lines:
+        toks = line.split("#", 1)[0].split()
+        seps = [data.draw(edge), *[data.draw(gap) for _ in toks[1:]], data.draw(edge)]
+        respaced.append("".join(map("".join, zip(seps, toks + [""]))) + "# comment")
+    assert parse_spec_file("\n".join(respaced)) == parse_spec_file("\n".join(lines))
 
 
 # coordinates the one-match element reader takes, and near-misses that it
