@@ -153,8 +153,6 @@ class OctValue(IntValue):
     ASSOCIATIVE = False
 
     def __mul__(self, other):
-        """(q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l0,
-        on the integer halves over gamma's denominator times D*d1*d2."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -162,14 +160,7 @@ class OctValue(IntValue):
             return self._scaled(o.num[0], o.den)
         if self.is_central():
             return o._scaled(self.num[0], self.den)
-        alg = self.carrier
-        c, (G, Gd) = alg.base.consts, alg.consts
-        q, r = self.num[:4], self.num[4:]
-        s, t = o.num[:4], o.num[4:]
-        qs, tr = _quat_mul(c, q, s), _quat_mul(c, _conj4(t), r)
-        tq, rs = _quat_mul(c, t, q), _quat_mul(c, r, _conj4(s))
-        return _product(self, o, tuple([Gd * a + G * b for a, b in zip(qs, tr)]
-                                       + [Gd * (a + b) for a, b in zip(tq, rs)]))
+        return _product(self, o, self.carrier._num_mul(self.num, o.num))
 
     def __eq__(self, other):
         # q + 0*l0 equals the quaternion q of the base algebra
@@ -210,6 +201,18 @@ class OctonionAlgebra(Carrier):
     @property
     def ctx(self) -> FieldContext:
         return self.base.ctx
+
+    def _num_mul(self, x, y) -> tuple:
+        """x * y on numerators, over den(x) * den(y) * weights[0], weights[0]
+        = Gd * D: (q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q +
+        r*conj(s))*l0 on the integer halves."""
+        c, (G, Gd) = self.base.consts, self.consts
+        q, r = x[:4], x[4:]
+        s, t = y[:4], y[4:]
+        qs, tr = _quat_mul(c, q, s), _quat_mul(c, _conj4(t), r)
+        tq, rs = _quat_mul(c, t, q), _quat_mul(c, r, _conj4(s))
+        return tuple([Gd * a + G * b for a, b in zip(qs, tr)]
+                     + [Gd * (a + b) for a, b in zip(tq, rs)])
 
     def embed(self, q: QuatValue) -> OctValue:
         q = self.base.coerce(q)
@@ -409,11 +412,12 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
     """A frame whose quaternion part contains both alpha and beta.
 
     Deterministic construction: u is the pure part of beta (falling back to
-    the pure part of alpha, then to e1); w is the pure part of alpha
-    orthogonalized against u (falling back to the first standard pure basis
-    vector that survives orthogonalization); ell is the first standard basis
-    vector that is independent of span(1, u, w, u*w) and keeps nonzero norm
-    after orthogonalization.
+    the pure part of alpha, then to e1, which `solve` never reaches, as it
+    builds no frame for two central coefficients); w is the pure part of
+    alpha orthogonalized against u (falling back to the first standard pure
+    basis vector that survives orthogonalization); ell is the first standard
+    basis vector that is independent of span(1, u, w, u*w) and keeps nonzero
+    norm after orthogonalization.
     """
     alpha = alg.coerce(alpha)
     beta = alg.coerce(beta)

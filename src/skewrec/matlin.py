@@ -31,10 +31,6 @@ from .errors import (
 from .scalar import _from_ratios, _times
 
 
-def _is_associative(x) -> bool:
-    return getattr(type(x), "ASSOCIATIVE", True)
-
-
 def _dot(row, col):
     """sum_j row[j] * col[j], left to right, each row entry on the left."""
     acc = row[0] * col[0]
@@ -117,13 +113,14 @@ def _eliminate(m: DMatrix, right: list) -> list:
     read again, and row c is zero left of c, so the step on column c touches
     only the entries right of it.  No product by 1 is taken: a pivot or a
     row factor is tested for 1 once per row, and an entry right of the
-    pivot once per product.
+    pivot once per product.  Entries that do not associate must all be
+    central: every pivot and row factor is then rational.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
-    if not _is_associative(m.entries[0]):
-        raise ValueError("octonion matrices are not invertible here; "
-                         "work inside an associative subalgebra")
+    if not all(x.ASSOCIATIVE or x.is_central() for x in m.entries):
+        raise ValueError("octonion matrices with a non-central entry are not invertible "
+                         "here; work inside an associative subalgebra")
     n = m.rows
     aug = [m.row(i) + list(right[i]) for i in range(n)]
     for col in range(n):
@@ -277,7 +274,7 @@ def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
     """
     if a.rows != a.cols:
         raise DimensionMismatch("chain solve needs a square matrix")
-    if not _is_associative(lam):
+    if not lam.ASSOCIATIVE:
         raise ValueError("chain solve requires associative entries")
     carrier = lam.carrier
     basis = carrier.basis()

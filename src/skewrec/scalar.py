@@ -20,10 +20,10 @@ alike: zero, one, scalar, element, basis, coerce, equality and hashing;
 each adds only its own parameters (`FieldContext` only d, None for Q) and
 `weights`, the diagonal of its norm form on the integer layout:
 W_0 * den^2 * N(x) = sum_j W_j * num_j^2, (1,) over Q and (1, -d) over
-Q(sqrt(d)).  An associative carrier also gives `_num_mul`, the integer
-product of two numerator tuples, over W_0 times the two denominators: the
-formula its value class multiplies by (`_field_mul` here), which the
-solver's integer root tests and chain systems run on.
+Q(sqrt(d)).  Every carrier also gives `_num_mul`, the integer product
+of two numerator tuples, over W_0 times the two denominators: the formula
+its value class multiplies by (`_field_mul` here), which the solver's
+integer root tests, chain systems and term values run on.
 Values print from their numerators by `rational_str`, which gives the
 text of `str(Fraction(n, d))`, and each carrier's `read` reads that text
 back, so that carrier.read(str(x)) == x: a scalar literal of the field,

@@ -10,10 +10,11 @@ roots; a chain step reads only the companion's last row, rhs, and solves
 an m x m system (`matlin._companion_step`), so no companion matrix is ever
 built.  Every root is tested on integers, a user root by the root step
 (`poly._is_root`) and a derived one by the certificate.
-Order-2 octonion recurrences split over a quaternion subalgebra frame into
-a main part and a conjugated tail, each solved on that same path, by the
-frame's integer change of basis (`decompose` and `join`).  Rational
-order-2 coefficients with irrational roots take a CentralForm instead.
+Rational order-2 coefficients take one root branch in every carrier: their
+rational roots are coerced into it, irrational ones give an algebra a
+CentralForm.  Other octonion recurrences split over a quaternion frame of
+their coefficients into a main part and a conjugated tail, each solved on
+that same path, by the frame's integer change of basis (`decompose`, `join`).
 Every closed form is certified before it is returned: each term by its
 residual polynomial, which vanishes at deg p + 1 points, each point one
 integer Horner pass of the residual kernel (`poly._residual`), whose p = 1
@@ -315,7 +316,8 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class AssocForm(ClosedForm):
-    """Closed form over an associative algebra: a_k = sum of term values."""
+    """a_k = sum of term values, over an associative carrier or, with every
+    rhs, base and poly coefficient central, an octonion one."""
 
     carrier: object
     terms: tuple
@@ -441,14 +443,13 @@ class OctSplitForm(ClosedForm):
         """rhs[j] must be join(r_j, 0) for a frame quaternion r_j, main must
         solve the recurrence with the r_j and tail the one with conj(r_j);
         the frame identities, proved by the doubling lemma's shape and Gram
-        test (`_certify_frame`), then carry both to a_k = join(main(k),
-        conj(tail(k))), and with central r_j linearity alone does."""
+        test (`_certify_frame`) for every frame, then carry both to a_k =
+        join(main(k), conj(tail(k)))."""
         rhs = [self.frame.decompose(r)[0] for r in spec.rhs]
         for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
             if self.frame.join(q, 0) != r:
                 raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
-        if not all(r.is_central() for r in spec.rhs):
-            _certify_frame(spec.algebra, self.frame)
+        _certify_frame(spec.algebra, self.frame)
         _certify_terms(self.main, rhs, "main ")
         _certify_terms(self.tail, [r.conj() for r in rhs], "tail ")
 
@@ -614,19 +615,20 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
 
 def _roots(spec: RecurrenceSpec) -> tuple:
     """(spec, root data) for _jordan_form: the spec, moved to Q(sqrt(d)) if
-    its roots lie there, and its roots as ((root, multiplicity), ...).
+    its roots lie there, and its roots as ((root, multiplicity), ...), or
+    None where an algebra spec takes the Lucas form.
 
     User roots must have multiplicities summing to the order, be pairwise
     distinct roots of the characteristic polynomial, each tested on
     integers (`poly._is_root`), and no three may share a conjugacy class.
     The roots derived here are roots by construction and skip those
-    checks; _certify proves the form built from them.  An order-2 field
-    spec with a zero discriminant has one root of multiplicity two; a
-    square discriminant keeps the field; any other discriminant over Q
-    moves the spec to the real quadratic extension by its squarefree part
-    d.  Negative discriminants would need a complex extension and are
-    unsolvable here.  An order-2 quaternion spec takes the roots that
-    `quadratic_roots` finds.
+    checks; _certify proves the form built from them.  An order-2 spec
+    over a field, or with every rhs central in any carrier, has chi over
+    its field or Q: a zero discriminant gives a double root and a square
+    one two roots, coerced into the spec's carrier.  Any other gives an
+    algebra spec the Lucas form, moves a field spec over Q, if positive, to
+    Q(sqrt(d)), d its squarefree part, and is otherwise unsolvable here.
+    Any other order-2 quaternion spec takes the roots `quadratic_roots` finds.
     """
     if spec.roots is not None:
         roots = [lam for lam, _ in spec.roots]
@@ -642,57 +644,53 @@ def _roots(spec: RecurrenceSpec) -> tuple:
         return spec, spec.roots
     if spec.order == 1:
         return spec, ((spec.rhs[0], 1),)
-    field = isinstance(spec.algebra, FieldContext)
+    alg = spec.algebra
+    field = isinstance(alg, FieldContext)
     if spec.order != 2:
         kind = "field" if field else "quaternion"
         raise UnsupportedOrder(f"{kind} recurrences of order > 2 need user-supplied roots")
-    if not field:
+    if not (field or all(r.is_central() for r in spec.rhs)):
         roots, jordan, _ = quadratic_roots(primitive_char_poly(spec))
         if jordan is None and len(roots) != 2:
             raise NoRootsFound("a single isolated root without repeated-root structure "
                                "cannot determine an order-2 closed form")
         return spec, [jordan] if jordan else [(lam, 1) for lam in roots]
-    ctx = spec.algebra
-    c1 = -spec.rhs[1]
-    c0 = -spec.rhs[0]
+    c0, c1 = [-r if field else -r.scalar_part() for r in spec.rhs]
     disc = c1 * c1 - 4 * c0
     if disc.is_zero():
-        return spec, ((-c1 / 2, 2),)
+        return spec, ((alg.coerce(c1._scaled(-1, 2)), 2),)
     s = disc.sqrt()
     if s is None:
-        if ctx.d is not None:
-            raise NoRootsFound(
-                "the discriminant has no square root in the configured quadratic "
-                "field, and no further extension is attempted"
-            )
+        if not field:
+            return spec, None
+        if alg.d is not None:
+            raise NoRootsFound("the discriminant has no square root in the configured "
+                               "quadratic field, and no further extension is attempted")
         num, den = disc.num[0], disc.den
         if num < 0:
-            raise NoRootsFound(
-                "negative discriminant: the roots are complex, and only real "
-                "quadratic extensions are supported"
-            )
+            raise NoRootsFound("negative discriminant: the roots are complex, and only "
+                               "real quadratic extensions are supported")
         e, d = squarefree_split(num * den)
-        ctx = FieldContext(d)
-        s, c1 = _reduced(ScalarValue, ctx, (0, e), den), ctx.scalar(c1)
-        spec = dataclasses.replace(spec, algebra=ctx)
-    return spec, (((-c1 + s) / 2, 1), ((-c1 - s) / 2, 1))
+        alg = FieldContext(d)
+        s, c1 = _reduced(ScalarValue, alg, (0, e), den), alg.scalar(c1)
+        spec = dataclasses.replace(spec, algebra=alg)
+    return spec, tuple([(alg.coerce((c1 + x)._scaled(-1, 2)), 1) for x in (-s, s)])
 
 
 def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
     """Order-2 octonion recurrences, split over a quaternion frame.
 
-    The frame's quaternion part holds the coefficients, so the state
-    recursion decomposes into one quaternion recurrence for the frame
-    component and one, with conjugated coefficients, for the ell component.
-    Central coefficients lie in every frame; theirs is built from the
-    initial values, which then have no ell component, and the tail is empty.
+    The frame is built from the coefficients, so its quaternion part holds
+    them, and the state recursion decomposes into one quaternion recurrence
+    for the frame component and one, with conjugated coefficients, for the
+    ell component.  `solve` sends only specs with a non-central coefficient
+    here; the certificate proves every frame.
     """
-    central = all(r.is_central() for r in spec.rhs)
-    frame = build_frame(spec.algebra, *(spec.init if central else spec.rhs))
+    frame = build_frame(spec.algebra, *spec.rhs)
     rhs = tuple(frame.decompose(r)[0] for r in spec.rhs)
     (q, s), (r, t) = map(frame.decompose, spec.init)
     main = _jordan_form(*_roots(RecurrenceSpec(frame.quat, 2, rhs, (q, r))))
-    tail = AssocForm(frame.quat, ()) if central else _jordan_form(*_roots(RecurrenceSpec(
+    tail = _jordan_form(*_roots(RecurrenceSpec(
         frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj()))))
     return OctSplitForm(frame, main, tail)
 
@@ -711,9 +709,15 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
     Horner pass.  For a constant p, Q(k) is one value z, and z * lam**k * b
     vanishes for every k once it does at k = 0 and 1, since lam**k * b
     satisfies lam's central quadratic; that passes the terms of a split
-    algebra with z * b = 0 and z != 0."""
+    algebra with z * b = 0 and z != 0.  It regroups rhs[j] * (lam**(k+j) *
+    b) as (rhs[j] * lam**j) * (lam**k * b), so in a carrier whose values do
+    not associate every rhs, base and poly coefficient must be central."""
     n = len(rhs)
     carrier = form.carrier
+    if not carrier.value_type.ASSOCIATIVE and not all(
+            x.is_central() for x in (*rhs, *[v for t in form.terms for v in (t.base, *t.poly)])):
+        raise InternalError(f"certificate failed: {carrier} does not associate, and the {label}"
+                            "terms are proved only with central rhs, bases and poly coefficients")
     mul, D = carrier._num_mul, carrier.weights[0]
     chi = [(tuple([-x for x in r.num]), r.den) for r in rhs] + [(carrier.one().num, 1)]
     for i, t, d in form._live_terms():
@@ -760,24 +764,15 @@ def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
                   "certificate failed: the closed form", "the initial value")
 
 
-def _central_tn(spec: RecurrenceSpec):
-    """(t, n) with rhs = (-n, t) for an order-2 quaternion or octonion spec with
-    no user roots, rational rhs and t^2 - 4n no rational square, else None."""
-    if (spec.order == 2 and spec.roots is None and not isinstance(spec.algebra, FieldContext)
-            and spec.rhs[0].is_central() and spec.rhs[1].is_central()):
-        t, n = spec.rhs[1].scalar_part(), -spec.rhs[0].scalar_part()
-        if (t * t - 4 * n).sqrt() is None:
-            return t, n
-
-
 def solve(spec: RecurrenceSpec) -> ClosedForm:
-    """Solve the recurrence and certify the result for every k (_certify)."""
-    tn = _central_tn(spec)
-    if tn is not None:
-        cf = CentralForm(spec.algebra, *tn, *spec.init)
-    elif isinstance(spec.algebra, OctonionAlgebra):
+    """Solve the recurrence and certify the result for every k (_certify):
+    an octonion spec with a non-central coefficient over a frame, any other
+    by its roots (_roots), or by the Lucas form where _roots gives None."""
+    if isinstance(spec.algebra, OctonionAlgebra) and not all(r.is_central() for r in spec.rhs):
         cf = solve_octonion2(spec)
     else:
-        cf = _jordan_form(*_roots(spec))
+        root_spec, roots = _roots(spec)
+        cf = _jordan_form(root_spec, roots) if roots else CentralForm(
+            spec.algebra, spec.rhs[1].scalar_part(), -spec.rhs[0].scalar_part(), *spec.init)
     _certify(spec, cf)
     return cf

@@ -136,6 +136,15 @@ MUTANTS = [
     Mutant("class root taken as Y * conj(X), a right quotient", POLY,
            "consts, _conj4(X), Y)", "consts, Y, _conj4(X))",
            ("tests/test_poly.py::test_quadratic_roots_two_distinct_classes",)),
+    # elimination takes entries that do not associate only if all are central
+    Mutant("elimination tests only the first octonion entry for being central", MATLIN,
+           "for x in m.entries)", "for x in m.entries[:1])",
+           ("tests/test_matlin.py::test_inverse_rejects_octonion_entries",)),
+    # the root step's central branch: every rhs central, in any carrier
+    Mutant("central root branch taken when any rhs is central", SOLVER,
+           "if not (field or all(r.is_central() for r in spec.rhs)):",
+           "if not (field or any(r.is_central() for r in spec.rhs)):",
+           ("tests/test_solver.py::test_a_spec_with_one_central_coefficient_takes_the_root_search",)),
     # the public Jordan form's chains start at eigenvectors of a companion
     # matrix only
     Mutant("jordan_from_roots takes a matrix that is not a companion matrix", MATLIN,
@@ -180,7 +189,7 @@ MUTANTS = [
     Mutant("octonion rhs-in-frame test skipped", SOLVER,
            "if self.frame.join(q, 0) != r:", "if False:",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
-    Mutant("octonion frame not proved for non-central rhs", SOLVER,
+    Mutant("octonion frame not proved", SOLVER,
            "_certify_frame(spec.algebra, self.frame)", "pass",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
     Mutant("octonion tail proved with rhs, not conj(rhs)", SOLVER,
@@ -193,7 +202,11 @@ MUTANTS = [
     Mutant("octonion tail not proved", SOLVER,
            '_certify_terms(self.tail, [r.conj() for r in rhs], "tail ")', "pass",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
-    # the certificate's term proof (_certify_terms)
+    # the certificate's term proof (_certify_terms), which regroups products
+    # and so takes a non-associative carrier only with central rhs and terms
+    Mutant("term proof takes any octonion form", SOLVER,
+           "if not carrier.value_type.ASSOCIATIVE and not all(", "if False and not all(",
+           ("tests/test_solver.py::test_a_non_central_octonion_term_form_is_refused_by_the_certificate",)),
     Mutant("term residual checked at k = 0 only", SOLVER,
            "for k in range(d + 1):", "for k in range(1):",
            ("tests/test_solver.py::test_certificate_checks_every_point_up_to_the_degree",)),

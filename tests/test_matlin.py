@@ -124,12 +124,19 @@ def test_elimination_swaps_rows_for_a_pivot_of_norm_zero():
 
 
 def test_inverse_rejects_octonion_entries():
+    # a non-central entry anywhere, not only first, refuses elimination
     O = OctonionAlgebra(-1, -1, -1)
-    m = DMatrix.identity(2, O)
-    with pytest.raises(ValueError):
+    one, i = O.one(), O.basis()[1]
+    m = DMatrix.from_rows([[one, i], [O.zero(), one]])
+    with pytest.raises(ValueError, match="non-central entry"):
         mat_inverse(m)
     # matrix arithmetic itself stays available
-    assert m * m == m
+    assert m * DMatrix.identity(2, O) == m
+    # with every entry central, every pivot and row factor is rational
+    ident = DMatrix.identity(2, O)
+    assert mat_inverse(ident) == ident
+    c = DMatrix.from_rows([[one, one], [O.scalar(2), O.scalar(3)]])
+    assert mat_inverse(c) == DMatrix.from_rows([[O.scalar(3), -one], [O.scalar(-2), one]])
 
 
 def test_vandermonde_rows():

@@ -438,10 +438,11 @@ def test_octonion_repeated_root():
 
 
 def test_octonion_central_coefficients():
-    # rational roots 1 and 2: a frame from the initial values, no tail
+    # rational roots 1 and 2: their terms in the octonion carrier, no frame
     spec = RecurrenceSpec(O, 2, (-2, 3), (1, L))
     cf = solve(spec)
-    assert isinstance(cf, OctSplitForm) and not cf.tail.terms
+    assert isinstance(cf, AssocForm) and cf.carrier == O
+    assert {t.base for t in cf.terms} == {O.one(), O.scalar(2)}
     assert verify_closed_form(spec, cf, 32).ok
     # x^2 + 1, x^2 - 2x + 5 (class (2, 5)) and x^2 + 3x - 2, whose class of
     # trace -3 and norm -2 is empty in a definite algebra: no rational
@@ -451,6 +452,30 @@ def test_octonion_central_coefficients():
         cf = solve(spec)
         assert cf == CentralForm(O, Q.scalar(rhs[1]), Q.scalar(-rhs[0]), *spec.init)
         assert verify_closed_form(spec, cf, 32).ok
+
+
+@pytest.mark.parametrize("alg", [H, O])
+def test_a_spec_with_one_central_coefficient_takes_the_root_search(alg):
+    # rhs[0] = -2 is central and rhs[1] = -i is not: chi is not in Q[x], and
+    # the scalar parts' discriminant -8 says nothing about its roots
+    e = alg.basis()
+    spec = RecurrenceSpec(alg, 2, (-2, -e[1]), (1, e[2]))
+    cf = solve(spec)
+    assert not isinstance(cf, CentralForm)
+    assert verify_closed_form(spec, cf, 16).ok
+
+
+def test_a_non_central_octonion_term_form_is_refused_by_the_certificate():
+    # lam = i is a root of chi for rhs (i*i - j*i, j), and the term
+    # lam**k * l has the spec's a_0 and a_1; the term proof regroups
+    # j*(i*l) as (j*i)*l, which octonions do not allow, and a_2 is wrong
+    spec = RecurrenceSpec(O, 2, (OI * OI - OJ * OI, OJ), (L, OI * L))
+    form = AssocForm(O, (Term((O.one(),), OI, L),))
+    assert verify_closed_form(spec, form, 8).first_failure == 2
+    with pytest.raises(InternalError, match=re.escape(
+            "certificate failed: (-1,-1,-1 | Q) does not associate, and the terms are proved "
+            "only with central rhs, bases and poly coefficients")):
+        _certify(spec, form)
 
 
 def test_closed_form_reproduces_initials():
@@ -1230,26 +1255,37 @@ def test_a_cancelling_power_of_3_takes_two_passes_and_two_gcds(alg, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# central order-2 specs: the Lucas form in every carrier
+# central order-2 specs: one root branch in every carrier, the Lucas form
+# for irrational roots and the root form for rational ones
 
 CENTRAL_CARRIERS = {
     "H": H, "H2": H2, "(1,1)": QuaternionAlgebra(1, 1), "(2,3)": QuaternionAlgebra(2, 3),
-    "O": O, "(2,3,-1)": OctonionAlgebra(2, 3, -1),
+    "O": O, "(2,3,-1)": OctonionAlgebra(2, 3, -1), "(1,1,1)": OctonionAlgebra(1, 1, 1),
 }
 
 
 @pytest.mark.parametrize("alg", CENTRAL_CARRIERS.values(), ids=CENTRAL_CARRIERS.keys())
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_central_specs_take_the_lucas_form_in_every_carrier(alg, data):
     fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    t, n = data.draw(fracs), data.draw(fracs.filter(bool))
-    assume(Q.scalar(t * t - 4 * n).sqrt() is None)
+    roots = data.draw(st.sampled_from(["irrational", "distinct", "double"]))
+    if roots == "irrational":
+        t, n = data.draw(fracs), data.draw(fracs.filter(bool))
+        assume(Q.scalar(t * t - 4 * n).sqrt() is None)
+    else:
+        r1 = data.draw(fracs.filter(bool))
+        r2 = r1 if roots == "double" else data.draw(fracs.filter(lambda r: r and r != r1))
+        t, n = r1 + r2, r1 * r2
     init = tuple(alg.element(data.draw(st.lists(fracs, min_size=alg.dim, max_size=alg.dim)))
                  for _ in range(2))
     spec = RecurrenceSpec(alg, 2, (-n, t), init)
     cf = solve(spec)
-    assert cf == CentralForm(alg, Q.scalar(t), Q.scalar(n), *init)
+    if roots == "irrational":
+        assert cf == CentralForm(alg, Q.scalar(t), Q.scalar(n), *init)
+    else:
+        assert isinstance(cf, AssocForm) and cf.carrier == alg
+        assert {term.base for term in cf.terms} <= {alg.scalar(r1), alg.scalar(r2)}
     assert _certifies(spec, cf)
     assert verify_closed_form(spec, cf, 64).ok
 
