@@ -43,7 +43,6 @@ from .matlin import (
     jordan_from_roots,
     jordan_matrix,
     mat_inverse,
-    sylvester_chain_solve,
     vandermonde,
 )
 from .solver import (

@@ -7,13 +7,12 @@ vector.  There are no determinants here; pivots are inverted in the algebra
 itself, which is what makes elimination work over noncommutative entries.
 
 The one commutative system, the base-field coordinates of a Jordan chain
-step A*w - w*lam = v, is read off the values' integer numerators and
-eliminated on integers by `_reduce_rows`.  The solver's companion matrix
-and invertible lam take the m x m system of w_{n-1} alone, m the
-carrier's dimension, since the shift rows give w_i in terms of w_{n-1}
-(`_companion_step`).  The public `chain_matrix`, for any matrix, takes the
-flattened (n*m) x (n*m) system (`sylvester_chain_solve`), the reference
-of the first.
+step A*w - w*lam = v for a companion matrix A and an invertible lam, is
+read off the values' integer numerators and eliminated on integers by
+`_reduce_rows`.  The shift rows give w_i in terms of w_{n-1}, so only the
+m x m system of w_{n-1} is built, m the carrier's dimension
+(`_companion_step`).  It is the one chain step: `solve` and
+`jordan_from_roots` both take their chains from `_chain_matrix`.
 """
 
 from __future__ import annotations
@@ -189,11 +188,11 @@ def companion_matrix(p) -> DMatrix:
 
 def vandermonde(nodes) -> DMatrix:
     """Rows of increasing powers: row i holds node_j ** i, the U of
-    `_chain_matrix` for simple roots, which takes no chain step."""
+    `_chain_matrix` for simple roots, which take no chain step."""
     rootdata = [(node, 1) for node in nodes]
     if not rootdata:
         raise ValueError("vandermonde needs at least one node")
-    return _chain_matrix(rootdata, None)
+    return _chain_matrix(rootdata)
 
 
 def eig_check(a: DMatrix, lam, v) -> bool:
@@ -257,50 +256,6 @@ def _reduce_rows(aug: list, cols: int) -> list | None:
     return sol
 
 
-def sylvester_chain_solve(a: DMatrix, lam, v) -> list:
-    """Solve A*w - w*lam = v for a vector w over an associative algebra.
-
-    chain_matrix takes it for every step, and the test suite holds the
-    solver's m x m step (`_companion_step`) to it.  The unknown is
-    flattened to rational coordinates (the map is linear over the base
-    field): block (i, j) of the system has as column c the coordinates of
-    a_ij*e_c, minus e_c*lam on the diagonal, for the basis e_c of the
-    carrier, with no product by 1 (`scalar._times`): a block a_ij = 1 off
-    the diagonal contributes the basis itself.  The rows of block row i are
-    read off the numerators of those values and of v_i over one common
-    multiple of their denominators and made primitive; they are eliminated
-    by `_reduce_rows` and free variables are pinned to 0, so the returned
-    representative of the solution coset is deterministic.
-    """
-    if a.rows != a.cols:
-        raise DimensionMismatch("chain solve needs a square matrix")
-    if not lam.ASSOCIATIVE:
-        raise ValueError("chain solve requires associative entries")
-    carrier = lam.carrier
-    basis = carrier.basis()
-    m = len(basis)
-    n = a.rows
-    right = [_times(b, lam) for b in basis]
-    aug = []
-    for i in range(n):
-        cols = []  # the values whose coordinates are the columns of block row i
-        for j in range(n):
-            aij = a.entry(i, j)
-            if aij.is_zero():
-                cols += [-r for r in right] if i == j else [carrier.zero()] * m
-            else:
-                prods = [_times(aij, b) for b in basis]
-                cols += [x - r for x, r in zip(prods, right)] if i == j else prods
-        cols.append(v[i])
-        den = lcm(*[x.den for x in cols])
-        scaled = [(x.num, den // x.den) for x in cols]
-        aug += [_primitive([num[rr] * f for num, f in scaled]) for rr in range(m)]
-    sol = _reduce_rows(aug, n * m)
-    if sol is None:
-        raise NoSolution("generalized eigenvector system is inconsistent")
-    return [_from_ratios(carrier, sol[j * m:(j + 1) * m]) for j in range(n)]
-
-
 @dataclass(slots=True, eq=False)
 class JordanData:
     """Jordan decomposition A = U * J * Uinv with exact block data."""
@@ -331,8 +286,8 @@ def jordan_matrix(blocks) -> DMatrix:
 
 
 def _companion_step(row, lam, inv, v) -> list:
-    """The w of `sylvester_chain_solve(A, lam, v)` for the companion matrix
-    A with last row `row`, given inv = lam^-1.
+    """The w of A*w - w*lam = v for the companion matrix A with last row
+    `row`, given inv = lam^-1, or NoSolution.
 
     Rows i < n-1 read w_{i+1} - w_i*lam = v_i, so w_i = (w_{i+1} - v_i)*inv,
     which is x*inv^(n-1-i) - K_i in x = w_{n-1}, with K_{n-1} = 0 and
@@ -341,9 +296,10 @@ def _companion_step(row, lam, inv, v) -> list:
     m the carrier's dimension.  Its columns S(e_c) are built on integer
     numerators by the carrier's product `_num_mul` over one denominator and
     eliminated by `_reduce_rows`, free variables at 0.  With lam invertible
-    the first (n-1)*m columns of the flattened system are all pivots, so its
-    free columns are those of S and, the reduced echelon form being unique,
-    the representative is the same."""
+    the first (n-1)*m columns of the flattened (n*m) x (n*m) system on the
+    coordinates of w are all pivots, so its free columns are those of S and,
+    the reduced echelon form being unique, w is its solution with free
+    variables at 0."""
     carrier = lam.carrier
     n, m = len(row), carrier.dim
     mul, D = carrier._num_mul, carrier.weights[0]
@@ -380,28 +336,21 @@ def _companion_step(row, lam, inv, v) -> list:
     return w
 
 
-def _chain_matrix(rootdata, step) -> DMatrix:
-    """U from eigenvector chains: each root lam starts a chain at
-    (1, lam, ..., lam^(n-1)), n the sum of the multiplicities, and each
-    further column of its chain is step(i, previous), the w of
-    A*w - w*lam = previous for the root lam = rootdata[i][0]."""
+def _chain_matrix(rootdata, row=None, invs=None) -> DMatrix:
+    """U from the eigenvector chains of the companion matrix with last row
+    `row`: each root lam starts a chain at (1, lam, ..., lam^(n-1)), n the
+    sum of the multiplicities, and each further column is the w of
+    A*w - w*lam = previous (`_companion_step`), given invs[i] = lam^-1 for
+    a chain root lam = rootdata[i][0]."""
     n = sum([m for _, m in rootdata])
     columns = []
     for i, (lam, m) in enumerate(rootdata):
         v = lam.powers(n - 1)
         columns.append(v)
         for _ in range(m - 1):
-            v = step(i, v)
+            v = _companion_step(row, lam, invs[i], v)
             columns.append(v)
     return DMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
-
-
-def chain_matrix(a: DMatrix, rootdata) -> DMatrix:
-    """U, built column by column from eigenvector chains of A
-    (`_chain_matrix`), each chain step by sylvester_chain_solve."""
-    if sum(m for _, m in rootdata) != a.rows:
-        raise ValueError("block sizes must sum to the matrix size")
-    return _chain_matrix(rootdata, lambda i, v: sylvester_chain_solve(a, rootdata[i][0], v))
 
 
 def _checked_multiplicities(rootdata) -> tuple:
@@ -416,16 +365,23 @@ def _checked_multiplicities(rootdata) -> tuple:
 
 
 def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
-    """U from `chain_matrix` and its inverse in the algebra, for a companion
-    matrix A and root data whose multiplicities are ints >= 1.  Each chain
-    starts at (1, lam, ..., lam^(n-1)), which is an eigenvector only when
-    rows 0..n-2 of A are the shift rows, so any other A is a ValueError.
-    The result is not checked here; solve builds its closed forms from the
-    same chains (`_chain_matrix`) and certifies them (solver._certify)."""
-    if any(a.entry(i, j) != int(j == i + 1) for i in range(a.rows - 1) for j in range(a.cols)):
+    """U from the eigenvector chains of A (`_chain_matrix`) and its inverse
+    in the algebra, for an n x n companion matrix A and multiplicities that
+    are ints >= 1 summing to n; a chain root is inverted up front, as in
+    solve.  Each chain starts at (1, lam, ..., lam^(n-1)), an eigenvector
+    only under the shift rows, so any other square A is a ValueError.  The
+    result is not checked here; solve builds its closed forms from the same
+    chains and certifies them (solver._certify)."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("jordan_from_roots needs a square matrix")
+    n = a.rows
+    if any(a.entry(i, j) != int(j == i + 1) for i in range(n - 1) for j in range(n)):
         raise ValueError("jordan_from_roots needs a companion matrix, rows 0..n-2 the shift rows")
     rootdata = _checked_multiplicities(rootdata)
-    u = chain_matrix(a, rootdata)
+    if sum(m for _, m in rootdata) != n:
+        raise ValueError("block sizes must sum to the matrix size")
+    invs = [lam.inverse() if m > 1 else None for lam, m in rootdata]
+    u = _chain_matrix(rootdata, a.row(n - 1), invs)
     try:
         uinv = mat_inverse(u)
     except Singular as exc:

@@ -62,7 +62,7 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .matlin import _chain_matrix, _checked_multiplicities, _companion_step, mat_solve
+from .matlin import _chain_matrix, _checked_multiplicities, mat_solve
 from .poly import LeftPoly, _is_root, _residual, quadratic_roots
 from .scalar import (
     Carrier,
@@ -587,8 +587,7 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     The root data is taken as established: _certify proves the result."""
     alg = spec.algebra
     inv_pows = [lam.inverse().powers(m - 1) if m > 1 else None for lam, m in rootdata]
-    u = _chain_matrix(rootdata, lambda i, v: _companion_step(
-        spec.rhs, rootdata[i][0], inv_pows[i][1], v))
+    u = _chain_matrix(rootdata, spec.rhs, [p[1] if p else None for p in inv_pows])
     try:
         b = mat_solve(u, spec.init)
     except Singular as exc:

@@ -151,12 +151,19 @@ MUTANTS = [
            "if any(a.entry(i, j)", "if False and any(a.entry(i, j)",
            ("tests/test_matlin.py::"
             "test_jordan_from_roots_refuses_a_matrix_that_is_not_a_companion_matrix",)),
-    # the chain step of the solver's Jordan form is the m x m companion step
-    Mutant("flattened sylvester_chain_solve put back as the chain step", SOLVER,
-           "lambda i, v: _companion_step(\n        spec.rhs, rootdata[i][0], inv_pows[i][1], v))",
-           "lambda i, v: __import__('skewrec.matlin', fromlist=['_']).sylvester_chain_solve(\n"
-           "        __import__('skewrec.matlin', fromlist=['_']).companion_matrix(\n"
-           "            primitive_char_poly(spec)), rootdata[i][0], v))",
+    Mutant("jordan_from_roots takes a matrix that is not square", MATLIN,
+           'if a.rows != a.cols:\n        raise DimensionMismatch("jordan_from_roots',
+           'if False:\n        raise DimensionMismatch("jordan_from_roots',
+           ("tests/test_matlin.py::test_jordan_from_roots_needs_a_square_matrix",)),
+    Mutant("jordan_from_roots takes block sizes that do not sum to n", MATLIN,
+           "if sum(m for _, m in rootdata) != n:", "if False:",
+           ("tests/test_matlin.py::test_jordan_from_roots_errors",)),
+    # the chain step of the solver's Jordan form reads rhs, the companion
+    # matrix's last row, and builds no companion matrix
+    Mutant("companion matrix built for the chain step's last row", SOLVER,
+           "u = _chain_matrix(rootdata, spec.rhs,",
+           "u = _chain_matrix(rootdata, __import__('skewrec.matlin', fromlist=['_'])"
+           ".companion_matrix(\n        primitive_char_poly(spec)).row(spec.order - 1),",
            ("tests/test_solver.py::test_solve_runs_no_flattened_solve_companion_matrix_or_value_eval",)),
     # the evaluator is proved against the form's terms at k < deg C
     Mutant("Lucas groups add c*k*(k-1) to the first group", SOLVER,

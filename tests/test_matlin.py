@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skewrec import (
     DMatrix,
     DimensionMismatch,
+    DivisionByZero,
     FieldContext,
     LeftPoly,
     NoSolution,
@@ -17,15 +18,15 @@ from skewrec import (
     SingularU,
     SkewrecError,
     ValidationError,
+    ZeroDivisor,
     companion_matrix,
     eig_check,
     jordan_from_roots,
     jordan_matrix,
     mat_inverse,
-    sylvester_chain_solve,
     vandermonde,
 )
-from skewrec.matlin import _companion_step, _primitive, _reduce_rows, chain_matrix, mat_solve
+from skewrec.matlin import _companion_step, _primitive, _reduce_rows, mat_solve
 from conftest import rand_frac, rand_quat, rand_scalar
 
 Q = FieldContext.rational()
@@ -176,7 +177,7 @@ def test_chain_solve_satisfies_equation():
     p = LeftPoly(H, [-K, -(I + J), 1])
     a = companion_matrix(p)
     v = [H.one(), I]
-    w = sylvester_chain_solve(a, I, v)
+    w = _companion_step(a.row(1), I, I.inverse(), v)
     lhs = [x - y for x, y in zip(a.apply(w), [wi * I for wi in w])]
     assert lhs == v
 
@@ -186,7 +187,7 @@ def test_chain_solve_inconsistent():
     p = LeftPoly(H, [1 + K, -I, 1])
     a = companion_matrix(p)
     with pytest.raises(NoSolution):
-        sylvester_chain_solve(a, J, [H.one(), J])
+        _companion_step(a.row(1), J, J.inverse(), [H.one(), J])
 
 
 def test_jordan_from_roots_repeated():
@@ -223,9 +224,32 @@ def test_jordan_from_roots_refuses_a_matrix_that_is_not_a_companion_matrix():
     diag = DMatrix(2, 2, [I, H.zero(), H.zero(), J])
     with pytest.raises(ValueError, match="needs a companion matrix"):
         jordan_from_roots(diag, [(I, 1), (J, 1)])
-    # chain_matrix stays general, and its chains do not diagonalize diag
-    u = chain_matrix(diag, [(I, 1), (J, 1)])
-    assert (u * jordan_matrix(((I, 1), (J, 1)))) * mat_inverse(u) != diag
+
+
+def test_jordan_from_roots_needs_a_square_matrix():
+    # a 1x2 matrix has no shift rows to check and a simple root takes no
+    # chain step, so only the shape refuses it; a 2x3 one has a shift row
+    with pytest.raises(DimensionMismatch, match="needs a square matrix"):
+        jordan_from_roots(DMatrix(1, 2, [I, H.zero()]), [(I, 1)])
+    with pytest.raises(DimensionMismatch, match="needs a square matrix"):
+        jordan_from_roots(DMatrix(2, 3, [H.zero(), H.one(), H.zero(), I, J, K]), [(I, 2)])
+
+
+def test_jordan_from_roots_inverts_each_chain_root_up_front():
+    # a chain step needs lam^-1: a double root 0 of x^2 is DivisionByZero
+    # and a double root of norm 0 in the split (1, 1) ZeroDivisor
+    with pytest.raises(DivisionByZero):
+        jordan_from_roots(companion_matrix(LeftPoly(Q, [0, 0, 1])), [(Q.zero(), 2)])
+    S = QuaternionAlgebra(1, 1)
+    lam = S.element([1, 1, 0, 0])  # (1 + e1)^2 = 2*(1 + e1), norm 0
+    a = companion_matrix(LeftPoly.x_minus(lam) * LeftPoly.x_minus(lam))
+    with pytest.raises(ZeroDivisor):
+        jordan_from_roots(a, [(lam, 2)])
+    # a simple root 0, of x^2 - i*x, takes no chain step
+    a = companion_matrix(LeftPoly(H, [0, -I, 1]))
+    jd = jordan_from_roots(a, [(H.zero(), 1), (I, 1)])
+    assert jd.U == vandermonde([H.zero(), I])
+    assert (jd.U * jordan_matrix(jd.blocks)) * jd.Uinv == a
 
 
 def test_jordan_from_roots_rejects_multiplicities_off_the_ints():
@@ -286,8 +310,8 @@ def solve_rational(mat, rhs):
     inconsistent.  Each augmented row is scaled to integers by the lcm of
     its denominators and eliminated by the package's integer kernel
     `_reduce_rows`; the only division is rhs_r / pivot_r at the end.  Being
-    checked against sympy here, it is the oracle for `sylvester_chain_solve`
-    below.
+    checked against sympy here, it is the oracle for `_companion_step`
+    below (`chain_solve_on_coords`).
     """
     cols = len(mat[0]) if mat else 0
     aug = [_integer_row(list(mat[r]) + [rhs[r]]) for r in range(len(mat))]
@@ -362,22 +386,21 @@ def rand_entry(rng, carrier):
 @props
 @given(st.sampled_from(CHAIN_CARRIERS), st.integers(1, 3), st.integers(0, 2 ** 32))
 def test_chain_solve_satisfies_equation_over_every_carrier(carrier, n, seed):
-    # v = A*w0 - w0*lam is in the image, so a solution w exists; A is either
-    # random or the companion matrix of (x - mu_1)...(x - mu_{n-1})(x - lam),
-    # which has lam as a root, with each mu_i = lam or random
+    # v = A*w0 - w0*lam is in the image, so a solution w exists; A is the
+    # companion matrix of (x - mu_1)...(x - mu_{n-1})(x - lam), which has
+    # lam != 0 as a root, with each mu_i = lam or random
     rng = random.Random(seed)
     lam = rand_entry(rng, carrier)
-    if rng.random() < 0.3:
-        a = DMatrix(n, n, [rand_entry(rng, carrier) for _ in range(n * n)])
-    else:
-        p = LeftPoly.x_minus(lam)
-        for _ in range(n - 1):
-            mu = lam if rng.random() < 0.5 else rand_entry(rng, carrier)
-            p = LeftPoly.x_minus(mu) * p
-        a = companion_matrix(p)
+    while lam.is_zero():
+        lam = rand_entry(rng, carrier)
+    p = LeftPoly.x_minus(lam)
+    for _ in range(n - 1):
+        mu = lam if rng.random() < 0.5 else rand_entry(rng, carrier)
+        p = LeftPoly.x_minus(mu) * p
+    a = companion_matrix(p)
     w0 = [rand_entry(rng, carrier) for _ in range(n)]
     v = [x - y * lam for x, y in zip(a.apply(w0), w0)]
-    w = sylvester_chain_solve(a, lam, v)
+    w = _companion_step(a.row(n - 1), lam, lam.inverse(), v)
     assert [x - y * lam for x, y in zip(a.apply(w), w)] == v
 
 
@@ -430,8 +453,9 @@ def test_mat_solve_makes_no_product_or_inverse_by_one(monkeypatch):
 
 
 def chain_solve_on_coords(a, lam, v):
-    """The chain system A*w - w*lam = v from the coords() of its values,
-    solved by solve_rational, as sylvester_chain_solve used to build it."""
+    """The flattened chain system A*w - w*lam = v, (n*m) x (n*m) on the
+    coords() of its values, m the carrier's dimension, solved by
+    solve_rational with free variables at 0."""
     carrier = lam.carrier
     basis = carrier.basis()
     m, n = len(basis), a.rows
@@ -446,37 +470,6 @@ def chain_solve_on_coords(a, lam, v):
     if sol is None:
         raise NoSolution("inconsistent")
     return [carrier.element(sol[j * m:(j + 1) * m]) for j in range(n)]
-
-
-@props
-@given(st.sampled_from(CHAIN_CARRIERS + [QuaternionAlgebra(1, 1)]), st.integers(1, 3),
-       st.sampled_from(["image", "random"]), st.integers(0, 2 ** 32))
-def test_chain_solve_on_numerators_is_the_coords_solve(carrier, n, kind, seed):
-    # the rows read off numerators over one common multiple give the same
-    # w as the rows of coords() through solve_rational, or the same error;
-    # A is a companion matrix with lam as a root (a singular system) or
-    # random, and v is in the image or random (often inconsistent)
-    rng = random.Random(seed)
-    lam = rand_entry(rng, carrier)
-    if rng.random() < 0.5:
-        a = DMatrix(n, n, [rand_entry(rng, carrier) for _ in range(n * n)])
-    else:
-        p = LeftPoly.x_minus(lam)
-        for _ in range(n - 1):
-            p = LeftPoly.x_minus(lam if rng.random() < 0.5 else rand_entry(rng, carrier)) * p
-        a = companion_matrix(p)
-    if kind == "image":
-        w0 = [rand_entry(rng, carrier) for _ in range(n)]
-        v = [x - y * lam for x, y in zip(a.apply(w0), w0)]
-    else:
-        v = [rand_entry(rng, carrier) for _ in range(n)]
-    try:
-        expected = chain_solve_on_coords(a, lam, v)
-    except SkewrecError as exc:
-        with pytest.raises(type(exc)):
-            sylvester_chain_solve(a, lam, v)
-    else:
-        assert sylvester_chain_solve(a, lam, v) == expected
 
 
 @props
@@ -506,33 +499,9 @@ def test_companion_step_is_the_flattened_chain_solve(carrier, n, kind, seed):
     else:
         v = [rand_entry(rng, carrier) for _ in range(n)]
     try:
-        expected = sylvester_chain_solve(a, lam, v)
+        expected = chain_solve_on_coords(a, lam, v)
     except NoSolution:
         with pytest.raises(NoSolution):
             _companion_step(a.row(n - 1), lam, lam.inverse(), v)
     else:
         assert _companion_step(a.row(n - 1), lam, lam.inverse(), v) == expected
-
-
-def test_chain_matrix_takes_the_flattened_solve_off_the_companion_step(monkeypatch):
-    # chain_matrix takes every chain step by sylvester_chain_solve and never
-    # the solver's m x m step: for a root of norm 0 (in the split (1, 1)),
-    # for a matrix without the companion shift rows, and for an invertible
-    # root of a companion matrix alike
-    from skewrec import matlin
-
-    S = QuaternionAlgebra(1, 1)
-    lam = S.element([1, 1, 0, 0])  # (1 + e1)^2 = 2*(1 + e1), norm 0
-    a = companion_matrix(LeftPoly.x_minus(lam) * LeftPoly.x_minus(lam))
-    w = sylvester_chain_solve(a, lam, lam.powers(1))
-    u = DMatrix.from_rows([[S.one(), w[0]], [lam, w[1]]])
-    monkeypatch.setattr(matlin, "_companion_step", lambda *args: pytest.fail("m x m step"))
-    assert chain_matrix(a, [(lam, 2)]) == u
-    b = DMatrix.from_rows([[J, H.one()], [H.one(), I + J]])  # no shift rows
-    w = sylvester_chain_solve(b, I, I.powers(1))
-    assert chain_matrix(b, [(I, 2)]) == DMatrix.from_rows([[H.one(), w[0]], [I, w[1]]])
-    a = companion_matrix(LeftPoly.x_minus(I) * LeftPoly.x_minus(I))
-    u = chain_matrix(a, [(I, 2)])
-    w = [u.entry(0, 1), u.entry(1, 1)]
-    assert [x - y * I for x, y in zip(a.apply(w), w)] == [H.one(), I]
-    assert w == _companion_step(a.row(1), I, I.inverse(), I.powers(1))

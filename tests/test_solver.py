@@ -84,7 +84,7 @@ PUBLIC_NAMES = {
     "quadratic_roots",
     # matlin
     "DMatrix", "companion_matrix", "eig_check", "jordan_from_roots", "jordan_matrix",
-    "mat_inverse", "sylvester_chain_solve", "vandermonde",
+    "mat_inverse", "vandermonde",
     # solver: solve is the one public way to a closed form
     "AssocForm", "CentralForm", "OctSplitForm", "RecurrenceSpec", "Term", "eval_closed_form",
     "iterate_oracle", "primitive_char_poly", "solve", "verify_closed_form",
@@ -96,7 +96,7 @@ def test_public_names_are_the_listed_exports():
     import skewrec
     names = {n for n, v in vars(skewrec).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert names == PUBLIC_NAMES
     # every form kind solve returns can be imported, CentralForm included
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "specs", "spherical.rec")
@@ -1299,15 +1299,14 @@ DEMO_SPECS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "dem
 
 @contextlib.contextmanager
 def _one_kernel_per_job():
-    """Fail on any flattened chain solve, companion matrix or value
-    evaluation of a polynomial: chains take the m x m companion step and
-    roots the integer root test."""
+    """Fail on any companion matrix or value evaluation of a polynomial:
+    chains take the m x m companion step off rhs and roots the integer
+    root test."""
     def fail(what):
         return lambda *args, **kwargs: pytest.fail(f"solve called {what}")
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (matlin, solver):
-            mp.setattr(mod, "sylvester_chain_solve", fail("sylvester_chain_solve"), raising=False)
             mp.setattr(mod, "companion_matrix", fail("companion_matrix"), raising=False)
         mp.setattr(LeftPoly, "eval", fail("LeftPoly.eval"))
         yield
@@ -1385,10 +1384,10 @@ def test_drawn_jordan_and_user_root_specs_take_one_kernel_per_job(data):
 
 def test_a_norm_zero_chain_root_raises_zero_divisor_before_any_chain(monkeypatch):
     # 1 + e1 has norm 0 in the split (1, 1): its lam^-1 is taken before the
-    # chains are built, so no chain step and no flattened solve runs
+    # chains are built, so no chain step runs
     lam = S11.element([1, 1, 0, 0])
     spec = RecurrenceSpec(S11, 2, (-(lam * lam), 2 * lam), (1, 0), roots=((lam, 2),))
-    monkeypatch.setattr(solver, "_companion_step", lambda *args: pytest.fail("chain step"))
+    monkeypatch.setattr(matlin, "_companion_step", lambda *args: pytest.fail("chain step"))
     with _one_kernel_per_job():
         with pytest.raises(ZeroDivisor, match=re.escape(
                 "[1,1,0,0] has norm 0, so (1,1 | Q) is not a division algebra")):
