@@ -26,10 +26,13 @@ d2) for a sum, and for a product by a factor z whose denominator is narrow
 beside a wide one, a factor of W_0 * N(z) (times its scaling), since
 conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x hold in every composition
 algebra, octonions and split algebras included; a rational factor is
-central, so its product is a scaling.  Rational a, b enter as integers
-over D = den(a)*den(b), so a quaternion product is (D*w1)*w2 + (A*x1)*x2 +
-(B*y1)*y2 - (AB*z1)*z2 (and so on) over d1*d2*D, the constants applied to
-the left factor first, and gamma enters over its own denominator.
+central, so its product is a scaling, and an octonion left factor with a
+zero second half, a quaternion of the base algebra, takes two quaternion
+products, not four (`OctonionAlgebra._num_mul`).  Rational a, b enter as
+integers over D = den(a)*den(b), so a quaternion product is (D*w1)*w2 +
+(A*x1)*x2 + (B*y1)*y2 - (AB*z1)*z2 (and so on) over d1*d2*D, the constants
+applied to the left factor first, and gamma enters over its own
+denominator.
 `coords()` returns exact Fractions, and `str` prints from the numerators.
 
 Carriers.  `QuaternionAlgebra` and `OctonionAlgebra` derive from
@@ -205,10 +208,16 @@ class OctonionAlgebra(Carrier):
     def _num_mul(self, x, y) -> tuple:
         """x * y on numerators, over den(x) * den(y) * weights[0], weights[0]
         = Gd * D: (q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q +
-        r*conj(s))*l0 on the integer halves."""
+        r*conj(s))*l0 on the integer halves.  A left factor with a zero
+        second half, a quaternion of the base algebra as every rhs of an
+        octonion split spec is, takes two quaternion products, not four:
+        q*s + (t*q)*l0, and Gd = 1 multiplies nothing."""
         c, (G, Gd) = self.base.consts, self.consts
         q, r = x[:4], x[4:]
         s, t = y[:4], y[4:]
+        if not (r[0] or r[1] or r[2] or r[3]):
+            num = _quat_mul(c, q, s) + _quat_mul(c, t, q)
+            return num if Gd == 1 else tuple([Gd * a for a in num])
         qs, tr = _quat_mul(c, q, s), _quat_mul(c, _conj4(t), r)
         tq, rs = _quat_mul(c, t, q), _quat_mul(c, r, _conj4(s))
         return tuple([Gd * a + G * b for a, b in zip(qs, tr)]

@@ -27,7 +27,7 @@ from .errors import (
     SingularU,
     ValidationError,
 )
-from .scalar import _from_ratios, _times
+from .scalar import IntValue, _from_ratios, _times
 
 
 def _dot(row, col):
@@ -188,10 +188,14 @@ def companion_matrix(p) -> DMatrix:
 
 def vandermonde(nodes) -> DMatrix:
     """Rows of increasing powers: row i holds node_j ** i, the U of
-    `_chain_matrix` for simple roots, which take no chain step."""
+    `_chain_matrix` for simple roots, which take no chain step.  A node
+    that is not a value of an algebra (a plain number, say) is a
+    ValidationError: with no matrix, there is no carrier to coerce it into."""
     rootdata = [(node, 1) for node in nodes]
     if not rootdata:
         raise ValueError("vandermonde needs at least one node")
+    if not all(isinstance(node, IntValue) for node, _ in rootdata):
+        raise ValidationError("vandermonde nodes must be values of an algebra")
     return _chain_matrix(rootdata)
 
 
@@ -367,17 +371,25 @@ def _checked_multiplicities(rootdata) -> tuple:
 def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     """U from the eigenvector chains of A (`_chain_matrix`) and its inverse
     in the algebra, for an n x n companion matrix A and multiplicities that
-    are ints >= 1 summing to n; a chain root is inverted up front, as in
-    solve.  Each chain starts at (1, lam, ..., lam^(n-1)), an eigenvector
-    only under the shift rows, so any other square A is a ValueError.  The
-    result is not checked here; solve builds its closed forms from the same
-    chains and certifies them (solver._certify)."""
+    are ints >= 1 summing to n.  Each root is coerced into A's carrier, as
+    RecurrenceSpec coerces its roots: that of A's first entry that is a
+    value (a hand-built A may hold plain ints), else of the first root that
+    is one.  A chain root is inverted up front, as in solve.  Each chain
+    starts at (1, lam, ..., lam^(n-1)), an eigenvector only under the shift
+    rows, so any other square A is a ValueError.  The result is not checked
+    here; solve builds its closed forms from the same chains and certifies
+    them (solver._certify)."""
     if a.rows != a.cols:
         raise DimensionMismatch("jordan_from_roots needs a square matrix")
     n = a.rows
     if any(a.entry(i, j) != int(j == i + 1) for i in range(n - 1) for j in range(n)):
         raise ValueError("jordan_from_roots needs a companion matrix, rows 0..n-2 the shift rows")
     rootdata = _checked_multiplicities(rootdata)
+    values = [v for v in (*a.entries, *(lam for lam, _ in rootdata)) if isinstance(v, IntValue)]
+    if not values:
+        raise ValidationError("jordan_from_roots needs a value of an algebra in A or its roots")
+    coerce = values[0].carrier.coerce
+    rootdata = tuple([(coerce(lam), m) for lam, m in rootdata])
     if sum(m for _, m in rootdata) != n:
         raise ValueError("block sizes must sum to the matrix size")
     invs = [lam.inverse() if m > 1 else None for lam, m in rootdata]

@@ -10,17 +10,18 @@ class adds only its product, which `_product` reduces.  A result is reduced
 by the only common factor it can have, not by a gcd against its whole
 denominator: a sum over lcm(d1, d2) by a divisor of g = gcd(d1, d2), as a
 prime with a higher power in one operand's denominator leaves some
-numerator of the sum prime to it; a product of a narrow factor z with
-N(z) != 0 and a wide one by a divisor of W_0 * d_z * gcd(d_o, m_z), as
-conj(x)(xy) = N(x) y and (xy) conj(y) = N(y) x.  A scalar of Q is
-(u,) over den and one of Q(sqrt(d)) is (u, v) over den, meaning
-(u + v*sqrt(d)) / den.  In the same way `Carrier` holds what every
-carrier (`FieldContext` here, the quaternion and octonion algebras) does
-alike: zero, one, scalar, element, basis, coerce, equality and hashing;
-each adds only its own parameters (`FieldContext` only d, None for Q) and
-`weights`, the diagonal of its norm form on the integer layout:
-W_0 * den^2 * N(x) = sum_j W_j * num_j^2, (1,) over Q and (1, -d) over
-Q(sqrt(d)).  Every carrier also gives `_num_mul`, the integer product
+numerator of the sum prime to it, and only an operand whose denominator
+is not the lcm is scaled; a product of a narrow factor z with N(z) != 0
+and a wide one, whose denominator d_o is not a power of 2, by a divisor
+of W_0 * d_z * gcd(d_o, m_z), as conj(x)(xy) = N(x) y and (xy) conj(y) =
+N(y) x.  A scalar of Q is (u,) over den and one of Q(sqrt(d)) is (u, v)
+over den, meaning (u + v*sqrt(d)) / den.  In the same way `Carrier` holds
+what every carrier (`FieldContext` here, the quaternion and octonion
+algebras) does alike: zero, one, scalar, element, basis, coerce, equality
+and hashing; each adds only its own parameters (`FieldContext` only d,
+None for Q) and `weights`, the diagonal of its norm form on the integer
+layout: W_0 * den^2 * N(x) = sum_j W_j * num_j^2, (1,) over Q and (1, -d)
+over Q(sqrt(d)).  Every carrier also gives `_num_mul`, the integer product
 of two numerator tuples, over W_0 times the two denominators: the formula
 its value class multiplies by (`_field_mul` here), which the solver's
 integer root tests, chain systems and term values run on.
@@ -43,7 +44,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import count
 from math import gcd, isqrt, lcm
-from operator import mul, neg, or_
+from operator import add, mul, neg, or_, sub
 
 from .errors import ContextMismatch, DivisionByZero, ParseError, ValidationError, ZeroDivisor
 
@@ -290,12 +291,12 @@ class IntValue:
     a result that may need reducing is built by `_reduced`, with its gcd
     against the factor that can cancel where one is known: gcd(d1, d2) for
     a sum (`_sum`) and W_0 * d_z * gcd(d_o, m_z) for a product with a
-    narrow factor z (`_product`); a scaling by p/q divides out gcd(p, den)
-    and gcd(q, *num), as a Fraction product does (`_scaled`); over a den
-    wider than 64 bits the 2s go by shifts first (`_reduced`).  Values are
-    never mutated.  A subclass supplies `__mul__`, through `_product`; the
-    norm, the inverse and the polar form read the carrier's `weights`
-    through `_scaled_polar`.
+    narrow factor z and a d_o that is not a power of 2 (`_product`); a
+    scaling by p/q divides out gcd(p, den) and gcd(q, *num), as a Fraction
+    product does (`_scaled`); over a den wider than 64 bits the 2s go by
+    shifts first (`_reduced`).  Values are never mutated.  A subclass
+    supplies `__mul__`, through `_product`; the norm, the inverse and the
+    polar form read the carrier's `weights` through `_scaled_polar`.
     """
 
     __slots__ = ("carrier", "num", "den")
@@ -322,7 +323,11 @@ class IntValue:
         in d1 than in d2 divides every numerator's other-term but not some
         self-term, as self is reduced (and the other way round), and a prime
         with equal powers has the same power in L as in g.  So the sum is
-        reduced by gcd(g, *num), and is canonical as it is when g = 1."""
+        reduced by gcd(g, *num), and is canonical as it is when g = 1.
+        Only an operand whose denominator is not L is scaled, by L over it:
+        with equal denominators none is and no gcd is taken, and when one
+        denominator divides the other, g is that one and only its operand
+        is scaled, with no division of the other denominator by g."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -330,12 +335,27 @@ class IntValue:
             return self
         if not any(self.num):
             return o if sign > 0 else -o
-        g = gcd(self.den, o.den)
-        s1, s2 = o.den // g, sign * (self.den // g)
-        num = tuple([a * s1 + b * s2 for a, b in zip(self.num, o.num)])
+        d1, d2 = self.den, o.den
+        a, b = self.num, o.num
+        if d1 == d2:
+            g = den = d1
+            num = tuple(map(add if sign > 0 else sub, a, b))
+        else:
+            g = gcd(d1, d2)
+            if g == d2:  # only o is scaled
+                s, den = sign * (d1 // g), d1
+                num = tuple([x + y * s for x, y in zip(a, b)])
+            elif g == d1:  # only self is scaled
+                s, den = d2 // g, d2
+                num = tuple([x * s + y for x, y in zip(a, b)] if sign > 0
+                            else [x * s - y for x, y in zip(a, b)])
+            else:
+                s, t = d2 // g, sign * (d1 // g)
+                den = d1 * s
+                num = tuple([x * s + y * t for x, y in zip(a, b)])
         if g == 1:
-            return _make(self.__class__, self.carrier, num, self.den * s1)
-        return _reduced(self.__class__, self.carrier, num, self.den * s1, g)
+            return _make(self.__class__, self.carrier, num, den)
+        return _reduced(self.__class__, self.carrier, num, den, g)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -532,9 +552,12 @@ def _product(x, y, num: tuple):
     min(v_p(d_o), v_p(m_z)) = v_p(B); any other prime divides g at most as
     often as it divides W_0 * d_z.  A zero divisor z (m_z = 0) gets
     gcd(d_o, 0) = d_o, the whole denominator again, and every other
-    product takes the gcd against the whole denominator.  The bound halves
-    `iterate_oracle` where denominators grow by an odd prime, and costs
-    11-19% where `_reduced` shifts out their 2s (BENCH_40.json)."""
+    product takes the gcd against the whole denominator.  The bound is
+    taken only when d_o is not a power of 2: then gcd(d_o, m_z) is one too,
+    so the bound's odd part is that of W_0 * d_z, the odd part that
+    `_reduced` takes its gcd against once the shifts have taken every 2,
+    and the norm would cost 11-19% of `iterate_oracle` for nothing
+    (BENCH_40.json).  Where d_o has an odd prime, the bound halves it."""
     carrier = x.carrier
     w0 = carrier.weights[0]
     dz, do = x.den, y.den
@@ -542,7 +565,7 @@ def _product(x, y, num: tuple):
     if (dz | do) >> 64:
         if dz > do:
             x, dz, do = y, do, dz
-        if not dz >> 64:
+        if not dz >> 64 and do & (do - 1):
             m, _ = x._norm_parts()
             return _reduced(x.__class__, carrier, num, den, w0 * dz * gcd(do, m))
     return _reduced(x.__class__, carrier, num, den)

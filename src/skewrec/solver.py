@@ -184,8 +184,9 @@ class _PowerReducer:
     Beside an unfactored part's power, only that gcd grows with k, and only
     a form whose values gain fewer than v_p(s) powers of p per step takes
     it: s = 3 for a norm N of denominator 3, where about k/2 powers of 3
-    cancel at every k.  With s = 1 there are no primes, base is den, and
-    every call takes one gcd against den, at every k."""
+    cancel at every k.  With s = 1 there are no primes, and every call
+    takes one gcd against den and nothing else, at every k: no power of s
+    and no test for all-zero numerators, which that gcd reduces to 0/1."""
 
     __slots__ = ("den", "s", "primes", "base", "rest")
 
@@ -205,10 +206,14 @@ class _PowerReducer:
 
     def __call__(self, num: list, k: int) -> tuple[tuple, int]:
         """(num', den') in lowest terms with num'[i] / den' = num[i] / (den * s**k)."""
-        den = self.den * self.s ** k
-        if k < 2:  # a small denominator, and p**2 may not divide it: one gcd
+        s = self.s
+        if s == 1 or k < 2:  # no primes, or p**2 may not divide den: one gcd
+            den = self.den if s == 1 else self.den * s ** k
             q = gcd(den, *num)
+            if q == 1:
+                return tuple(num), den
             return tuple([n // q for n in num]), den // q
+        den = self.den * s ** k
         if not any(num):
             return tuple(num), 1
         q = gcd(self.base if self.rest == 1 else self.base * self.rest ** k, *num)

@@ -50,6 +50,8 @@ ALG, CLI, MATLIN, POLY, SCALAR, SOLVER = (
 PAIRS = ("(1, 0)", "(2, 0)", "(2, 1)", "(4, 0)", "(4, 1)", "(4, 2)", "(4, 3)")
 ONE_HYPOTHESIS = ("tests/test_algebra.py::test_a_frame_breaking_one_lemma_hypothesis_alone_is_degenerate",
                   "tests/test_algebra.py::test_seven_orthogonalities_decide_as_the_full_gram_test")
+ZERO_HALF = ("tests/test_algebra.py::"
+             "test_an_octonion_factor_with_a_zero_half_multiplies_as_the_full_product_does",)
 REDUCER = ("tests/test_solver.py::test_power_reducer_gives_the_lowest_terms_of_every_coordinate",
            "tests/test_solver.py::test_power_reducer_at_every_cap_for_small_k")
 
@@ -77,18 +79,26 @@ MUTANTS = [
            "return o._scaled(self.num[0], self.den)", "return self._scaled(o.num[0], o.den)",
            ("tests/test_algebra.py::test_a_rational_factor_multiplies_as_the_full_product_does",)),
     Mutant("octonion product takes t*q as q*t", ALG,
-           "_quat_mul(c, t, q)", "_quat_mul(c, q, t)",
-           ("tests/test_algebra.py::test_nonzero_associator",)),
+           "tq, rs = _quat_mul(c, t, q)", "tq, rs = _quat_mul(c, q, t)",
+           ("tests/test_algebra.py::test_norm_multiplicative_and_alternative_laws",)),
     Mutant("octonion product with gamma's sign flipped", ALG,
            "Gd * a + G * b", "Gd * a - G * b",
            ("tests/test_algebra.py::test_doubling_unit",)),
+    # the octonion product by a factor with a zero second half
+    Mutant("zero-half product drops Gd", ALG,
+           "return num if Gd == 1 else tuple([Gd * a for a in num])", "return num", ZERO_HALF),
+    Mutant("tq taken as q*t", ALG,
+           "+ _quat_mul(c, t, q)", "+ _quat_mul(c, q, t)", ZERO_HALF),
     Mutant("Q(sqrt(d)) product without d", SCALAR,
            "u1 * u2 + d * (v1 * v2)", "u1 * u2 + (v1 * v2)",
            ("tests/test_scalar.py::test_quadratic_multiplication",)),
     Mutant("sum never reduced", SCALAR,
-           "return _reduced(self.__class__, self.carrier, num, self.den * s1, g)",
-           "return _make(self.__class__, self.carrier, num, self.den * s1)",
+           "return _reduced(self.__class__, self.carrier, num, den, g)",
+           "return _make(self.__class__, self.carrier, num, den)",
            ("tests/test_scalar.py::test_field_axioms",)),
+    Mutant("sum scales the wrong operand when one denominator divides the other", SCALAR,
+           "if g == d2:  # only o is scaled", "if g == d1:  # only o is scaled",
+           ("tests/test_algebra.py::test_a_sum_scales_only_the_operand_whose_denominator_is_not_the_lcm",)),
     Mutant("scaling without its numerator gcd", SCALAR,
            "g1, g2 = gcd(p, den), gcd(q, *num)", "g1, g2 = gcd(p, den), 1",
            ("tests/test_algebra.py::test_octonion_scaling_is_coordinatewise",)),
@@ -232,10 +242,11 @@ MUTANTS = [
     Mutant("odd prime's gcd against p**(cap + 1)", SOLVER,
            "f = gcd(p ** cap, *num)", "f = gcd(p ** (cap + 1), *num)", REDUCER),
     Mutant("base takes p for p**2", SOLVER, "base *= p * p", "base *= p", REDUCER),
-    Mutant("one-gcd path for k < 1 only", SOLVER, "if k < 2:", "if k < 1:", REDUCER),
+    Mutant("one-gcd path for k < 1 only", SOLVER, "or k < 2:", "or k < 1:", REDUCER),
     Mutant("no gcd on the s = 1 path", SOLVER,
-           "den = self.den * self.s ** k",
-           "den = self.den * self.s ** k\n        if self.s == 1:\n            return tuple(num), den",
+           "den = self.den if s == 1 else self.den * s ** k",
+           "den = self.den if s == 1 else self.den * s ** k\n"
+           "            if s == 1:\n                return tuple(num), den",
            ("tests/test_solver.py::test_lucas_evaluator_matches_powers_and_iteration",)),
     Mutant("odd prime's tail gcd against p**(cap - 1)", SOLVER,
            "f = gcd(p ** cap, *num)", "f = gcd(p ** (cap - 1), *num)", REDUCER),

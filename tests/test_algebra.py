@@ -853,20 +853,37 @@ small_smooth = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 25])
 # out the 2s still has a gcd against more than 1 to take
 wide_odd = st.builds(lambda i, j: 2 ** i * (2 ** 61 - 1) * 3 ** j,
                      st.integers(0, 90), st.integers(0, 40))
+# a power of 2 wider than 64 bits: a product by a narrow factor takes no
+# bound from its norm over it, as the shifts take every 2
+wide_pow2 = st.builds(lambda i: 2 ** i, st.integers(65, 200))
 
 
 @st.composite
-def reduction_values(draw, carrier):
+def reduction_values(draw, carrier, like=None):
     """A value of carrier, zero one time in ten and central (rational) one
-    time in ten, over a small or a wide denominator."""
+    time in ten, over a small or a wide denominator.  An octonion has a
+    zero second half (a quaternion of its base algebra) two times in ten
+    and a zero first half one time in ten.  Given the denominator `like`
+    of another value, the denominator is, four times in five, like itself,
+    a multiple of it, a divisor of it or a power of 2 wider than 64 bits,
+    and a numerator of 1 or -1 keeps it through the reduction."""
     kind = draw(st.integers(0, 9))
     if kind == 0:
         return carrier.zero()
-    den = draw(st.one_of(small_smooth, smooth, wide_odd))
+    den = draw(st.one_of(small_smooth, smooth, wide_odd, wide_pow2))
     nums = draw(st.lists(st.builds(mul, st.integers(-7, 7), small_smooth),
                          min_size=carrier.dim, max_size=carrier.dim))
+    low_half_zero = carrier.dim == 8 and kind == 4
+    rel = 0 if like is None else draw(st.integers(0, 4))
+    if rel:
+        den = [like, like * den, like // gcd(like, den), draw(wide_pow2)][rel - 1]
+        nums[4 if low_half_zero else 0] = draw(st.sampled_from([1, -1]))
     if kind == 1:
         nums[1:] = [0] * (carrier.dim - 1)
+    elif carrier.dim == 8 and kind in (2, 3):
+        nums[4:] = [0] * 4
+    elif low_half_zero:
+        nums[:4] = [0] * 4
     return carrier.element([Fraction(n, den) for n in nums])
 
 
@@ -875,18 +892,21 @@ def assert_same(got, want):
     assert (got.num, got.den) == (want.num, want.den)
 
 
-@reduction_props
+@settings(reduction_props, max_examples=150)
 @given(st.data())
 def test_sums_and_products_reduce_as_one_full_gcd_does(data):
-    alg = data.draw(st.sampled_from(REDUCTION_CARRIERS))
-    x, y = data.draw(reduction_values(alg)), data.draw(reduction_values(alg))
-    cx, cy = x.coords(), y.coords()
-    # `element` reduces by one gcd against the whole denominator
-    assert_same(x * y, alg.element(fraction_mul(alg, cx, cy)))
-    assert_same(y * x, alg.element(fraction_mul(alg, cy, cx)))
-    assert_same(x + y, alg.element([a + b for a, b in zip(cx, cy)]))
-    assert_same(x - y, alg.element([a - b for a, b in zip(cx, cy)]))
-    assert_same(y - x, alg.element([b - a for a, b in zip(cx, cy)]))
+    # every carrier in every example, so that each meets every branch of
+    # `_sum`, `_product` and the octonion product's zero halves
+    for alg in REDUCTION_CARRIERS:
+        x = data.draw(reduction_values(alg))
+        y = data.draw(reduction_values(alg, x.den))
+        cx, cy = x.coords(), y.coords()
+        # `element` reduces by one gcd against the whole denominator
+        assert_same(x * y, alg.element(fraction_mul(alg, cx, cy)))
+        assert_same(y * x, alg.element(fraction_mul(alg, cy, cx)))
+        assert_same(x + y, alg.element([a + b for a, b in zip(cx, cy)]))
+        assert_same(x - y, alg.element([a - b for a, b in zip(cx, cy)]))
+        assert_same(y - x, alg.element([b - a for a, b in zip(cx, cy)]))
 
 
 @reduction_props
@@ -940,6 +960,40 @@ def test_planted_wide_reductions_shift_out_only_the_2s_their_bound_has():
     x, y = H.element([Fraction(1, 2 * w)] * 4), H.element([Fraction(8, w), Fraction(8, w), 0, 0])
     assert_same(x * y, H.element(fraction_mul(H, x.coords(), y.coords())))
     assert (x * y).num == (0, 8, 8, 0) and (x * y).den == w * w
+
+
+def test_an_octonion_factor_with_a_zero_half_multiplies_as_the_full_product_does():
+    # q + 0*l0 as the left factor takes two quaternion products, and as the
+    # right one, as 0 + r*l0 and y do, all four beside it; gamma = -3/2 has
+    # Gd = 2
+    rng = random.Random(11)
+    for alg in (O, OctonionAlgebra(1, 1, 1), OctonionAlgebra(2, 3, -1),
+                OctonionAlgebra(-1, -2, Fraction(-3, 2))):
+        for _ in range(12):
+            x, y = rand_oct(rng, alg, 9, 6), rand_oct(rng, alg, 9, 6)
+            c = x.coords()
+            for z in (alg.element(c[:4] + [0] * 4), alg.element([0] * 4 + c[4:]), y):
+                for u, v in ((z, y), (y, z), (z, x)):
+                    assert_same(u * v, alg.element(fraction_mul(alg, u.coords(), v.coords())))
+
+
+def test_a_sum_scales_only_the_operand_whose_denominator_is_not_the_lcm():
+    # equal denominators, each dividing the other, and neither, narrow and
+    # wide; coordinate 0 is +-1/d, so that d is the value's denominator
+    rng = random.Random(12)
+    dens = [(6, 6), (6, 12), (12, 6), (10, 15), (2 ** 80, 2 ** 80), (2 ** 70, 3 * 2 ** 80),
+            (5 * 3 ** 50, 3 ** 50), (7 * 2 ** 66, 11 * 2 ** 66)]
+    for alg in (FieldContext.rational(), FieldContext(2), H, O):
+        for d1, d2 in dens:
+            for _ in range(4):
+                cx, cy = ([Fraction(rng.choice([1, -1]), d)]
+                          + [Fraction(rng.randint(-9, 9), d) for _ in range(alg.dim - 1)]
+                          for d in (d1, d2))
+                x, y = alg.element(cx), alg.element(cy)
+                assert (x.den, y.den) == (d1, d2)
+                assert_same(x + y, alg.element([a + b for a, b in zip(cx, cy)]))
+                assert_same(x - y, alg.element([a - b for a, b in zip(cx, cy)]))
+                assert_same(y - x, alg.element([b - a for a, b in zip(cx, cy)]))
 
 
 def test_a_rational_factor_multiplies_as_the_full_product_does():

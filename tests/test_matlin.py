@@ -252,6 +252,38 @@ def test_jordan_from_roots_inverts_each_chain_root_up_front():
     assert (jd.U * jordan_matrix(jd.blocks)) * jd.Uinv == a
 
 
+def test_jordan_from_roots_coerces_each_root_into_the_matrix_carrier():
+    # x^2 - 4x + 4 = (x - 2)^2 over (-1,-1): the double root given as the
+    # int 2, and as a rational of Q, gives the chains of H.scalar(2)
+    a = companion_matrix(LeftPoly(H, [4, -4, 1]))
+    want = jordan_from_roots(a, [(H.scalar(2), 2)])
+    for root in (2, Fraction(2), Q.scalar(2)):
+        jd = jordan_from_roots(a, [(root, 2)])
+        assert jd.blocks == ((H.scalar(2), 2),) and jd.blocks[0][0].carrier == H
+        assert jd.U == want.U and jd.Uinv == want.Uinv
+        assert (jd.U * jordan_matrix(jd.blocks)) * jd.Uinv == a
+    # x^2 - 3x + 2 over Q with its roots as ints
+    a = companion_matrix(LeftPoly(Q, [2, -3, 1]))
+    assert jordan_from_roots(a, [(1, 1), (2, 1)]).U == vandermonde([Q.scalar(1), Q.scalar(2)])
+    with pytest.raises(SkewrecError):  # a value of another algebra
+        jordan_from_roots(companion_matrix(LeftPoly(H, [4, -4, 1])),
+                          [(QuaternionAlgebra(-1, -3).scalar(2) + QuaternionAlgebra(-1, -3).e1, 2)])
+    # a hand-built companion matrix whose shift rows hold plain ints takes
+    # its carrier from the first entry that is a value, else from a root
+    b = DMatrix.from_rows([[0, 1], [H.scalar(-2), H.scalar(3)]])
+    assert jordan_from_roots(b, [(1, 1), (2, 1)]).U == vandermonde([H.scalar(1), H.scalar(2)])
+    b = DMatrix.from_rows([[0, 1], [-2, 3]])
+    assert jordan_from_roots(b, [(1, 1), (Q.scalar(2), 1)]).U == vandermonde([Q.scalar(1), Q.scalar(2)])
+    with pytest.raises(ValidationError, match="needs a value of an algebra"):
+        jordan_from_roots(b, [(1, 1), (2, 1)])
+
+
+def test_vandermonde_refuses_a_node_that_is_not_a_value():
+    for nodes in ([2, I], [I, 2], [I, Fraction(1, 2)], ["i"]):
+        with pytest.raises(ValidationError, match="must be values of an algebra"):
+            vandermonde(nodes)
+
+
 def test_jordan_from_roots_rejects_multiplicities_off_the_ints():
     # int(m) read 1.9 and "1" as 1: blocks (1, 1), (2, 1) for x^2 - 3x + 2
     a = companion_matrix(LeftPoly(Q, [2, -3, 1]))
