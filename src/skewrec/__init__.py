@@ -45,12 +45,8 @@ from .matlin import (
     mat_inverse,
     vandermonde,
 )
+from .forms import AssocForm, CentralForm, OctSplitForm, RecurrenceSpec, Term
 from .solver import (
-    AssocForm,
-    CentralForm,
-    OctSplitForm,
-    RecurrenceSpec,
-    Term,
     eval_closed_form,
     iterate_oracle,
     primitive_char_poly,

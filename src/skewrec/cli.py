@@ -34,13 +34,8 @@ import sys
 from .errors import ParseError, SkewrecError, ValidationError
 from .scalar import INT_LITERAL, FieldContext
 from .algebra import OctonionAlgebra, QuaternionAlgebra
-from .solver import (
-    RecurrenceSpec,
-    eval_closed_form,
-    iterate_oracle,
-    solve,
-    verify_closed_form,
-)
+from .forms import RecurrenceSpec
+from .solver import eval_closed_form, iterate_oracle, solve, verify_closed_form
 
 _KEYS = ("algebra", "order", "rhs", "init", "roots")
 

@@ -27,6 +27,7 @@ from .errors import (
     SingularU,
     ValidationError,
 )
+from .forms import _checked_multiplicities
 from .scalar import IntValue, _from_ratios, _times
 
 
@@ -190,13 +191,17 @@ def vandermonde(nodes) -> DMatrix:
     """Rows of increasing powers: row i holds node_j ** i, the U of
     `_chain_matrix` for simple roots, which take no chain step.  A node
     that is not a value of an algebra (a plain number, say) is a
-    ValidationError: with no matrix, there is no carrier to coerce it into."""
-    rootdata = [(node, 1) for node in nodes]
-    if not rootdata:
+    ValidationError: with no matrix, there is no carrier to coerce it into.
+    Each node is coerced into the first node's carrier, as
+    jordan_from_roots coerces its roots, so a node of another algebra is a
+    ContextMismatch here and not at a later product."""
+    nodes = list(nodes)
+    if not nodes:
         raise ValueError("vandermonde needs at least one node")
-    if not all(isinstance(node, IntValue) for node, _ in rootdata):
+    if not all(isinstance(node, IntValue) for node in nodes):
         raise ValidationError("vandermonde nodes must be values of an algebra")
-    return _chain_matrix(rootdata)
+    coerce = nodes[0].carrier.coerce
+    return _chain_matrix([(coerce(node), 1) for node in nodes])
 
 
 def eig_check(a: DMatrix, lam, v) -> bool:
@@ -357,17 +362,6 @@ def _chain_matrix(rootdata, row=None, invs=None) -> DMatrix:
     return DMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
 
 
-def _checked_multiplicities(rootdata) -> tuple:
-    """rootdata as a tuple of (root, multiplicity) pairs, or ValidationError
-    for a multiplicity that is not an int >= 1."""
-    rootdata = tuple(rootdata)
-    if not all(isinstance(m, int) for _, m in rootdata):
-        raise ValidationError("root multiplicities must be integers")
-    if any(m < 1 for _, m in rootdata):
-        raise ValidationError("root multiplicities must be >= 1")
-    return rootdata
-
-
 def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     """U from the eigenvector chains of A (`_chain_matrix`) and its inverse
     in the algebra, for an n x n companion matrix A and multiplicities that
@@ -378,7 +372,7 @@ def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     starts at (1, lam, ..., lam^(n-1)), an eigenvector only under the shift
     rows, so any other square A is a ValueError.  The result is not checked
     here; solve builds its closed forms from the same chains and certifies
-    them (solver._certify)."""
+    them (forms._certify)."""
     if a.rows != a.cols:
         raise DimensionMismatch("jordan_from_roots needs a square matrix")
     n = a.rows

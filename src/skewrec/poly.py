@@ -20,7 +20,7 @@ the discriminant, Hensel-lifted up to a Fujiwara root bound.
 `quadratic_roots` reads each root class off the integer factors on
 integer numerators: every irreducible quadratic factor's class holds a
 root, found with no test, and only a central candidate is tested, by the
-residual kernel `_residual` that also proves closed forms; rational
+residual kernel `forms._residual` that also proves closed forms; rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
 (`companion_poly`, `factor_central_quartic`, the `NoRootsFound` text), and
 their coefficients print from numerators.
@@ -42,6 +42,7 @@ from .algebra import (
     _quat_mul,
 )
 from .errors import InternalError, NoRootsFound, UnsupportedDegree
+from .forms import _residual
 from .scalar import FieldContext, _reduced, _times
 
 
@@ -406,32 +407,9 @@ def factor_central_quartic(p: LeftPoly):
 # roots of monic quadratics over a quaternion algebra
 
 
-def _residual(coeffs, lam) -> tuple[list, int]:
-    """(numerators, denominator) of sum c_i * lam**i, not reduced, for the
-    coefficients c_0..c_n (n >= 1, low degree first) of a polynomial over
-    an associative carrier, each given as its (numerators, denominator)
-    pair, and lam of the same carrier: the package's one residual kernel,
-    which tests roots (`_is_root`) and proves closed forms
-    (`solver._certify_terms`).  Horner's rule acc -> acc*lam + c_i keeps
-    acc as numerators over one s, each product by lam is the carrier's
-    integer product `_num_mul`, which puts weights[0] * s * den(lam) under
-    it, and each sum cross-multiplies by den(c_i).  A leading c_n = 1
-    costs no product."""
-    carrier = lam.carrier
-    mul, D, ln, dl = carrier._num_mul, carrier.weights[0], lam.num, lam.den
-    (tn, td), (n0, d0) = coeffs[-1], coeffs[0]
-    if td == 1 and tn[0] == 1 and not any(tn[1:]):
-        acc, s = ln, dl
-    else:
-        acc, s = mul(tn, ln), D * td * dl
-    for cn, cd in coeffs[-2:0:-1]:
-        acc, s = mul([a * cd + b * s for a, b in zip(acc, cn)], ln), D * s * cd * dl
-    return [a * d0 + b * s for a, b in zip(acc, n0)], s * d0
-
-
 def _is_root(coeffs, lam) -> bool:
     """Whether sum c_i * lam**i vanishes, for coefficient values c_0..c_n:
-    the zero test of `_residual`."""
+    the zero test of `forms._residual`."""
     return not any(_residual([(c.num, c.den) for c in coeffs], lam)[0])
 
 

@@ -223,7 +223,7 @@ _new = object.__new__
 
 def _ratio(x) -> tuple[int, int]:
     """An int, a Fraction or a rational-valued ScalarValue as its reduced
-    (numerator, denominator)."""
+    (numerator, denominator); anything else is a ValidationError."""
     if isinstance(x, int):
         return x, 1
     if isinstance(x, Fraction):
@@ -232,7 +232,7 @@ def _ratio(x) -> tuple[int, int]:
         if any(x.num[1:]):
             raise ContextMismatch(f"{x} is not rational")
         return x.num[0], x.den
-    raise TypeError(f"cannot interpret {x!r} as a scalar")
+    raise ValidationError(f"cannot interpret {x!r} as a scalar")
 
 
 def _make(cls, carrier, num: tuple, den: int):

@@ -3,7 +3,14 @@ product for the test suite."""
 
 from fractions import Fraction
 
+from hypothesis import Phase, settings
+
 from skewrec import LeftPoly, OctonionAlgebra, QuaternionAlgebra
+
+# tests/mutants.py runs its tests with --hypothesis-profile=mutants: a
+# mutant is killed by the first failing example, so it skips the shrink and
+# explain phases, which ran for minutes under a broken product
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def rand_frac(rng, num=9, den=3):

@@ -10,7 +10,9 @@ pass, and if one fails, the code it points at has changed.
 
 The runner copies src/, tests/, demos/ and pyproject.toml to a temporary
 directory, checks that every named test passes there, then applies one
-mutant at a time and runs its tests with pytest in a subprocess.  It exits 1
+mutant at a time and runs its tests with pytest in a subprocess, under the
+`mutants` Hypothesis profile of tests/conftest.py: a test fails on its first
+failing example, and the profile spends no time shrinking it.  It exits 1
 if a mutant survives, an equivalent mutant is killed, a snippet does not
 occur exactly once, or a named test fails on the unmutated copy.  The
 working tree is never changed.  Only the standard library is imported here;
@@ -43,8 +45,8 @@ class Mutant(NamedTuple):
     reason: str = ""  # for an equivalent mutant: why nothing changes
 
 
-ALG, CLI, MATLIN, POLY, SCALAR, SOLVER = (
-    "algebra.py", "cli.py", "matlin.py", "poly.py", "scalar.py", "solver.py")
+ALG, CLI, FORMS, MATLIN, POLY, SCALAR, SOLVER = (
+    "algebra.py", "cli.py", "forms.py", "matlin.py", "poly.py", "scalar.py", "solver.py")
 # the doubling lemma's seven pairs (i, j) of the frame f = (1, u, w, u*w,
 # ell, u*ell, w*ell, (u*w)*ell), as _frame_basis lists them
 PAIRS = ("(1, 0)", "(2, 0)", "(2, 1)", "(4, 0)", "(4, 1)", "(4, 2)", "(4, 3)")
@@ -134,7 +136,7 @@ MUTANTS = [
            "return SubalgebraFrame(alg, u, w, ell, span[3])",
            "return SubalgebraFrame(alg, u, w, span[3], span[3])",
            ("tests/test_algebra.py::test_frame_orthogonality_invariants",)),
-    Mutant("the certificate's frame check takes ell = u*w inside the quaternion part", SOLVER,
+    Mutant("the certificate's frame check takes ell = u*w inside the quaternion part", FORMS,
            "_frame_basis(alg, frame.u, frame.w, frame.ell)",
            "_frame_basis(alg, frame.u, frame.w, frame.uw)",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
@@ -168,6 +170,10 @@ MUTANTS = [
     Mutant("jordan_from_roots takes block sizes that do not sum to n", MATLIN,
            "if sum(m for _, m in rootdata) != n:", "if False:",
            ("tests/test_matlin.py::test_jordan_from_roots_errors",)),
+    # vandermonde coerces its nodes into one carrier, as jordan_from_roots does
+    Mutant("vandermonde takes nodes of two carriers", MATLIN,
+           "[(coerce(node), 1) for node in nodes]", "[(node, 1) for node in nodes]",
+           ("tests/test_matlin.py::test_vandermonde_coerces_each_node_into_the_first_nodes_carrier",)),
     # the chain step of the solver's Jordan form reads rhs, the companion
     # matrix's last row, and builds no companion matrix
     Mutant("companion matrix built for the chain step's last row", SOLVER,
@@ -176,7 +182,7 @@ MUTANTS = [
            ".companion_matrix(\n        primitive_char_poly(spec)).row(spec.order - 1),",
            ("tests/test_solver.py::test_solve_runs_no_flattened_solve_companion_matrix_or_value_eval",)),
     # the evaluator is proved against the form's terms at k < deg C
-    Mutant("Lucas groups add c*k*(k-1) to the first group", SOLVER,
+    Mutant("Lucas groups add c*k*(k-1) to the first group", FORMS,
            "    return sums\n",
            "    S, R = next(iter(sums.values()))\n"
            "    while len(S) < 3:\n"
@@ -187,72 +193,78 @@ MUTANTS = [
            ("tests/test_solver.py::test_solve_builds_no_evaluator_and_the_first_value_builds_one",)),
     # the one reader of a form's first values, for the certificate at
     # j < n and for the evaluator proof past it (AssocForm._values)
-    Mutant("lam's power advances only while 0 < j < 2", SOLVER,
+    Mutant("lam's power advances only while 0 < j < 2", FORMS,
            "if j:\n", "if 0 < j < 2:\n",
            ("tests/test_solver.py::test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind",)),
+    # the trusted checker: forms imports none of the search, not even in a
+    # function body (a module-level import of poly would be an import cycle,
+    # which fails every test at collection, not only the boundary test)
+    Mutant("the certificate imports the root search", FORMS,
+           "    cf._certify(spec)\n", "    from .poly import LeftPoly\n    cf._certify(spec)\n",
+           ("tests/test_solver.py::test_the_trusted_checker_imports_none_of_the_search",)),
     # the certificate of each form kind (its `_certify`, then the first n
-    # values in solver._certify)
-    Mutant("Lucas form compares only rhs[1]", SOLVER,
+    # values in forms._certify)
+    Mutant("Lucas form compares only rhs[1]", FORMS,
            "if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):",
            "if spec.rhs[1] != self.carrier.coerce(self.t):",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
-    Mutant("Lucas form compares only rhs[0]", SOLVER,
+    Mutant("Lucas form compares only rhs[0]", FORMS,
            "if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):",
            "if spec.rhs[0] != self.carrier.coerce(-self.n):",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
-    Mutant("initial values not compared", SOLVER,
+    Mutant("initial values not compared", FORMS,
            "cf._values(spec.order), spec.init,", "spec.init, spec.init,",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
-    Mutant("octonion rhs-in-frame test skipped", SOLVER,
+    Mutant("octonion rhs-in-frame test skipped", FORMS,
            "if self.frame.join(q, 0) != r:", "if False:",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
-    Mutant("octonion frame not proved", SOLVER,
+    Mutant("octonion frame not proved", FORMS,
            "_certify_frame(spec.algebra, self.frame)", "pass",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
-    Mutant("octonion tail proved with rhs, not conj(rhs)", SOLVER,
+    Mutant("octonion tail proved with rhs, not conj(rhs)", FORMS,
            '_certify_terms(self.tail, [r.conj() for r in rhs], "tail ")',
            '_certify_terms(self.tail, rhs, "tail ")',
            ("tests/test_solver.py::test_octonion_two_distinct_roots",)),
-    Mutant("octonion main part not proved", SOLVER,
+    Mutant("octonion main part not proved", FORMS,
            '_certify_terms(self.main, rhs, "main ")', "pass",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
-    Mutant("octonion tail not proved", SOLVER,
+    Mutant("octonion tail not proved", FORMS,
            '_certify_terms(self.tail, [r.conj() for r in rhs], "tail ")', "pass",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
     # the certificate's term proof (_certify_terms), which regroups products
     # and so takes a non-associative carrier only with central rhs and terms
-    Mutant("term proof takes any octonion form", SOLVER,
+    Mutant("term proof takes any octonion form", FORMS,
            "if not carrier.value_type.ASSOCIATIVE and not all(", "if False and not all(",
            ("tests/test_solver.py::test_a_non_central_octonion_term_form_is_refused_by_the_certificate",)),
-    Mutant("term residual checked at k = 0 only", SOLVER,
+    Mutant("term residual checked at k = 0 only", FORMS,
            "for k in range(d + 1):", "for k in range(1):",
            ("tests/test_solver.py::test_certificate_checks_every_point_up_to_the_degree",)),
-    Mutant("term residual takes p(k) for p(k+j)", SOLVER, "vals[k + j]", "vals[k]",
+    Mutant("term residual takes p(k) for p(k+j)", FORMS, "vals[k + j]", "vals[k]",
            ("tests/test_solver.py::test_solve_repeated_root",)),
-    Mutant("split-algebra term accepted without z*lam*b = 0", SOLVER,
+    Mutant("split-algebra term accepted without z*lam*b = 0", FORMS,
            " and (res * (lam * b)).is_zero()", "",
            ("tests/test_solver.py::test_a_split_term_with_chi_lam_times_lam_b_nonzero_is_rejected",)),
     # the evaluator's reduction (_PowerReducer and its call in _LucasSum)
-    Mutant("value reduced by one gcd against den*s**k", SOLVER,
+    Mutant("value reduced by one gcd against den*s**k", FORMS,
            "return _make(zero.__class__, zero.carrier, *self.reduce(out, k))",
            "return _reduced(zero.__class__, zero.carrier, tuple(out), self.reduce.den * self.reduce.s ** k)",
            ("tests/test_solver.py::test_no_gcd_of_the_evaluator_grows_with_k",)),
-    Mutant("power of 2 taken past its cap", SOLVER,
+    Mutant("power of 2 taken past its cap", FORMS,
            "v = min((x & -x).bit_length() - 1, cap)", "v = (x & -x).bit_length() - 1", REDUCER),
-    Mutant("odd prime's gcd against p**(cap + 1)", SOLVER,
+    Mutant("odd prime's gcd against p**(cap + 1)", FORMS,
            "f = gcd(p ** cap, *num)", "f = gcd(p ** (cap + 1), *num)", REDUCER),
-    Mutant("base takes p for p**2", SOLVER, "base *= p * p", "base *= p", REDUCER),
-    Mutant("one-gcd path for k < 1 only", SOLVER, "or k < 2:", "or k < 1:", REDUCER),
-    Mutant("no gcd on the s = 1 path", SOLVER,
+    Mutant("base takes p for p**2", FORMS, "base *= p * p", "base *= p", REDUCER),
+    Mutant("one-gcd path for k < 1 only", FORMS, "or k < 2:", "or k < 1:", REDUCER),
+    Mutant("no gcd on the s = 1 path", FORMS,
            "den = self.den if s == 1 else self.den * s ** k",
            "den = self.den if s == 1 else self.den * s ** k\n"
            "            if s == 1:\n                return tuple(num), den",
            ("tests/test_solver.py::test_lucas_evaluator_matches_powers_and_iteration",)),
-    Mutant("odd prime's tail gcd against p**(cap - 1)", SOLVER,
+    Mutant("odd prime's tail gcd against p**(cap - 1)", FORMS,
            "f = gcd(p ** cap, *num)", "f = gcd(p ** (cap - 1), *num)", REDUCER),
-    Mutant("no tail gcd for an odd prime", SOLVER,
+    Mutant("no tail gcd for an odd prime", FORMS,
            "elif cap and not any(", "elif False and not any(", REDUCER),
-    Mutant("tail gcd only when cap > 1", SOLVER,
+    Mutant("tail gcd only when cap > 1", FORMS,
            "elif cap and not any(", "elif cap > 1 and not any(", REDUCER),
     # the spec reader's one split of each line
     Mutant("spec line stripped of Unicode whitespace", CLI,
@@ -278,7 +290,8 @@ EQUIVALENT = [
 def _pytest(copy: str, tests) -> int:
     """pytest's exit status on the named tests of the copy."""
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutants", *tests]
     return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
 

@@ -22,8 +22,9 @@ from skewrec.cli import (
     render_closed_form,
     render_spec,
 )
-from skewrec import solver
-from skewrec.solver import Term, _term_order, solve
+from skewrec import forms, solver
+from skewrec.forms import Term, _term_order
+from skewrec.solver import solve
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -455,8 +456,8 @@ def test_cli_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
 def test_cli_verify_reports_the_first_failing_k(monkeypatch, capsys):
     # a Lucas sum off by 1 from k = 2 on passes the evaluator's own check of
     # a_0 and a_1, so only the comparison with iteration can catch it
-    lucas_call = solver._LucasSum.__call__
-    monkeypatch.setattr(solver._LucasSum, "__call__",
+    lucas_call = forms._LucasSum.__call__
+    monkeypatch.setattr(forms._LucasSum, "__call__",
                         lambda self, k: lucas_call(self, k) + (1 if k >= 2 else 0))
     path = os.path.join(DEMO_DIR, "fibonacci.rec")
     assert main(["verify", path, "10"]) == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewrec import (
+    ContextMismatch,
     DMatrix,
     DimensionMismatch,
     DivisionByZero,
@@ -282,6 +283,16 @@ def test_vandermonde_refuses_a_node_that_is_not_a_value():
     for nodes in ([2, I], [I, 2], [I, Fraction(1, 2)], ["i"]):
         with pytest.raises(ValidationError, match="must be values of an algebra"):
             vandermonde(nodes)
+
+
+def test_vandermonde_coerces_each_node_into_the_first_nodes_carrier():
+    # as jordan_from_roots coerces its roots: a node of another algebra is a
+    # ContextMismatch at the call, not at a later product or inversion
+    with pytest.raises(ContextMismatch):
+        vandermonde([H.e1, QuaternionAlgebra(-1, -3).e1])
+    v = vandermonde([I, Q.scalar(2)])
+    assert all(x.carrier is H for x in v.entries)
+    assert v.row(1) == [I, H.scalar(2)]
 
 
 def test_jordan_from_roots_rejects_multiplicities_off_the_ints():

@@ -23,7 +23,8 @@ from skewrec import (
     factor_central_quartic,
     quadratic_roots,
 )
-from skewrec.poly import _is_root, _residual
+from skewrec.forms import _residual
+from skewrec.poly import _is_root
 from skewrec.scalar import _reduced
 from conftest import rand_frac, rand_quat, rand_invertible_quat, rand_scalar
 

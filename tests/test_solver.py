@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -43,15 +44,17 @@ from skewrec import (
     quadratic_roots,
     solve,
     build_frame,
+    companion_matrix,
     conj_class,
+    jordan_from_roots,
     mat_inverse,
     vandermonde,
     verify_closed_form,
 )
-from skewrec import matlin, scalar, solver
+from skewrec import forms, matlin, scalar, solver
 from skewrec.cli import parse_spec_file, render_closed_form
 from skewrec.matlin import mat_solve
-from skewrec.solver import CentralForm, _certify
+from skewrec.forms import CentralForm, _certify
 from conftest import adjoin_root, fraction_mul, rand_oct, rand_quat, rand_quat_common_den
 
 Q = FieldContext.rational()
@@ -117,6 +120,35 @@ def test_import_loads_only_the_standard_library_and_the_package():
     assert [m for m in out if m.partition(".")[0] not in sys.stdlib_module_names | {"skewrec"}] == []
 
 
+TRUSTED = {"forms", "scalar", "algebra", "errors"}
+
+
+def _package_imports(tree) -> set:
+    """The skewrec modules that a module's code imports, at any depth."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            out |= {node.module.partition(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "skewrec":
+            out |= {node.module.partition(".")[2] or "__init__"}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.partition(".")[2] or "__init__" for a in node.names
+                    if a.name.partition(".")[0] == "skewrec"}
+    return out
+
+
+def test_the_trusted_checker_imports_none_of_the_search():
+    # the certificate (forms) and its import closure, scalar, algebra and
+    # errors, import nothing from poly, matlin, solver or cli, not even
+    # inside a function: a form is proved by these four modules alone
+    import skewrec
+    src = os.path.dirname(skewrec.__file__)
+    for name in sorted(TRUSTED):
+        with open(os.path.join(src, name + ".py"), encoding="utf-8") as fh:
+            imported = _package_imports(ast.parse(fh.read()))
+        assert imported <= TRUSTED, (name, imported - TRUSTED)
+
+
 def test_primitive_char_poly():
     assert primitive_char_poly(DIAG) == LeftPoly(H, [1 + K, -I, 1])
     assert primitive_char_poly(FIB) == LeftPoly(Q, [-1, -1, 1])
@@ -147,6 +179,15 @@ def test_spec_rejects_values_of_another_algebra(alg, rhs):
 def test_spec_rejects_an_algebra_that_is_no_carrier():
     with pytest.raises(TypeError):
         RecurrenceSpec("quaternion -1 -1", 1, (1,), (1,))
+
+
+def test_a_value_that_is_no_number_is_a_validation_error():
+    # a SkewrecError, which the CLI and other callers catch, not a TypeError
+    for call in (lambda: H.coerce("x"),
+                 lambda: RecurrenceSpec(H, 2, (-4, 4), (1, 2), roots=(("x", 2),)),
+                 lambda: jordan_from_roots(companion_matrix(LeftPoly(H, [4, -4, 1])), [("2", 2)])):
+        with pytest.raises(ValidationError, match="^cannot interpret '.' as a scalar$"):
+            call()
 
 
 @pytest.mark.parametrize("spec", [DIAG, RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L))],
@@ -719,7 +760,7 @@ def test_simple_roots_certify_by_one_integer_root_test_each(monkeypatch):
     from skewrec import algebra
 
     products, zeros = [], []
-    mul, residual = algebra.QuatValue.__mul__, solver._residual
+    mul, residual = algebra.QuatValue.__mul__, forms._residual
 
     def spy(coeffs, lam):
         out = residual(coeffs, lam)
@@ -728,7 +769,7 @@ def test_simple_roots_certify_by_one_integer_root_test_each(monkeypatch):
 
     cf = solve(DIAG)
     monkeypatch.setattr(algebra.QuatValue, "__mul__", lambda x, y: products.append(1) or mul(x, y))
-    monkeypatch.setattr(solver, "_residual", spy)
+    monkeypatch.setattr(forms, "_residual", spy)
     _certify(DIAG, cf)
     assert all(t.degree == 0 for t in cf.terms)
     assert zeros == [True, True] and products == []
@@ -854,7 +895,7 @@ def test_frame_check_against_the_product_identities(alg, ca, cb, attr, step, at)
     elif attr is not None:
         setattr(fr, attr, getattr(fr, attr) + step * alg.basis()[at % 8])
     try:
-        solver._certify_frame(alg, fr)
+        forms._certify_frame(alg, fr)
         certified = True
     except InternalError:
         certified = False
@@ -883,13 +924,13 @@ EVALUATOR_SPECS = {
 @pytest.mark.parametrize("spec", EVALUATOR_SPECS.values(), ids=EVALUATOR_SPECS.keys())
 def test_solve_builds_no_evaluator_and_the_first_value_builds_one(spec, monkeypatch):
     built = []
-    init = solver._LucasSum.__init__
+    init = forms._LucasSum.__init__
 
     def counted(self, *args):
         built.append(self)
         init(self, *args)
 
-    monkeypatch.setattr(solver._LucasSum, "__init__", counted)
+    monkeypatch.setattr(forms._LucasSum, "__init__", counted)
     cf = solve(spec)
     assert built == []
     assert cf.value(7) == iterate_oracle(spec, 7)
@@ -900,8 +941,8 @@ def test_solve_builds_no_evaluator_and_the_first_value_builds_one(spec, monkeypa
 
 def test_the_first_value_checks_the_evaluator_against_the_certified_initial_values(monkeypatch):
     cf = solve(DIAG)
-    call = solver._LucasSum.__call__
-    monkeypatch.setattr(solver._LucasSum, "__call__",
+    call = forms._LucasSum.__call__
+    monkeypatch.setattr(forms._LucasSum, "__call__",
                         lambda self, k: call(self, k) + (1 if k == 1 else 0))
     with pytest.raises(InternalError, match="evaluator check failed: .* gives a_1 = "):
         cf.value(5)
@@ -933,7 +974,7 @@ def test_the_first_value_proves_the_evaluator_past_the_initial_values(name, monk
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "specs", name + ".rec")
     with open(path, encoding="utf-8") as fh:
         spec = parse_spec_file(fh.read())
-    monkeypatch.setattr(solver, "_term_groups", _with_k_k_minus_1(solver._term_groups))
+    monkeypatch.setattr(forms, "_term_groups", _with_k_k_minus_1(forms._term_groups))
     cf = solve(spec)
     with pytest.raises(InternalError, match="evaluator check failed: the Lucas sum gives a_2 = "):
         cf.value(0)
@@ -949,8 +990,8 @@ def test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind(monk
     for path in DEMO_SPECS:
         with open(path, encoding="utf-8") as fh:
             specs.append(parse_spec_file(fh.read()))
-    proved, check = [], solver._check_values
-    monkeypatch.setattr(solver, "_check_values", lambda values, expected, *args: (
+    proved, check = [], forms._check_values
+    monkeypatch.setattr(forms, "_check_values", lambda values, expected, *args: (
         proved.append(len(expected)), check(values, expected, *args)))
     kinds, past = set(), set()  # form kinds, and those read past the order
     for spec in specs:
@@ -1127,7 +1168,7 @@ def test_power_reducer_gives_the_lowest_terms_of_every_coordinate(s, k, data, de
 
     common = 2 ** power(v2) * 3 ** power(v3) * data.draw(st.integers(1, 35))
     num = [x * common for x in small]
-    reduce = solver._PowerReducer(den, s)
+    reduce = forms._PowerReducer(den, s)
     assert reduce(num, k) == _lowest_terms(num, full)
     assert reduce([0] * len(num), k) == ((0,) * len(num), 1)
 
@@ -1137,7 +1178,7 @@ def test_power_reducer_at_every_cap_for_small_k():
     # on both sides of the denominator's own powers of 2 and 3
     for s in (1, 2, 3, 4, 6, 12):
         for den in (1, 2, 3, 5, 12, 18, 45):
-            reduce = solver._PowerReducer(den, s)
+            reduce = forms._PowerReducer(den, s)
             for k in range(4):
                 full = den * s ** k
                 for i in range(10):
@@ -1149,7 +1190,7 @@ def test_power_reducer_at_every_cap_for_small_k():
 
 def test_power_reducer_takes_an_unfactored_part_of_s_by_one_gcd():
     m61, m89 = 2 ** 61 - 1, 2 ** 89 - 1  # Mersenne primes, far past the rho steps on s
-    reduce = solver._PowerReducer(6 * m61, 6 * m61 * m89)
+    reduce = forms._PowerReducer(6 * m61, 6 * m61 * m89)
     assert (reduce.primes, reduce.rest) == ([(2, 1, 1), (3, 1, 1)], m61 * m89)
     for k in (0, 1, 5, 40):
         full = 6 * m61 * (6 * m61 * m89) ** k
@@ -1172,7 +1213,7 @@ def test_no_gcd_of_the_evaluator_grows_with_k(name, monkeypatch):
         calls.append(args)
         return gcd(*args)
 
-    for module in (solver, scalar):
+    for module in (forms, scalar):
         monkeypatch.setattr(module, "gcd", recorded)
     got = cf.value(50000)
     assert got.den.bit_length() > 40000
@@ -1245,8 +1286,8 @@ def test_a_cancelling_power_of_3_takes_two_passes_and_two_gcds(alg, monkeypatch)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(solver, "any", counted("any", any), raising=False)
-    monkeypatch.setattr(solver, "gcd", counted("gcd", gcd))
+    monkeypatch.setattr(forms, "any", counted("any", any), raising=False)
+    monkeypatch.setattr(forms, "gcd", counted("gcd", gcd))
     for k in (1024, 1025, 40000, 40001):
         calls.clear()
         got = cf.value(k)
