@@ -3,12 +3,11 @@
 The characteristic data is the monic polynomial x^n - r_{n-1} x^{n-1} - ...
 - r_0.  Over a field or a quaternion algebra one path solves every spec:
 the exact Jordan decomposition U * J * U^-1 of the companion matrix, built
-from eigenvector chains of the roots (_jordan_form, fed by the root step
-_roots, which checks user roots and finds or promotes the others).  Simple
-roots are the case of 1x1 blocks, where U is the Vandermonde matrix of the
-roots; a chain step reads only the companion's last row, rhs, and solves
-an m x m system (`matlin._companion_step`), so no companion matrix is ever
-built.  Every root is tested on integers, a user root by the root step
+from eigenvector chains of the roots (_jordan_form).  Simple roots are the
+case of 1x1 blocks, where U is the Vandermonde matrix of the roots; a
+chain step reads only the companion's last row, rhs, and solves an m x m
+system (`matlin._companion_step`), so no companion matrix is ever built.
+Every root is tested on integers, a user root by the search
 (`poly._is_root`) and a derived one by the certificate.
 Rational order-2 coefficients take one root branch in every carrier: their
 rational roots are coerced into it, irrational ones give an algebra a
@@ -18,8 +17,11 @@ that same path, by the frame's integer change of basis (`decompose`, `join`).
 The Jordan chains take their few small powers from `powers`, one product
 each.
 
-This module only proposes: every closed form is certified before it is
-returned, by `forms._certify`, which imports none of the search.
+The search is one step, `_propose`, which checks user roots, finds or
+promotes the others, splits an octonion spec, and returns a finished
+closed form on every path.  This module only proposes: `solve` certifies
+that form by `forms._certify`, which imports none of the search, before
+it returns it.
 `verify_closed_form` is the independent check against direct iteration.
 """
 
@@ -156,10 +158,15 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     return AssocForm(alg, tuple(terms))
 
 
-def _roots(spec: RecurrenceSpec) -> tuple:
-    """(spec, root data) for _jordan_form: the spec, moved to Q(sqrt(d)) if
-    its roots lie there, and its roots as ((root, multiplicity), ...), or
-    None where an algebra spec takes the Lucas form.
+def _propose(spec: RecurrenceSpec) -> ClosedForm:
+    """The closed form of spec that the search finds, for _certify to prove.
+
+    An octonion spec with a non-central coefficient splits over a
+    quaternion frame built from its coefficients, so the frame's
+    quaternion part holds them: the state recursion decomposes into one
+    quaternion recurrence for the frame component and one, with conjugated
+    coefficients, for the ell component, each proposed here.  Any other
+    spec takes the Jordan form of its roots (_jordan_form).
 
     User roots must have multiplicities summing to the order, be pairwise
     distinct roots of the characteristic polynomial, each tested on
@@ -169,10 +176,20 @@ def _roots(spec: RecurrenceSpec) -> tuple:
     over a field, or with every rhs central in any carrier, has chi over
     its field or Q: a zero discriminant gives a double root and a square
     one two roots, coerced into the spec's carrier.  Any other gives an
-    algebra spec the Lucas form, moves a field spec over Q, if positive, to
-    Q(sqrt(d)), d its squarefree part, and is otherwise unsolvable here.
-    Any other order-2 quaternion spec takes the roots `quadratic_roots` finds.
+    algebra spec the Lucas form (CentralForm), moves a field spec over Q,
+    if positive, to Q(sqrt(d)), d its squarefree part, and is otherwise
+    unsolvable here.  Any other order-2 quaternion spec takes the roots
+    `quadratic_roots` finds.
     """
+    alg = spec.algebra
+    if isinstance(alg, OctonionAlgebra) and not all(r.is_central() for r in spec.rhs):
+        frame = build_frame(alg, *spec.rhs)
+        rhs = tuple(frame.decompose(r)[0] for r in spec.rhs)
+        (q, s), (r, t) = map(frame.decompose, spec.init)
+        main = _propose(RecurrenceSpec(frame.quat, 2, rhs, (q, r)))
+        tail = _propose(RecurrenceSpec(
+            frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj())))
+        return OctSplitForm(frame, main, tail)
     if spec.roots is not None:
         roots = [lam for lam, _ in spec.roots]
         if sum(m for _, m in spec.roots) != spec.order:
@@ -184,10 +201,9 @@ def _roots(spec: RecurrenceSpec) -> tuple:
             if not _is_root(chi, lam):
                 raise ValidationError(f"{lam} is not a root of the characteristic polynomial")
         _check_lam(roots)
-        return spec, spec.roots
+        return _jordan_form(spec, spec.roots)
     if spec.order == 1:
-        return spec, ((spec.rhs[0], 1),)
-    alg = spec.algebra
+        return _jordan_form(spec, ((spec.rhs[0], 1),))
     field = isinstance(alg, FieldContext)
     if spec.order != 2:
         kind = "field" if field else "quaternion"
@@ -197,15 +213,15 @@ def _roots(spec: RecurrenceSpec) -> tuple:
         if jordan is None and len(roots) != 2:
             raise NoRootsFound("a single isolated root without repeated-root structure "
                                "cannot determine an order-2 closed form")
-        return spec, [jordan] if jordan else [(lam, 1) for lam in roots]
+        return _jordan_form(spec, [jordan] if jordan else [(lam, 1) for lam in roots])
     c0, c1 = [-r if field else -r.scalar_part() for r in spec.rhs]
     disc = c1 * c1 - 4 * c0
     if disc.is_zero():
-        return spec, ((alg.coerce(c1._scaled(-1, 2)), 2),)
+        return _jordan_form(spec, ((alg.coerce(c1._scaled(-1, 2)), 2),))
     s = disc.sqrt()
     if s is None:
         if not field:
-            return spec, None
+            return CentralForm(alg, -c1, c0, *spec.init)
         if alg.d is not None:
             raise NoRootsFound("the discriminant has no square root in the configured "
                                "quadratic field, and no further extension is attempted")
@@ -217,36 +233,12 @@ def _roots(spec: RecurrenceSpec) -> tuple:
         alg = FieldContext(d)
         s, c1 = _reduced(ScalarValue, alg, (0, e), den), alg.scalar(c1)
         spec = dataclasses.replace(spec, algebra=alg)
-    return spec, tuple([(alg.coerce((c1 + x)._scaled(-1, 2)), 1) for x in (-s, s)])
-
-
-def solve_octonion2(spec: RecurrenceSpec) -> OctSplitForm:
-    """Order-2 octonion recurrences, split over a quaternion frame.
-
-    The frame is built from the coefficients, so its quaternion part holds
-    them, and the state recursion decomposes into one quaternion recurrence
-    for the frame component and one, with conjugated coefficients, for the
-    ell component.  `solve` sends only specs with a non-central coefficient
-    here; the certificate proves every frame.
-    """
-    frame = build_frame(spec.algebra, *spec.rhs)
-    rhs = tuple(frame.decompose(r)[0] for r in spec.rhs)
-    (q, s), (r, t) = map(frame.decompose, spec.init)
-    main = _jordan_form(*_roots(RecurrenceSpec(frame.quat, 2, rhs, (q, r))))
-    tail = _jordan_form(*_roots(RecurrenceSpec(
-        frame.quat, 2, tuple(c.conj() for c in rhs), (s.conj(), t.conj()))))
-    return OctSplitForm(frame, main, tail)
+    return _jordan_form(spec, tuple([(alg.coerce((c1 + x)._scaled(-1, 2)), 1) for x in (-s, s)]))
 
 
 def solve(spec: RecurrenceSpec) -> ClosedForm:
-    """Solve the recurrence and certify the result for every k (_certify):
-    an octonion spec with a non-central coefficient over a frame, any other
-    by its roots (_roots), or by the Lucas form where _roots gives None."""
-    if isinstance(spec.algebra, OctonionAlgebra) and not all(r.is_central() for r in spec.rhs):
-        cf = solve_octonion2(spec)
-    else:
-        root_spec, roots = _roots(spec)
-        cf = _jordan_form(root_spec, roots) if roots else CentralForm(
-            spec.algebra, spec.rhs[1].scalar_part(), -spec.rhs[0].scalar_part(), *spec.init)
+    """Solve the recurrence: the search proposes one closed form
+    (_propose), and _certify proves it for every k before it is returned."""
+    cf = _propose(spec)
     _certify(spec, cf)
     return cf

@@ -152,11 +152,19 @@ MUTANTS = [
     Mutant("elimination tests only the first octonion entry for being central", MATLIN,
            "for x in m.entries)", "for x in m.entries[:1])",
            ("tests/test_matlin.py::test_inverse_rejects_octonion_entries",)),
-    # the root step's central branch: every rhs central, in any carrier
+    # the search step's central branch: every rhs central, in any carrier
     Mutant("central root branch taken when any rhs is central", SOLVER,
            "if not (field or all(r.is_central() for r in spec.rhs)):",
            "if not (field or any(r.is_central() for r in spec.rhs)):",
            ("tests/test_solver.py::test_a_spec_with_one_central_coefficient_takes_the_root_search",)),
+    # the octonion split proposes its ell half from conjugated coefficients
+    # and conjugated initial values
+    Mutant("octonion tail proposed with rhs in place of its conjugate", SOLVER,
+           "tuple(c.conj() for c in rhs)", "rhs",
+           ("tests/test_solver.py::test_octonion_two_distinct_roots",)),
+    Mutant("octonion tail proposed from unconjugated initial values", SOLVER,
+           "(s.conj(), t.conj())", "(s, t)",
+           ("tests/test_solver.py::test_solve_keeps_no_term_whose_right_factor_is_zero",)),
     # the public Jordan form's chains start at eigenvectors of a companion
     # matrix only
     Mutant("jordan_from_roots takes a matrix that is not a companion matrix", MATLIN,

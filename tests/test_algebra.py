@@ -85,6 +85,13 @@ def test_unary_identities_random():
                 assert q.inverse() * q == 1
 
 
+def test_a_value_divided_by_the_scalar_0_raises():
+    for x in (H.element([1, 2, 0, 0]), O.element([0, 1, 0, 0, 3, 0, 0, 0])):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(DivisionByZero, match="^division by zero scalar$"):
+                x / zero
+
+
 def test_inverse_errors():
     with pytest.raises(DivisionByZero):
         H.zero().inverse()

@@ -235,6 +235,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("algebra\norder 1\nrhs 2\ninit 1\n", "error: line 1, col 8: empty algebra line"),
+    ("algebra quaternion -1\norder 1\nrhs 2\ninit 1\n",
+     "error: line 1, col 9: unknown algebra form 'quaternion -1'"),
+    ("algebra field\norder 0\nrhs 2\ninit 1\n", "error: order must be a positive integer"),
+    ("algebra field\norder 2\nrhs 1 1\ninit 0\n", "error: init needs 2 values, got 1"),
+], ids=["no algebra form", "unknown algebra form", "order 0", "init one value short"])
+def test_cli_rejects_a_malformed_spec_with_its_message(tmp_path, capsys, text, message):
+    spec = tmp_path / "bad.rec"
+    spec.write_text(text)
+    assert main(["solve", str(spec)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_cli_rejects_a_negative_k(tmp_path, capsys):
+    spec = tmp_path / "pow2.rec"
+    spec.write_text("algebra field\norder 1\nrhs 2\ninit 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(spec), "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument k: must be nonnegative\n")
+
+
+def test_a_term_with_a_bare_k_renders_it_without_a_constant():
+    Q = FieldContext.rational()
+    form = forms.AssocForm(Q, (Term((Q.zero(), Q.one()), Q.scalar(2), Q.one()),))
+    assert render_closed_form(form) == ["a_k = (1*k)*(2)^k*(1)"]
+
+
 def test_cli_refuses_a_field_it_cannot_factor_in_time(tmp_path, capsys):
     # two 61-bit prime factors are far past Pollard rho's step budget, both
     # in a field_sqrt line and in the discriminant of an order-2 field spec

@@ -201,6 +201,13 @@ def test_value_rejects_negative_k(spec):
             eval_closed_form(cf, k)
 
 
+def test_iteration_rejects_a_negative_k():
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        iterate_oracle(FIB, -1)
+    with pytest.raises(ValueError, match="^kmax must be nonnegative$"):
+        verify_closed_form(FIB, solve(FIB), -1)
+
+
 def test_iterate_oracle():
     assert iterate_oracle(FIB, 10) == 55
     assert iterate_oracle(FIB, 0) == 0 and iterate_oracle(FIB, 1) == 1
@@ -245,10 +252,10 @@ def test_iterate_oracle_matches_a_fraction_iteration(name):
 
 
 def test_promote_golden_ratio():
-    promoted, roots = solver._roots(FIB)
-    ctx = promoted.algebra
+    cf = solver._propose(FIB)
+    ctx = cf.carrier
     assert ctx.d == 5
-    (r1, m1), (r2, m2) = roots
+    (r1, m1), (r2, m2) = [(t.base, len(t.poly)) for t in cf.terms]
     assert (m1, m2) == (1, 1)
     assert r1 == ctx.element((Fraction(1, 2), Fraction(1, 2)))
     assert r2 == ctx.element((Fraction(1, 2), Fraction(-1, 2)))
@@ -256,33 +263,34 @@ def test_promote_golden_ratio():
 
 def test_promote_rational_and_repeated():
     spec = RecurrenceSpec(Q, 2, (-2, 3), (0, 1))  # x^2 - 3x + 2
-    promoted, roots = solver._roots(spec)
-    assert promoted.algebra == Q
-    assert [r for r, _ in roots] == [Q.scalar(2), Q.scalar(1)]
+    cf = solver._propose(spec)
+    assert cf.carrier == Q
+    assert [t.base for t in cf.terms] == [Q.scalar(2), Q.scalar(1)]
     spec = RecurrenceSpec(Q, 2, (-1, 2), (1, 5))  # x^2 - 2x + 1
-    promoted, roots = solver._roots(spec)
-    assert roots == ((Q.scalar(1), 2),)
+    cf = solver._propose(spec)
+    # one chain of the double root 1: a constant term and a linear one
+    assert [(t.base, len(t.poly)) for t in cf.terms] == [(Q.scalar(1), 1), (Q.scalar(1), 2)]
 
 
 def test_promote_negative_discriminant():
     spec = RecurrenceSpec(Q, 2, (-1, 0), (0, 1))  # x^2 + 1
     with pytest.raises(NoRootsFound):
-        solver._roots(spec)
+        solver._propose(spec)
 
 
 def test_promote_inside_quadratic_context():
     ctx = FieldContext(5)
     # x^2 - x - 1 splits over Q(rt5) without further promotion
     spec = RecurrenceSpec(ctx, 2, (1, 1), (0, 1))
-    promoted, roots = solver._roots(spec)
-    assert promoted.algebra == ctx
-    assert roots[0][0] == ctx.element((Fraction(1, 2), Fraction(1, 2)))
+    cf = solver._propose(spec)
+    assert cf.carrier == ctx
+    assert cf.terms[0].base == ctx.element((Fraction(1, 2), Fraction(1, 2)))
     # x^2 - 3x + 1 has discriminant 5, a square in Q(rt5)
     spec = RecurrenceSpec(ctx, 2, (-1, 3), (0, 1))
     assert verify_closed_form(spec, solve(spec), 20).ok
     # x^2 - x - 7 has discriminant 29; no further extension is attempted
     with pytest.raises(NoRootsFound):
-        solver._roots(RecurrenceSpec(ctx, 2, (7, 1), (0, 1)))
+        solver._propose(RecurrenceSpec(ctx, 2, (7, 1), (0, 1)))
 
 
 def test_solve_two_distinct_roots():
@@ -415,7 +423,7 @@ def test_lam_violation():
 
 
 def test_derived_roots_are_covered_by_the_certificate(monkeypatch):
-    # roots found by quadratic_roots skip the root step's checks for user
+    # roots found by quadratic_roots skip the search step's checks for user
     # roots, so a wrong one must still be caught, by _certify
     wrong = ([I, J], None, None)  # not roots of DIAG's polynomial
     monkeypatch.setattr("skewrec.solver.quadratic_roots", lambda *args: wrong)
@@ -1347,8 +1355,7 @@ def _one_kernel_per_job():
         return lambda *args, **kwargs: pytest.fail(f"solve called {what}")
 
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (matlin, solver):
-            mp.setattr(mod, "companion_matrix", fail("companion_matrix"), raising=False)
+        mp.setattr(matlin, "companion_matrix", fail("companion_matrix"))
         mp.setattr(LeftPoly, "eval", fail("LeftPoly.eval"))
         yield
 
