@@ -3,7 +3,7 @@
 Spec files are line oriented, one key per line, '#' starting a comment.
 Tokens are separated by ASCII spaces and tabs only: any other character,
 a no-break space included, belongs to a token.  Each line is split once
-into (token, column) pairs, the first of which is its key:
+into its token texts, the first of which is its key:
 
     algebra field | field_sqrt D | quaternion A B | octonion A B G
     order N
@@ -16,10 +16,11 @@ Each value token, and each algebra parameter, is read by its carrier's
 INT, INT/POSINT, or U+V*rt (rt meaning sqrt(D) of a field_sqrt context),
 with ASCII digits only; quaternions [w,x,y,z] and octonions [s0,...,s7],
 with scalar entries and no internal spaces.  This module holds the spec
-grammar only, and places a reader's ParseError at its token's line and
-column.  On a roots line, a bare positive integer directly after an
-element is read as that root's multiplicity; write "roots 1 1 2 1" to give
-the two simple roots 1 and 2.
+grammar only: it reads each value line in one loop over its tokens, and
+finds a token's column in its line only to place a reader's ParseError
+there.  On a roots line, a bare positive integer directly after an
+element is read as that root's multiplicity; write "roots 1 1 2 1" to
+give the two simple roots 1 and 2.
 
 All output is exact.  Exit status: 0 for success or PASS, 1 for FAIL or a
 solver failure, 2 for usage, parse or validation errors.
@@ -40,14 +41,6 @@ from .solver import eval_closed_form, iterate_oracle, solve, verify_closed_form
 _KEYS = ("algebra", "order", "rhs", "init", "roots")
 
 
-def _read(carrier, token: str, line: int, col: int):
-    """carrier.read(token) for a token at (line, col), its ParseError placed there."""
-    try:
-        return carrier.read(token)
-    except ParseError as exc:  # exc.col counts from the token's start
-        raise ParseError(exc.reason, line, col + exc.col) from exc
-
-
 def _int_token(text: str) -> int | None:
     """text as an optionally signed integer of ASCII digits, or None."""
     m = INT_LITERAL.fullmatch(text)
@@ -57,44 +50,64 @@ def _int_token(text: str) -> int | None:
 _TOKEN = re.compile(r"[^ \t]+")
 
 
-def _parse_algebra(toks, line: int, col: int):
-    """The carrier of an algebra line's value pairs, which start at col."""
+def _column(raw: str, i: int) -> int:
+    """The column of the i-th token of a raw line, its key the 0th, or of
+    the place right after its last token for i past it.  Only an error
+    needs a column, so the reader keeps a line's token texts, not theirs."""
+    found = list(_TOKEN.finditer(raw.split("#", 1)[0]))
+    return found[i].start() + 1 if i < len(found) else found[-1].end() + 1
+
+
+def _read_all(carrier, toks, line: int, col_of) -> list:
+    """carrier.read of each token of toks, in one loop; a ParseError, whose
+    col counts from its token's start, is placed at col_of(i), the column
+    of the i-th token."""
+    values, read = [], carrier.read
+    try:
+        for tok in toks:
+            values.append(read(tok))
+    except ParseError as exc:
+        raise ParseError(exc.reason, line, col_of(len(values)) + exc.col) from exc
+    return values
+
+
+def _parse_algebra(toks, line: int, raw: str):
+    """The carrier of an algebra line's value tokens toks, the line raw."""
     if not toks:
-        raise ParseError("empty algebra line", line, col)
-    name, params = toks[0][0], toks[1:]
+        raise ParseError("empty algebra line", line, _column(raw, 1))
+    name, params = toks[0], toks[1:]
     rational = FieldContext()
     try:
         if name == "field" and not params:
             return rational
         if name == "field_sqrt" and len(params) == 1:
-            d = _int_token(params[0][0])
+            d = _int_token(params[0])
             if d is None:  # worded as int()'s own error
-                raise ValueError(f"invalid literal for int() with base 10: {params[0][0]!r}")
+                raise ValueError(f"invalid literal for int() with base 10: {params[0]!r}")
             return FieldContext(d)
         if (name, len(params)) in (("quaternion", 2), ("octonion", 3)):
             # each parameter a rational, a malformed one placed at its own column
-            params = [_read(rational, tok, line, tcol) for tok, tcol in params]
+            params = _read_all(rational, params, line, lambda i: _column(raw, i + 2))
             algebra = QuaternionAlgebra if name == "quaternion" else OctonionAlgebra
             return algebra(*params)
     except (ValueError, ValidationError) as exc:
-        raise ParseError(f"bad algebra parameters: {exc}", line, col) from exc
-    raise ParseError(f"unknown algebra form {' '.join(t for t, _ in toks)!r}", line, col)
+        raise ParseError(f"bad algebra parameters: {exc}", line, _column(raw, 1)) from exc
+    raise ParseError(f"unknown algebra form {' '.join(toks)!r}", line, _column(raw, 1))
 
 
 def parse_spec_file(text: str) -> RecurrenceSpec:
     """Parse and validate a recurrence spec file."""
-    seen: dict[str, tuple[list, int, int]] = {}  # key -> (value pairs, line, col)
+    seen: dict[str, tuple[list, int, str]] = {}  # key -> (value tokens, line, raw line)
     for lineno, raw in enumerate(text.splitlines(), 1):
-        toks = [(m[0], m.start() + 1) for m in _TOKEN.finditer(raw.split("#", 1)[0])]
+        toks = _TOKEN.findall(raw.split("#", 1)[0])
         if not toks:
             continue
-        key, col = toks[0]
+        key = toks[0]
         if key not in _KEYS:
-            raise ParseError(f"unknown key {key!r}", lineno, col)
+            raise ParseError(f"unknown key {key!r}", lineno, _column(raw, 0))
         if key in seen:
-            raise ParseError(f"duplicate key {key!r}", lineno, col)
-        # the values start at their first token, or right after a bare key
-        seen[key] = (toks[1:], lineno, toks[1][1] if len(toks) > 1 else col + len(key))
+            raise ParseError(f"duplicate key {key!r}", lineno, _column(raw, 0))
+        seen[key] = (toks[1:], lineno, raw)
 
     for key in ("algebra", "order", "rhs", "init"):
         if key not in seen:
@@ -102,28 +115,31 @@ def parse_spec_file(text: str) -> RecurrenceSpec:
 
     algebra = _parse_algebra(*seen["algebra"])
 
-    toks, lineno, col = seen["order"]
-    order = _int_token(toks[0][0]) if len(toks) == 1 else None
-    if order is None:
-        got = " ".join(t for t, _ in toks)
-        raise ParseError(f"order must be an integer, got {got!r}", lineno, col)
+    toks, lineno, raw = seen["order"]
+    order = _int_token(toks[0]) if len(toks) == 1 else None
+    if order is None:  # placed where the values start, or right after a bare key
+        raise ParseError(f"order must be an integer, got {' '.join(toks)!r}",
+                         lineno, _column(raw, 1))
 
     def elements(key):
-        toks, lineno, _ = seen[key]
-        return tuple([_read(algebra, tok, lineno, tcol) for tok, tcol in toks])
+        toks, lineno, raw = seen[key]
+        return tuple(_read_all(algebra, toks, lineno, lambda i: _column(raw, i + 1)))
 
     roots = None
     if "roots" in seen:
-        toks, lineno, _ = seen["roots"]
-        roots, bare = [], False  # bare: the last root has no multiplicity yet
-        for tok, tcol in toks:
+        toks, lineno, raw = seen["roots"]
+        elems, at, mults, bare = [], [], [], False  # bare: the last root has no multiplicity yet
+        for i, tok in enumerate(toks, 1):
             if bare and tok.isascii() and tok.isdigit() and int(tok) >= 1:
-                roots[-1] = (roots[-1][0], int(tok))
+                mults[-1] = int(tok)
                 bare = False
             else:
-                roots.append((_read(algebra, tok, lineno, tcol), 1))
+                elems.append(tok)
+                at.append(i)
+                mults.append(1)
                 bare = True
-        roots = tuple(roots)
+        roots = tuple(zip(_read_all(algebra, elems, lineno, lambda i: _column(raw, at[i])),
+                          mults))
 
     return RecurrenceSpec(algebra, order, elements("rhs"), elements("init"), roots=roots)
 

@@ -35,7 +35,7 @@ of their classes' quadratics, so `solve` itself builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 
 from .algebra import OctonionAlgebra, QuaternionAlgebra, _frame_basis
@@ -101,19 +101,20 @@ class RecurrenceSpec:
 @dataclass(frozen=True)
 class Term:
     """One summand p(k) * base**k * right, with p's coefficients on the left
-    (poly[s] multiplies k**s)."""
+    (poly[s] multiplies k**s); `degree`, deg p or -1 for p = 0, is found
+    once, when the term is built, for the certificate and the evaluator."""
 
     poly: tuple
     base: object
     right: object
+    degree: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def degree(self) -> int:
+    def __post_init__(self):
         deg = -1
         for s, c in enumerate(self.poly):
             if not c.is_zero():
                 deg = s
-        return deg
+        object.__setattr__(self, "degree", deg)
 
 
 def _lucas_params(T, N) -> tuple[int, int, int]:

@@ -672,10 +672,13 @@ class Carrier:
         """The value whose `str` is text, so that read(str(x)) == x: [c0,...]
         with no spaces, `dim` literals of the base field (`ctx.read`), read by
         one match of `_ELEMENT` when all are INT or INT/POSINT, else by the
-        positioned reader, whose ParseError col counts from text's start."""
+        positioned reader, whose ParseError col counts from text's start.
+        All-INT coordinates are canonical over den 1 as read: no lcm, no gcd."""
         m = _ELEMENT[self.dim].fullmatch(text)
         if m:
             g = m.groups()
+            if "/" not in text:
+                return _make(self.value_type, self, tuple(map(int, g[::2])), 1)
             qs = [int(q) if q else 1 for q in g[1::2]]
             den = lcm(*qs)
             num = tuple([int(p) * (den // q) for p, q in zip(g[::2], qs)])

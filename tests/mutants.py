@@ -276,13 +276,24 @@ MUTANTS = [
            "elif cap and not any(", "elif cap > 1 and not any(", REDUCER),
     # the spec reader's one split of each line
     Mutant("spec line stripped of Unicode whitespace", CLI,
-           'raw.split("#", 1)[0])', 'raw.split("#", 1)[0].strip())',
+           '_TOKEN.findall(raw.split("#", 1)[0])', '_TOKEN.findall(raw.split("#", 1)[0].strip())',
            ("tests/test_cli.py::test_a_no_break_space_in_a_literal_is_a_parse_error_at_its_column",)),
     Mutant("tab read as part of a token", CLI, r'_TOKEN = re.compile(r"[^ \t]+")',
            r'_TOKEN = re.compile(r"[^ ]+")',
            ("tests/test_cli.py::test_respaced_demo_specs_parse_to_the_same_spec",)),
     Mutant("a 0 after a root read as its multiplicity", CLI, "int(tok) >= 1", "int(tok) >= 0",
            ("tests/test_cli.py::test_parse_roots_and_height",)),
+    # the reader keeps token texts and finds a column only for an error
+    Mutant("a value's error placed at the token before it", CLI,
+           "lambda i: _column(raw, i + 1)", "lambda i: _column(raw, i)",
+           ("tests/test_cli.py::test_a_malformed_token_is_placed_at_its_own_column",)),
+    Mutant("a root's error placed by its index among the roots", CLI,
+           "lambda i: _column(raw, at[i])", "lambda i: _column(raw, i + 1)",
+           ("tests/test_cli.py::test_a_malformed_token_is_placed_at_its_own_column",)),
+    # the integer literal fast path
+    Mutant("integer literal fast path drops a coordinate's sign", SCALAR,
+           "tuple(map(int, g[::2]))", "tuple([abs(int(p)) for p in g[::2]])",
+           ("tests/test_cli.py::test_integer_literals_read_as_their_coordinates_over_one",)),
 ]
 
 EQUIVALENT = [

@@ -22,7 +22,7 @@ from skewrec.cli import (
     render_closed_form,
     render_spec,
 )
-from skewrec import forms, solver
+from skewrec import cli, forms, solver
 from skewrec.forms import Term, _term_order
 from skewrec.solver import solve
 
@@ -410,10 +410,8 @@ NEAR_MISSES = ["1/0", "3/00", "2/-3", "2/+3", "-2/+3", "+7/+1", "0/+05", "1+2*rt
 def _read_element(token, alg):
     """alg.read's value for a token at line 7, col 3, as the spec reader
     places it, or its ParseError as (line, col, reason)."""
-    from skewrec.cli import _read
-
     try:
-        return _read(alg, token, 7, 3)
+        return cli._read_all(alg, [token], 7, lambda i: 3)[0]
     except ParseError as exc:
         return (exc.line, exc.col, exc.reason)
 
@@ -436,6 +434,54 @@ def test_element_reader_agrees_with_the_positioned_reader(alg, data):
     shape = data.draw(st.sampled_from(["[{}]"] * 12 + ["{}]", "[{}", "{}", "[[{}]"]))
     token = shape.format(",".join(parts))
     assert _read_element(token, alg) == _read_by_the_positioned_reader(token, alg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QuaternionAlgebra(-1, -1), QuaternionAlgebra(Fraction(-1, 2), 3),
+                        OctonionAlgebra(-1, -1, -1)]), st.data())
+def test_integer_literals_read_as_their_coordinates_over_one(alg, data):
+    coords = data.draw(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=alg.dim,
+                                max_size=alg.dim))
+    parts = []  # each with a sign, "-0" and "+0" among them, and leading zeros
+    for c in coords:
+        sign = data.draw(st.sampled_from(["-"] if c < 0 else ["", "+", "-"] if c == 0 else ["", "+"]))
+        parts.append(sign + "0" * data.draw(st.integers(0, 3)) + str(abs(c)))
+    x = alg.read("[" + ",".join(parts) + "]")
+    assert x == alg.element(coords)
+    assert (x.num, x.den) == (tuple(coords), 1)
+
+
+def test_a_literal_with_a_fraction_is_reduced():
+    H = QuaternionAlgebra(-1, -1)
+    half = H.read("[2/4,1,0,0]")
+    assert str(half) == "[1/2,1,0,0]" and (half.num, half.den) == ((1, 2, 0, 0), 2)
+    two = H.read("[4/2,-0,+6/3,0]")
+    assert (two.num, two.den) == ((2, 0, 2, 0), 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_malformed_token_is_placed_at_its_own_column(data):
+    # the reader keeps each line's token texts and finds a column from the
+    # line only for an error: an algebra parameter, a value, and a root
+    # after a multiplicity are each placed where they start
+    lines = ["algebra quaternion -1 -1", "order 2", "rhs [1,0,0,0] [0,1,0,0]",
+             "init [1,0,0,0] [0,0,1,0]", "roots [0,1,0,0] 1 [0,0,1,0] 1"]
+    lineno = data.draw(st.sampled_from([1, 3, 4, 5]))
+    toks = lines[lineno - 1].split()
+    bad = data.draw(st.sampled_from([i for i, tok in enumerate(toks) if tok[0] in "-["]))
+    toks[bad] = toks[bad][:-1] + "x"
+    seps = [data.draw(st.text(st.sampled_from(" \t"), min_size=i > 0, max_size=3))
+            for i in range(len(toks))]
+    lines[lineno - 1] = "".join(sep + tok for sep, tok in zip(seps, toks)) + " # x"
+    carrier = FieldContext() if lineno == 1 else QuaternionAlgebra(-1, -1)
+    with pytest.raises(ParseError) as read:
+        carrier.read(toks[bad])
+    with pytest.raises(ParseError) as exc:
+        parse_spec_file("\n".join(lines))
+    start = len("".join(sep + tok for sep, tok in zip(seps[:bad], toks))) + len(seps[bad]) + 1
+    assert (exc.value.reason, exc.value.line, exc.value.col) == (
+        read.value.reason, lineno, start + read.value.col)
 
 
 def test_element_reader_leaves_every_near_miss_to_the_positioned_reader():
