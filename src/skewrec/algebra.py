@@ -113,7 +113,7 @@ class QuaternionAlgebra(Carrier):
     dim = 4
 
     def __init__(self, a, b):
-        self.ctx = FieldContext.rational()
+        self.ctx = FieldContext()
         self.a = self.ctx.scalar(a)
         self.b = self.ctx.scalar(b)
         if self.a.is_zero() or self.b.is_zero():
@@ -209,9 +209,10 @@ class OctonionAlgebra(Carrier):
         """x * y on numerators, over den(x) * den(y) * weights[0], weights[0]
         = Gd * D: (q + r*l0)(s + t*l0) = q*s + gamma*conj(t)*r + (t*q +
         r*conj(s))*l0 on the integer halves.  A left factor with a zero
-        second half, a quaternion of the base algebra as every rhs of an
-        octonion split spec is, takes two quaternion products, not four:
-        q*s + (t*q)*l0, and Gd = 1 multiplies nothing."""
+        second half, a quaternion of the base algebra, takes two quaternion
+        products, not four: q*s + (t*q)*l0, and Gd = 1 multiplies nothing.
+        Every rhs of the demo and bench split specs is one; a split spec
+        may also have rhs with an l0 half, which take all four."""
         c, (G, Gd) = self.base.consts, self.consts
         q, r = x[:4], x[4:]
         s, t = y[:4], y[4:]

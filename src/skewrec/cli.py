@@ -36,7 +36,7 @@ from .errors import ParseError, SkewrecError, ValidationError
 from .scalar import INT_LITERAL, FieldContext
 from .algebra import OctonionAlgebra, QuaternionAlgebra
 from .forms import RecurrenceSpec
-from .solver import eval_closed_form, iterate_oracle, solve, verify_closed_form
+from .solver import iterate_oracle, solve, verify_closed_form
 
 _KEYS = ("algebra", "order", "rhs", "init", "roots")
 
@@ -227,7 +227,7 @@ def run_command(args) -> int:
             return 0
         if args.command == "eval":
             cf = solve(spec)
-            print(eval_closed_form(cf, args.k))
+            print(cf.value(args.k))
             return 0
         if args.command == "oracle":
             print(iterate_oracle(spec, args.k))

@@ -23,8 +23,8 @@ None for Q) and `weights`, the diagonal of its norm form on the integer
 layout: W_0 * den^2 * N(x) = sum_j W_j * num_j^2, (1,) over Q and (1, -d)
 over Q(sqrt(d)).  Every carrier also gives `_num_mul`, the integer product
 of two numerator tuples, over W_0 times the two denominators: the formula
-its value class multiplies by (`_field_mul` here), which the solver's
-integer root tests, chain systems and term values run on.
+its value class multiplies by, which the solver's integer root tests,
+chain systems and term values run on.
 Values print from their numerators by `rational_str`, which gives the
 text of `str(Fraction(n, d))`, and each carrier's `read` reads that text
 back, so that carrier.read(str(x)) == x: a scalar literal of the field,
@@ -571,16 +571,6 @@ def _product(x, y, num: tuple):
     return _reduced(x.__class__, carrier, num, den)
 
 
-def _field_mul(d, p, q) -> tuple:
-    """p * q for the integer numerators p, q of two values of Q (d None) or
-    of Q(sqrt(d)), as integer numerators; `ScalarValue.__mul__` and
-    `FieldContext._num_mul` both use it."""
-    if d is None:
-        return (p[0] * q[0],)
-    (u1, v1), (u2, v2) = p, q
-    return (u1 * u2 + d * (v1 * v2), u1 * v2 + v1 * u2)
-
-
 class ScalarValue(IntValue):
     """An element (u + v*sqrt(d)) / den of the context's field: num is
     (u,) over Q and (u, v) over Q(sqrt(d)).  Built, as every carrier's
@@ -592,7 +582,7 @@ class ScalarValue(IntValue):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _product(self, o, _field_mul(self.carrier.d, self.num, o.num))
+        return _product(self, o, self.carrier._num_mul(self.num, o.num))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -754,7 +744,11 @@ class FieldContext(Carrier):
     def _num_mul(self, p, q) -> tuple:
         """The numerators of x * y for values x, y with numerators p, q, over
         den(x) * den(y) * weights[0] (which is 1 here)."""
-        return _field_mul(self.d, p, q)
+        d = self.d
+        if d is None:
+            return (p[0] * q[0],)
+        (u1, v1), (u2, v2) = p, q
+        return (u1 * u2 + d * (v1 * v2), u1 * v2 + v1 * u2)
 
     def ratio(self, p: int, q: int) -> ScalarValue:
         """The scalar p/q, for integers p and q != 0."""

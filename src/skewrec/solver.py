@@ -17,11 +17,11 @@ that same path, by the frame's integer change of basis (`decompose`, `join`).
 The Jordan chains take their few small powers from `powers`, one product
 each.
 
-The search is one step, `_propose`, which checks user roots, finds or
-promotes the others, splits an octonion spec, and returns a finished
-closed form on every path.  This module only proposes: `solve` certifies
-that form by `forms._certify`, which imports none of the search, before
-it returns it.
+The search is one step, `_propose`, which declines every spec it cannot
+solve, checks user roots, finds or promotes the others, splits an
+octonion spec, and returns a finished closed form on every path.  This
+module only proposes: `solve` certifies that form by `forms._certify`,
+which imports none of the search, before it returns it.
 `verify_closed_form` is the independent check against direct iteration.
 """
 
@@ -180,9 +180,21 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
     if positive, to Q(sqrt(d)), d its squarefree part, and is otherwise
     unsolvable here.  Any other order-2 quaternion spec takes the roots
     `quadratic_roots` finds.
+
+    Every limit of the search is declined before any path runs: an
+    octonion spec of order other than 2 or with user roots, and a field or
+    quaternion spec of order > 2 without them.
     """
     alg = spec.algebra
-    if isinstance(alg, OctonionAlgebra) and not all(r.is_central() for r in spec.rhs):
+    field, octonion = isinstance(alg, FieldContext), isinstance(alg, OctonionAlgebra)
+    if octonion and spec.order != 2:
+        raise UnsupportedOrder("octonion recurrences are solved at order 2 only")
+    if octonion and spec.roots is not None:
+        raise ValidationError("user roots are not accepted for octonion specs")
+    if spec.order > 2 and spec.roots is None:
+        kind = "field" if field else "quaternion"
+        raise UnsupportedOrder(f"{kind} recurrences of order > 2 need user-supplied roots")
+    if octonion and not all(r.is_central() for r in spec.rhs):
         frame = build_frame(alg, *spec.rhs)
         rhs = tuple(frame.decompose(r)[0] for r in spec.rhs)
         (q, s), (r, t) = map(frame.decompose, spec.init)
@@ -204,10 +216,6 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
         return _jordan_form(spec, spec.roots)
     if spec.order == 1:
         return _jordan_form(spec, ((spec.rhs[0], 1),))
-    field = isinstance(alg, FieldContext)
-    if spec.order != 2:
-        kind = "field" if field else "quaternion"
-        raise UnsupportedOrder(f"{kind} recurrences of order > 2 need user-supplied roots")
     if not (field or all(r.is_central() for r in spec.rhs)):
         roots, jordan, _ = quadratic_roots(primitive_char_poly(spec))
         if jordan is None and len(roots) != 2:

@@ -157,6 +157,16 @@ MUTANTS = [
            "if not (field or all(r.is_central() for r in spec.rhs)):",
            "if not (field or any(r.is_central() for r in spec.rhs)):",
            ("tests/test_solver.py::test_a_spec_with_one_central_coefficient_takes_the_root_search",)),
+    # the search step declines what it cannot solve before any path runs;
+    # RecurrenceSpec takes every recurrence
+    Mutant("octonion order check dropped from the search step", SOLVER,
+           '    if octonion and spec.order != 2:\n'
+           '        raise UnsupportedOrder("octonion recurrences are solved at order 2 only")\n', "",
+           ("tests/test_solver.py::test_spec_validation",)),
+    Mutant("octonion roots check dropped from the search step", SOLVER,
+           '    if octonion and spec.roots is not None:\n'
+           '        raise ValidationError("user roots are not accepted for octonion specs")\n', "",
+           ("tests/test_solver.py::test_spec_validation",)),
     # the octonion split proposes its ell half from conjugated coefficients
     # and conjugated initial values
     Mutant("octonion tail proposed with rhs in place of its conjugate", SOLVER,

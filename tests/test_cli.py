@@ -24,7 +24,7 @@ from skewrec.cli import (
 )
 from skewrec import cli, forms, solver
 from skewrec.forms import Term, _term_order
-from skewrec.solver import solve
+from skewrec.solver import iterate_oracle, solve
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -140,11 +140,12 @@ def test_validation_errors():
         parse_spec_file("algebra field\norder 1\nrhs 1\n")  # missing init
     with pytest.raises(ValidationError):
         parse_spec_file("algebra field\norder 2\nrhs 0 1\ninit 0 1\n")  # r0 = 0
-    with pytest.raises(UnsupportedOrder):
-        parse_spec_file(
-            "algebra octonion -1 -1 -1\norder 3\n"
-            "rhs [1,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0]\n"
-            "init [1,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0]\n")
+    spec = parse_spec_file(  # a spec of any order, declined by solve
+        "algebra octonion -1 -1 -1\norder 3\n"
+        "rhs [1,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0]\n"
+        "init [1,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0] [0,0,0,0,0,0,0,0]\n")
+    with pytest.raises(UnsupportedOrder, match="^octonion recurrences are solved at order 2 only$"):
+        solve(spec)
 
 
 def test_render_roundtrip():
@@ -207,6 +208,18 @@ def test_cli_fibonacci(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "algebra field_sqrt 5"  # promotion is reported
     assert "1/2+1/2*rt" in out[1]
+
+
+def test_an_octonion_spec_the_search_declines_exits_2_and_iterates(tmp_path, capsys):
+    f = tmp_path / "oct3.rec"
+    f.write_text("algebra octonion -1 -1 -1\norder 3\n"
+                 "rhs [0,1,0,0,1,0,0,0] [1/2,0,0,0,0,0,0,0] [2,0,0,-1,0,0,0,0]\n"
+                 "init [1,0,0,0,0,0,0,0] [0,0,0,0,1,0,0,0] [0,1,0,0,0,0,0,0]\n")
+    for args in (["solve"], ["eval", "5"], ["verify", "5"]):
+        assert main([args[0], str(f), *args[1:]]) == 2
+        assert capsys.readouterr().err == "error: octonion recurrences are solved at order 2 only\n"
+    assert main(["oracle", str(f), "5"]) == 0
+    assert capsys.readouterr().out.strip() == str(iterate_oracle(parse_spec_file(f.read_text()), 5))
 
 
 def test_cli_exit_codes(tmp_path, capsys):

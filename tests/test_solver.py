@@ -52,7 +52,7 @@ from skewrec import (
     verify_closed_form,
 )
 from skewrec import forms, matlin, scalar, solver
-from skewrec.cli import parse_spec_file, render_closed_form
+from skewrec.cli import parse_spec_file, render_closed_form, render_spec
 from skewrec.matlin import mat_solve
 from skewrec.forms import CentralForm, _certify
 from conftest import adjoin_root, fraction_mul, rand_oct, rand_quat, rand_quat_common_den
@@ -161,10 +161,31 @@ def test_spec_validation():
         RecurrenceSpec(H, 2, (H.zero(), I), (1, 1))  # rhs[0] = 0
     with pytest.raises(ValidationError):
         RecurrenceSpec(H, 2, (I,), (1, 1))  # arity
-    with pytest.raises(UnsupportedOrder):
-        RecurrenceSpec(O, 3, (L, L, L), (1, 1, 1))
-    with pytest.raises(ValidationError):
-        RecurrenceSpec(O, 2, (L, L), (1, 1), roots=((L, 1), (L, 1)))
+    # every recurrence is a spec, and the search declines what it cannot
+    # solve before any path runs: central rhs would reach the quaternion
+    # order message, non-central ones build_frame with three coefficients
+    for spec in (RecurrenceSpec(O, 3, (L, L, L), (1, 1, 1)),
+                 RecurrenceSpec(O, 3, (1, 1, 1), (1, L, OI)),
+                 RecurrenceSpec(O, 1, (OI,), (L,))):
+        with pytest.raises(UnsupportedOrder, match="^octonion recurrences are solved at order 2 only$"):
+            solve(spec)
+    for spec in (RecurrenceSpec(O, 2, (L, L), (1, 1), roots=((L, 1), (L, 1))),
+                 RecurrenceSpec(O, 2, (-1, 2), (1, L), roots=((1, 2),))):
+        with pytest.raises(ValidationError, match="^user roots are not accepted for octonion specs$"):
+            solve(spec)
+
+
+def test_an_order_3_octonion_spec_is_a_spec_that_renders_and_iterates():
+    spec = RecurrenceSpec(O, 3, (OI + L, Fraction(1, 2) * OJ, 2 - OK), (1, L, OI - Fraction(1, 3)))
+    assert parse_spec_file(render_spec(spec)) == spec
+    window = [list(v.coords()) for v in spec.init]
+    rhs = [list(r.coords()) for r in spec.rhs]
+    for k in range(21):
+        assert iterate_oracle(spec, k) == O.element(window[0])
+        nxt = [Fraction(0)] * 8
+        for r, a in zip(rhs, window):
+            nxt = [x + y for x, y in zip(nxt, fraction_mul(O, r, a))]
+        window = window[1:] + [nxt]
 
 
 @pytest.mark.parametrize("alg, rhs", [
@@ -864,6 +885,18 @@ def test_certificate_checks_the_frame():
         _certify(spec, OctSplitForm(alien, cf.main, cf.tail))
 
 
+def test_the_frame_squares_print_from_proved_data():
+    # a_prime, b_prime and gamma_prime are not proved; the text reads quat
+    # and ell, which are, so a wrong a_prime neither fails the certificate
+    # nor changes the text
+    spec = RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L))
+    cf = solve(spec)
+    text = render_closed_form(cf)
+    cf.frame.a_prime = 5 * cf.frame.a_prime - 1
+    _certify(spec, cf)
+    assert render_closed_form(cf) == text
+
+
 def _splits_by_identities(frame):
     """The product-identity oracle: join(x, 0)*join(y, 0) = join(x*y, 0) and
     join(x, 0)*(join(y, 0)*ell) = join(y*x, 0)*ell on the 16 pairs of the
@@ -1440,3 +1473,14 @@ def test_a_norm_zero_chain_root_raises_zero_divisor_before_any_chain(monkeypatch
         with pytest.raises(ZeroDivisor, match=re.escape(
                 "[1,1,0,0] has norm 0, so (1,1 | Q) is not a division algebra")):
             solve(spec)
+
+
+def test_the_census_q_grid_gives_its_recorded_counts():
+    # tests/census.py reruns every grid in CI; here the Q grid, whose lines
+    # open the table, with each solved form checked against iteration
+    import census
+    title, carrier, values, init = next(census.grids())
+    lines = census.block(title, census.census(carrier, values, init))
+    with open(os.path.join(os.path.dirname(__file__), "census.txt"), encoding="utf-8") as fh:
+        table = fh.read().splitlines()
+    assert table[:len(lines)] == lines
