@@ -39,8 +39,8 @@ print("associator ((e1e2)l) - (e1(e2l)) =", assoc, " (nonzero!)")
 frame = build_frame(O, -1 - k, i)
 print("\nframe for coefficients (-1-e1e2, e1):")
 print("  u =", frame.u, " w =", frame.w, " l' =", frame.ell)
-print("  u^2 =", frame.a_prime, " w^2 =", frame.b_prime,
-      " l'^2 =", frame.gamma_prime)
+print("  u^2 =", frame.quat.a, " w^2 =", frame.quat.b,
+      " l'^2 =", -frame.ell.norm())
 
 spec = RecurrenceSpec(O, 2, (-1 - k, i), (1, l))
 cf = solve(spec)

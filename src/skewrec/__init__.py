@@ -45,7 +45,7 @@ from .matlin import (
     mat_inverse,
     vandermonde,
 )
-from .forms import AssocForm, CentralForm, OctSplitForm, RecurrenceSpec, Term
+from .forms import AssocForm, CompanionForm, OctSplitForm, RecurrenceSpec, Term
 from .solver import (
     eval_closed_form,
     iterate_oracle,

@@ -382,8 +382,7 @@ class SubalgebraFrame:
     rows `inv` of `decompose` are x -> B(x, f_i) / B(f_i, f_i).
     """
 
-    __slots__ = ("oct", "u", "w", "uw", "ell", "a_prime", "b_prime",
-                 "gamma_prime", "quat", "mat", "den", "inv")
+    __slots__ = ("oct", "u", "w", "uw", "ell", "quat", "mat", "den", "inv")
 
     def __init__(self, oct_alg: OctonionAlgebra, u: OctValue, w: OctValue,
                  ell: OctValue, uw: OctValue | None = None):
@@ -392,9 +391,8 @@ class SubalgebraFrame:
         self.w = w
         self.ell = ell
         self.uw, self.mat, self.den, wcols, gram = _frame_basis(oct_alg, u, w, ell, uw)
-        # u, w and ell are orthogonal to 1, so pure: x^2 = T(x)*x - N(x) = -N(x)
-        self.a_prime, self.b_prime, self.gamma_prime = -u.norm(), -w.norm(), -ell.norm()
-        self.quat = QuaternionAlgebra(self.a_prime, self.b_prime)
+        # u and w are orthogonal to 1, so pure: x^2 = T(x)*x - N(x) = -N(x)
+        self.quat = QuaternionAlgebra(-u.norm(), -w.norm())
         # coordinate i of x = num / d is den * (wcols[i] . num) / (d * gram[i]);
         # each half of the coordinates goes over the lcm L of its four gram[i]
         Ls = [lcm(*gram[:4])] * 4 + [lcm(*gram[4:])] * 4

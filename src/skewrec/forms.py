@@ -7,19 +7,20 @@ rests on those modules and this one, never on the root search, the Jordan
 chains or the frame construction of `solver`, `poly` and `matlin`.
 
 Each kind of closed form is one subclass of ClosedForm (AssocForm,
-OctSplitForm, CentralForm) that carries all of its own behaviour: its
+OctSplitForm, CompanionForm) that carries all of its own behaviour: its
 `carrier`, the algebra of its values; `_groups` and `_classes`, what its
 evaluator sums and the classes that prove it; `_values`, its first
 values; `_certify`, its proof that it solves the recurrence; and `_lines`,
 its text, which `cli.render_closed_form` prints.  No code tests its kind.
 
-A form is certified term by term: each term by its residual polynomial,
-which vanishes at deg p + 1 points, each point one integer Horner pass of
-the residual kernel (`_residual`), whose p = 1 case, every simple root, is
-the characteristic polynomial at the root; an octonion form's frame by the
-doubling lemma (`_certify_frame`).  The sum's first n values, read on
-integer numerators by `_values`, which also proves the evaluator, are then
-checked against the initial values.
+A root or split form is certified term by term: each term by its residual
+polynomial, which vanishes at deg p + 1 points, each point one integer
+Horner pass of the residual kernel (`_residual`), whose p = 1 case, every
+simple root, is the characteristic polynomial at the root; an octonion
+form's frame by the doubling lemma (`_certify_frame`).  A companion form
+takes one annihilator proof on the iterated recurrence (`_annihilates`).
+The form's first n values (`_values`), which also prove the evaluator, are
+then checked against the initial values.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
@@ -36,11 +37,12 @@ of their classes' quadratics, so `solve` itself builds none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd, isqrt, lcm
 
 from .algebra import OctonionAlgebra, QuaternionAlgebra, _frame_basis
 from .errors import ContextMismatch, DegenerateFrame, InternalError, ValidationError
-from .scalar import Carrier, _factor, _lucas, _make, _reduced, _times
+from .scalar import Carrier, _factor, _lucas, _make, _ratio, _reduced, _times
 
 
 def _checked_multiplicities(rootdata) -> tuple:
@@ -263,6 +265,17 @@ class _LucasSum:
         return _make(zero.__class__, zero.carrier, *self.reduce(out, k))
 
 
+def _forward(zero, rhs, init):
+    """a_0, a_1, ... of a_{k+n} = sum_j rhs[j] * a_{k+j} from init = a_0..a_{n-1},
+    each sum started at zero: the ground truth of `iterate_oracle` and of
+    `_annihilates`."""
+    window = list(init)
+    yield from window
+    while True:
+        window = window[1:] + [sum([r * a for r, a in zip(rhs, window)], zero)]
+        yield window[-1]
+
+
 def _check_values(values, expected, what: str, of: str) -> None:
     """InternalError naming the first a_k of values that is not expected[k]."""
     for k, (got, a) in enumerate(zip(values, expected, strict=True)):
@@ -450,40 +463,62 @@ class OctSplitForm(ClosedForm):
 
 
 @dataclass(frozen=True)
-class CentralForm(ClosedForm):
-    """a_k = U_k*a1 - n*U_{k-1}*a0 for a_{k+2} = t*a_{k+1} - n*a_k with
-    rational t and n, in any carrier, U the Lucas sequence of (t, n).  Its
-    `_LucasSum` is the one group S = [a0], R = [t*a0 - a1], since
-    U_{k+1} - t*U_k = -n*U_{k-1}."""
+class CompanionForm(ClosedForm):
+    """a_{k+N} = -sum_{i<N} C[i]*a_{k+i} from values = (a_0, ..., a_{N-1}),
+    in any carrier, for rational C[i], low degree first: C = x^N + sum_{i<N}
+    C[i]*x^i with its leading 1 left implicit.  The evaluator takes N = 2
+    only, else ValidationError: C = x^2 - t*x + n gives a_k = U_k*a1 -
+    n*U_{k-1}*a0, U the Lucas sequence of (t, n), and so a `_LucasSum` of one
+    group S = [a0], R = [t*a0 - a1], as U_{k+1} - t*U_k = -n*U_{k-1}."""
 
     carrier: object
-    t: object
-    n: object
-    a0: object
-    a1: object
+    C: tuple
+    values: tuple
+
+    def __post_init__(self):
+        if not len(self.C) == len(self.values) == 2:
+            raise ValidationError("companion forms are evaluated at degree 2 only")
 
     def _groups(self):
-        return {_lucas_params(self.t, self.n): ([self.a0], [self.a0 * self.t - self.a1])}
+        (n, c1), (a0, a1) = self.C, self.values
+        return {_lucas_params(-c1, n): ([a0], [a0 * -c1 - a1])}
 
     def _classes(self) -> list:
-        return [(_lucas_params(self.t, self.n), 1)]
+        return [(_lucas_params(-self.C[1], self.C[0]), 1)]
 
     def _values(self, n: int) -> list:
-        out = [self.a0, self.a1]
-        while len(out) < n:
-            out.append(out[-1] * self.t - out[-2] * self.n)
-        return out
+        rhs = [self.carrier.coerce(-c) for c in self.C]
+        return list(islice(_forward(self.carrier.zero(), rhs, self.values), n))
 
     def _certify(self, spec: RecurrenceSpec) -> None:
-        """It solves a_{k+2} = t*a_{k+1} - n*a_k, as its rational U does, so
-        it solves the recurrence if rhs = (-n, t)."""
-        if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):
-            raise InternalError(f"certificate failed: the Lucas form solves a_(k+2) = "
-                                f"{self.t}*a_(k+1) - {self.n}*a_k, not the recurrence")
+        _annihilates(spec, self.C, self.values)
 
     def _lines(self) -> list[str]:
+        (n, c1), (a0, a1) = self.C, self.values
         return ["a_k = U_k*a_1 - n*U_(k-1)*a_0 for U_0 = 0, U_1 = 1, U_(k+2) = t*U_(k+1) "
-                f"- n*U_k with t = {self.t}, n = {self.n}, a_0 = {self.a0}, a_1 = {self.a1}"]
+                f"- n*U_k with t = {-c1}, n = {n}, a_0 = {a0}, a_1 = {a1}"]
+
+
+def _annihilates(spec: RecurrenceSpec, C, values) -> None:
+    """Prove that values and C = x^N + sum_{i<N} C[i]*x^i, C[i] rational
+    (int, Fraction or ScalarValue), give the recurrence's a_k for every k,
+    or raise InternalError: with a_0..a_{N+n-1} iterated (`_forward`),
+    values must be a_0..a_{N-1} and e_j = sum_{i<=N} C[i]*a_{j+i}, C[N] = 1,
+    0 for j < n.  e satisfies the spec's own recurrence, as a rational C[i]
+    passes through every left product rhs[l]*a_{j+i+l}, associative or not;
+    so n zeros make e = 0, and a is the sequence of a_{k+N} = -sum_{i<N}
+    C[i]*a_{k+i} from values.  When C is the spec's own rational chi (N = n,
+    C[i] = -rhs[i]), every e_j is 0 by the recurrence: this proof at N = n."""
+    N = len(C)
+    # a central rhs[l] enters as its rational, a scaling: no product of two carrier values
+    rhs = [r.scalar_part() if r.is_central() else r for r in spec.rhs]
+    a = list(islice(_forward(spec.algebra.zero(), rhs, spec.init), N + spec.order))
+    _check_values(values, a[:N], "certificate failed: the companion form", "the recurrence's")
+    for j in range(spec.order):
+        e = sum([x._scaled(*_ratio(c)) for c, x in zip(C, a[j:])], a[j + N])
+        if not e.is_zero():
+            raise InternalError(f"certificate failed: C = [{', '.join(map(str, C))}, 1] "
+                                f"leaves e_{j} = {e}, not 0")
 
 
 def _residual(coeffs, lam) -> tuple[list, int]:

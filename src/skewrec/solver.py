@@ -11,7 +11,7 @@ Every root is tested on integers, a user root by the search
 (`poly._is_root`) and a derived one by the certificate.
 Rational order-2 coefficients take one root branch in every carrier: their
 rational roots are coerced into it, irrational ones give an algebra a
-CentralForm.  Other octonion recurrences split over a quaternion frame of
+CompanionForm.  Other octonion recurrences split over a quaternion frame of
 their coefficients into a main part and a conjugated tail, each solved on
 that same path, by the frame's integer change of basis (`decompose`, `join`).
 The Jordan chains take their few small powers from `powers`, one product
@@ -41,7 +41,8 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .forms import AssocForm, CentralForm, ClosedForm, OctSplitForm, RecurrenceSpec, Term, _certify
+from .forms import (AssocForm, ClosedForm, CompanionForm, OctSplitForm, RecurrenceSpec, Term,
+                    _certify, _forward)
 from .matlin import _chain_matrix, mat_solve
 from .poly import LeftPoly, _is_root, quadratic_roots
 from .scalar import FieldContext, ScalarValue, _reduced, _times, squarefree_split
@@ -60,24 +61,12 @@ def primitive_char_poly(spec: RecurrenceSpec) -> LeftPoly:
     return LeftPoly(spec.algebra, coeffs)
 
 
-def _forward(spec: RecurrenceSpec):
-    """a_0, a_1, ... by direct forward iteration of the recurrence."""
-    window = list(spec.init)
-    yield from window
-    while True:
-        nxt = spec.algebra.zero()
-        for r, a in zip(spec.rhs, window):
-            nxt = nxt + r * a
-        window = window[1:] + [nxt]
-        yield nxt
-
-
 def iterate_oracle(spec: RecurrenceSpec, k: int):
-    """a_k by direct forward iteration, the ground truth of
+    """a_k by direct forward iteration (`forms._forward`), the ground truth of
     verify_closed_form."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return next(islice(_forward(spec), k, None))
+    return next(islice(_forward(spec.algebra.zero(), spec.rhs, spec.init), k, None))
 
 
 def eval_closed_form(cf: ClosedForm, k: int):
@@ -88,7 +77,7 @@ def verify_closed_form(spec: RecurrenceSpec, cf: ClosedForm, kmax: int) -> Verif
     """Exact comparison of the closed form against iteration for k <= kmax."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    for k, actual in zip(range(kmax + 1), _forward(spec)):
+    for k, actual in zip(range(kmax + 1), _forward(spec.algebra.zero(), spec.rhs, spec.init)):
         if cf.value(k) != actual:
             return VerifyReport(False, k, kmax)
     return VerifyReport(True, None, kmax)
@@ -176,7 +165,7 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
     over a field, or with every rhs central in any carrier, has chi over
     its field or Q: a zero discriminant gives a double root and a square
     one two roots, coerced into the spec's carrier.  Any other gives an
-    algebra spec the Lucas form (CentralForm), moves a field spec over Q,
+    algebra spec the Lucas form (CompanionForm of chi), moves a field spec over Q,
     if positive, to Q(sqrt(d)), d its squarefree part, and is otherwise
     unsolvable here.  Any other order-2 quaternion spec takes the roots
     `quadratic_roots` finds.
@@ -229,7 +218,7 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
     s = disc.sqrt()
     if s is None:
         if not field:
-            return CentralForm(alg, -c1, c0, *spec.init)
+            return CompanionForm(alg, (c0, c1), spec.init)
         if alg.d is not None:
             raise NoRootsFound("the discriminant has no square root in the configured "
                                "quadratic field, and no further extension is attempted")

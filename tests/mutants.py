@@ -222,14 +222,26 @@ MUTANTS = [
            ("tests/test_solver.py::test_the_trusted_checker_imports_none_of_the_search",)),
     # the certificate of each form kind (its `_certify`, then the first n
     # values in forms._certify)
-    Mutant("Lucas form compares only rhs[1]", FORMS,
-           "if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):",
-           "if spec.rhs[1] != self.carrier.coerce(self.t):",
+    # the companion form's annihilator proof (_annihilates), over the one
+    # forward iterator, and the form solve builds for it
+    Mutant("annihilator proof drops C[0] from e_j", FORMS,
+           "zip(C, a[j:])", "zip(C[1:], a[j + 1:])",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
-    Mutant("Lucas form compares only rhs[0]", FORMS,
-           "if spec.rhs != (self.carrier.coerce(-self.n), self.carrier.coerce(self.t)):",
-           "if spec.rhs[0] != self.carrier.coerce(-self.n):",
+    Mutant("annihilator proof drops C[1] from e_j", FORMS,
+           "zip(C, a[j:])", "zip(C[:1], a[j:])",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
+    Mutant("annihilator proof checks e_j at j = 0 only", FORMS,
+           "for j in range(spec.order):", "for j in range(1):",
+           ("tests/test_solver.py::test_the_annihilator_proof_checks_every_e_j_below_the_order",)),
+    Mutant("annihilator proof compares values at k < N - 1 only", FORMS,
+           "_check_values(values, a[:N],", "_check_values(values[:N - 1], a[:N - 1],",
+           ("tests/test_solver.py::test_the_annihilator_proof_compares_every_value_below_deg_c",)),
+    Mutant("forward iterator steps with rhs[1:]", FORMS,
+           "for r, a in zip(rhs, window)]", "for r, a in zip(rhs[1:], window)]",
+           ("tests/test_solver.py::test_solve_spherical",)),
+    Mutant("companion form proposed with C[0] off by one", SOLVER,
+           "CompanionForm(alg, (c0, c1), spec.init)", "CompanionForm(alg, (c0 + 1, c1), spec.init)",
+           ("tests/test_solver.py::test_solve_spherical",)),
     Mutant("initial values not compared", FORMS,
            "cf._values(spec.order), spec.init,", "spec.init, spec.init,",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),

@@ -212,7 +212,7 @@ def test_frame_from_standard_coefficients():
     assert fr.u == O.embed(I)
     assert fr.w == -O.embed(K)  # pure(alpha) already orthogonal to u
     assert fr.ell == L
-    assert fr.a_prime == -1 and fr.b_prime == -1 and fr.gamma_prime == -1
+    assert fr.quat.a == -1 and fr.quat.b == -1 and -fr.ell.norm() == -1
     assert fr.decompose(alpha)[1].is_zero() and fr.decompose(beta)[1].is_zero()
 
 
@@ -226,7 +226,7 @@ def test_frame_with_doubling_generator():
     fr = build_frame(big, big.ell0, big.zero())
     assert fr.u == big.ell0
     assert fr.w == big.embed(big.base.e1)
-    assert fr.a_prime == -2  # u^2 = gamma
+    assert fr.quat.a == -2  # u^2 = gamma
 
 
 def test_frame_orthogonality_invariants():
@@ -357,7 +357,7 @@ def test_frame_cayley_dickson_rule():
     rng = random.Random(61)
     for _ in range(3):
         fr = build_frame(O, rand_oct(rng, O), rand_oct(rng, O))
-        g = fr.gamma_prime
+        g = -fr.ell.norm()
         for _ in range(25):
             q, r, s, t = (rand_quat(rng, fr.quat, 4, 2) for _ in range(4))
             lhs = ((fr.join(q, 0) + fr.join(r, 0) * fr.ell)

@@ -54,7 +54,7 @@ from skewrec import (
 from skewrec import forms, matlin, scalar, solver
 from skewrec.cli import parse_spec_file, render_closed_form, render_spec
 from skewrec.matlin import mat_solve
-from skewrec.forms import CentralForm, _certify
+from skewrec.forms import CompanionForm, _certify
 from conftest import adjoin_root, fraction_mul, rand_oct, rand_quat, rand_quat_common_den
 
 Q = FieldContext.rational()
@@ -89,7 +89,7 @@ PUBLIC_NAMES = {
     "DMatrix", "companion_matrix", "eig_check", "jordan_from_roots", "jordan_matrix",
     "mat_inverse", "vandermonde",
     # solver: solve is the one public way to a closed form
-    "AssocForm", "CentralForm", "OctSplitForm", "RecurrenceSpec", "Term", "eval_closed_form",
+    "AssocForm", "CompanionForm", "OctSplitForm", "RecurrenceSpec", "Term", "eval_closed_form",
     "iterate_oracle", "primitive_char_poly", "solve", "verify_closed_form",
 }
 
@@ -101,10 +101,10 @@ def test_public_names_are_the_listed_exports():
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert len(PUBLIC_NAMES) == 47
     assert names == PUBLIC_NAMES
-    # every form kind solve returns can be imported, CentralForm included
+    # every form kind solve returns can be imported, CompanionForm included
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "specs", "spherical.rec")
     with open(path, encoding="utf-8") as fh:
-        assert isinstance(solve(parse_spec_file(fh.read())), skewrec.CentralForm)
+        assert isinstance(solve(parse_spec_file(fh.read())), skewrec.CompanionForm)
 
 
 def test_import_loads_only_the_standard_library_and_the_package():
@@ -349,7 +349,7 @@ def test_solve_spherical():
     for rhs, init, t, n in (((-1, 0), (H.one(), K), 0, 1), ((-1, 1), (I, J), 1, 1)):
         spec = RecurrenceSpec(H, 2, rhs, init)
         cf = solve(spec)
-        assert cf == CentralForm(H, Q.scalar(t), Q.scalar(n), *init)
+        assert cf == CompanionForm(H, (Q.scalar(n), Q.scalar(-t)), init)
         assert verify_closed_form(spec, cf, 32).ok
 
 
@@ -520,7 +520,7 @@ def test_octonion_central_coefficients():
     for rhs, init in (((-1, 0), (1, L)), ((-5, 2), (OI, L)), ((2, -3), (OI, L))):
         spec = RecurrenceSpec(O, 2, rhs, init)
         cf = solve(spec)
-        assert cf == CentralForm(O, Q.scalar(rhs[1]), Q.scalar(-rhs[0]), *spec.init)
+        assert cf == CompanionForm(O, (Q.scalar(-rhs[0]), Q.scalar(-rhs[1])), spec.init)
         assert verify_closed_form(spec, cf, 32).ok
 
 
@@ -531,7 +531,7 @@ def test_a_spec_with_one_central_coefficient_takes_the_root_search(alg):
     e = alg.basis()
     spec = RecurrenceSpec(alg, 2, (-2, -e[1]), (1, e[2]))
     cf = solve(spec)
-    assert not isinstance(cf, CentralForm)
+    assert not isinstance(cf, CompanionForm)
     assert verify_closed_form(spec, cf, 16).ok
 
 
@@ -638,15 +638,51 @@ def _certifies(spec, cf):
     return True
 
 
+def _annihilator(cf):
+    """(C, values) of cf for `forms._annihilates`: a CompanionForm's own,
+    and for a root or split form C = prod (x^2 - T*x + N)^m over the classes
+    (T, N) of its `_classes()`, m the largest for each class, multiplied out
+    as Fractions, with the form's first deg C values."""
+    if isinstance(cf, CompanionForm):
+        return cf.C, cf.values
+    mult = {}
+    for key, m in cf._classes():
+        mult[key] = max(mult.get(key, 0), m)
+    C = [Fraction(1)]
+    for (P, Qn, s), m in mult.items():  # T = P/s and N = Qn/s^2
+        for _ in range(m):
+            out = [Fraction(0)] * (len(C) + 2)
+            for i, c in enumerate(C):
+                out[i] += c * Fraction(Qn, s * s)
+                out[i + 1] -= c * Fraction(P, s)
+                out[i + 2] += c
+            C = out
+    return tuple(C[:-1]), cf._values(len(C) - 1)
+
+
+def _proofs_agree(spec, cf) -> bool:
+    """Whether _certify accepts cf, once the annihilator proof has decided alike."""
+    C, values = _annihilator(cf)
+    try:
+        forms._annihilates(spec, C, values)
+        annihilated = True
+    except InternalError:
+        annihilated = False
+    assert annihilated == _certifies(spec, cf), (spec, cf, C)
+    return annihilated
+
+
 def _corrupted(cf, n):
     """Every form that differs from cf in one term: right + 1, base + 1, an
     extra power of k in the coefficient polynomial, or k*(k-1)*...*(k-n+1)
     added to that polynomial, which keeps a_0..a_{n-1} and so leaves the
-    term proofs alone to see it; for a CentralForm, every one that differs
-    in one of t, n, a0 and a1 by 1."""
-    if isinstance(cf, CentralForm):
-        for field in ("t", "n", "a0", "a1"):
-            yield dataclasses.replace(cf, **{field: getattr(cf, field) + 1})
+    term proofs alone to see it; for a CompanionForm, every one that differs
+    in one coefficient of C or one value by 1."""
+    if isinstance(cf, CompanionForm):
+        for field in ("C", "values"):
+            old = getattr(cf, field)
+            for i in range(len(old)):
+                yield dataclasses.replace(cf, **{field: old[:i] + (old[i] + 1,) + old[i + 1:]})
         return
     falling, _ = solver._binom_coeffs(n)
 
@@ -719,14 +755,92 @@ def _certificate_specs():
 
 
 def test_certificate_rejects_what_iteration_rejects():
-    mutants = 0
+    # the annihilator proof, a second and independent one, decides alike on
+    # every form: deg C is 2 on Lucas forms, 4 on order-2 root and split
+    # forms, 6 at order 3 and up to 8 once a corrupted term gains a power of k
+    mutants, degrees = 0, set()
     for spec in _certificate_specs():
         cf = solve(spec)
-        assert _certifies(spec, cf) and verify_closed_form(spec, cf, 16).ok
+        assert _proofs_agree(spec, cf) and verify_closed_form(spec, cf, 16).ok
         for bad in _corrupted(cf, spec.order):
-            assert _certifies(spec, bad) == verify_closed_form(spec, bad, 16).ok
+            assert _proofs_agree(spec, bad) == verify_closed_form(spec, bad, 16).ok
+            degrees.add(len(_annihilator(bad)[0]))
             mutants += 1
-    assert mutants >= 250
+    assert mutants >= 250 and {2, 4, 6, 8} <= degrees
+
+
+def test_the_annihilator_proof_checks_every_e_j_below_the_order():
+    # a_0 = 0: C = x^2 - x + 2 for x^2 - x + 1 leaves e_0 = a_0 = 0 and
+    # e_1 = a_1 = j
+    spec = RecurrenceSpec(H, 2, (-1, 1), (0, J))
+    cf = solve(spec)
+    with pytest.raises(InternalError, match=re.escape("C = [2, -1, 1] leaves e_1 = [0,0,1,0], not 0")):
+        _certify(spec, dataclasses.replace(cf, C=(cf.C[0] + 1, cf.C[1])))
+
+
+def test_the_annihilator_proof_compares_every_value_below_deg_c():
+    # C = (x^2 - x - 1)(x - 2) annihilates Fibonacci's a, so only the value
+    # check sees a form of that C whose a_2 is 2, not 1
+    C = (2, 1, -3)
+    forms._annihilates(FIB, C, (0, 1, 1))
+    with pytest.raises(InternalError, match=re.escape("gives a_2 = 2, not the recurrence's 1")):
+        forms._annihilates(FIB, C, (0, 1, 2))
+
+
+def test_the_annihilator_proof_agrees_with_the_certificate_on_the_demos_and_census_grids():
+    import census
+    specs = []
+    for path in DEMO_SPECS:
+        with open(path, encoding="utf-8") as fh:
+            specs.append(parse_spec_file(fh.read()))
+    for _title, carrier, rhs_tuples, init in census.grids():
+        if carrier in (Q, H) and len(init) == 2:
+            specs += [RecurrenceSpec(carrier, 2, rhs, init) for rhs in rhs_tuples
+                      if not carrier.coerce(rhs[0]).is_zero()]
+    kinds = set()
+    for spec in specs:
+        try:
+            cf = solve(spec)
+        except SkewrecError:
+            continue
+        assert _proofs_agree(spec, cf)
+        kinds.add(type(cf).__name__)
+    assert len(specs) == 11 + 42 + 6480
+    assert kinds == {"AssocForm", "CompanionForm", "OctSplitForm"}
+
+
+SPLIT_AND_DIVISION = [Q, FieldContext(2), H, QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+                      QuaternionAlgebra(1, 1), QuaternionAlgebra(2, 3), O, OctonionAlgebra(1, 1, 1),
+                      OctonionAlgebra(2, 3, -1)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_annihilator_proof_agrees_with_the_certificate_on_drawn_specs(data):
+    # every carrier, split ones included: random, planted and central rhs,
+    # and each corrupted form of what solve returns
+    fracs = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    alg = data.draw(st.sampled_from(SPLIT_AND_DIVISION), label="algebra")
+    octonion = isinstance(alg, OctonionAlgebra)
+
+    def element(carrier):
+        return carrier.element(data.draw(st.lists(fracs, min_size=carrier.dim, max_size=carrier.dim)))
+
+    how = data.draw(st.sampled_from(["random", "planted", "central"]))
+    if how == "random":
+        rhs = (element(alg), element(alg))
+    elif how == "planted":
+        rhs = _planted_rhs([element(alg.base if octonion else alg) for _ in range(2)])
+    else:
+        rhs = (data.draw(fracs), data.draw(fracs))
+    try:
+        spec = RecurrenceSpec(alg, 2, rhs, (element(alg), element(alg)))
+        cf = solve(spec)
+    except SkewrecError:
+        assume(False)
+    assert _proofs_agree(spec, cf)
+    for bad in _corrupted(cf, 2):
+        _proofs_agree(spec, bad)
 
 
 def test_certificate_names_what_fails():
@@ -739,14 +853,16 @@ def test_certificate_names_what_fails():
     shifted = RecurrenceSpec(H, 2, DIAG.rhs, (2, 1))
     with pytest.raises(InternalError, match="a_0"):
         _certify(shifted, solve(DIAG))
-    # a Lucas form of another recurrence, and one of other initial values
+    # a Lucas form of another recurrence, and one of other initial values:
+    # C = x^2 - 2x + 1 leaves e_0 = a_2 - 2*a_1 + a_0 = -j for a_2 = j - i
     spec = RecurrenceSpec(H, 2, (-1, 1), (I, J))
     cf = solve(spec)
     with pytest.raises(InternalError, match=re.escape(
-            "the Lucas form solves a_(k+2) = 2*a_(k+1) - 1*a_k, not the recurrence")):
-        _certify(spec, dataclasses.replace(cf, t=cf.t + 1))
-    with pytest.raises(InternalError, match=re.escape("gives a_1 = [1,0,1,0], not the initial")):
-        _certify(spec, dataclasses.replace(cf, a1=cf.a1 + 1))
+            "C = [1, -2, 1] leaves e_0 = [0,0,-1,0], not 0")):
+        _certify(spec, dataclasses.replace(cf, C=(cf.C[0], cf.C[1] - 1)))
+    with pytest.raises(InternalError, match=re.escape(
+            "the companion form gives a_1 = [1,0,1,0], not the recurrence's [0,0,1,0]")):
+        _certify(spec, dataclasses.replace(cf, values=(cf.values[0], cf.values[1] + 1)))
 
 
 def test_certificate_checks_every_point_up_to_the_degree():
@@ -872,7 +988,7 @@ def test_certificate_checks_the_frame():
     # the right columns, but quat is not (u^2, w^2 | Q): the rhs still join
     # back, and only the frame check sees it
     wrong = build_frame(O, -1 - OK, OI)
-    wrong.quat = QuaternionAlgebra(wrong.a_prime, 2 * wrong.b_prime)
+    wrong.quat = QuaternionAlgebra(wrong.quat.a, 2 * wrong.quat.b)
     with pytest.raises(InternalError, match="does not split the algebra"):
         _certify(spec, OctSplitForm(wrong, cf.main, cf.tail))
     # the same columns from u, w and ell of another octonion algebra: their
@@ -883,18 +999,6 @@ def test_certificate_checks_the_frame():
         setattr(alien, attr, O2.element(getattr(alien, attr).coords()))
     with pytest.raises(InternalError, match="does not split the algebra"):
         _certify(spec, OctSplitForm(alien, cf.main, cf.tail))
-
-
-def test_the_frame_squares_print_from_proved_data():
-    # a_prime, b_prime and gamma_prime are not proved; the text reads quat
-    # and ell, which are, so a wrong a_prime neither fails the certificate
-    # nor changes the text
-    spec = RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L))
-    cf = solve(spec)
-    text = render_closed_form(cf)
-    cf.frame.a_prime = 5 * cf.frame.a_prime - 1
-    _certify(spec, cf)
-    assert render_closed_form(cf) == text
 
 
 def _splits_by_identities(frame):
@@ -928,7 +1032,7 @@ def test_frame_check_against_the_product_identities(alg, ca, cb, attr, step, at)
     except DegenerateFrame:
         return
     if attr == "quat":
-        fr.quat = QuaternionAlgebra(fr.a_prime * (step + 1), fr.b_prime)
+        fr.quat = QuaternionAlgebra(fr.quat.a * (step + 1), fr.quat.b)
     elif attr == "mat":
         rows = [list(r) for r in fr.mat]
         rows[at // 8][at % 8] += step
@@ -1048,7 +1152,7 @@ def test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind(monk
         if proved[0] > spec.order:
             past.add(kind)
     # Fibonacci's conjugate roots and a Lucas form have deg C = 2
-    assert kinds == {"AssocForm None", "AssocForm 5", "AssocForm", "OctSplitForm", "CentralForm"}
+    assert kinds == {"AssocForm None", "AssocForm 5", "AssocForm", "OctSplitForm", "CompanionForm"}
     assert past == {"AssocForm None", "AssocForm", "OctSplitForm"}
 
 
@@ -1110,7 +1214,7 @@ def _term_sum(form, k):
 
 
 def _reference_value(spec, cf, k):
-    if isinstance(cf, CentralForm):  # no terms to power: iteration
+    if isinstance(cf, CompanionForm):  # no terms to power: iteration
         return iterate_oracle(spec, k)
     if isinstance(cf, AssocForm):
         return _term_sum(cf, k)
@@ -1301,7 +1405,7 @@ def test_a_vanishing_lucas_form_gives_the_canonical_zero(alg):
     # t = 0 and a0 = 0: a_k = U_k * a1 and U_k = 0 at even k, over den * 3**k
     a1 = alg.element([Fraction(1, 2)] + [1] * (alg.dim - 1))
     cf = solve(RecurrenceSpec(alg, 2, (Fraction(-1, 3), 0), (0, a1)))
-    assert isinstance(cf, CentralForm)
+    assert isinstance(cf, CompanionForm)
     zero = alg.zero()
     for k in (0, 2, 64, 4096):
         got = cf.value(k)
@@ -1317,7 +1421,7 @@ def test_a_cancelling_power_of_3_takes_two_passes_and_two_gcds(alg, monkeypatch)
     a0 = alg.element([Fraction(2, 5)] + [1] * (alg.dim - 1))
     a1 = alg.element([Fraction(1, 2)] + [-1, 3] * (alg.dim // 2 - 1) + [7])
     cf = solve(RecurrenceSpec(alg, 2, (Fraction(-1, 3), 0), (a0, a1)))
-    assert isinstance(cf, CentralForm)
+    assert isinstance(cf, CompanionForm)
     cf.value(0)
     calls = []
 
@@ -1364,7 +1468,7 @@ def test_central_specs_take_the_lucas_form_in_every_carrier(alg, data):
     spec = RecurrenceSpec(alg, 2, (-n, t), init)
     cf = solve(spec)
     if roots == "irrational":
-        assert cf == CentralForm(alg, Q.scalar(t), Q.scalar(n), *init)
+        assert cf == CompanionForm(alg, (Q.scalar(n), Q.scalar(-t)), init)
     else:
         assert isinstance(cf, AssocForm) and cf.carrier == alg
         assert {term.base for term in cf.terms} <= {alg.scalar(r1), alg.scalar(r2)}
@@ -1476,11 +1580,16 @@ def test_a_norm_zero_chain_root_raises_zero_divisor_before_any_chain(monkeypatch
 
 
 def test_the_census_q_grid_gives_its_recorded_counts():
-    # tests/census.py reruns every grid in CI; here the Q grid, whose lines
-    # open the table, with each solved form checked against iteration
+    # tests/census.py reruns every grid in CI; here the Q grids, of orders
+    # 2 and 3, with each solved form checked against iteration
     import census
-    title, carrier, values, init = next(census.grids())
-    lines = census.block(title, census.census(carrier, values, init))
     with open(os.path.join(os.path.dirname(__file__), "census.txt"), encoding="utf-8") as fh:
         table = fh.read().splitlines()
-    assert table[:len(lines)] == lines
+    orders = []
+    for title, carrier, rhs_tuples, init in census.grids():
+        if carrier == Q:
+            lines = census.block(title, census.census(carrier, rhs_tuples, init))
+            at = table.index(lines[0])
+            assert table[at:at + len(lines)] == lines
+            orders.append(len(init))
+    assert orders == [2, 3]
