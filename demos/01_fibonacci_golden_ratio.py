@@ -12,14 +12,13 @@ Run:  python demos/01_fibonacci_golden_ratio.py
 from skewrec import (
     FieldContext,
     RecurrenceSpec,
-    eval_closed_form,
     iterate_oracle,
     solve,
     verify_closed_form,
 )
 from skewrec.cli import render_closed_form
 
-spec = RecurrenceSpec(FieldContext.rational(), 2, (1, 1), (0, 1))
+spec = RecurrenceSpec(FieldContext(), 2, (1, 1), (0, 1))
 
 print("recurrence: a_{k+2} = a_k + a_{k+1},  a_0 = 0, a_1 = 1")
 cf = solve(spec)
@@ -28,8 +27,8 @@ for line in render_closed_form(cf):
     print(line)
 
 print("\nfirst terms from the closed form:",
-      [str(eval_closed_form(cf, n)) for n in range(12)])
-print("a_30 =", eval_closed_form(cf, 30), " (iteration agrees:",
+      [str(cf.value(n)) for n in range(12)])
+print("a_30 =", cf.value(30), " (iteration agrees:",
       str(iterate_oracle(spec, 30)) + ")")
 
 report = verify_closed_form(spec, cf, 64)

@@ -20,7 +20,6 @@ from skewrec import (
     OctonionAlgebra,
     RecurrenceSpec,
     build_frame,
-    eval_closed_form,
     solve,
     verify_closed_form,
 )
@@ -47,7 +46,7 @@ cf = solve(spec)
 print("\na_{k+2} = (-1 - e1e2) a_k + e1 a_{k+1},  a_0 = 1, a_1 = l:")
 for line in render_closed_form(cf):
     print(line)
-print("a_0..a_4:", [str(eval_closed_form(cf, n)) for n in range(5)])
+print("a_0..a_4:", [str(cf.value(n)) for n in range(5)])
 rep = verify_closed_form(spec, cf, 32)
 print("exact check k = 0..32:",
       "PASS" if rep.ok else f"FAIL at k={rep.first_failure}")

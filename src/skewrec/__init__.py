@@ -21,17 +21,17 @@ from .errors import (
 )
 from .scalar import FieldContext, ScalarValue
 from .algebra import (
-    ConjClass,
     OctValue,
     OctonionAlgebra,
     QuatValue,
     QuaternionAlgebra,
     build_frame,
-    conj_class,
 )
 from .poly import (
+    ConjClass,
     LeftPoly,
     companion_poly,
+    conj_class,
     divide_by_linear,
     factor_central_quartic,
     quadratic_roots,

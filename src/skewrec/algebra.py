@@ -46,11 +46,15 @@ quaternion of its base algebra.  The norm form is diagonal in the basis:
 N(q + r*l0) = N(q) - gamma*N(r) for the double.  Every norm job (norm,
 inverse, polar form, the companion polynomial, the isotropy tests and the
 squares of a frame) reads it.
+
+Frames.  `SubalgebraFrame` and `_frame_basis`, the doubling lemma's test
+that the certificate reruns, are trusted.  `build_frame`, `_orthogonalize`
+and `spherical_representative` are the search's, kept here because
+`bench/run.py` times them under this module's name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
@@ -241,45 +245,6 @@ class OctonionAlgebra(Carrier):
 
     def __repr__(self):
         return f"({self.base.a},{self.base.b},{self.gamma} | {self.ctx})"
-
-
-# ---------------------------------------------------------------------------
-# conjugacy classes
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ConjClass:
-    """Conjugacy-class label: a central scalar, or a (trace, norm) pair.
-
-    Two non-central quaternions are conjugate exactly when they share reduced
-    trace and norm, provided the algebra is division; in a split algebra the
-    label can lump together genuinely non-conjugate elements, which is the
-    same caveat attached to ZeroDivisor.
-    """
-
-    central: object = None
-    t: object = None
-    n: object = None
-
-    def __post_init__(self):
-        if (self.central is None) == (self.t is None):
-            raise ValueError("give either a central scalar or a (t, n) pair")
-
-    @property
-    def is_central(self) -> bool:
-        return self.central is not None
-
-    def __repr__(self):
-        if self.is_central:
-            return f"ConjClass(central={self.central})"
-        return f"ConjClass(t={self.t}, n={self.n})"
-
-
-def conj_class(x: QuatValue) -> ConjClass:
-    """Class label of a quaternion: itself if central, else (trace, norm)."""
-    if x.is_central():
-        return ConjClass(central=x.scalar_part())
-    return ConjClass(t=x.trace(), n=x.norm())
 
 
 def spherical_representative(alg: QuaternionAlgebra, t, n, height: int = 20):

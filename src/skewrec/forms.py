@@ -47,9 +47,9 @@ from .scalar import Carrier, _factor, _lucas, _make, _ratio, _reduced, _times
 
 def _checked_multiplicities(rootdata) -> tuple:
     """rootdata as a tuple of (root, multiplicity) pairs, or ValidationError
-    for a multiplicity that is not an int >= 1."""
+    for a multiplicity that is not an int >= 1; a bool is not one here."""
     rootdata = tuple(rootdata)
-    if not all(isinstance(m, int) for _, m in rootdata):
+    if not all(isinstance(m, int) and not isinstance(m, bool) for _, m in rootdata):
         raise ValidationError("root multiplicities must be integers")
     if any(m < 1 for _, m in rootdata):
         raise ValidationError("root multiplicities must be >= 1")
@@ -72,7 +72,7 @@ class RecurrenceSpec:
     def __post_init__(self):
         if not isinstance(self.algebra, Carrier):
             raise TypeError(f"unknown algebra carrier {self.algebra!r}")
-        if not isinstance(self.order, int) or self.order < 1:
+        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
             raise ValidationError("order must be a positive integer")
         coerce = self.algebra.coerce
         rhs = tuple([coerce(v) for v in self.rhs])
@@ -465,11 +465,12 @@ class OctSplitForm(ClosedForm):
 @dataclass(frozen=True)
 class CompanionForm(ClosedForm):
     """a_{k+N} = -sum_{i<N} C[i]*a_{k+i} from values = (a_0, ..., a_{N-1}),
-    in any carrier, for rational C[i], low degree first: C = x^N + sum_{i<N}
-    C[i]*x^i with its leading 1 left implicit.  The evaluator takes N = 2
-    only, else ValidationError: C = x^2 - t*x + n gives a_k = U_k*a1 -
-    n*U_{k-1}*a0, U the Lucas sequence of (t, n), and so a `_LucasSum` of one
-    group S = [a0], R = [t*a0 - a1], as U_{k+1} - t*U_k = -n*U_{k-1}."""
+    in any carrier, for C[i] rational (`carrier.ctx.scalar`, as the
+    evaluator's proof needs), low degree first: C = x^N + sum_{i<N} C[i]*x^i
+    with its leading 1 left implicit.  The evaluator takes N = 2 only, else
+    ValidationError: C = x^2 - t*x + n gives a_k = U_k*a1 - n*U_{k-1}*a0, U
+    the Lucas sequence of (t, n), and so a `_LucasSum` of one group S = [a0],
+    R = [t*a0 - a1], as U_{k+1} - t*U_k = -n*U_{k-1}."""
 
     carrier: object
     C: tuple
@@ -478,6 +479,8 @@ class CompanionForm(ClosedForm):
     def __post_init__(self):
         if not len(self.C) == len(self.values) == 2:
             raise ValidationError("companion forms are evaluated at degree 2 only")
+        object.__setattr__(self, "C", tuple([self.carrier.ctx.scalar(c) for c in self.C]))
+        object.__setattr__(self, "values", tuple([self.carrier.coerce(v) for v in self.values]))
 
     def _groups(self):
         (n, c1), (a0, a1) = self.C, self.values

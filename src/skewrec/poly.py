@@ -23,24 +23,20 @@ root, found with no test, and only a central candidate is tested, by the
 residual kernel `forms._residual` that also proves closed forms; rational
 `LeftPoly`s of C_p and its factors are built only for a caller that asks
 (`companion_poly`, `factor_central_quartic`, the `NoRootsFound` text), and
-their coefficients print from numerators.
+their coefficients print from numerators.  A class is labelled by
+`ConjClass`, which `conj_class` gives a quaternion and `solver._check_lam`
+counts; the labels are the search's, as the certificate reads none.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .algebra import (
-    ConjClass,
-    OctonionAlgebra,
-    QuaternionAlgebra,
-    QuatValue,
-    _conj4,
-    _quat_mul,
-)
+from .algebra import OctonionAlgebra, QuaternionAlgebra, QuatValue, _conj4, _quat_mul
 from .errors import InternalError, NoRootsFound, UnsupportedDegree
 from .forms import _residual
 from .scalar import FieldContext, _reduced, _times
@@ -404,7 +400,42 @@ def factor_central_quartic(p: LeftPoly):
 
 
 # ---------------------------------------------------------------------------
-# roots of monic quadratics over a quaternion algebra
+# conjugacy classes, and the roots of monic quadratics over a quaternion algebra
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class ConjClass:
+    """Conjugacy-class label: a central scalar, or a (trace, norm) pair.
+
+    Two non-central quaternions are conjugate exactly when they share reduced
+    trace and norm, provided the algebra is division; in a split algebra the
+    label can lump together genuinely non-conjugate elements, which is the
+    same caveat attached to ZeroDivisor.
+    """
+
+    central: object = None
+    t: object = None
+    n: object = None
+
+    def __post_init__(self):
+        if (self.central is None) == (self.t is None):
+            raise ValueError("give either a central scalar or a (t, n) pair")
+
+    @property
+    def is_central(self) -> bool:
+        return self.central is not None
+
+    def __repr__(self):
+        if self.is_central:
+            return f"ConjClass(central={self.central})"
+        return f"ConjClass(t={self.t}, n={self.n})"
+
+
+def conj_class(x: QuatValue) -> ConjClass:
+    """Class label of a quaternion: itself if central, else (trace, norm)."""
+    if x.is_central():
+        return ConjClass(central=x.scalar_part())
+    return ConjClass(t=x.trace(), n=x.norm())
 
 
 def _is_root(coeffs, lam) -> bool:

@@ -29,10 +29,11 @@ Values print from their numerators by `rational_str`, which gives the
 text of `str(Fraction(n, d))`, and each carrier's `read` reads that text
 back, so that carrier.read(str(x)) == x: a scalar literal of the field,
 or [c0,...] over the base field for an algebra.  `_lucas` gives the
-integer Lucas pairs from which the solver evaluates closed forms.
-Numerators and denominators are arbitrary-precision, so closed forms
-evaluated at large k never overflow.  There is no floating point anywhere
-in this package.
+integer Lucas pairs from which `forms` evaluates closed forms.  This module
+is trusted, and holds what the checker and that reader run: the square
+root of a discriminant is the search's (`solver._sqrt`).  Numerators and
+denominators are arbitrary-precision, so closed forms evaluated at large
+k never overflow.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add, mul, neg, or_, sub
 
 from .errors import ContextMismatch, DivisionByZero, ParseError, ValidationError, ZeroDivisor
@@ -95,19 +96,6 @@ def _read_rat(s: str, p: int) -> tuple[int, int, int]:
 # denominator among them, to its positioned reader
 _RAT = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?"
 _ELEMENT = {dim: re.compile(r"\[" + ",".join([_RAT] * dim) + r"\]") for dim in (4, 8)}
-
-
-def _ratio_sqrt(n: int, d: int) -> tuple[int, int] | None:
-    """(r, s) with r/s the exact square root of n/d, for d > 0, or None if
-    n/d is not the square of a rational."""
-    if n < 0:
-        return None
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    r, s = isqrt(n), isqrt(d)
-    if r * r == n and s * s == d:
-        return r, s
-    return None
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -589,32 +577,6 @@ class ScalarValue(IntValue):
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def sqrt(self) -> ScalarValue | None:
-        """The exact square root inside the same field, or None.  Over
-        Q(sqrt(d)) it is p + q*sqrt(d) with p > 0, or p = 0 and q >= 0."""
-        ctx, num, den = self.carrier, self.num, self.den
-        if ctx.d is None:
-            r = _ratio_sqrt(num[0], den)
-            return None if r is None else ctx.ratio(*r)
-        # self = (u + v*rt)/den.  (p + q*rt)^2 = self means p^2 + d*q^2 =
-        # u/den and 2*p*q = v/den, so p^2 and d*q^2 are the roots
-        # (u + s)/(2*den) and (u - s)/(2*den) of z^2 - (u/den)*z +
-        # d*v^2/(4*den^2), s^2 = u^2 - d*v^2 (an integer square for a
-        # rational root, since den^2 is a square)
-        u, v = num
-        n, _ = self._norm_parts()
-        s = isqrt(n) if n >= 0 else -1
-        if s * s != n:
-            return None
-        for p_sq, dq_sq in ((u + s, u - s), (u - s, u + s)):
-            p, q = _ratio_sqrt(p_sq, 2 * den), _ratio_sqrt(dq_sq, 2 * den * ctx.d)
-            if p is not None and q is not None:
-                (pn, pd), (qn, qd) = p, q
-                cand = _reduced(ScalarValue, ctx, (pn * qd, -qn * pd if v < 0 else qn * pd), pd * qd)
-                if cand * cand == self:
-                    return cand
-        return None
 
     def __str__(self):
         """Canonical text: x.carrier.read(str(x)) == x."""

@@ -10,10 +10,11 @@ system (`matlin._companion_step`), so no companion matrix is ever built.
 Every root is tested on integers, a user root by the search
 (`poly._is_root`) and a derived one by the certificate.
 Rational order-2 coefficients take one root branch in every carrier: their
-rational roots are coerced into it, irrational ones give an algebra a
-CompanionForm.  Other octonion recurrences split over a quaternion frame of
-their coefficients into a main part and a conjugated tail, each solved on
-that same path, by the frame's integer change of basis (`decompose`, `join`).
+rational roots, from the discriminant's square root (`_sqrt`), are coerced
+into it, irrational ones give an algebra a CompanionForm.  Other octonion
+recurrences split over a quaternion frame of their coefficients into a
+main part and a conjugated tail, each solved on that same path, by the
+frame's integer change of basis (`decompose`, `join`).
 The Jordan chains take their few small powers from `powers`, one product
 each.
 
@@ -30,9 +31,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import islice
-from math import factorial
+from math import factorial, gcd, isqrt
 
-from .algebra import OctonionAlgebra, build_frame, conj_class
+from .algebra import OctonionAlgebra, build_frame
 from .errors import (
     LamViolation,
     NoRootsFound,
@@ -44,7 +45,7 @@ from .errors import (
 from .forms import (AssocForm, ClosedForm, CompanionForm, OctSplitForm, RecurrenceSpec, Term,
                     _certify, _forward)
 from .matlin import _chain_matrix, mat_solve
-from .poly import LeftPoly, _is_root, quadratic_roots
+from .poly import LeftPoly, _is_root, conj_class, quadratic_roots
 from .scalar import FieldContext, ScalarValue, _reduced, _times, squarefree_split
 
 
@@ -147,6 +148,46 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     return AssocForm(alg, tuple(terms))
 
 
+def _ratio_sqrt(n: int, d: int) -> tuple[int, int] | None:
+    """(r, s) with r/s the exact square root of n/d, for d > 0, or None if
+    n/d is not the square of a rational."""
+    if n < 0:
+        return None
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    r, s = isqrt(n), isqrt(d)
+    if r * r == n and s * s == d:
+        return r, s
+    return None
+
+
+def _sqrt(x: ScalarValue) -> ScalarValue | None:
+    """The exact square root inside the same field, or None.  Over
+    Q(sqrt(d)) it is p + q*sqrt(d) with p > 0, or p = 0 and q >= 0."""
+    ctx, num, den = x.carrier, x.num, x.den
+    if ctx.d is None:
+        r = _ratio_sqrt(num[0], den)
+        return None if r is None else ctx.ratio(*r)
+    # x = (u + v*rt)/den.  (p + q*rt)^2 = x means p^2 + d*q^2 =
+    # u/den and 2*p*q = v/den, so p^2 and d*q^2 are the roots
+    # (u + s)/(2*den) and (u - s)/(2*den) of z^2 - (u/den)*z +
+    # d*v^2/(4*den^2), s^2 = u^2 - d*v^2 (an integer square for a
+    # rational root, since den^2 is a square)
+    u, v = num
+    n, _ = x._norm_parts()
+    s = isqrt(n) if n >= 0 else -1
+    if s * s != n:
+        return None
+    for p_sq, dq_sq in ((u + s, u - s), (u - s, u + s)):
+        p, q = _ratio_sqrt(p_sq, 2 * den), _ratio_sqrt(dq_sq, 2 * den * ctx.d)
+        if p is not None and q is not None:
+            (pn, pd), (qn, qd) = p, q
+            cand = _reduced(ScalarValue, ctx, (pn * qd, -qn * pd if v < 0 else qn * pd), pd * qd)
+            if cand * cand == x:
+                return cand
+    return None
+
+
 def _propose(spec: RecurrenceSpec) -> ClosedForm:
     """The closed form of spec that the search finds, for _certify to prove.
 
@@ -215,7 +256,7 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
     disc = c1 * c1 - 4 * c0
     if disc.is_zero():
         return _jordan_form(spec, ((alg.coerce(c1._scaled(-1, 2)), 2),))
-    s = disc.sqrt()
+    s = _sqrt(disc)
     if s is None:
         if not field:
             return CompanionForm(alg, (c0, c1), spec.init)

@@ -242,6 +242,9 @@ MUTANTS = [
     Mutant("companion form proposed with C[0] off by one", SOLVER,
            "CompanionForm(alg, (c0, c1), spec.init)", "CompanionForm(alg, (c0 + 1, c1), spec.init)",
            ("tests/test_solver.py::test_solve_spherical",)),
+    Mutant("companion form keeps C as given", FORMS,
+           '        object.__setattr__(self, "C", tuple([self.carrier.ctx.scalar(c) for c in self.C]))\n',
+           "", ("tests/test_solver.py::test_a_companion_form_takes_only_a_rational_c",)),
     Mutant("initial values not compared", FORMS,
            "cf._values(spec.order), spec.init,", "spec.init, spec.init,",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
@@ -316,6 +319,10 @@ MUTANTS = [
     Mutant("integer literal fast path drops a coordinate's sign", SCALAR,
            "tuple(map(int, g[::2]))", "tuple([abs(int(p)) for p in g[::2]])",
            ("tests/test_cli.py::test_integer_literals_read_as_their_coordinates_over_one",)),
+    # the trusted base holds what the checker runs
+    Mutant("an uncalled helper in scalar", SCALAR,
+           "_new = object.__new__\n", "_new = object.__new__\n\n\ndef _unused(x):\n    return x\n",
+           ("tests/test_solver.py::test_the_checker_reaches_every_trusted_function_but_the_listed_ones",)),
 ]
 
 EQUIVALENT = [

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import dataclasses
 import glob
+import importlib
 import os
 import pickle
 import random
@@ -79,16 +80,16 @@ PUBLIC_NAMES = {
     "UnsupportedOrder", "ValidationError", "ZeroDivisor",
     # scalar
     "FieldContext", "ScalarValue",
-    # algebra
-    "ConjClass", "OctValue", "OctonionAlgebra", "QuatValue", "QuaternionAlgebra",
-    "build_frame", "conj_class",
-    # poly
-    "LeftPoly", "companion_poly", "divide_by_linear", "factor_central_quartic",
-    "quadratic_roots",
+    # algebra: the carriers and their values, and build_frame of the search
+    "OctValue", "OctonionAlgebra", "QuatValue", "QuaternionAlgebra", "build_frame",
+    # poly: the search's polynomials, roots and conjugacy-class labels
+    "ConjClass", "LeftPoly", "companion_poly", "conj_class", "divide_by_linear",
+    "factor_central_quartic", "quadratic_roots",
     # matlin
     "DMatrix", "companion_matrix", "eig_check", "jordan_from_roots", "jordan_matrix",
     "mat_inverse", "vandermonde",
-    # solver: solve is the one public way to a closed form
+    # forms: the spec and the form kinds; solver: solve is the one public way
+    # to a closed form
     "AssocForm", "CompanionForm", "OctSplitForm", "RecurrenceSpec", "Term", "eval_closed_form",
     "iterate_oracle", "primitive_char_poly", "solve", "verify_closed_form",
 }
@@ -147,6 +148,107 @@ def test_the_trusted_checker_imports_none_of_the_search():
         with open(os.path.join(src, name + ".py"), encoding="utf-8") as fh:
             imported = _package_imports(ast.parse(fh.read()))
         assert imported <= TRUSTED, (name, imported - TRUSTED)
+
+
+# The trusted functions that the checker's three jobs never run on the forms
+# of test_the_checker_reaches_every_trusted_function_but_the_listed_ones,
+# each kept trusted for its reason.
+UNREACHED = {
+    # construction: specs, terms, forms, carriers and frames are built
+    # before the checker sees them
+    "forms.RecurrenceSpec.__post_init__", "forms._checked_multiplicities",
+    "forms.Term.__post_init__", "forms.CompanionForm.__post_init__",
+    "algebra.OctonionAlgebra.__init__", "algebra.SubalgebraFrame.__init__",
+    "scalar.squarefree_split", "scalar._from_ratios", "scalar.Carrier.element",
+    # the reader, which a form read back from its text will need
+    "scalar.Carrier.read", "scalar.FieldContext.read", "scalar._read_int", "scalar._read_rat",
+    "errors.ParseError.__init__",
+    # the value and carrier API
+    "scalar.IntValue.inverse", "scalar.IntValue.powers", "scalar.IntValue.pure",
+    "scalar.IntValue.coords", "scalar.IntValue.__bool__", "scalar.IntValue.__hash__",
+    "scalar.IntValue.__pow__", "scalar.IntValue.__rsub__", "scalar.IntValue.__truediv__",
+    "scalar.ScalarValue.__truediv__", "scalar.Carrier.basis", "scalar.Carrier.__hash__",
+    "scalar.FieldContext.rational", "scalar.FieldContext.__repr__",
+    "algebra.QuaternionAlgebra.e1", "algebra.QuaternionAlgebra.e2",
+    "algebra.QuaternionAlgebra.e3", "algebra.QuaternionAlgebra.__repr__",
+    "algebra.OctValue.__hash__", "algebra.OctonionAlgebra.embed", "algebra.OctonionAlgebra.ell0",
+    "algebra.OctonionAlgebra.key", "algebra.OctonionAlgebra.__repr__",
+    "algebra.SubalgebraFrame.__repr__",
+    # Pollard rho: _PowerReducer factors s with it, and every s here has
+    # only prime factors up to 41, which _factor divides out first
+    "scalar._rho_factor",
+    # search code that bench/run.py times under skewrec.algebra
+    "algebra.build_frame", "algebra._orthogonalize", "algebra.spherical_representative",
+}
+
+
+def _trusted_functions() -> dict:
+    """{(file, name, first line): "module.qualname"} for every function and
+    method defined in the source of the trusted modules, nested ones too,
+    keyed as its code object is: a decorated function's code starts at its
+    first decorator.  The methods that dataclass generates have no source
+    there."""
+    out = {}
+    for name in TRUSTED:
+        path = importlib.import_module("skewrec." + name).__file__
+        with open(path, encoding="utf-8") as fh:
+            todo = [(ast.parse(fh.read()), name + ".")]
+        while todo:
+            node, prefix = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(path, child.name, first)] = prefix + child.name
+                    todo.append((child, prefix + child.name + ".<locals>."))
+                else:
+                    inner = prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix
+                    todo.append((child, inner))
+    return out
+
+
+def test_the_checker_reaches_every_trusted_function_but_the_listed_ones():
+    # the trusted base holds what the checker runs: its three jobs, the
+    # certificate, the first value(k) and the text, reach every function of
+    # the four modules on the forms of the demo specs, the certificate specs
+    # and the census's Q grids, except the listed ones; a listed function
+    # that the checker does reach fails too, so the list cannot go stale
+    import census
+    specs = []
+    for path in DEMO_SPECS:
+        with open(path, encoding="utf-8") as fh:
+            specs.append(parse_spec_file(fh.read()))
+    specs += _certificate_specs()
+    for _title, carrier, rhs_tuples, init in census.grids():
+        if carrier == Q:
+            specs += [RecurrenceSpec(Q, len(init), rhs, init) for rhs in rhs_tuples if rhs[0]]
+    solved = []
+    for spec in specs:
+        with contextlib.suppress(SkewrecError):
+            solved.append((spec, solve(spec)))
+    ks = (0, 1, 5, 40, 1000)
+    fresh = [[copy.copy(cf) for _ in ks] for _, cf in solved]
+    for cf in (c for copies in fresh for c in copies):
+        cf.__dict__.pop("_lucas", None)  # each value(k) is its copy's first
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            reached.add((code.co_filename, code.co_name, code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for (spec, cf), copies in zip(solved, fresh):
+            forms._certify(spec, cf)
+            for k, c in zip(ks, copies):
+                c.value(k)
+            cf._lines()
+    finally:
+        sys.setprofile(previous)
+    assert len(solved) == 79
+    unreached = {q for key, q in _trusted_functions().items() if key not in reached}
+    assert unreached == UNREACHED
 
 
 def test_primitive_char_poly():
@@ -351,6 +453,32 @@ def test_solve_spherical():
         cf = solve(spec)
         assert cf == CompanionForm(H, (Q.scalar(n), Q.scalar(-t)), init)
         assert verify_closed_form(spec, cf, 32).ok
+
+
+def test_a_companion_form_takes_only_a_rational_c():
+    # C enters by the carrier field's scalar, the values by the carrier's
+    # coerce: the evaluator's proof checks k < deg C only, which proves a
+    # rational C alone, so C = (2 + i, -2) or (-1, -rt5) would otherwise
+    # evaluate other values than the form's own
+    Q5 = FieldContext(5)
+    with pytest.raises(ValidationError, match=re.escape("cannot interpret [2,1,0,0] as a scalar")):
+        CompanionForm(H, (2 + I, -2), (1, I))
+    with pytest.raises(ContextMismatch, match=re.escape("0-1*rt is not rational")):
+        CompanionForm(Q5, (-1, -Q5.element((0, 1))), (0, 1))
+    # an int C and int values, as _annihilates allows, give solve's form
+    spec = RecurrenceSpec(H, 2, (-2, 1), (1, 2))
+    cf = CompanionForm(H, (2, -1), (1, 2))
+    assert cf == solve(spec)
+    _certify(spec, cf)
+    assert [cf.value(k) for k in (0, 1, 2, 3, 40)] == [iterate_oracle(spec, k) for k in (0, 1, 2, 3, 40)]
+
+
+def test_a_bool_is_no_integer_in_a_spec():
+    # render_spec would print "order True", which parse_spec_file rejects
+    with pytest.raises(ValidationError, match="^order must be a positive integer$"):
+        RecurrenceSpec(H, True, (I,), (1,))
+    with pytest.raises(ValidationError, match="^root multiplicities must be integers$"):
+        RecurrenceSpec(Q, 1, (2,), (1,), roots=((2, True),))
 
 
 def test_solve_field_paths():
@@ -1458,7 +1586,7 @@ def test_central_specs_take_the_lucas_form_in_every_carrier(alg, data):
     roots = data.draw(st.sampled_from(["irrational", "distinct", "double"]))
     if roots == "irrational":
         t, n = data.draw(fracs), data.draw(fracs.filter(bool))
-        assume(Q.scalar(t * t - 4 * n).sqrt() is None)
+        assume(solver._sqrt(Q.scalar(t * t - 4 * n)) is None)
     else:
         r1 = data.draw(fracs.filter(bool))
         r2 = r1 if roots == "double" else data.draw(fracs.filter(lambda r: r and r != r1))
