@@ -17,10 +17,10 @@ A root or split form is certified term by term: each term by its residual
 polynomial, which vanishes at deg p + 1 points, each point one integer
 Horner pass of the residual kernel (`_residual`), whose p = 1 case, every
 simple root, is the characteristic polynomial at the root; an octonion
-form's frame by the doubling lemma (`_certify_frame`).  A companion form
-takes one annihilator proof on the iterated recurrence (`_annihilates`).
-The form's first n values (`_values`), which also prove the evaluator, are
-then checked against the initial values.
+form's frame by the doubling lemma (`_certify_frame`); then its first n
+values (`_values`), which also prove the evaluator, by the initial values.
+A companion form's whole proof is one annihilator proof on the iterated
+recurrence (`_annihilates`), which compares its values with the iterates.
 
 A closed form a_k = sum p(k) * lam**k * b is evaluated without powering
 any base (_LucasSum): terms whose bases share central trace T and norm N
@@ -94,8 +94,9 @@ class RecurrenceSpec:
 @dataclass(frozen=True)
 class Term:
     """One summand p(k) * base**k * right, with p's coefficients on the left
-    (poly[s] multiplies k**s); `degree`, deg p or -1 for p = 0, is found
-    once, when the term is built, for the certificate and the evaluator."""
+    (poly[s] multiplies k**s), each value or rational, as `AssocForm` coerces
+    them; `degree`, deg p or -1 for p = 0, is found once, when the term is
+    built, for the certificate and the evaluator."""
 
     poly: tuple
     base: object
@@ -105,7 +106,7 @@ class Term:
     def __post_init__(self):
         deg = -1
         for s, c in enumerate(self.poly):
-            if not c.is_zero():
+            if c:
                 deg = s
         object.__setattr__(self, "degree", deg)
 
@@ -268,11 +269,13 @@ class _LucasSum:
 def _forward(zero, rhs, init):
     """a_0, a_1, ... of a_{k+n} = sum_j rhs[j] * a_{k+j} from init = a_0..a_{n-1},
     each sum started at zero: the ground truth of `iterate_oracle` and of
-    `_annihilates`."""
+    `_annihilates`.  A central rhs[j] steps by one scaling, any other by its product."""
+    rats = [(r.num[0], r.den) if r.is_central() else r for r in rhs]
     window = list(init)
     yield from window
     while True:
-        window = window[1:] + [sum([r * a for r, a in zip(rhs, window)], zero)]
+        window = window[1:] + [sum([a._scaled(*r) if r.__class__ is tuple else r * a
+                                    for r, a in zip(rats, window)], zero)]
         yield window[-1]
 
 
@@ -294,7 +297,8 @@ class ClosedForm:
     the class's largest deg p + 1.  A group with m coefficients sums k**j
     times sequences that satisfy x^2 - T*x + N, j < m, and so does a term
     p(k) * lam**k * b, j <= deg p, as lam^2 = T*lam - N; so both satisfy C's
-    recurrence and agree at every k.  A hand-built form is proved too."""
+    recurrence and agree at every k.  A hand-built form is proved too, as
+    its values are its carrier's, coerced when it is built."""
 
     def value(self, k: int):
         if k < 0:
@@ -315,10 +319,22 @@ class ClosedForm:
 @dataclass(frozen=True)
 class AssocForm(ClosedForm):
     """a_k = sum of term values, over an associative carrier or, with every
-    rhs, base and poly coefficient central, an octonion one."""
+    rhs, base and poly coefficient central, an octonion one.  Each value of
+    a term is the carrier's: one that is not enters by `carrier.coerce`,
+    and one of another carrier raises ContextMismatch."""
 
     carrier: object
     terms: tuple
+
+    def __post_init__(self):
+        carrier, cls = self.carrier, self.carrier.value_type
+        for t in self.terms:
+            for x in (t.base, t.right, *t.poly):
+                if x.__class__ is not cls or x.carrier is not carrier:
+                    c = carrier.coerce
+                    object.__setattr__(self, "terms", tuple([
+                        Term(tuple(map(c, u.poly)), c(u.base), c(u.right)) for u in self.terms]))
+                    return
 
     def _groups(self):
         return _term_groups(((self, lambda x: x),))
@@ -353,8 +369,10 @@ class AssocForm(ClosedForm):
         return [_reduced(carrier.value_type, carrier, tuple(acc), den) for acc, den in sums]
 
     def _certify(self, spec: RecurrenceSpec) -> None:
-        """Every term solves the recurrence, so by left linearity their sum does."""
+        """Every term solves the recurrence, so their sum does; n values fix it."""
         _certify_terms(self, [self.carrier.coerce(r) for r in spec.rhs], "")
+        _check_values(self._values(spec.order), spec.init,
+                      "certificate failed: the closed form", "the initial value")
 
     def _lines(self) -> list[str]:
         return ["a_k = " + _render_terms(self)]
@@ -439,17 +457,21 @@ class OctSplitForm(ClosedForm):
 
     def _certify(self, spec: RecurrenceSpec) -> None:
         """rhs[j] must be join(r_j, 0) for a frame quaternion r_j, main must
-        solve the recurrence with the r_j and tail the one with conj(r_j);
-        the frame identities, proved by the doubling lemma's shape and Gram
-        test (`_certify_frame`) for every frame, then carry both to a_k =
-        join(main(k), conj(tail(k)))."""
+        solve the recurrence with the r_j and tail the one with conj(r_j),
+        both over the frame's quaternion algebra; the frame identities,
+        proved by the doubling lemma's shape and Gram test (`_certify_frame`),
+        carry both to a_k = join(main(k), conj(tail(k))); n values fix it."""
         rhs = [self.frame.decompose(r)[0] for r in spec.rhs]
         for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
             if self.frame.join(q, 0) != r:
                 raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
         _certify_frame(spec.algebra, self.frame)
+        if not self.main.carrier == self.tail.carrier == self.frame.quat:
+            raise InternalError("certificate failed: main and tail are not over the frame")
         _certify_terms(self.main, rhs, "main ")
         _certify_terms(self.tail, [r.conj() for r in rhs], "tail ")
+        _check_values(self._values(spec.order), spec.init,
+                      "certificate failed: the closed form", "the initial value")
 
     def _lines(self) -> list[str]:
         frame = self.frame
@@ -490,8 +512,7 @@ class CompanionForm(ClosedForm):
         return [(_lucas_params(-self.C[1], self.C[0]), 1)]
 
     def _values(self, n: int) -> list:
-        rhs = [self.carrier.coerce(-c) for c in self.C]
-        return list(islice(_forward(self.carrier.zero(), rhs, self.values), n))
+        return list(islice(_forward(self.carrier.zero(), [-c for c in self.C], self.values), n))
 
     def _certify(self, spec: RecurrenceSpec) -> None:
         _annihilates(spec, self.C, self.values)
@@ -513,9 +534,7 @@ def _annihilates(spec: RecurrenceSpec, C, values) -> None:
     C[i]*a_{k+i} from values.  When C is the spec's own rational chi (N = n,
     C[i] = -rhs[i]), every e_j is 0 by the recurrence: this proof at N = n."""
     N = len(C)
-    # a central rhs[l] enters as its rational, a scaling: no product of two carrier values
-    rhs = [r.scalar_part() if r.is_central() else r for r in spec.rhs]
-    a = list(islice(_forward(spec.algebra.zero(), rhs, spec.init), N + spec.order))
+    a = list(islice(_forward(spec.algebra.zero(), spec.rhs, spec.init), N + spec.order))
     _check_values(values, a[:N], "certificate failed: the companion form", "the recurrence's")
     for j in range(spec.order):
         e = sum([x._scaled(*_ratio(c)) for c, x in zip(C, a[j:])], a[j + N])
@@ -607,10 +626,6 @@ def _certify_frame(alg: OctonionAlgebra, frame) -> None:
 
 def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
     """Prove that cf gives the recurrence's a_k for every k, or raise
-    InternalError naming the failing term or initial value: cf's own
-    `_certify` proves that it solves the recurrence, and a solution is fixed
-    by its first n values, cf's `_values`, which builds no evaluator, so
-    nothing is kept on cf."""
+    InternalError naming what fails: cf's own `_certify` is the whole proof
+    of its kind, and builds no evaluator, so nothing is kept on cf."""
     cf._certify(spec)
-    _check_values(cf._values(spec.order), spec.init,
-                  "certificate failed: the closed form", "the initial value")

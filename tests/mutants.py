@@ -220,10 +220,9 @@ MUTANTS = [
     Mutant("the certificate imports the root search", FORMS,
            "    cf._certify(spec)\n", "    from .poly import LeftPoly\n    cf._certify(spec)\n",
            ("tests/test_solver.py::test_the_trusted_checker_imports_none_of_the_search",)),
-    # the certificate of each form kind (its `_certify`, then the first n
-    # values in forms._certify)
-    # the companion form's annihilator proof (_annihilates), over the one
-    # forward iterator, and the form solve builds for it
+    # the companion form's whole proof, the annihilator proof
+    # (_annihilates), over the one forward iterator, and the form solve
+    # builds for it
     Mutant("annihilator proof drops C[0] from e_j", FORMS,
            "zip(C, a[j:])", "zip(C[1:], a[j + 1:])",
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
@@ -237,17 +236,34 @@ MUTANTS = [
            "_check_values(values, a[:N],", "_check_values(values[:N - 1], a[:N - 1],",
            ("tests/test_solver.py::test_the_annihilator_proof_compares_every_value_below_deg_c",)),
     Mutant("forward iterator steps with rhs[1:]", FORMS,
-           "for r, a in zip(rhs, window)]", "for r, a in zip(rhs[1:], window)]",
+           "for r, a in zip(rats, window)]", "for r, a in zip(rats[1:], window)]",
            ("tests/test_solver.py::test_solve_spherical",)),
+    Mutant("a rational coefficient scaled by its numerator alone", FORMS,
+           "(r.num[0], r.den)", "(r.num[0], 1)",
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
     Mutant("companion form proposed with C[0] off by one", SOLVER,
            "CompanionForm(alg, (c0, c1), spec.init)", "CompanionForm(alg, (c0 + 1, c1), spec.init)",
            ("tests/test_solver.py::test_solve_spherical",)),
+    # each form's values are its carrier's, coerced when it is built
+    Mutant("term form keeps its values as given", FORMS,
+           "if x.__class__ is not cls or", "if False and x.__class__ is not cls or",
+           ("tests/test_solver.py::test_a_term_form_takes_only_values_of_its_carrier",)),
     Mutant("companion form keeps C as given", FORMS,
            '        object.__setattr__(self, "C", tuple([self.carrier.ctx.scalar(c) for c in self.C]))\n',
            "", ("tests/test_solver.py::test_a_companion_form_takes_only_a_rational_c",)),
-    Mutant("initial values not compared", FORMS,
-           "cf._values(spec.order), spec.init,", "spec.init, spec.init,",
+    # the certificate of a root or split form, its `_certify`: its terms,
+    # its frame, then its first n values against the initial values
+    Mutant("initial values of a root form not compared", FORMS,
+           '"")\n        _check_values(self._values(spec.order), spec.init,',
+           '"")\n        _check_values(spec.init, spec.init,',
            ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
+    Mutant("initial values of a split form not compared", FORMS,
+           '"tail ")\n        _check_values(self._values(spec.order), spec.init,',
+           '"tail ")\n        _check_values(spec.init, spec.init,',
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",)),
+    Mutant("split form's main and tail taken over any quaternion algebra", FORMS,
+           "if not self.main.carrier == self.tail.carrier == self.frame.quat:", "if False:",
+           ("tests/test_solver.py::test_certificate_checks_the_frame",)),
     Mutant("octonion rhs-in-frame test skipped", FORMS,
            "if self.frame.join(q, 0) != r:", "if False:",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),

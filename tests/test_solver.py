@@ -157,7 +157,8 @@ UNREACHED = {
     # construction: specs, terms, forms, carriers and frames are built
     # before the checker sees them
     "forms.RecurrenceSpec.__post_init__", "forms._checked_multiplicities",
-    "forms.Term.__post_init__", "forms.CompanionForm.__post_init__",
+    "forms.Term.__post_init__", "forms.AssocForm.__post_init__",
+    "forms.CompanionForm.__post_init__",
     "algebra.OctonionAlgebra.__init__", "algebra.SubalgebraFrame.__init__",
     "scalar.squarefree_split", "scalar._from_ratios", "scalar.Carrier.element",
     # the reader, which a form read back from its text will need
@@ -167,6 +168,7 @@ UNREACHED = {
     "scalar.IntValue.inverse", "scalar.IntValue.powers", "scalar.IntValue.pure",
     "scalar.IntValue.coords", "scalar.IntValue.__bool__", "scalar.IntValue.__hash__",
     "scalar.IntValue.__pow__", "scalar.IntValue.__rsub__", "scalar.IntValue.__truediv__",
+    "scalar.IntValue.__rmul__", "scalar.IntValue.scalar_part",
     "scalar.ScalarValue.__truediv__", "scalar.Carrier.basis", "scalar.Carrier.__hash__",
     "scalar.FieldContext.rational", "scalar.FieldContext.__repr__",
     "algebra.QuaternionAlgebra.e1", "algebra.QuaternionAlgebra.e2",
@@ -471,6 +473,25 @@ def test_a_companion_form_takes_only_a_rational_c():
     assert cf == solve(spec)
     _certify(spec, cf)
     assert [cf.value(k) for k in (0, 1, 2, 3, 40)] == [iterate_oracle(spec, k) for k in (0, 1, 2, 3, 40)]
+
+
+def test_a_term_form_takes_only_values_of_its_carrier():
+    # a value of another carrier raises at construction: taken as given,
+    # the first form was certified for a_(k+1) = 2*a_k and gave a_3 = 2, and
+    # the second was certified and raised ContextMismatch at its value(1)
+    with pytest.raises(ContextMismatch, match=re.escape("value from (-1,-1 | Q) used in Q")):
+        AssocForm(Q, (Term((Q.one(),), H.scalar(2) + I, Q.one()),))
+    H23 = QuaternionAlgebra(-2, -3)
+    with pytest.raises(ContextMismatch, match=re.escape("value from (-2,-3 | Q) used in (-1,-1 | Q)")):
+        AssocForm(H, (Term((H.one(),), H23.e1, H.one()),))
+    # ints and rationals enter by the carrier's coerce: solve's form
+    term = Term((1,), I, 1)
+    assert term.degree == 0 and Term((0, Fraction(1, 2), 0), I, 1).degree == 1
+    spec = RecurrenceSpec(H, 1, (I,), (1,))
+    cf = AssocForm(H, (term,))
+    assert cf == solve(spec)
+    _certify(spec, cf)
+    assert [cf.value(k) for k in range(6)] == [iterate_oracle(spec, k) for k in range(6)]
 
 
 def test_a_bool_is_no_integer_in_a_spec():
@@ -993,6 +1014,31 @@ def test_certificate_names_what_fails():
         _certify(spec, dataclasses.replace(cf, values=(cf.values[0], cf.values[1] + 1)))
 
 
+def test_a_lucas_form_is_proved_by_one_value_comparison_and_no_value_product(monkeypatch):
+    # the annihilator proof compares the form's values with the iterated
+    # a_0, a_1, the initial values, and nothing compares them again; the
+    # forward iterator scales by a central rhs and the proof by each
+    # rational C[i], so neither multiplies two values
+    with open(os.path.join(os.path.dirname(__file__), "..", "demos", "specs", "spherical.rec"),
+              encoding="utf-8") as fh:
+        spherical = parse_spec_file(fh.read())
+    fractional = RecurrenceSpec(H, 2, (Fraction(-3, 4), Fraction(1, 2)), (I + J, Fraction(1, 3) * K))
+    for spec in (spherical, fractional):
+        cf = solve(spec)
+        assert isinstance(cf, CompanionForm)
+        checks, products = [], []
+        with monkeypatch.context() as m:
+            check = forms._check_values
+            m.setattr(forms, "_check_values", lambda *args: (checks.append(args), check(*args)))
+            for cls in (scalar.ScalarValue, type(H.one())):
+                m.setattr(cls, "__mul__",
+                          lambda x, y, mul=cls.__mul__: (products.append(x), mul(x, y))[1])
+            _certify(spec, cf)
+            a50 = iterate_oracle(spec, 50)
+        assert len(checks) == 1 and products == []
+        assert a50 == cf.value(50)
+
+
 def test_certificate_checks_every_point_up_to_the_degree():
     # a_{k+1} = 2 a_k; the term (1 - k + k^2) * 2^k has a_0 right and the
     # residual Q(k) = -4k, which vanishes at k = 0 but not at k = 1
@@ -1127,6 +1173,17 @@ def test_certificate_checks_the_frame():
         setattr(alien, attr, O2.element(getattr(alien, attr).coords()))
     with pytest.raises(InternalError, match="does not split the algebra"):
         _certify(spec, OctSplitForm(alien, cf.main, cf.tail))
+    # the frame's main and tail coordinates over another quaternion algebra
+    other = QuaternionAlgebra(cf.frame.quat.a, 2 * cf.frame.quat.b)
+
+    def moved(form):
+        return AssocForm(other, tuple(
+            Term(tuple(other.element(c.coords()) for c in t.poly), other.element(t.base.coords()),
+                 other.element(t.right.coords())) for t in form.terms))
+
+    for main, tail in ((moved(cf.main), cf.tail), (cf.main, moved(cf.tail))):
+        with pytest.raises(InternalError, match="main and tail are not over the frame"):
+            _certify(spec, OctSplitForm(cf.frame, main, tail))
 
 
 def _splits_by_identities(frame):
