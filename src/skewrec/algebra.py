@@ -48,13 +48,14 @@ inverse, polar form, the companion polynomial, the isotropy tests and the
 squares of a frame) reads it.
 
 Frames.  `SubalgebraFrame` and `_frame_basis`, the doubling lemma's test
-that the certificate reruns, are trusted.  `build_frame`, `_orthogonalize`
-and `spherical_representative` are the search's, kept here because
-`bench/run.py` times them under this module's name.
+that proves each frame once, when it is built, are trusted.  `build_frame`,
+`_orthogonalize` and `spherical_representative` are the search's, kept
+here because `bench/run.py` times them under this module's name.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from math import isqrt, lcm
 from operator import mul
 
@@ -304,13 +305,12 @@ def _orthogonalize(x: OctValue, against) -> OctValue:
     return out
 
 
-def _frame_basis(alg: OctonionAlgebra, u, w, ell, uw=None) -> tuple:
+def _frame_basis(alg: OctonionAlgebra, u, w, ell) -> tuple:
     """(u*w, mat, den, wcols, gram) for the frame f = (1, u, w, u*w, ell,
-    u*ell, w*ell, (u*w)*ell) of alg, four products (three when the caller
-    passes the u*w it has already taken): f as the integer columns
-    of `mat` over `den`, each column times the algebra's `weights` (wcols),
-    and the diagonal `gram` of the Gram matrix wcols[i] . cols[j], which is
-    B(f_i, f_j) up to one positive factor.
+    u*ell, w*ell, (u*w)*ell) of values u, w, ell of alg, four products: f as
+    the integer columns of `mat` over `den`, each column times the algebra's
+    `weights` (wcols), and the diagonal `gram` of the Gram matrix
+    wcols[i] . cols[j], which is B(f_i, f_j) up to one positive factor.
 
     Raises DegenerateFrame unless gram has no zero and the seven hypotheses
     of the Cayley-Dickson doubling lemma hold (Springer and Veldkamp,
@@ -320,8 +320,7 @@ def _frame_basis(alg: OctonionAlgebra, u, w, ell, uw=None) -> tuple:
     quaternion algebra (-N(u), -N(w) | Q), doubled to alg by ell, and the
     other 21 entries off the diagonal vanish, as B(x, y*ell) =
     B(conj(y)*x, ell) and B(x*ell, y*ell) = N(ell)*B(x, y)."""
-    u, w, ell = alg.coerce(u), alg.coerce(w), alg.coerce(ell)
-    uw = u * w if uw is None else uw
+    uw = u * w
     vecs = (alg.one(), u, w, uw, ell, u * ell, w * ell, uw * ell)
     den = lcm(*[v.den for v in vecs])
     cols = [[n * (den // v.den) for n in v.num] for v in vecs]
@@ -333,10 +332,13 @@ def _frame_basis(alg: OctonionAlgebra, u, w, ell, uw=None) -> tuple:
     return uw, tuple(zip(*cols)), den, wcols, gram
 
 
+@dataclass(frozen=True)
 class SubalgebraFrame:
     """A quaternion subalgebra Q' = span(1, u, w, u*w) of an octonion algebra,
     together with a trace-zero unit ell orthogonal to it, so that the whole
-    algebra splits as Q' + Q'*ell.
+    algebra splits as Q' + Q'*ell: a frozen value, compared on (oct, u, w,
+    ell), whose constructor coerces u, w and ell into `oct`, takes u*w and
+    derives the rest, so it is proved once, when it is built.
 
     The basis f = (1, u, w, u*w, ell, u*ell, w*ell, (u*w)*ell) is the integer
     columns of `mat` over `den`, so `join(q, s)` = q + s*ell for q, s in
@@ -347,22 +349,28 @@ class SubalgebraFrame:
     rows `inv` of `decompose` are x -> B(x, f_i) / B(f_i, f_i).
     """
 
-    __slots__ = ("oct", "u", "w", "uw", "ell", "quat", "mat", "den", "inv")
+    oct: OctonionAlgebra = field(repr=False)
+    u: OctValue
+    w: OctValue
+    ell: OctValue
+    uw: OctValue = field(init=False, repr=False, compare=False)
+    quat: QuaternionAlgebra = field(init=False, repr=False, compare=False)
+    mat: tuple = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+    inv: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, oct_alg: OctonionAlgebra, u: OctValue, w: OctValue,
-                 ell: OctValue, uw: OctValue | None = None):
-        self.oct = oct_alg
-        self.u = u
-        self.w = w
-        self.ell = ell
-        self.uw, self.mat, self.den, wcols, gram = _frame_basis(oct_alg, u, w, ell, uw)
-        # u and w are orthogonal to 1, so pure: x^2 = T(x)*x - N(x) = -N(x)
-        self.quat = QuaternionAlgebra(-u.norm(), -w.norm())
+    def __post_init__(self):
+        alg = self.oct
+        u, w, ell = alg.coerce(self.u), alg.coerce(self.w), alg.coerce(self.ell)
+        uw, mat, den, wcols, gram = _frame_basis(alg, u, w, ell)
         # coordinate i of x = num / d is den * (wcols[i] . num) / (d * gram[i]);
         # each half of the coordinates goes over the lcm L of its four gram[i]
         Ls = [lcm(*gram[:4])] * 4 + [lcm(*gram[4:])] * 4
-        rows = [[self.den * (L // g) * c for c in wc] for wc, g, L in zip(wcols, gram, Ls)]
-        self.inv = ((rows[:4], Ls[0]), (rows[4:], Ls[4]))
+        rows = [[den * (L // g) * c for c in wc] for wc, g, L in zip(wcols, gram, Ls)]
+        # u and w are orthogonal to 1, so pure: x^2 = T(x)*x - N(x) = -N(x)
+        self.__dict__.update(u=u, w=w, ell=ell, uw=uw, mat=mat, den=den,
+                             quat=QuaternionAlgebra(-u.norm(), -w.norm()),
+                             inv=((rows[:4], Ls[0]), (rows[4:], Ls[4])))
 
     def decompose(self, x: OctValue) -> tuple[QuatValue, QuatValue]:
         """(q, s) with x = join(q, s)."""
@@ -376,9 +384,6 @@ class SubalgebraFrame:
         v = [n * s.den for n in q.num] + [n * q.den for n in s.num]
         return _reduced(OctValue, self.oct, tuple([sum(map(mul, r, v)) for r in self.mat]),
                         self.den * q.den * s.den)
-
-    def __repr__(self):
-        return f"SubalgebraFrame(u={self.u}, w={self.w}, ell={self.ell})"
 
 
 def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
@@ -419,4 +424,4 @@ def build_frame(alg: OctonionAlgebra, alpha, beta) -> SubalgebraFrame:
     ell = next(c for c in (_orthogonalize(s, span) for s in qb[4:] + qb[1:4])
                if c._norm_parts()[0])
 
-    return SubalgebraFrame(alg, u, w, ell, span[3])
+    return SubalgebraFrame(alg, u, w, ell)

@@ -2,9 +2,10 @@
 
 This is the trusted checker of the solver, which only proposes: `_certify`
 decides whether a closed form gives a recurrence's a_k for every k.  It
-imports only `scalar`, `algebra` and `errors`, so a form's correctness
-rests on those modules and this one, never on the root search, the Jordan
-chains or the frame construction of `solver`, `poly` and `matlin`.
+imports only `scalar` and `errors`; a form's correctness rests on them,
+this module and the carriers and frames of `algebra` that it is given,
+never on the root search, the Jordan chains or the frame search of
+`solver`, `poly`, `matlin` and `algebra.build_frame`.
 
 Each kind of closed form is one subclass of ClosedForm (AssocForm,
 OctSplitForm, CompanionForm) that carries all of its own behaviour: its
@@ -16,9 +17,10 @@ its text, which `cli.render_closed_form` prints.  No code tests its kind.
 A root or split form is certified term by term: each term by its residual
 polynomial, which vanishes at deg p + 1 points, each point one integer
 Horner pass of the residual kernel (`_residual`), whose p = 1 case, every
-simple root, is the characteristic polynomial at the root; an octonion
-form's frame by the doubling lemma (`_certify_frame`); then its first n
+simple root, is the characteristic polynomial at the root; then its first n
 values (`_values`), which also prove the evaluator, by the initial values.
+A split form's frame was proved when it was built (`SubalgebraFrame`), as
+a form's values were coerced into its carrier when the form was.
 A companion form's whole proof is one annihilator proof on the iterated
 recurrence (`_annihilates`), which compares its values with the iterates.
 
@@ -40,8 +42,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .algebra import OctonionAlgebra, QuaternionAlgebra, _frame_basis
-from .errors import ContextMismatch, DegenerateFrame, InternalError, ValidationError
+from .errors import InternalError, ValidationError
 from .scalar import Carrier, _factor, _lucas, _make, _ratio, _reduced, _times
 
 
@@ -95,8 +96,8 @@ class RecurrenceSpec:
 class Term:
     """One summand p(k) * base**k * right, with p's coefficients on the left
     (poly[s] multiplies k**s), each value or rational, as `AssocForm` coerces
-    them; `degree`, deg p or -1 for p = 0, is found once, when the term is
-    built, for the certificate and the evaluator."""
+    them, kept as a tuple; `degree`, deg p or -1 for p = 0, is found once,
+    when the term is built, for the certificate and the evaluator."""
 
     poly: tuple
     base: object
@@ -104,6 +105,8 @@ class Term:
     degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.poly.__class__ is not tuple:
+            object.__setattr__(self, "poly", tuple(self.poly))
         deg = -1
         for s, c in enumerate(self.poly):
             if c:
@@ -321,19 +324,21 @@ class AssocForm(ClosedForm):
     """a_k = sum of term values, over an associative carrier or, with every
     rhs, base and poly coefficient central, an octonion one.  Each value of
     a term is the carrier's: one that is not enters by `carrier.coerce`,
-    and one of another carrier raises ContextMismatch."""
+    and one of another carrier raises ContextMismatch; terms is a tuple."""
 
     carrier: object
     terms: tuple
 
     def __post_init__(self):
         carrier, cls = self.carrier, self.carrier.value_type
+        if self.terms.__class__ is not tuple:
+            object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
             for x in (t.base, t.right, *t.poly):
                 if x.__class__ is not cls or x.carrier is not carrier:
                     c = carrier.coerce
                     object.__setattr__(self, "terms", tuple([
-                        Term(tuple(map(c, u.poly)), c(u.base), c(u.right)) for u in self.terms]))
+                        Term(map(c, u.poly), c(u.base), c(u.right)) for u in self.terms]))
                     return
 
     def _groups(self):
@@ -456,16 +461,21 @@ class OctSplitForm(ClosedForm):
                 for m, t in zip(self.main._values(n), self.tail._values(n))]
 
     def _certify(self, spec: RecurrenceSpec) -> None:
-        """rhs[j] must be join(r_j, 0) for a frame quaternion r_j, main must
-        solve the recurrence with the r_j and tail the one with conj(r_j),
-        both over the frame's quaternion algebra; the frame identities,
-        proved by the doubling lemma's shape and Gram test (`_certify_frame`),
-        carry both to a_k = join(main(k), conj(tail(k))); n values fix it."""
-        rhs = [self.frame.decompose(r)[0] for r in spec.rhs]
-        for j, (q, r) in enumerate(zip(rhs, spec.rhs)):
-            if self.frame.join(q, 0) != r:
+        """The frame must be one of the spec's algebra, rhs[j] must be
+        join(r_j, 0) for a frame quaternion r_j (its ell-half zero), main
+        must solve the recurrence with the r_j and tail the one with
+        conj(r_j), both over the frame's quaternion algebra; the identities
+        join(x, 0)*join(y, 0) = join(x*y, 0) and join(x, 0)*(join(y, 0)*ell)
+        = join(y*x, 0)*ell, proved by the doubling lemma when the frame was
+        built, carry both to a_k = join(main(k), conj(tail(k))); n values fix it."""
+        if self.frame.oct != spec.algebra:
+            raise InternalError("certificate failed: the frame does not split the algebra")
+        rhs = []
+        for j, r in enumerate(spec.rhs):
+            q, s = self.frame.decompose(r)
+            if not s.is_zero():
                 raise InternalError(f"certificate failed: rhs[{j}] = {r} is not in the frame")
-        _certify_frame(spec.algebra, self.frame)
+            rhs.append(q)
         if not self.main.carrier == self.tail.carrier == self.frame.quat:
             raise InternalError("certificate failed: main and tail are not over the frame")
         _certify_terms(self.main, rhs, "main ")
@@ -605,23 +615,6 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
                 if not (d == 0 and (res * b).is_zero() and (res * (lam * b)).is_zero()):
                     raise InternalError(f"certificate failed: {label}term {i} leaves "
                                         f"the residual {res} at k={k}")
-
-
-def _certify_frame(alg: OctonionAlgebra, frame) -> None:
-    """Prove that frame splits alg as Q' + Q'*ell, Q' = span(1, u, w, u*w)
-    = frame.quat, by the Cayley-Dickson doubling lemma: `_frame_basis`, run
-    afresh on the frame's own u, w and ell, must find its hypotheses (seven
-    orthogonalities, eight nonzero norms) and give back `mat` and `den`, and
-    `quat` must be (-N(u), -N(w) | Q).  Then join(x, 0)*join(y, 0) =
-    join(x*y, 0) and join(x, 0)*(join(y, 0)*ell) = join(y*x, 0)*ell for all x, y."""
-    try:
-        _, mat, den, _, _ = _frame_basis(alg, frame.u, frame.w, frame.ell)
-        ok = ((mat, den) == (frame.mat, frame.den)
-              and frame.quat == QuaternionAlgebra(-frame.u.norm(), -frame.w.norm()))
-    except (ContextMismatch, DegenerateFrame):
-        ok = False
-    if not ok:
-        raise InternalError("certificate failed: the frame does not split the algebra")
 
 
 def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:

@@ -133,13 +133,11 @@ MUTANTS = [
            "ell, u * ell, w * ell, uw * ell)", "ell, u * ell + 1, w * ell, uw * ell)",
            ("tests/test_algebra.py::test_frame_embed_decompose_roundtrip",)),
     Mutant("build_frame takes ell = u*w inside the quaternion part", ALG,
-           "return SubalgebraFrame(alg, u, w, ell, span[3])",
-           "return SubalgebraFrame(alg, u, w, span[3], span[3])",
+           "return SubalgebraFrame(alg, u, w, ell)",
+           "return SubalgebraFrame(alg, u, w, span[3])",
            ("tests/test_algebra.py::test_frame_orthogonality_invariants",)),
-    Mutant("the certificate's frame check takes ell = u*w inside the quaternion part", FORMS,
-           "_frame_basis(alg, frame.u, frame.w, frame.ell)",
-           "_frame_basis(alg, frame.u, frame.w, frame.uw)",
-           ("tests/test_solver.py::test_certificate_checks_the_frame",)),
+    Mutant("frame constructor takes w*u for u*w", ALG, "uw = u * w", "uw = w * u",
+           ("tests/test_solver.py::test_frame_check_against_the_product_identities",)),
     # the roots of a quaternion quadratic (quadratic_roots): a central
     # candidate is tested, a class root is X^-1 Y by theorem
     Mutant("central candidate kept without its root test", POLY,
@@ -252,7 +250,8 @@ MUTANTS = [
            '        object.__setattr__(self, "C", tuple([self.carrier.ctx.scalar(c) for c in self.C]))\n',
            "", ("tests/test_solver.py::test_a_companion_form_takes_only_a_rational_c",)),
     # the certificate of a root or split form, its `_certify`: its terms,
-    # its frame, then its first n values against the initial values
+    # its frame's algebra and rhs, then its first n values against the
+    # initial values
     Mutant("initial values of a root form not compared", FORMS,
            '"")\n        _check_values(self._values(spec.order), spec.init,',
            '"")\n        _check_values(spec.init, spec.init,',
@@ -264,11 +263,11 @@ MUTANTS = [
     Mutant("split form's main and tail taken over any quaternion algebra", FORMS,
            "if not self.main.carrier == self.tail.carrier == self.frame.quat:", "if False:",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
-    Mutant("octonion rhs-in-frame test skipped", FORMS,
-           "if self.frame.join(q, 0) != r:", "if False:",
+    Mutant("split certificate skips the frame's algebra check", FORMS,
+           "if self.frame.oct != spec.algebra:", "if False:",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
-    Mutant("octonion frame not proved", FORMS,
-           "_certify_frame(spec.algebra, self.frame)", "pass",
+    Mutant("octonion rhs-in-frame test skipped", FORMS,
+           "if not s.is_zero():", "if False:",
            ("tests/test_solver.py::test_certificate_checks_the_frame",)),
     Mutant("octonion tail proved with rhs, not conj(rhs)", FORMS,
            '_certify_terms(self.tail, [r.conj() for r in rhs], "tail ")',

@@ -270,10 +270,13 @@ def test_frame_embed_decompose_roundtrip():
 
 def test_frame_constructor_rejects_degenerate_bases():
     # build_frame orthogonalizes first, so only a frame given by hand reaches
-    # the constructor's own check: an ell that is not orthogonal to u, and an
-    # isotropic ell (gamma' = 0)
+    # the constructor's own check: an ell that is not orthogonal to u, an ell
+    # inside the quaternion part, which splits nothing, and an isotropic ell
+    # (gamma' = 0)
     with pytest.raises(DegenerateFrame):
         SubalgebraFrame(O, O.embed(I), O.embed(J), L + O.embed(I))
+    with pytest.raises(DegenerateFrame):
+        SubalgebraFrame(O, O.embed(I), -O.embed(K), -O.embed(K))
     split = OctonionAlgebra(1, 1, 1)
     e1, e2 = split.basis()[1:3]
     with pytest.raises(DegenerateFrame):
