@@ -1,7 +1,7 @@
 """Recurrence specs, their closed forms, the forms' evaluator and their proof.
 
-This is the trusted checker of the solver, which only proposes: `_certify`
-decides whether a closed form gives a recurrence's a_k for every k.  It
+This is the trusted checker of the solver, which only proposes: a form's
+own `_certify` decides whether it gives a recurrence's a_k for every k.  It
 imports only `scalar` and `errors`; a form's correctness rests on them,
 this module and the carriers and frames of `algebra` that it is given,
 never on the root search, the Jordan chains or the frame search of
@@ -15,7 +15,7 @@ values; `_certify`, its proof that it solves the recurrence; and `_lines`,
 its text, which `cli.render_closed_form` prints.  No code tests its kind.
 
 A root or split form is certified term by term: each term by its residual
-polynomial, which vanishes at deg p + 1 points, each point one integer
+polynomial alone, which vanishes at deg p + 1 points, each point one integer
 Horner pass of the residual kernel (`_residual`), whose p = 1 case, every
 simple root, is the characteristic polynomial at the root; then its first n
 values (`_values`), which also prove the evaluator, by the initial values.
@@ -429,10 +429,12 @@ def _render_poly(poly) -> str:
 
 
 def _render_terms(form: AssocForm) -> str:
-    if not form.terms:
+    """The form's live terms, those its certificate proves, or 0."""
+    terms = [t for _, t, _ in form._live_terms()]
+    if not terms:
         return "0"
     return " + ".join(f"({_render_poly(t.poly)})*({t.base})^k*({t.right})"
-                      for t in _term_order(form.terms))
+                      for t in _term_order(terms))
 
 
 @dataclass(frozen=True)
@@ -486,9 +488,9 @@ class OctSplitForm(ClosedForm):
     def _lines(self) -> list[str]:
         frame = self.frame
         body = _render_terms(self.main)
-        if self.tail.terms:
+        if self.tail._live_terms():
             tail = f"conj({_render_terms(self.tail)})*l"
-            body = f"{body} + {tail}" if self.main.terms else tail
+            body = f"{body} + {tail}" if self.main._live_terms() else tail
         return [f"frame u = {frame.u}", f"frame w = {frame.w}", f"frame l = {frame.ell}",
                 f"frame u^2 = {frame.quat.a} w^2 = {frame.quat.b} l^2 = {-frame.ell.norm()}",
                 "a_k = " + body]
@@ -587,12 +589,11 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
     coefficients -rhs[j] * p(k+j) and p(k+n) evaluated at lam, one pass of
     the residual kernel `_residual`; for p = 1 those coefficients are
     chi(x) = x^n - sum_j rhs[j] x^j, built once, so a simple root costs one
-    Horner pass.  For a constant p, Q(k) is one value z, and z * lam**k * b
-    vanishes for every k once it does at k = 0 and 1, since lam**k * b
-    satisfies lam's central quadratic; that passes the terms of a split
-    algebra with z * b = 0 and z != 0.  It regroups rhs[j] * (lam**(k+j) *
-    b) as (rhs[j] * lam**j) * (lam**k * b), so in a carrier whose values do
-    not associate every rhs, base and poly coefficient must be central."""
+    Horner pass.  A nonzero Q(k) at any of those points refuses the term,
+    whatever b is: the initial values prove b.  It
+    regroups rhs[j] * (lam**(k+j) * b) as (rhs[j] * lam**j) * (lam**k * b),
+    so in a carrier whose values do not associate every rhs, base and poly
+    coefficient must be central."""
     n = len(rhs)
     carrier = form.carrier
     if not carrier.value_type.ASSOCIATIVE and not all(
@@ -602,23 +603,14 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
     mul, D = carrier._num_mul, carrier.weights[0]
     chi = [(tuple([-x for x in r.num]), r.den) for r in rhs] + [(carrier.one().num, 1)]
     for i, t, d in form._live_terms():
-        lam, b = t.base, t.right
         one = d == 0 and t.poly[0].is_one()
         if not one:  # e * p(m) for m = 0..d+n
             e, vals = _poly_nums(t.poly, d, d + n + 1)
         for k in range(d + 1):
             coeffs = chi if one else [(mul(rn, vals[k + j]), D * rd * e)
                                       for j, (rn, rd) in enumerate(chi[:n])] + [(vals[k + n], e)]
-            num, den = _residual(coeffs, lam)  # -Q(k)
+            num, den = _residual(coeffs, t.base)  # -Q(k)
             if any(num):
                 res = _reduced(carrier.value_type, carrier, tuple([-x for x in num]), den)
-                if not (d == 0 and (res * b).is_zero() and (res * (lam * b)).is_zero()):
-                    raise InternalError(f"certificate failed: {label}term {i} leaves "
-                                        f"the residual {res} at k={k}")
-
-
-def _certify(spec: RecurrenceSpec, cf: ClosedForm) -> None:
-    """Prove that cf gives the recurrence's a_k for every k, or raise
-    InternalError naming what fails: cf's own `_certify` is the whole proof
-    of its kind, and builds no evaluator, so nothing is kept on cf."""
-    cf._certify(spec)
+                raise InternalError(f"certificate failed: {label}term {i} leaves "
+                                    f"the residual {res} at k={k}")

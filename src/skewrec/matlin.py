@@ -372,7 +372,7 @@ def jordan_from_roots(a: DMatrix, rootdata) -> JordanData:
     starts at (1, lam, ..., lam^(n-1)), an eigenvector only under the shift
     rows, so any other square A is a ValueError.  The result is not checked
     here; solve builds its closed forms from the same chains and certifies
-    them (forms._certify)."""
+    them (each form's own _certify, in forms)."""
     if a.rows != a.cols:
         raise DimensionMismatch("jordan_from_roots needs a square matrix")
     n = a.rows

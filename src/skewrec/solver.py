@@ -21,8 +21,8 @@ each.
 The search is one step, `_propose`, which declines every spec it cannot
 solve, checks user roots, finds or promotes the others, splits an
 octonion spec, and returns a finished closed form on every path.  This
-module only proposes: `solve` certifies that form by `forms._certify`,
-which imports none of the search, before it returns it.
+module only proposes: `solve` certifies that form by its own `_certify`,
+in `forms`, which imports none of the search, before it returns it.
 `verify_closed_form` is the independent check against direct iteration.
 """
 
@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .forms import (AssocForm, ClosedForm, CompanionForm, OctSplitForm, RecurrenceSpec, Term,
-                    _certify, _forward)
+                    _forward)
 from .matlin import _chain_matrix, mat_solve
 from .poly import LeftPoly, _is_root, conj_class, quadratic_roots
 from .scalar import FieldContext, ScalarValue, _reduced, _times, squarefree_split
@@ -120,7 +120,7 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     root (m > 1) before any chain is built, so a chain root of norm 0
     raises ZeroDivisor up front.  A chain step reads only rhs, the
     companion matrix's last row, and lam^-1 (`matlin._companion_step`).
-    The root data is taken as established: _certify proves the result."""
+    The root data is taken as established: its _certify proves the result."""
     alg = spec.algebra
     inv_pows = [lam.inverse().powers(m - 1) if m > 1 else None for lam, m in rootdata]
     u = _chain_matrix(rootdata, spec.rhs, [p[1] if p else None for p in inv_pows])
@@ -189,7 +189,7 @@ def _sqrt(x: ScalarValue) -> ScalarValue | None:
 
 
 def _propose(spec: RecurrenceSpec) -> ClosedForm:
-    """The closed form of spec that the search finds, for _certify to prove.
+    """The closed form of spec that the search finds, for its _certify to prove.
 
     An octonion spec with a non-central coefficient splits over a
     quaternion frame built from its coefficients, so the frame's
@@ -202,7 +202,7 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
     distinct roots of the characteristic polynomial, each tested on
     integers (`poly._is_root`), and no three may share a conjugacy class.
     The roots derived here are roots by construction and skip those
-    checks; _certify proves the form built from them.  An order-2 spec
+    checks; its _certify proves the form built from them.  An order-2 spec
     over a field, or with every rhs central in any carrier, has chi over
     its field or Q: a zero discriminant gives a double root and a square
     one two roots, coerced into the spec's carrier.  Any other gives an
@@ -276,7 +276,7 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
 
 def solve(spec: RecurrenceSpec) -> ClosedForm:
     """Solve the recurrence: the search proposes one closed form
-    (_propose), and _certify proves it for every k before it is returned."""
+    (_propose), and cf._certify proves it for every k before it is returned."""
     cf = _propose(spec)
-    _certify(spec, cf)
+    cf._certify(spec)
     return cf

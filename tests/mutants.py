@@ -216,7 +216,8 @@ MUTANTS = [
     # function body (a module-level import of poly would be an import cycle,
     # which fails every test at collection, not only the boundary test)
     Mutant("the certificate imports the root search", FORMS,
-           "    cf._certify(spec)\n", "    from .poly import LeftPoly\n    cf._certify(spec)\n",
+           'so their sum does; n values fix it."""\n',
+           'so their sum does; n values fix it."""\n        from .poly import LeftPoly\n',
            ("tests/test_solver.py::test_the_trusted_checker_imports_none_of_the_search",)),
     # the companion form's whole proof, the annihilator proof
     # (_annihilates), over the one forward iterator, and the form solve
@@ -289,9 +290,9 @@ MUTANTS = [
            ("tests/test_solver.py::test_certificate_checks_every_point_up_to_the_degree",)),
     Mutant("term residual takes p(k) for p(k+j)", FORMS, "vals[k + j]", "vals[k]",
            ("tests/test_solver.py::test_solve_repeated_root",)),
-    Mutant("split-algebra term accepted without z*lam*b = 0", FORMS,
-           " and (res * (lam * b)).is_zero()", "",
-           ("tests/test_solver.py::test_a_split_term_with_chi_lam_times_lam_b_nonzero_is_rejected",)),
+    Mutant("a term passes whatever its residual", FORMS, "if any(num):", "if False:",
+           ("tests/test_solver.py::test_certificate_rejects_what_iteration_rejects",
+            "tests/test_solver.py::test_a_split_term_with_chi_lam_times_lam_b_nonzero_is_rejected")),
     # the evaluator's reduction (_PowerReducer and its call in _LucasSum)
     Mutant("value reduced by one gcd against den*s**k", FORMS,
            "return _make(zero.__class__, zero.carrier, *self.reduce(out, k))",
@@ -314,6 +315,10 @@ MUTANTS = [
            "elif cap and not any(", "elif False and not any(", REDUCER),
     Mutant("tail gcd only when cap > 1", FORMS,
            "elif cap and not any(", "elif cap > 1 and not any(", REDUCER),
+    # a form's text prints the terms its certificate proves, and no other
+    Mutant("text prints terms the form does not prove", FORMS,
+           "terms = [t for _, t, _ in form._live_terms()]", "terms = list(form.terms)",
+           ("tests/test_solver.py::test_a_form_prints_only_the_terms_it_proves",)),
     # the spec reader's one split of each line
     Mutant("spec line stripped of Unicode whitespace", CLI,
            '_TOKEN.findall(raw.split("#", 1)[0])', '_TOKEN.findall(raw.split("#", 1)[0].strip())',

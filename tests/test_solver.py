@@ -56,7 +56,7 @@ from skewrec import forms, matlin, scalar, solver
 from skewrec.algebra import SubalgebraFrame
 from skewrec.cli import parse_spec_file, render_closed_form, render_spec
 from skewrec.matlin import mat_solve
-from skewrec.forms import CompanionForm, _certify
+from skewrec.forms import CompanionForm
 from conftest import adjoin_root, fraction_mul, rand_oct, rand_quat, rand_quat_common_den
 
 Q = FieldContext.rational()
@@ -244,7 +244,7 @@ def test_the_checker_reaches_every_trusted_function_but_the_listed_ones():
     sys.setprofile(profile)
     try:
         for (spec, cf), copies in zip(solved, fresh):
-            forms._certify(spec, cf)
+            cf._certify(spec)
             for k, c in zip(ks, copies):
                 c.value(k)
             cf._lines()
@@ -473,7 +473,7 @@ def test_a_companion_form_takes_only_a_rational_c():
     spec = RecurrenceSpec(H, 2, (-2, 1), (1, 2))
     cf = CompanionForm(H, (2, -1), (1, 2))
     assert cf == solve(spec)
-    _certify(spec, cf)
+    cf._certify(spec)
     assert [cf.value(k) for k in (0, 1, 2, 3, 40)] == [iterate_oracle(spec, k) for k in (0, 1, 2, 3, 40)]
 
 
@@ -492,7 +492,7 @@ def test_a_term_form_takes_only_values_of_its_carrier():
     spec = RecurrenceSpec(H, 1, (I,), (1,))
     cf = AssocForm(H, (term,))
     assert cf == solve(spec)
-    _certify(spec, cf)
+    cf._certify(spec)
     assert [cf.value(k) for k in range(6)] == [iterate_oracle(spec, k) for k in range(6)]
 
 
@@ -705,7 +705,7 @@ def test_a_non_central_octonion_term_form_is_refused_by_the_certificate():
     with pytest.raises(InternalError, match=re.escape(
             "certificate failed: (-1,-1,-1 | Q) does not associate, and the terms are proved "
             "only with central rhs, bases and poly coefficients")):
-        _certify(spec, form)
+        form._certify(spec)
 
 
 def test_closed_form_reproduces_initials():
@@ -792,7 +792,7 @@ def test_solver_verifies_against_oracle_randomized():
 
 def _certifies(spec, cf):
     try:
-        _certify(spec, cf)
+        cf._certify(spec)
     except InternalError:
         return False
     return True
@@ -935,7 +935,7 @@ def test_the_annihilator_proof_checks_every_e_j_below_the_order():
     spec = RecurrenceSpec(H, 2, (-1, 1), (0, J))
     cf = solve(spec)
     with pytest.raises(InternalError, match=re.escape("C = [2, -1, 1] leaves e_1 = [0,0,1,0], not 0")):
-        _certify(spec, dataclasses.replace(cf, C=(cf.C[0] + 1, cf.C[1])))
+        dataclasses.replace(cf, C=(cf.C[0] + 1, cf.C[1]))._certify(spec)
 
 
 def test_the_annihilator_proof_compares_every_value_below_deg_c():
@@ -1008,21 +1008,21 @@ def test_certificate_names_what_fails():
     t = cf.terms[1]
     bad = AssocForm(H, (cf.terms[0], Term(t.poly + (H.one(),), t.base, t.right)))
     with pytest.raises(InternalError, match="term 1 leaves the residual"):
-        _certify(JORDAN, bad)
+        bad._certify(JORDAN)
     # each term still solves the recurrence, but their sum misses a_0
     shifted = RecurrenceSpec(H, 2, DIAG.rhs, (2, 1))
     with pytest.raises(InternalError, match="a_0"):
-        _certify(shifted, solve(DIAG))
+        solve(DIAG)._certify(shifted)
     # a Lucas form of another recurrence, and one of other initial values:
     # C = x^2 - 2x + 1 leaves e_0 = a_2 - 2*a_1 + a_0 = -j for a_2 = j - i
     spec = RecurrenceSpec(H, 2, (-1, 1), (I, J))
     cf = solve(spec)
     with pytest.raises(InternalError, match=re.escape(
             "C = [1, -2, 1] leaves e_0 = [0,0,-1,0], not 0")):
-        _certify(spec, dataclasses.replace(cf, C=(cf.C[0], cf.C[1] - 1)))
+        dataclasses.replace(cf, C=(cf.C[0], cf.C[1] - 1))._certify(spec)
     with pytest.raises(InternalError, match=re.escape(
             "the companion form gives a_1 = [1,0,1,0], not the recurrence's [0,0,1,0]")):
-        _certify(spec, dataclasses.replace(cf, values=(cf.values[0], cf.values[1] + 1)))
+        dataclasses.replace(cf, values=(cf.values[0], cf.values[1] + 1))._certify(spec)
 
 
 def test_a_lucas_form_is_proved_by_one_value_comparison_and_no_value_product(monkeypatch):
@@ -1044,7 +1044,7 @@ def test_a_lucas_form_is_proved_by_one_value_comparison_and_no_value_product(mon
             for cls in (scalar.ScalarValue, type(H.one())):
                 m.setattr(cls, "__mul__",
                           lambda x, y, mul=cls.__mul__: (products.append(x), mul(x, y))[1])
-            _certify(spec, cf)
+            cf._certify(spec)
             a50 = iterate_oracle(spec, 50)
         assert len(checks) == 1 and products == []
         assert a50 == cf.value(50)
@@ -1058,7 +1058,7 @@ def test_certificate_checks_every_point_up_to_the_degree():
     bad = AssocForm(Q, (Term((one, -one, one), Q.scalar(2), one),))
     assert not verify_closed_form(spec, bad, 16).ok
     with pytest.raises(InternalError, match="term 0 leaves the residual -4 at k=1"):
-        _certify(spec, bad)
+        bad._certify(spec)
 
 
 def test_solve_keeps_no_term_whose_right_factor_is_zero():
@@ -1079,8 +1079,25 @@ def test_solve_keeps_no_term_whose_right_factor_is_zero():
         assert verify_closed_form(spec, solve(spec), 16).ok
     spec, one = RecurrenceSpec(Q, 1, (2,), (1,)), Q.one()
     form = AssocForm(Q, (Term((one,), Q.scalar(2), one), Term((one,), Q.scalar(3), Q.zero())))
-    _certify(spec, form)
+    form._certify(spec)
     assert verify_closed_form(spec, form, 16).ok
+
+
+def test_a_form_prints_only_the_terms_it_proves():
+    # a term whose right factor or whose p is 0 is skipped by _values, the
+    # evaluator and the certificate, and so by the text: a hand-built form
+    # prints as the form without it, or as a_k = 0
+    assert render_closed_form(AssocForm(H, (Term((1,), I, 0),))) == ["a_k = 0"]
+    two = Term((1,), 2, 1)
+    assert render_closed_form(AssocForm(Q, (Term((0,), 3, 1), two))) == ["a_k = (1)*(2)^k*(1)"]
+    cf = solve(RecurrenceSpec(O, 2, (-1 - OK, OI), (1, L)))
+    quat = cf.frame.quat
+    dead, empty = AssocForm(quat, (Term((1,), quat.e1, 0),)), AssocForm(quat, ())
+    assert cf.main.terms and cf.tail.terms
+    for main, tail in ((cf.main, dead), (dead, cf.tail), (dead, dead)):
+        live = OctSplitForm(cf.frame, empty if main is dead else main, empty if tail is dead else tail)
+        assert render_closed_form(OctSplitForm(cf.frame, main, tail)) == render_closed_form(live)
+    assert render_closed_form(OctSplitForm(cf.frame, dead, dead))[-1] == "a_k = 0"
 
 
 def test_simple_roots_certify_by_one_integer_root_test_each(monkeypatch):
@@ -1100,7 +1117,7 @@ def test_simple_roots_certify_by_one_integer_root_test_each(monkeypatch):
     cf = solve(DIAG)
     monkeypatch.setattr(algebra.QuatValue, "__mul__", lambda x, y: products.append(1) or mul(x, y))
     monkeypatch.setattr(forms, "_residual", spy)
-    _certify(DIAG, cf)
+    cf._certify(DIAG)
     assert all(t.degree == 0 for t in cf.terms)
     assert zeros == [True, True] and products == []
 
@@ -1110,15 +1127,17 @@ E11 = S11.element([Fraction(1, 2), Fraction(1, 2), 0, 0])
 E22 = S11.element([Fraction(1, 2), Fraction(-1, 2), 0, 0])
 
 
-def test_a_split_term_with_chi_lam_times_b_zero_certifies():
+def test_a_split_term_with_a_nonzero_residual_is_refused_though_iteration_agrees():
     # a_{k+1} = r*a_k with r = 2*E22 - E11: a_k = (2*E22)^k * E22 is 2^k*E22,
-    # a solution, though chi(lam) = lam - r = E11 is no zero; E11 * E22 = 0
+    # a solution, though chi(lam) = lam - r = E11 is no zero; E11 * E22 = 0.
+    # A term is proved by its residual alone, so this right one is refused
     lam, b = 2 * E22, E22
     spec = RecurrenceSpec(S11, 1, (lam - E11,), (b,))
     form = AssocForm(S11, (Term((S11.one(),), lam, b),))
     assert not (lam - spec.rhs[0]).is_zero() and ((lam - spec.rhs[0]) * b).is_zero()
     assert verify_closed_form(spec, form, 16).ok
-    _certify(spec, form)
+    with pytest.raises(InternalError, match=re.escape(f"term 0 leaves the residual {-E11} at k=0")):
+        form._certify(spec)
 
 
 def test_a_split_term_with_chi_lam_times_lam_b_nonzero_is_rejected():
@@ -1131,7 +1150,7 @@ def test_a_split_term_with_chi_lam_times_lam_b_nonzero_is_rejected():
     assert (E11 * E22).is_zero() and not (E11 * lam * E22).is_zero()
     assert verify_closed_form(spec, form, 16).first_failure == 2
     with pytest.raises(InternalError, match=re.escape(f"term 0 leaves the residual {-E11} at k=0")):
-        _certify(spec, form)
+        form._certify(spec)
 
 
 def test_a_constant_term_with_a_quaternion_coefficient_takes_the_residual():
@@ -1144,7 +1163,7 @@ def test_a_constant_term_with_a_quaternion_coefficient_takes_the_residual():
     form = AssocForm(H, (Term((c,), lam, b1), Term((H.one(),), mu, b2)))
     assert verify_closed_form(DIAG, form, 16).first_failure == 2
     with pytest.raises(InternalError, match="term 0 leaves the residual"):
-        _certify(DIAG, form)
+        form._certify(DIAG)
 
 
 def test_dependent_chains_in_a_split_algebra_raise_singular_u():
@@ -1164,13 +1183,13 @@ def test_certificate_checks_the_frame():
     cf = solve(spec)
     other = build_frame(O, L, OJ)  # span(1, j, l, j*l) holds neither OI nor OK
     with pytest.raises(InternalError, match="not in the frame"):
-        _certify(spec, OctSplitForm(other, cf.main, cf.tail))
+        OctSplitForm(other, cf.main, cf.tail)._certify(spec)
     # the same coordinates of u, w and ell make a frame of another octonion
     # algebra, whose products prove nothing about the spec's
     O2, fr = OctonionAlgebra(-1, -1, -2), cf.frame
     alien = SubalgebraFrame(O2, *[O2.element(x.coords()) for x in (fr.u, fr.w, fr.ell)])
     with pytest.raises(InternalError, match="does not split the algebra"):
-        _certify(spec, OctSplitForm(alien, cf.main, cf.tail))
+        OctSplitForm(alien, cf.main, cf.tail)._certify(spec)
     # the frame's main and tail coordinates over another quaternion algebra
     other = QuaternionAlgebra(cf.frame.quat.a, 2 * cf.frame.quat.b)
 
@@ -1181,7 +1200,7 @@ def test_certificate_checks_the_frame():
 
     for main, tail in ((moved(cf.main), cf.tail), (cf.main, moved(cf.tail))):
         with pytest.raises(InternalError, match="main and tail are not over the frame"):
-            _certify(spec, OctSplitForm(cf.frame, main, tail))
+            OctSplitForm(cf.frame, main, tail)._certify(spec)
 
 
 def _splits_by_identities(frame):
@@ -1330,8 +1349,8 @@ def test_the_values_reader_gives_the_first_oracle_values_on_every_form_kind(monk
     assert past == {"AssocForm None", "AssocForm", "OctSplitForm"}
 
 
-SOLVE_ALGEBRAS = [Q, FieldContext(2), H,
-                  QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)), O]
+SOLVE_ALGEBRAS = [Q, FieldContext(2), H, QuaternionAlgebra(Fraction(-1, 2), Fraction(3, 5)),
+                  QuaternionAlgebra(1, 1), O, OctonionAlgebra(1, 1, 1)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
