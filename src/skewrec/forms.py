@@ -20,7 +20,8 @@ Horner pass of the residual kernel (`_residual`), whose p = 1 case, every
 simple root, is the characteristic polynomial at the root; then its first n
 values (`_values`), which also prove the evaluator, by the initial values.
 A split form's frame was proved when it was built (`SubalgebraFrame`), as
-a form's values were coerced into its carrier when the form was.
+a term form's values were coerced into its carrier and its terms of p = 0
+or b = 0 dropped (`AssocForm`), so forms of equal terms are equal values.
 A companion form's whole proof is one annihilator proof on the iterated
 recurrence (`_annihilates`), which compares its values with the iterates.
 
@@ -38,7 +39,7 @@ of their classes' quadratics, so `solve` itself builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt, lcm
 
@@ -96,22 +97,22 @@ class RecurrenceSpec:
 class Term:
     """One summand p(k) * base**k * right, with p's coefficients on the left
     (poly[s] multiplies k**s), each value or rational, as `AssocForm` coerces
-    them, kept as a tuple; `degree`, deg p or -1 for p = 0, is found once,
-    when the term is built, for the certificate and the evaluator."""
+    them, kept as a tuple without trailing zeros: p = 0 is (), of `degree`
+    -1, and terms of the same p, base and right are equal."""
 
     poly: tuple
     base: object
     right: object
-    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.poly.__class__ is not tuple:
-            object.__setattr__(self, "poly", tuple(self.poly))
-        deg = -1
-        for s, c in enumerate(self.poly):
-            if c:
-                deg = s
-        object.__setattr__(self, "degree", deg)
+        poly = tuple(self.poly)
+        while poly and not poly[-1]:
+            poly = poly[:-1]
+        object.__setattr__(self, "poly", poly)
+
+    @property
+    def degree(self) -> int:
+        return len(self.poly) - 1
 
 
 def _lucas_params(T, N) -> tuple[int, int, int]:
@@ -132,11 +133,10 @@ def _term_groups(pieces) -> dict:
     sequence of (P, Q): its group adds c_j*b to S_j, c_j*conj(lam)*b to R_j."""
     sums: dict = {}  # (P, Q, s), which fixes (T, N) -> lifted [S_j], [R_j]
     for form, lift in pieces:
-        for _, t, d in form._live_terms():
+        for t in form.terms:
             lam, b, xb = t.base, t.right, t.base.conj() * t.right
             S, R = sums.setdefault(_lucas_params(lam.trace(), lam.norm()), ([], []))
-            for j in range(d + 1):
-                c = t.poly[j]
+            for j, c in enumerate(t.poly):
                 cb, cxb = lift(_times(c, b)), lift(_times(c, xb))
                 if j < len(S):
                     S[j], R[j] = S[j] + cb, R[j] + cxb
@@ -324,33 +324,22 @@ class AssocForm(ClosedForm):
     """a_k = sum of term values, over an associative carrier or, with every
     rhs, base and poly coefficient central, an octonion one.  Each value of
     a term is the carrier's: one that is not enters by `carrier.coerce`,
-    and one of another carrier raises ContextMismatch; terms is a tuple."""
+    and one of another carrier raises ContextMismatch.  terms is the tuple
+    of the terms with p and b nonzero: no reader skips one that gives 0."""
 
     carrier: object
     terms: tuple
 
     def __post_init__(self):
-        carrier, cls = self.carrier, self.carrier.value_type
-        if self.terms.__class__ is not tuple:
-            object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            for x in (t.base, t.right, *t.poly):
-                if x.__class__ is not cls or x.carrier is not carrier:
-                    c = carrier.coerce
-                    object.__setattr__(self, "terms", tuple([
-                        Term(map(c, u.poly), c(u.base), c(u.right)) for u in self.terms]))
-                    return
+        c = self.carrier.coerce
+        terms = [Term(map(c, t.poly), c(t.base), c(t.right)) for t in self.terms]
+        object.__setattr__(self, "terms", tuple([t for t in terms if t.poly and t.right]))
 
     def _groups(self):
         return _term_groups(((self, lambda x: x),))
 
     def _classes(self) -> list:
         return [(_lucas_params(t.base.trace(), t.base.norm()), t.degree + 1) for t in self.terms]
-
-    def _live_terms(self) -> list:
-        """(i, terms[i], deg p) for each term whose p and b are not 0."""
-        return [(i, t, d) for i, t in enumerate(self.terms)
-                if (d := t.degree) >= 0 and not t.right.is_zero()]
 
     def _values(self, n: int) -> list:
         """a_0..a_{n-1}, a_j the sum of p(j) * (lam**j * b) over the terms, on
@@ -360,10 +349,10 @@ class AssocForm(ClosedForm):
         carrier = self.carrier
         mul, D = carrier._num_mul, carrier.weights[0]
         sums = [((0,) * carrier.dim, 1)] * n  # a_j as (numerators, denominator)
-        for _, t, d in self._live_terms():
-            one = d == 0 and t.poly[0].is_one()
+        for t in self.terms:
+            one = t.degree == 0 and t.poly[0].is_one()
             if not one:
-                e, vals = _poly_nums(t.poly, d, n)
+                e, vals = _poly_nums(t.poly, n)
             lam, w, s, sl = t.base, t.right.num, t.right.den, D * t.base.den
             for j in range(n):
                 if j:
@@ -383,11 +372,11 @@ class AssocForm(ClosedForm):
         return ["a_k = " + _render_terms(self)]
 
 
-def _poly_nums(poly, d: int, count: int) -> tuple[int, list]:
+def _poly_nums(poly, count: int) -> tuple[int, list]:
     """(e, [e * p(m) for m < count]) on integer numerators by Horner's rule,
-    p = sum poly[s] * m**s of degree d >= 0 and e the lcm of its denominators."""
-    e = lcm(*[c.den for c in poly[:d + 1]])
-    cs = [[x * (e // c.den) for x in c.num] for c in poly[d::-1]]
+    p = sum poly[s] * m**s, a term's p and so not 0, e its denominators' lcm."""
+    e = lcm(*[c.den for c in poly])
+    cs = [[x * (e // c.den) for x in c.num] for c in poly[::-1]]
     vals = []
     for m in range(count):
         v = cs[0]
@@ -425,16 +414,13 @@ def _render_poly(poly) -> str:
             parts.append(f"{c}*k")
         else:
             parts.append(f"{c}*k^{s}")
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(parts)
 
 
 def _render_terms(form: AssocForm) -> str:
-    """The form's live terms, those its certificate proves, or 0."""
-    terms = [t for _, t, _ in form._live_terms()]
-    if not terms:
-        return "0"
+    """The form's terms, each of which its certificate proves, or 0 for none."""
     return " + ".join(f"({_render_poly(t.poly)})*({t.base})^k*({t.right})"
-                      for t in _term_order(terms))
+                      for t in _term_order(form.terms)) or "0"
 
 
 @dataclass(frozen=True)
@@ -488,9 +474,9 @@ class OctSplitForm(ClosedForm):
     def _lines(self) -> list[str]:
         frame = self.frame
         body = _render_terms(self.main)
-        if self.tail._live_terms():
+        if self.tail.terms:
             tail = f"conj({_render_terms(self.tail)})*l"
-            body = f"{body} + {tail}" if self.main._live_terms() else tail
+            body = f"{body} + {tail}" if self.main.terms else tail
         return [f"frame u = {frame.u}", f"frame w = {frame.w}", f"frame l = {frame.ell}",
                 f"frame u^2 = {frame.quat.a} w^2 = {frame.quat.b} l^2 = {-frame.ell.norm()}",
                 "a_k = " + body]
@@ -602,10 +588,10 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
                             "terms are proved only with central rhs, bases and poly coefficients")
     mul, D = carrier._num_mul, carrier.weights[0]
     chi = [(tuple([-x for x in r.num]), r.den) for r in rhs] + [(carrier.one().num, 1)]
-    for i, t, d in form._live_terms():
-        one = d == 0 and t.poly[0].is_one()
+    for i, t in enumerate(form.terms):
+        one = (d := t.degree) == 0 and t.poly[0].is_one()
         if not one:  # e * p(m) for m = 0..d+n
-            e, vals = _poly_nums(t.poly, d, d + n + 1)
+            e, vals = _poly_nums(t.poly, d + n + 1)
         for k in range(d + 1):
             coeffs = chi if one else [(mul(rn, vals[k + j]), D * rd * e)
                                       for j, (rn, rd) in enumerate(chi[:n])] + [(vals[k + n], e)]

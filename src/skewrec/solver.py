@@ -113,14 +113,14 @@ def _binom_coeffs(r: int) -> tuple[list[int], int]:
 def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     """a_k as the first row of U * J**k * b, U the eigenvector chains of the
     roots and b = U^-1 * init from one elimination on [U | init], expanded
-    into terms p(k) * base**k * b_i with deg p below the block size, and
-    none for a b_i of 0.  Simple roots give 1x1 blocks, U is then the
-    Vandermonde matrix of the roots and each term is base**k * b_i.  The
-    powers lam^-r, r < m, that the terms need are taken for every chain
-    root (m > 1) before any chain is built, so a chain root of norm 0
-    raises ZeroDivisor up front.  A chain step reads only rhs, the
-    companion matrix's last row, and lam^-1 (`matlin._companion_step`).
-    The root data is taken as established: its _certify proves the result."""
+    into terms p(k) * base**k * b_i with deg p below the block size.  Simple
+    roots give 1x1 blocks, U is then the Vandermonde matrix of the roots
+    and each term is base**k * b_i.  The powers lam^-r, r < m, that the
+    terms need are taken for every chain root (m > 1) before any chain is
+    built, so a chain root of norm 0 raises ZeroDivisor up front.  A chain
+    step reads only rhs, the companion matrix's last row, and lam^-1
+    (`matlin._companion_step`).  The root data is taken as established:
+    its _certify proves the result."""
     alg = spec.algebra
     inv_pows = [lam.inverse().powers(m - 1) if m > 1 else None for lam, m in rootdata]
     u = _chain_matrix(rootdata, spec.rhs, [p[1] if p else None for p in inv_pows])
@@ -133,8 +133,6 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
     first, zero = u.row(0), alg.zero()
     for (lam, m), pows in zip(rootdata, inv_pows):
         for sp in range(m):
-            if b[col + sp].is_zero():
-                continue
             # the r = 0 summand of column sp is U's first-row entry itself
             coeffs = [first[col + sp]] + [zero] * sp
             for r in range(1, sp + 1):
@@ -143,7 +141,7 @@ def _jordan_form(spec: RecurrenceSpec, rootdata) -> AssocForm:
                 for s, c in enumerate(binom):
                     if c:
                         coeffs[s] = coeffs[s] + base_e._scaled(c, fact)
-            terms.append(Term(tuple(coeffs), lam, b[col + sp]))
+            terms.append(Term(coeffs, lam, b[col + sp]))
         col += m
     return AssocForm(alg, tuple(terms))
 

@@ -245,7 +245,7 @@ MUTANTS = [
            ("tests/test_solver.py::test_solve_spherical",)),
     # each form's values are its carrier's, coerced when it is built
     Mutant("term form keeps its values as given", FORMS,
-           "if x.__class__ is not cls or", "if False and x.__class__ is not cls or",
+           "c = self.carrier.coerce", "c = lambda x: x",
            ("tests/test_solver.py::test_a_term_form_takes_only_values_of_its_carrier",)),
     Mutant("companion form keeps C as given", FORMS,
            '        object.__setattr__(self, "C", tuple([self.carrier.ctx.scalar(c) for c in self.C]))\n',
@@ -315,10 +315,14 @@ MUTANTS = [
            "elif cap and not any(", "elif False and not any(", REDUCER),
     Mutant("tail gcd only when cap > 1", FORMS,
            "elif cap and not any(", "elif cap > 1 and not any(", REDUCER),
-    # a form's text prints the terms its certificate proves, and no other
-    Mutant("text prints terms the form does not prove", FORMS,
-           "terms = [t for _, t, _ in form._live_terms()]", "terms = list(form.terms)",
+    # a form holds the terms its certificate proves, and no other, so its
+    # text prints no other
+    Mutant("a form keeps a term that contributes nothing", FORMS,
+           "tuple([t for t in terms if t.poly and t.right])", "tuple(terms)",
            ("tests/test_solver.py::test_a_form_prints_only_the_terms_it_proves",)),
+    Mutant("a term keeps its trailing zero coefficients", FORMS,
+           "while poly and not poly[-1]:", "while False:",
+           ("tests/test_solver.py::test_a_term_form_takes_only_values_of_its_carrier",)),
     # the spec reader's one split of each line
     Mutant("spec line stripped of Unicode whitespace", CLI,
            '_TOKEN.findall(raw.split("#", 1)[0])', '_TOKEN.findall(raw.split("#", 1)[0].strip())',

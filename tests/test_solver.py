@@ -1064,8 +1064,8 @@ def test_certificate_checks_every_point_up_to_the_degree():
 def test_solve_keeps_no_term_whose_right_factor_is_zero():
     # the double root 2 of a_{k+2} = 4a_{k+1} - 4a_k with a_k = 2^k leaves
     # b = 0 on its chain's second column, and init (0, 0) leaves every b_i
-    # at 0; a hand-built form keeps such a term, and the certificate and
-    # the evaluator skip it (3^k * 0 with chi(3) != 0)
+    # at 0; a hand-built form drops such a term when it is built, so the
+    # certificate and the evaluator never see it (3^k * 0 with chi(3) != 0)
     chain = RecurrenceSpec(Q, 2, (-4, 4), (1, 2))
     zero = RecurrenceSpec(Q, 2, (-2, 3), (0, 0))
     assert render_closed_form(solve(chain)) == ["a_k = (1)*(2)^k*(1)"]
@@ -1079,14 +1079,15 @@ def test_solve_keeps_no_term_whose_right_factor_is_zero():
         assert verify_closed_form(spec, solve(spec), 16).ok
     spec, one = RecurrenceSpec(Q, 1, (2,), (1,)), Q.one()
     form = AssocForm(Q, (Term((one,), Q.scalar(2), one), Term((one,), Q.scalar(3), Q.zero())))
+    assert form.terms == (Term((one,), Q.scalar(2), one),)
     form._certify(spec)
     assert verify_closed_form(spec, form, 16).ok
 
 
 def test_a_form_prints_only_the_terms_it_proves():
-    # a term whose right factor or whose p is 0 is skipped by _values, the
-    # evaluator and the certificate, and so by the text: a hand-built form
-    # prints as the form without it, or as a_k = 0
+    # a term whose right factor or whose p is 0 is dropped when its form is
+    # built, so no reader sees it: a hand-built form prints, and equals, the
+    # form without it, or prints a_k = 0
     assert render_closed_form(AssocForm(H, (Term((1,), I, 0),))) == ["a_k = 0"]
     two = Term((1,), 2, 1)
     assert render_closed_form(AssocForm(Q, (Term((0,), 3, 1), two))) == ["a_k = (1)*(2)^k*(1)"]
@@ -1098,6 +1099,67 @@ def test_a_form_prints_only_the_terms_it_proves():
         live = OctSplitForm(cf.frame, empty if main is dead else main, empty if tail is dead else tail)
         assert render_closed_form(OctSplitForm(cf.frame, main, tail)) == render_closed_form(live)
     assert render_closed_form(OctSplitForm(cf.frame, dead, dead))[-1] == "a_k = 0"
+    assert OctSplitForm(cf.frame, dead, dead) == OctSplitForm(cf.frame, empty, empty)
+
+
+def test_a_form_is_the_value_of_the_terms_it_proves():
+    # a term of b = 0 or of p = 0 is dropped, and p's trailing zeros with
+    # it, when the form is built: forms of the same proved terms are equal
+    form = AssocForm(Q, (Term((1,), 2, 1), Term((0,), 3, 1), Term((1,), 5, 0)))
+    live = AssocForm(Q, (Term((1,), 2, 1),))
+    assert form == live and hash(form) == hash(live)
+    assert Term((1, 0), 2, 1) == Term((1,), 2, 1)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the SkewrecError it raises."""
+    try:
+        return f(*args)
+    except SkewrecError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_hand_built_form_equals_the_form_of_its_live_terms(data):
+    # dead terms, b = 0 or p = 0, and trailing zeros of p are drawn on
+    # purpose; the live form is built from what the test itself keeps.  A
+    # proved form's terms are c * r**k * b, c rational, which solve
+    # a_(k+1) = r*a_k, and its p is given in rationals and ints
+    carrier = data.draw(st.sampled_from([Q, FieldContext(5), H, S11]), label="carrier")
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+    def element(zero=False):
+        if zero or data.draw(st.integers(0, 3)) == 0:
+            return carrier.zero()
+        x = carrier.element(data.draw(st.lists(fracs, min_size=carrier.dim, max_size=carrier.dim)))
+        return carrier.one() if x.is_zero() else x
+
+    r = carrier.one() + element()
+    assume(not r.is_zero())
+    terms, live, proved = [], [], data.draw(st.booleans(), label="proved")
+    for _ in range(data.draw(st.integers(0, 4), label="terms")):
+        dead_p = data.draw(st.booleans())
+        if proved:
+            poly, base = [0 if dead_p else data.draw(fracs)], r
+        else:
+            poly = [element(dead_p) for _ in range(data.draw(st.integers(1, 3)))]
+            base = data.draw(st.sampled_from([r, element()]))
+        poly += [0 if proved else carrier.zero()] * data.draw(st.integers(0, 2))
+        right = element()
+        terms.append(Term(poly, base, right))
+        poly = [carrier.coerce(c) for c in poly]
+        while poly and poly[-1].is_zero():
+            poly.pop()
+        if poly and not right.is_zero():
+            live.append(Term(tuple(poly), base, right))
+    form, want = AssocForm(carrier, terms), AssocForm(carrier, live)
+    assert form == want and hash(form) == hash(want) and form.terms == tuple(live)
+    assert form._lines() == want._lines()
+    assert [_outcome(form.value, k) for k in range(21)] == [_outcome(want.value, k) for k in range(21)]
+    init = want.value(0) if data.draw(st.booleans()) else element()
+    spec = RecurrenceSpec(carrier, 1, (r,), (init,))
+    assert _outcome(form._certify, spec) == _outcome(want._certify, spec)
 
 
 def test_simple_roots_certify_by_one_integer_root_test_each(monkeypatch):
