@@ -36,11 +36,11 @@ g, r = divide_by_linear(p, i)
 print("dividing by (x - e1):  quotient", g, " remainder", r)
 print("evaluating at e2 instead:", p.eval(j), " (so e2 is not a root)")
 
-roots, jordan, _ = quadratic_roots(p)
-print("root report: isolated =", [str(x) for x in roots], " jordan =", jordan)
+roots = quadratic_roots(p)
+print("root report: isolated =", [str(lam) for lam, _ in roots], " jordan =", roots[0])
 
 a = companion_matrix(p)
-jd = jordan_from_roots(a, [jordan])
+jd = jordan_from_roots(a, roots)
 print("\nJordan matrix:", jordan_matrix(jd.blocks))
 print("transition U:  ", jd.U)
 print("U J U^-1 == A: ", (jd.U * jordan_matrix(jd.blocks)) * jd.Uinv == a)

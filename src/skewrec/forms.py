@@ -20,8 +20,8 @@ Horner pass of the residual kernel (`_residual`), whose p = 1 case, every
 simple root, is the characteristic polynomial at the root; then its first n
 values (`_values`), which also prove the evaluator, by the initial values.
 A split form's frame was proved when it was built (`SubalgebraFrame`), as
-a term form's values were coerced into its carrier and its terms of p = 0
-or b = 0 dropped (`AssocForm`), so forms of equal terms are equal values.
+a term form's values were coerced, its terms of p = 0 or b = 0 dropped and
+the rest sorted (`AssocForm`), so forms of equal terms are equal values.
 A companion form's whole proof is one annihilator proof on the iterated
 recurrence (`_annihilates`), which compares its values with the iterates.
 
@@ -324,8 +324,9 @@ class AssocForm(ClosedForm):
     """a_k = sum of term values, over an associative carrier or, with every
     rhs, base and poly coefficient central, an octonion one.  Each value of
     a term is the carrier's: one that is not enters by `carrier.coerce`,
-    and one of another carrier raises ContextMismatch.  terms is the tuple
-    of the terms with p and b nonzero: no reader skips one that gives 0."""
+    and one of another carrier raises ContextMismatch.  terms holds the
+    terms with p and b nonzero in `_term_order`: no reader skips one that
+    gives 0, and forms of the same terms in any order are equal."""
 
     carrier: object
     terms: tuple
@@ -333,7 +334,7 @@ class AssocForm(ClosedForm):
     def __post_init__(self):
         c = self.carrier.coerce
         terms = [Term(map(c, t.poly), c(t.base), c(t.right)) for t in self.terms]
-        object.__setattr__(self, "terms", tuple([t for t in terms if t.poly and t.right]))
+        object.__setattr__(self, "terms", _term_order([t for t in terms if t.poly and t.right]))
 
     def _groups(self):
         return _term_groups(((self, lambda x: x),))
@@ -386,11 +387,11 @@ def _poly_nums(poly, count: int) -> tuple[int, list]:
     return e, vals
 
 
-def _term_order(terms) -> list:
+def _term_order(terms) -> tuple:
     """The terms sorted by base, then poly length, then the poly's
-    coordinates, then right; each value's coordinates are compared as
-    integer numerators over one common denominator of all the terms'
-    values, which orders them as their rational coordinates would."""
+    coordinates, then right: the order a form keeps and prints them in.
+    Coordinates are compared as integer numerators over one common
+    denominator of all the terms' values, as rationals would be."""
     den = lcm(*[v.den for t in terms for v in (t.base, t.right, *t.poly)])
 
     def key(t):
@@ -399,7 +400,7 @@ def _term_order(terms) -> list:
                 tuple([n * (den // c.den) for c in t.poly for n in c.num]),
                 tuple([n * (den // t.right.den) for n in t.right.num]))
 
-    return sorted(terms, key=key)
+    return tuple(sorted(terms, key=key))
 
 
 def _render_poly(poly) -> str:
@@ -418,9 +419,9 @@ def _render_poly(poly) -> str:
 
 
 def _render_terms(form: AssocForm) -> str:
-    """The form's terms, each of which its certificate proves, or 0 for none."""
+    """The form's terms in their order, each proved by its certificate, or 0."""
     return " + ".join(f"({_render_poly(t.poly)})*({t.base})^k*({t.right})"
-                      for t in _term_order(form.terms)) or "0"
+                      for t in form.terms) or "0"
 
 
 @dataclass(frozen=True)
@@ -579,7 +580,7 @@ def _certify_terms(form: AssocForm, rhs, label: str) -> None:
     whatever b is: the initial values prove b.  It
     regroups rhs[j] * (lam**(k+j) * b) as (rhs[j] * lam**j) * (lam**k * b),
     so in a carrier whose values do not associate every rhs, base and poly
-    coefficient must be central."""
+    coefficient must be central.  A refused term's index counts in printed order."""
     n = len(rhs)
     carrier = form.carrier
     if not carrier.value_type.ASSOCIATIVE and not all(

@@ -17,15 +17,15 @@ discriminant; integer roots are sought only in a cubic and in a quartic
 that does not split, which is then squarefree: in closed form in a cubic
 of discriminant 0, otherwise mod the first odd prime that does not divide
 the discriminant, Hensel-lifted up to a Fujiwara root bound.
-`quadratic_roots` reads each root class off the integer factors on
-integer numerators: every irreducible quadratic factor's class holds a
-root, found with no test, and only a central candidate is tested, by the
-residual kernel `forms._residual` that also proves closed forms; rational
-`LeftPoly`s of C_p and its factors are built only for a caller that asks
-(`companion_poly`, `factor_central_quartic`, the `NoRootsFound` text), and
-their coefficients print from numerators.  A class is labelled by
-`ConjClass`, which `conj_class` gives a quaternion and `solver._check_lam`
-counts; the labels are the search's, as the certificate reads none.
+`quadratic_roots` reads a non-central p's roots off the integer factors on
+integer numerators, as (root, multiplicity) pairs: a class holds at most
+one root, found with no test, and only a central candidate is tested, by
+the residual kernel `forms._residual` that also proves closed forms;
+rational `LeftPoly`s of C_p and its factors are built only for a caller
+that asks (`companion_poly`, `factor_central_quartic`, the `NoRootsFound`
+text), and their coefficients print from numerators.  `conj_class` labels
+a quaternion's class by its (trace, norm), a `ConjClass`, which
+`solver._check_lam` counts; the certificate reads no label.
 """
 
 from __future__ import annotations
@@ -403,39 +403,20 @@ def factor_central_quartic(p: LeftPoly):
 # conjugacy classes, and the roots of monic quadratics over a quaternion algebra
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(frozen=True, slots=True)
 class ConjClass:
-    """Conjugacy-class label: a central scalar, or a (trace, norm) pair.
+    """Conjugacy-class label of a quaternion: its reduced trace t and norm n.
+    In a division algebra two quaternions are conjugate exactly when they
+    share t and n, and a central c is alone in its label (2c, c^2); in a
+    split algebra c and c plus a nilpotent share one, as ZeroDivisor warns."""
 
-    Two non-central quaternions are conjugate exactly when they share reduced
-    trace and norm, provided the algebra is division; in a split algebra the
-    label can lump together genuinely non-conjugate elements, which is the
-    same caveat attached to ZeroDivisor.
-    """
-
-    central: object = None
-    t: object = None
-    n: object = None
-
-    def __post_init__(self):
-        if (self.central is None) == (self.t is None):
-            raise ValueError("give either a central scalar or a (t, n) pair")
-
-    @property
-    def is_central(self) -> bool:
-        return self.central is not None
-
-    def __repr__(self):
-        if self.is_central:
-            return f"ConjClass(central={self.central})"
-        return f"ConjClass(t={self.t}, n={self.n})"
+    t: object
+    n: object
 
 
 def conj_class(x: QuatValue) -> ConjClass:
-    """Class label of a quaternion: itself if central, else (trace, norm)."""
-    if x.is_central():
-        return ConjClass(central=x.scalar_part())
-    return ConjClass(t=x.trace(), n=x.norm())
+    """Class label of a quaternion: its (trace, norm)."""
+    return ConjClass(x.trace(), x.norm())
 
 
 def _is_root(coeffs, lam) -> bool:
@@ -446,43 +427,43 @@ def _is_root(coeffs, lam) -> bool:
 
 def quadratic_roots(p: LeftPoly) -> tuple:
     """Roots of a monic quadratic x^2 - beta*x - alpha over a quaternion
-    algebra, p's carrier, located class by class through the central
-    companion quartic, as (roots, jordan, spherical): the isolated roots,
-    (lam, 2) or None, and the ConjClass of a central p's class of roots or
-    None.  A p over any other carrier raises ValueError.
+    algebra, p's carrier, with a coefficient that is not central, as the
+    (root, multiplicity) pairs of every root path: ((lam, 1), (mu, 1)) or
+    ((lam, 2),).  A central p, which `solver._propose` solves by its
+    discriminant, or a p over another carrier raises ValueError; one with
+    no root, or with one root and no Jordan partner, NoRootsFound.
 
     C_p = p * conj(p) (Gordon and Motzkin, Trans. AMS 116, 1965) is
     factored as the monic integer g(y) = L**4 * C_p(y/L).  A factor y + u0
     gives the central candidate c = -u0/L, kept if p(c) = 0 (`_is_root`):
     C_p(c) = N(p(c)) = 0 makes p(c) a zero divisor, which in a split
     algebra need not be 0.  A factor y^2 + u1*y + u0 gives the class of
-    trace t = -u1/L and norm n = u0/L^2.  When beta = t and alpha = -n the
-    whole class consists of roots and is returned, with no element sought.
-    Otherwise the class holds the root lam = X^-1 Y, X = t - beta and
-    Y = n + alpha, taken with no test.  Let theta be a root of
-    y^2 - t*y + n, irrational as the factor is irreducible over Q; then
-    p(theta) = X*theta - Y, and C_p(theta) = N(X)*theta^2 - B(X, Y)*theta
-    + N(Y) = 0, B the polar form, gives B(X, Y) = t*N(X) and
-    N(Y) = n*N(X).  So T(lam) = B(X, Y)/N(X) = t and N(lam) = n, and as
-    every quaternion, in a split algebra too, has
-    lam^2 = T(lam)*lam - N(lam), X*lam = Y gives
-    p(lam) = lam^2 - t*lam + n = 0.  A single isolated root lam whose
-    cofactor beta - lam stays in the same class is returned with
-    multiplicity two, matching the forced factorization
-    p = (x - (beta - lam)) (x - lam).
+    trace t = -u1/L and norm n = u0/L^2.  Its every theta, in a split
+    algebra too, has theta^2 = t*theta - n, so p(theta) = X*theta - Y with
+    X = t - beta and Y = n + alpha.  If X = 0, alpha is not central, as p
+    is not, and p(theta) = -Y is never 0.  Otherwise the class holds the
+    root lam = X^-1 Y, taken with no test: for theta a root of
+    y^2 - t*y + n, irrational as the factor is irreducible over Q,
+    C_p(theta) = N(X)*theta^2 - B(X, Y)*theta + N(Y) = 0, B the polar form,
+    gives B(X, Y) = t*N(X) and N(Y) = n*N(X), so T(lam) = B(X, Y)/N(X) = t,
+    N(lam) = n and p(lam) = X*lam - Y = 0.  A single root lam whose
+    cofactor beta - lam stays in its class is returned with multiplicity
+    two, matching the forced factorization p = (x - (beta - lam)) (x - lam).
 
-    The class steps run on integer numerators: beta = t and alpha = -n by
-    cross-multiplying, N(X) off the carrier's `weights`, the root from one
-    `_quat_mul` of the numerators of conj(X) and Y, reduced once, and the
-    Jordan test, that beta - lam has the class of lam, as equal trace and
-    norm of their numerators.  An X of norm 0 (a split algebra) raises
-    ZeroDivisor, as its inverse does.
+    The class steps run on integer numerators: X and Y by cross-multiplying,
+    N(X) off the carrier's `weights`, the root from one `_quat_mul` of
+    conj(X) and Y, reduced once, and the Jordan test, that beta - lam has
+    lam's trace and norm and is central exactly when lam is.  An X of norm
+    0 (a split algebra) raises ZeroDivisor, as its inverse does.
     """
     alg = p.carrier
     if not isinstance(alg, QuaternionAlgebra):
         raise ValueError(f"quadratic_roots needs a quaternion algebra, not {alg}")
     if p.degree != 2 or not p.is_monic():
         raise ValueError("quadratic_roots needs a monic quadratic")
+    if all(c.is_central() for c in p.coeffs):
+        raise ValueError("quadratic_roots needs a non-central coefficient: "
+                         "a central quadratic is solved by its discriminant")
     g, L = _companion(p)
     factors = _factor_monic(g)
     c0, c1 = p.coeffs[:2]  # beta = -c1, alpha = -c0
@@ -491,7 +472,6 @@ def quadratic_roots(p: LeftPoly) -> tuple:
     consts, weights, LL = alg.consts, alg.weights, L * L
 
     roots = []
-    spherical = None
     for u, _mult in factors:
         if len(u) == 2:
             lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
@@ -502,11 +482,9 @@ def quadratic_roots(p: LeftPoly) -> tuple:
             continue
         # t - beta = X / (L*d1) and n + alpha = Y / (L^2*d0)
         X = (L * c1w - u[1] * d1, *[L * x for x in c1v])
-        Y = (u[0] * d0 - LL * c0w, *[-LL * y for y in c0v])
-        if not any(X):  # beta = t
-            if not any(Y):  # alpha = -n
-                spherical = ConjClass(t=alg.ctx.ratio(-u[1], L), n=alg.ctx.ratio(u[0], LL))
+        if not any(X):  # beta = t: p(theta) = -Y, not 0, on the class
             continue
+        Y = (u[0] * d0 - LL * c0w, *[-LL * y for y in c0v])
         nx = sum(map(mul, weights, map(mul, X, X)))  # N(t - beta) * D * (L*d1)^2
         if nx == 0:  # the value t - beta raises ZeroDivisor
             _reduced(QuatValue, alg, X, L * d1).inverse()
@@ -514,18 +492,9 @@ def quadratic_roots(p: LeftPoly) -> tuple:
         # and conj(X) * Y is _quat_mul(conj(X), Y) / D
         num = _quat_mul(consts, _conj4(X), Y)
         roots.append(_reduced(QuatValue, alg, tuple([z * d1 for z in num]), nx * L * d0))
-    jordan = None
-    if len(roots) == 1:  # a spherical class comes with no isolated root
-        lam = roots[0]
-        # beta - lam = Z / (d1 * dl) has lam's class when both are central or
-        # both are not, with equal trace and equal norm
-        ln, dl = lam.num, lam.den
-        Z = [-a * dl - b * d1 for a, b in zip(c1.num, ln)]
-        if (any(Z[1:]) == any(ln[1:]) and Z[0] == ln[0] * d1
-                and sum(map(mul, weights, map(mul, Z, Z)))
-                == sum(map(mul, weights, map(mul, ln, ln))) * d1 * d1):
-            jordan = (lam, 2)
-    if not roots and spherical is None:
+    if len(roots) == 2:
+        return tuple([(lam, 1) for lam in roots])
+    if not roots:
         comp = _unscaled(alg.ctx, g, L)
         if len(factors) == 1 and len(factors[0][0]) == 5:
             raise NoRootsFound(f"C_p = {comp} is irreducible over Q: the roots "
@@ -534,4 +503,12 @@ def quadratic_roots(p: LeftPoly) -> tuple:
                             for f, m in _unscaled_factors(alg.ctx, factors, L))
         raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
                            "factor yields a root")
-    return roots, jordan, spherical
+    lam = roots[0]
+    ln, dl = lam.num, lam.den  # beta - lam = Z / (d1 * dl)
+    Z = [-a * dl - b * d1 for a, b in zip(c1.num, ln)]
+    if not (any(Z[1:]) == any(ln[1:]) and Z[0] == ln[0] * d1
+            and sum(map(mul, weights, map(mul, Z, Z)))
+            == sum(map(mul, weights, map(mul, ln, ln))) * d1 * d1):
+        raise NoRootsFound("a single isolated root without repeated-root structure "
+                           "cannot determine an order-2 closed form")
+    return ((lam, 2),)

@@ -85,8 +85,12 @@ def verify_closed_form(spec: RecurrenceSpec, cf: ClosedForm, kmax: int) -> Verif
 
 
 def _check_lam(roots) -> None:
-    """No three roots may share a conjugacy class, or U (for simple roots the
-    Vandermonde matrix of the roots) can go singular."""
+    """No three roots may share a conjugacy class, its (T, N) label
+    (`poly.conj_class`), as three that do make U singular: every lam has
+    lam^2 = T*lam - N, so a chain's first column (1, lam, ..., lam**(n-1))
+    is A + B*lam for rational vectors A and B fixed by (T, N), and three
+    such columns times b_1, b_2, b_3, not all 0, with sum b_i = 0 and
+    sum lam_i*b_i = 0 (8 rational equations in 12 unknowns) sum to 0."""
     if len(roots) < 3 or isinstance(roots[0].carrier, FieldContext):
         return
     counts: dict = {}
@@ -206,8 +210,8 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
     one two roots, coerced into the spec's carrier.  Any other gives an
     algebra spec the Lucas form (CompanionForm of chi), moves a field spec over Q,
     if positive, to Q(sqrt(d)), d its squarefree part, and is otherwise
-    unsolvable here.  Any other order-2 quaternion spec takes the roots
-    `quadratic_roots` finds.
+    unsolvable here.  Any other order-2 quaternion spec takes the (root,
+    multiplicity) pairs that `quadratic_roots` finds, or its NoRootsFound.
 
     Every limit of the search is declined before any path runs: an
     octonion spec of order other than 2 or with user roots, and a field or
@@ -245,11 +249,7 @@ def _propose(spec: RecurrenceSpec) -> ClosedForm:
     if spec.order == 1:
         return _jordan_form(spec, ((spec.rhs[0], 1),))
     if not (field or all(r.is_central() for r in spec.rhs)):
-        roots, jordan, _ = quadratic_roots(primitive_char_poly(spec))
-        if jordan is None and len(roots) != 2:
-            raise NoRootsFound("a single isolated root without repeated-root structure "
-                               "cannot determine an order-2 closed form")
-        return _jordan_form(spec, [jordan] if jordan else [(lam, 1) for lam in roots])
+        return _jordan_form(spec, quadratic_roots(primitive_char_poly(spec)))
     c0, c1 = [-r if field else -r.scalar_part() for r in spec.rhs]
     disc = c1 * c1 - 4 * c0
     if disc.is_zero():

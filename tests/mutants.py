@@ -140,12 +140,29 @@ MUTANTS = [
            ("tests/test_solver.py::test_frame_check_against_the_product_identities",)),
     # the roots of a quaternion quadratic (quadratic_roots): a central
     # candidate is tested, a class root is X^-1 Y by theorem
+    Mutant("central-p refusal dropped", POLY,
+           '    if all(c.is_central() for c in p.coeffs):\n'
+           '        raise ValueError("quadratic_roots needs a non-central coefficient: "\n'
+           '                         "a central quadratic is solved by its discriminant")\n', "",
+           ("tests/test_poly.py::test_quadratic_roots_spherical",)),
     Mutant("central candidate kept without its root test", POLY,
            "if _is_root(p.coeffs, lam):", "if True:",
            ("tests/test_poly.py::test_quadratic_roots_none",)),
     Mutant("class root taken as Y * conj(X), a right quotient", POLY,
            "consts, _conj4(X), Y)", "consts, Y, _conj4(X))",
            ("tests/test_poly.py::test_quadratic_roots_two_distinct_classes",)),
+    # a lone root is a Jordan root only if its cofactor is in its class and,
+    # as it, central or not
+    Mutant("Jordan test taken as passed", POLY,
+           "if not (any(Z[1:]) == any(ln[1:])", "if False and not (any(Z[1:]) == any(ln[1:])",
+           ("tests/test_solver.py::test_a_single_isolated_root_is_no_closed_form",)),
+    Mutant("Jordan test pairs a central root with a non-central cofactor", POLY,
+           "any(Z[1:]) == any(ln[1:]) and ", "",
+           ("tests/test_solver.py::test_a_single_isolated_root_is_no_closed_form",)),
+    # three user roots of one (trace, norm) make U singular
+    Mutant("three roots of one class let through", SOLVER,
+           "if counts[cls] >= 3:", "if counts[cls] >= 4:",
+           ("tests/test_solver.py::test_lam_violation",)),
     # elimination takes entries that do not associate only if all are central
     Mutant("elimination tests only the first octonion entry for being central", MATLIN,
            "for x in m.entries)", "for x in m.entries[:1])",
@@ -316,10 +333,15 @@ MUTANTS = [
     Mutant("tail gcd only when cap > 1", FORMS,
            "elif cap and not any(", "elif cap > 1 and not any(", REDUCER),
     # a form holds the terms its certificate proves, and no other, so its
-    # text prints no other
+    # text prints no other; it keeps them in one order, so forms of the same
+    # terms are equal
     Mutant("a form keeps a term that contributes nothing", FORMS,
-           "tuple([t for t in terms if t.poly and t.right])", "tuple(terms)",
+           "[t for t in terms if t.poly and t.right]", "terms",
            ("tests/test_solver.py::test_a_form_prints_only_the_terms_it_proves",)),
+    Mutant("a form keeps its terms in the order given", FORMS,
+           "_term_order([t for t in terms if t.poly and t.right])",
+           "tuple([t for t in terms if t.poly and t.right])",
+           ("tests/test_solver.py::test_a_hand_built_form_equals_the_form_of_its_live_terms",)),
     Mutant("a term keeps its trailing zero coefficients", FORMS,
            "while poly and not poly[-1]:", "while False:",
            ("tests/test_solver.py::test_a_term_form_takes_only_values_of_its_carrier",)),

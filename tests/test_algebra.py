@@ -141,6 +141,11 @@ def test_conj_class_examples():
     assert conj_class(I) != conj_class(1 + I)
     assert conj_class(H.scalar(2)) == conj_class(H.scalar(2))
     assert conj_class(H.scalar(2)) != conj_class(H.scalar(3))
+    # the label is (trace, norm): in the split algebra (1,1) the central 1
+    # shares (2, 1) with 1 plus the nilpotent e1 + e3, which is not conjugate to it
+    S = QuaternionAlgebra(1, 1)
+    one = conj_class(S.scalar(1))
+    assert one == conj_class(1 + S.e1 + S.e3) == ConjClass(S.ctx.scalar(2), S.ctx.one())
 
 
 def test_conj_class_invariance_under_conjugation():

@@ -183,33 +183,35 @@ def test_factor_degree_guard():
 
 def test_quadratic_roots_two_distinct_classes():
     p = LeftPoly(H, [1 + K, -I, 1])
-    roots, jordan, spherical = quadratic_roots(p)
-    assert roots == [J, I + J]
-    assert conj_class(roots[0]) == ConjClass(t=Q.zero(), n=Q.one())
-    assert conj_class(roots[1]) == ConjClass(t=Q.zero(), n=Q.scalar(2))
-    assert jordan is None and spherical is None
+    assert quadratic_roots(p) == ((J, 1), (I + J, 1))
+    assert conj_class(J) == ConjClass(t=Q.zero(), n=Q.one())
+    assert conj_class(I + J) == ConjClass(t=Q.zero(), n=Q.scalar(2))
 
 
 def test_quadratic_roots_jordan():
     p = LeftPoly(H, [-K, -(I + J), 1])
-    roots, jordan, _ = quadratic_roots(p)
-    assert roots == [I]
-    assert jordan == (I, 2)
+    assert quadratic_roots(p) == ((I, 2),)
     g, r = divide_by_linear(p, I)
     assert r.is_zero() and g == x_minus(J)  # forced split (x - j)(x - i)
 
 
+CENTRAL = "quadratic_roots needs a non-central coefficient"
+LONE = ("a single isolated root without repeated-root structure cannot determine an "
+        "order-2 closed form")
+
+
 def test_quadratic_roots_spherical():
-    p = LeftPoly(H, [1, 0, 1])  # x^2 + 1
-    roots, jordan, spherical = quadratic_roots(p)
-    assert spherical == ConjClass(t=Q.zero(), n=Q.one())
-    assert roots == [] and jordan is None  # no root data for the solver
+    # every element of the class (0, 1) is a root of x^2 + 1, a central p,
+    # which the search solves by its discriminant and never hands over
+    p = LeftPoly(H, [1, 0, 1])
+    with pytest.raises(ValueError, match=CENTRAL):
+        quadratic_roots(p)
 
 
 def test_quadratic_roots_central_rational():
     p = x_minus(H.scalar(1)) * x_minus(H.scalar(2))
-    roots, _, _ = quadratic_roots(p)
-    assert sorted(lam.scalar_part().coords()[0] for lam in roots) == [1, 2]
+    with pytest.raises(ValueError, match=CENTRAL):
+        quadratic_roots(p)
 
 
 def test_quadratic_roots_needs_a_quaternion_algebra():
@@ -244,10 +246,11 @@ def test_quadratic_roots_planted_root_recovered():
         if lam.is_zero() or mu.is_zero():
             continue
         p = x_minus(mu) * x_minus(lam)
-        roots, jordan, spherical = quadratic_roots(p)
-        if jordan:
-            roots.append(jordan[0])
-        assert any(r == lam for r in roots) or conj_class(lam) == spherical
+        if all(c.is_central() for c in p.coeffs):  # every element of lam's class is a root
+            with pytest.raises(ValueError, match=CENTRAL):
+                quadratic_roots(p)
+            continue
+        assert lam in [r for r, _ in quadratic_roots(p)]
 
 
 def test_quadratic_roots_report_invariants():
@@ -258,16 +261,15 @@ def test_quadratic_roots_report_invariants():
         if lam.is_zero() or mu.is_zero():
             continue
         p = x_minus(mu) * x_minus(lam)
-        roots, _, _ = quadratic_roots(p)
         comp = companion_poly(p)
-        for root, cls in [(r, conj_class(r)) for r in roots]:
+        for root, cls in [(r, conj_class(r)) for r, _ in quadratic_roots(p)]:
             assert p.eval(root).is_zero()
             # the root's class shows up among the central factors
             match = False
             for f, _ in factor_central_quartic(comp):
                 if f.degree == 2 and cls == ConjClass(t=-f.coeffs[1], n=f.coeffs[0]):
                     match = True
-                if f.degree == 1 and cls == ConjClass(central=-f.coeffs[0]):
+                if f.degree == 1 and cls == conj_class(H.scalar(-f.coeffs[0])):
                     match = True
             assert match
             assert LeftPoly(H, list(comp.coeffs)).eval(root).is_zero()
@@ -281,9 +283,8 @@ def test_quadratic_roots_at_most_two_per_class():
         lam, mu = rand_quat(rng, H), rand_quat(rng, H)
         if lam.is_zero() or mu.is_zero():
             continue
-        roots, _, _ = quadratic_roots(x_minus(mu) * x_minus(lam))
         seen = {}
-        for cls in map(conj_class, roots):
+        for cls in [conj_class(r) for r, _ in quadratic_roots(x_minus(mu) * x_minus(lam))]:
             seen[cls] = seen.get(cls, 0) + 1
         assert all(v <= 2 for v in seen.values())
 
@@ -644,22 +645,26 @@ def test_quadratic_roots_central_factors_agree_with_sympy(alg, kind, seed):
     got = [([c.coords()[0] for c in f.coeffs], m)
            for f, m in factor_central_quartic(companion_poly(p))]
     assert got == expected
+    if all(c.is_central() for c in p.coeffs):  # solved by its discriminant
+        with pytest.raises(ValueError, match=CENTRAL):
+            quadratic_roots(p)
+        return
     try:
-        roots, _, spherical = quadratic_roots(p)
+        roots = quadratic_roots(p)
     except NoRootsFound as exc:
         if len(expected) == 1 and len(expected[0][0]) == 5:
             assert "is irreducible over Q" in str(exc)
-        else:
+        elif str(exc).startswith("C_p"):
             listed = [f"[{LeftPoly(Q, c)}]" + (f"^{m}" if m > 1 else "") for c, m in expected]
             assert " * ".join(listed) in str(exc)
+        else:
+            assert str(exc) == LONE
         return
     except SkewrecError:  # a zero divisor: no report
         return
     c0, c1 = p.coeffs[0], p.coeffs[1]
-    if spherical:  # p = x^2 - t*x + n: every element of the class is a root
-        assert (c0, c1) == (spherical.n, -spherical.t) and not roots
-    assert roots or spherical
-    for lam in roots:
+    assert sum(m for _, m in roots) == 2
+    for lam, _ in roots:
         assert (lam * lam + c1 * lam + c0).is_zero()
 
 
@@ -673,13 +678,14 @@ def quadratic_roots_by_values(p, tested=None):
     from skewrec.poly import _companion, _factor_monic, _unscaled, _unscaled_factors
     from skewrec.scalar import _reduced
 
+    if all(c.is_central() for c in p.coeffs):
+        raise ValueError(CENTRAL + ": a central quadratic is solved by its discriminant")
     alg = p.carrier
     beta = -p.coeffs[1]
     alpha = -p.coeffs[0]
     g, L = _companion(p)
     factors = _factor_monic(g)
     roots = []
-    spherical = None
     for u, _mult in factors:
         if len(u) == 2:
             lam = _reduced(QuatValue, alg, (-u[0], 0, 0, 0), L)
@@ -689,21 +695,15 @@ def quadratic_roots_by_values(p, tested=None):
             t = _reduced(QuatValue, alg, (-u[1], 0, 0, 0), L)
             n = _reduced(QuatValue, alg, (u[0], 0, 0, 0), L * L)
             cls = ConjClass(t=t.scalar_part(), n=n.scalar_part())
-            if beta == t:
-                if alpha == -n:
-                    spherical = cls
-            else:
+            if beta != t:
                 lam = (t - beta).inverse() * (n + alpha)
                 assert p.eval(lam).is_zero() and conj_class(lam) == cls
                 roots.append(lam)
                 if tested is not None:
                     tested.append(lam)
-    jordan = None
-    if spherical is None and len(roots) == 1:
-        lam = roots[0]
-        if conj_class(beta - lam) == conj_class(lam):
-            jordan = (lam, 2)
-    if not roots and spherical is None:
+    if len(roots) == 2:
+        return tuple([(lam, 1) for lam in roots])
+    if not roots:
         comp = _unscaled(alg.ctx, g, L)
         if len(factors) == 1 and len(factors[0][0]) == 5:
             raise NoRootsFound(f"C_p = {comp} is irreducible over Q: the roots "
@@ -712,17 +712,22 @@ def quadratic_roots_by_values(p, tested=None):
                             for f, m in _unscaled_factors(alg.ctx, factors, L))
         raise NoRootsFound(f"C_p = {comp} factors over Q as {listed}, and no "
                            "factor yields a root")
-    return roots, jordan, spherical
+    lam = roots[0]
+    # a central lam and a non-central cofactor of its (trace, norm) are no
+    # Jordan pair: in a split algebra the cofactor is lam plus a nilpotent
+    if conj_class(beta - lam) != conj_class(lam) or (beta - lam).is_central() != lam.is_central():
+        raise NoRootsFound(LONE)
+    return ((lam, 2),)
 
 
 def _roots_outcome(find, p):
-    """The roots with their conj_class labels, jordan and spherical, or the
-    error's class and text."""
+    """The (root, multiplicity) pairs with the roots' conj_class labels, or
+    the error's class and text."""
     try:
-        roots, jordan, spherical = find(p)
-    except SkewrecError as exc:
+        roots = find(p)
+    except (SkewrecError, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return [(lam, conj_class(lam)) for lam in roots], jordan, spherical
+    return [(lam, m, conj_class(lam)) for lam, m in roots]
 
 
 DIFFERENTIAL_ALGEBRAS = (
@@ -735,16 +740,13 @@ DIFFERENTIAL_ALGEBRAS = (
 SPLIT_ALGEBRAS = DIFFERENTIAL_ALGEBRAS[2:4]  # the others are division algebras
 
 
-DIFFERENTIAL_KINDS = ["product", "conj", "conjugate", "random", "central", "scalar root",
-                      "zero divisor"]
+DIFFERENTIAL_KINDS = ["product", "conj", "conjugate", "random", "scalar root", "zero divisor"]
 
 
 def differential_quadratic(rng, alg, kind):
-    """planted_quadratic's kinds, and x^2 - t*x + n (a spherical class or
-    central roots), a central root times another, and a cofactor that in
-    (1, 1) is the root's conjugate plus the zero divisor e1 + e3."""
-    if kind == "central":
-        return LeftPoly(alg, [rand_frac(rng, 6, 2), rand_frac(rng, 6, 2), 1])
+    """planted_quadratic's kinds, a central root times another, and a
+    cofactor that in (1, 1) is the root's conjugate plus the zero divisor
+    e1 + e3."""
     if kind == "scalar root":
         return x_minus(rand_quat(rng, alg, 4, 2)) * x_minus(alg.scalar(rand_frac(rng, 4, 2)))
     if kind == "zero divisor":
@@ -758,14 +760,19 @@ def differential_quadratic(rng, alg, kind):
        st.integers(0, 2 ** 32))
 def test_quadratic_roots_agrees_with_the_value_level_class_loop(alg, kind, seed):
     p = differential_quadratic(random.Random(seed), alg, kind)
-    assert _roots_outcome(quadratic_roots, p) == _roots_outcome(quadratic_roots_by_values, p)
+    out = _roots_outcome(quadratic_roots, p)
+    assert out == _roots_outcome(quadratic_roots_by_values, p)
+    if isinstance(out, list):
+        assert sum(m for _, m, _ in out) == 2
+        assert all(_is_root(p.coeffs, lam) for lam, _, _ in out)
 
 
 def test_quadratic_roots_differential_covers_every_outcome():
-    # the drawn quadratics reach isolated, Jordan and spherical roots, both
-    # NoRootsFound texts, the split algebras' ZeroDivisor, and class roots,
-    # taken with no test, in a division and in a split algebra, each of
-    # which the reference finds a root of its class by p(lam) = 0
+    # the drawn quadratics reach two roots, a Jordan root, all three
+    # NoRootsFound texts, the split algebras' ZeroDivisor and the central
+    # p's ValueError, and class roots, taken with no test, in a division
+    # and in a split algebra, each of which the reference finds a root of
+    # its class by p(lam) = 0
     seen = set()
     rng = random.Random(19)
     n_alg, n_kind = len(DIFFERENTIAL_ALGEBRAS), len(DIFFERENTIAL_KINDS)
@@ -778,14 +785,20 @@ def test_quadratic_roots_differential_covers_every_outcome():
         if tested:
             seen.add("class root in a " + ("split" if alg in SPLIT_ALGEBRAS else "division")
                      + " algebra")
-        if isinstance(out[0], str):
-            seen.add(out[0] + (" irreducible" if "irreducible" in out[1] else ""))
+        if isinstance(out, tuple):
+            seen.add(out[0] + (" irreducible" if "irreducible" in out[1]
+                               else " lone" if out[1] == LONE else ""))
         else:
-            roots, jordan, spherical = out
-            seen.add("jordan" if jordan else "spherical" if spherical else f"{len(roots)} isolated")
-    assert {"1 isolated", "2 isolated", "jordan", "spherical", "NoRootsFound",
-            "NoRootsFound irreducible", "ZeroDivisor", "class root in a division algebra",
+            seen.add("jordan" if out[0][1] == 2 else "2 roots")
+    assert {"2 roots", "jordan", "NoRootsFound", "NoRootsFound irreducible", "NoRootsFound lone",
+            "ZeroDivisor", "ValueError", "class root in a division algebra",
             "class root in a split algebra"} <= seen, seen
+    # x^2 - t*x + n over every algebra: the central p that the search
+    # solves by its discriminant, a spherical class or central roots
+    for alg in DIFFERENTIAL_ALGEBRAS:
+        p = LeftPoly(alg, [rand_frac(rng, 6, 2), rand_frac(rng, 6, 2), 1])
+        with pytest.raises(ValueError, match=CENTRAL):
+            quadratic_roots(p)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -159,6 +159,7 @@ UNREACHED = {
     # before the checker sees them
     "forms.RecurrenceSpec.__post_init__", "forms._checked_multiplicities",
     "forms.Term.__post_init__", "forms.AssocForm.__post_init__",
+    "forms._term_order", "forms._term_order.<locals>.key",
     "forms.CompanionForm.__post_init__",
     "algebra.OctonionAlgebra.__init__", "algebra.QuaternionAlgebra.__init__",
     "algebra.QuaternionAlgebra.key", "scalar.FieldContext.__init__",
@@ -382,21 +383,20 @@ def test_promote_golden_ratio():
     cf = solver._propose(FIB)
     ctx = cf.carrier
     assert ctx.d == 5
-    (r1, m1), (r2, m2) = [(t.base, len(t.poly)) for t in cf.terms]
-    assert (m1, m2) == (1, 1)
-    assert r1 == ctx.element((Fraction(1, 2), Fraction(1, 2)))
-    assert r2 == ctx.element((Fraction(1, 2), Fraction(-1, 2)))
+    polys = {t.base: len(t.poly) for t in cf.terms}
+    assert polys == {ctx.element((Fraction(1, 2), Fraction(1, 2))): 1,
+                     ctx.element((Fraction(1, 2), Fraction(-1, 2))): 1}
 
 
 def test_promote_rational_and_repeated():
     spec = RecurrenceSpec(Q, 2, (-2, 3), (0, 1))  # x^2 - 3x + 2
     cf = solver._propose(spec)
     assert cf.carrier == Q
-    assert [t.base for t in cf.terms] == [Q.scalar(2), Q.scalar(1)]
+    assert {t.base for t in cf.terms} == {Q.scalar(2), Q.scalar(1)} and len(cf.terms) == 2
     spec = RecurrenceSpec(Q, 2, (-1, 2), (1, 5))  # x^2 - 2x + 1
     cf = solver._propose(spec)
     # one chain of the double root 1: a constant term and a linear one
-    assert [(t.base, len(t.poly)) for t in cf.terms] == [(Q.scalar(1), 1), (Q.scalar(1), 2)]
+    assert sorted((t.base, len(t.poly)) for t in cf.terms) == [(Q.scalar(1), 1), (Q.scalar(1), 2)]
 
 
 def test_promote_negative_discriminant():
@@ -411,7 +411,7 @@ def test_promote_inside_quadratic_context():
     spec = RecurrenceSpec(ctx, 2, (1, 1), (0, 1))
     cf = solver._propose(spec)
     assert cf.carrier == ctx
-    assert cf.terms[0].base == ctx.element((Fraction(1, 2), Fraction(1, 2)))
+    assert ctx.element((Fraction(1, 2), Fraction(1, 2))) in [t.base for t in cf.terms]
     # x^2 - 3x + 1 has discriminant 5, a square in Q(rt5)
     spec = RecurrenceSpec(ctx, 2, (-1, 3), (0, 1))
     assert verify_closed_form(spec, solve(spec), 20).ok
@@ -574,25 +574,22 @@ def test_root_multiplicities_must_be_ints_of_at_least_one(roots):
 
 
 def test_solve_builds_no_class_labels(monkeypatch):
-    # quadratic_roots returns roots without labels, so no ConjClass is built
-    # on the distinct-root or on the Jordan path; conj_class labels a root
+    # quadratic_roots returns (root, multiplicity) pairs without labels, so
+    # no ConjClass is built on the distinct-root or on the Jordan path;
+    # conj_class labels a root
     built = []
-    post_init = ConjClass.__post_init__
-    monkeypatch.setattr(ConjClass, "__post_init__",
-                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr("skewrec.poly.ConjClass",
+                        lambda t, n: built.append((t, n)) or ConjClass(t, n))
     distinct = LeftPoly.x_minus(1 + J) * LeftPoly.x_minus(I)
     jordan = LeftPoly(H, [-K, -(I + J), 1])  # (x - j)(x - i): i twice
     for p, mults in ((distinct, [1, 1]), (jordan, [2])):
-        isolated, double, _ = quadratic_roots(p)
-        roots = [double] if double else [(lam, 1) for lam in isolated]
+        roots = quadratic_roots(p)
         assert I in [lam for lam, _ in roots] and [m for _, m in roots] == mults
         cf = solve(RecurrenceSpec(H, 2, (-p.coeffs[0], -p.coeffs[1]), (1, J)))
         assert {t.base for t in cf.terms} == {lam for lam, _ in roots}
     assert not built
-    isolated, double, _ = quadratic_roots(jordan)
-    assert not built and double == (I, 2)
-    labels = [(lam, conj_class(lam)) for lam in isolated]
-    assert len(built) == 1 and labels == [(I, conj_class(I))]
+    assert quadratic_roots(jordan) == ((I, 2),) and not built
+    assert conj_class(I) == ConjClass(I.trace(), I.norm()) and len(built) == 1
 
 
 def test_lam_violation():
@@ -606,7 +603,7 @@ def test_lam_violation():
 def test_derived_roots_are_covered_by_the_certificate(monkeypatch):
     # roots found by quadratic_roots skip the search step's checks for user
     # roots, so a wrong one must still be caught, by _certify
-    wrong = ([I, J], None, None)  # not roots of DIAG's polynomial
+    wrong = ((I, 1), (J, 1))  # not roots of DIAG's polynomial
     monkeypatch.setattr("skewrec.solver.quadratic_roots", lambda *args: wrong)
     with pytest.raises(InternalError, match="certificate failed"):
         solve(DIAG)
@@ -625,7 +622,7 @@ def test_planted_roots_with_large_denominators_solve_in_time():
     cf = solve(spec)
     assert time.perf_counter() - t0 < 1.0
     assert verify_closed_form(spec, cf, 16).ok
-    roots = quadratic_roots(p)[0]
+    roots = [r for r, _ in quadratic_roots(p)]
     assert lam in roots and len(roots) == 2 and all(p.eval(r).is_zero() for r in roots)
 
 
@@ -641,9 +638,19 @@ def test_a_single_isolated_root_is_no_closed_form():
     S = QuaternionAlgebra(1, 1)
     spec = RecurrenceSpec(S, 2, (S.element([-1, 1, -1, 1]), S.element([1, Fraction(1, 2), 2, 0])),
                           (S.element([0, 1, Fraction(-1, 2), -2]), S.element([-1, 2, 1, 0])))
-    with pytest.raises(NoRootsFound, match="^a single isolated root without repeated-root "
-                                           "structure cannot determine an order-2 closed form$"):
+    lone = ("^a single isolated root without repeated-root structure cannot determine an "
+            "order-2 closed form$")
+    with pytest.raises(NoRootsFound, match=lone):
         solve(spec)
+    # the central root 2 of (x - (2 + n))(x - 2), n = e1 + e3 nilpotent, and
+    # its cofactor 2 + n share the label (4, 4), but no chain of 2 has a
+    # second vector: a central root's cofactor is its Jordan partner only if
+    # central too
+    nilpotent = S.e1 + S.e3
+    p = LeftPoly.x_minus(2 + nilpotent) * LeftPoly.x_minus(S.scalar(2))
+    assert conj_class(2 + nilpotent) == conj_class(S.scalar(2))
+    with pytest.raises(NoRootsFound, match=lone):
+        solve(RecurrenceSpec(S, 2, (-p.coeffs[0], -p.coeffs[1]), (1, S.e2)))
 
 
 def test_octonion_two_distinct_roots():
@@ -1154,8 +1161,12 @@ def test_a_hand_built_form_equals_the_form_of_its_live_terms(data):
         if poly and not right.is_zero():
             live.append(Term(tuple(poly), base, right))
     form, want = AssocForm(carrier, terms), AssocForm(carrier, live)
-    assert form == want and hash(form) == hash(want) and form.terms == tuple(live)
+    assert form == want and hash(form) == hash(want)
+    assert form.terms == tuple(forms._term_order(live))
     assert form._lines() == want._lines()
+    # the terms in any order make the same form
+    shuffled = AssocForm(carrier, data.draw(st.permutations(terms), label="shuffled"))
+    assert shuffled == form and hash(shuffled) == hash(form) and shuffled._lines() == form._lines()
     assert [_outcome(form.value, k) for k in range(21)] == [_outcome(want.value, k) for k in range(21)]
     init = want.value(0) if data.draw(st.booleans()) else element()
     spec = RecurrenceSpec(carrier, 1, (r,), (init,))
